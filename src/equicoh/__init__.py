@@ -75,6 +75,7 @@ from .s1 import (
     poincare_manifold,
     promote_to_torus,
     relation_counts,
+    slot_value,
     torus_obstructions,
     unit_class,
 )

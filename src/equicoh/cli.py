@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .graph import (
+    _decode_json,
     format_rational,
     parse_graph,
     report_to_json,
@@ -36,7 +37,6 @@ from .s1 import (
     DEFAULT_MAX_DEGREE,
     check_membership,
     class_to_dict,
-    class_to_vector,
     degree_slots,
     equivariant_series,
     euler_class,
@@ -44,6 +44,7 @@ from .s1 import (
     localize,
     parse_class,
     poincare_manifold,
+    slot_value,
 )
 from .xray import (
     DEFAULT_XRAY_MAX_DEGREE,
@@ -178,9 +179,10 @@ def _load_valid_xray(path: str, fmt: str):
 
 def _validate_document(path: str, strictly_xray: bool):
     """Parse and validate one file, dispatching on its "kind" field."""
-    text = _read(path)
-    doc = json.loads(text)
-    if strictly_xray or (isinstance(doc, dict) and doc.get("kind") == "xray"):
+    doc = _decode_json(_read(path))
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level value must be an object")
+    if strictly_xray or doc.get("kind") == "xray":
         return validate_xray(parse_xray(doc))
     return validate_graph(parse_graph(doc))
 
@@ -299,10 +301,7 @@ def cmd_basis(args) -> int:
         return 0
     slots = degree_slots(graph, args.degree)
     headers = [s.label for s in slots]
-    rows = [
-        [format_rational(x) for x in class_to_vector(graph, args.degree, b)]
-        for b in basis
-    ]
+    rows = [[format_rational(slot_value(b, args.degree, s)) for s in slots] for b in basis]
     if not headers:
         print(f"no classes in degree {args.degree}")
     else:

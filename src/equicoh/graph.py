@@ -157,11 +157,20 @@ def _parse_id(value, where: str) -> str:
     return value
 
 
+def _decode_json(text: str):
+    """``json.loads``, reporting nesting deeper than the decoder's recursion
+    limit as a ParseError; JSONDecodeError passes through."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("document is nested too deeply to decode") from None
+
+
 def _load_document(text) -> dict:
     if isinstance(text, dict):
         return text
     try:
-        doc = json.loads(text)
+        doc = _decode_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(doc, dict):
@@ -267,7 +276,10 @@ def parse_graph(text) -> DecoratedGraph:
             or any(
                 not isinstance(row, list)
                 or len(row) != 2 * g
-                or any(x not in (-1, 0, 1) or isinstance(x, bool) for x in row)
+                or any(
+                    not isinstance(x, int) or isinstance(x, bool) or x not in (-1, 0, 1)
+                    for x in row
+                )
                 for row in identification
             )
         ):

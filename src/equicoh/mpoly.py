@@ -254,6 +254,8 @@ def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
         exps, coeff = pair
         if not isinstance(exps, (list, tuple)) or len(exps) != nvars:
             raise InputError(f"exponent vector must have length {nvars}")
-        key = tuple(int(e) for e in exps)
+        if any(not isinstance(e, int) or isinstance(e, bool) for e in exps):
+            raise InputError(f"exponents must be integers, got {list(exps)}")
+        key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + parse_scalar(coeff)
     return MPoly(nvars, terms)

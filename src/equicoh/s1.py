@@ -180,7 +180,10 @@ def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
 def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     """The inverse of the Euler class in the localized module."""
     resolved = resolve_self_intersections(graph)
-    comp = resolved.find(component_id)
+    return _inverse_euler(resolved, resolved.find(component_id))
+
+
+def _inverse_euler(resolved: DecoratedGraph, comp: IsolatedVertex | FatVertex) -> Laurent:
     if isinstance(comp, IsolatedVertex):
         return Laurent({-2: Fraction(1, weight_product(comp))})
     sign = _surface_sign(comp, resolved)
@@ -273,6 +276,21 @@ def _surface_restriction(cls: ComponentClass) -> Laurent:
     return Laurent(acc)
 
 
+def _component_localization(
+    comp: IsolatedVertex | FatVertex, cls: ComponentClass, inverse: Laurent
+) -> Laurent:
+    """One component's term of the localization sum, given its inverse Euler class."""
+    if isinstance(comp, IsolatedVertex):
+        restriction = Laurent({k // 2: v for k, v in cls.entries.items()})
+        return laurent_mul(restriction, inverse)
+    product = laurent_mul(_surface_restriction(cls), inverse)
+    return product.map_coefficients(integrate_surface)
+
+
+def _vertices(graph: DecoratedGraph) -> dict[str, IsolatedVertex | FatVertex]:
+    return {v.id: v for v in graph.isolated + graph.surfaces}
+
+
 def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     """The localization sum over the fixed components, a scalar Laurent element.
 
@@ -282,16 +300,12 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     """
     _check_addressing(graph, alpha)
     resolved = resolve_self_intersections(graph)
+    vertices = _vertices(resolved)
     total = Laurent()
     for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
-        comp = resolved.find(cid)
-        if isinstance(comp, IsolatedVertex):
-            restriction = Laurent({k // 2: v for k, v in cls.entries.items()})
-            total = total + laurent_mul(restriction, inverse_euler(resolved, cid))
-        else:
-            product = laurent_mul(_surface_restriction(cls), inverse_euler(resolved, cid))
-            total = total + product.map_coefficients(integrate_surface)
+        comp = vertices[cid]
+        inverse = _inverse_euler(resolved, comp)
+        total = total + _component_localization(comp, alpha.components[cid], inverse)
     return total
 
 
@@ -327,75 +341,106 @@ def degree_slots(graph: DecoratedGraph, degree: int) -> list[Slot]:
     return slots
 
 
+def _unit_restriction(
+    comp: IsolatedVertex | FatVertex, degree: int, slot: Slot
+) -> ComponentClass:
+    """The restriction of ``unit_class(graph, degree, slot)`` to the slot's component."""
+    if isinstance(comp, IsolatedVertex):
+        return ComponentClass("point", 0, {degree: Fraction(1)}, None)
+    g = comp.genus
+    if slot.part == "c0":
+        entry = SurfaceClass(g, c0=1)
+    elif slot.part == "c2":
+        entry = SurfaceClass(g, c2=1)
+    else:
+        c1 = tuple(Fraction(1 if i == slot.index else 0) for i in range(2 * g))
+        entry = SurfaceClass(g, c1=c1)
+    return ComponentClass("surface", g, {degree: entry}, None)
+
+
 def unit_class(graph: DecoratedGraph, degree: int, slot: Slot) -> EquivariantClass:
     comps: dict[str, ComponentClass] = {}
     for v in graph.isolated:
-        entries = {}
-        if v.id == slot.component:
-            entries[degree] = Fraction(1)
-        comps[v.id] = ComponentClass("point", 0, entries, None)
+        comps[v.id] = (
+            _unit_restriction(v, degree, slot)
+            if v.id == slot.component
+            else ComponentClass("point", 0, {}, None)
+        )
     for v in graph.surfaces:
-        entries = {}
-        if v.id == slot.component:
-            g = v.genus
-            if slot.part == "c0":
-                entries[degree] = SurfaceClass(g, c0=1)
-            elif slot.part == "c2":
-                entries[degree] = SurfaceClass(g, c2=1)
-            else:
-                c1 = tuple(Fraction(1 if i == slot.index else 0) for i in range(2 * g))
-                entries[degree] = SurfaceClass(g, c1=c1)
-        comps[v.id] = ComponentClass("surface", v.genus, entries, None)
+        comps[v.id] = (
+            _unit_restriction(v, degree, slot)
+            if v.id == slot.component
+            else ComponentClass("surface", v.genus, {}, None)
+        )
     return EquivariantClass(comps, None)
 
 
+def _unit_localizations(graph: DecoratedGraph, degree: int, slots: list[Slot]) -> list[Laurent]:
+    """``localize(graph, unit_class(graph, degree, slot))`` for every slot.
+
+    A unit class restricts to zero off its slot's component, so its
+    localization sum is that component's single term.  Each component's
+    inverse Euler class is computed once, on one resolved graph, which
+    keeps the cost linear in the number of slots.
+    """
+    resolved = resolve_self_intersections(graph)
+    vertices = _vertices(resolved)
+    inverses: dict[str, Laurent] = {}
+    out = []
+    for slot in slots:
+        comp = vertices[slot.component]
+        if comp.id not in inverses:
+            inverses[comp.id] = _inverse_euler(resolved, comp)
+        unit = _unit_restriction(comp, degree, slot)
+        out.append(_component_localization(comp, unit, inverses[comp.id]))
+    return out
+
+
+def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
+    """The coordinate of the degree-k part of alpha at one slot."""
+    cls = alpha.components[slot.component]
+    if slot.part == "c":
+        return Fraction(cls.entries.get(degree, Fraction(0)))
+    entry = cls.entry(degree)
+    if slot.part == "c0":
+        return Fraction(entry.c0)
+    if slot.part == "c2":
+        return Fraction(entry.c2)
+    return Fraction(entry.c1[slot.index])
+
+
 def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    values = []
-    for slot in degree_slots(graph, degree):
-        cls = alpha.components[slot.component]
-        if slot.part == "c":
-            values.append(Fraction(cls.entries.get(degree, Fraction(0))))
-        else:
-            entry = cls.entry(degree)
-            if slot.part == "c0":
-                values.append(Fraction(entry.c0))
-            elif slot.part == "c2":
-                values.append(Fraction(entry.c2))
-            else:
-                values.append(Fraction(entry.c1[slot.index]))
-    return values
+    return [slot_value(alpha, degree, slot) for slot in degree_slots(graph, degree)]
 
 
 def class_from_vector(
     graph: DecoratedGraph, degree: int, values
 ) -> EquivariantClass:
-    slots = degree_slots(graph, degree)
+    return _class_from_slots(graph, degree, degree_slots(graph, degree), values)
+
+
+def _class_from_slots(
+    graph: DecoratedGraph, degree: int, slots: list[Slot], values
+) -> EquivariantClass:
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
+    parts: dict[str, dict[tuple[str, int], Fraction]] = {}
+    for slot, value in zip(slots, values):
+        parts.setdefault(slot.component, {})[(slot.part, slot.index)] = Fraction(value)
     comps: dict[str, ComponentClass] = {}
     for v in graph.isolated:
-        comps[v.id] = ComponentClass("point", 0, {}, None)
+        value = parts.get(v.id, {}).get(("c", 0), Fraction(0))
+        comps[v.id] = ComponentClass("point", 0, {degree: value} if value else {}, None)
     for v in graph.surfaces:
-        comps[v.id] = ComponentClass("surface", v.genus, {}, None)
-    data: dict[str, dict] = {}
-    for slot, value in zip(slots, values):
-        rec = data.setdefault(slot.component, {"c": Fraction(0), "c0": Fraction(0),
-                                               "c2": Fraction(0), "c1": {}})
-        if slot.part == "c1":
-            rec["c1"][slot.index] = Fraction(value)
-        else:
-            rec[slot.part] = Fraction(value)
-    for cid, rec in data.items():
-        comp = graph.find(cid)
-        if isinstance(comp, IsolatedVertex):
-            entries = {degree: rec["c"]} if rec["c"] else {}
-            comps[cid] = ComponentClass("point", 0, entries, None)
-        else:
-            g = comp.genus
-            c1 = tuple(rec["c1"].get(i, Fraction(0)) for i in range(2 * g))
-            entry = SurfaceClass(g, rec["c0"], c1, rec["c2"])
-            entries = {degree: entry} if entry else {}
-            comps[cid] = ComponentClass("surface", g, entries, None)
+        rec = parts.get(v.id, {})
+        g = v.genus
+        entry = SurfaceClass(
+            g,
+            rec.get(("c0", 0), Fraction(0)),
+            tuple(rec.get(("c1", i), Fraction(0)) for i in range(2 * g)),
+            rec.get(("c2", 0), Fraction(0)),
+        )
+        comps[v.id] = ComponentClass("surface", g, {degree: entry} if entry else {}, None)
     return EquivariantClass(comps, None)
 
 
@@ -405,11 +450,11 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     Assembled by localizing each unit coordinate class and reading off the
     u^-1 coefficient.
     """
-    out: dict[str, Fraction] = {}
-    for slot in degree_slots(graph, 2):
-        value = localize(graph, unit_class(graph, 2, slot)).coefficient(-1)
-        out[slot.label] = Fraction(value)
-    return out
+    slots = degree_slots(graph, 2)
+    return {
+        slot.label: Fraction(loc.coefficient(-1))
+        for slot, loc in zip(slots, _unit_localizations(graph, 2, slots))
+    }
 
 
 @dataclass(frozen=True)
@@ -526,16 +571,14 @@ def image_basis(
                     row[position[(lower.id, i)]] += Fraction(matrix[j][i])
             row[position[(upper.id, j)]] -= Fraction(1)
             rows.append(row)
-    localizations = [
-        localize(graph, unit_class(graph, degree, slot)) for slot in slots
-    ]
+    localizations = _unit_localizations(graph, degree, slots)
     negative_powers = sorted(
         {p for loc in localizations for p in loc.terms if p < 0}
     )
     for p in negative_powers:
         rows.append([Fraction(loc.coefficient(p)) for loc in localizations])
     return [
-        class_from_vector(graph, degree, vec) for vec in nullspace(rows, len(slots))
+        _class_from_slots(graph, degree, slots, vec) for vec in nullspace(rows, len(slots))
     ]
 
 

@@ -102,6 +102,51 @@ def test_validate_batch_json(capsys, batch_dir):
     assert by_path["broken.json"]["error"]["code"] == "parse"
 
 
+DEEPLY_NESTED = "[" * 100_000
+
+
+def test_validate_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEPLY_NESTED)
+    status, out, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert out == "" and err == "error: document is nested too deeply to decode\n"
+    status, out, _ = run(capsys, "basis", str(path), "--degree", "0", "--format", "json")
+    assert status == 2
+    assert json.loads(out)["code"] == "parse"
+
+
+def test_validate_top_level_array_is_a_schema_error(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1]")
+    status, _, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert err == "error: top-level value must be an object\n"
+
+
+def test_validate_batch_reports_every_file_beside_a_deeply_nested_one(capsys, tmp_path):
+    (tmp_path / "deep.json").write_text(DEEPLY_NESTED)
+    (tmp_path / "array.json").write_text("[1]")
+    (tmp_path / "g1.json").write_text(json.dumps(fixtures.g1_doc()))
+    bad = fixtures.mutate(
+        fixtures.g1_doc(), lambda d: d["isolated"][1].update(weights=[1, 1])
+    )
+    (tmp_path / "bad_weights.json").write_text(json.dumps(bad))
+    status, out, _ = run(capsys, "validate", str(tmp_path), "--format", "json")
+    assert status == 2
+    by_path = {entry["path"]: entry for entry in json.loads(out)["results"]}
+    assert sorted(by_path) == ["array.json", "bad_weights.json", "deep.json", "g1.json"]
+    assert by_path["deep.json"]["status"] == 2
+    assert by_path["deep.json"]["error"]["code"] == "parse"
+    assert by_path["array.json"]["error"]["code"] == "schema"
+    assert by_path["bad_weights.json"]["status"] == 1
+    assert by_path["g1.json"]["status"] == 0
+    status, out, _ = run(capsys, "validate", str(tmp_path))
+    assert status == 2
+    assert "deep.json: error: document is nested too deeply to decode" in out.splitlines()
+    assert out.splitlines()[-1] == "g1.json: ok"
+
+
 def test_validate_batch_fail_fast(capsys, batch_dir):
     status, out, _ = run(capsys, "validate", str(batch_dir), "--fail-fast")
     assert status == 1
@@ -319,6 +364,22 @@ def test_xray_check_nonmember(capsys, data_dir):
     )
     assert status == 1
     assert out.startswith("divisibility: piece PX0")
+
+
+def test_xray_check_rejects_non_integer_exponents(capsys, data_dir, tmp_path):
+    doc = json.loads((data_dir / "class_x2_const.json").read_text())
+    doc["components"]["Smin_0"]["0"]["c0"] = [[[1.7, 0], "3"]]
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(doc))
+    status, out, _ = run(
+        capsys, "xray-check", str(data_dir / "x2_g1.json"), str(path), "--format", "json"
+    )
+    assert status == 2
+    error = json.loads(out)
+    assert error["code"] == "schema"
+    assert error["message"] == (
+        "components.Smin_0.0: exponents must be integers, got [1.7, 0]"
+    )
 
 
 def test_xray_basis_table(capsys, data_dir):

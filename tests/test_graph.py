@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from equicoh import (
     DegenerateInputError,
+    ParseError,
     SchemaError,
     abbv_zero_check,
     extremal_self_intersections,
@@ -85,6 +86,21 @@ def test_identification_matrix_shape():
     doc["h1_identification"] = [[1, 1], [0, 1]]
     with pytest.raises(SchemaError, match="exactly one nonzero entry"):
         parse_graph(doc)
+
+
+def test_identification_rejects_floats():
+    doc = g2_doc(1)
+    doc["h1_identification"] = [[1.0, 0], [0, 1]]
+    with pytest.raises(SchemaError, match="matrix over"):
+        parse_graph(doc)
+    doc["h1_identification"] = [[0, 1], [1, 0.0]]
+    with pytest.raises(SchemaError, match="matrix over"):
+        parse_graph(doc)
+
+
+def test_parse_reports_deeply_nested_json_as_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_graph("[" * 100_000)
 
 
 def test_serialize_round_trip():

@@ -10,6 +10,62 @@ from equicoh.linalg import coordinates_in_span, nullspace, rref
 entries = st.integers(-4, 4).map(Fraction)
 
 
+def reference_rref(rows):
+    """Dense Gauss-Jordan elimination, the routine the sparse ``rref`` replaced."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_nullspace(rows, ncols):
+    """Two-pass nullspace: read a kernel basis off ``rref``, then re-reduce it."""
+    reduced, pivots = reference_rref(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        basis.append(v)
+    return reference_rref(basis)[0]
+
+
+@st.composite
+def systems(draw):
+    """(rows, ncols) with up to 8 columns, mostly-zero entries, repeated and
+    zero rows, and often more rows than columns."""
+    ncols = draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [[Fraction(0)] * ncols] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
 def matrices(ncols: int):
     return st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols), min_size=0, max_size=5
@@ -90,3 +146,26 @@ def test_coordinates_not_in_span():
     assert coordinates_in_span(basis, [Fraction(5), Fraction(0), Fraction(0)]) == [
         Fraction(5)
     ]
+
+
+@given(systems())
+def test_rref_matches_the_dense_reference(system):
+    rows, _ = system
+    assert rref(rows) == reference_rref(rows)
+
+
+@given(systems())
+def test_nullspace_matches_the_two_pass_reference(system):
+    rows, ncols = system
+    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+def test_nullspace_of_a_bidiagonal_chain():
+    n = 30
+    rows = []
+    for i in range(n - 1):
+        row = [Fraction(0)] * n
+        row[i], row[i + 1] = Fraction(1), Fraction(-1)
+        rows.append(row)
+    assert nullspace(rows, n) == [[Fraction(1)] * n]
+    assert nullspace(rows, n) == reference_nullspace(rows, n)

@@ -164,3 +164,9 @@ def test_pairs_reject_bad_shapes():
         poly_from_pairs([[[0, 0]]], 2, Fraction)
     with pytest.raises(InputError):
         poly_from_pairs([[[0], "1"]], 2, Fraction)
+
+
+@pytest.mark.parametrize("exponent", [1.7, 1.0, "1", True, None])
+def test_pairs_reject_non_integer_exponents(exponent):
+    with pytest.raises(InputError, match="exponents must be integers"):
+        poly_from_pairs([[[exponent, 0], "1"]], 2, Fraction)

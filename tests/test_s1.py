@@ -42,6 +42,7 @@ from equicoh import (
     relation_counts,
     unit_class,
 )
+from equicoh.s1 import _unit_localizations
 from fixtures import all_graphs, constant_class, g1, g2, g3
 
 
@@ -231,6 +232,20 @@ def test_degree2_functional_frozen():
         "S.c2": Fraction(1),
         "p.c": Fraction(1),
     }
+
+
+def test_unit_localizations_match_per_slot_localize():
+    graphs = dict(all_graphs(), g2_uneq=g2(0, 2, 4))
+    for name, graph in graphs.items():
+        for degree in range(7):
+            slots = degree_slots(graph, degree)
+            expected = [localize(graph, unit_class(graph, degree, slot)) for slot in slots]
+            assert _unit_localizations(graph, degree, slots) == expected, (name, degree)
+        expected = {
+            slot.label: localize(graph, unit_class(graph, 2, slot)).coefficient(-1)
+            for slot in degree_slots(graph, 2)
+        }
+        assert abbv_degree2_functional(graph) == expected, name
 
 
 # -- coordinates on the restriction tuple space ------------------------------

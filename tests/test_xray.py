@@ -342,6 +342,9 @@ def test_parse_class_torus_rejections():
     bad = dict(base, components=dict(comps, P0={"2": [[[1], "1"]]}))
     with pytest.raises(SchemaError, match="exponent vector must have length 2"):
         parse_class_torus(bad, xray)
+    bad = dict(base, components=dict(comps, P0={"2": [[[1.7, 0], "1"]]}))
+    with pytest.raises(SchemaError, match="exponents must be integers"):
+        parse_class_torus(bad, xray)
     bad = dict(base, components=dict(comps, P0={"-2": []}))
     with pytest.raises(SchemaError, match="not canonical"):
         parse_class_torus(bad, xray)

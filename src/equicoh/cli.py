@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import SurfaceClass
@@ -53,8 +52,8 @@ from .xray import (
     parse_class_torus,
     parse_xray,
     validate_xray,
-    xray_class_to_vector,
     xray_degree_slots,
+    xray_slot_value,
 )
 
 MAX_DEGREE_ENV = "EQUICOH_MAX_DEGREE"
@@ -216,18 +215,11 @@ def _cmd_validate_impl(args, strictly_xray: bool) -> int:
 
     names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
     results: list[tuple[str, int, object]] = []
-    if config.fail_fast:
-        for name in names:
-            status, payload = _validate_one(os.path.join(path, name), strictly_xray)
-            results.append((name, status, payload))
-            if status:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(names)))) as pool:
-            statuses = pool.map(
-                lambda n: _validate_one(os.path.join(path, n), strictly_xray), names
-            )
-            results = [(n, s, p) for n, (s, p) in zip(names, statuses)]
+    for name in names:
+        status, payload = _validate_one(os.path.join(path, name), strictly_xray)
+        results.append((name, status, payload))
+        if status and config.fail_fast:
+            break
 
     if config.output_format == "json":
         entries = []
@@ -409,8 +401,7 @@ def cmd_xray_basis(args) -> int:
     slots = xray_degree_slots(xray, args.degree)
     headers = [s.label for s in slots]
     rows = [
-        [format_rational(x) for x in xray_class_to_vector(xray, args.degree, b)]
-        for b in basis
+        [format_rational(xray_slot_value(b, args.degree, s)) for s in slots] for b in basis
     ]
     if not headers:
         print(f"no classes in degree {args.degree}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError, InternalInconsistencyError
-from .mpoly import MPoly
+from .mpoly import MPoly, as_fraction
 
 _SCALARS = (int, Fraction)
 
@@ -43,9 +43,9 @@ class SurfaceClass:
         if len(c1) != 2 * genus:
             raise InputError(f"H^1 part must have {2 * genus} slots, got {len(c1)}")
         self.genus = genus
-        self.c0 = Fraction(c0) if isinstance(c0, _SCALARS) else c0
-        self.c1 = tuple(Fraction(x) if isinstance(x, _SCALARS) else x for x in c1)
-        self.c2 = Fraction(c2) if isinstance(c2, _SCALARS) else c2
+        self.c0 = as_fraction(c0) if isinstance(c0, _SCALARS) else c0
+        self.c1 = tuple(as_fraction(x) if isinstance(x, _SCALARS) else x for x in c1)
+        self.c2 = as_fraction(c2) if isinstance(c2, _SCALARS) else c2
 
     @classmethod
     def unit(cls, genus: int) -> SurfaceClass:
@@ -151,7 +151,7 @@ class Laurent:
         if terms:
             for power, coeff in terms.items():
                 if isinstance(coeff, _SCALARS):
-                    coeff = Fraction(coeff)
+                    coeff = as_fraction(coeff)
                 if coeff:
                     clean[int(power)] = coeff
         self.terms = clean

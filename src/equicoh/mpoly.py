@@ -20,6 +20,11 @@ Exponents = tuple[int, ...]
 _SCALARS = (int, Fraction)
 
 
+def as_fraction(value) -> Fraction:
+    """``Fraction(value)``, returning a Fraction argument itself instead of a copy."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
     """All exponent tuples of the given total degree, descending lex order."""
     if degree < 0:
@@ -51,13 +56,25 @@ class MPoly:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
-                value = Fraction(coeff)
-                if value:
-                    clean[exps] = clean.get(exps, Fraction(0)) + value
-                    if not clean[exps]:
+                value = as_fraction(coeff)
+                if exps in clean:
+                    value = clean[exps] + value
+                    if not value:
                         del clean[exps]
+                        continue
+                if value:
+                    clean[exps] = value
         self.nvars = nvars
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> MPoly:
+        """Wrap terms that already have the stored form: int tuples of length
+        ``nvars`` mapping to nonzero Fractions.  The dict is taken, not copied."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars: int) -> MPoly:
@@ -148,22 +165,7 @@ class MPoly:
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> MPoly:
         """Replace variable i by the linear form ``sum_j matrix[i][j] * v_j``."""
-        if len(matrix) != self.nvars:
-            raise InputError("substitution matrix has wrong number of rows")
-        nout = len(matrix[0]) if matrix else 0
-        images = [
-            MPoly(nout, {tuple(1 if j == k else 0 for k in range(nout)): Fraction(m)
-                         for j, m in enumerate(row) if m})
-            for row in matrix
-        ]
-        result = MPoly.zero(nout)
-        for exps, coeff in self.terms.items():
-            term = MPoly.constant(nout, coeff)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            result = result + term
-        return result
+        return LinearSubstitution(matrix)(self)
 
     def split_leading(self) -> dict[int, MPoly]:
         """Decompose as ``sum_d v_1^d * q_d(v_2..)``; returns {d: q_d}."""
@@ -172,7 +174,7 @@ class MPoly:
         parts: dict[int, dict[Exponents, Fraction]] = {}
         for exps, coeff in self.terms.items():
             parts.setdefault(exps[0], {})[exps[1:]] = coeff
-        return {d: MPoly(self.nvars - 1, t) for d, t in parts.items()}
+        return {d: MPoly._trusted(self.nvars - 1, t) for d, t in parts.items()}
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -194,6 +196,59 @@ class MPoly:
             mono = "*".join(f"u{i + 1}^{e}" for i, e in enumerate(exps) if e)
             bits.append(f"{coeff}*{mono}" if mono else f"{coeff}")
         return " + ".join(bits)
+
+
+class LinearSubstitution:
+    """The change of variables ``u_i = sum_j matrix[i][j] * v_j``.
+
+    Calling the object on a polynomial in the ``u`` variables returns its
+    image in the ``v`` variables.  The image of each monomial is expanded
+    once, from the image of a monomial one degree lower, and kept for
+    later calls on the same object; every result gets a dict of its own,
+    so mutating it cannot reach the memo.
+    """
+
+    __slots__ = ("nvars", "nout", "_variables", "_monomials")
+
+    def __init__(self, matrix: Sequence[Sequence[int]]):
+        self.nvars = len(matrix)
+        self.nout = len(matrix[0]) if matrix else 0
+        self._variables = [
+            {tuple(1 if j == k else 0 for k in range(self.nout)): Fraction(m)
+             for j, m in enumerate(row) if m}
+            for row in matrix
+        ]
+        self._monomials: dict[Exponents, dict[Exponents, Fraction]] = {
+            (0,) * self.nvars: {(0,) * self.nout: Fraction(1)}
+        }
+
+    def _monomial(self, exps: Exponents) -> dict[Exponents, Fraction]:
+        """The expanded image of one monomial; shared with the memo, read only."""
+        pending = []
+        while exps not in self._monomials:
+            i = next(i for i, e in enumerate(exps) if e)
+            pending.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        image = self._monomials[exps]
+        while pending:
+            exps, i = pending.pop()
+            product: dict[Exponents, Fraction] = {}
+            for e1, c1 in image.items():
+                for e2, c2 in self._variables[i].items():
+                    key = tuple(a + b for a, b in zip(e1, e2))
+                    product[key] = product.get(key, 0) + c1 * c2
+            image = {e: c for e, c in product.items() if c}
+            self._monomials[exps] = image
+        return image
+
+    def __call__(self, p: MPoly) -> MPoly:
+        if p.nvars != self.nvars:
+            raise InputError("substitution matrix has wrong number of rows")
+        acc: dict[Exponents, Fraction] = {}
+        for exps, coeff in p.terms.items():
+            for e, c in self._monomial(exps).items():
+                acc[e] = acc.get(e, 0) + coeff * c
+        return MPoly._trusted(self.nout, {e: c for e, c in acc.items() if c})
 
 
 def is_primitive(lam: Sequence[int]) -> bool:

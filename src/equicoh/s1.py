@@ -48,7 +48,7 @@ from .graph import (
     weight_product,
 )
 from .linalg import coordinates_in_span, nullspace, rref
-from .mpoly import MPoly, poly_to_pairs, unimodular_completion
+from .mpoly import LinearSubstitution, MPoly, poly_to_pairs, unimodular_completion
 
 DEFAULT_MAX_DEGREE = 12
 
@@ -622,9 +622,14 @@ def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
     return EquivariantClass(comps, 1)
 
 
-def _adapted_split(p: MPoly, basis_matrix) -> dict[int, MPoly]:
+def _adapted_split(p: MPoly, substitution: LinearSubstitution) -> dict[int, MPoly]:
     """Rewrite in character-adapted coordinates and split off powers of it."""
-    return p.substitute_linear(basis_matrix).split_leading()
+    return substitution(p).split_leading()
+
+
+def character_substitution(lam) -> LinearSubstitution:
+    """The substitution into coordinates where the character is the first variable."""
+    return LinearSubstitution(unimodular_completion(lam))
 
 
 def localize_torus(
@@ -633,15 +638,27 @@ def localize_torus(
     lam,
     alpha: EquivariantClass,
     basis_matrix=None,
+    *,
+    substitution: LinearSubstitution | None = None,
+    resolved: DecoratedGraph | None = None,
 ) -> Laurent:
     """Localization sum with the parameter replaced by the character form.
 
     Returns a Laurent element in the character direction whose coefficients
-    are polynomials in the complementary directions.
+    are polynomials in the complementary directions.  A caller that
+    localizes many classes along one character passes the prepared
+    ``substitution`` (see :func:`character_substitution`) and the
+    ``resolved`` graph (``resolve_self_intersections(graph)``); otherwise
+    both are built here, the substitution from ``basis_matrix`` when given.
     """
-    if basis_matrix is None:
-        basis_matrix = unimodular_completion(lam)
-    resolved = resolve_self_intersections(graph)
+    if substitution is None:
+        substitution = (
+            character_substitution(lam)
+            if basis_matrix is None
+            else LinearSubstitution(basis_matrix)
+        )
+    if resolved is None:
+        resolved = resolve_self_intersections(graph)
     remaining = rank - 1
     total = Laurent()
     for cid in sorted(alpha.components):
@@ -650,7 +667,7 @@ def localize_torus(
         if isinstance(comp, IsolatedVertex):
             restriction = Laurent()
             for k, value in cls.entries.items():
-                restriction = restriction + Laurent(_adapted_split(value, basis_matrix))
+                restriction = restriction + Laurent(_adapted_split(value, substitution))
             inverse = Laurent(
                 {-2: MPoly.constant(remaining, Fraction(1, weight_product(comp)))}
             )
@@ -664,13 +681,13 @@ def localize_torus(
                 acc[power] = acc[power] + piece if power in acc else piece
 
             for k, entry in cls.entries.items():
-                for d, q in _adapted_split(entry.c0, basis_matrix).items():
+                for d, q in _adapted_split(entry.c0, substitution).items():
                     add(d, SurfaceClass(g, c0=q, c1=tuple(zero for _ in range(2 * g)), c2=zero))
                 for i, x in enumerate(entry.c1):
-                    for d, q in _adapted_split(x, basis_matrix).items():
+                    for d, q in _adapted_split(x, substitution).items():
                         c1 = tuple(q if j == i else zero for j in range(2 * g))
                         add(d, SurfaceClass(g, c0=zero, c1=c1, c2=zero))
-                for d, q in _adapted_split(entry.c2, basis_matrix).items():
+                for d, q in _adapted_split(entry.c2, substitution).items():
                     add(d, SurfaceClass(g, c0=zero, c1=tuple(zero for _ in range(2 * g)), c2=q))
             sign = _surface_sign(comp, resolved)
             inverse = Laurent(
@@ -695,17 +712,26 @@ def localize_torus(
 
 
 def torus_obstructions(
-    graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClass
+    graph: DecoratedGraph,
+    rank: int,
+    lam,
+    alpha: EquivariantClass,
+    *,
+    substitution: LinearSubstitution | None = None,
+    resolved: DecoratedGraph | None = None,
 ) -> dict[tuple, Fraction]:
     """All nonzero obstruction coefficients for membership under a character.
 
     Keys tag divisibility residues ("div", pair, part, degree, monomial)
     and localization poles ("pole", power, monomial).  The class is in the
-    image locally along this character iff the dict is empty.
+    image locally along this character iff the dict is empty.  The
+    optional ``substitution`` and ``resolved`` graph are passed on to
+    :func:`localize_torus`; they are built here when omitted.
     """
     if len(lam) != rank:
         raise InputError(f"character must have {rank} entries")
-    basis_matrix = unimodular_completion(lam)
+    if substitution is None:
+        substitution = character_substitution(lam)
     _check_addressing(graph, alpha, rank)
     out: dict[tuple, Fraction] = {}
 
@@ -727,8 +753,7 @@ def torus_obstructions(
             diff = h0_part(a, k) - h0_part(b, k)
             if not diff:
                 continue
-            adapted = diff.substitute_linear(basis_matrix)
-            for exps, coeff in adapted.terms.items():
+            for exps, coeff in substitution(diff).terms.items():
                 if exps[0] == 0:
                     out[("div", (a, b), ("h0",), k, exps)] = coeff
 
@@ -748,12 +773,13 @@ def torus_obstructions(
                 ) - c1_upper[j]
                 if not diff:
                     continue
-                adapted = diff.substitute_linear(basis_matrix)
-                for exps, coeff in adapted.terms.items():
+                for exps, coeff in substitution(diff).terms.items():
                     if exps[0] == 0:
                         out[("div", (lower.id, upper.id), ("h1", j), k, exps)] = coeff
 
-    localization = localize_torus(graph, rank, lam, alpha, basis_matrix)
+    localization = localize_torus(
+        graph, rank, lam, alpha, substitution=substitution, resolved=resolved
+    )
     for power, value in localization.terms.items():
         if power < 0:
             for exps, coeff in value.terms.items():

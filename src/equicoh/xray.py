@@ -32,20 +32,23 @@ from .graph import (
     graph_to_dict,
     parse_graph,
     parse_rational,
+    resolve_self_intersections,
     validate_graph,
 )
 from .linalg import nullspace
 from .mpoly import (
+    LinearSubstitution,
     MPoly,
     is_primitive,
     monomials_of_degree,
     poly_from_pairs,
-    unimodular_completion,
 )
 from .s1 import (
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
+    _degree_items,
+    character_substitution,
     check_membership_torus,
     torus_obstructions,
 )
@@ -431,10 +434,14 @@ def _check_addressing_xray(xray: XRay, alpha: EquivariantClass) -> None:
 
 
 def _dim2_residues(
-    xray: XRay, piece: SkeletonPiece, alpha: EquivariantClass
+    xray: XRay,
+    piece: SkeletonPiece,
+    alpha: EquivariantClass,
+    substitution: LinearSubstitution | None = None,
 ) -> dict[tuple, Fraction]:
     """Nonzero coefficients obstructing divisibility along a 2-dimensional piece."""
-    basis_matrix = unimodular_completion(piece.lam)
+    if substitution is None:
+        substitution = character_substitution(piece.lam)
     a, b = piece.members
     out: dict[tuple, Fraction] = {}
     degrees = sorted(
@@ -445,21 +452,38 @@ def _dim2_residues(
             alpha.components[b].entries.get(k, MPoly.zero(xray.rank))
         if not diff:
             continue
-        adapted = diff.substitute_linear(basis_matrix)
-        for exps, coeff in adapted.terms.items():
+        for exps, coeff in substitution(diff).terms.items():
             if exps[0] == 0:
                 out[("div", (a, b), ("h0",), k, exps)] = coeff
     return out
 
 
 def piece_obstructions(
-    xray: XRay, piece: SkeletonPiece, alpha: EquivariantClass
+    xray: XRay,
+    piece: SkeletonPiece,
+    alpha: EquivariantClass,
+    substitution: LinearSubstitution | None = None,
+    resolved: DecoratedGraph | None = None,
 ) -> dict[tuple, Fraction]:
-    """All nonzero membership obstructions contributed by one piece."""
+    """All nonzero membership obstructions contributed by one piece.
+
+    Every obstruction is a coefficient of a linear expression in the
+    restrictions to the piece's members, so a class vanishing on all of
+    them has none.  Callers obstructing many classes along one piece pass
+    its ``character_substitution`` and, for a 4-dimensional piece, its
+    resolved induced graph; both are built per call when omitted.
+    """
     if piece.dim == 2:
-        return _dim2_residues(xray, piece, alpha)
+        return _dim2_residues(xray, piece, alpha, substitution)
     restricted = alpha.restricted(piece.members)
-    return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
+    return torus_obstructions(
+        piece.induced,
+        xray.rank,
+        piece.lam,
+        restricted,
+        substitution=substitution,
+        resolved=resolved,
+    )
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
@@ -579,7 +603,12 @@ def xray_unit_class(xray: XRay, degree: int, slot: XraySlot) -> EquivariantClass
 
 
 def xray_class_from_vector(xray: XRay, degree: int, values) -> EquivariantClass:
-    slots = xray_degree_slots(xray, degree)
+    return _xray_class_from_slots(xray, degree, xray_degree_slots(xray, degree), values)
+
+
+def _xray_class_from_slots(
+    xray: XRay, degree: int, slots: list[XraySlot], values
+) -> EquivariantClass:
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
     terms: dict[tuple[str, str, int], dict] = {}
@@ -606,22 +635,24 @@ def xray_class_from_vector(xray: XRay, degree: int, values) -> EquivariantClass:
     return EquivariantClass(comps, xray.rank)
 
 
+def xray_slot_value(alpha: EquivariantClass, degree: int, slot: XraySlot) -> Fraction:
+    """The coefficient of the degree-k part of alpha at one monomial slot."""
+    cls = alpha.components[slot.component]
+    if slot.part == "c":
+        entry = cls.entries.get(degree)
+        return entry.coefficient(slot.exps) if entry is not None else Fraction(0)
+    surface = cls.entry(degree)
+    if slot.part == "c0":
+        entry = surface.c0
+    elif slot.part == "c2":
+        entry = surface.c2
+    else:
+        entry = surface.c1[slot.index]
+    return entry.coefficient(slot.exps)
+
+
 def xray_class_to_vector(xray: XRay, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    values = []
-    for slot in xray_degree_slots(xray, degree):
-        cls = alpha.components[slot.component]
-        if slot.part == "c":
-            entry = cls.entries.get(degree, MPoly.zero(xray.rank))
-        else:
-            surface = cls.entry(degree)
-            if slot.part == "c0":
-                entry = surface.c0
-            elif slot.part == "c2":
-                entry = surface.c2
-            else:
-                entry = surface.c1[slot.index]
-        values.append(entry.coefficient(slot.exps))
-    return values
+    return [xray_slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
 
 
 def image_basis_xray(
@@ -630,7 +661,10 @@ def image_basis_xray(
     """Canonical basis of the degree-k image over the multivariate parameter ring.
 
     Columns are monomial slots; rows are the union of all pieces' linearized
-    obstruction coefficients evaluated on unit slot classes.
+    obstruction coefficients evaluated on unit slot classes.  The loop runs
+    piece by piece: each piece is prepared once and visits only the slots
+    on its own members, since a unit class elsewhere has no obstruction
+    along it.
     """
     if degree < 0:
         raise InputError("degree must be nonnegative")
@@ -639,18 +673,22 @@ def image_basis_xray(
     slots = xray_degree_slots(xray, degree)
     if not slots:
         return []
-    per_slot: list[dict[tuple, Fraction]] = []
-    for slot in slots:
-        unit = xray_unit_class(xray, degree, slot)
-        obstructions: dict[tuple, Fraction] = {}
-        for piece in xray.pieces:
-            for key, value in piece_obstructions(xray, piece, unit).items():
+    per_slot: list[dict[tuple, Fraction]] = [{} for _ in slots]
+    for piece in xray.pieces:
+        substitution = character_substitution(piece.lam)
+        resolved = resolve_self_intersections(piece.induced) if piece.dim == 4 else None
+        for slot, obstructions in zip(slots, per_slot):
+            if slot.component not in piece.members:
+                continue
+            unit = xray_unit_class(xray, degree, slot)
+            found = piece_obstructions(xray, piece, unit, substitution, resolved)
+            for key, value in found.items():
                 obstructions[(piece.id,) + key] = value
-        per_slot.append(obstructions)
     keys = sorted({key for obs in per_slot for key in obs}, key=repr)
     rows = [[obs.get(key, Fraction(0)) for obs in per_slot] for key in keys]
     return [
-        xray_class_from_vector(xray, degree, vec) for vec in nullspace(rows, len(slots))
+        _xray_class_from_slots(xray, degree, slots, vec)
+        for vec in nullspace(rows, len(slots))
     ]
 
 
@@ -673,7 +711,7 @@ def parse_class_torus(text, xray: XRay) -> EquivariantClass:
     comps: dict[str, ComponentClass] = {}
     for c in xray.components:
         entries: dict[int, object] = {}
-        for key, value in _torus_degree_items(comps_doc[c.id], c.id):
+        for key, value in _degree_items(comps_doc[c.id], c.id):
             where = f"components.{c.id}.{key}"
             if c.kind == "point":
                 entries[key] = _pairs_to_poly(value, r, where)
@@ -697,23 +735,6 @@ def parse_class_torus(text, xray: XRay) -> EquivariantClass:
                 entries[key] = SurfaceClass(c.genus, c0, c1, c2)
         comps[c.id] = ComponentClass(c.kind, c.genus, entries, r)
     return EquivariantClass(comps, r)
-
-
-def _torus_degree_items(obj, cid: str):
-    if not isinstance(obj, dict):
-        raise SchemaError("component entries must be objects", f"components.{cid}")
-    items = []
-    for key, value in obj.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise SchemaError(
-                f"degree key {key!r} is not an integer", f"components.{cid}"
-            ) from None
-        if str(degree) != key or degree < 0:
-            raise SchemaError(f"degree key {key!r} is not canonical", f"components.{cid}")
-        items.append((degree, value))
-    return sorted(items)
 
 
 def _pairs_to_poly(value, nvars: int, where: str) -> MPoly:

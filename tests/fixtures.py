@@ -14,11 +14,15 @@ validated objects.  The fixtures:
   four 4-dimensional skeleton pieces.
 * ``cp3``: four isolated points with the six coordinate spheres of a
   rank-2 action on a 6-manifold; all skeleton pieces 2-dimensional.
+* ``cube``: ``Sigma_g x (S^2)^r`` as a rank-r x-ray; a fixed surface at
+  each corner of the unit cube of momenta and a 4-dimensional piece
+  along each edge (``cube(2, g)`` is ``x2(g)`` with other ids).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -150,6 +154,49 @@ def cp3_doc() -> dict:
     return {"kind": "xray", "rank": 2, "components": components, "pieces": pieces}
 
 
+def cube_doc(rank: int, genus: int, area=1) -> dict:
+    corners = list(itertools.product((0, 1), repeat=rank))
+
+    def name(v) -> str:
+        return "S" + "".join(str(x) for x in v)
+
+    components = [
+        {
+            "id": name(v),
+            "y": list(v),
+            "weights": [
+                [(1 if v[i] == 0 else -1) if j == i else 0 for j in range(rank)]
+                for i in range(rank)
+            ],
+            "genus": genus,
+            "area": area,
+        }
+        for v in corners
+    ]
+    pieces = []
+    for v in corners:
+        for i in range(rank):
+            if v[i]:
+                continue
+            a, b = name(v), name(v[:i] + (1,) + v[i + 1:])
+            pieces.append({
+                "id": f"E{i}_{a}_{b}",
+                "lambda": [1 if j == i else 0 for j in range(rank)],
+                "dim": 4,
+                "members": [a, b],
+                "induced_graph": {
+                    "kind": "graph",
+                    "isolated": [],
+                    "surfaces": [
+                        {"id": a, "y": 0, "area": area, "genus": genus},
+                        {"id": b, "y": 1, "area": area, "genus": genus},
+                    ],
+                    "edges": [],
+                },
+            })
+    return {"kind": "xray", "rank": rank, "components": components, "pieces": pieces}
+
+
 def g1():
     return parse_graph(g1_doc())
 
@@ -168,6 +215,10 @@ def x2(genus: int):
 
 def cp3():
     return parse_xray(cp3_doc())
+
+
+def cube(rank: int, genus: int):
+    return parse_xray(cube_doc(rank, genus))
 
 
 def all_graphs() -> dict:

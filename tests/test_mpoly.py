@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from equicoh import InputError, MPoly
 from equicoh.mpoly import (
+    LinearSubstitution,
     is_primitive,
     monomials_of_degree,
     poly_from_pairs,
@@ -92,6 +93,56 @@ def test_substitute_linear_composes(p, m, n):
         for i in range(2)
     ]
     assert p.substitute_linear(m).substitute_linear(n) == p.substitute_linear(composed)
+
+
+def naive_substitution(p, matrix):
+    """Expand every term as a product of linear forms, one factor at a time."""
+    nout = len(matrix[0])
+    images = [
+        MPoly(nout, {tuple(int(j == k) for k in range(nout)): Fraction(m)
+                     for j, m in enumerate(row) if m})
+        for row in matrix
+    ]
+    result = MPoly.zero(nout)
+    for exps, coeff in p.terms.items():
+        term = MPoly.constant(nout, coeff)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * images[i]
+        result = result + term
+    return result
+
+
+primitive_characters = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(is_primitive)
+
+
+@given(st.data(), primitive_characters)
+def test_memoised_substitution_matches_naive_expansion(data, lam):
+    matrix = unimodular_completion(lam)
+    nvars = len(lam)
+    substitution = LinearSubstitution(matrix)
+    for p in data.draw(st.lists(polys(nvars), min_size=1, max_size=4)):
+        expected = naive_substitution(p, matrix)
+        first = substitution(p)
+        assert first == expected
+        assert p.substitute_linear(matrix) == expected
+        # A caller mutating a result must not reach the memo behind it.
+        for exps in list(first.terms):
+            first.terms[exps] += 1
+        first.terms[(7,) * nvars] = Fraction(5)
+        assert substitution(p) == expected
+
+
+@given(small_matrix, st.lists(polys(2), min_size=1, max_size=4))
+def test_memoised_substitution_matches_naive_expansion_on_any_matrix(matrix, inputs):
+    substitution = LinearSubstitution(matrix)
+    for p in inputs:
+        assert substitution(p) == naive_substitution(p, matrix)
+
+
+def test_substitution_checks_the_variable_count():
+    with pytest.raises(InputError, match="wrong number of rows"):
+        LinearSubstitution([[1, 0], [0, 1]])(MPoly.variable(3, 0))
 
 
 @given(polys(3))

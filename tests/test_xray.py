@@ -1,5 +1,6 @@
 """X-rays of complexity-one torus actions: validation, membership, bases."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from equicoh import (
     xray_to_dict,
     xray_unit_class,
 )
-from fixtures import constant_torus_class, cp3, mutate, x2
+from equicoh.linalg import nullspace
+from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
+from fixtures import constant_torus_class, cp3, cube, mutate, x2
 
 
 def times_variable(xray, alpha, index):
@@ -318,6 +321,77 @@ def test_module_closure_under_both_parameters():
                 for index in range(xray.rank):
                     shifted = times_variable(xray, element, index)
                     assert check_membership_xray(xray, shifted).member
+
+
+def reference_image_basis_xray(xray, degree):
+    """The slot-major assembly: every piece visits every unit slot class."""
+    slots = xray_degree_slots(xray, degree)
+    if not slots:
+        return []
+    per_slot = []
+    for slot in slots:
+        unit = xray_unit_class(xray, degree, slot)
+        obstructions = {}
+        for piece in xray.pieces:
+            for key, value in piece_obstructions(xray, piece, unit).items():
+                obstructions[(piece.id,) + key] = value
+        per_slot.append(obstructions)
+    keys = sorted({key for obs in per_slot for key in obs}, key=repr)
+    rows = [[obs.get(key, Fraction(0)) for obs in per_slot] for key in keys]
+    return [
+        xray_class_from_vector(xray, degree, vec) for vec in nullspace(rows, len(slots))
+    ]
+
+
+EQUIVALENCE_XRAYS = {
+    "x2_g0": lambda: x2(0),
+    "x2_g1": lambda: x2(1),
+    "cp3": cp3,
+    **{
+        f"cube_r{rank}_g{genus}": (lambda rank=rank, genus=genus: cube(rank, genus))
+        for rank in (2, 3)
+        for genus in (0, 1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
+def test_piece_major_basis_matches_the_slot_major_reference(name):
+    xray = EQUIVALENCE_XRAYS[name]()
+    assert validate_xray(xray) == []
+    for degree in range(DEFAULT_XRAY_MAX_DEGREE + 1):
+        ours = [class_to_dict(b) for b in image_basis_xray(xray, degree)]
+        theirs = [class_to_dict(b) for b in reference_image_basis_xray(xray, degree)]
+        assert ours == theirs, degree
+
+
+def _class_on(xray, components, rng, degrees=range(5)):
+    """A random inhomogeneous class that vanishes off the given components."""
+    comps = {c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components}
+    for degree in degrees:
+        slots = xray_degree_slots(xray, degree)
+        values = [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if s.component in components else 0
+            for s in slots
+        ]
+        part = xray_class_from_vector(xray, degree, values)
+        for cid in components:
+            comps[cid].entries.update(part.components[cid].entries)
+    return EquivariantClass(comps, xray.rank)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
+def test_pieces_see_nothing_of_classes_off_their_members(name):
+    xray = EQUIVALENCE_XRAYS[name]()
+    rng = random.Random(name)
+    for piece in xray.pieces:
+        outside = [cid for cid in xray.component_ids() if cid not in piece.members]
+        for _ in range(3):
+            alpha = _class_on(xray, outside, rng)
+            assert piece_obstructions(xray, piece, alpha) == {}
+        # The same class on the members is obstructed, so the check has teeth.
+        alpha = _class_on(xray, piece.members, rng)
+        assert piece_obstructions(xray, piece, alpha) != {}
 
 
 # -- class documents ----------------------------------------------------------

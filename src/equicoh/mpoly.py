@@ -127,6 +127,10 @@ class MPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> MPoly:
+        if isinstance(other, _SCALARS):
+            if not other:
+                return MPoly.zero(self.nvars)
+            return MPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -23,14 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (
-    ComponentClass,
-    Laurent,
-    PoincareSeries,
-    SurfaceClass,
-    integrate_surface,
-    laurent_mul,
-)
+from .core import ComponentClass, Laurent, PoincareSeries, SurfaceClass
 from .errors import (
     DegenerateInputError,
     InputError,
@@ -180,10 +173,7 @@ def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
 def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     """The inverse of the Euler class in the localized module."""
     resolved = resolve_self_intersections(graph)
-    return _inverse_euler(resolved, resolved.find(component_id))
-
-
-def _inverse_euler(resolved: DecoratedGraph, comp: IsolatedVertex | FatVertex) -> Laurent:
+    comp = resolved.find(component_id)
     if isinstance(comp, IsolatedVertex):
         return Laurent({-2: Fraction(1, weight_product(comp))})
     sign = _surface_sign(comp, resolved)
@@ -258,33 +248,49 @@ def _check_addressing(graph: DecoratedGraph, alpha: EquivariantClass, rank=None)
             )
 
 
-def _surface_restriction(cls: ComponentClass) -> Laurent:
-    """A surface restriction as a Laurent element with SurfaceClass coefficients."""
-    acc: dict[int, SurfaceClass] = {}
+def _add_localization(
+    total: dict,
+    resolved: DecoratedGraph,
+    comp: IsolatedVertex | FatVertex,
+    entries: dict,
+    powers,
+) -> None:
+    """Add one fixed component's term of the localization sum to ``total``.
 
-    def add(power: int, piece: SurfaceClass) -> None:
-        acc[power] = acc[power] + piece if power in acc else piece
+    The term is the integral over the component of its restriction times
+    the inverse Euler class of its normal bundle, in the closed form stated
+    in :func:`localize`: only point values and the H^0 and H^2 parts of a
+    surface contribute, each shifted and scaled.  ``entries`` maps degree
+    to restriction entry (a scalar for a point, a SurfaceClass for a
+    surface); ``powers(value, half)`` lists the ``(p, coefficient of u^p)``
+    pairs of a scalar of degree ``half`` in the parameter, which is
+    :func:`_circle_powers` for a circle action.
+    """
 
-    g = cls.genus
-    for k, entry in cls.entries.items():
-        if k % 2 == 0:
-            add(k // 2, SurfaceClass(g, c0=entry.c0))
-            if k >= 2:
-                add((k - 2) // 2, SurfaceClass(g, c2=entry.c2))
-        else:
-            add((k - 1) // 2, SurfaceClass(g, c1=entry.c1))
-    return Laurent(acc)
+    def add(shift: int, scale, value, half: int) -> None:
+        for p, coeff in powers(value, half):
+            term = coeff * scale
+            p += shift
+            total[p] = total[p] + term if p in total else term
 
-
-def _component_localization(
-    comp: IsolatedVertex | FatVertex, cls: ComponentClass, inverse: Laurent
-) -> Laurent:
-    """One component's term of the localization sum, given its inverse Euler class."""
     if isinstance(comp, IsolatedVertex):
-        restriction = Laurent({k // 2: v for k, v in cls.entries.items()})
-        return laurent_mul(restriction, inverse)
-    product = laurent_mul(_surface_restriction(cls), inverse)
-    return product.map_coefficients(integrate_surface)
+        scale = Fraction(1, weight_product(comp))
+        for k, value in entries.items():
+            add(-2, scale, value, k // 2)
+        return
+    sign = _surface_sign(comp, resolved)
+    e = comp.self_intersection
+    for k, entry in entries.items():
+        if k % 2:
+            continue
+        if e:
+            add(-2, -e, entry.c0, k // 2)
+        if k >= 2:
+            add(-1, sign, entry.c2, k // 2 - 1)
+
+
+def _circle_powers(value: Fraction, half: int) -> tuple[tuple[int, Fraction], ...]:
+    return ((half, value),)
 
 
 def _vertices(graph: DecoratedGraph) -> dict[str, IsolatedVertex | FatVertex]:
@@ -297,16 +303,25 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     Each restriction is paired with the inverse Euler class of its normal
     bundle and surfaces are integrated out; for classes in the image of the
     restriction map the result is a polynomial.
+
+    The pairing has a closed form.  A point of weights w1, w2 has inverse
+    Euler class ``u^-2 / (w1 w2)``, so its value at ``u^p`` contributes at
+    ``u^(p-2)``, scaled by ``1 / (w1 w2)``.  A surface of self-intersection
+    e has ``sign u^-1 - e [S] u^-2``, the sign being -1 at the minimum and
+    +1 at the maximum; integrated over the surface, its H^0 part at ``u^p``
+    contributes at ``u^(p-2)`` scaled by ``-e``, its H^2 part at ``u^p``
+    contributes at ``u^(p-1)`` scaled by the sign, and its H^1 parts
+    contribute nothing.
     """
     _check_addressing(graph, alpha)
     resolved = resolve_self_intersections(graph)
     vertices = _vertices(resolved)
-    total = Laurent()
+    total: dict[int, Fraction] = {}
     for cid in sorted(alpha.components):
-        comp = vertices[cid]
-        inverse = _inverse_euler(resolved, comp)
-        total = total + _component_localization(comp, alpha.components[cid], inverse)
-    return total
+        _add_localization(
+            total, resolved, vertices[cid], alpha.components[cid].entries, _circle_powers
+        )
+    return Laurent(total)
 
 
 @dataclass(frozen=True)
@@ -379,20 +394,18 @@ def _unit_localizations(graph: DecoratedGraph, degree: int, slots: list[Slot]) -
     """``localize(graph, unit_class(graph, degree, slot))`` for every slot.
 
     A unit class restricts to zero off its slot's component, so its
-    localization sum is that component's single term.  Each component's
-    inverse Euler class is computed once, on one resolved graph, which
-    keeps the cost linear in the number of slots.
+    localization sum is that component's single term, read off one
+    resolved graph; the cost is linear in the number of slots.
     """
     resolved = resolve_self_intersections(graph)
     vertices = _vertices(resolved)
-    inverses: dict[str, Laurent] = {}
     out = []
     for slot in slots:
         comp = vertices[slot.component]
-        if comp.id not in inverses:
-            inverses[comp.id] = _inverse_euler(resolved, comp)
+        terms: dict[int, Fraction] = {}
         unit = _unit_restriction(comp, degree, slot)
-        out.append(_component_localization(comp, unit, inverses[comp.id]))
+        _add_localization(terms, resolved, comp, unit.entries, _circle_powers)
+        out.append(Laurent(terms))
     return out
 
 
@@ -637,7 +650,6 @@ def localize_torus(
     rank: int,
     lam,
     alpha: EquivariantClass,
-    basis_matrix=None,
     *,
     substitution: LinearSubstitution | None = None,
     resolved: DecoratedGraph | None = None,
@@ -645,70 +657,35 @@ def localize_torus(
     """Localization sum with the parameter replaced by the character form.
 
     Returns a Laurent element in the character direction whose coefficients
-    are polynomials in the complementary directions.  A caller that
-    localizes many classes along one character passes the prepared
-    ``substitution`` (see :func:`character_substitution`) and the
-    ``resolved`` graph (``resolve_self_intersections(graph)``); otherwise
-    both are built here, the substitution from ``basis_matrix`` when given.
+    are polynomials in the complementary directions.  Each point value and
+    each H^0 and H^2 part of a surface is rewritten in coordinates where the
+    character is the first variable and split into powers of it; the closed
+    form of :func:`localize` then applies power by power.  A point of
+    weights w1, w2 sends the part at power p to ``p - 2`` scaled by
+    ``1 / (w1 w2)``; a surface of self-intersection e sends its H^0 part at
+    p to ``p - 2`` scaled by ``-e`` and its H^2 part at p to ``p - 1``
+    scaled by its sign.  H^1 parts contribute nothing and are never
+    substituted.  A caller that localizes many classes
+    along one character passes the prepared ``substitution`` (see
+    :func:`character_substitution`) and the ``resolved`` graph
+    (``resolve_self_intersections(graph)``); otherwise both are built here.
     """
+    if len(lam) != rank:
+        raise InputError(f"character must have {rank} entries")
     if substitution is None:
-        substitution = (
-            character_substitution(lam)
-            if basis_matrix is None
-            else LinearSubstitution(basis_matrix)
-        )
+        substitution = character_substitution(lam)
     if resolved is None:
         resolved = resolve_self_intersections(graph)
-    remaining = rank - 1
-    total = Laurent()
+
+    def powers(value: MPoly, half: int):
+        return _adapted_split(value, substitution).items()
+
+    total: dict[int, MPoly] = {}
     for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
-        comp = resolved.find(cid)
-        if isinstance(comp, IsolatedVertex):
-            restriction = Laurent()
-            for k, value in cls.entries.items():
-                restriction = restriction + Laurent(_adapted_split(value, substitution))
-            inverse = Laurent(
-                {-2: MPoly.constant(remaining, Fraction(1, weight_product(comp)))}
-            )
-            total = total + restriction * inverse
-        else:
-            g = comp.genus
-            zero = MPoly.zero(remaining)
-            acc: dict[int, SurfaceClass] = {}
-
-            def add(power: int, piece: SurfaceClass) -> None:
-                acc[power] = acc[power] + piece if power in acc else piece
-
-            for k, entry in cls.entries.items():
-                for d, q in _adapted_split(entry.c0, substitution).items():
-                    add(d, SurfaceClass(g, c0=q, c1=tuple(zero for _ in range(2 * g)), c2=zero))
-                for i, x in enumerate(entry.c1):
-                    for d, q in _adapted_split(x, substitution).items():
-                        c1 = tuple(q if j == i else zero for j in range(2 * g))
-                        add(d, SurfaceClass(g, c0=zero, c1=c1, c2=zero))
-                for d, q in _adapted_split(entry.c2, substitution).items():
-                    add(d, SurfaceClass(g, c0=zero, c1=tuple(zero for _ in range(2 * g)), c2=q))
-            sign = _surface_sign(comp, resolved)
-            inverse = Laurent(
-                {
-                    -1: SurfaceClass(
-                        g,
-                        c0=MPoly.constant(remaining, sign),
-                        c1=tuple(zero for _ in range(2 * g)),
-                        c2=zero,
-                    ),
-                    -2: SurfaceClass(
-                        g,
-                        c0=zero,
-                        c1=tuple(zero for _ in range(2 * g)),
-                        c2=MPoly.constant(remaining, -comp.self_intersection),
-                    ),
-                }
-            )
-            product = laurent_mul(Laurent(acc), inverse)
-            total = total + product.map_coefficients(integrate_surface)
-    return total
+        _add_localization(
+            total, resolved, resolved.find(cid), alpha.components[cid].entries, powers
+        )
+    return Laurent(total)
 
 
 def torus_obstructions(

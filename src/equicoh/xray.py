@@ -208,6 +208,8 @@ def parse_xray(text) -> XRay:
             if "ell" in item:
                 raise SchemaError('only 2-dimensional pieces carry "ell"', where)
             raw_graph = _require(item, "induced_graph", where)
+            if not isinstance(raw_graph, dict):
+                raise SchemaError("expected a graph object", f"{where}.induced_graph")
             try:
                 induced = parse_graph(raw_graph)
             except SchemaError as exc:

@@ -39,6 +39,7 @@ from equicoh import (
     parse_graph,
     parse_xray,
 )
+from equicoh.mpoly import monomials_of_degree
 
 
 def g1_doc() -> dict:
@@ -284,6 +285,39 @@ def _merge(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
         entries.update(y.components[cid].entries)
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, cls.rank)
     return EquivariantClass(comps, x.rank)
+
+
+def random_poly(rng: random.Random, nvars: int, degree: int) -> MPoly:
+    """A random homogeneous polynomial; most monomials get a coefficient."""
+    return MPoly(nvars, {
+        exps: random_fraction(rng)
+        for exps in monomials_of_degree(nvars, degree)
+        if rng.random() < 0.7
+    })
+
+
+def random_torus_class(components, rank: int, rng: random.Random, degrees=range(7)):
+    """A random inhomogeneous rank-r class on ``(id, kind, genus)`` components,
+    with polynomial H^0, H^1 and H^2 parts wherever the degree allows them."""
+    comps = {}
+    for cid, kind, genus in components:
+        zero = MPoly.zero(rank)
+        entries: dict = {}
+        for k in degrees:
+            if rng.random() < 0.3 or (kind == "point" and k % 2):
+                continue
+            if kind == "point":
+                entries[k] = random_poly(rng, rank, k // 2)
+            elif k % 2 == 0:
+                c2 = random_poly(rng, rank, k // 2 - 1) if k >= 2 else zero
+                entries[k] = SurfaceClass(
+                    genus, random_poly(rng, rank, k // 2), (zero,) * (2 * genus), c2
+                )
+            else:
+                c1 = tuple(random_poly(rng, rank, k // 2) for _ in range(2 * genus))
+                entries[k] = SurfaceClass(genus, zero, c1, zero)
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
+    return EquivariantClass(comps, rank)
 
 
 def constant_torus_class(xray, value) -> EquivariantClass:

@@ -147,6 +147,63 @@ def test_validate_batch_reports_every_file_beside_a_deeply_nested_one(capsys, tm
     assert out.splitlines()[-1] == "g1.json: ok"
 
 
+NOT_A_GRAPH_OBJECT = {
+    "kind": "error",
+    "code": "schema",
+    "message": "pieces[0].induced_graph: expected a graph object",
+}
+
+
+def _xray_with_induced_graph(tmp_path, value):
+    doc = fixtures.mutate(fixtures.x2_doc(1), lambda d: d["pieces"][0].update(induced_graph=value))
+    path = tmp_path / "induced.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("value", [[1], 7, '{"kind": "graph"}'])
+def test_non_object_induced_graph_is_a_schema_error(capsys, data_dir, tmp_path, value):
+    path = _xray_with_induced_graph(tmp_path, value)
+    for argv in (
+        ["validate", path],
+        ["xray-validate", path],
+        ["xray-basis", path, "--degree", "2"],
+        ["xray-check", path, str(data_dir / "class_x2_const.json")],
+    ):
+        status, out, _ = run(capsys, *argv, "--format", "json")
+        assert status == 2, argv
+        assert json.loads(out) == NOT_A_GRAPH_OBJECT, argv
+        status, out, err = run(capsys, *argv)
+        assert (status, out) == (2, ""), argv
+        assert err == f"error: {NOT_A_GRAPH_OBJECT['message']}\n", argv
+
+
+def test_validate_batch_reports_every_file_beside_a_non_object_induced_graph(capsys, tmp_path):
+    _xray_with_induced_graph(tmp_path, [1])
+    (tmp_path / "g1.json").write_text(json.dumps(fixtures.g1_doc()))
+    (tmp_path / "x2.json").write_text(json.dumps(fixtures.x2_doc(1)))
+    bad = fixtures.mutate(
+        fixtures.g1_doc(), lambda d: d["isolated"][1].update(weights=[1, 1])
+    )
+    (tmp_path / "bad_weights.json").write_text(json.dumps(bad))
+    for command in ("validate", "xray-validate"):
+        status, out, _ = run(capsys, command, str(tmp_path), "--format", "json")
+        assert status == 2
+        by_path = {entry["path"]: entry for entry in json.loads(out)["results"]}
+        assert sorted(by_path) == ["bad_weights.json", "g1.json", "induced.json", "x2.json"]
+        assert by_path["induced.json"]["status"] == 2
+        assert by_path["induced.json"]["error"] == {
+            "code": "schema", "message": NOT_A_GRAPH_OBJECT["message"]
+        }
+        assert by_path["x2.json"] == {"path": "x2.json", "status": 0, "report": []}
+    status, out, _ = run(capsys, "validate", str(tmp_path))
+    assert status == 2
+    lines = out.splitlines()
+    assert f"induced.json: error: {NOT_A_GRAPH_OBJECT['message']}" in lines
+    assert "g1.json: ok" in lines and lines[-1] == "x2.json: ok"
+    assert any(line.startswith("bad_weights.json: weight-signs:") for line in lines)
+
+
 def test_validate_batch_fail_fast(capsys, batch_dir):
     status, out, _ = run(capsys, "validate", str(batch_dir), "--fail-fast")
     assert status == 1

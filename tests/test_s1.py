@@ -34,6 +34,7 @@ from equicoh import (
     inverse_euler,
     laurent_mul,
     localize,
+    localize_torus,
     parse_class,
     parse_graph,
     poincare_fixed_set,
@@ -42,7 +43,16 @@ from equicoh import (
     relation_counts,
     unit_class,
 )
-from equicoh.s1 import _unit_localizations
+from equicoh import s1
+from equicoh.core import integrate_surface
+from equicoh.graph import IsolatedVertex, resolve_self_intersections, weight_product
+from equicoh.s1 import (
+    _adapted_split,
+    _surface_sign,
+    _unit_localizations,
+    character_substitution,
+)
+from equicoh.xray import piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
 
 
@@ -246,6 +256,190 @@ def test_unit_localizations_match_per_slot_localize():
             for slot in degree_slots(graph, 2)
         }
         assert abbv_degree2_functional(graph) == expected, name
+
+
+# -- closed-form localization against the Laurent-product reference ---------
+
+
+def reference_surface_restriction(cls):
+    """A surface restriction as a Laurent element with SurfaceClass coefficients."""
+    acc = {}
+
+    def add(power, piece):
+        acc[power] = acc[power] + piece if power in acc else piece
+
+    g = cls.genus
+    for k, entry in cls.entries.items():
+        if k % 2 == 0:
+            add(k // 2, SurfaceClass(g, c0=entry.c0))
+            if k >= 2:
+                add((k - 2) // 2, SurfaceClass(g, c2=entry.c2))
+        else:
+            add((k - 1) // 2, SurfaceClass(g, c1=entry.c1))
+    return Laurent(acc)
+
+
+def reference_component_localization(comp, cls, inverse):
+    """One component's term: the restriction times its inverse Euler class,
+    integrated over the component."""
+    if isinstance(comp, IsolatedVertex):
+        restriction = Laurent({k // 2: v for k, v in cls.entries.items()})
+        return laurent_mul(restriction, inverse)
+    product = laurent_mul(reference_surface_restriction(cls), inverse)
+    return product.map_coefficients(integrate_surface)
+
+
+def reference_localize(graph, alpha):
+    resolved = resolve_self_intersections(graph)
+    total = Laurent()
+    for cid in sorted(alpha.components):
+        inverse = inverse_euler(graph, cid)
+        comp = resolved.find(cid)
+        total = total + reference_component_localization(comp, alpha.components[cid], inverse)
+    return total
+
+
+def reference_localize_torus(graph, rank, lam, alpha):
+    """The character-substituted localization sum as Laurent products of
+    SurfaceClasses of polynomials, every H^1 part substituted."""
+    substitution = character_substitution(lam)
+    resolved = resolve_self_intersections(graph)
+    remaining = rank - 1
+    total = Laurent()
+    for cid in sorted(alpha.components):
+        cls = alpha.components[cid]
+        comp = resolved.find(cid)
+        if isinstance(comp, IsolatedVertex):
+            restriction = Laurent()
+            for value in cls.entries.values():
+                restriction = restriction + Laurent(_adapted_split(value, substitution))
+            inverse = Laurent(
+                {-2: MPoly.constant(remaining, Fraction(1, weight_product(comp)))}
+            )
+            total = total + restriction * inverse
+            continue
+        g = comp.genus
+        zero = MPoly.zero(remaining)
+        zeros = tuple(zero for _ in range(2 * g))
+        acc = {}
+
+        def add(power, piece):
+            acc[power] = acc[power] + piece if power in acc else piece
+
+        for entry in cls.entries.values():
+            for d, q in _adapted_split(entry.c0, substitution).items():
+                add(d, SurfaceClass(g, c0=q, c1=zeros, c2=zero))
+            for i, x in enumerate(entry.c1):
+                for d, q in _adapted_split(x, substitution).items():
+                    c1 = tuple(q if j == i else zero for j in range(2 * g))
+                    add(d, SurfaceClass(g, c0=zero, c1=c1, c2=zero))
+            for d, q in _adapted_split(entry.c2, substitution).items():
+                add(d, SurfaceClass(g, c0=zero, c1=zeros, c2=q))
+        sign = _surface_sign(comp, resolved)
+        inverse = Laurent(
+            {
+                -1: SurfaceClass(g, c0=MPoly.constant(remaining, sign), c1=zeros, c2=zero),
+                -2: SurfaceClass(
+                    g, c0=zero, c1=zeros, c2=MPoly.constant(remaining, -comp.self_intersection)
+                ),
+            }
+        )
+        product = laurent_mul(Laurent(acc), inverse)
+        total = total + product.map_coefficients(integrate_surface)
+    return total
+
+
+# Surfaces with e = 0 (equal areas) and e = +-2 (unequal areas), genus 0-2.
+LOCALIZATION_GRAPHS = dict(
+    all_graphs(), g2_g0_uneq=g2(0, 2, 4), g2_g1_uneq=g2(1, 2, 4), g2_g2_uneq=g2(2, 1, 3)
+)
+
+
+def _torus_components(graph):
+    return [(v.id, "point", 0) for v in graph.isolated] + [
+        (v.id, "surface", v.genus) for v in graph.surfaces
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZATION_GRAPHS))
+def test_closed_form_localize_matches_the_laurent_product(name):
+    graph = LOCALIZATION_GRAPHS[name]
+    rng = random.Random(name)
+    for _ in range(20):
+        alpha = fixtures.random_class(graph, rng, degrees=range(7))
+        assert localize(graph, alpha) == reference_localize(graph, alpha)
+    for degree in range(7):
+        slots = degree_slots(graph, degree)
+        expected = [
+            reference_localize(graph, unit_class(graph, degree, slot)) for slot in slots
+        ]
+        assert _unit_localizations(graph, degree, slots) == expected, degree
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZATION_GRAPHS))
+def test_closed_form_localize_torus_matches_the_laurent_product(name):
+    graph = LOCALIZATION_GRAPHS[name]
+    rng = random.Random(name)
+    for lam in [(1,), (-1,), (1, 0), (0, 1), (2, -1), (1, 2, 3)]:
+        rank = len(lam)
+        for _ in range(6):
+            alpha = fixtures.random_torus_class(_torus_components(graph), rank, rng)
+            expected = reference_localize_torus(graph, rank, lam, alpha)
+            assert localize_torus(graph, rank, lam, alpha) == expected, lam
+    for _ in range(6):
+        alpha = fixtures.random_class(graph, rng, degrees=range(7))
+        promoted = promote_to_torus(alpha)
+        assert localize_torus(graph, 1, (1,), promoted) == reference_localize_torus(
+            graph, 1, (1,), promoted
+        )
+
+
+LOCALIZATION_XRAYS = {
+    **{f"x2_g{genus}": (lambda genus=genus: fixtures.x2(genus)) for genus in (0, 1, 2)},
+    "cp3": fixtures.cp3,
+    **{
+        f"cube_r{rank}_g{genus}": (lambda rank=rank, genus=genus: fixtures.cube(rank, genus))
+        for rank in (2, 3)
+        for genus in (0, 1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZATION_XRAYS))
+def test_closed_form_piece_localizations_match_the_laurent_product(name, monkeypatch):
+    xray = LOCALIZATION_XRAYS[name]()
+    rng = random.Random(name)
+    components = [(c.id, c.kind, c.genus) for c in xray.components]
+    classes = [fixtures.random_torus_class(components, xray.rank, rng) for _ in range(3)]
+    for piece in xray.pieces:
+        if piece.dim == 2:
+            continue
+        substitution = character_substitution(piece.lam)
+        resolved = resolve_self_intersections(piece.induced)
+        for alpha in classes:
+            restricted = alpha.restricted(piece.members)
+            expected = reference_localize_torus(piece.induced, xray.rank, piece.lam, restricted)
+            assert localize_torus(piece.induced, xray.rank, piece.lam, restricted) == expected
+            assert localize_torus(
+                piece.induced, xray.rank, piece.lam, restricted,
+                substitution=substitution, resolved=resolved,
+            ) == expected
+    # Every piece's obstructions, 2-dimensional ones included, come out the
+    # same with the reference in place of localize_torus.
+    ours = [[piece_obstructions(xray, p, alpha) for p in xray.pieces] for alpha in classes]
+    monkeypatch.setattr(
+        s1, "localize_torus",
+        lambda graph, rank, lam, alpha, **_: reference_localize_torus(graph, rank, lam, alpha),
+    )
+    theirs = [[piece_obstructions(xray, p, alpha) for p in xray.pieces] for alpha in classes]
+    assert ours == theirs
+
+
+def test_localize_torus_checks_the_character_length():
+    graph = g2(1)
+    alpha = fixtures.random_torus_class(_torus_components(graph), 2, random.Random(0))
+    with pytest.raises(InputError, match="character must have 2 entries"):
+        localize_torus(graph, 2, (1,), alpha)
 
 
 # -- coordinates on the restriction tuple space ------------------------------

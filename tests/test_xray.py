@@ -1,5 +1,6 @@
 """X-rays of complexity-one torus actions: validation, membership, bases."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -125,6 +126,16 @@ def test_induced_graph_errors_are_located():
     with pytest.raises(SchemaError) as info:
         parse_xray(doc)
     assert "induced_graph" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "value", [[1], 7, None, json.dumps(fixtures.x2_doc(1)["pieces"][0]["induced_graph"])]
+)
+def test_induced_graph_must_be_an_object(value):
+    doc = mutate(fixtures.x2_doc(1), lambda d: d["pieces"][0].update(induced_graph=value))
+    with pytest.raises(SchemaError) as info:
+        parse_xray(doc)
+    assert str(info.value) == "pieces[0].induced_graph: expected a graph object"
 
 
 # -- semantic validation ------------------------------------------------------

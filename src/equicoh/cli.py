@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import SurfaceClass
 from .errors import (
@@ -88,12 +89,26 @@ def _env_max_degree() -> int | None:
         raise UsageError(f"{MAX_DEGREE_ENV} must be an integer, got {raw!r}") from None
 
 
-def _config(args, default_max: int) -> RunConfig:
+@dataclass(frozen=True)
+class _DocumentKind:
+    """The library functions behind one kind of document: graphs or x-rays."""
+
+    default_max_degree: int
+    parse: Callable
+    validate: Callable
+    parse_class: Callable
+    check: Callable
+    image_basis: Callable
+    slots: Callable
+    slot_value: Callable
+
+
+def _config(args) -> RunConfig:
     max_degree = args.max_degree if getattr(args, "max_degree", None) is not None else None
     if max_degree is None:
         max_degree = _env_max_degree()
     if max_degree is None:
-        max_degree = default_max
+        max_degree = args.kind.default_max_degree
     return RunConfig(
         subcommand=args.subcommand,
         paths=tuple(getattr(args, name) for name in args.path_names),
@@ -157,23 +172,15 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _load_valid_graph(path: str, fmt: str):
-    """Parse and validate; on violations print the report and return None."""
-    graph = parse_graph(_read(path))
-    report = validate_graph(graph)
+def _load_valid(args, config: RunConfig):
+    """Parse and validate the first document; on violations print the report
+    and return None."""
+    document = args.kind.parse(_read(config.paths[0]))
+    report = args.kind.validate(document)
     if report:
-        _emit_report(report, fmt)
+        _emit_report(report, config.output_format)
         return None
-    return graph
-
-
-def _load_valid_xray(path: str, fmt: str):
-    xray = parse_xray(_read(path))
-    report = validate_xray(xray)
-    if report:
-        _emit_report(report, fmt)
-        return None
-    return xray
+    return document
 
 
 def _validate_document(path: str, strictly_xray: bool):
@@ -203,8 +210,9 @@ def _validate_one(path: str, strictly_xray: bool) -> tuple[int, object]:
         return (1, {"code": "input", "message": str(exc)})
 
 
-def _cmd_validate_impl(args, strictly_xray: bool) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
+def cmd_validate(args) -> int:
+    strictly_xray = args.subcommand == "xray-validate"
+    config = _config(args)
     path = config.paths[0]
     if not os.path.isdir(path):
         try:
@@ -241,17 +249,9 @@ def _cmd_validate_impl(args, strictly_xray: bool) -> int:
     return max((status for _, status, _ in results), default=0)
 
 
-def cmd_validate(args) -> int:
-    return _cmd_validate_impl(args, strictly_xray=False)
-
-
-def cmd_xray_validate(args) -> int:
-    return _cmd_validate_impl(args, strictly_xray=True)
-
-
 def cmd_poincare(args) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
-    graph = _load_valid_graph(config.paths[0], config.output_format)
+    config = _config(args)
+    graph = _load_valid(args, config)
     if graph is None:
         return 1
     if args.equivariant:
@@ -282,18 +282,20 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
+    config = _config(args)
     path = config.paths[0]
-    graph = _load_valid_graph(path, config.output_format)
-    if graph is None:
+    document = _load_valid(args, config)
+    if document is None:
         return 1
-    basis = image_basis(graph, args.degree, config.max_degree)
+    basis = args.kind.image_basis(document, args.degree, config.max_degree)
     if config.output_format == "json":
         print(_dump([class_to_dict(b, path) for b in basis]))
         return 0
-    slots = degree_slots(graph, args.degree)
+    slots = args.kind.slots(document, args.degree)
     headers = [s.label for s in slots]
-    rows = [[format_rational(slot_value(b, args.degree, s)) for s in slots] for b in basis]
+    rows = [
+        [format_rational(args.kind.slot_value(b, args.degree, s)) for s in slots] for b in basis
+    ]
     if not headers:
         print(f"no classes in degree {args.degree}")
     else:
@@ -302,12 +304,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
-    graph = _load_valid_graph(config.paths[0], config.output_format)
-    if graph is None:
+    config = _config(args)
+    document = _load_valid(args, config)
+    if document is None:
         return 1
-    alpha = parse_class(_read(config.paths[1]), graph)
-    decision = check_membership(graph, alpha)
+    alpha = args.kind.parse_class(_read(config.paths[1]), document)
+    decision = args.kind.check(document, alpha)
     if config.output_format == "json":
         print(_dump(decision.to_dict()))
     elif decision.member:
@@ -319,8 +321,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
-    graph = _load_valid_graph(config.paths[0], config.output_format)
+    config = _config(args)
+    graph = _load_valid(args, config)
     if graph is None:
         return 1
     alpha = parse_class(_read(config.paths[1]), graph)
@@ -344,8 +346,8 @@ def cmd_localize(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    config = _config(args, DEFAULT_MAX_DEGREE)
-    graph = _load_valid_graph(config.paths[0], config.output_format)
+    config = _config(args)
+    graph = _load_valid(args, config)
     if graph is None:
         return 1
     euler = euler_class(graph, args.component)
@@ -371,45 +373,6 @@ def cmd_euler(args) -> int:
     return 0
 
 
-def cmd_xray_check(args) -> int:
-    config = _config(args, DEFAULT_XRAY_MAX_DEGREE)
-    xray = _load_valid_xray(config.paths[0], config.output_format)
-    if xray is None:
-        return 1
-    alpha = parse_class_torus(_read(config.paths[1]), xray)
-    decision = check_membership_xray(xray, alpha)
-    if config.output_format == "json":
-        print(_dump(decision.to_dict()))
-    elif decision.member:
-        print("member")
-    else:
-        for violation in decision.violations:
-            print(f"{violation.kind}: {violation.detail}")
-    return 0 if decision.member else 1
-
-
-def cmd_xray_basis(args) -> int:
-    config = _config(args, DEFAULT_XRAY_MAX_DEGREE)
-    path = config.paths[0]
-    xray = _load_valid_xray(path, config.output_format)
-    if xray is None:
-        return 1
-    basis = image_basis_xray(xray, args.degree, config.max_degree)
-    if config.output_format == "json":
-        print(_dump([class_to_dict(b, path) for b in basis]))
-        return 0
-    slots = xray_degree_slots(xray, args.degree)
-    headers = [s.label for s in slots]
-    rows = [
-        [format_rational(xray_slot_value(b, args.degree, s)) for s in slots] for b in basis
-    ]
-    if not headers:
-        print(f"no classes in degree {args.degree}")
-    else:
-        print(_table(headers, rows))
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equicoh",
@@ -417,13 +380,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "actions from decorated graphs and x-rays.",
     )
     sub = parser.add_subparsers(dest="subcommand")
+    graphs = _DocumentKind(
+        DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
+        image_basis, degree_slots, slot_value,
+    )
+    xrays = _DocumentKind(
+        DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
+        check_membership_xray, image_basis_xray, xray_degree_slots, xray_slot_value,
+    )
 
-    def add(name: str, handler, paths: list[str], **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler, paths: list[str], kind=graphs, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         for path_name in paths:
             p.add_argument(path_name)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(handler=handler, path_names=tuple(paths))
+        p.set_defaults(handler=handler, path_names=tuple(paths), kind=kind)
         return p
 
     p = add("validate", cmd_validate, ["path"], help="validate a graph or x-ray file, or a directory of them")
@@ -443,12 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("euler", cmd_euler, ["path"], help="equivariant Euler class of one fixed component")
     p.add_argument("--component", required=True)
 
-    p = add("xray-validate", cmd_xray_validate, ["path"], help="validate an x-ray file or directory")
+    p = add("xray-validate", cmd_validate, ["path"], help="validate an x-ray file or directory")
     p.add_argument("--fail-fast", action="store_true")
 
-    add("xray-check", cmd_xray_check, ["xray", "class_path"], help="membership for a complexity-one x-ray")
+    add("xray-check", cmd_check, ["xray", "class_path"], kind=xrays, help="membership for a complexity-one x-ray")
 
-    p = add("xray-basis", cmd_xray_basis, ["path"], help="canonical basis of the degree-k x-ray image")
+    p = add("xray-basis", cmd_basis, ["path"], kind=xrays, help="canonical basis of the degree-k x-ray image")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree", type=int)
 

@@ -7,9 +7,11 @@ polynomial counting the relations among the fixed components, and the
 image of the restriction map to the fixed set is cut out by three kinds of
 linear conditions: equality of degree-zero parts, matching of the
 degree-one parts on the two fixed surfaces, and integrality of the
-localization sum.  The degree-two instance of the localization condition
-is assembled at runtime by localizing unit coordinate classes, never
-hard-coded.
+localization sum.  One builder states these conditions for each degree as
+tagged sparse rows over the slot coordinates, with the localization rows
+assembled at runtime by localizing unit coordinate classes, never
+hard-coded.  Image bases are the nullspace of the rows and membership
+evaluates the same rows on a class; there is no second description.
 
 The same machinery runs with the equivariant parameter replaced by a
 primitive integer character of a higher-rank torus: polynomials are moved
@@ -34,7 +36,9 @@ from .graph import (
     DecoratedGraph,
     FatVertex,
     IsolatedVertex,
+    _check_keys,
     _load_document,
+    _require,
     format_rational,
     parse_rational,
     resolve_self_intersections,
@@ -44,6 +48,8 @@ from .linalg import coordinates_in_span, nullspace, rref
 from .mpoly import LinearSubstitution, MPoly, poly_to_pairs, unimodular_completion
 
 DEFAULT_MAX_DEGREE = 12
+
+_CLASS_KEYS = {"kind", "graph", "components"}
 
 BETTI_TABLE = {
     ("surface", "min"): lambda g: (1, 2 * g, 1, 0, 0),
@@ -390,14 +396,16 @@ def unit_class(graph: DecoratedGraph, degree: int, slot: Slot) -> EquivariantCla
     return EquivariantClass(comps, None)
 
 
-def _unit_localizations(graph: DecoratedGraph, degree: int, slots: list[Slot]) -> list[Laurent]:
-    """``localize(graph, unit_class(graph, degree, slot))`` for every slot.
+def _unit_localizations(
+    resolved: DecoratedGraph, degree: int, slots: list[Slot]
+) -> list[Laurent]:
+    """``localize(resolved, unit_class(resolved, degree, slot))`` for every slot.
 
-    A unit class restricts to zero off its slot's component, so its
-    localization sum is that component's single term, read off one
-    resolved graph; the cost is linear in the number of slots.
+    ``resolved`` is a graph after :func:`resolve_self_intersections`.  A
+    unit class restricts to zero off its slot's component, so its
+    localization sum is that component's single term; the cost is linear in
+    the number of slots.
     """
-    resolved = resolve_self_intersections(graph)
     vertices = _vertices(resolved)
     out = []
     for slot in slots:
@@ -457,17 +465,70 @@ def _class_from_slots(
     return EquivariantClass(comps, None)
 
 
+@dataclass(frozen=True)
+class _ConstraintRow:
+    """One linear condition on the degree-k slot coordinates of the image.
+
+    ``kind`` is "constancy" (``tag`` is the position of the first of two
+    adjacent slots), "matching" (``tag`` is the H^1 index on the upper
+    surface) or "localization" (``tag`` is the power of u).  Only nonzero
+    coefficients are kept, keyed by slot position.
+    """
+
+    kind: str
+    tag: int
+    coefficients: dict[int, Fraction]
+
+    def value(self, vector) -> Fraction:
+        return sum((c * vector[i] for i, c in self.coefficients.items()), start=Fraction(0))
+
+
+def _image_constraints(
+    resolved: DecoratedGraph, degree: int, slots: list[Slot]
+) -> list[_ConstraintRow]:
+    """The rows cutting out the degree-k image, in the coordinates of ``slots``.
+
+    ``resolved`` is the graph after :func:`resolve_self_intersections`.
+
+    In degree 0, one constancy row per adjacent pair of slots (one slot per
+    component, by id).  In degree 1, when there are two fixed surfaces, one
+    matching row per H^1 coordinate of the upper surface: the identification
+    applied to the lower surface's part minus the upper surface's part.  In
+    every degree, one localization row per negative power of u reached by a
+    unit class, holding the coefficient of that power in each unit class's
+    localization sum (:func:`_unit_localizations`).
+    """
+    rows: list[_ConstraintRow] = []
+    if degree == 0:
+        for i in range(len(slots) - 1):
+            rows.append(_ConstraintRow("constancy", i, {i: Fraction(1), i + 1: Fraction(-1)}))
+    if degree == 1 and len(resolved.surfaces) == 2:
+        lower, upper = sorted(resolved.surfaces, key=lambda v: v.y)
+        matrix = resolved.identification_matrix()
+        position = {(s.component, s.index): i for i, s in enumerate(slots)}
+        for j in range(2 * lower.genus):
+            coefficients = {
+                position[(lower.id, i)]: Fraction(m) for i, m in enumerate(matrix[j]) if m
+            }
+            coefficients[position[(upper.id, j)]] = Fraction(-1)
+            rows.append(_ConstraintRow("matching", j, coefficients))
+    localizations = _unit_localizations(resolved, degree, slots)
+    for p in sorted({p for loc in localizations for p in loc.terms if p < 0}):
+        coefficients = {i: loc.terms[p] for i, loc in enumerate(localizations) if p in loc.terms}
+        rows.append(_ConstraintRow("localization", p, coefficients))
+    return rows
+
+
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     """The linear functional cutting out degree 2 of the image, slot by slot.
 
-    Assembled by localizing each unit coordinate class and reading off the
-    u^-1 coefficient.
+    This is the degree-2 localization row, at u^-1, with a zero for every
+    slot it does not involve.
     """
     slots = degree_slots(graph, 2)
-    return {
-        slot.label: Fraction(loc.coefficient(-1))
-        for slot, loc in zip(slots, _unit_localizations(graph, 2, slots))
-    }
+    rows = _image_constraints(resolve_self_intersections(graph), 2, slots)
+    row = next((r.coefficients for r in rows if (r.kind, r.tag) == ("localization", -1)), {})
+    return {slot.label: row.get(i, Fraction(0)) for i, slot in enumerate(slots)}
 
 
 @dataclass(frozen=True)
@@ -495,57 +556,57 @@ class MembershipDecision:
 def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> MembershipDecision:
     """Is the restriction tuple in the image of the equivariant restriction map?
 
-    Checks the three conditions cutting out the image (degree-0 constancy,
-    degree-1 surface matching, the degree-2 localization relation) and, as
-    a redundant cross-check, that the full localization sum has no poles.
+    Evaluates the rows of :func:`_image_constraints` on the class's slot
+    vectors in degrees 0, 1 and 2 (localization rows in higher degrees
+    never reach a negative power).  A failing constancy row reports
+    "degree0-constancy", a failing matching row "degree1-surface-match",
+    the degree-2 localization row's value is the "abbv-degree2" residue,
+    and all localization rows' values together are the poles of the
+    localization sum ("localization-pole"); there is no separate pole
+    cross-check.
     """
     _check_addressing(graph, alpha)
+    resolved = resolve_self_intersections(graph)
+    # Keyed by (kind, tag): localization rows reach u^-2 only in degree 0
+    # and u^-1 only in degree 2, so no two rows share a key.
+    values: dict[tuple[str, int], Fraction] = {}
+    vectors = []
+    for degree in (0, 1, 2):
+        slots = degree_slots(graph, degree)
+        vectors.append([slot_value(alpha, degree, slot) for slot in slots])
+        for row in _image_constraints(resolved, degree, slots):
+            values[(row.kind, row.tag)] = row.value(vectors[degree])
+    failing = {kind for (kind, _), value in values.items() if value}
     violations: list[MembershipViolation] = []
 
-    degree0 = []
-    for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
-        value = cls.entries.get(0, Fraction(0))
-        degree0.append((cid, value.c0 if isinstance(value, SurfaceClass) else value))
-    if any(v != degree0[0][1] for _, v in degree0):
-        rendered = ", ".join(f"{cid}: {v}" for cid, v in degree0)
+    if "constancy" in failing:
+        slots = degree_slots(graph, 0)
+        rendered = ", ".join(f"{s.component}: {v}" for s, v in zip(slots, vectors[0]))
         violations.append(
             MembershipViolation("degree0-constancy", f"degree-0 parts differ ({rendered})")
         )
 
-    if len(graph.surfaces) == 2:
+    if "matching" in failing:
         lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
-        g = lower.genus
-        matrix = graph.identification_matrix()
         v_lower = alpha.components[lower.id].entry(1).c1
         v_upper = alpha.components[upper.id].entry(1).c1
-        mapped = tuple(
-            sum((matrix[j][i] * v_lower[i] for i in range(2 * g)), start=Fraction(0))
-            for j in range(2 * g)
-        )
-        if any(a != b for a, b in zip(mapped, v_upper)):
-            violations.append(
-                MembershipViolation(
-                    "degree1-surface-match",
-                    f"H^1 parts disagree under the identification "
-                    f"({lower.id}: {list(v_lower)} vs {upper.id}: {list(v_upper)})",
-                )
-            )
-
-    functional = abbv_degree2_functional(graph)
-    vector = class_to_vector(graph, 2, alpha.homogeneous(2))
-    total = sum(
-        (coeff * value for coeff, value in zip(functional.values(), vector)),
-        start=Fraction(0),
-    )
-    if total != 0:
         violations.append(
             MembershipViolation(
-                "abbv-degree2", f"degree-2 localization relation fails with residue {total}"
+                "degree1-surface-match",
+                f"H^1 parts disagree under the identification "
+                f"({lower.id}: {list(v_lower)} vs {upper.id}: {list(v_upper)})",
             )
         )
 
-    poles = localize(graph, alpha).negative_part()
+    residue = values.get(("localization", -1))
+    if residue:
+        violations.append(
+            MembershipViolation(
+                "abbv-degree2", f"degree-2 localization relation fails with residue {residue}"
+            )
+        )
+
+    poles = Laurent({p: v for (kind, p), v in values.items() if kind == "localization"})
     if poles:
         violations.append(
             MembershipViolation("localization-pole", f"localization sum has poles: {poles!r}")
@@ -565,31 +626,12 @@ def image_basis(
     slots = degree_slots(graph, degree)
     if not slots:
         return []
-    rows: list[list[Fraction]] = []
-    if degree == 0:
-        for i in range(len(slots) - 1):
-            row = [Fraction(0)] * len(slots)
-            row[i] = Fraction(1)
-            row[i + 1] = Fraction(-1)
-            rows.append(row)
-    if degree == 1 and len(graph.surfaces) == 2:
-        lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
-        g = lower.genus
-        matrix = graph.identification_matrix()
-        position = {(s.component, s.index): i for i, s in enumerate(slots)}
-        for j in range(2 * g):
-            row = [Fraction(0)] * len(slots)
-            for i in range(2 * g):
-                if matrix[j][i]:
-                    row[position[(lower.id, i)]] += Fraction(matrix[j][i])
-            row[position[(upper.id, j)]] -= Fraction(1)
-            rows.append(row)
-    localizations = _unit_localizations(graph, degree, slots)
-    negative_powers = sorted(
-        {p for loc in localizations for p in loc.terms if p < 0}
-    )
-    for p in negative_powers:
-        rows.append([Fraction(loc.coefficient(p)) for loc in localizations])
+    rows = []
+    for constraint in _image_constraints(resolve_self_intersections(graph), degree, slots):
+        row = [Fraction(0)] * len(slots)
+        for i, c in constraint.coefficients.items():
+            row[i] = c
+        rows.append(row)
     return [
         _class_from_slots(graph, degree, slots, vec) for vec in nullspace(rows, len(slots))
     ]
@@ -688,6 +730,37 @@ def localize_torus(
     return Laurent(total)
 
 
+def _h0_divisibility(
+    alpha: EquivariantClass, rank: int, pairs, degrees, substitution: LinearSubstitution
+) -> dict[tuple, Fraction]:
+    """The terms of each pair's H^0 difference that the character does not divide.
+
+    For each pair ``(a, b)`` of component ids and each degree k, the
+    difference of the point values (or surface H^0 parts) of ``a`` and ``b``
+    is rewritten by ``substitution`` (see :func:`character_substitution`);
+    its terms free of the character's variable are keyed
+    ``("div", (a, b), ("h0",), k, exponents)``.
+    """
+    out: dict[tuple, Fraction] = {}
+
+    def h0_part(cid: str, k: int) -> MPoly:
+        cls = alpha.components[cid]
+        if cls.kind == "point":
+            value = cls.entries.get(k)
+            return value if value is not None else MPoly.zero(rank)
+        return cls.entry(k).c0
+
+    for a, b in pairs:
+        for k in degrees:
+            diff = h0_part(a, k) - h0_part(b, k)
+            if not diff:
+                continue
+            for exps, coeff in substitution(diff).terms.items():
+                if exps[0] == 0:
+                    out[("div", (a, b), ("h0",), k, exps)] = coeff
+    return out
+
+
 def torus_obstructions(
     graph: DecoratedGraph,
     rank: int,
@@ -710,29 +783,11 @@ def torus_obstructions(
     if substitution is None:
         substitution = character_substitution(lam)
     _check_addressing(graph, alpha, rank)
-    out: dict[tuple, Fraction] = {}
-
     ids = graph.component_ids()
     degrees = alpha.degrees()
-
-    def h0_part(cid: str, k: int) -> MPoly:
-        cls = alpha.components[cid]
-        if cls.kind == "point":
-            value = cls.entries.get(k)
-            return value if value is not None else MPoly.zero(rank)
-        return cls.entry(k).c0
-
-    for i in range(len(ids) - 1):
-        a, b = ids[i], ids[i + 1]
-        for k in degrees:
-            if k % 2:
-                continue
-            diff = h0_part(a, k) - h0_part(b, k)
-            if not diff:
-                continue
-            for exps, coeff in substitution(diff).terms.items():
-                if exps[0] == 0:
-                    out[("div", (a, b), ("h0",), k, exps)] = coeff
+    out = _h0_divisibility(
+        alpha, rank, zip(ids, ids[1:]), [k for k in degrees if k % 2 == 0], substitution
+    )
 
     if len(graph.surfaces) == 2:
         lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
@@ -773,80 +828,90 @@ def check_membership_torus(
     the localization sum under the substituted parameter must be pole-free.
     With rank 1 this reduces to :func:`check_membership` verdicts exactly.
     """
-    obstructions = torus_obstructions(graph, rank, lam, alpha)
-    seen: dict[tuple, list] = {}
-    poles: list[tuple] = []
-    for key in sorted(obstructions, key=repr):
-        if key[0] == "div":
-            seen.setdefault((key[1], key[3]), []).append(key)
-        else:
-            poles.append(key)
+    violations = _obstruction_violations(torus_obstructions(graph, rank, lam, alpha))
+    return MembershipDecision(not violations, tuple(violations))
+
+
+def _obstruction_violations(obstructions: dict[tuple, Fraction]) -> list[MembershipViolation]:
+    """The violations reported for a dict of :func:`torus_obstructions` keys:
+    one "divisibility" per pair and degree, one "localization-pole" for all
+    poles together."""
+    divisions = sorted({(key[1], key[3]) for key in obstructions if key[0] == "div"})
     violations = [
         MembershipViolation(
             "divisibility",
             f"restrictions to {pair[0]!r} and {pair[1]!r} are not congruent "
             f"modulo the character at degree {degree}",
         )
-        for pair, degree in sorted(seen)
+        for pair, degree in divisions
     ]
-    if poles:
-        powers = sorted({key[1] for key in poles})
+    powers = sorted({key[1] for key in obstructions if key[0] == "pole"})
+    if powers:
         violations.append(
             MembershipViolation(
                 "localization-pole",
                 f"localization under the character has poles of order {powers}",
             )
         )
-    return MembershipDecision(not violations, tuple(violations))
+    return violations
 
 
 def parse_class(text, graph: DecoratedGraph) -> EquivariantClass:
     """Parse a circle-action class document against its graph."""
     doc = _load_document(text)
     _check_keys_class(doc)
-    comps_doc = doc["components"]
+    components = [(v.id, "point", 0) for v in graph.isolated] + [
+        (v.id, "surface", v.genus) for v in graph.surfaces
+    ]
+    return _parse_components(
+        doc["components"], "graph", components, parse_rational, Fraction(0), "rationals", None
+    )
+
+
+def _parse_components(
+    comps_doc, owner: str, components, scalar, zero, noun: str, rank: int | None
+) -> EquivariantClass:
+    """The class described by a class document's "components" object.
+
+    ``components`` lists ``(id, kind, genus)`` in the order they are read;
+    ``owner`` ("graph" or "x-ray") is named when the ids disagree.  A point
+    entry and each part of a surface's ``{c0, c1, c2}`` object go through
+    ``scalar(value, where)``; a missing part is ``zero``, and ``noun`` says
+    what the "c1" list holds.
+    """
     if not isinstance(comps_doc, dict):
         raise SchemaError('"components" must be an object', "class")
-    if sorted(comps_doc) != graph.component_ids():
-        raise InputError(
-            f"class addresses {sorted(comps_doc)} but the graph has {graph.component_ids()}"
-        )
+    ids = sorted(cid for cid, _, _ in components)
+    if sorted(comps_doc) != ids:
+        raise InputError(f"class addresses {sorted(comps_doc)} but the {owner} has {ids}")
     comps: dict[str, ComponentClass] = {}
-    for v in graph.isolated:
+    for cid, kind, genus in components:
         entries = {}
-        for key, value in _degree_items(comps_doc[v.id], v.id):
-            entries[key] = parse_rational(value, f"components.{v.id}.{key}")
-        comps[v.id] = ComponentClass("point", 0, entries, None)
-    for v in graph.surfaces:
-        g = v.genus
-        entries = {}
-        for key, value in _degree_items(comps_doc[v.id], v.id):
-            where = f"components.{v.id}.{key}"
+        for key, value in _degree_items(comps_doc[cid], cid):
+            where = f"components.{cid}.{key}"
+            if kind == "point":
+                entries[key] = scalar(value, where)
+                continue
             if not isinstance(value, dict):
                 raise SchemaError("surface entries are {c0, c1, c2} objects", where)
             extra = set(value) - {"c0", "c1", "c2"}
             if extra:
                 raise SchemaError(f"unknown field(s) {sorted(extra)}", where)
-            c0 = parse_rational(value.get("c0", 0), where)
-            c2 = parse_rational(value.get("c2", 0), where)
+            c0 = scalar(value["c0"], where) if "c0" in value else zero
+            c2 = scalar(value["c2"], where) if "c2" in value else zero
             c1_doc = value.get("c1", [])
-            if not isinstance(c1_doc, list) or len(c1_doc) not in (0, 2 * g):
-                raise SchemaError(f'"c1" must be a list of {2 * g} rationals', where)
-            c1 = tuple(parse_rational(x, where) for x in c1_doc) or tuple(
-                Fraction(0) for _ in range(2 * g)
-            )
-            entries[key] = SurfaceClass(g, c0, c1, c2)
-        comps[v.id] = ComponentClass("surface", g, entries, None)
-    return EquivariantClass(comps, None)
+            if not isinstance(c1_doc, list) or len(c1_doc) not in (0, 2 * genus):
+                raise SchemaError(f'"c1" must be a list of {2 * genus} {noun}', where)
+            c1 = tuple(scalar(x, where) for x in c1_doc) or (zero,) * (2 * genus)
+            entries[key] = SurfaceClass(genus, c0, c1, c2)
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
+    return EquivariantClass(comps, rank)
 
 
 def _check_keys_class(doc: dict) -> None:
-    extra = set(doc) - {"kind", "graph", "components"}
-    if extra:
-        raise SchemaError(f"unknown field(s) {sorted(extra)}", "class")
+    _check_keys(doc, _CLASS_KEYS, "class")
     for key in ("kind", "graph", "components"):
-        if key not in doc:
-            raise SchemaError(f"missing required field {key!r}", "class")
+        _require(doc, key, "class")
     if doc["kind"] != "class":
         raise SchemaError('field "kind" must be "class"', "class")
     if not isinstance(doc["graph"], str):

@@ -44,12 +44,14 @@ from .mpoly import (
     poly_from_pairs,
 )
 from .s1 import (
+    _CLASS_KEYS,
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
-    _degree_items,
+    _h0_divisibility,
+    _obstruction_violations,
+    _parse_components,
     character_substitution,
-    check_membership_torus,
     torus_obstructions,
 )
 
@@ -435,31 +437,6 @@ def _check_addressing_xray(xray: XRay, alpha: EquivariantClass) -> None:
             )
 
 
-def _dim2_residues(
-    xray: XRay,
-    piece: SkeletonPiece,
-    alpha: EquivariantClass,
-    substitution: LinearSubstitution | None = None,
-) -> dict[tuple, Fraction]:
-    """Nonzero coefficients obstructing divisibility along a 2-dimensional piece."""
-    if substitution is None:
-        substitution = character_substitution(piece.lam)
-    a, b = piece.members
-    out: dict[tuple, Fraction] = {}
-    degrees = sorted(
-        set(alpha.components[a].entries) | set(alpha.components[b].entries)
-    )
-    for k in degrees:
-        diff = alpha.components[a].entries.get(k, MPoly.zero(xray.rank)) - \
-            alpha.components[b].entries.get(k, MPoly.zero(xray.rank))
-        if not diff:
-            continue
-        for exps, coeff in substitution(diff).terms.items():
-            if exps[0] == 0:
-                out[("div", (a, b), ("h0",), k, exps)] = coeff
-    return out
-
-
 def piece_obstructions(
     xray: XRay,
     piece: SkeletonPiece,
@@ -475,9 +452,13 @@ def piece_obstructions(
     its ``character_substitution`` and, for a 4-dimensional piece, its
     resolved induced graph; both are built per call when omitted.
     """
-    if piece.dim == 2:
-        return _dim2_residues(xray, piece, alpha, substitution)
     restricted = alpha.restricted(piece.members)
+    if piece.dim == 2:
+        if substitution is None:
+            substitution = character_substitution(piece.lam)
+        return _h0_divisibility(
+            restricted, xray.rank, [piece.members], restricted.degrees(), substitution
+        )
     return torus_obstructions(
         piece.induced,
         xray.rank,
@@ -491,34 +472,18 @@ def piece_obstructions(
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
     """Piece-by-piece membership for the full torus image.
 
-    Four-dimensional pieces delegate to the circle-action criterion under
-    the character substitution; two-dimensional pieces demand divisibility
-    of the two point restrictions' difference by the character form.
+    Each piece's :func:`piece_obstructions` are reported as violations the
+    way :func:`check_membership_torus` reports them, prefixed with the
+    piece: four-dimensional pieces carry the circle-action criterion under
+    the character substitution, two-dimensional pieces the divisibility of
+    the two point restrictions' difference by the character form.
     """
     _check_addressing_xray(xray, alpha)
-    violations: list[MembershipViolation] = []
-    for piece in xray.pieces:
-        if piece.dim == 4:
-            restricted = alpha.restricted(piece.members)
-            decision = check_membership_torus(
-                piece.induced, xray.rank, piece.lam, restricted
-            )
-            violations.extend(
-                MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
-                for v in decision.violations
-            )
-        else:
-            residues = _dim2_residues(xray, piece, alpha)
-            degrees = sorted({key[3] for key in residues})
-            a, b = piece.members
-            violations.extend(
-                MembershipViolation(
-                    "divisibility",
-                    f"piece {piece.id}: restrictions to {a!r} and {b!r} are not "
-                    f"congruent modulo the character at degree {k}",
-                )
-                for k in degrees
-            )
+    violations = [
+        MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
+        for piece in xray.pieces
+        for v in _obstruction_violations(piece_obstructions(xray, piece, alpha))
+    ]
     return MembershipDecision(not violations, tuple(violations))
 
 
@@ -697,46 +662,19 @@ def image_basis_xray(
 def parse_class_torus(text, xray: XRay) -> EquivariantClass:
     """Parse a multivariate class document against its x-ray."""
     doc = _load_document(text)
-    extra = set(doc) - {"kind", "graph", "components"}
-    if extra:
-        raise SchemaError(f"unknown field(s) {sorted(extra)}", "class")
+    _check_keys(doc, _CLASS_KEYS, "class")
     if doc.get("kind") != "class":
         raise SchemaError('field "kind" must be "class"', "class")
-    comps_doc = _require(doc, "components", "class")
-    if not isinstance(comps_doc, dict):
-        raise SchemaError('"components" must be an object', "class")
-    if sorted(comps_doc) != xray.component_ids():
-        raise InputError(
-            f"class addresses {sorted(comps_doc)} but the x-ray has {xray.component_ids()}"
-        )
     r = xray.rank
-    comps: dict[str, ComponentClass] = {}
-    for c in xray.components:
-        entries: dict[int, object] = {}
-        for key, value in _degree_items(comps_doc[c.id], c.id):
-            where = f"components.{c.id}.{key}"
-            if c.kind == "point":
-                entries[key] = _pairs_to_poly(value, r, where)
-            else:
-                if not isinstance(value, dict):
-                    raise SchemaError("surface entries are {c0, c1, c2} objects", where)
-                bad = set(value) - {"c0", "c1", "c2"}
-                if bad:
-                    raise SchemaError(f"unknown field(s) {sorted(bad)}", where)
-                zero = MPoly.zero(r)
-                c0 = _pairs_to_poly(value.get("c0", []), r, where)
-                c2 = _pairs_to_poly(value.get("c2", []), r, where)
-                c1_doc = value.get("c1", [])
-                if not isinstance(c1_doc, list) or len(c1_doc) not in (0, 2 * c.genus):
-                    raise SchemaError(
-                        f'"c1" must be a list of {2 * c.genus} polynomials', where
-                    )
-                c1 = tuple(_pairs_to_poly(x, r, where) for x in c1_doc) or tuple(
-                    zero for _ in range(2 * c.genus)
-                )
-                entries[key] = SurfaceClass(c.genus, c0, c1, c2)
-        comps[c.id] = ComponentClass(c.kind, c.genus, entries, r)
-    return EquivariantClass(comps, r)
+    return _parse_components(
+        _require(doc, "components", "class"),
+        "x-ray",
+        [(c.id, c.kind, c.genus) for c in xray.components],
+        lambda value, where: _pairs_to_poly(value, r, where),
+        MPoly.zero(r),
+        "polynomials",
+        r,
+    )
 
 
 def _pairs_to_poly(value, nvars: int, where: str) -> MPoly:

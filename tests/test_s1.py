@@ -250,7 +250,8 @@ def test_unit_localizations_match_per_slot_localize():
         for degree in range(7):
             slots = degree_slots(graph, degree)
             expected = [localize(graph, unit_class(graph, degree, slot)) for slot in slots]
-            assert _unit_localizations(graph, degree, slots) == expected, (name, degree)
+            ours = _unit_localizations(resolve_self_intersections(graph), degree, slots)
+            assert ours == expected, (name, degree)
         expected = {
             slot.label: localize(graph, unit_class(graph, 2, slot)).coefficient(-1)
             for slot in degree_slots(graph, 2)
@@ -373,7 +374,8 @@ def test_closed_form_localize_matches_the_laurent_product(name):
         expected = [
             reference_localize(graph, unit_class(graph, degree, slot)) for slot in slots
         ]
-        assert _unit_localizations(graph, degree, slots) == expected, degree
+        ours = _unit_localizations(resolve_self_intersections(graph), degree, slots)
+        assert ours == expected, degree
 
 
 @pytest.mark.parametrize("name", sorted(LOCALIZATION_GRAPHS))
@@ -531,6 +533,118 @@ def test_degree2_membership_closed_form(x, y, z):
     graph = g1()
     alpha = class_from_vector(graph, 2, [Fraction(x), Fraction(y), Fraction(z)])
     assert check_membership(graph, alpha).member == (x + z == 2 * y)
+
+
+# -- membership from the constraint rows against the hand-coded reference ----
+
+
+def reference_check_membership(graph, alpha):
+    """The hand-coded conditions plus a full localization pass for poles."""
+    s1._check_addressing(graph, alpha)
+    violations = []
+
+    degree0 = []
+    for cid in sorted(alpha.components):
+        cls = alpha.components[cid]
+        value = cls.entries.get(0, Fraction(0))
+        degree0.append((cid, value.c0 if isinstance(value, SurfaceClass) else value))
+    if any(v != degree0[0][1] for _, v in degree0):
+        rendered = ", ".join(f"{cid}: {v}" for cid, v in degree0)
+        violations.append(
+            s1.MembershipViolation("degree0-constancy", f"degree-0 parts differ ({rendered})")
+        )
+
+    if len(graph.surfaces) == 2:
+        lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
+        g = lower.genus
+        matrix = graph.identification_matrix()
+        v_lower = alpha.components[lower.id].entry(1).c1
+        v_upper = alpha.components[upper.id].entry(1).c1
+        mapped = tuple(
+            sum((matrix[j][i] * v_lower[i] for i in range(2 * g)), start=Fraction(0))
+            for j in range(2 * g)
+        )
+        if any(a != b for a, b in zip(mapped, v_upper)):
+            violations.append(
+                s1.MembershipViolation(
+                    "degree1-surface-match",
+                    f"H^1 parts disagree under the identification "
+                    f"({lower.id}: {list(v_lower)} vs {upper.id}: {list(v_upper)})",
+                )
+            )
+
+    slots = degree_slots(graph, 2)
+    functional = [
+        loc.coefficient(-1)
+        for loc in _unit_localizations(resolve_self_intersections(graph), 2, slots)
+    ]
+    vector = class_to_vector(graph, 2, alpha.homogeneous(2))
+    total = sum((c * v for c, v in zip(functional, vector)), start=Fraction(0))
+    if total != 0:
+        violations.append(
+            s1.MembershipViolation(
+                "abbv-degree2", f"degree-2 localization relation fails with residue {total}"
+            )
+        )
+
+    poles = localize(graph, alpha).negative_part()
+    if poles:
+        violations.append(
+            s1.MembershipViolation("localization-pole", f"localization sum has poles: {poles!r}")
+        )
+    return s1.MembershipDecision(not violations, tuple(violations))
+
+
+def _twisted_g2():
+    doc = fixtures.g2_doc(1, 1, 3)
+    doc["h1_identification"] = [[0, 1], [-1, 0]]
+    return parse_graph(doc)
+
+
+MEMBERSHIP_GRAPHS = dict(LOCALIZATION_GRAPHS, g2_g1_twisted=_twisted_g2())
+
+
+def _membership_classes(graph, rng):
+    """Members, random classes in degrees 0-6, and members moved off the
+    image by one slot in degree 0, 1 or 2."""
+    members = [fixtures.random_member(graph, rng, degrees=range(7)) for _ in range(4)]
+    classes = members + [fixtures.random_class(graph, rng, degrees=range(7)) for _ in range(8)]
+    for member in members:
+        for degree in (0, 1, 2):
+            slots = degree_slots(graph, degree)
+            if not slots:
+                continue
+            vector = class_to_vector(graph, degree, member)
+            vector[rng.randrange(len(slots))] += fixtures.random_fraction(rng) or 1
+            classes.append(fixtures._merge(member, class_from_vector(graph, degree, vector)))
+    return classes
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_GRAPHS))
+def test_membership_rows_match_the_hand_coded_reference(name):
+    graph = MEMBERSHIP_GRAPHS[name]
+    rng = random.Random(name)
+    classes = _membership_classes(graph, rng)
+    assert any(check_membership(graph, alpha).member for alpha in classes)
+    for alpha in classes:
+        assert check_membership(graph, alpha).to_dict() == (
+            reference_check_membership(graph, alpha).to_dict()
+        )
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_GRAPHS))
+def test_row_residues_are_the_poles_of_the_localization_sum(name):
+    """The pole check that membership no longer runs: the localization rows'
+    residues are exactly the negative part of the full localization sum."""
+    graph = MEMBERSHIP_GRAPHS[name]
+    rng = random.Random(name)
+    for alpha in _membership_classes(graph, rng):
+        poles = localize(graph, alpha).negative_part()
+        reported = [
+            v.detail for v in check_membership(graph, alpha).violations
+            if v.kind == "localization-pole"
+        ]
+        assert reported == ([f"localization sum has poles: {poles!r}"] if poles else [])
 
 
 # -- image bases --------------------------------------------------------------

@@ -28,6 +28,12 @@ from equicoh import (
     xray_unit_class,
 )
 from equicoh.linalg import nullspace
+from equicoh.s1 import (
+    MembershipDecision,
+    MembershipViolation,
+    character_substitution,
+    torus_obstructions,
+)
 from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, mutate, x2
 
@@ -403,6 +409,137 @@ def test_pieces_see_nothing_of_classes_off_their_members(name):
         # The same class on the members is obstructed, so the check has teeth.
         alpha = _class_on(xray, piece.members, rng)
         assert piece_obstructions(xray, piece, alpha) != {}
+
+
+# -- membership from piece obstructions against the two-path reference -------
+
+
+def reference_dim2_residues(xray, piece, alpha):
+    """Nonzero coefficients obstructing divisibility along a 2-dimensional piece."""
+    substitution = character_substitution(piece.lam)
+    a, b = piece.members
+    out = {}
+    degrees = sorted(set(alpha.components[a].entries) | set(alpha.components[b].entries))
+    for k in degrees:
+        diff = alpha.components[a].entries.get(k, MPoly.zero(xray.rank)) - \
+            alpha.components[b].entries.get(k, MPoly.zero(xray.rank))
+        if not diff:
+            continue
+        for exps, coeff in substitution(diff).terms.items():
+            if exps[0] == 0:
+                out[("div", (a, b), ("h0",), k, exps)] = coeff
+    return out
+
+
+def reference_torus_h0(graph, rank, lam, alpha):
+    """The H^0 divisibility keys of ``torus_obstructions``, adjacent ids only."""
+    substitution = character_substitution(lam)
+    out = {}
+    ids = graph.component_ids()
+
+    def h0_part(cid, k):
+        cls = alpha.components[cid]
+        if cls.kind == "point":
+            value = cls.entries.get(k)
+            return value if value is not None else MPoly.zero(rank)
+        return cls.entry(k).c0
+
+    for i in range(len(ids) - 1):
+        a, b = ids[i], ids[i + 1]
+        for k in alpha.degrees():
+            if k % 2:
+                continue
+            diff = h0_part(a, k) - h0_part(b, k)
+            if not diff:
+                continue
+            for exps, coeff in substitution(diff).terms.items():
+                if exps[0] == 0:
+                    out[("div", (a, b), ("h0",), k, exps)] = coeff
+    return out
+
+
+def reference_check_membership_torus(graph, rank, lam, alpha):
+    obstructions = torus_obstructions(graph, rank, lam, alpha)
+    seen = {}
+    poles = []
+    for key in sorted(obstructions, key=repr):
+        if key[0] == "div":
+            seen.setdefault((key[1], key[3]), []).append(key)
+        else:
+            poles.append(key)
+    violations = [
+        MembershipViolation(
+            "divisibility",
+            f"restrictions to {pair[0]!r} and {pair[1]!r} are not congruent "
+            f"modulo the character at degree {degree}",
+        )
+        for pair, degree in sorted(seen)
+    ]
+    if poles:
+        powers = sorted({key[1] for key in poles})
+        violations.append(
+            MembershipViolation(
+                "localization-pole",
+                f"localization under the character has poles of order {powers}",
+            )
+        )
+    return MembershipDecision(not violations, tuple(violations))
+
+
+def reference_check_membership_xray(xray, alpha):
+    """Four-dimensional pieces through the circle-action check, two-dimensional
+    ones through their own residue path."""
+    violations = []
+    for piece in xray.pieces:
+        if piece.dim == 4:
+            restricted = alpha.restricted(piece.members)
+            decision = reference_check_membership_torus(
+                piece.induced, xray.rank, piece.lam, restricted
+            )
+            violations.extend(
+                MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
+                for v in decision.violations
+            )
+        else:
+            residues = reference_dim2_residues(xray, piece, alpha)
+            degrees = sorted({key[3] for key in residues})
+            a, b = piece.members
+            violations.extend(
+                MembershipViolation(
+                    "divisibility",
+                    f"piece {piece.id}: restrictions to {a!r} and {b!r} are not "
+                    f"congruent modulo the character at degree {k}",
+                )
+                for k in degrees
+            )
+    return MembershipDecision(not violations, tuple(violations))
+
+
+MEMBERSHIP_XRAYS = dict(EQUIVALENCE_XRAYS, x2_g2=lambda: x2(2))
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_XRAYS))
+def test_membership_from_piece_obstructions_matches_the_reference(name):
+    xray = MEMBERSHIP_XRAYS[name]()
+    rng = random.Random(name)
+    components = [(c.id, c.kind, c.genus) for c in xray.components]
+    classes = [constant_torus_class(xray, 2)] + [
+        fixtures.random_torus_class(components, xray.rank, rng) for _ in range(6)
+    ]
+    for alpha in classes:
+        ours = check_membership_xray(xray, alpha).to_dict()
+        assert ours == reference_check_membership_xray(xray, alpha).to_dict()
+        for piece in xray.pieces:
+            if piece.dim == 4:
+                restricted = alpha.restricted(piece.members)
+                h0 = {
+                    key: value
+                    for key, value in torus_obstructions(
+                        piece.induced, xray.rank, piece.lam, restricted
+                    ).items()
+                    if key[2] == ("h0",)
+                }
+                assert h0 == reference_torus_h0(piece.induced, xray.rank, piece.lam, restricted)
 
 
 # -- class documents ----------------------------------------------------------

@@ -363,13 +363,19 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fracti
 
 def resolve_self_intersections(graph: DecoratedGraph) -> DecoratedGraph:
     """Fill missing self_intersection labels on extremal surfaces from the equations."""
-    todo = [
-        v for v in graph.surfaces if v.self_intersection is None
-    ]
-    if not todo:
+    if all(v.self_intersection is not None for v in graph.surfaces):
+        return graph
+    return _with_self_intersections(graph, *extremal_self_intersections(graph))
+
+
+def _with_self_intersections(
+    graph: DecoratedGraph, e_min: Fraction, e_max: Fraction
+) -> DecoratedGraph:
+    """The graph with every missing extremal label set from ``(e_min, e_max)``,
+    the pair :func:`extremal_self_intersections` returns for it."""
+    if all(v.self_intersection is not None for v in graph.surfaces):
         return graph
     y_min, y_max = graph.momentum_span()
-    e_min, e_max = extremal_self_intersections(graph)
     surfaces = []
     for v in graph.surfaces:
         if v.self_intersection is None and v.y == y_min:
@@ -545,7 +551,7 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
                             (v.id,),
                         )
                     )
-            resolved = resolve_self_intersections(graph)
+            resolved = _with_self_intersections(graph, e_min, e_max)
             if not abbv_zero_check(resolved):
                 violations.append(
                     Violation(

@@ -1,16 +1,23 @@
 """Exact Gaussian elimination over the rationals.
 
-Rows are passed in and returned as dense lists of Fraction; elimination
-runs on sparse rows.  The nullspace basis is returned in reduced row
-echelon form, which makes it the unique canonical basis of the solution
-subspace for a fixed column order.
+:func:`nullspace` takes its rows sparse, as ``{column: Fraction}`` dicts,
+and returns the kernel basis sparse in the same form, holding only
+nonzeros.  Apart from one pass over the columns to list the free ones, its
+cost follows the nonzeros met while eliminating, not the width of the
+rows.  The basis is in reduced row echelon form, which makes it the unique
+canonical basis of the solution subspace for a fixed column order.
+:func:`rref` keeps dense lists of Fraction on both sides and eliminates on
+sparse rows in between.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .mpoly import as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,29 +73,67 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return dense, pivots
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace(
+    rows: Iterable[Mapping[int, Fraction]], ncols: int
+) -> list[dict[int, Fraction]]:
     """Canonical (reduced echelon) basis of {v : rows . v = 0} in Q^ncols.
 
-    One elimination, on the columns in reverse order.  The kernel vector
-    read off a free column there is, back in the original order, 1 at that
-    column, zero at every other free column and supported otherwise only
-    on later (pivot) columns; taken in column order these vectors already
-    are the reduced echelon basis.
+    Rows and basis vectors are ``{column: Fraction}`` dicts; zero entries
+    may be given and are never returned.  Forward elimination brings each
+    row, from its highest column down, onto the echelon rows found so far
+    and normalises what is left at its highest remaining column, its pivot.
+    Back-substitution then clears, from the lowest pivot up, every pivot
+    column out of each echelon row, so a reduced row holds its pivot and
+    lower free columns only.  The kernel vector of a free column f is 1 at
+    f and minus the reduced rows' f entries at their pivots, all above f:
+    taken by increasing f these vectors are the reduced echelon basis.
     """
-    reduced, pivots = rref([row[::-1] for row in rows])
-    last = ncols - 1
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(last, -1, -1):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[last - f] = _ONE
-        for row, p in zip(reduced, pivots):
-            if row[f]:
-                v[last - p] = -row[f]
-        basis.append(v)
-    return basis
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {j: as_fraction(x) for j, x in given.items() if x}
+        heap = [-j for j in row]
+        heapq.heapify(heap)
+        while heap:
+            c = -heapq.heappop(heap)
+            factor = row.get(c)
+            if factor is None:
+                continue
+            pivot_row = echelon.get(c)
+            if pivot_row is None:
+                if factor != 1:
+                    inv = 1 / factor
+                    row = {j: x * inv for j, x in row.items()}
+                echelon[c] = row
+                break
+            for j, y in pivot_row.items():
+                if j in row:
+                    value = row[j] - factor * y
+                    if value:
+                        row[j] = value
+                    else:
+                        del row[j]
+                else:
+                    row[j] = -factor * y
+                    heapq.heappush(heap, -j)
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for p in sorted(echelon):
+        row = echelon[p]
+        for q in [q for q in row if q != p and q in reduced]:
+            factor = row.pop(q)
+            for j, y in reduced[q].items():
+                if j != q:
+                    value = row.get(j, 0) - factor * y
+                    if value:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+        reduced[p] = row
+    basis = {f: {f: _ONE} for f in range(ncols) if f not in reduced}
+    for p, row in reduced.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return list(basis.values())
 
 
 def coordinates_in_span(

@@ -22,6 +22,8 @@ negative powers.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -365,7 +367,11 @@ def degree_slots(graph: DecoratedGraph, degree: int) -> list[Slot]:
 def _unit_restriction(
     comp: IsolatedVertex | FatVertex, degree: int, slot: Slot
 ) -> ComponentClass:
-    """The restriction of ``unit_class(graph, degree, slot)`` to the slot's component."""
+    """The restriction of ``unit_class(graph, degree, slot)`` to the slot's component.
+
+    Only ``slot.part`` and ``slot.index`` are read, so an x-ray slot serves
+    as well.
+    """
     if isinstance(comp, IsolatedVertex):
         return ComponentClass("point", 0, {degree: Fraction(1)}, None)
     g = comp.genus
@@ -437,31 +443,42 @@ def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass)
 def class_from_vector(
     graph: DecoratedGraph, degree: int, values
 ) -> EquivariantClass:
-    return _class_from_slots(graph, degree, degree_slots(graph, degree), values)
-
-
-def _class_from_slots(
-    graph: DecoratedGraph, degree: int, slots: list[Slot], values
-) -> EquivariantClass:
+    slots = degree_slots(graph, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
+    return _class_from_sparse(
+        graph, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
+    )
+
+
+def _class_from_sparse(
+    graph: DecoratedGraph, degree: int, slots: list[Slot], vector: dict[int, Fraction]
+) -> EquivariantClass:
+    """The class with coordinate ``vector[i]`` at ``slots[i]`` and zero elsewhere.
+
+    ``vector`` holds nonzero Fractions only, so just the components it
+    touches get an entry.  Every record is built afresh: no two classes
+    share a mutable one.
+    """
     parts: dict[str, dict[tuple[str, int], Fraction]] = {}
-    for slot, value in zip(slots, values):
-        parts.setdefault(slot.component, {})[(slot.part, slot.index)] = Fraction(value)
-    comps: dict[str, ComponentClass] = {}
-    for v in graph.isolated:
-        value = parts.get(v.id, {}).get(("c", 0), Fraction(0))
-        comps[v.id] = ComponentClass("point", 0, {degree: value} if value else {}, None)
-    for v in graph.surfaces:
-        rec = parts.get(v.id, {})
-        g = v.genus
-        entry = SurfaceClass(
-            g,
-            rec.get(("c0", 0), Fraction(0)),
-            tuple(rec.get(("c1", i), Fraction(0)) for i in range(2 * g)),
-            rec.get(("c2", 0), Fraction(0)),
-        )
-        comps[v.id] = ComponentClass("surface", g, {degree: entry} if entry else {}, None)
+    for i, value in vector.items():
+        slot = slots[i]
+        parts.setdefault(slot.component, {})[(slot.part, slot.index)] = value
+    empty = ComponentClass._empty
+    comps = {v.id: empty("point", 0, None) for v in graph.isolated}
+    comps.update((v.id, empty("surface", v.genus, None)) for v in graph.surfaces)
+    for cid, rec in parts.items():
+        kind, g = comps[cid].kind, comps[cid].genus
+        if kind == "point":
+            entry = rec[("c", 0)]
+        else:
+            entry = SurfaceClass(
+                g,
+                rec.get(("c0", 0), 0),
+                tuple(rec.get(("c1", i), 0) for i in range(2 * g)),
+                rec.get(("c2", 0), 0),
+            )
+        comps[cid] = ComponentClass(kind, g, {degree: entry}, None)
     return EquivariantClass(comps, None)
 
 
@@ -626,15 +643,34 @@ def image_basis(
     slots = degree_slots(graph, degree)
     if not slots:
         return []
-    rows = []
-    for constraint in _image_constraints(resolve_self_intersections(graph), degree, slots):
-        row = [Fraction(0)] * len(slots)
-        for i, c in constraint.coefficients.items():
-            row[i] = c
-        rows.append(row)
-    return [
-        _class_from_slots(graph, degree, slots, vec) for vec in nullspace(rows, len(slots))
+    rows = [
+        row.coefficients
+        for row in _image_constraints(resolve_self_intersections(graph), degree, slots)
     ]
+    kernel = nullspace(rows, len(slots))
+    with _collector_paused():
+        return [_class_from_sparse(graph, degree, slots, vec) for vec in kernel]
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Hold off Python's cyclic garbage collector while basis classes are built.
+
+    A basis class keeps one record per fixed component, so n basis classes
+    on n components are n^2 records.  Left running, the collector makes a
+    full pass over the heap each time the survivors grow it by a quarter:
+    for degrees 0-4 of a 400-point chain, inside the test suite, those
+    passes took 0.56 of the 0.84 s spent in ``image_basis``.  The records
+    hold no reference cycles, so nothing is lost by deferring it; it runs
+    again afterwards if it ran before.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def in_image_span(

@@ -8,7 +8,10 @@ four-dimensional pieces delegating to the circle-action machinery under a
 substitution that turns the character into the equivariant parameter, and
 two-dimensional pieces contributing a single divisibility condition.
 Graded bases of the image come from one exact nullspace solve over all
-piece constraints at once.
+piece constraints at once; each slot's column of that system is read
+straight off the slot monomial's image under the piece's character
+substitution, and equals the piece's obstructions of the unit class at the
+slot.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .graph import (
 )
 from .linalg import nullspace
 from .mpoly import (
-    LinearSubstitution,
     MPoly,
     is_primitive,
     monomials_of_degree,
@@ -48,9 +50,12 @@ from .s1 import (
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
+    _add_localization,
+    _check_addressing,
     _h0_divisibility,
     _obstruction_violations,
     _parse_components,
+    _unit_restriction,
     character_substitution,
     torus_obstructions,
 )
@@ -258,9 +263,9 @@ def _parallel_ratio(vector, lam) -> Fraction | None:
     pivot = next((i for i, x in enumerate(lam) if x), None)
     if pivot is None:
         raise InputError("the character must be nonzero")
-    c = Fraction(vector[pivot], lam[pivot])
-    if all(Fraction(v) == c * l for v, l in zip(vector, lam)):
-        return c
+    a, b = vector[pivot], lam[pivot]
+    if all(v * b == a * l for v, l in zip(vector, lam)):
+        return Fraction(a, b)
     return None
 
 
@@ -441,32 +446,23 @@ def piece_obstructions(
     xray: XRay,
     piece: SkeletonPiece,
     alpha: EquivariantClass,
-    substitution: LinearSubstitution | None = None,
-    resolved: DecoratedGraph | None = None,
 ) -> dict[tuple, Fraction]:
     """All nonzero membership obstructions contributed by one piece.
 
     Every obstruction is a coefficient of a linear expression in the
     restrictions to the piece's members, so a class vanishing on all of
-    them has none.  Callers obstructing many classes along one piece pass
-    its ``character_substitution`` and, for a 4-dimensional piece, its
-    resolved induced graph; both are built per call when omitted.
+    them has none.
     """
     restricted = alpha.restricted(piece.members)
     if piece.dim == 2:
-        if substitution is None:
-            substitution = character_substitution(piece.lam)
         return _h0_divisibility(
-            restricted, xray.rank, [piece.members], restricted.degrees(), substitution
+            restricted,
+            xray.rank,
+            [piece.members],
+            restricted.degrees(),
+            character_substitution(piece.lam),
         )
-    return torus_obstructions(
-        piece.induced,
-        xray.rank,
-        piece.lam,
-        restricted,
-        substitution=substitution,
-        resolved=resolved,
-    )
+    return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
@@ -542,9 +538,7 @@ def xray_degree_slots(xray: XRay, degree: int) -> list[XraySlot]:
 
 
 def _empty_components(xray: XRay) -> dict[str, ComponentClass]:
-    return {
-        c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components
-    }
+    return {c.id: ComponentClass._empty(c.kind, c.genus, xray.rank) for c in xray.components}
 
 
 def xray_unit_class(xray: XRay, degree: int, slot: XraySlot) -> EquivariantClass:
@@ -570,36 +564,44 @@ def xray_unit_class(xray: XRay, degree: int, slot: XraySlot) -> EquivariantClass
 
 
 def xray_class_from_vector(xray: XRay, degree: int, values) -> EquivariantClass:
-    return _xray_class_from_slots(xray, degree, xray_degree_slots(xray, degree), values)
-
-
-def _xray_class_from_slots(
-    xray: XRay, degree: int, slots: list[XraySlot], values
-) -> EquivariantClass:
+    slots = xray_degree_slots(xray, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
-    terms: dict[tuple[str, str, int], dict] = {}
-    for slot, value in zip(slots, values):
-        if value:
-            terms.setdefault((slot.component, slot.part, slot.index), {})[slot.exps] = value
-    comps = _empty_components(xray)
-    for c in xray.components:
-        def poly(part: str, index: int = 0) -> MPoly:
-            return MPoly(xray.rank, terms.get((c.id, part, index), {}))
+    return _xray_class_from_sparse(
+        xray, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
+    )
 
-        if c.kind == "point":
-            p = poly("c")
-            entries = {degree: p} if p else {}
+
+def _xray_class_from_sparse(
+    xray: XRay, degree: int, slots: list[XraySlot], vector: dict[int, Fraction]
+) -> EquivariantClass:
+    """The class with coefficient ``vector[i]`` at ``slots[i]`` and zero elsewhere.
+
+    ``vector`` holds nonzero Fractions only, so just the components it
+    touches get an entry.  Every record and polynomial is built afresh: no
+    two classes share a mutable one.
+    """
+    terms: dict[str, dict[tuple[str, int], dict]] = {}
+    for i, value in vector.items():
+        slot = slots[i]
+        parts = terms.setdefault(slot.component, {})
+        parts.setdefault((slot.part, slot.index), {})[slot.exps] = value
+    r = xray.rank
+    comps = _empty_components(xray)
+    for cid, parts in terms.items():
+        kind, g = comps[cid].kind, comps[cid].genus
+
+        def poly(part: str, index: int = 0) -> MPoly:
+            return MPoly._trusted(r, parts.get((part, index), {}))
+
+        if kind == "point":
+            entry: object = poly("c")
         else:
             entry = SurfaceClass(
-                c.genus,
-                poly("c0"),
-                tuple(poly("c1", i) for i in range(2 * c.genus)),
-                poly("c2"),
+                g, poly("c0"), tuple(poly("c1", i) for i in range(2 * g)), poly("c2")
             )
-            entries = {degree: entry} if entry else {}
-        comps[c.id] = ComponentClass(c.kind, c.genus, entries, xray.rank)
-    return EquivariantClass(comps, xray.rank)
+        comps[cid] = ComponentClass(kind, g, {degree: entry}, r)
+    return EquivariantClass(comps, r)
 
 
 def xray_slot_value(alpha: EquivariantClass, degree: int, slot: XraySlot) -> Fraction:
@@ -622,16 +624,107 @@ def xray_class_to_vector(xray: XRay, degree: int, alpha: EquivariantClass) -> li
     return [xray_slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
 
 
+def _unit_poles(
+    resolved: DecoratedGraph, degree: int, slot: XraySlot
+) -> list[tuple[int, Fraction]]:
+    """``(shift, scale)`` of each term the slot's unit part adds to the
+    localization sum over ``resolved``, a piece's resolved induced graph.
+
+    :func:`~equicoh.s1._add_localization` states the term; the ``powers``
+    given to it here leave every value at u^0, so a term's power is its
+    shift.
+    """
+    vertex = resolved.find(slot.component)
+    unit = _unit_restriction(vertex, degree, slot)
+    shifts: dict[int, Fraction] = {}
+    _add_localization(shifts, resolved, vertex, unit.entries, lambda value, half: ((0, value),))
+    return [(shift, scale) for shift, scale in shifts.items() if scale]
+
+
+def _piece_columns(
+    xray: XRay, piece: SkeletonPiece, degree: int, slots: list[XraySlot]
+) -> dict[int, dict[tuple, Fraction]]:
+    """The obstruction column of every degree-k slot on the piece's members.
+
+    Column i equals ``piece_obstructions(xray, piece, xray_unit_class(xray,
+    degree, slots[i]))``.  It is read straight off the slot monomial's
+    image under the piece's character substitution, with no polynomial
+    arithmetic.  A term ``c * v^E`` of that image enters:
+
+    - the H^0 divisibility row at ``E`` of each pair holding the slot's
+      component, when the slot is a point value or a surface's H^0 part
+      and ``E`` is free of the character's variable: ``+c`` for the pair's
+      first id, ``-c`` for its second.  The pairs are the adjacent sorted
+      ids of a 4-dimensional piece's induced graph, or the member pair of a
+      2-dimensional piece;
+    - for a 4-dimensional piece with two fixed surfaces, the H^1 matching
+      row j at ``E`` free of the character's variable: the identification
+      entry ``(j, i)`` times ``c`` for H^1 index i of the lower surface,
+      ``-c`` for index j of the upper one;
+    - for a 4-dimensional piece, the pole row at power ``E[0] + shift`` and
+      the remaining exponents, ``scale * c`` for each :func:`_unit_poles`
+      pair of the slot whose power is negative.
+    """
+    # (component, part, index) -> [(row key less its monomial, factor)]
+    divisions: dict[tuple[str, str, int], list[tuple[tuple, int]]] = {}
+    resolved = None
+    if piece.dim == 2:
+        pairs = [piece.members]
+    else:
+        graph = piece.induced
+        empty = EquivariantClass(_empty_components(xray), xray.rank)
+        _check_addressing(graph, empty.restricted(piece.members), xray.rank)
+        ids = graph.component_ids()
+        pairs = list(zip(ids, ids[1:]))
+        if len(graph.surfaces) == 2:
+            lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
+            for j, row in enumerate(graph.identification_matrix()):
+                head = ("div", (lower.id, upper.id), ("h1", j), degree)
+                for i, m in enumerate(row):
+                    if m:
+                        divisions.setdefault((lower.id, "c1", i), []).append((head, m))
+                divisions.setdefault((upper.id, "c1", j), []).append((head, -1))
+        resolved = resolve_self_intersections(graph)
+    for a, b in pairs:
+        head = ("div", (a, b), ("h0",), degree)
+        for cid, sign in ((a, 1), (b, -1)):
+            part = "c" if xray.find(cid).kind == "point" else "c0"
+            divisions.setdefault((cid, part, 0), []).append((head, sign))
+
+    image = character_substitution(piece.lam)._monomial
+    poles: dict[tuple[str, str, int], list[tuple[int, Fraction]]] = {}
+    columns: dict[int, dict[tuple, Fraction]] = {}
+    for i, slot in enumerate(slots):
+        if slot.component not in piece.members:
+            continue
+        where = (slot.component, slot.part, slot.index)
+        if resolved is not None and where not in poles:
+            poles[where] = _unit_poles(resolved, degree, slot)
+        terms = image(slot.exps)
+        column: dict[tuple, Fraction] = {}
+        for head, factor in divisions.get(where, ()):
+            for exps, c in terms.items():
+                if not exps[0]:
+                    column[head + (exps,)] = factor * c
+        for shift, scale in poles.get(where, ()):
+            for exps, c in terms.items():
+                power = exps[0] + shift
+                if power < 0:
+                    column[("pole", power, exps[1:])] = scale * c
+        columns[i] = column
+    return columns
+
+
 def image_basis_xray(
     xray: XRay, degree: int, max_degree: int = DEFAULT_XRAY_MAX_DEGREE
 ) -> list[EquivariantClass]:
     """Canonical basis of the degree-k image over the multivariate parameter ring.
 
-    Columns are monomial slots; rows are the union of all pieces' linearized
-    obstruction coefficients evaluated on unit slot classes.  The loop runs
-    piece by piece: each piece is prepared once and visits only the slots
-    on its own members, since a unit class elsewhere has no obstruction
-    along it.
+    Columns are monomial slots; rows are the union of all pieces'
+    obstruction coefficients, keyed by piece id and obstruction key.  Each
+    piece compiles the columns of the slots on its own members
+    (:func:`_piece_columns`), which equal :func:`piece_obstructions` of the
+    unit slot classes; a unit class elsewhere has no obstruction along it.
     """
     if degree < 0:
         raise InputError("degree must be nonnegative")
@@ -640,22 +733,14 @@ def image_basis_xray(
     slots = xray_degree_slots(xray, degree)
     if not slots:
         return []
-    per_slot: list[dict[tuple, Fraction]] = [{} for _ in slots]
+    rows: dict[tuple, dict[int, Fraction]] = {}
     for piece in xray.pieces:
-        substitution = character_substitution(piece.lam)
-        resolved = resolve_self_intersections(piece.induced) if piece.dim == 4 else None
-        for slot, obstructions in zip(slots, per_slot):
-            if slot.component not in piece.members:
-                continue
-            unit = xray_unit_class(xray, degree, slot)
-            found = piece_obstructions(xray, piece, unit, substitution, resolved)
-            for key, value in found.items():
-                obstructions[(piece.id,) + key] = value
-    keys = sorted({key for obs in per_slot for key in obs}, key=repr)
-    rows = [[obs.get(key, Fraction(0)) for obs in per_slot] for key in keys]
+        for i, column in _piece_columns(xray, piece, degree, slots).items():
+            for key, value in column.items():
+                rows.setdefault((piece.id,) + key, {})[i] = value
     return [
-        _xray_class_from_slots(xray, degree, slots, vec)
-        for vec in nullspace(rows, len(slots))
+        _xray_class_from_sparse(xray, degree, slots, vec)
+        for vec in nullspace(list(rows.values()), len(slots))
     ]
 
 

@@ -17,6 +17,8 @@ validated objects.  The fixtures:
 * ``cube``: ``Sigma_g x (S^2)^r`` as a rank-r x-ray; a fixed surface at
   each corner of the unit cube of momenta and a 4-dimensional piece
   along each edge (``cube(2, g)`` is ``x2(g)`` with other ids).
+* ``chain``: two genus-g surfaces at momenta 0 and n + 1 around n
+  interior points at momenta 1..n, for scaling in the number of slots.
 """
 
 from __future__ import annotations
@@ -76,6 +78,28 @@ def g3_doc() -> dict:
         "isolated": [{"id": "p", "y": 0, "weights": [1, 1]}],
         "surfaces": [
             {"id": "S", "y": 1, "area": 1, "genus": 0, "self_intersection": 1}
+        ],
+        "edges": [],
+    }
+
+
+def chain_doc(n: int, genus: int) -> dict:
+    """n interior points between two genus-g surfaces, no isotropy spheres.
+
+    Point i has weights ``(up, -down)`` with ``(up, down)`` running through
+    the sixteen pairs in 1..4; the self-intersections are left to the
+    extremal equations, so the graph is valid for every n.
+    """
+    isolated = [
+        {"id": f"p{i:03d}", "y": i + 1, "weights": [1 + i % 4, -(1 + i // 4 % 4)]}
+        for i in range(n)
+    ]
+    return {
+        "kind": "graph",
+        "isolated": isolated,
+        "surfaces": [
+            {"id": "Smin", "y": 0, "area": 1, "genus": genus},
+            {"id": "Smax", "y": n + 1, "area": 2, "genus": genus},
         ],
         "edges": [],
     }
@@ -208,6 +232,10 @@ def g2(genus: int, area_min=1, area_max=1):
 
 def g3():
     return parse_graph(g3_doc())
+
+
+def chain(n: int, genus: int):
+    return parse_graph(chain_doc(n, genus))
 
 
 def x2(genus: int):

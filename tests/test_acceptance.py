@@ -213,6 +213,25 @@ def test_product_xray_ranks_match_the_confirmed_series():
         assert [len(image_basis_xray(xr, k)) for k in range(9)] == closed
 
 
+def test_chain_basis_scales_with_the_number_of_points():
+    n = 400
+    graph = fixtures.chain(n, 1)
+    assert validate_graph(graph) == []
+    with budget(1.0):
+        sizes = [len(image_basis(graph, k)) for k in range(5)]
+    # Betti numbers 1, 2g, n + 2, 2g, 1 with g = 1, over (1 - t^2).
+    assert sizes == [1, 2, n + 3, 4, n + 4]
+
+
+def test_rank_five_cube_basis_scales():
+    xray = fixtures.cube(5, 1)
+    with budget(1.0):
+        basis = image_basis_xray(xray, 4)
+    # Sigma_1 x (S^2)^5: (1 + 2t + t^2)(1 + t^2)^5 over (1 - t^2)^5.
+    closed = _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**5", 4, rank=5)
+    assert len(basis) == closed[4]
+
+
 def test_cli_json_output_is_byte_deterministic(data_dir):
     with budget(5.0):
         commands = [("validate", str(data_dir), "--format", "json")]
@@ -310,8 +329,9 @@ def _x2_dimension(k: int, genus: int = 1) -> int:
     return _solution_count(blocks, constraints)
 
 
-def _series_coefficients(numerator: str, upto: int) -> list:
+def _series_coefficients(numerator: str, upto: int, rank: int = 2) -> list:
+    """Coefficients up to t^upto of ``numerator / (1 - t^2)^rank``."""
     t = sympy.symbols("t")
     geometric = sum(t ** (2 * j) for j in range(upto // 2 + 1))
-    series = sympy.Poly((sympy.sympify(numerator) * geometric**2).expand(), t)
+    series = sympy.Poly((sympy.sympify(numerator) * geometric**rank).expand(), t)
     return [int(series.coeff_monomial(t**k)) for k in range(upto + 1)]

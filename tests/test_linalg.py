@@ -66,6 +66,41 @@ def systems(draw):
     return draw(st.permutations(rows)), ncols
 
 
+@st.composite
+def sparse_systems(draw):
+    """(rows, ncols) as ``{column: Fraction}`` dicts: empty rows, duplicate
+    rows, explicit zero entries, columns no row touches and ``ncols`` up to
+    three wider than the columns the rows use."""
+    support = draw(st.integers(0, 7))
+    ncols = support + draw(st.integers(0, 3))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    )
+    row = st.dictionaries(st.integers(0, max(support - 1, 0)), entry, max_size=support)
+    rows = draw(st.lists(row, max_size=10))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    rows += [{}] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
+def sparse(rows):
+    """Dense rows as ``{column: value}`` dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(vectors, ncols):
+    """``{column: value}`` vectors as dense lists of width ``ncols``."""
+    out = []
+    for vector in vectors:
+        row = [Fraction(0)] * ncols
+        for j, x in vector.items():
+            row[j] = x
+        out.append(row)
+    return out
+
+
 def matrices(ncols: int):
     return st.lists(
         st.lists(entries, min_size=ncols, max_size=ncols), min_size=0, max_size=5
@@ -96,25 +131,23 @@ def test_rref_empty():
 
 def test_nullspace_known():
     # single relation x + y + z = 0
-    basis = nullspace([[Fraction(1), Fraction(1), Fraction(1)]], 3)
-    assert len(basis) == 2
-    assert basis == rref(basis)[0]
-    for v in basis:
-        assert sum(v, start=Fraction(0)) == 0
+    basis = nullspace([{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)}], 3)
+    assert basis == [
+        {0: Fraction(1), 2: Fraction(-1)},
+        {1: Fraction(1), 2: Fraction(-1)},
+    ]
+    assert dense(basis, 3) == rref(dense(basis, 3))[0]
 
 
 def test_nullspace_full_and_trivial():
-    assert nullspace([], 2) == [
-        [Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(1)],
-    ]
-    identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert nullspace([], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
+    identity = [{0: Fraction(1)}, {1: Fraction(1)}]
     assert nullspace(identity, 2) == []
 
 
 @given(matrices(4))
 def test_nullspace_annihilates_and_rank_nullity(rows):
-    basis = nullspace(rows, 4)
+    basis = dense(nullspace(sparse(rows), 4), 4)
     reduced, pivots = rref(rows)
     assert len(basis) == 4 - len(pivots)
     for v in basis:
@@ -157,15 +190,20 @@ def test_rref_matches_the_dense_reference(system):
 @given(systems())
 def test_nullspace_matches_the_two_pass_reference(system):
     rows, ncols = system
-    assert nullspace(rows, ncols) == reference_nullspace(rows, ncols)
+    assert dense(nullspace(sparse(rows), ncols), ncols) == reference_nullspace(rows, ncols)
+
+
+@given(sparse_systems())
+def test_sparse_nullspace_matches_the_dense_reference(system):
+    rows, ncols = system
+    basis = nullspace(rows, ncols)
+    assert all(x for vector in basis for x in vector.values())
+    assert all(0 <= j < ncols for vector in basis for j in vector)
+    assert dense(basis, ncols) == reference_nullspace(dense(rows, ncols), ncols)
 
 
 def test_nullspace_of_a_bidiagonal_chain():
     n = 30
-    rows = []
-    for i in range(n - 1):
-        row = [Fraction(0)] * n
-        row[i], row[i + 1] = Fraction(1), Fraction(-1)
-        rows.append(row)
-    assert nullspace(rows, n) == [[Fraction(1)] * n]
-    assert nullspace(rows, n) == reference_nullspace(rows, n)
+    rows = [{i: Fraction(1), i + 1: Fraction(-1)} for i in range(n - 1)]
+    assert nullspace(rows, n) == [{j: Fraction(1) for j in range(n)}]
+    assert dense(nullspace(rows, n), n) == reference_nullspace(dense(rows, n), n)

@@ -24,18 +24,19 @@ from equicoh import (
     xray_class_from_vector,
     xray_class_to_vector,
     xray_degree_slots,
+    xray_slot_value,
     xray_to_dict,
     xray_unit_class,
 )
-from equicoh.linalg import nullspace
 from equicoh.s1 import (
     MembershipDecision,
     MembershipViolation,
     character_substitution,
     torus_obstructions,
 )
-from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
+from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_columns, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, mutate, x2
+from test_linalg import reference_nullspace
 
 
 def times_variable(xray, alpha, index):
@@ -341,7 +342,8 @@ def test_module_closure_under_both_parameters():
 
 
 def reference_image_basis_xray(xray, degree):
-    """The slot-major assembly: every piece visits every unit slot class."""
+    """The slot-major assembly: every piece visits every unit slot class, and
+    the dense two-pass elimination of ``test_linalg`` solves the rows."""
     slots = xray_degree_slots(xray, degree)
     if not slots:
         return []
@@ -356,7 +358,8 @@ def reference_image_basis_xray(xray, degree):
     keys = sorted({key for obs in per_slot for key in obs}, key=repr)
     rows = [[obs.get(key, Fraction(0)) for obs in per_slot] for key in keys]
     return [
-        xray_class_from_vector(xray, degree, vec) for vec in nullspace(rows, len(slots))
+        xray_class_from_vector(xray, degree, vec)
+        for vec in reference_nullspace(rows, len(slots))
     ]
 
 
@@ -380,6 +383,42 @@ def test_piece_major_basis_matches_the_slot_major_reference(name):
         ours = [class_to_dict(b) for b in image_basis_xray(xray, degree)]
         theirs = [class_to_dict(b) for b in reference_image_basis_xray(xray, degree)]
         assert ours == theirs, degree
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
+def test_compiled_columns_are_the_unit_class_obstructions(name):
+    xray = EQUIVALENCE_XRAYS[name]()
+    for degree in range(DEFAULT_XRAY_MAX_DEGREE + 1):
+        slots = xray_degree_slots(xray, degree)
+        for piece in xray.pieces:
+            columns = _piece_columns(xray, piece, degree, slots)
+            on_members = [i for i, s in enumerate(slots) if s.component in piece.members]
+            assert sorted(columns) == on_members
+            for i in on_members:
+                unit = xray_unit_class(xray, degree, slots[i])
+                expected = piece_obstructions(xray, piece, unit)
+                assert columns[i] == expected, (piece.id, slots[i].label)
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
+def test_compiled_columns_sum_to_the_obstructions_of_a_class(name):
+    xray = EQUIVALENCE_XRAYS[name]()
+    rng = random.Random(name)
+    components = [(c.id, c.kind, c.genus) for c in xray.components]
+    for _ in range(4):
+        alpha = fixtures.random_torus_class(components, xray.rank, rng)
+        for piece in xray.pieces:
+            total = {}
+            for degree in alpha.degrees():
+                slots = xray_degree_slots(xray, degree)
+                for i, column in _piece_columns(xray, piece, degree, slots).items():
+                    value = xray_slot_value(alpha, degree, slots[i])
+                    if not value:
+                        continue
+                    for key, c in column.items():
+                        total[key] = total.get(key, 0) + value * c
+            total = {key: c for key, c in total.items() if c}
+            assert total == piece_obstructions(xray, piece, alpha), piece.id
 
 
 def _class_on(xray, components, rng, degrees=range(5)):

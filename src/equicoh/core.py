@@ -361,7 +361,7 @@ def _check_scalar_entry(value, rank: int | None, hom_degree: int, where: str):
     return value
 
 
-@dataclass(slots=True)
+@dataclass
 class ComponentClass:
     """Restriction of an equivariant class to one fixed component, by degree.
 
@@ -421,21 +421,6 @@ class ComponentClass:
             if entry:
                 clean[degree] = entry
         self.entries = clean
-
-    @classmethod
-    def _empty(cls, kind: str, genus: int, rank: int | None) -> ComponentClass:
-        """A record with no entries and a dict of its own.
-
-        It skips ``__post_init__``, whose checks an entry-free record passes
-        whenever ``kind`` and ``genus`` come from a parsed graph or x-ray;
-        basis builders make one per untouched component of every class.
-        """
-        record = cls.__new__(cls)
-        record.kind = kind
-        record.genus = genus
-        record.entries = {}
-        record.rank = rank
-        return record
 
     def entry(self, degree: int):
         if degree in self.entries:

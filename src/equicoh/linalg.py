@@ -6,14 +6,13 @@ nonzeros.  Apart from one pass over the columns to list the free ones, its
 cost follows the nonzeros met while eliminating, not the width of the
 rows.  The basis is in reduced row echelon form, which makes it the unique
 canonical basis of the solution subspace for a fixed column order.
-:func:`rref` keeps dense lists of Fraction on both sides and eliminates on
-sparse rows in between.
+:func:`rref` keeps dense lists of Fraction on both sides and runs the same
+sparse elimination in between.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -23,70 +22,17 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Reduced echelon rows of a sparse system, keyed by pivot column.
 
-    Rows are held sparsely while eliminating, so normalising a pivot row and
-    subtracting it from another row cost the pivot row's support rather than
-    the full width.  The reduced echelon form is unique, so which row
-    supplies each pivot does not affect the result.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pending = [
-        sparse
-        for sparse in ({j: Fraction(x) for j, x in enumerate(row) if x} for row in rows)
-        if sparse
-    ]
-    reduced: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-    for c in range(ncols):
-        if not pending:
-            break
-        index = next((i for i, row in enumerate(pending) if c in row), None)
-        if index is None:
-            continue
-        pivot_row = pending.pop(index)
-        inv = 1 / pivot_row[c]
-        if inv != 1:
-            for j in pivot_row:
-                pivot_row[j] *= inv
-        for row in itertools.chain(reduced, pending):
-            factor = row.get(c)
-            if factor:
-                for j, y in pivot_row.items():
-                    value = row.get(j, 0) - factor * y
-                    if value:
-                        row[j] = value
-                    else:
-                        del row[j]
-        pending = [row for row in pending if row]
-        reduced.append(pivot_row)
-        pivots.append(c)
-    dense = []
-    for row in reduced:
-        out = [_ZERO] * ncols
-        for j, x in row.items():
-            out[j] = x
-        dense.append(out)
-    return dense, pivots
-
-
-def nullspace(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int
-) -> list[dict[int, Fraction]]:
-    """Canonical (reduced echelon) basis of {v : rows . v = 0} in Q^ncols.
-
-    Rows and basis vectors are ``{column: Fraction}`` dicts; zero entries
-    may be given and are never returned.  Forward elimination brings each
-    row, from its highest column down, onto the echelon rows found so far
-    and normalises what is left at its highest remaining column, its pivot.
-    Back-substitution then clears, from the lowest pivot up, every pivot
-    column out of each echelon row, so a reduced row holds its pivot and
-    lower free columns only.  The kernel vector of a free column f is 1 at
-    f and minus the reduced rows' f entries at their pivots, all above f:
-    taken by increasing f these vectors are the reduced echelon basis.
+    Rows are ``{column: Fraction}`` dicts; zero entries may be given and are
+    never kept.  Each row's pivot is its highest column.  Forward
+    elimination brings each row, from its highest column down, onto the
+    echelon rows found so far and normalises what is left at its highest
+    remaining column.  Back-substitution then clears, from the lowest pivot
+    up, every pivot column out of each echelon row, so a reduced row holds
+    its pivot, at 1, and lower free columns only.  The reduced echelon form
+    is unique, so the order of the rows does not affect the result.
     """
     echelon: dict[int, dict[int, Fraction]] = {}
     for given in rows:
@@ -128,6 +74,44 @@ def nullspace(
                     else:
                         row.pop(j, None)
         reduced[p] = row
+    return reduced
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Dense rows go in and come out.  Column j is handed to
+    :func:`_reduced_rows` as column ``ncols - 1 - j``, so that its highest
+    pivots are the leftmost ones here.
+    """
+    if not rows:
+        return [], []
+    last = len(rows[0]) - 1
+    reduced = _reduced_rows({last - j: x for j, x in enumerate(row) if x} for row in rows)
+    dense = []
+    pivots = []
+    for p in sorted(reduced, reverse=True):
+        out = [_ZERO] * (last + 1)
+        for j, x in reduced[p].items():
+            out[last - j] = x
+        dense.append(out)
+        pivots.append(last - p)
+    return dense, pivots
+
+
+def nullspace(
+    rows: Iterable[Mapping[int, Fraction]], ncols: int
+) -> list[dict[int, Fraction]]:
+    """Canonical (reduced echelon) basis of {v : rows . v = 0} in Q^ncols.
+
+    Rows and basis vectors are ``{column: Fraction}`` dicts; zero entries
+    may be given and are never returned.  A reduced row of
+    :func:`_reduced_rows` holds its pivot and lower free columns, so the
+    kernel vector of a free column f is 1 at f and minus the reduced rows'
+    f entries at their pivots, all above f: taken by increasing f these
+    vectors are the reduced echelon basis.
+    """
+    reduced = _reduced_rows(rows)
     basis = {f: {f: _ONE} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         for f, x in row.items():

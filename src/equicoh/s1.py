@@ -22,8 +22,6 @@ negative powers.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -464,9 +462,8 @@ def _class_from_sparse(
     for i, value in vector.items():
         slot = slots[i]
         parts.setdefault(slot.component, {})[(slot.part, slot.index)] = value
-    empty = ComponentClass._empty
-    comps = {v.id: empty("point", 0, None) for v in graph.isolated}
-    comps.update((v.id, empty("surface", v.genus, None)) for v in graph.surfaces)
+    comps = {v.id: ComponentClass("point", 0, {}, None) for v in graph.isolated}
+    comps.update((v.id, ComponentClass("surface", v.genus, {}, None)) for v in graph.surfaces)
     for cid, rec in parts.items():
         kind, g = comps[cid].kind, comps[cid].genus
         if kind == "point":
@@ -647,30 +644,9 @@ def image_basis(
         row.coefficients
         for row in _image_constraints(resolve_self_intersections(graph), degree, slots)
     ]
-    kernel = nullspace(rows, len(slots))
-    with _collector_paused():
-        return [_class_from_sparse(graph, degree, slots, vec) for vec in kernel]
-
-
-@contextlib.contextmanager
-def _collector_paused():
-    """Hold off Python's cyclic garbage collector while basis classes are built.
-
-    A basis class keeps one record per fixed component, so n basis classes
-    on n components are n^2 records.  Left running, the collector makes a
-    full pass over the heap each time the survivors grow it by a quarter:
-    for degrees 0-4 of a 400-point chain, inside the test suite, those
-    passes took 0.56 of the 0.84 s spent in ``image_basis``.  The records
-    hold no reference cycles, so nothing is lost by deferring it; it runs
-    again afterwards if it ran before.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    return [
+        _class_from_sparse(graph, degree, slots, vec) for vec in nullspace(rows, len(slots))
+    ]
 
 
 def in_image_span(

@@ -51,7 +51,6 @@ from .s1 import (
     MembershipDecision,
     MembershipViolation,
     _add_localization,
-    _check_addressing,
     _h0_divisibility,
     _obstruction_violations,
     _parse_components,
@@ -538,7 +537,9 @@ def xray_degree_slots(xray: XRay, degree: int) -> list[XraySlot]:
 
 
 def _empty_components(xray: XRay) -> dict[str, ComponentClass]:
-    return {c.id: ComponentClass._empty(c.kind, c.genus, xray.rank) for c in xray.components}
+    return {
+        c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components
+    }
 
 
 def xray_unit_class(xray: XRay, degree: int, slot: XraySlot) -> EquivariantClass:
@@ -641,6 +642,30 @@ def _unit_poles(
     return [(shift, scale) for shift, scale in shifts.items() if scale]
 
 
+def _check_induced_graph(xray: XRay, piece: SkeletonPiece) -> None:
+    """Raise unless a 4-dimensional piece's character has the x-ray's rank and
+    its induced graph lists exactly its members, as points and surfaces of
+    their genera.  :func:`validate_xray` reports the same faults as
+    violations; the messages are those :func:`piece_obstructions` raises.
+    """
+    if len(piece.lam) != xray.rank:
+        raise InputError(f"character must have {xray.rank} entries")
+    graph = piece.induced
+    expected = graph.component_ids()
+    if list(piece.members) != expected:
+        raise InputError(f"class addresses {list(piece.members)} but the graph has {expected}")
+    for v in graph.isolated:
+        if xray.find(v.id).kind != "point":
+            raise InputError(f"component {v.id!r}: expected a point entry of rank {xray.rank}")
+    for v in graph.surfaces:
+        c = xray.find(v.id)
+        if c.kind != "surface" or c.genus != v.genus:
+            raise InputError(
+                f"component {v.id!r}: expected a genus-{v.genus} surface entry of rank "
+                f"{xray.rank}"
+            )
+
+
 def _piece_columns(
     xray: XRay, piece: SkeletonPiece, degree: int, slots: list[XraySlot]
 ) -> dict[int, dict[tuple, Fraction]]:
@@ -665,6 +690,9 @@ def _piece_columns(
       the remaining exponents, ``scale * c`` for each :func:`_unit_poles`
       pair of the slot whose power is negative.
     """
+    on_piece = [i for i, slot in enumerate(slots) if slot.component in piece.members]
+    if not on_piece:
+        return {}
     # (component, part, index) -> [(row key less its monomial, factor)]
     divisions: dict[tuple[str, str, int], list[tuple[tuple, int]]] = {}
     resolved = None
@@ -672,8 +700,7 @@ def _piece_columns(
         pairs = [piece.members]
     else:
         graph = piece.induced
-        empty = EquivariantClass(_empty_components(xray), xray.rank)
-        _check_addressing(graph, empty.restricted(piece.members), xray.rank)
+        _check_induced_graph(xray, piece)
         ids = graph.component_ids()
         pairs = list(zip(ids, ids[1:]))
         if len(graph.surfaces) == 2:
@@ -694,9 +721,8 @@ def _piece_columns(
     image = character_substitution(piece.lam)._monomial
     poles: dict[tuple[str, str, int], list[tuple[int, Fraction]]] = {}
     columns: dict[int, dict[tuple, Fraction]] = {}
-    for i, slot in enumerate(slots):
-        if slot.component not in piece.members:
-            continue
+    for i in on_piece:
+        slot = slots[i]
         where = (slot.component, slot.part, slot.index)
         if resolved is not None and where not in poles:
             poles[where] = _unit_poles(resolved, degree, slot)

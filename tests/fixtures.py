@@ -19,6 +19,8 @@ validated objects.  The fixtures:
   along each edge (``cube(2, g)`` is ``x2(g)`` with other ids).
 * ``chain``: two genus-g surfaces at momenta 0 and n + 1 around n
   interior points at momenta 1..n, for scaling in the number of slots.
+
+``budget`` is the wall-clock context manager of the acceptance gates.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import copy
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 from equicoh import (
@@ -42,6 +45,21 @@ from equicoh import (
     parse_xray,
 )
 from equicoh.mpoly import monomials_of_degree
+
+
+class budget:
+    """Context manager asserting the body finished inside the time budget."""
+
+    def __init__(self, seconds: float):
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            elapsed = time.perf_counter() - self.start
+            assert elapsed < self.seconds, f"took {elapsed:.2f}s, budget {self.seconds}s"
 
 
 def g1_doc() -> dict:

@@ -421,6 +421,29 @@ def test_compiled_columns_sum_to_the_obstructions_of_a_class(name):
             assert total == piece_obstructions(xray, piece, alpha), piece.id
 
 
+def _rename_upper_surface(doc):
+    doc["pieces"][0]["induced_graph"]["surfaces"][1]["id"] = "Smax_1"
+
+
+def _raise_upper_genus(doc):
+    doc["pieces"][0]["induced_graph"]["surfaces"][1]["genus"] = 2
+
+
+@pytest.mark.parametrize("edit", [_rename_upper_surface, _raise_upper_genus])
+def test_basis_rejects_an_induced_graph_as_the_obstructions_do(edit):
+    doc = fixtures.x2_doc(1)
+    edit(doc)
+    xray = parse_xray(doc)
+    assert validate_xray(xray)
+    piece = xray.pieces[0]
+    slot = next(s for s in xray_degree_slots(xray, 1) if s.component in piece.members)
+    with pytest.raises(InputError) as expected:
+        piece_obstructions(xray, piece, xray_unit_class(xray, 1, slot))
+    with pytest.raises(InputError) as found:
+        image_basis_xray(xray, 1)
+    assert str(found.value) == str(expected.value)
+
+
 def _class_on(xray, components, rng, degrees=range(5)):
     """A random inhomogeneous class that vanishes off the given components."""
     comps = {c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components}

@@ -93,7 +93,6 @@ from .xray import (
     xray_class_from_vector,
     xray_class_to_vector,
     xray_degree_slots,
-    xray_slot_value,
     xray_to_dict,
     xray_unit_class,
 )

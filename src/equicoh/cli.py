@@ -54,7 +54,6 @@ from .xray import (
     parse_xray,
     validate_xray,
     xray_degree_slots,
-    xray_slot_value,
 )
 
 MAX_DEGREE_ENV = "EQUICOH_MAX_DEGREE"
@@ -100,7 +99,6 @@ class _DocumentKind:
     check: Callable
     image_basis: Callable
     slots: Callable
-    slot_value: Callable
 
 
 def _config(args) -> RunConfig:
@@ -294,7 +292,7 @@ def cmd_basis(args) -> int:
     slots = args.kind.slots(document, args.degree)
     headers = [s.label for s in slots]
     rows = [
-        [format_rational(args.kind.slot_value(b, args.degree, s)) for s in slots] for b in basis
+        [format_rational(slot_value(b, args.degree, s)) for s in slots] for b in basis
     ]
     if not headers:
         print(f"no classes in degree {args.degree}")
@@ -382,11 +380,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
     graphs = _DocumentKind(
         DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
-        image_basis, degree_slots, slot_value,
+        image_basis, degree_slots,
     )
     xrays = _DocumentKind(
         DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
-        check_membership_xray, image_basis_xray, xray_degree_slots, xray_slot_value,
+        check_membership_xray, image_basis_xray, xray_degree_slots,
     )
 
     def add(name: str, handler, paths: list[str], kind=graphs, **kwargs) -> argparse.ArgumentParser:

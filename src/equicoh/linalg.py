@@ -119,22 +119,3 @@ def nullspace(
                 basis[f][p] = -x
     return list(basis.values())
 
-
-def coordinates_in_span(
-    basis: Sequence[Sequence[Fraction]], vector: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Coordinates of ``vector`` in a reduced-echelon ``basis``, or None."""
-    residual = [Fraction(x) for x in vector]
-    coords = []
-    for row in basis:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            coords.append(Fraction(0))
-            continue
-        factor = residual[lead] / row[lead]
-        coords.append(factor)
-        if factor:
-            residual = [x - factor * y for x, y in zip(residual, row)]
-    if any(residual):
-        return None
-    return coords

@@ -180,18 +180,6 @@ class MPoly:
             parts.setdefault(exps[0], {})[exps[1:]] = coeff
         return {d: MPoly._trusted(self.nvars - 1, t) for d, t in parts.items()}
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise InputError("evaluation point has wrong length")
-        values = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                term *= v ** e
-            total += term
-        return total
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

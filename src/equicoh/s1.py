@@ -13,6 +13,12 @@ assembled at runtime by localizing unit coordinate classes, never
 hard-coded.  Image bases are the nullspace of the rows and membership
 evaluates the same rows on a class; there is no second description.
 
+Graphs and x-rays share one slot space per degree, given by the fixed
+components and a rank (None for a circle action): one slot per part of a
+component's entry, or per monomial of each part for a torus.  One
+enumerator, one reader (:func:`slot_value`) and one class builder serve
+both sides.
+
 The same machinery runs with the equivariant parameter replaced by a
 primitive integer character of a higher-rank torus: polynomials are moved
 into coordinates where the character is the first variable, divisibility
@@ -44,10 +50,19 @@ from .graph import (
     resolve_self_intersections,
     weight_product,
 )
-from .linalg import coordinates_in_span, nullspace, rref
-from .mpoly import LinearSubstitution, MPoly, poly_to_pairs, unimodular_completion
+from .linalg import nullspace
+from .mpoly import (
+    LinearSubstitution,
+    MPoly,
+    monomials_of_degree,
+    poly_to_pairs,
+    unimodular_completion,
+)
 
 DEFAULT_MAX_DEGREE = 12
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 _CLASS_KEYS = {"kind", "graph", "components"}
 
@@ -332,34 +347,141 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
 
 @dataclass(frozen=True)
 class Slot:
-    """One coordinate of the degree-k restriction tuple space."""
+    """One coordinate of the degree-k restriction tuple space.
+
+    A circle action has one slot per part of a component's degree-k entry;
+    a rank-r torus has one per monomial ``exps`` of each part.
+    """
 
     component: str
     part: str  # "c" (point), "c0", "c1" or "c2" (surface)
     index: int = 0
     label: str = ""
+    exps: tuple[int, ...] = ()
 
 
-def _h1_name(index: int, genus: int) -> str:
-    return f"a{index + 1}" if index < genus else f"b{index - genus + 1}"
+def _component(v: IsolatedVertex | FatVertex) -> tuple[str, str, int]:
+    return (v.id, "point", 0) if isinstance(v, IsolatedVertex) else (v.id, "surface", v.genus)
+
+
+def _graph_components(graph: DecoratedGraph) -> list[tuple[str, str, int]]:
+    """``(id, kind, genus)`` of every fixed component, sorted by id."""
+    return sorted(_component(v) for v in graph.isolated + graph.surfaces)
+
+
+def _restriction_slots(components, rank: int | None, degree: int) -> list[Slot]:
+    """Canonical coordinate order of the degree-k restriction space.
+
+    ``components`` lists ``(id, kind, genus)`` sorted by id; ``rank`` is
+    None for a circle action.  Each component contributes its parts in the
+    order point value "c" or H^0 part "c0", H^1 parts "c1" (named a1..,
+    b1..), H^2 part "c2".  A circle action has one slot per part; a rank-r
+    torus has one per monomial of the part's degree in descending lex
+    order, and its labels end in the exponents.
+    """
+    slots: list[Slot] = []
+    for cid, kind, genus in components:
+        if degree % 2 == 0:
+            parts = [("c" if kind == "point" else "c0", 0, degree // 2)]
+            if kind == "surface" and degree >= 2:
+                parts.append(("c2", 0, degree // 2 - 1))
+        else:
+            parts = [("c1", i, degree // 2) for i in range(2 * genus)]
+        for part, index, half in parts:
+            if part != "c1":
+                name = part
+            elif index < genus:
+                name = f"a{index + 1}"
+            else:
+                name = f"b{index - genus + 1}"
+            if rank is None:
+                slots.append(Slot(cid, part, index, f"{cid}.{name}"))
+                continue
+            for exps in monomials_of_degree(rank, half):
+                label = f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
+                slots.append(Slot(cid, part, index, label, exps))
+    return slots
 
 
 def degree_slots(graph: DecoratedGraph, degree: int) -> list[Slot]:
     """Canonical coordinate order: components by id, then part order."""
-    slots: list[Slot] = []
-    for v in graph.isolated:
-        if degree % 2 == 0:
-            slots.append(Slot(v.id, "c", 0, f"{v.id}.c"))
-    for v in graph.surfaces:
-        if degree % 2 == 0:
-            slots.append(Slot(v.id, "c0", 0, f"{v.id}.c0"))
-            if degree >= 2:
-                slots.append(Slot(v.id, "c2", 0, f"{v.id}.c2"))
+    return _restriction_slots(_graph_components(graph), None, degree)
+
+
+def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
+    """The coordinate of the degree-k part of alpha at one slot.
+
+    That is the slot's part itself for a circle action and the part's
+    coefficient at ``slot.exps`` for a torus; an absent entry reads 0.
+    """
+    entry = alpha.components[slot.component].entries.get(degree)
+    if entry is None:
+        return _ZERO
+    if slot.part == "c0":
+        entry = entry.c0
+    elif slot.part == "c2":
+        entry = entry.c2
+    elif slot.part == "c1":
+        entry = entry.c1[slot.index]
+    return entry if alpha.rank is None else entry.terms.get(slot.exps, _ZERO)
+
+
+def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> list[Fraction]:
+    return [slot_value(alpha, degree, slot) for slot in degree_slots(graph, degree)]
+
+
+def _class_from_sparse(
+    components, rank: int | None, degree: int, slots: list[Slot], vector: dict[int, Fraction]
+) -> EquivariantClass:
+    """The class with coordinate ``vector[i]`` at ``slots[i]`` and zero elsewhere.
+
+    ``components`` and ``rank`` are as in :func:`_restriction_slots`.  A
+    part's value is the Fraction for a circle action and, for a rank-r
+    torus, the polynomial whose terms are its slots' monomials.  ``vector``
+    holds nonzero Fractions only, so just the components it touches get an
+    entry.  Every record and polynomial is built afresh: no two classes
+    share a mutable one.
+    """
+    parts: dict[str, dict[tuple[str, int], object]] = {}
+    for i, value in vector.items():
+        slot = slots[i]
+        rec = parts.setdefault(slot.component, {})
+        if rank is None:
+            rec[(slot.part, slot.index)] = value
         else:
-            for i in range(2 * v.genus):
-                slots.append(Slot(v.id, "c1", i, f"{v.id}.{_h1_name(i, v.genus)}"))
-    slots.sort(key=lambda s: (s.component, {"c": 0, "c0": 0, "c1": 1, "c2": 2}[s.part], s.index))
-    return slots
+            rec.setdefault((slot.part, slot.index), {})[slot.exps] = value
+
+    def part_value(rec, part: str, index: int = 0):
+        if rank is None:
+            return rec.get((part, index), _ZERO)
+        return MPoly._trusted(rank, rec.get((part, index), {}))
+
+    comps: dict[str, ComponentClass] = {}
+    for cid, kind, genus in components:
+        rec = parts.get(cid)
+        if rec is None:
+            entries = {}
+        elif kind == "point":
+            entries = {degree: part_value(rec, "c")}
+        else:
+            c0, c2 = part_value(rec, "c0"), part_value(rec, "c2")
+            c1 = tuple(part_value(rec, "c1", i) for i in range(2 * genus))
+            entries = {degree: SurfaceClass(genus, c0, c1, c2)}
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
+    return EquivariantClass(comps, rank)
+
+
+def _class_from_vector(components, rank: int | None, degree: int, values) -> EquivariantClass:
+    slots = _restriction_slots(components, rank, degree)
+    if len(values) != len(slots):
+        raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
+    return _class_from_sparse(
+        components, rank, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
+    )
+
+
+def class_from_vector(graph: DecoratedGraph, degree: int, values) -> EquivariantClass:
+    return _class_from_vector(_graph_components(graph), None, degree, values)
 
 
 def _unit_restriction(
@@ -367,37 +489,15 @@ def _unit_restriction(
 ) -> ComponentClass:
     """The restriction of ``unit_class(graph, degree, slot)`` to the slot's component.
 
-    Only ``slot.part`` and ``slot.index`` are read, so an x-ray slot serves
-    as well.
+    The unit is a circle-action value, so ``slot.exps`` is not read and an
+    x-ray slot serves as well.
     """
-    if isinstance(comp, IsolatedVertex):
-        return ComponentClass("point", 0, {degree: Fraction(1)}, None)
-    g = comp.genus
-    if slot.part == "c0":
-        entry = SurfaceClass(g, c0=1)
-    elif slot.part == "c2":
-        entry = SurfaceClass(g, c2=1)
-    else:
-        c1 = tuple(Fraction(1 if i == slot.index else 0) for i in range(2 * g))
-        entry = SurfaceClass(g, c1=c1)
-    return ComponentClass("surface", g, {degree: entry}, None)
+    unit = _class_from_sparse([_component(comp)], None, degree, [slot], {0: _ONE})
+    return unit.components[comp.id]
 
 
 def unit_class(graph: DecoratedGraph, degree: int, slot: Slot) -> EquivariantClass:
-    comps: dict[str, ComponentClass] = {}
-    for v in graph.isolated:
-        comps[v.id] = (
-            _unit_restriction(v, degree, slot)
-            if v.id == slot.component
-            else ComponentClass("point", 0, {}, None)
-        )
-    for v in graph.surfaces:
-        comps[v.id] = (
-            _unit_restriction(v, degree, slot)
-            if v.id == slot.component
-            else ComponentClass("surface", v.genus, {}, None)
-        )
-    return EquivariantClass(comps, None)
+    return _class_from_sparse(_graph_components(graph), None, degree, [slot], {0: _ONE})
 
 
 def _unit_localizations(
@@ -419,64 +519,6 @@ def _unit_localizations(
         _add_localization(terms, resolved, comp, unit.entries, _circle_powers)
         out.append(Laurent(terms))
     return out
-
-
-def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
-    """The coordinate of the degree-k part of alpha at one slot."""
-    cls = alpha.components[slot.component]
-    if slot.part == "c":
-        return Fraction(cls.entries.get(degree, Fraction(0)))
-    entry = cls.entry(degree)
-    if slot.part == "c0":
-        return Fraction(entry.c0)
-    if slot.part == "c2":
-        return Fraction(entry.c2)
-    return Fraction(entry.c1[slot.index])
-
-
-def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    return [slot_value(alpha, degree, slot) for slot in degree_slots(graph, degree)]
-
-
-def class_from_vector(
-    graph: DecoratedGraph, degree: int, values
-) -> EquivariantClass:
-    slots = degree_slots(graph, degree)
-    if len(values) != len(slots):
-        raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
-    return _class_from_sparse(
-        graph, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
-    )
-
-
-def _class_from_sparse(
-    graph: DecoratedGraph, degree: int, slots: list[Slot], vector: dict[int, Fraction]
-) -> EquivariantClass:
-    """The class with coordinate ``vector[i]`` at ``slots[i]`` and zero elsewhere.
-
-    ``vector`` holds nonzero Fractions only, so just the components it
-    touches get an entry.  Every record is built afresh: no two classes
-    share a mutable one.
-    """
-    parts: dict[str, dict[tuple[str, int], Fraction]] = {}
-    for i, value in vector.items():
-        slot = slots[i]
-        parts.setdefault(slot.component, {})[(slot.part, slot.index)] = value
-    comps = {v.id: ComponentClass("point", 0, {}, None) for v in graph.isolated}
-    comps.update((v.id, ComponentClass("surface", v.genus, {}, None)) for v in graph.surfaces)
-    for cid, rec in parts.items():
-        kind, g = comps[cid].kind, comps[cid].genus
-        if kind == "point":
-            entry = rec[("c", 0)]
-        else:
-            entry = SurfaceClass(
-                g,
-                rec.get(("c0", 0), 0),
-                tuple(rec.get(("c1", i), 0) for i in range(2 * g)),
-                rec.get(("c2", 0), 0),
-            )
-        comps[cid] = ComponentClass(kind, g, {degree: entry}, None)
-    return EquivariantClass(comps, None)
 
 
 @dataclass(frozen=True)
@@ -637,7 +679,8 @@ def image_basis(
         raise InputError("degree must be nonnegative")
     if degree > max_degree:
         raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
-    slots = degree_slots(graph, degree)
+    components = _graph_components(graph)
+    slots = _restriction_slots(components, None, degree)
     if not slots:
         return []
     rows = [
@@ -645,20 +688,21 @@ def image_basis(
         for row in _image_constraints(resolve_self_intersections(graph), degree, slots)
     ]
     return [
-        _class_from_sparse(graph, degree, slots, vec) for vec in nullspace(rows, len(slots))
+        _class_from_sparse(components, None, degree, slots, vec)
+        for vec in nullspace(rows, len(slots))
     ]
 
 
-def in_image_span(
-    graph: DecoratedGraph, degree: int, alpha: EquivariantClass,
-    basis: list[EquivariantClass] | None = None,
-) -> bool:
-    """Whether the degree-k part of alpha lies in the span of the image basis."""
-    if basis is None:
-        basis = image_basis(graph, degree)
-    matrix, _ = rref([class_to_vector(graph, degree, b) for b in basis])
-    vector = class_to_vector(graph, degree, alpha.homogeneous(degree))
-    return coordinates_in_span(matrix, vector) is not None
+def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:
+    """Whether the degree-k part of alpha lies in the degree-k image.
+
+    The image is the common kernel of the rows of :func:`_image_constraints`,
+    so this asks whether every row vanishes on the part's slot vector.
+    """
+    slots = degree_slots(graph, degree)
+    vector = [slot_value(alpha, degree, slot) for slot in slots]
+    rows = _image_constraints(resolve_self_intersections(graph), degree, slots)
+    return not any(row.value(vector) for row in rows)
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
@@ -706,7 +750,6 @@ def localize_torus(
     alpha: EquivariantClass,
     *,
     substitution: LinearSubstitution | None = None,
-    resolved: DecoratedGraph | None = None,
 ) -> Laurent:
     """Localization sum with the parameter replaced by the character form.
 
@@ -719,17 +762,15 @@ def localize_torus(
     ``1 / (w1 w2)``; a surface of self-intersection e sends its H^0 part at
     p to ``p - 2`` scaled by ``-e`` and its H^2 part at p to ``p - 1``
     scaled by its sign.  H^1 parts contribute nothing and are never
-    substituted.  A caller that localizes many classes
-    along one character passes the prepared ``substitution`` (see
-    :func:`character_substitution`) and the ``resolved`` graph
-    (``resolve_self_intersections(graph)``); otherwise both are built here.
+    substituted.  A caller that already holds the character's
+    substitution (see :func:`character_substitution`) passes it as
+    ``substitution``; otherwise it is built here.
     """
     if len(lam) != rank:
         raise InputError(f"character must have {rank} entries")
     if substitution is None:
         substitution = character_substitution(lam)
-    if resolved is None:
-        resolved = resolve_self_intersections(graph)
+    resolved = resolve_self_intersections(graph)
 
     def powers(value: MPoly, half: int):
         return _adapted_split(value, substitution).items()
@@ -778,22 +819,16 @@ def torus_obstructions(
     rank: int,
     lam,
     alpha: EquivariantClass,
-    *,
-    substitution: LinearSubstitution | None = None,
-    resolved: DecoratedGraph | None = None,
 ) -> dict[tuple, Fraction]:
     """All nonzero obstruction coefficients for membership under a character.
 
     Keys tag divisibility residues ("div", pair, part, degree, monomial)
     and localization poles ("pole", power, monomial).  The class is in the
-    image locally along this character iff the dict is empty.  The
-    optional ``substitution`` and ``resolved`` graph are passed on to
-    :func:`localize_torus`; they are built here when omitted.
+    image locally along this character iff the dict is empty.
     """
     if len(lam) != rank:
         raise InputError(f"character must have {rank} entries")
-    if substitution is None:
-        substitution = character_substitution(lam)
+    substitution = character_substitution(lam)
     _check_addressing(graph, alpha, rank)
     ids = graph.component_ids()
     degrees = alpha.degrees()
@@ -821,9 +856,7 @@ def torus_obstructions(
                     if exps[0] == 0:
                         out[("div", (lower.id, upper.id), ("h1", j), k, exps)] = coeff
 
-    localization = localize_torus(
-        graph, rank, lam, alpha, substitution=substitution, resolved=resolved
-    )
+    localization = localize_torus(graph, rank, lam, alpha, substitution=substitution)
     for power, value in localization.terms.items():
         if power < 0:
             for exps, coeff in value.terms.items():
@@ -872,9 +905,7 @@ def parse_class(text, graph: DecoratedGraph) -> EquivariantClass:
     """Parse a circle-action class document against its graph."""
     doc = _load_document(text)
     _check_keys_class(doc)
-    components = [(v.id, "point", 0) for v in graph.isolated] + [
-        (v.id, "surface", v.genus) for v in graph.surfaces
-    ]
+    components = [_component(v) for v in graph.isolated + graph.surfaces]
     return _parse_components(
         doc["components"], "graph", components, parse_rational, Fraction(0), "rationals", None
     )

@@ -11,7 +11,9 @@ Graded bases of the image come from one exact nullspace solve over all
 piece constraints at once; each slot's column of that system is read
 straight off the slot monomial's image under the piece's character
 substitution, and equals the piece's obstructions of the unit class at the
-slot.
+slot.  The slots, their reader and the class builder are those of the
+circle side (:mod:`equicoh.s1`), at the x-ray's rank: one slot per monomial
+of each part of a component's restriction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ComponentClass, SurfaceClass
 from .errors import InputError, SchemaError
 from .graph import (
     DecoratedGraph,
@@ -39,23 +40,23 @@ from .graph import (
     validate_graph,
 )
 from .linalg import nullspace
-from .mpoly import (
-    MPoly,
-    is_primitive,
-    monomials_of_degree,
-    poly_from_pairs,
-)
+from .mpoly import MPoly, is_primitive, poly_from_pairs
 from .s1 import (
     _CLASS_KEYS,
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
+    Slot,
     _add_localization,
+    _class_from_sparse,
+    _class_from_vector,
     _h0_divisibility,
     _obstruction_violations,
     _parse_components,
+    _restriction_slots,
     _unit_restriction,
     character_substitution,
+    slot_value,
     torus_obstructions,
 )
 
@@ -482,151 +483,30 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     return MembershipDecision(not violations, tuple(violations))
 
 
-@dataclass(frozen=True)
-class XraySlot:
-    """One monomial coordinate of the degree-k multivariate restriction space."""
-
-    component: str
-    part: str  # "c" (point), "c0", "c1" or "c2" (surface)
-    index: int
-    exps: tuple[int, ...]
-    label: str
+def _xray_components(xray: XRay) -> list[tuple[str, str, int]]:
+    """``(id, kind, genus)`` of every fixed component, sorted by id."""
+    return [(c.id, c.kind, c.genus) for c in xray.components]
 
 
-def _part_label(cid: str, part: str, index: int, genus: int, exps) -> str:
-    if part == "c1":
-        name = f"a{index + 1}" if index < genus else f"b{index - genus + 1}"
-    elif part == "c":
-        name = "c"
-    else:
-        name = part
-    return f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
-
-
-def xray_degree_slots(xray: XRay, degree: int) -> list[XraySlot]:
+def xray_degree_slots(xray: XRay, degree: int) -> list[Slot]:
     """Canonical coordinate order: component id, part, then descending lex monomials."""
-    slots: list[XraySlot] = []
-    r = xray.rank
-    for c in xray.components:
-        if c.kind == "point":
-            if degree % 2 == 0:
-                for exps in monomials_of_degree(r, degree // 2):
-                    slots.append(
-                        XraySlot(c.id, "c", 0, exps, _part_label(c.id, "c", 0, 0, exps))
-                    )
-            continue
-        if degree % 2 == 0:
-            for exps in monomials_of_degree(r, degree // 2):
-                slots.append(
-                    XraySlot(c.id, "c0", 0, exps, _part_label(c.id, "c0", 0, c.genus, exps))
-                )
-            if degree >= 2:
-                for exps in monomials_of_degree(r, (degree - 2) // 2):
-                    slots.append(
-                        XraySlot(c.id, "c2", 0, exps, _part_label(c.id, "c2", 0, c.genus, exps))
-                    )
-        else:
-            for i in range(2 * c.genus):
-                for exps in monomials_of_degree(r, (degree - 1) // 2):
-                    slots.append(
-                        XraySlot(c.id, "c1", i, exps, _part_label(c.id, "c1", i, c.genus, exps))
-                    )
-    order = {"c": 0, "c0": 0, "c1": 1, "c2": 2}
-    slots.sort(key=lambda s: (s.component, order[s.part], s.index, tuple(-e for e in s.exps)))
-    return slots
+    return _restriction_slots(_xray_components(xray), xray.rank, degree)
 
 
-def _empty_components(xray: XRay) -> dict[str, ComponentClass]:
-    return {
-        c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components
-    }
-
-
-def xray_unit_class(xray: XRay, degree: int, slot: XraySlot) -> EquivariantClass:
-    comps = _empty_components(xray)
-    c = xray.find(slot.component)
-    mono = MPoly.monomial(slot.exps, 1)
-    if c.kind == "point":
-        entry: object = mono
-    else:
-        zero = MPoly.zero(xray.rank)
-        c1 = tuple(
-            mono if slot.part == "c1" and i == slot.index else zero
-            for i in range(2 * c.genus)
-        )
-        entry = SurfaceClass(
-            c.genus,
-            mono if slot.part == "c0" else zero,
-            c1,
-            mono if slot.part == "c2" else zero,
-        )
-    comps[c.id] = ComponentClass(c.kind, c.genus, {degree: entry}, xray.rank)
-    return EquivariantClass(comps, xray.rank)
+def xray_unit_class(xray: XRay, degree: int, slot: Slot) -> EquivariantClass:
+    return _class_from_sparse(_xray_components(xray), xray.rank, degree, [slot], {0: Fraction(1)})
 
 
 def xray_class_from_vector(xray: XRay, degree: int, values) -> EquivariantClass:
-    slots = xray_degree_slots(xray, degree)
-    if len(values) != len(slots):
-        raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
-    return _xray_class_from_sparse(
-        xray, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
-    )
-
-
-def _xray_class_from_sparse(
-    xray: XRay, degree: int, slots: list[XraySlot], vector: dict[int, Fraction]
-) -> EquivariantClass:
-    """The class with coefficient ``vector[i]`` at ``slots[i]`` and zero elsewhere.
-
-    ``vector`` holds nonzero Fractions only, so just the components it
-    touches get an entry.  Every record and polynomial is built afresh: no
-    two classes share a mutable one.
-    """
-    terms: dict[str, dict[tuple[str, int], dict]] = {}
-    for i, value in vector.items():
-        slot = slots[i]
-        parts = terms.setdefault(slot.component, {})
-        parts.setdefault((slot.part, slot.index), {})[slot.exps] = value
-    r = xray.rank
-    comps = _empty_components(xray)
-    for cid, parts in terms.items():
-        kind, g = comps[cid].kind, comps[cid].genus
-
-        def poly(part: str, index: int = 0) -> MPoly:
-            return MPoly._trusted(r, parts.get((part, index), {}))
-
-        if kind == "point":
-            entry: object = poly("c")
-        else:
-            entry = SurfaceClass(
-                g, poly("c0"), tuple(poly("c1", i) for i in range(2 * g)), poly("c2")
-            )
-        comps[cid] = ComponentClass(kind, g, {degree: entry}, r)
-    return EquivariantClass(comps, r)
-
-
-def xray_slot_value(alpha: EquivariantClass, degree: int, slot: XraySlot) -> Fraction:
-    """The coefficient of the degree-k part of alpha at one monomial slot."""
-    cls = alpha.components[slot.component]
-    if slot.part == "c":
-        entry = cls.entries.get(degree)
-        return entry.coefficient(slot.exps) if entry is not None else Fraction(0)
-    surface = cls.entry(degree)
-    if slot.part == "c0":
-        entry = surface.c0
-    elif slot.part == "c2":
-        entry = surface.c2
-    else:
-        entry = surface.c1[slot.index]
-    return entry.coefficient(slot.exps)
+    return _class_from_vector(_xray_components(xray), xray.rank, degree, values)
 
 
 def xray_class_to_vector(xray: XRay, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    return [xray_slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
+    return [slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
 
 
 def _unit_poles(
-    resolved: DecoratedGraph, degree: int, slot: XraySlot
+    resolved: DecoratedGraph, degree: int, slot: Slot
 ) -> list[tuple[int, Fraction]]:
     """``(shift, scale)`` of each term the slot's unit part adds to the
     localization sum over ``resolved``, a piece's resolved induced graph.
@@ -667,7 +547,7 @@ def _check_induced_graph(xray: XRay, piece: SkeletonPiece) -> None:
 
 
 def _piece_columns(
-    xray: XRay, piece: SkeletonPiece, degree: int, slots: list[XraySlot]
+    xray: XRay, piece: SkeletonPiece, degree: int, slots: list[Slot]
 ) -> dict[int, dict[tuple, Fraction]]:
     """The obstruction column of every degree-k slot on the piece's members.
 
@@ -756,7 +636,8 @@ def image_basis_xray(
         raise InputError("degree must be nonnegative")
     if degree > max_degree:
         raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
-    slots = xray_degree_slots(xray, degree)
+    components = _xray_components(xray)
+    slots = _restriction_slots(components, xray.rank, degree)
     if not slots:
         return []
     rows: dict[tuple, dict[int, Fraction]] = {}
@@ -765,7 +646,7 @@ def image_basis_xray(
             for key, value in column.items():
                 rows.setdefault((piece.id,) + key, {})[i] = value
     return [
-        _xray_class_from_sparse(xray, degree, slots, vec)
+        _class_from_sparse(components, xray.rank, degree, slots, vec)
         for vec in nullspace(list(rows.values()), len(slots))
     ]
 
@@ -780,7 +661,7 @@ def parse_class_torus(text, xray: XRay) -> EquivariantClass:
     return _parse_components(
         _require(doc, "components", "class"),
         "x-ray",
-        [(c.id, c.kind, c.genus) for c in xray.components],
+        _xray_components(xray),
         lambda value, where: _pairs_to_poly(value, r, where),
         MPoly.zero(r),
         "polynomials",

@@ -19,6 +19,20 @@ from equicoh.mpoly import (
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
+def reference_evaluate(p, point):
+    """The value of ``p`` at a point, by summing its terms."""
+    if len(point) != p.nvars:
+        raise InputError("evaluation point has wrong length")
+    values = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            term *= v ** e
+        total += term
+    return total
+
+
 def polys(nvars: int, max_exp: int = 3):
     exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
     return st.dictionaries(exps, fractions, max_size=4).map(
@@ -78,7 +92,9 @@ def test_substitute_linear_permutation(p, perm):
     # every transposition of two variables is an involution
     assert q.substitute_linear(matrix) == p
     point = (Fraction(2), Fraction(-3))
-    assert q.evaluate(point) == p.evaluate(tuple(point[perm[i]] for i in range(2)))
+    assert reference_evaluate(q, point) == reference_evaluate(
+        p, tuple(point[perm[i]] for i in range(2))
+    )
 
 
 small_matrix = st.lists(
@@ -150,10 +166,10 @@ def test_split_leading_reconstructs(p):
     parts = p.split_leading()
     point = (Fraction(2), Fraction(3), Fraction(-1, 2))
     total = sum(
-        (point[0] ** d * q.evaluate(point[1:]) for d, q in parts.items()),
+        (point[0] ** d * reference_evaluate(q, point[1:]) for d, q in parts.items()),
         start=Fraction(0),
     )
-    assert total == p.evaluate(point)
+    assert total == reference_evaluate(p, point)
 
 
 def test_is_primitive():

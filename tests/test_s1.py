@@ -46,6 +46,7 @@ from equicoh import (
 from equicoh import s1
 from equicoh.core import integrate_surface
 from equicoh.graph import IsolatedVertex, resolve_self_intersections, weight_product
+from equicoh.linalg import rref
 from equicoh.s1 import (
     _adapted_split,
     _surface_sign,
@@ -54,6 +55,7 @@ from equicoh.s1 import (
 )
 from equicoh.xray import piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
+from test_linalg import reference_coordinates_in_span
 
 
 def point_class(graph, values):
@@ -417,14 +419,12 @@ def test_closed_form_piece_localizations_match_the_laurent_product(name, monkeyp
         if piece.dim == 2:
             continue
         substitution = character_substitution(piece.lam)
-        resolved = resolve_self_intersections(piece.induced)
         for alpha in classes:
             restricted = alpha.restricted(piece.members)
             expected = reference_localize_torus(piece.induced, xray.rank, piece.lam, restricted)
             assert localize_torus(piece.induced, xray.rank, piece.lam, restricted) == expected
             assert localize_torus(
-                piece.induced, xray.rank, piece.lam, restricted,
-                substitution=substitution, resolved=resolved,
+                piece.induced, xray.rank, piece.lam, restricted, substitution=substitution
             ) == expected
     # Every piece's obstructions, 2-dimensional ones included, come out the
     # same with the reference in place of localize_torus.
@@ -460,12 +460,12 @@ def test_degree_slots_order_and_labels():
 
 
 def test_vector_roundtrip():
-    graph = g2(1)
-    for degree in range(5):
-        slots = degree_slots(graph, degree)
-        values = [Fraction(i - 1, 2) for i in range(len(slots))]
-        alpha = class_from_vector(graph, degree, values)
-        assert class_to_vector(graph, degree, alpha) == values
+    for graph in all_graphs().values():
+        for degree in range(7):
+            slots = degree_slots(graph, degree)
+            values = [Fraction(i - 1, 2) for i in range(len(slots))]
+            alpha = class_from_vector(graph, degree, values)
+            assert class_to_vector(graph, degree, alpha) == values
 
 
 def test_class_from_vector_checks_width():
@@ -474,11 +474,12 @@ def test_class_from_vector_checks_width():
 
 
 def test_unit_class_hits_one_slot():
-    graph = g2(1)
-    slots = degree_slots(graph, 1)
-    for i, slot in enumerate(slots):
-        vec = class_to_vector(graph, 1, unit_class(graph, 1, slot))
-        assert vec == [Fraction(j == i) for j in range(len(slots))]
+    for graph in all_graphs().values():
+        for degree in range(7):
+            slots = degree_slots(graph, degree)
+            for i, slot in enumerate(slots):
+                vec = class_to_vector(graph, degree, unit_class(graph, degree, slot))
+                assert vec == [Fraction(j == i) for j in range(len(slots))]
 
 
 # -- membership in the image of the restriction map --------------------------
@@ -697,12 +698,23 @@ def test_basis_elements_are_members():
                 assert check_membership(graph, element).member
 
 
+def reference_in_image_span(graph, degree, alpha, basis):
+    """Whether the degree-k part of alpha is a combination of ``basis``, by
+    dense elimination of the basis vectors: the span test that
+    ``in_image_span`` ran before it evaluated the constraint rows."""
+    matrix, _ = rref([class_to_vector(graph, degree, b) for b in basis])
+    vector = class_to_vector(graph, degree, alpha.homogeneous(degree))
+    return reference_coordinates_in_span(matrix, vector) is not None
+
+
 def test_module_closure_under_parameter():
     for graph in all_graphs().values():
         for k in range(7):
             basis = image_basis(graph, k + 2)
             for element in image_basis(graph, k):
-                assert in_image_span(graph, k + 2, element.times_u(), basis)
+                shifted = element.times_u()
+                assert in_image_span(graph, k + 2, shifted)
+                assert reference_in_image_span(graph, k + 2, shifted, basis)
 
 
 def rebuild_from_vectors(graph, vectors):
@@ -730,8 +742,9 @@ def test_membership_agrees_with_degreewise_span():
                 degree = rng.choice([k for k in range(5) if vectors[k]])
                 vectors[degree][rng.randrange(len(vectors[degree]))] += Fraction(1)
                 alpha = rebuild_from_vectors(graph, vectors)
-            expected = all(in_image_span(graph, k, alpha, bases[k]) for k in range(5))
-            assert check_membership(graph, alpha).member == expected
+            spans = [reference_in_image_span(graph, k, alpha, bases[k]) for k in range(5)]
+            assert [in_image_span(graph, k, alpha) for k in range(5)] == spans
+            assert check_membership(graph, alpha).member == all(spans)
 
 
 # -- reduction to characters of a torus ---------------------------------------

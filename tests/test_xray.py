@@ -24,7 +24,6 @@ from equicoh import (
     xray_class_from_vector,
     xray_class_to_vector,
     xray_degree_slots,
-    xray_slot_value,
     xray_to_dict,
     xray_unit_class,
 )
@@ -32,6 +31,7 @@ from equicoh.s1 import (
     MembershipDecision,
     MembershipViolation,
     character_substitution,
+    slot_value,
     torus_obstructions,
 )
 from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_columns, piece_obstructions
@@ -279,22 +279,39 @@ def test_xray_slots_frozen():
 
 
 def test_unit_class_vector_roundtrip():
-    xray = x2(1)
-    for degree in (0, 1, 2, 3):
-        slots = xray_degree_slots(xray, degree)
-        for i, slot in enumerate(slots):
-            vec = xray_class_to_vector(xray, degree, xray_unit_class(xray, degree, slot))
-            assert vec == [Fraction(j == i) for j in range(len(slots))]
+    for make in EQUIVALENCE_XRAYS.values():
+        xray = make()
+        for degree in range(7):
+            slots = xray_degree_slots(xray, degree)
+            for i, slot in enumerate(slots):
+                vec = xray_class_to_vector(xray, degree, xray_unit_class(xray, degree, slot))
+                assert vec == [Fraction(j == i) for j in range(len(slots))]
+
+
+def _mutable_parts(alpha):
+    """Every ComponentClass, entry dict and MPoly term dict of a torus class."""
+    out = []
+    for cls in alpha.components.values():
+        out += [cls, cls.entries]
+        for entry in cls.entries.values():
+            polys = [entry] if isinstance(entry, MPoly) else [entry.c0, *entry.c1, entry.c2]
+            out += [p.terms for p in polys]
+    return out
 
 
 def test_class_from_vector_roundtrip():
-    xray = cp3()
-    slots = xray_degree_slots(xray, 4)
-    values = [Fraction(i % 5 - 2, 3) for i in range(len(slots))]
-    alpha = xray_class_from_vector(xray, 4, values)
-    assert xray_class_to_vector(xray, 4, alpha) == values
-    with pytest.raises(InputError, match="coordinates"):
-        xray_class_from_vector(xray, 4, values[:-1])
+    for make in EQUIVALENCE_XRAYS.values():
+        xray = make()
+        for degree in range(7):
+            slots = xray_degree_slots(xray, degree)
+            values = [Fraction(i % 5 - 2, 3) for i in range(len(slots))]
+            alpha = xray_class_from_vector(xray, degree, values)
+            assert xray_class_to_vector(xray, degree, alpha) == values
+            again = xray_class_from_vector(xray, degree, values)
+            ours = {id(x) for x in _mutable_parts(alpha)}
+            assert ours.isdisjoint(id(x) for x in _mutable_parts(again))
+            with pytest.raises(InputError, match="coordinates"):
+                xray_class_from_vector(xray, degree, values + [Fraction(1)])
 
 
 def test_image_sizes_frozen():
@@ -412,7 +429,7 @@ def test_compiled_columns_sum_to_the_obstructions_of_a_class(name):
             for degree in alpha.degrees():
                 slots = xray_degree_slots(xray, degree)
                 for i, column in _piece_columns(xray, piece, degree, slots).items():
-                    value = xray_slot_value(alpha, degree, slots[i])
+                    value = slot_value(alpha, degree, slots[i])
                     if not value:
                         continue
                     for key, c in column.items():

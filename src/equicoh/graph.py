@@ -42,7 +42,9 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """``"p/q"`` in lowest terms, or the integer; a Fraction prints as it is,
+    without building a copy."""
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ polynomial counting the relations among the fixed components, and the
 image of the restriction map to the fixed set is cut out by three kinds of
 linear conditions: equality of degree-zero parts, matching of the
 degree-one parts on the two fixed surfaces, and integrality of the
-localization sum.  One builder states these conditions for each degree as
-tagged sparse rows over the slot coordinates, with the localization rows
-assembled at runtime by localizing unit coordinate classes, never
-hard-coded.  Image bases are the nullspace of the rows and membership
-evaluates the same rows on a class; there is no second description.
+localization sum.  One table states these conditions once, part by part:
+each part of a component's restriction lists the divisions it enters
+(differences of H^0 parts of adjacent components, the H^1 matching through
+the identification) and its poles (the closed form of its localization
+term, never hard-coded per graph).  Every query routes terms through that
+table: image bases route each slot's unit part and take the nullspace of
+the resulting rows, membership routes the class's own parts and reads the
+violations off the keys.  There is no second description.
 
 Graphs and x-rays share one slot space per degree, given by the fixed
 components and a rank (None for a circle action): one slot per part of a
@@ -19,11 +22,11 @@ component's entry, or per monomial of each part for a torus.  One
 enumerator, one reader (:func:`slot_value`) and one class builder serve
 both sides.
 
-The same machinery runs with the equivariant parameter replaced by a
-primitive integer character of a higher-rank torus: polynomials are moved
-into coordinates where the character is the first variable, divisibility
-becomes an exponent test, and the localization sum must again be free of
-negative powers.
+The same table serves a higher-rank torus along a primitive integer
+character: each part is rewritten once in coordinates where the character
+is the first variable, divisibility becomes an exponent test, and the
+localization sum must again be free of negative powers.  A circle-action
+value is the rank-1 case, a single power of the parameter.
 """
 
 from __future__ import annotations
@@ -251,22 +254,72 @@ class EquivariantClass:
         return EquivariantClass(comps, None)
 
 
-def _check_addressing(graph: DecoratedGraph, alpha: EquivariantClass, rank=None) -> None:
-    expected = graph.component_ids()
-    if sorted(alpha.components) != expected:
-        raise InputError(
-            f"class addresses {sorted(alpha.components)} but the graph has {expected}"
-        )
-    for v in graph.isolated:
-        cls = alpha.components[v.id]
-        if cls.kind != "point" or cls.rank != rank:
-            raise InputError(f"component {v.id!r}: expected a point entry of rank {rank}")
-    for v in graph.surfaces:
-        cls = alpha.components[v.id]
-        if cls.kind != "surface" or cls.genus != v.genus or cls.rank != rank:
-            raise InputError(
-                f"component {v.id!r}: expected a genus-{v.genus} surface entry of rank {rank}"
-            )
+def _check_addressing(owner: str, components, rank: int | None, addressed) -> None:
+    """Raise unless ``addressed`` gives an entry for exactly ``components``.
+
+    ``components`` lists the ``(id, kind, genus)`` of the graph or x-ray
+    named by ``owner``, sorted by id; ``addressed`` lists ``(id, kind,
+    genus, rank)`` sorted by id, one per component a class gives entries
+    for (see :func:`_addressed`) or per member of an x-ray piece.  Each must
+    match its component at ``rank``, which is None for a circle action.
+    """
+    ids = [cid for cid, _, _ in components]
+    found = [entry[0] for entry in addressed]
+    if found != ids:
+        raise InputError(f"class addresses {found} but the {owner} has {ids}")
+    for (cid, kind, genus), entry in zip(components, addressed):
+        if entry[1:] != (kind, genus, rank):
+            what = "point" if kind == "point" else f"genus-{genus} surface"
+            raise InputError(f"component {cid!r}: expected a {what} entry of rank {rank}")
+
+
+def _addressed(alpha: EquivariantClass) -> list[tuple[str, str, int, int | None]]:
+    """``(id, kind, genus, rank)`` of every component of the class, sorted by id."""
+    return [(cid, c.kind, c.genus, c.rank) for cid, c in sorted(alpha.components.items())]
+
+
+def _localization_rules(
+    resolved: DecoratedGraph, comp: IsolatedVertex | FatVertex
+) -> dict[str, tuple[int, object]]:
+    """The closed form of one fixed component's term of the localization sum.
+
+    Maps each part of the component's restriction that contributes to its
+    ``(shift, scale)``: the part's value at ``u^p`` adds ``scale`` times
+    itself at ``u^(p + shift)``.  The term is the integral over the
+    component of its restriction times the inverse Euler class of its
+    normal bundle.  A point of weights w1, w2 has inverse Euler class
+    ``u^-2 / (w1 w2)``, so its value has shift -2 and scale ``1 / (w1 w2)``.
+    A surface of self-intersection e has ``sign u^-1 - e [S] u^-2``, the
+    sign being -1 at the minimum and +1 at the maximum: integrated over the
+    surface, its H^0 part has shift -2 and scale ``-e`` (no term when e is
+    0), its H^2 part shift -1 and scale the sign, and its H^1 parts
+    contribute nothing.  ``resolved`` is the graph after
+    :func:`resolve_self_intersections`.
+    """
+    if isinstance(comp, IsolatedVertex):
+        return {"c": (-2, Fraction(1, weight_product(comp)))}
+    rules: dict[str, tuple[int, object]] = {"c2": (-1, _surface_sign(comp, resolved))}
+    if comp.self_intersection:
+        rules["c0"] = (-2, -comp.self_intersection)
+    return rules
+
+
+def _half(part: str, degree: int) -> int:
+    """The degree in the parameter of a part of a degree-k entry: k // 2,
+    less one for the H^2 part of a surface."""
+    return degree // 2 - (part == "c2")
+
+
+def _part(entry, part: str, index: int):
+    """One part of a restriction entry: the point value itself ("c"), or a
+    surface's H^0 part, H^1 part ``index`` or H^2 part."""
+    if part == "c0":
+        return entry.c0
+    if part == "c2":
+        return entry.c2
+    if part == "c1":
+        return entry.c1[index]
+    return entry
 
 
 def _add_localization(
@@ -278,44 +331,21 @@ def _add_localization(
 ) -> None:
     """Add one fixed component's term of the localization sum to ``total``.
 
-    The term is the integral over the component of its restriction times
-    the inverse Euler class of its normal bundle, in the closed form stated
-    in :func:`localize`: only point values and the H^0 and H^2 parts of a
-    surface contribute, each shifted and scaled.  ``entries`` maps degree
-    to restriction entry (a scalar for a point, a SurfaceClass for a
+    The term is read off :func:`_localization_rules`.  ``entries`` maps
+    degree to restriction entry (a scalar for a point, a SurfaceClass for a
     surface); ``powers(value, half)`` lists the ``(p, coefficient of u^p)``
-    pairs of a scalar of degree ``half`` in the parameter, which is
-    :func:`_circle_powers` for a circle action.
+    pairs of a scalar of degree ``half`` in the parameter.
     """
-
-    def add(shift: int, scale, value, half: int) -> None:
-        for p, coeff in powers(value, half):
-            term = coeff * scale
-            p += shift
-            total[p] = total[p] + term if p in total else term
-
-    if isinstance(comp, IsolatedVertex):
-        scale = Fraction(1, weight_product(comp))
-        for k, value in entries.items():
-            add(-2, scale, value, k // 2)
-        return
-    sign = _surface_sign(comp, resolved)
-    e = comp.self_intersection
+    rules = _localization_rules(resolved, comp)
     for k, entry in entries.items():
-        if k % 2:
-            continue
-        if e:
-            add(-2, -e, entry.c0, k // 2)
-        if k >= 2:
-            add(-1, sign, entry.c2, k // 2 - 1)
-
-
-def _circle_powers(value: Fraction, half: int) -> tuple[tuple[int, Fraction], ...]:
-    return ((half, value),)
-
-
-def _vertices(graph: DecoratedGraph) -> dict[str, IsolatedVertex | FatVertex]:
-    return {v.id: v for v in graph.isolated + graph.surfaces}
+        for part, (shift, scale) in rules.items():
+            value = _part(entry, part, 0)
+            if not value:
+                continue
+            for p, coeff in powers(value, _half(part, k)):
+                term = coeff * scale
+                p += shift
+                total[p] = total[p] + term if p in total else term
 
 
 def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
@@ -325,23 +355,19 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     bundle and surfaces are integrated out; for classes in the image of the
     restriction map the result is a polynomial.
 
-    The pairing has a closed form.  A point of weights w1, w2 has inverse
-    Euler class ``u^-2 / (w1 w2)``, so its value at ``u^p`` contributes at
-    ``u^(p-2)``, scaled by ``1 / (w1 w2)``.  A surface of self-intersection
-    e has ``sign u^-1 - e [S] u^-2``, the sign being -1 at the minimum and
-    +1 at the maximum; integrated over the surface, its H^0 part at ``u^p``
-    contributes at ``u^(p-2)`` scaled by ``-e``, its H^2 part at ``u^p``
-    contributes at ``u^(p-1)`` scaled by the sign, and its H^1 parts
-    contribute nothing.
+    The pairing has a closed form, part by part (see
+    :func:`_localization_rules`): only point values and the H^0 and H^2
+    parts of a surface contribute, each shifted and scaled.
     """
-    _check_addressing(graph, alpha)
+    _check_addressing("graph", _graph_components(graph), None, _addressed(alpha))
     resolved = resolve_self_intersections(graph)
-    vertices = _vertices(resolved)
+
+    def powers(value: Fraction, half: int):
+        return ((half, value),)
+
     total: dict[int, Fraction] = {}
-    for cid in sorted(alpha.components):
-        _add_localization(
-            total, resolved, vertices[cid], alpha.components[cid].entries, _circle_powers
-        )
+    for v in resolved.isolated + resolved.surfaces:
+        _add_localization(total, resolved, v, alpha.components[v.id].entries, powers)
     return Laurent(total)
 
 
@@ -382,12 +408,12 @@ def _restriction_slots(components, rank: int | None, degree: int) -> list[Slot]:
     slots: list[Slot] = []
     for cid, kind, genus in components:
         if degree % 2 == 0:
-            parts = [("c" if kind == "point" else "c0", 0, degree // 2)]
+            parts = [("c" if kind == "point" else "c0", 0)]
             if kind == "surface" and degree >= 2:
-                parts.append(("c2", 0, degree // 2 - 1))
+                parts.append(("c2", 0))
         else:
-            parts = [("c1", i, degree // 2) for i in range(2 * genus)]
-        for part, index, half in parts:
+            parts = [("c1", i) for i in range(2 * genus)]
+        for part, index in parts:
             if part != "c1":
                 name = part
             elif index < genus:
@@ -397,7 +423,7 @@ def _restriction_slots(components, rank: int | None, degree: int) -> list[Slot]:
             if rank is None:
                 slots.append(Slot(cid, part, index, f"{cid}.{name}"))
                 continue
-            for exps in monomials_of_degree(rank, half):
+            for exps in monomials_of_degree(rank, _half(part, degree)):
                 label = f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
                 slots.append(Slot(cid, part, index, label, exps))
     return slots
@@ -417,13 +443,8 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     entry = alpha.components[slot.component].entries.get(degree)
     if entry is None:
         return _ZERO
-    if slot.part == "c0":
-        entry = entry.c0
-    elif slot.part == "c2":
-        entry = entry.c2
-    elif slot.part == "c1":
-        entry = entry.c1[slot.index]
-    return entry if alpha.rank is None else entry.terms.get(slot.exps, _ZERO)
+    value = _part(entry, slot.part, slot.index)
+    return value if alpha.rank is None else value.terms.get(slot.exps, _ZERO)
 
 
 def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> list[Fraction]:
@@ -484,107 +505,148 @@ def class_from_vector(graph: DecoratedGraph, degree: int, values) -> Equivariant
     return _class_from_vector(_graph_components(graph), None, degree, values)
 
 
-def _unit_restriction(
-    comp: IsolatedVertex | FatVertex, degree: int, slot: Slot
-) -> ComponentClass:
-    """The restriction of ``unit_class(graph, degree, slot)`` to the slot's component.
-
-    The unit is a circle-action value, so ``slot.exps`` is not read and an
-    x-ray slot serves as well.
-    """
-    unit = _class_from_sparse([_component(comp)], None, degree, [slot], {0: _ONE})
-    return unit.components[comp.id]
-
-
 def unit_class(graph: DecoratedGraph, degree: int, slot: Slot) -> EquivariantClass:
     return _class_from_sparse(_graph_components(graph), None, degree, [slot], {0: _ONE})
 
 
-def _unit_localizations(
-    resolved: DecoratedGraph, degree: int, slots: list[Slot]
-) -> list[Laurent]:
-    """``localize(resolved, unit_class(resolved, degree, slot))`` for every slot.
+def _constraint_table(
+    components, graph: DecoratedGraph | None = None
+) -> dict[tuple[str, str, int], tuple[list, list]]:
+    """The image conditions, part by part: the one description every query reads.
 
-    ``resolved`` is a graph after :func:`resolve_self_intersections`.  A
-    unit class restricts to zero off its slot's component, so its
-    localization sum is that component's single term; the cost is linear in
-    the number of slots.
+    Maps ``(component, part, index)`` to the part's divisions and poles.  A
+    division ``(head, factor)`` says that the part, times ``factor``, enters
+    a sum that the parameter must divide:
+
+    - ``("div", (a, b), ("h0",))`` for each adjacent pair of ``components``
+      (``(id, kind, genus)`` sorted by id): the point value or H^0 part of
+      ``a`` with factor 1, that of ``b`` with factor -1;
+    - ``("div", (lower, upper), ("h1", j))`` when ``graph`` has two fixed
+      surfaces: H^1 part i of the lower surface with the identification
+      entry ``(j, i)``, H^1 part j of the upper one with -1.
+
+    A pole ``(shift, scale)`` is the part's term of the localization sum
+    over ``graph`` (:func:`_localization_rules`).  A graph passes its own
+    components; a 2-dimensional x-ray piece passes its two points and no
+    graph, so it has one division and no poles.
     """
-    vertices = _vertices(resolved)
-    out = []
-    for slot in slots:
-        comp = vertices[slot.component]
-        terms: dict[int, Fraction] = {}
-        unit = _unit_restriction(comp, degree, slot)
-        _add_localization(terms, resolved, comp, unit.entries, _circle_powers)
-        out.append(Laurent(terms))
-    return out
+    table: dict[tuple[str, str, int], tuple[list, list]] = {}
 
+    def rules(cid: str, part: str, index: int = 0) -> tuple[list, list]:
+        return table.setdefault((cid, part, index), ([], []))
 
-@dataclass(frozen=True)
-class _ConstraintRow:
-    """One linear condition on the degree-k slot coordinates of the image.
-
-    ``kind`` is "constancy" (``tag`` is the position of the first of two
-    adjacent slots), "matching" (``tag`` is the H^1 index on the upper
-    surface) or "localization" (``tag`` is the power of u).  Only nonzero
-    coefficients are kept, keyed by slot position.
-    """
-
-    kind: str
-    tag: int
-    coefficients: dict[int, Fraction]
-
-    def value(self, vector) -> Fraction:
-        return sum((c * vector[i] for i, c in self.coefficients.items()), start=Fraction(0))
-
-
-def _image_constraints(
-    resolved: DecoratedGraph, degree: int, slots: list[Slot]
-) -> list[_ConstraintRow]:
-    """The rows cutting out the degree-k image, in the coordinates of ``slots``.
-
-    ``resolved`` is the graph after :func:`resolve_self_intersections`.
-
-    In degree 0, one constancy row per adjacent pair of slots (one slot per
-    component, by id).  In degree 1, when there are two fixed surfaces, one
-    matching row per H^1 coordinate of the upper surface: the identification
-    applied to the lower surface's part minus the upper surface's part.  In
-    every degree, one localization row per negative power of u reached by a
-    unit class, holding the coefficient of that power in each unit class's
-    localization sum (:func:`_unit_localizations`).
-    """
-    rows: list[_ConstraintRow] = []
-    if degree == 0:
-        for i in range(len(slots) - 1):
-            rows.append(_ConstraintRow("constancy", i, {i: Fraction(1), i + 1: Fraction(-1)}))
-    if degree == 1 and len(resolved.surfaces) == 2:
+    for (a, kind_a, _), (b, kind_b, _) in zip(components, components[1:]):
+        head = ("div", (a, b), ("h0",))
+        rules(a, "c" if kind_a == "point" else "c0")[0].append((head, 1))
+        rules(b, "c" if kind_b == "point" else "c0")[0].append((head, -1))
+    if graph is None:
+        return table
+    resolved = resolve_self_intersections(graph)
+    if len(resolved.surfaces) == 2:
         lower, upper = sorted(resolved.surfaces, key=lambda v: v.y)
-        matrix = resolved.identification_matrix()
-        position = {(s.component, s.index): i for i, s in enumerate(slots)}
-        for j in range(2 * lower.genus):
-            coefficients = {
-                position[(lower.id, i)]: Fraction(m) for i, m in enumerate(matrix[j]) if m
-            }
-            coefficients[position[(upper.id, j)]] = Fraction(-1)
-            rows.append(_ConstraintRow("matching", j, coefficients))
-    localizations = _unit_localizations(resolved, degree, slots)
-    for p in sorted({p for loc in localizations for p in loc.terms if p < 0}):
-        coefficients = {i: loc.terms[p] for i, loc in enumerate(localizations) if p in loc.terms}
-        rows.append(_ConstraintRow("localization", p, coefficients))
-    return rows
+        for j, row in enumerate(resolved.identification_matrix()):
+            head = ("div", (lower.id, upper.id), ("h1", j))
+            for i, m in enumerate(row):
+                if m:
+                    rules(lower.id, "c1", i)[0].append((head, m))
+            rules(upper.id, "c1", j)[0].append((head, -1))
+    for v in resolved.isolated + resolved.surfaces:
+        for part, pole in _localization_rules(resolved, v).items():
+            rules(v.id, part)[1].append(pole)
+    return table
+
+
+def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> None:
+    """Add a degree-k part's obstructions to ``out``.
+
+    ``terms`` are the part's terms in adapted coordinates, where the
+    parameter (or the character) is the first variable.  A term ``c * v^E``
+    with ``E[0] = 0`` adds ``factor * c`` at ``head + (degree, E)`` for each
+    division; it adds ``scale * c`` at ``("pole", E[0] + shift, E[1:])`` for
+    each pole whose power ``E[0] + shift`` is negative.
+    """
+    divisions, poles = rules
+    for exps, c in terms.items():
+        if not exps[0]:
+            for head, factor in divisions:
+                key = head + (degree, exps)
+                out[key] = out.get(key, 0) + factor * c
+        for shift, scale in poles:
+            power = exps[0] + shift
+            if power < 0:
+                key = ("pole", power, exps[1:])
+                out[key] = out.get(key, 0) + scale * c
+
+
+def _class_obstructions(
+    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
+) -> dict[tuple, Fraction]:
+    """The nonzero obstructions of ``alpha``: every part the table names, in
+    every degree, routed once.  A torus part is rewritten by the character's
+    ``substitution``; a circle-action value of degree ``half`` in the
+    parameter is the single term ``{(half,): value}``."""
+    out: dict[tuple, Fraction] = {}
+    for (cid, part, index), rules in table.items():
+        for degree, entry in alpha.components[cid].entries.items():
+            value = _part(entry, part, index)
+            if not value:
+                continue
+            if substitution is None:
+                terms = {(_half(part, degree),): value}
+            else:
+                terms = substitution(value).terms
+            _route(out, rules, degree, terms)
+    return {key: c for key, c in out.items() if c}
+
+
+def _slot_columns(
+    table, degree: int, slots: list[Slot], positions, substitution: LinearSubstitution | None
+) -> dict[int, dict[tuple, Fraction]]:
+    """The obstructions of the unit class at ``slots[i]`` for each i in
+    ``positions``: the slot's rules applied to the memoised image of its
+    monomial under the character's ``substitution``, or to ``{(half,): 1}``
+    for a circle action.  No class is built and no polynomial arithmetic is
+    done."""
+    columns: dict[int, dict[tuple, Fraction]] = {}
+    for i in positions:
+        slot = slots[i]
+        columns[i] = column = {}
+        rules = table.get((slot.component, slot.part, slot.index))
+        if rules is None:
+            continue
+        if substitution is None:
+            terms = {(_half(slot.part, degree),): _ONE}
+        else:
+            terms = substitution._monomial(slot.exps)
+        _route(column, rules, degree, terms)
+    return columns
+
+
+def _graph_columns(
+    graph: DecoratedGraph, degree: int, slots: list[Slot]
+) -> dict[int, dict[tuple, Fraction]]:
+    """The degree-k image conditions of a graph, one column per slot."""
+    table = _constraint_table(_graph_components(graph), graph)
+    return _slot_columns(table, degree, slots, range(len(slots)), None)
+
+
+def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
+    """The obstructions of a circle-action class, with the keys
+    :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
+    components = _graph_components(graph)
+    _check_addressing("graph", components, None, _addressed(alpha))
+    return _class_obstructions(_constraint_table(components, graph), alpha, None)
 
 
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     """The linear functional cutting out degree 2 of the image, slot by slot.
 
-    This is the degree-2 localization row, at u^-1, with a zero for every
-    slot it does not involve.
+    This is the coefficient of u^-1 in each unit class's localization sum,
+    with a zero for every slot it does not involve.
     """
     slots = degree_slots(graph, 2)
-    rows = _image_constraints(resolve_self_intersections(graph), 2, slots)
-    row = next((r.coefficients for r in rows if (r.kind, r.tag) == ("localization", -1)), {})
-    return {slot.label: row.get(i, Fraction(0)) for i, slot in enumerate(slots)}
+    columns = _graph_columns(graph, 2, slots)
+    return {slot.label: columns[i].get(("pole", -1, ()), _ZERO) for i, slot in enumerate(slots)}
 
 
 @dataclass(frozen=True)
@@ -612,37 +674,26 @@ class MembershipDecision:
 def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> MembershipDecision:
     """Is the restriction tuple in the image of the equivariant restriction map?
 
-    Evaluates the rows of :func:`_image_constraints` on the class's slot
-    vectors in degrees 0, 1 and 2 (localization rows in higher degrees
-    never reach a negative power).  A failing constancy row reports
-    "degree0-constancy", a failing matching row "degree1-surface-match",
-    the degree-2 localization row's value is the "abbv-degree2" residue,
-    and all localization rows' values together are the poles of the
-    localization sum ("localization-pole"); there is no separate pole
-    cross-check.
+    Routes the class's parts through the graph's :func:`_constraint_table`
+    and reads the violations off the obstruction keys: an H^0 division
+    (only degree 0 reaches one) reports "degree0-constancy", an H^1
+    division (only degree 1) "degree1-surface-match", the pole at u^-1
+    (only degree 2 reaches it) is the "abbv-degree2" residue, and all poles
+    together are those of the localization sum ("localization-pole").
     """
-    _check_addressing(graph, alpha)
-    resolved = resolve_self_intersections(graph)
-    # Keyed by (kind, tag): localization rows reach u^-2 only in degree 0
-    # and u^-1 only in degree 2, so no two rows share a key.
-    values: dict[tuple[str, int], Fraction] = {}
-    vectors = []
-    for degree in (0, 1, 2):
-        slots = degree_slots(graph, degree)
-        vectors.append([slot_value(alpha, degree, slot) for slot in slots])
-        for row in _image_constraints(resolved, degree, slots):
-            values[(row.kind, row.tag)] = row.value(vectors[degree])
-    failing = {kind for (kind, _), value in values.items() if value}
+    found = _graph_obstructions(graph, alpha)
+    divisions = {key[2][0] for key in found if key[0] == "div"}
     violations: list[MembershipViolation] = []
 
-    if "constancy" in failing:
-        slots = degree_slots(graph, 0)
-        rendered = ", ".join(f"{s.component}: {v}" for s, v in zip(slots, vectors[0]))
+    if "h0" in divisions:
+        rendered = ", ".join(
+            f"{s.component}: {slot_value(alpha, 0, s)}" for s in degree_slots(graph, 0)
+        )
         violations.append(
             MembershipViolation("degree0-constancy", f"degree-0 parts differ ({rendered})")
         )
 
-    if "matching" in failing:
+    if "h1" in divisions:
         lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
         v_lower = alpha.components[lower.id].entry(1).c1
         v_upper = alpha.components[upper.id].entry(1).c1
@@ -654,7 +705,7 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
             )
         )
 
-    residue = values.get(("localization", -1))
+    residue = found.get(("pole", -1, ()))
     if residue:
         violations.append(
             MembershipViolation(
@@ -662,7 +713,7 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
             )
         )
 
-    poles = Laurent({p: v for (kind, p), v in values.items() if kind == "localization"})
+    poles = Laurent({key[1]: c for key, c in found.items() if key[0] == "pole"})
     if poles:
         violations.append(
             MembershipViolation("localization-pole", f"localization sum has poles: {poles!r}")
@@ -683,26 +734,23 @@ def image_basis(
     slots = _restriction_slots(components, None, degree)
     if not slots:
         return []
-    rows = [
-        row.coefficients
-        for row in _image_constraints(resolve_self_intersections(graph), degree, slots)
-    ]
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for i, column in _graph_columns(graph, degree, slots).items():
+        for key, value in column.items():
+            rows.setdefault(key, {})[i] = value
     return [
         _class_from_sparse(components, None, degree, slots, vec)
-        for vec in nullspace(rows, len(slots))
+        for vec in nullspace(list(rows.values()), len(slots))
     ]
 
 
 def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:
     """Whether the degree-k part of alpha lies in the degree-k image.
 
-    The image is the common kernel of the rows of :func:`_image_constraints`,
-    so this asks whether every row vanishes on the part's slot vector.
+    The image is cut out by the graph's :func:`_constraint_table`, so this
+    asks whether the degree-k part has no obstruction.
     """
-    slots = degree_slots(graph, degree)
-    vector = [slot_value(alpha, degree, slot) for slot in slots]
-    rows = _image_constraints(resolve_self_intersections(graph), degree, slots)
-    return not any(row.value(vector) for row in rows)
+    return not _graph_obstructions(graph, alpha.homogeneous(degree))
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
@@ -757,14 +805,11 @@ def localize_torus(
     are polynomials in the complementary directions.  Each point value and
     each H^0 and H^2 part of a surface is rewritten in coordinates where the
     character is the first variable and split into powers of it; the closed
-    form of :func:`localize` then applies power by power.  A point of
-    weights w1, w2 sends the part at power p to ``p - 2`` scaled by
-    ``1 / (w1 w2)``; a surface of self-intersection e sends its H^0 part at
-    p to ``p - 2`` scaled by ``-e`` and its H^2 part at p to ``p - 1``
-    scaled by its sign.  H^1 parts contribute nothing and are never
-    substituted.  A caller that already holds the character's
+    form of :func:`localize` then applies power by power, and H^1 parts are
+    never substituted.  A caller that already holds the character's
     substitution (see :func:`character_substitution`) passes it as
-    ``substitution``; otherwise it is built here.
+    ``substitution``; otherwise it is built here.  :func:`torus_obstructions`
+    reads the poles of this sum off the constraint table instead.
     """
     if len(lam) != rank:
         raise InputError(f"character must have {rank} entries")
@@ -783,35 +828,19 @@ def localize_torus(
     return Laurent(total)
 
 
-def _h0_divisibility(
-    alpha: EquivariantClass, rank: int, pairs, degrees, substitution: LinearSubstitution
-) -> dict[tuple, Fraction]:
-    """The terms of each pair's H^0 difference that the character does not divide.
+def _character_table(graph: DecoratedGraph, rank: int, lam, addressed):
+    """The constraint table of ``graph`` along the character ``lam`` of a
+    rank-r torus, with the character's substitution.
 
-    For each pair ``(a, b)`` of component ids and each degree k, the
-    difference of the point values (or surface H^0 parts) of ``a`` and ``b``
-    is rewritten by ``substitution`` (see :func:`character_substitution`);
-    its terms free of the character's variable are keyed
-    ``("div", (a, b), ("h0",), k, exponents)``.
+    Raises unless ``lam`` has r primitive entries and ``addressed`` (as in
+    :func:`_check_addressing`) lists the graph's components at rank r.
     """
-    out: dict[tuple, Fraction] = {}
-
-    def h0_part(cid: str, k: int) -> MPoly:
-        cls = alpha.components[cid]
-        if cls.kind == "point":
-            value = cls.entries.get(k)
-            return value if value is not None else MPoly.zero(rank)
-        return cls.entry(k).c0
-
-    for a, b in pairs:
-        for k in degrees:
-            diff = h0_part(a, k) - h0_part(b, k)
-            if not diff:
-                continue
-            for exps, coeff in substitution(diff).terms.items():
-                if exps[0] == 0:
-                    out[("div", (a, b), ("h0",), k, exps)] = coeff
-    return out
+    if len(lam) != rank:
+        raise InputError(f"character must have {rank} entries")
+    substitution = character_substitution(lam)
+    components = _graph_components(graph)
+    _check_addressing("graph", components, rank, addressed)
+    return _constraint_table(components, graph), substitution
 
 
 def torus_obstructions(
@@ -824,44 +853,12 @@ def torus_obstructions(
 
     Keys tag divisibility residues ("div", pair, part, degree, monomial)
     and localization poles ("pole", power, monomial).  The class is in the
-    image locally along this character iff the dict is empty.
+    image locally along this character iff the dict is empty.  Each part
+    of the class is substituted once and routed through the graph's
+    :func:`_constraint_table`.
     """
-    if len(lam) != rank:
-        raise InputError(f"character must have {rank} entries")
-    substitution = character_substitution(lam)
-    _check_addressing(graph, alpha, rank)
-    ids = graph.component_ids()
-    degrees = alpha.degrees()
-    out = _h0_divisibility(
-        alpha, rank, zip(ids, ids[1:]), [k for k in degrees if k % 2 == 0], substitution
-    )
-
-    if len(graph.surfaces) == 2:
-        lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
-        g = lower.genus
-        matrix = graph.identification_matrix()
-        for k in degrees:
-            if k % 2 == 0:
-                continue
-            c1_lower = alpha.components[lower.id].entry(k).c1
-            c1_upper = alpha.components[upper.id].entry(k).c1
-            for j in range(2 * g):
-                diff = sum(
-                    (matrix[j][i] * c1_lower[i] for i in range(2 * g) if matrix[j][i]),
-                    start=MPoly.zero(rank),
-                ) - c1_upper[j]
-                if not diff:
-                    continue
-                for exps, coeff in substitution(diff).terms.items():
-                    if exps[0] == 0:
-                        out[("div", (lower.id, upper.id), ("h1", j), k, exps)] = coeff
-
-    localization = localize_torus(graph, rank, lam, alpha, substitution=substitution)
-    for power, value in localization.terms.items():
-        if power < 0:
-            for exps, coeff in value.terms.items():
-                out[("pole", power, exps)] = coeff
-    return out
+    table, substitution = _character_table(graph, rank, lam, _addressed(alpha))
+    return _class_obstructions(table, alpha, substitution)
 
 
 def check_membership_torus(

@@ -7,12 +7,15 @@ the image of the fixed-set restriction reduces piece by piece, with
 four-dimensional pieces delegating to the circle-action machinery under a
 substitution that turns the character into the equivariant parameter, and
 two-dimensional pieces contributing a single divisibility condition.
-Graded bases of the image come from one exact nullspace solve over all
-piece constraints at once; each slot's column of that system is read
-straight off the slot monomial's image under the piece's character
-substitution, and equals the piece's obstructions of the unit class at the
-slot.  The slots, their reader and the class builder are those of the
-circle side (:mod:`equicoh.s1`), at the x-ray's rank: one slot per monomial
+Each piece states its conditions in the constraint table of the circle
+side (:mod:`equicoh.s1`): its induced graph's, or the H^0 difference of
+its two points.  Membership routes each part of the class through it once,
+under the piece's character substitution.  Graded bases of the image come
+from one exact nullspace solve over all piece constraints at once; each
+slot's column of that system routes the slot monomial's memoised image
+through the same table, and equals the piece's obstructions of the unit
+class at the slot.  The slots, their reader and the class builder are
+those of the circle side too, at the x-ray's rank: one slot per monomial
 of each part of a component's restriction.
 """
 
@@ -36,7 +39,6 @@ from .graph import (
     graph_to_dict,
     parse_graph,
     parse_rational,
-    resolve_self_intersections,
     validate_graph,
 )
 from .linalg import nullspace
@@ -47,14 +49,17 @@ from .s1 import (
     MembershipDecision,
     MembershipViolation,
     Slot,
-    _add_localization,
+    _addressed,
+    _character_table,
+    _check_addressing,
     _class_from_sparse,
     _class_from_vector,
-    _h0_divisibility,
+    _class_obstructions,
+    _constraint_table,
     _obstruction_violations,
     _parse_components,
     _restriction_slots,
-    _unit_restriction,
+    _slot_columns,
     character_substitution,
     slot_value,
     torus_obstructions,
@@ -427,21 +432,6 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
     return out
 
 
-def _check_addressing_xray(xray: XRay, alpha: EquivariantClass) -> None:
-    if sorted(alpha.components) != xray.component_ids():
-        raise InputError(
-            f"class addresses {sorted(alpha.components)} but the x-ray has "
-            f"{xray.component_ids()}"
-        )
-    for c in xray.components:
-        cls = alpha.components[c.id]
-        if cls.kind != c.kind or cls.genus != c.genus or cls.rank != xray.rank:
-            raise InputError(
-                f"component {c.id!r}: expected a rank-{xray.rank} {c.kind} entry"
-                + (f" of genus {c.genus}" if c.kind == "surface" else "")
-            )
-
-
 def piece_obstructions(
     xray: XRay,
     piece: SkeletonPiece,
@@ -451,17 +441,15 @@ def piece_obstructions(
 
     Every obstruction is a coefficient of a linear expression in the
     restrictions to the piece's members, so a class vanishing on all of
-    them has none.
+    them has none.  A 4-dimensional piece's are the
+    :func:`~equicoh.s1.torus_obstructions` of its induced graph along its
+    character; a 2-dimensional piece's are the terms of its two point
+    restrictions' difference that the character does not divide.
     """
     restricted = alpha.restricted(piece.members)
     if piece.dim == 2:
-        return _h0_divisibility(
-            restricted,
-            xray.rank,
-            [piece.members],
-            restricted.degrees(),
-            character_substitution(piece.lam),
-        )
+        table = _constraint_table(_members(xray, piece))
+        return _class_obstructions(table, restricted, character_substitution(piece.lam))
     return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
 
 
@@ -474,7 +462,7 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     the character substitution, two-dimensional pieces the divisibility of
     the two point restrictions' difference by the character form.
     """
-    _check_addressing_xray(xray, alpha)
+    _check_addressing("x-ray", _xray_components(xray), xray.rank, _addressed(alpha))
     violations = [
         MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
         for piece in xray.pieces
@@ -486,6 +474,11 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
 def _xray_components(xray: XRay) -> list[tuple[str, str, int]]:
     """``(id, kind, genus)`` of every fixed component, sorted by id."""
     return [(c.id, c.kind, c.genus) for c in xray.components]
+
+
+def _members(xray: XRay, piece: SkeletonPiece) -> list[tuple[str, str, int]]:
+    """``(id, kind, genus)`` of the piece's members, sorted by id."""
+    return [c for c in _xray_components(xray) if c[0] in piece.members]
 
 
 def xray_degree_slots(xray: XRay, degree: int) -> list[Slot]:
@@ -505,120 +498,28 @@ def xray_class_to_vector(xray: XRay, degree: int, alpha: EquivariantClass) -> li
     return [slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
 
 
-def _unit_poles(
-    resolved: DecoratedGraph, degree: int, slot: Slot
-) -> list[tuple[int, Fraction]]:
-    """``(shift, scale)`` of each term the slot's unit part adds to the
-    localization sum over ``resolved``, a piece's resolved induced graph.
-
-    :func:`~equicoh.s1._add_localization` states the term; the ``powers``
-    given to it here leave every value at u^0, so a term's power is its
-    shift.
-    """
-    vertex = resolved.find(slot.component)
-    unit = _unit_restriction(vertex, degree, slot)
-    shifts: dict[int, Fraction] = {}
-    _add_localization(shifts, resolved, vertex, unit.entries, lambda value, half: ((0, value),))
-    return [(shift, scale) for shift, scale in shifts.items() if scale]
-
-
-def _check_induced_graph(xray: XRay, piece: SkeletonPiece) -> None:
-    """Raise unless a 4-dimensional piece's character has the x-ray's rank and
-    its induced graph lists exactly its members, as points and surfaces of
-    their genera.  :func:`validate_xray` reports the same faults as
-    violations; the messages are those :func:`piece_obstructions` raises.
-    """
-    if len(piece.lam) != xray.rank:
-        raise InputError(f"character must have {xray.rank} entries")
-    graph = piece.induced
-    expected = graph.component_ids()
-    if list(piece.members) != expected:
-        raise InputError(f"class addresses {list(piece.members)} but the graph has {expected}")
-    for v in graph.isolated:
-        if xray.find(v.id).kind != "point":
-            raise InputError(f"component {v.id!r}: expected a point entry of rank {xray.rank}")
-    for v in graph.surfaces:
-        c = xray.find(v.id)
-        if c.kind != "surface" or c.genus != v.genus:
-            raise InputError(
-                f"component {v.id!r}: expected a genus-{v.genus} surface entry of rank "
-                f"{xray.rank}"
-            )
-
-
 def _piece_columns(
     xray: XRay, piece: SkeletonPiece, degree: int, slots: list[Slot]
 ) -> dict[int, dict[tuple, Fraction]]:
     """The obstruction column of every degree-k slot on the piece's members.
 
     Column i equals ``piece_obstructions(xray, piece, xray_unit_class(xray,
-    degree, slots[i]))``.  It is read straight off the slot monomial's
-    image under the piece's character substitution, with no polynomial
-    arithmetic.  A term ``c * v^E`` of that image enters:
-
-    - the H^0 divisibility row at ``E`` of each pair holding the slot's
-      component, when the slot is a point value or a surface's H^0 part
-      and ``E`` is free of the character's variable: ``+c`` for the pair's
-      first id, ``-c`` for its second.  The pairs are the adjacent sorted
-      ids of a 4-dimensional piece's induced graph, or the member pair of a
-      2-dimensional piece;
-    - for a 4-dimensional piece with two fixed surfaces, the H^1 matching
-      row j at ``E`` free of the character's variable: the identification
-      entry ``(j, i)`` times ``c`` for H^1 index i of the lower surface,
-      ``-c`` for index j of the upper one;
-    - for a 4-dimensional piece, the pole row at power ``E[0] + shift`` and
-      the remaining exponents, ``scale * c`` for each :func:`_unit_poles`
-      pair of the slot whose power is negative.
+    degree, slots[i]))``.  The piece's constraint table routes the slot
+    monomial's memoised image under the character substitution
+    (:func:`~equicoh.s1._slot_columns`), with no polynomial arithmetic.  A
+    4-dimensional piece's induced graph is checked against its members
+    first, with the messages :func:`piece_obstructions` raises.
     """
     on_piece = [i for i, slot in enumerate(slots) if slot.component in piece.members]
     if not on_piece:
         return {}
-    # (component, part, index) -> [(row key less its monomial, factor)]
-    divisions: dict[tuple[str, str, int], list[tuple[tuple, int]]] = {}
-    resolved = None
+    members = _members(xray, piece)
     if piece.dim == 2:
-        pairs = [piece.members]
+        table, substitution = _constraint_table(members), character_substitution(piece.lam)
     else:
-        graph = piece.induced
-        _check_induced_graph(xray, piece)
-        ids = graph.component_ids()
-        pairs = list(zip(ids, ids[1:]))
-        if len(graph.surfaces) == 2:
-            lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
-            for j, row in enumerate(graph.identification_matrix()):
-                head = ("div", (lower.id, upper.id), ("h1", j), degree)
-                for i, m in enumerate(row):
-                    if m:
-                        divisions.setdefault((lower.id, "c1", i), []).append((head, m))
-                divisions.setdefault((upper.id, "c1", j), []).append((head, -1))
-        resolved = resolve_self_intersections(graph)
-    for a, b in pairs:
-        head = ("div", (a, b), ("h0",), degree)
-        for cid, sign in ((a, 1), (b, -1)):
-            part = "c" if xray.find(cid).kind == "point" else "c0"
-            divisions.setdefault((cid, part, 0), []).append((head, sign))
-
-    image = character_substitution(piece.lam)._monomial
-    poles: dict[tuple[str, str, int], list[tuple[int, Fraction]]] = {}
-    columns: dict[int, dict[tuple, Fraction]] = {}
-    for i in on_piece:
-        slot = slots[i]
-        where = (slot.component, slot.part, slot.index)
-        if resolved is not None and where not in poles:
-            poles[where] = _unit_poles(resolved, degree, slot)
-        terms = image(slot.exps)
-        column: dict[tuple, Fraction] = {}
-        for head, factor in divisions.get(where, ()):
-            for exps, c in terms.items():
-                if not exps[0]:
-                    column[head + (exps,)] = factor * c
-        for shift, scale in poles.get(where, ()):
-            for exps, c in terms.items():
-                power = exps[0] + shift
-                if power < 0:
-                    column[("pole", power, exps[1:])] = scale * c
-        columns[i] = column
-    return columns
+        addressed = [member + (xray.rank,) for member in members]
+        table, substitution = _character_table(piece.induced, xray.rank, piece.lam, addressed)
+    return _slot_columns(table, degree, slots, on_piece, substitution)
 
 
 def image_basis_xray(

@@ -1,5 +1,7 @@
-"""The narrative demos run to completion against the package under test."""
+"""The narrative demos run to completion against the package under test,
+and the package's modules import only what they use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +27,24 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_every_package_import_is_used():
+    """Each name a module of the package imports (``__init__.py`` re-exports,
+    so it is skipped) is read somewhere in that module."""
+    unused = []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -41,6 +41,7 @@ from equicoh import (
     poincare_manifold,
     promote_to_torus,
     relation_counts,
+    torus_obstructions,
     unit_class,
 )
 from equicoh import s1
@@ -50,7 +51,6 @@ from equicoh.linalg import rref
 from equicoh.s1 import (
     _adapted_split,
     _surface_sign,
-    _unit_localizations,
     character_substitution,
 )
 from equicoh.xray import piece_obstructions
@@ -246,14 +246,26 @@ def test_degree2_functional_frozen():
     }
 
 
+def pole_columns(graph, degree, slots):
+    """The pole keys of each slot's column of the graph's constraint table,
+    as a Laurent element per slot."""
+    columns = s1._graph_columns(graph, degree, slots)
+    return [
+        Laurent({key[1]: c for key, c in columns[i].items() if key[0] == "pole"})
+        for i in range(len(slots))
+    ]
+
+
 def test_unit_localizations_match_per_slot_localize():
     graphs = dict(all_graphs(), g2_uneq=g2(0, 2, 4))
     for name, graph in graphs.items():
         for degree in range(7):
             slots = degree_slots(graph, degree)
-            expected = [localize(graph, unit_class(graph, degree, slot)) for slot in slots]
-            ours = _unit_localizations(resolve_self_intersections(graph), degree, slots)
-            assert ours == expected, (name, degree)
+            expected = [
+                localize(graph, unit_class(graph, degree, slot)).negative_part()
+                for slot in slots
+            ]
+            assert pole_columns(graph, degree, slots) == expected, (name, degree)
         expected = {
             slot.label: localize(graph, unit_class(graph, 2, slot)).coefficient(-1)
             for slot in degree_slots(graph, 2)
@@ -373,11 +385,11 @@ def test_closed_form_localize_matches_the_laurent_product(name):
         assert localize(graph, alpha) == reference_localize(graph, alpha)
     for degree in range(7):
         slots = degree_slots(graph, degree)
-        expected = [
-            reference_localize(graph, unit_class(graph, degree, slot)) for slot in slots
-        ]
-        ours = _unit_localizations(resolve_self_intersections(graph), degree, slots)
-        assert ours == expected, degree
+        units = [unit_class(graph, degree, slot) for slot in slots]
+        expected = [reference_localize(graph, unit) for unit in units]
+        assert [localize(graph, unit) for unit in units] == expected, degree
+        poles = [localization.negative_part() for localization in expected]
+        assert pole_columns(graph, degree, slots) == poles, degree
 
 
 @pytest.mark.parametrize("name", sorted(LOCALIZATION_GRAPHS))
@@ -410,31 +422,32 @@ LOCALIZATION_XRAYS = {
 
 
 @pytest.mark.parametrize("name", sorted(LOCALIZATION_XRAYS))
-def test_closed_form_piece_localizations_match_the_laurent_product(name, monkeypatch):
+def test_closed_form_piece_localizations_match_the_laurent_product(name):
     xray = LOCALIZATION_XRAYS[name]()
     rng = random.Random(name)
     components = [(c.id, c.kind, c.genus) for c in xray.components]
     classes = [fixtures.random_torus_class(components, xray.rank, rng) for _ in range(3)]
     for piece in xray.pieces:
-        if piece.dim == 2:
-            continue
         substitution = character_substitution(piece.lam)
         for alpha in classes:
+            found = piece_obstructions(xray, piece, alpha)
+            poles = {key: c for key, c in found.items() if key[0] == "pole"}
+            if piece.dim == 2:
+                assert poles == {}, piece.id
+                continue
             restricted = alpha.restricted(piece.members)
             expected = reference_localize_torus(piece.induced, xray.rank, piece.lam, restricted)
             assert localize_torus(piece.induced, xray.rank, piece.lam, restricted) == expected
             assert localize_torus(
                 piece.induced, xray.rank, piece.lam, restricted, substitution=substitution
             ) == expected
-    # Every piece's obstructions, 2-dimensional ones included, come out the
-    # same with the reference in place of localize_torus.
-    ours = [[piece_obstructions(xray, p, alpha) for p in xray.pieces] for alpha in classes]
-    monkeypatch.setattr(
-        s1, "localize_torus",
-        lambda graph, rank, lam, alpha, **_: reference_localize_torus(graph, rank, lam, alpha),
-    )
-    theirs = [[piece_obstructions(xray, p, alpha) for p in xray.pieces] for alpha in classes]
-    assert ours == theirs
+            # The obstructions' pole keys are the negative part of the
+            # reference sum, monomial by monomial.
+            assert poles == {
+                ("pole", power, exps): c
+                for power, q in expected.negative_part().terms.items()
+                for exps, c in q.terms.items()
+            }, piece.id
 
 
 def test_localize_torus_checks_the_character_length():
@@ -541,7 +554,7 @@ def test_degree2_membership_closed_form(x, y, z):
 
 def reference_check_membership(graph, alpha):
     """The hand-coded conditions plus a full localization pass for poles."""
-    s1._check_addressing(graph, alpha)
+    poles = localize(graph, alpha).negative_part()
     violations = []
 
     degree0 = []
@@ -575,10 +588,7 @@ def reference_check_membership(graph, alpha):
             )
 
     slots = degree_slots(graph, 2)
-    functional = [
-        loc.coefficient(-1)
-        for loc in _unit_localizations(resolve_self_intersections(graph), 2, slots)
-    ]
+    functional = [localize(graph, unit_class(graph, 2, slot)).coefficient(-1) for slot in slots]
     vector = class_to_vector(graph, 2, alpha.homogeneous(2))
     total = sum((c * v for c, v in zip(functional, vector)), start=Fraction(0))
     if total != 0:
@@ -588,7 +598,6 @@ def reference_check_membership(graph, alpha):
             )
         )
 
-    poles = localize(graph, alpha).negative_part()
     if poles:
         violations.append(
             s1.MembershipViolation("localization-pole", f"localization sum has poles: {poles!r}")
@@ -762,6 +771,12 @@ def test_promote_preserves_rank1_verdicts():
         base = check_membership(graph, alpha).member
         torus = check_membership_torus(graph, 1, (1,), promote_to_torus(alpha)).member
         assert base == torus
+        promoted = torus_obstructions(graph, 1, (1,), promote_to_torus(alpha))
+        assert s1._graph_obstructions(graph, alpha) == promoted
+    for name, graph in MEMBERSHIP_GRAPHS.items():
+        for alpha in _membership_classes(graph, random.Random(name)):
+            promoted = torus_obstructions(graph, 1, (1,), promote_to_torus(alpha))
+            assert s1._graph_obstructions(graph, alpha) == promoted, name
 
 
 def test_promote_rejects_polynomial_classes():

@@ -3,19 +3,27 @@
 Subcommands wrap the library one-to-one: validation, Poincare series,
 graded image bases, membership checks, localization sums and Euler
 classes, plus the x-ray variants.  All JSON output is canonical (sorted
-keys, two-space indent, rationals as strings), so identical inputs yield
-byte-identical bytes across runs.  Exit codes: 0 success or member, 1
-semantic failure (invalid input, non-member), 2 usage, I/O or parse
-failure.
+keys, two-space indent, strings ASCII-escaped, rationals as strings), the
+bytes ``json.dumps(payload, indent=2, sort_keys=True)`` would give, so
+identical inputs yield byte-identical bytes across runs.  Exit codes: 0
+success or member, 1 semantic failure (invalid input, non-member), 2 usage,
+I/O or parse failure.
+
+:func:`main` may be called repeatedly in one process.  The argument parser
+is built on the first call and reused; the library functions behind each
+subcommand are looked up in this module's globals on every call, so
+rebinding one of them (as a tracer does) takes effect on the next call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from .core import SurfaceClass
@@ -101,6 +109,20 @@ class _DocumentKind:
     slots: Callable
 
 
+def _document_kind(name: str) -> _DocumentKind:
+    """The library functions for ``name`` ("graph" or "xray"), read from the
+    module globals at call time rather than captured when the parser is built."""
+    if name == "xray":
+        return _DocumentKind(
+            DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
+            check_membership_xray, image_basis_xray, xray_degree_slots,
+        )
+    return _DocumentKind(
+        DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
+        image_basis, degree_slots,
+    )
+
+
 def _config(args) -> RunConfig:
     max_degree = args.max_degree if getattr(args, "max_degree", None) is not None else None
     if max_degree is None:
@@ -122,7 +144,56 @@ def _read(path: str) -> str:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """``json.dumps(payload, indent=2, sort_keys=True)``, written directly.
+
+    Only str, int, bool, None, lists, tuples and dicts with str keys are
+    accepted; anything else, floats included, raises TypeError."""
+    parts: list[str] = []
+    _write(payload, parts, "\n")
+    return "".join(parts)
+
+
+def _write(value, parts: list[str], newline: str) -> None:
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` is the line
+    break plus the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator)
+            parts.append(encode_basestring_ascii(key))
+            parts.append(": ")
+            _write(value[key], parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _report_lines(report) -> list[str]:
@@ -371,23 +442,21 @@ def cmd_euler(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it).
+
+    Each subcommand's defaults name its handler and the kind of document it
+    reads ("graph" or "xray"), never a library function: see
+    :func:`_document_kind`."""
     parser = argparse.ArgumentParser(
         prog="equicoh",
         description="Equivariant cohomology of circle and complexity-one torus "
         "actions from decorated graphs and x-rays.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    graphs = _DocumentKind(
-        DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
-        image_basis, degree_slots,
-    )
-    xrays = _DocumentKind(
-        DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
-        check_membership_xray, image_basis_xray, xray_degree_slots,
-    )
 
-    def add(name: str, handler, paths: list[str], kind=graphs, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler, paths: list[str], kind="graph", **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         for path_name in paths:
             p.add_argument(path_name)
@@ -415,9 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("xray-validate", cmd_validate, ["path"], help="validate an x-ray file or directory")
     p.add_argument("--fail-fast", action="store_true")
 
-    add("xray-check", cmd_check, ["xray", "class_path"], kind=xrays, help="membership for a complexity-one x-ray")
+    add("xray-check", cmd_check, ["xray", "class_path"], kind="xray", help="membership for a complexity-one x-ray")
 
-    p = add("xray-basis", cmd_basis, ["path"], kind=xrays, help="canonical basis of the degree-k x-ray image")
+    p = add("xray-basis", cmd_basis, ["path"], kind="xray", help="canonical basis of the degree-k x-ray image")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree", type=int)
 
@@ -438,6 +507,7 @@ def main(argv=None) -> int:
     if not hasattr(args, "handler"):
         parser.print_usage(sys.stderr)
         return 2
+    args.kind = _document_kind(args.kind)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -263,14 +263,18 @@ def _check_addressing(owner: str, components, rank: int | None, addressed) -> No
     for (see :func:`_addressed`) or per member of an x-ray piece.  Each must
     match its component at ``rank``, which is None for a circle action.
     """
-    ids = [cid for cid, _, _ in components]
-    found = [entry[0] for entry in addressed]
-    if found != ids:
-        raise InputError(f"class addresses {found} but the {owner} has {ids}")
+    _check_ids(owner, [cid for cid, _, _ in components], [entry[0] for entry in addressed])
     for (cid, kind, genus), entry in zip(components, addressed):
         if entry[1:] != (kind, genus, rank):
             what = "point" if kind == "point" else f"genus-{genus} surface"
             raise InputError(f"component {cid!r}: expected a {what} entry of rank {rank}")
+
+
+def _check_ids(owner: str, ids: list[str], found: list[str]) -> None:
+    """Raise unless a class addresses exactly the sorted component ``ids`` of
+    the graph or x-ray named by ``owner``; ``found`` are its own, sorted."""
+    if found != ids:
+        raise InputError(f"class addresses {found} but the {owner} has {ids}")
 
 
 def _addressed(alpha: EquivariantClass) -> list[tuple[str, str, int, int | None]]:
@@ -921,9 +925,7 @@ def _parse_components(
     """
     if not isinstance(comps_doc, dict):
         raise SchemaError('"components" must be an object', "class")
-    ids = sorted(cid for cid, _, _ in components)
-    if sorted(comps_doc) != ids:
-        raise InputError(f"class addresses {sorted(comps_doc)} but the {owner} has {ids}")
+    _check_ids(owner, sorted(cid for cid, _, _ in components), sorted(comps_doc))
     comps: dict[str, ComponentClass] = {}
     for cid, kind, genus in components:
         entries = {}

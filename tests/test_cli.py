@@ -1,12 +1,19 @@
-"""Command-line interface: output formats, exit codes, batch mode, env wiring."""
+"""Command-line interface: output formats, exit codes, batch mode, env wiring,
+the canonical JSON writer and repeated in-process calls of ``main``."""
 
+import argparse
 import json
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
+from equicoh import cli
 from equicoh.cli import main
 
 
@@ -533,3 +540,146 @@ def test_subprocess_outputs_are_byte_identical(data_dir):
     second = run_subprocess(*argv)
     assert first.returncode == second.returncode == 0
     assert first.stdout and first.stdout == second.stdout
+
+
+def test_python_dash_m_equicoh_matches_the_in_process_call(capsys, data_dir):
+    argv = ("basis", str(data_dir / "g2_g1.json"), "--degree", "2", "--format", "json")
+    status, out, _ = run(capsys, *argv)
+    child = subprocess.run(
+        [sys.executable, "-m", "equicoh", *argv], capture_output=True, timeout=120
+    )
+    assert status == child.returncode == 0
+    assert child.stdout == out.encode()
+
+
+# -- the canonical JSON writer ------------------------------------------------
+
+
+def canonical(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_dump_matches_json_dumps_on_every_cli_payload(capsys, monkeypatch, data_dir, batch_dir):
+    payloads = []
+    dump = cli._dump
+    monkeypatch.setattr(cli, "_dump", lambda payload: payloads.append(payload) or dump(payload))
+    d = str(data_dir)
+    commands = [
+        ("basis", f"{d}/g2_g1.json", "--degree", "2"),
+        ("xray-basis", f"{d}/x2_g1.json", "--degree", "2"),
+        ("validate", str(batch_dir)),
+        ("validate", f"{d}/bad_weights.json"),
+        ("validate", f"{d}/absent.json"),
+        ("poincare", f"{d}/g2_g1.json"),
+        ("poincare", f"{d}/g2_g1.json", "--equivariant"),
+        ("localize", f"{d}/g1.json", f"{d}/class_g1_pole.json"),
+        ("euler", f"{d}/g2_g1.json", "--component", "Smin"),
+        ("euler", f"{d}/g1.json", "--component", "B"),
+        ("check", f"{d}/g1.json", f"{d}/class_g1_pole.json"),
+        ("xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_skew.json"),
+    ]
+    for argv in commands:
+        main([*argv, "--format", "json"])
+        assert capsys.readouterr().out == dump(payloads[-1]) + "\n"
+    assert len(payloads) == len(commands)
+    kinds = [p["kind"] if isinstance(p, dict) else p[0].get("kind", "report") for p in payloads]
+    assert set(kinds) == {
+        "class", "batch", "report", "error", "poincare", "localization", "euler", "membership"
+    }
+    circle, torus = payloads[0][0]["components"], payloads[1][0]["components"]
+    assert circle["Smin"] == {} and circle["Smax"]["2"]["c1"] == ["0", "0"]
+    assert torus["Smin_0"] == {} and torus["Smax_0"]["2"]["c1"] == [[], []]
+    batch = payloads[2]["results"]
+    assert any("error" in r for r in batch) and any(r.get("report") for r in batch)
+    assert payloads[-2]["violations"] and payloads[-1]["violations"]
+    for payload in payloads:
+        assert dump(payload) == canonical(payload)
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+json_strings = st.text(
+    st.characters(min_codepoint=0, max_codepoint=0x2FFFF, exclude_categories=("Cs",))
+    | st.sampled_from('"\\\n\t\x00\x1f\x7f/\u00e9\u2028\U0001f600'),
+    max_size=6,
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | json_strings,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(json_strings, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_values)
+def test_dump_is_json_dumps_with_indent_and_sorted_keys(payload):
+    assert cli._dump(payload) == canonical(payload)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5, [1, {"x": 1.0}], {1: "a"}])
+def test_dump_refuses_what_the_cli_never_emits(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
+
+
+# -- repeated calls in one process --------------------------------------------
+
+
+def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data_dir):
+    """A wrapper bound over a library name in ``equicoh.cli`` after the parser
+    exists is the function the next call runs, as a tracer needs."""
+    d = str(data_dir)
+    run(capsys, "basis", f"{d}/g1.json", "--degree", "2")
+    calls = Counter()
+    names = (
+        "parse_graph", "validate_graph", "image_basis", "parse_xray",
+        "image_basis_xray", "parse_class_torus", "check_membership_xray",
+    )
+    for name in names:
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args",
+        lambda self, *args, **kwargs: parsers.append(self) or parse_args(self, *args, **kwargs),
+    )
+    assert run(capsys, "basis", f"{d}/g1.json", "--degree", "2")[0] == 0
+    assert run(capsys, "xray-basis", f"{d}/cp3.json", "--degree", "2")[0] == 0
+    assert run(capsys, "xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_const.json")[0] == 0
+    assert calls == {
+        "parse_graph": 1, "validate_graph": 1, "image_basis": 1, "parse_xray": 2,
+        "image_basis_xray": 1, "parse_class_torus": 1, "check_membership_xray": 1,
+    }
+    assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys, monkeypatch, data_dir):
+    argv = ("basis", str(data_dir / "g2_g1.json"), "--degree", "2", "--format", "json")
+    cli._build_parser.cache_clear()
+    first = run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["basis", str(data_dir / "g2_g1.json")])
+    assert excinfo.value.code == 2
+    assert "--degree" in capsys.readouterr().err
+    assert run(capsys, *argv) == first
+    assert first[0] == 0 and first[1]
+
+
+def test_max_degree_variable_is_read_on_every_call(capsys, monkeypatch, data_dir):
+    argv = ("basis", str(data_dir / "g1.json"), "--degree", "13")
+    monkeypatch.delenv("EQUICOH_MAX_DEGREE", raising=False)
+    status, _, err = run(capsys, *argv)
+    assert status == 1 and "cutoff" in err
+    monkeypatch.setenv("EQUICOH_MAX_DEGREE", "14")
+    assert run(capsys, *argv) == (0, "no classes in degree 13\n", "")
+    monkeypatch.setenv("EQUICOH_MAX_DEGREE", "12")
+    assert run(capsys, *argv)[0] == 1

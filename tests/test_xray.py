@@ -14,9 +14,11 @@ from equicoh import (
     MPoly,
     SchemaError,
     SurfaceClass,
+    check_membership,
     check_membership_xray,
     class_to_dict,
     image_basis_xray,
+    parse_class,
     parse_class_torus,
     parse_xray,
     serialize_xray,
@@ -35,7 +37,7 @@ from equicoh.s1 import (
     torus_obstructions,
 )
 from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_columns, piece_obstructions
-from fixtures import constant_torus_class, cp3, cube, mutate, x2
+from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
 from test_linalg import reference_nullspace
 
 
@@ -629,6 +631,27 @@ def test_parse_class_torus_roundtrip():
         for element in image_basis_xray(xray, 2):
             doc = class_to_dict(element, "fixture")
             assert parse_class_torus(doc, xray) == element
+
+
+def test_class_parsers_and_the_library_share_the_addressing_message():
+    """A document addressing the wrong components gets one message from both
+    class parsers, the same one the library raises for that class."""
+    def message(call, *args):
+        with pytest.raises(InputError) as excinfo:
+            call(*args)
+        return str(excinfo.value)
+
+    found = ["A", "Q"]
+    doc = {"kind": "class", "graph": "doc", "components": {cid: {} for cid in found}}
+    for document, parse, check, rank, expected in (
+        (g1(), parse_class, check_membership, None,
+         "class addresses ['A', 'Q'] but the graph has ['A', 'B', 'C']"),
+        (cp3(), parse_class_torus, check_membership_xray, 2,
+         "class addresses ['A', 'Q'] but the x-ray has ['P0', 'P1', 'P2', 'P3']"),
+    ):
+        alpha = EquivariantClass({cid: ComponentClass("point", 0, {}, rank) for cid in found}, rank)
+        assert message(parse, doc, document) == expected
+        assert message(check, document, alpha) == expected
 
 
 def test_parse_class_torus_rejections():

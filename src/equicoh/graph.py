@@ -8,6 +8,13 @@ joining isolated fixed points.  Validation checks the combinatorial
 compatibility conditions such a graph must satisfy, and the two extremal
 self-intersection numbers are determined by the rest of the data through
 exact rational formulas implemented in :func:`extremal_self_intersections`.
+
+A graph is frozen, so what is derived from it is computed at most once,
+when first needed, and kept on the graph: its momentum span, its two
+extremal labels, its resolved graph and its index of components by id.
+Validation and every later query of the same graph share them.  A
+computation that raises (a degenerate span, a zero weight) keeps nothing
+and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DegenerateInputError, InputError, ParseError, SchemaError
 
@@ -99,17 +107,48 @@ class DecoratedGraph:
         return sorted([v.id for v in self.isolated] + [v.id for v in self.surfaces])
 
     def find(self, component_id: str) -> IsolatedVertex | FatVertex:
-        for v in self.isolated:
-            if v.id == component_id:
-                return v
-        for v in self.surfaces:
-            if v.id == component_id:
-                return v
-        raise InputError(f"no component named {component_id!r}")
+        return _find(self._by_id, component_id)
 
     def momentum_span(self) -> tuple[Fraction, Fraction]:
+        return self._span
+
+    # Derived values.  A cached_property keeps its value in the instance
+    # dict, which ==, hash and repr never read; a getter that raises keeps
+    # nothing.
+
+    @cached_property
+    def _by_id(self) -> dict[str, IsolatedVertex | FatVertex]:
+        return _id_index(self.isolated + self.surfaces)
+
+    @cached_property
+    def _span(self) -> tuple[Fraction, Fraction]:
         ys = [v.y for v in self.isolated] + [v.y for v in self.surfaces]
         return min(ys), max(ys)
+
+    @cached_property
+    def _labels(self) -> tuple[Fraction, Fraction]:
+        return _extremal_labels(self)
+
+    @cached_property
+    def _resolved(self) -> DecoratedGraph:
+        """The graph with its missing extremal labels filled in; read only
+        when one is missing, since keeping the graph itself would make a
+        reference cycle."""
+        e_min, e_max = self._labels
+        y_min, y_max = self._span
+        surfaces = []
+        for v in self.surfaces:
+            if v.self_intersection is None and v.y == y_min:
+                v = FatVertex(v.id, v.y, v.area, v.genus, e_min)
+            elif v.self_intersection is None and v.y == y_max:
+                v = FatVertex(v.id, v.y, v.area, v.genus, e_max)
+            surfaces.append(v)
+        resolved = DecoratedGraph(
+            self.isolated, tuple(surfaces), self.edges, self.h1_identification
+        )
+        # The labels read only momenta, weights and areas, which resolving keeps.
+        resolved.__dict__.update(_span=self._span, _labels=self._labels)
+        return resolved
 
     def identification_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The H^1 pairing between the two fat vertices; defaults to identity."""
@@ -121,6 +160,21 @@ class DecoratedGraph:
         return tuple(
             tuple(1 if i == j else 0 for j in range(2 * g)) for i in range(2 * g)
         )
+
+
+def _id_index(records) -> dict:
+    """``{id: record}``; where ids repeat, the first record keeps the id."""
+    index: dict = {}
+    for r in records:
+        index.setdefault(r.id, r)
+    return index
+
+
+def _find(index: dict, component_id: str):
+    try:
+        return index[component_id]
+    except KeyError:
+        raise InputError(f"no component named {component_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -336,20 +390,30 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fracti
     Interior isolated points enter through 1/(m n) with m, n the weight
     magnitudes; extremal area labels enter directly (0 for isolated
     extrema).  Raises DegenerateInputError when the momentum span collapses.
+    The pair is computed once per graph.
     """
+    return graph._labels
+
+
+def _extremal_labels(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
+    """The pair :func:`extremal_self_intersections` returns.  The sums of
+    1/(m n) and y/(m n) over the interior points are integer sums over one
+    common denominator, the lcm of the ``m n y.denominator``."""
     y_min, y_max = graph.momentum_span()
     if y_min == y_max:
         raise DegenerateInputError("momentum map is constant; extrema are not separated")
-    sum_e = Fraction(0)
-    sum_ye = Fraction(0)
+    interior = []
+    denominator = 1
     for v in graph.isolated:
         if y_min < v.y < y_max:
-            m, n = abs(v.weights[0]), abs(v.weights[1])
-            if m == 0 or n == 0:
+            mn = abs(v.weights[0] * v.weights[1])
+            if mn == 0:
                 raise InputError(f"zero weight at {v.id!r}")
-            e_p = Fraction(1, m * n)
-            sum_e += e_p
-            sum_ye += v.y * e_p
+            q = mn * v.y.denominator
+            denominator = lcm(denominator, q)
+            interior.append((mn, q, v.y.numerator))
+    sum_e = Fraction(sum(denominator // mn for mn, _, _ in interior), denominator)
+    sum_ye = Fraction(sum(p * (denominator // q) for _, q, p in interior), denominator)
     s_min = Fraction(0)
     s_max = Fraction(0)
     for v in graph.surfaces:
@@ -364,28 +428,12 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fracti
 
 
 def resolve_self_intersections(graph: DecoratedGraph) -> DecoratedGraph:
-    """Fill missing self_intersection labels on extremal surfaces from the equations."""
+    """Fill missing self_intersection labels on extremal surfaces from the
+    equations; the graph itself when every label is present.  The resolved
+    graph is built once per graph."""
     if all(v.self_intersection is not None for v in graph.surfaces):
         return graph
-    return _with_self_intersections(graph, *extremal_self_intersections(graph))
-
-
-def _with_self_intersections(
-    graph: DecoratedGraph, e_min: Fraction, e_max: Fraction
-) -> DecoratedGraph:
-    """The graph with every missing extremal label set from ``(e_min, e_max)``,
-    the pair :func:`extremal_self_intersections` returns for it."""
-    if all(v.self_intersection is not None for v in graph.surfaces):
-        return graph
-    y_min, y_max = graph.momentum_span()
-    surfaces = []
-    for v in graph.surfaces:
-        if v.self_intersection is None and v.y == y_min:
-            v = FatVertex(v.id, v.y, v.area, v.genus, e_min)
-        elif v.self_intersection is None and v.y == y_max:
-            v = FatVertex(v.id, v.y, v.area, v.genus, e_max)
-        surfaces.append(v)
-    return DecoratedGraph(graph.isolated, tuple(surfaces), graph.edges, graph.h1_identification)
+    return graph._resolved
 
 
 def weight_product(vertex: IsolatedVertex) -> int:
@@ -396,14 +444,20 @@ def weight_product(vertex: IsolatedVertex) -> int:
     return w
 
 
+def _inverse_euler_sum(points) -> Fraction:
+    """The sum of 1/(w1 w2) over isolated points, summed in integers over
+    the lcm of the weight products."""
+    products = [weight_product(v) for v in points]
+    denominator = lcm(*products)
+    return Fraction(sum(denominator // w for w in products), denominator)
+
+
 def abbv_zero_check(graph: DecoratedGraph) -> bool:
     """Degree-zero localization identity: sum of inverse Euler numbers vanishes.
 
     Requires every fat vertex to carry a resolved self_intersection.
     """
-    total = Fraction(0)
-    for v in graph.isolated:
-        total += Fraction(1, weight_product(v))
+    total = _inverse_euler_sum(graph.isolated)
     for v in graph.surfaces:
         if v.self_intersection is None:
             raise InputError(f"unresolved self_intersection at {v.id!r}")
@@ -539,31 +593,31 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
             )
 
     if weights_ok:
-        try:
-            e_min, e_max = extremal_self_intersections(graph)
-            for v in graph.surfaces:
-                if v.self_intersection is None:
-                    continue
-                expected = e_min if v.y == y_min else e_max if v.y == y_max else None
-                if expected is not None and v.self_intersection != expected:
-                    violations.append(
-                        Violation(
-                            "self-intersection",
-                            f"label {v.self_intersection} but the extremal equations give {expected}",
-                            (v.id,),
-                        )
-                    )
-            resolved = _with_self_intersections(graph, e_min, e_max)
-            if not abbv_zero_check(resolved):
+        e_min, e_max = extremal_self_intersections(graph)
+        labels = []
+        for v in graph.surfaces:
+            expected = e_min if v.y == y_min else e_max if v.y == y_max else None
+            if v.self_intersection is None:
+                labels.append(expected)
+                continue
+            labels.append(v.self_intersection)
+            if expected is not None and v.self_intersection != expected:
                 violations.append(
                     Violation(
-                        "euler-sum",
-                        "inverse Euler numbers of the fixed components do not sum to zero",
-                        tuple(graph.component_ids()),
+                        "self-intersection",
+                        f"label {v.self_intersection} but the extremal equations give {expected}",
+                        (v.id,),
                     )
                 )
-        except InputError:
-            pass
+        # An unlabelled surface off the extrema has no label to sum.
+        if None not in labels and _inverse_euler_sum(graph.isolated) != sum(labels):
+            violations.append(
+                Violation(
+                    "euler-sum",
+                    "inverse Euler numbers of the fixed components do not sum to zero",
+                    tuple(graph.component_ids()),
+                )
+            )
 
     return _sorted_report(violations)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, SchemaError
 from .graph import (
@@ -31,6 +32,8 @@ from .graph import (
     IsolatedVertex,
     Violation,
     _check_keys,
+    _find,
+    _id_index,
     _load_document,
     _parse_id,
     _require,
@@ -108,10 +111,12 @@ class XRay:
         return [c.id for c in self.components]
 
     def find(self, component_id: str) -> TorusFixedComponent:
-        for c in self.components:
-            if c.id == component_id:
-                return c
-        raise InputError(f"no component named {component_id!r}")
+        return _find(self._by_id, component_id)
+
+    @cached_property
+    def _by_id(self) -> dict[str, TorusFixedComponent]:
+        """Kept on the frozen x-ray, as on a graph."""
+        return _id_index(self.components)
 
 
 def _parse_int_vector(value, length: int, where: str) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fixtures
 from equicoh import cli
+from equicoh import graph as graph_module
 from equicoh.cli import main
 
 
@@ -660,6 +661,21 @@ def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data
         "image_basis_xray": 1, "parse_class_torus": 1, "check_membership_xray": 1,
     }
     assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
+
+
+def test_a_basis_call_computes_the_extremal_labels_once(capsys, monkeypatch, data_dir):
+    """Validation and the basis that follows share one graph, so its labels
+    are solved for once."""
+    calls = []
+    original = graph_module._extremal_labels
+    monkeypatch.setattr(
+        graph_module, "_extremal_labels", lambda g: calls.append(g) or original(g)
+    )
+    for degree in ("0", "2", "4"):
+        calls.clear()
+        argv = ("basis", str(data_dir / "g2_uneq.json"), "--degree", degree)
+        assert run(capsys, *argv)[0] == 0
+        assert len(calls) == 1, degree
 
 
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys, monkeypatch, data_dir):

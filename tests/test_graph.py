@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from equicoh import (
     DegenerateInputError,
+    InputError,
     ParseError,
     SchemaError,
     abbv_zero_check,
@@ -19,9 +21,28 @@ from equicoh import (
     validate_graph,
     weight_product,
 )
-from equicoh.graph import graph_to_dict, report_to_json
+from equicoh import graph as graph_module
+from equicoh.graph import (
+    DecoratedGraph,
+    FatVertex,
+    IsolatedVertex,
+    Violation,
+    graph_to_dict,
+    report_to_json,
+)
 
-from fixtures import all_graphs, g1, g1_doc, g2, g2_doc, g3, g3_doc, mutate
+from fixtures import (
+    all_graphs,
+    chain,
+    chain_doc,
+    g1,
+    g1_doc,
+    g2,
+    g2_doc,
+    g3,
+    g3_doc,
+    mutate,
+)
 
 
 def codes(graph):
@@ -226,6 +247,11 @@ def test_resolve_self_intersections():
     assert resolve_self_intersections(g3()).find("S").self_intersection == 1
 
 
+def test_find_names_a_missing_component():
+    with pytest.raises(InputError, match="no component named 'Z'"):
+        g1().find("Z")
+
+
 def test_weight_product():
     assert weight_product(g1().find("A")) == 2
     assert weight_product(g1().find("B")) == -1
@@ -287,3 +313,426 @@ def test_graph_to_dict_is_canonical_json():
     doc = graph_to_dict(g3())
     assert doc["surfaces"][0]["self_intersection"] == "1"
     assert doc["isolated"][0]["y"] == "0"
+
+
+# -- the values stored on a graph against the recomputing references ---------
+
+
+def reference_extremal_self_intersections(graph):
+    """The extremal labels with every term a Fraction, from a span computed
+    afresh."""
+    ys = [v.y for v in graph.isolated] + [v.y for v in graph.surfaces]
+    y_min, y_max = min(ys), max(ys)
+    if y_min == y_max:
+        raise DegenerateInputError("momentum map is constant; extrema are not separated")
+    sum_e = Fraction(0)
+    sum_ye = Fraction(0)
+    for v in graph.isolated:
+        if y_min < v.y < y_max:
+            m, n = abs(v.weights[0]), abs(v.weights[1])
+            if m == 0 or n == 0:
+                raise InputError(f"zero weight at {v.id!r}")
+            e_p = Fraction(1, m * n)
+            sum_e += e_p
+            sum_ye += v.y * e_p
+    s_min = Fraction(0)
+    s_max = Fraction(0)
+    for v in graph.surfaces:
+        if v.y == y_min:
+            s_min = v.area
+        elif v.y == y_max:
+            s_max = v.area
+    span = y_max - y_min
+    e_min = (sum_ye + s_min - sum_e * y_max - s_max) / span
+    e_max = (sum_e * y_min + s_max - sum_ye - s_min) / span
+    return e_min, e_max
+
+
+def reference_validate_graph(graph):
+    """Validation that recomputes the span and the labels, builds the
+    resolved graph and sums its inverse Euler numbers term by term."""
+    violations = []
+    ys = [v.y for v in graph.isolated] + [v.y for v in graph.surfaces]
+    y_min, y_max = min(ys), max(ys)
+    if y_min == y_max:
+        return [
+            Violation(
+                "degenerate-momentum",
+                "all components sit at one momentum level",
+                tuple(graph.component_ids()),
+            )
+        ]
+
+    at_min = [v.id for v in graph.isolated if v.y == y_min] + [
+        v.id for v in graph.surfaces if v.y == y_min
+    ]
+    at_max = [v.id for v in graph.isolated if v.y == y_max] + [
+        v.id for v in graph.surfaces if v.y == y_max
+    ]
+    for level, ids in (("minimum", at_min), ("maximum", at_max)):
+        if len(ids) > 1:
+            violations.append(
+                Violation(
+                    "extremum-not-unique",
+                    f"{len(ids)} components attain the {level}",
+                    tuple(sorted(ids)),
+                )
+            )
+
+    weights_ok = True
+    for v in graph.isolated:
+        b1, b2 = v.weights
+        if b1 == 0 or b2 == 0:
+            violations.append(Violation("weight-signs", "weights must be nonzero", (v.id,)))
+            weights_ok = False
+        elif v.y == y_min and not (b1 > 0 and b2 > 0):
+            violations.append(
+                Violation(
+                    "weight-signs",
+                    f"minimum point must have two positive weights, got {v.weights}",
+                    (v.id,),
+                )
+            )
+        elif v.y == y_max and not (b1 < 0 and b2 < 0):
+            violations.append(
+                Violation(
+                    "weight-signs",
+                    f"maximum point must have two negative weights, got {v.weights}",
+                    (v.id,),
+                )
+            )
+        elif y_min < v.y < y_max and not b1 * b2 < 0:
+            violations.append(
+                Violation(
+                    "weight-signs",
+                    f"interior point must have weights of opposite sign, got {v.weights}",
+                    (v.id,),
+                )
+            )
+
+    vertex_by_id = {v.id: v for v in graph.isolated}
+    for e in graph.edges:
+        a, b = vertex_by_id[e.start], vertex_by_id[e.end]
+        pair = tuple(sorted((e.start, e.end)))
+        if a.y == b.y:
+            violations.append(
+                Violation("edge-weights", "edge endpoints sit at equal momentum", pair)
+            )
+            continue
+        lower, upper = (a, b) if a.y < b.y else (b, a)
+        if e.ell not in lower.weights or -e.ell not in upper.weights:
+            violations.append(
+                Violation(
+                    "edge-weights",
+                    f"edge of speed {e.ell} needs weight +{e.ell} below and -{e.ell} above",
+                    pair,
+                )
+            )
+        if e.area is not None and abs(b.y - a.y) != e.ell * e.area:
+            violations.append(
+                Violation(
+                    "edge-area",
+                    f"momentum gap {abs(b.y - a.y)} != ell * area = {e.ell * e.area}",
+                    pair,
+                )
+            )
+
+    for v in graph.surfaces:
+        if v.y not in (y_min, y_max):
+            violations.append(
+                Violation("fat-not-extremal", "fixed surfaces occur only at the extrema", (v.id,))
+            )
+
+    genera = sorted({v.genus for v in graph.surfaces})
+    if len(graph.surfaces) == 2 and len(genera) > 1:
+        violations.append(
+            Violation(
+                "genus-mismatch",
+                f"the two fixed surfaces have different genera {genera}",
+                tuple(v.id for v in graph.surfaces),
+            )
+        )
+    if any(v.genus > 0 for v in graph.surfaces) and len(graph.surfaces) != 2:
+        violations.append(
+            Violation(
+                "genus-mismatch",
+                "positive genus forces exactly two fixed surfaces",
+                tuple(v.id for v in graph.surfaces),
+            )
+        )
+
+    if not graph.surfaces and weights_ok:
+        g = 0
+        for v in graph.isolated:
+            g = gcd(g, abs(v.weights[0]))
+            g = gcd(g, abs(v.weights[1]))
+        if g != 1:
+            violations.append(
+                Violation(
+                    "not-effective",
+                    f"all weights share the common factor {g}",
+                    tuple(v.id for v in graph.isolated),
+                )
+            )
+
+    if weights_ok:
+        try:
+            e_min, e_max = reference_extremal_self_intersections(graph)
+            for v in graph.surfaces:
+                if v.self_intersection is None:
+                    continue
+                expected = e_min if v.y == y_min else e_max if v.y == y_max else None
+                if expected is not None and v.self_intersection != expected:
+                    violations.append(
+                        Violation(
+                            "self-intersection",
+                            f"label {v.self_intersection} but the extremal equations give "
+                            f"{expected}",
+                            (v.id,),
+                        )
+                    )
+            surfaces = []
+            for v in graph.surfaces:
+                if v.self_intersection is None and v.y == y_min:
+                    v = FatVertex(v.id, v.y, v.area, v.genus, e_min)
+                elif v.self_intersection is None and v.y == y_max:
+                    v = FatVertex(v.id, v.y, v.area, v.genus, e_max)
+                surfaces.append(v)
+            total = Fraction(0)
+            for v in graph.isolated:
+                total += Fraction(1, weight_product(v))
+            for v in surfaces:
+                if v.self_intersection is None:
+                    raise InputError(f"unresolved self_intersection at {v.id!r}")
+                total -= v.self_intersection
+            if total != 0:
+                violations.append(
+                    Violation(
+                        "euler-sum",
+                        "inverse Euler numbers of the fixed components do not sum to zero",
+                        tuple(graph.component_ids()),
+                    )
+                )
+        except InputError:
+            pass
+
+    return sorted(violations, key=lambda v: (v.code, v.components, v.message))
+
+
+def outcome(function, graph):
+    """What ``function(graph)`` returns, or the type and text of what it raises."""
+    try:
+        return function(graph)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_references(doc):
+    """Each function on a fresh parse of ``doc`` agrees with its reference."""
+    assert validate_graph(parse_graph(doc)) == reference_validate_graph(parse_graph(doc))
+    assert outcome(extremal_self_intersections, parse_graph(doc)) == outcome(
+        reference_extremal_self_intersections, parse_graph(doc)
+    )
+    # validation first, then the labels it stored
+    graph = parse_graph(doc)
+    validate_graph(graph)
+    assert outcome(extremal_self_intersections, graph) == outcome(
+        reference_extremal_self_intersections, graph
+    )
+
+
+def test_fixtures_match_the_references():
+    for graph in all_graphs().values():
+        assert_matches_references(graph_to_dict(graph))
+    assert_matches_references(g2_doc(0, 2, 4))
+    for n, genus in ((4, 0), (40, 1), (100, 2)):
+        assert_matches_references(chain_doc(n, genus))
+
+
+def _degenerate_doc():
+    return {
+        "kind": "graph",
+        "isolated": [
+            {"id": "a", "y": 0, "weights": [1, 1]},
+            {"id": "b", "y": 0, "weights": [-1, -1]},
+        ],
+        "surfaces": [],
+        "edges": [],
+    }
+
+
+def _interior_surface_doc():
+    doc = g2_doc(0)
+    doc["isolated"].append({"id": "p", "y": "1/2", "weights": [1, -1]})
+    doc["surfaces"].append({"id": "Smid", "y": "1/2", "area": 1, "genus": 0})
+    return doc
+
+
+def _relabelled(doc, index, label):
+    doc["surfaces"][index]["self_intersection"] = label
+    return doc
+
+
+ONE_GRAPH_PER_CODE = {
+    "degenerate-momentum": _degenerate_doc(),
+    "extremum-not-unique": mutate(
+        g1_doc(),
+        lambda d: d["isolated"].append({"id": "D", "y": 2, "weights": [-1, -3]}),
+    ),
+    "weight-signs": mutate(g1_doc(), lambda d: d["isolated"][1].__setitem__("weights", [1, 1])),
+    "edge-weights": mutate(g1_doc(), lambda d: d["edges"][0].__setitem__("ell", 3)),
+    "edge-area": mutate(g1_doc(), lambda d: d["edges"][0].__setitem__("area", 5)),
+    "fat-not-extremal": _interior_surface_doc(),
+    "genus-mismatch": mutate(g2_doc(1), lambda d: d["surfaces"][1].__setitem__("genus", 2)),
+    "not-effective": mutate(
+        g1_doc(),
+        lambda d: [
+            v.__setitem__("weights", [2 * v["weights"][0], 2 * v["weights"][1]])
+            for v in d["isolated"]
+        ],
+    ),
+    "self-intersection": _relabelled(g2_doc(0), 0, 5),
+    "euler-sum": _relabelled(g3_doc(), 0, 2),
+}
+
+
+@pytest.mark.parametrize("code", sorted(ONE_GRAPH_PER_CODE))
+def test_each_violation_code_matches_the_references(code):
+    doc = ONE_GRAPH_PER_CODE[code]
+    assert code in codes(parse_graph(doc))
+    assert_matches_references(doc)
+
+
+def test_an_unlabelled_interior_surface_gets_no_euler_sum():
+    doc = _interior_surface_doc()
+    assert codes(parse_graph(doc)) == ["fat-not-extremal"]
+    assert_matches_references(doc)
+    # with a label it is summed, and the sum fails
+    assert "euler-sum" in codes(parse_graph(_relabelled(doc, 2, 3)))
+    assert_matches_references(_relabelled(doc, 2, 3))
+
+
+def test_a_zero_weight_built_directly_matches_the_references():
+    graph = DecoratedGraph(
+        (
+            IsolatedVertex("a", Fraction(0), (1, 1)),
+            IsolatedVertex("b", Fraction(1, 2), (0, -1)),
+            IsolatedVertex("c", Fraction(1), (-1, -1)),
+        ),
+        (),
+        (),
+    )
+    assert validate_graph(graph) == reference_validate_graph(graph)
+    assert [v.code for v in validate_graph(graph)] == ["weight-signs"]
+    for _ in range(2):
+        assert outcome(extremal_self_intersections, graph) == (
+            InputError,
+            "zero weight at 'b'",
+        )
+    assert outcome(reference_extremal_self_intersections, graph) == (
+        InputError,
+        "zero weight at 'b'",
+    )
+
+
+extremum = st.one_of(
+    st.none(),
+    st.tuples(st.integers(1, 9), st.integers(0, 2), st.one_of(st.none(), st.integers(-5, 5))),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-20, 20),
+            st.integers(1, 9),
+            st.integers(-50, 50).filter(bool),
+            st.integers(-50, 50).filter(bool),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    extremum,
+    extremum,
+)
+def test_stored_values_match_the_references(points, low, high):
+    surfaces = []
+    for sid, y, data in (("Smin", -21, low), ("Smax", 21, high)):
+        if data is not None:
+            area, genus, label = data
+            surfaces.append(
+                {"id": sid, "y": y, "area": area, "genus": genus, "self_intersection": label}
+            )
+    doc = {
+        "kind": "graph",
+        "isolated": [
+            {"id": f"p{i}", "y": f"{p}/{q}", "weights": [m, n]}
+            for i, (p, q, m, n) in enumerate(points)
+        ],
+        "surfaces": surfaces,
+        "edges": [],
+    }
+    assert_matches_references(doc)
+
+
+# -- each derived value once per graph -----------------------------------------
+
+
+def test_resolution_is_built_once():
+    graph = g2(0, 2, 4)
+    resolved = resolve_self_intersections(graph)
+    assert resolve_self_intersections(graph) is resolved
+    assert resolve_self_intersections(resolved) is resolved
+    labelled = g3()
+    assert resolve_self_intersections(labelled) is labelled
+
+
+def test_stored_values_leave_equality_hash_and_repr_alone():
+    for doc in (g1_doc(), g2_doc(1, 2, 4), g3_doc(), chain_doc(8, 1)):
+        graph = parse_graph(doc)
+        assert validate_graph(graph) == []
+        resolved = resolve_self_intersections(graph)
+        extremal_self_intersections(graph)
+        graph.momentum_span()
+        graph.find(graph.component_ids()[0])
+        fresh = parse_graph(doc)
+        assert graph == fresh
+        assert hash(graph) == hash(fresh)
+        assert repr(graph) == repr(fresh)
+        reparsed = parse_graph(serialize_graph(resolved))
+        assert resolved == reparsed
+        assert hash(resolved) == hash(reparsed)
+        assert repr(resolved) == repr(reparsed)
+        assert resolved.momentum_span() == reparsed.momentum_span()
+        assert extremal_self_intersections(resolved) == extremal_self_intersections(reparsed)
+
+
+def test_a_degenerate_graph_raises_on_every_call():
+    doc = {
+        "kind": "graph",
+        "isolated": [{"id": "a", "y": 0, "weights": [1, 1]}],
+        "surfaces": [{"id": "S", "y": 0, "area": 1, "genus": 0}],
+        "edges": [],
+    }
+    graph = parse_graph(doc)
+    for _ in range(3):
+        with pytest.raises(DegenerateInputError):
+            extremal_self_intersections(graph)
+        with pytest.raises(DegenerateInputError):
+            resolve_self_intersections(graph)
+    assert codes(graph) == ["degenerate-momentum"]
+
+
+def test_the_labels_of_a_chain_are_computed_once(monkeypatch):
+    calls = []
+    original = graph_module._extremal_labels
+    monkeypatch.setattr(
+        graph_module, "_extremal_labels", lambda g: calls.append(g) or original(g)
+    )
+    graph = chain(12, 1)
+    validate_graph(graph)
+    resolved = resolve_self_intersections(graph)
+    extremal_self_intersections(graph)
+    extremal_self_intersections(resolved)
+    validate_graph(resolved)
+    assert calls == [graph]

@@ -69,6 +69,8 @@ def test_parse_x2_shape():
     assert all(p.dim == 4 and p.ell is None for p in xray.pieces)
     assert xray.find("Smin_1").kind == "surface"
     assert xray.find("Smin_1").area == 1
+    with pytest.raises(InputError, match="no component named 'Z'"):
+        xray.find("Z")
 
 
 def test_parse_cp3_shape():

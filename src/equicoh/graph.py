@@ -10,20 +10,24 @@ self-intersection numbers are determined by the rest of the data through
 exact rational formulas implemented in :func:`extremal_self_intersections`.
 
 A graph is frozen, so what is derived from it is computed at most once,
-when first needed, and kept on the graph: its momentum span, its two
-extremal labels, its resolved graph and its index of components by id.
-Validation and every later query of the same graph share them.  A
-computation that raises (a degenerate span, a zero weight) keeps nothing
-and raises again on the next call.
+when first needed, and kept on the graph: its momenta as integer levels
+over one common denominator, its momentum span, its two extremal labels,
+its resolved graph and its index of components by id.  Validation and
+every later query of the same graph share them.  Validation compares and
+sums momenta as those integers, and builds a Fraction only for a value it
+returns or prints.  A computation that raises (a degenerate span, a zero
+weight) keeps nothing and raises again on the next call.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import DegenerateInputError, InputError, ParseError, SchemaError
 
@@ -33,17 +37,28 @@ SURFACE_KEYS = {"id", "y", "area", "genus", "self_intersection"}
 EDGE_KEYS = {"from", "to", "ell", "area"}
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(value, where: str) -> Fraction:
-    """Exact rational from a JSON value: an integer or a "p/q" string."""
+    """Exact rational from a JSON value: an integer, or a string of an
+    optional sign, decimal digits and an optional ``/`` with a positive
+    denominator of decimal digits (``"-3"``, ``"3/2"``)."""
     if isinstance(value, bool):
         raise SchemaError("expected a rational number", where)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"cannot parse rational {value!r}", where) from None
+        match = _RATIONAL.fullmatch(value)
+        if match is not None:
+            numerator, denominator = match.groups()
+            try:
+                if denominator is None:
+                    return Fraction(int(numerator))
+                return Fraction(int(numerator), int(denominator))
+            except (ValueError, ZeroDivisionError):  # too many digits, or "/0"
+                pass
+        raise SchemaError(f"cannot parse rational {value!r}", where)
     if isinstance(value, float):
         raise SchemaError('floats are rejected; use an integer or a "p/q" string', where)
     raise SchemaError("expected a rational number", where)
@@ -121,9 +136,26 @@ class DecoratedGraph:
         return _id_index(self.isolated + self.surfaces)
 
     @cached_property
-    def _span(self) -> tuple[Fraction, Fraction]:
+    def _levels(self) -> _Levels:
         ys = [v.y for v in self.isolated] + [v.y for v in self.surfaces]
-        return min(ys), max(ys)
+        denominator = lcm(*(y.denominator for y in ys))
+        levels = [y.numerator * (denominator // y.denominator) for y in ys]
+        n = len(self.isolated)
+        return _Levels(
+            denominator, tuple(levels[:n]), tuple(levels[n:]), min(levels), max(levels)
+        )
+
+    @cached_property
+    def _span(self) -> tuple[Fraction, Fraction]:
+        """The momenta of a lowest and a highest component: their own
+        Fractions, picked by level."""
+        levels = self._levels
+        ordered = levels.isolated + levels.surfaces
+        components = self.isolated + self.surfaces
+        return (
+            components[ordered.index(levels.lowest)].y,
+            components[ordered.index(levels.highest)].y,
+        )
 
     @cached_property
     def _labels(self) -> tuple[Fraction, Fraction]:
@@ -135,19 +167,20 @@ class DecoratedGraph:
         when one is missing, since keeping the graph itself would make a
         reference cycle."""
         e_min, e_max = self._labels
-        y_min, y_max = self._span
+        levels = self._levels
         surfaces = []
-        for v in self.surfaces:
-            if v.self_intersection is None and v.y == y_min:
+        for v, n in zip(self.surfaces, levels.surfaces):
+            if v.self_intersection is None and n == levels.lowest:
                 v = FatVertex(v.id, v.y, v.area, v.genus, e_min)
-            elif v.self_intersection is None and v.y == y_max:
+            elif v.self_intersection is None and n == levels.highest:
                 v = FatVertex(v.id, v.y, v.area, v.genus, e_max)
             surfaces.append(v)
         resolved = DecoratedGraph(
             self.isolated, tuple(surfaces), self.edges, self.h1_identification
         )
-        # The labels read only momenta, weights and areas, which resolving keeps.
-        resolved.__dict__.update(_span=self._span, _labels=self._labels)
+        # The labels read only momenta, weights and areas, which resolving
+        # keeps, and the surfaces keep their order.
+        resolved.__dict__.update(_levels=levels, _span=self._span, _labels=self._labels)
         return resolved
 
     def identification_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -160,6 +193,19 @@ class DecoratedGraph:
         return tuple(
             tuple(1 if i == j else 0 for j in range(2 * g)) for i in range(2 * g)
         )
+
+
+class _Levels(NamedTuple):
+    """A graph's momenta as integers over one common denominator, the lcm
+    of the ``y`` denominators: the component at ``level`` sits at
+    ``level / denominator``.  The levels follow ``graph.isolated`` and
+    ``graph.surfaces``."""
+
+    denominator: int
+    isolated: tuple[int, ...]
+    surfaces: tuple[int, ...]
+    lowest: int
+    highest: int
 
 
 def _id_index(records) -> dict:
@@ -295,6 +341,7 @@ def parse_graph(text) -> DecoratedGraph:
     if not seen:
         raise SchemaError("a graph needs at least one fixed component", "graph")
 
+    isolated_ids = {v.id for v in isolated}
     edges = []
     for i, item in enumerate(raw_edges):
         where = f"edges[{i}]"
@@ -306,7 +353,7 @@ def parse_graph(text) -> DecoratedGraph:
         for endpoint in (start, end):
             if endpoint not in seen:
                 raise SchemaError(f"edge references an unknown id {endpoint!r}", where)
-            if not any(v.id == endpoint for v in isolated):
+            if endpoint not in isolated_ids:
                 raise SchemaError(f"edge endpoint {endpoint!r} is not an isolated vertex", where)
         if start == end:
             raise SchemaError("edge endpoints must differ", where)
@@ -396,35 +443,39 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fracti
 
 
 def _extremal_labels(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
-    """The pair :func:`extremal_self_intersections` returns.  The sums of
-    1/(m n) and y/(m n) over the interior points are integer sums over one
-    common denominator, the lcm of the ``m n y.denominator``."""
-    y_min, y_max = graph.momentum_span()
-    if y_min == y_max:
+    """The pair :func:`extremal_self_intersections` returns, from integers.
+
+    With the momenta as levels n over their common denominator D, the
+    interior points' m n and the extremal areas' denominators over their
+    lcm L, and each extremal area s as the integer S = s L,
+
+        e_min = (sum (n - n_max) L/(m n) + D (S_min - S_max)) / (L (n_max - n_min))
+
+    and e_max is its mirror image.  Each label is one Fraction.
+    """
+    denominator, isolated_levels, surface_levels, lo, hi = graph._levels
+    if lo == hi:
         raise DegenerateInputError("momentum map is constant; extrema are not separated")
     interior = []
-    denominator = 1
-    for v in graph.isolated:
-        if y_min < v.y < y_max:
+    common = 1
+    for v, n in zip(graph.isolated, isolated_levels):
+        if lo < n < hi:
             mn = abs(v.weights[0] * v.weights[1])
             if mn == 0:
                 raise InputError(f"zero weight at {v.id!r}")
-            q = mn * v.y.denominator
-            denominator = lcm(denominator, q)
-            interior.append((mn, q, v.y.numerator))
-    sum_e = Fraction(sum(denominator // mn for mn, _, _ in interior), denominator)
-    sum_ye = Fraction(sum(p * (denominator // q) for _, q, p in interior), denominator)
-    s_min = Fraction(0)
-    s_max = Fraction(0)
-    for v in graph.surfaces:
-        if v.y == y_min:
-            s_min = v.area
-        elif v.y == y_max:
-            s_max = v.area
-    span = y_max - y_min
-    e_min = (sum_ye + s_min - sum_e * y_max - s_max) / span
-    e_max = (sum_e * y_min + s_max - sum_ye - s_min) / span
-    return e_min, e_max
+            common = lcm(common, mn)
+            interior.append((n, mn))
+    ends = {lo: (0, 1), hi: (0, 1)}  # numerator and denominator of the extremal areas
+    for v, n in zip(graph.surfaces, surface_levels):
+        if n in ends:
+            ends[n] = (v.area.numerator, v.area.denominator)
+    (p_min, q_min), (p_max, q_max) = ends[lo], ends[hi]
+    common = lcm(common, q_min, q_max)
+    sum_e = sum(common // mn for _, mn in interior)
+    sum_ne = sum(n * (common // mn) for n, mn in interior)
+    gap = denominator * (p_min * (common // q_min) - p_max * (common // q_max))
+    span = common * (hi - lo)
+    return Fraction(sum_ne - hi * sum_e + gap, span), Fraction(lo * sum_e - sum_ne - gap, span)
 
 
 def resolve_self_intersections(graph: DecoratedGraph) -> DecoratedGraph:
@@ -466,10 +517,16 @@ def abbv_zero_check(graph: DecoratedGraph) -> bool:
 
 
 def validate_graph(graph: DecoratedGraph) -> list[Violation]:
-    """All compatibility violations, canonically sorted; empty iff valid."""
+    """All compatibility violations, canonically sorted; empty iff valid.
+
+    Momenta are compared as integer levels over one common denominator
+    (``graph._levels``), and each component is placed once, at the minimum,
+    at the maximum or in between.  Raises InputError for an edge whose
+    endpoints are not both isolated vertices of the graph.
+    """
     violations: list[Violation] = []
-    y_min, y_max = graph.momentum_span()
-    if y_min == y_max:
+    denominator, isolated_levels, surface_levels, lo, hi = graph._levels
+    if lo == hi:
         return [
             Violation(
                 "degenerate-momentum",
@@ -478,12 +535,52 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
             )
         ]
 
-    at_min = [v.id for v in graph.isolated if v.y == y_min] + [
-        v.id for v in graph.surfaces if v.y == y_min
-    ]
-    at_max = [v.id for v in graph.isolated if v.y == y_max] + [
-        v.id for v in graph.surfaces if v.y == y_max
-    ]
+    at_min: list[str] = []
+    at_max: list[str] = []
+    weights_ok = True
+    for v, n in zip(graph.isolated, isolated_levels):
+        b1, b2 = v.weights
+        if n == lo:
+            at_min.append(v.id)
+            rule, ok = "minimum point must have two positive weights", b1 > 0 and b2 > 0
+        elif n == hi:
+            at_max.append(v.id)
+            rule, ok = "maximum point must have two negative weights", b1 < 0 and b2 < 0
+        else:
+            rule, ok = "interior point must have weights of opposite sign", b1 * b2 < 0
+        if b1 == 0 or b2 == 0:
+            violations.append(Violation("weight-signs", "weights must be nonzero", (v.id,)))
+            weights_ok = False
+        elif not ok:
+            violations.append(Violation("weight-signs", f"{rule}, got {v.weights}", (v.id,)))
+
+    labels: list[Fraction | None] = []
+    e_min, e_max = extremal_self_intersections(graph) if weights_ok else (None, None)
+    for v, n in zip(graph.surfaces, surface_levels):
+        if n == lo:
+            at_min.append(v.id)
+            expected = e_min
+        elif n == hi:
+            at_max.append(v.id)
+            expected = e_max
+        else:
+            violations.append(
+                Violation("fat-not-extremal", "fixed surfaces occur only at the extrema", (v.id,))
+            )
+            expected = None
+        if v.self_intersection is None:
+            labels.append(expected)
+            continue
+        labels.append(v.self_intersection)
+        if expected is not None and v.self_intersection != expected:
+            violations.append(
+                Violation(
+                    "self-intersection",
+                    f"label {v.self_intersection} but the extremal equations give {expected}",
+                    (v.id,),
+                )
+            )
+
     for level, ids in (("minimum", at_min), ("maximum", at_max)):
         if len(ids) > 1:
             violations.append(
@@ -494,49 +591,22 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
                 )
             )
 
-    weights_ok = True
-    for v in graph.isolated:
-        b1, b2 = v.weights
-        if b1 == 0 or b2 == 0:
-            violations.append(
-                Violation("weight-signs", "weights must be nonzero", (v.id,))
-            )
-            weights_ok = False
-        elif v.y == y_min and not (b1 > 0 and b2 > 0):
-            violations.append(
-                Violation(
-                    "weight-signs",
-                    f"minimum point must have two positive weights, got {v.weights}",
-                    (v.id,),
-                )
-            )
-        elif v.y == y_max and not (b1 < 0 and b2 < 0):
-            violations.append(
-                Violation(
-                    "weight-signs",
-                    f"maximum point must have two negative weights, got {v.weights}",
-                    (v.id,),
-                )
-            )
-        elif y_min < v.y < y_max and not b1 * b2 < 0:
-            violations.append(
-                Violation(
-                    "weight-signs",
-                    f"interior point must have weights of opposite sign, got {v.weights}",
-                    (v.id,),
-                )
-            )
-
-    vertex_by_id = {v.id: v for v in graph.isolated}
+    vertices = {v.id: (v, n) for v, n in zip(graph.isolated, isolated_levels)}
     for e in graph.edges:
-        a, b = vertex_by_id[e.start], vertex_by_id[e.end]
+        for endpoint in (e.start, e.end):
+            if endpoint not in vertices:
+                raise InputError(
+                    f"edge from {e.start!r} to {e.end!r}: {endpoint!r} is not an "
+                    "isolated vertex of the graph"
+                )
+        (a, na), (b, nb) = vertices[e.start], vertices[e.end]
         pair = tuple(sorted((e.start, e.end)))
-        if a.y == b.y:
+        if na == nb:
             violations.append(
                 Violation("edge-weights", "edge endpoints sit at equal momentum", pair)
             )
             continue
-        lower, upper = (a, b) if a.y < b.y else (b, a)
+        lower, upper = (a, b) if na < nb else (b, a)
         if e.ell not in lower.weights or -e.ell not in upper.weights:
             violations.append(
                 Violation(
@@ -545,19 +615,16 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
                     pair,
                 )
             )
-        if e.area is not None and abs(b.y - a.y) != e.ell * e.area:
+        # |b.y - a.y| == ell * area, over the common denominator
+        if e.area is not None and (
+            abs(nb - na) * e.area.denominator != e.ell * e.area.numerator * denominator
+        ):
             violations.append(
                 Violation(
                     "edge-area",
                     f"momentum gap {abs(b.y - a.y)} != ell * area = {e.ell * e.area}",
                     pair,
                 )
-            )
-
-    for v in graph.surfaces:
-        if v.y not in (y_min, y_max):
-            violations.append(
-                Violation("fat-not-extremal", "fixed surfaces occur only at the extrema", (v.id,))
             )
 
     genera = sorted({v.genus for v in graph.surfaces})
@@ -592,32 +659,16 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
                 )
             )
 
-    if weights_ok:
-        e_min, e_max = extremal_self_intersections(graph)
-        labels = []
-        for v in graph.surfaces:
-            expected = e_min if v.y == y_min else e_max if v.y == y_max else None
-            if v.self_intersection is None:
-                labels.append(expected)
-                continue
-            labels.append(v.self_intersection)
-            if expected is not None and v.self_intersection != expected:
-                violations.append(
-                    Violation(
-                        "self-intersection",
-                        f"label {v.self_intersection} but the extremal equations give {expected}",
-                        (v.id,),
-                    )
-                )
-        # An unlabelled surface off the extrema has no label to sum.
-        if None not in labels and _inverse_euler_sum(graph.isolated) != sum(labels):
-            violations.append(
-                Violation(
-                    "euler-sum",
-                    "inverse Euler numbers of the fixed components do not sum to zero",
-                    tuple(graph.component_ids()),
-                )
+    # An unlabelled surface off the extrema leaves no label to sum.
+    summable = weights_ok and all(label is not None for label in labels)
+    if summable and _inverse_euler_sum(graph.isolated) != sum(labels):
+        violations.append(
+            Violation(
+                "euler-sum",
+                "inverse Euler numbers of the fixed components do not sum to zero",
+                tuple(graph.component_ids()),
             )
+        )
 
     return _sorted_report(violations)
 

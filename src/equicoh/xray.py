@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import InputError, SchemaError
 from .graph import (
@@ -117,6 +118,19 @@ class XRay:
     def _by_id(self) -> dict[str, TorusFixedComponent]:
         """Kept on the frozen x-ray, as on a graph."""
         return _id_index(self.components)
+
+    @cached_property
+    def _levels(self) -> tuple[int, dict[str, tuple[int, ...]]]:
+        """``(D, {id: levels})``: every component momentum as an integer
+        vector over one common denominator D, the lcm of all coordinates'
+        denominators, so that ``y == levels / D``.  Kept like ``_by_id``."""
+        denominator = lcm(*(x.denominator for c in self.components for x in c.y))
+        levels: dict[str, tuple[int, ...]] = {}
+        for c in self.components:
+            levels.setdefault(
+                c.id, tuple(x.numerator * (denominator // x.denominator) for x in c.y)
+            )
+        return denominator, levels
 
 
 def _parse_int_vector(value, length: int, where: str) -> tuple[int, ...]:
@@ -268,19 +282,32 @@ def serialize_xray(xray: XRay) -> str:
     return json.dumps(xray_to_dict(xray), indent=2, sort_keys=True) + "\n"
 
 
-def _parallel_ratio(vector, lam) -> Fraction | None:
-    """The scalar c with vector = c * lam, or None when not parallel."""
+def _parallel_ratio(vector, lam) -> int | Fraction | None:
+    """The scalar c with vector = c * lam, or None when not parallel.  For
+    integer vectors c is an int whenever lam's pivot entry divides the
+    vector's, which is always the case for a primitive lam."""
     pivot = next((i for i, x in enumerate(lam) if x), None)
     if pivot is None:
         raise InputError("the character must be nonzero")
     a, b = vector[pivot], lam[pivot]
     if all(v * b == a * l for v, l in zip(vector, lam)):
-        return Fraction(a, b)
+        c, r = divmod(a, b)
+        return c if r == 0 else Fraction(a, b)
     return None
 
 
+def _ratios(member: TorusFixedComponent, lam) -> list:
+    """The ratios of the member's weights that are parallel to lam."""
+    return [r for w in member.weights if (r := _parallel_ratio(w, lam)) is not None]
+
+
 def validate_xray(xray: XRay) -> list[Violation]:
-    """Semantic checks: characters, piece shapes, projections, induced graphs."""
+    """Semantic checks: characters, piece shapes, projections, induced graphs.
+
+    Momenta are compared as integer vectors over the x-ray's common
+    denominator (``xray._levels``), against an induced graph's own levels
+    by cross-multiplying.
+    """
     violations: list[Violation] = []
     for piece in xray.pieces:
         pid = piece.id
@@ -295,13 +322,13 @@ def validate_xray(xray: XRay) -> list[Violation]:
             continue
         members = [xray.find(m) for m in piece.members]
         if piece.dim == 2:
-            violations.extend(_validate_dim2_piece(piece, members))
+            violations.extend(_validate_dim2_piece(xray, piece, members))
         else:
             violations.extend(_validate_dim4_piece(xray, piece, members))
     return _sorted_report(violations)
 
 
-def _validate_dim2_piece(piece: SkeletonPiece, members) -> list[Violation]:
+def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
     pid = piece.id
     if len(members) != 2 or any(c.kind != "point" for c in members):
         return [
@@ -312,7 +339,9 @@ def _validate_dim2_piece(piece: SkeletonPiece, members) -> list[Violation]:
             )
         ]
     a, b = members
-    delta = tuple(x - y for x, y in zip(a.y, b.y))
+    levels = xray._levels[1]
+    # a.y - b.y scaled by the common denominator, which keeps the ratio's sign
+    delta = tuple(x - y for x, y in zip(levels[a.id], levels[b.id]))
     ratio = _parallel_ratio(delta, piece.lam)
     if ratio is None or ratio == 0:
         return [
@@ -325,12 +354,7 @@ def _validate_dim2_piece(piece: SkeletonPiece, members) -> list[Violation]:
     lower, upper = (b, a) if ratio > 0 else (a, b)
     out = []
     for member, sign in ((lower, 1), (upper, -1)):
-        ratios = [
-            r
-            for w in member.weights
-            if (r := _parallel_ratio(w, piece.lam)) is not None
-        ]
-        if ratios != [sign * piece.ell]:
+        if _ratios(member, piece.lam) != [sign * piece.ell]:
             out.append(
                 Violation(
                     "piece-weights",
@@ -358,7 +382,14 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
         )
         return out
     induced = piece.induced
-    y_min, y_max = induced.momentum_span()
+    graph_levels = induced._levels
+    # the ids are the members', so each names one component
+    level = dict(
+        zip(
+            [v.id for v in induced.isolated + induced.surfaces],
+            graph_levels.isolated + graph_levels.surfaces,
+        )
+    )
     for member in members:
         vertex = induced.find(member.id)
         if member.kind == "point":
@@ -372,17 +403,14 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                     )
                 )
                 continue
-            ratios = sorted(
-                r
-                for w in member.weights
-                if (r := _parallel_ratio(w, piece.lam)) is not None
-            )
-            if ratios != sorted(Fraction(b) for b in vertex.weights):
+            ratios = sorted(_ratios(member, piece.lam))
+            if ratios != sorted(vertex.weights):
                 out.append(
                     Violation(
                         "piece-weights",
                         f"piece {pid}: weights of {member.id!r} along the character "
-                        f"are {ratios}, induced graph says {sorted(vertex.weights)}",
+                        f"are [{', '.join(map(format_rational, ratios))}], "
+                        f"induced graph says {sorted(vertex.weights)}",
                         (pid, member.id),
                     )
                 )
@@ -406,13 +434,8 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                         (pid, member.id),
                     )
                 )
-            ratios = [
-                r
-                for w in member.weights
-                if (r := _parallel_ratio(w, piece.lam)) is not None
-            ]
-            expected = Fraction(1) if vertex.y == y_min else Fraction(-1)
-            if ratios != [expected]:
+            expected = 1 if level[member.id] == graph_levels.lowest else -1
+            if _ratios(member, piece.lam) != [expected]:
                 out.append(
                     Violation(
                         "piece-weights",
@@ -421,11 +444,16 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                         (pid, member.id),
                     )
                 )
+    # a.y - b.y == (induced step) * lam, each side over its own denominator
+    x_denominator, x_levels = xray._levels
+    g_denominator = graph_levels.denominator
     ordered = sorted(members, key=lambda c: c.id)
     for a, b in zip(ordered, ordered[1:]):
-        delta = tuple(x - y for x, y in zip(a.y, b.y))
-        step = induced.find(a.id).y - induced.find(b.id).y
-        if delta != tuple(step * l for l in piece.lam):
+        step = (level[a.id] - level[b.id]) * x_denominator
+        if any(
+            (x - y) * g_denominator != step * l
+            for x, y, l in zip(x_levels[a.id], x_levels[b.id], piece.lam)
+        ):
             out.append(
                 Violation(
                     "piece-momentum",

@@ -90,6 +90,17 @@ def test_validate_broken_json_reports_position(capsys, data_dir):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", " 3/4 "])
+def test_validate_rejects_a_rational_outside_the_grammar(capsys, tmp_path, text):
+    doc = fixtures.mutate(fixtures.g1_doc(), lambda d: d["isolated"][1].update(y=text))
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(capsys, "validate", str(path))
+    assert status == 2
+    assert out == ""
+    assert f"isolated[1]: cannot parse rational {text!r}" in err
+
+
 def test_validate_batch_text(capsys, batch_dir):
     status, out, _ = run(capsys, "validate", str(batch_dir))
     assert status == 2

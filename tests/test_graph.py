@@ -25,9 +25,11 @@ from equicoh import graph as graph_module
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
+    GraphEdge,
     IsolatedVertex,
     Violation,
     graph_to_dict,
+    parse_rational,
     report_to_json,
 )
 
@@ -65,6 +67,55 @@ def test_parse_accepts_rational_strings():
 
 
 @pytest.mark.parametrize(
+    "text, value",
+    [
+        ("3", Fraction(3)),
+        ("-3", Fraction(-3)),
+        ("+3", Fraction(3)),
+        ("007", Fraction(7)),
+        ("3/2", Fraction(3, 2)),
+        ("-6/4", Fraction(-3, 2)),
+        ("+0/5", Fraction(0)),
+    ],
+)
+def test_parse_rational_accepts_a_sign_digits_and_a_denominator(text, value):
+    assert parse_rational(text, "here") == value
+
+
+# Python's Fraction string grammar accepts the first six; the documented
+# grammar (sign, digits, optional "/" and positive denominator) does not.
+REJECTED_RATIONALS = [
+    "1.5",
+    "1e3",
+    "1_000",
+    " 3/4 ",
+    "3/4\n",
+    "\u0661",  # an Arabic-Indic digit one
+    "3/0",
+    "3/-4",
+    "3/+4",
+    "3 / 4",
+    "3/4/5",
+    "/4",
+    "3/",
+    "-",
+    "",
+    "0x10",
+    "inf",
+    "1" * 5000,  # past the interpreter's limit on digits
+]
+
+
+@pytest.mark.parametrize("text", REJECTED_RATIONALS)
+def test_parse_rational_rejects_every_other_string(text):
+    with pytest.raises(SchemaError, match="^here: cannot parse rational"):
+        parse_rational(text, "here")
+    doc = mutate(g1_doc(), lambda d: d["isolated"][1].__setitem__("y", text))
+    with pytest.raises(SchemaError, match=r"^isolated\[1\]: cannot parse rational"):
+        parse_graph(doc)
+
+
+@pytest.mark.parametrize(
     "break_doc, message",
     [
         (lambda d: d["edges"][0].__setitem__("from", "Z"), "unknown id"),
@@ -96,6 +147,29 @@ def test_parse_rejects_edge_to_surface():
     doc["edges"] = [{"from": "p", "to": "S", "ell": 1}]
     with pytest.raises(SchemaError, match="not an isolated vertex"):
         parse_graph(doc)
+
+
+def _hand_built_with_edge(start, end):
+    return DecoratedGraph(
+        (
+            IsolatedVertex("a", Fraction(0), (1, 1)),
+            IsolatedVertex("b", Fraction(1), (-1, -1)),
+        ),
+        (FatVertex("S", Fraction(1, 2), Fraction(1), 0),),
+        (GraphEdge(start, end, 1),),
+    )
+
+
+@pytest.mark.parametrize(
+    "start, end, named", [("a", "zz", "zz"), ("zz", "b", "zz"), ("a", "S", "S")]
+)
+def test_validate_names_an_edge_off_the_isolated_vertices(start, end, named):
+    graph = _hand_built_with_edge(start, end)
+    message = f"edge from '{start}' to '{end}': '{named}' is not an isolated vertex"
+    with pytest.raises(InputError, match=message):
+        validate_graph(graph)
+    # an edge between isolated vertices validates as usual
+    assert "fat-not-extremal" in codes(_hand_built_with_edge("a", "b"))
 
 
 def test_identification_matrix_shape():
@@ -545,8 +619,17 @@ def test_fixtures_match_the_references():
     for graph in all_graphs().values():
         assert_matches_references(graph_to_dict(graph))
     assert_matches_references(g2_doc(0, 2, 4))
+    assert_matches_references(g2_doc(0, "3/2", "5/4"))
     for n, genus in ((4, 0), (40, 1), (100, 2)):
         assert_matches_references(chain_doc(n, genus))
+    # momenta in thirds: an edge area of 1/3 matches the gap, 1/2 does not
+    for area, expected in (("1/3", []), ("1/2", ["edge-area"])):
+        doc = g1_doc()
+        for v in doc["isolated"]:
+            v["y"] = f"{v['y']}/3"
+        doc["edges"][0]["area"] = area
+        assert codes(parse_graph(doc)) == expected
+        assert_matches_references(doc)
 
 
 def _degenerate_doc():
@@ -635,9 +718,41 @@ def test_a_zero_weight_built_directly_matches_the_references():
     )
 
 
+positive_rational = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+    lambda pq: f"{pq[0]}/{pq[1]}"
+)
+label = st.one_of(
+    st.none(),
+    st.integers(-5, 5),
+    st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+# (area, genus, label, offset): an extremal surface, placed the fraction
+# offset beyond 21, past every point
 extremum = st.one_of(
     st.none(),
-    st.tuples(st.integers(1, 9), st.integers(0, 2), st.one_of(st.none(), st.integers(-5, 5))),
+    st.tuples(
+        st.one_of(st.integers(1, 9), positive_rational),
+        st.integers(0, 2),
+        label,
+        st.tuples(st.integers(0, 5), st.integers(1, 6)),
+    ),
+)
+# (y, area, label): a surface among the points, labelled or not
+middle = st.one_of(
+    st.none(),
+    st.tuples(
+        st.tuples(st.integers(-20, 20), st.integers(1, 9)),
+        positive_rational,
+        label,
+    ),
+)
+# (from, to, ell, area): indices into the points, and an area that is
+# absent, the momentum gap over ell (the edge-area check passes), or any
+edge = st.tuples(
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.just("exact"), positive_rational),
 )
 
 
@@ -654,15 +769,39 @@ extremum = st.one_of(
     ),
     extremum,
     extremum,
+    middle,
+    st.lists(edge, max_size=4),
 )
-def test_stored_values_match_the_references(points, low, high):
+def test_stored_values_match_the_references(points, low, high, mid, edges):
     surfaces = []
-    for sid, y, data in (("Smin", -21, low), ("Smax", 21, high)):
+    for sid, side, data in (("Smin", -1, low), ("Smax", 1, high)):
         if data is not None:
-            area, genus, label = data
+            area, genus, label, (p, q) = data
             surfaces.append(
-                {"id": sid, "y": y, "area": area, "genus": genus, "self_intersection": label}
+                {
+                    "id": sid,
+                    "y": str(side * (21 + Fraction(p, q))),
+                    "area": area,
+                    "genus": genus,
+                    "self_intersection": label,
+                }
             )
+    if mid is not None:
+        (p, q), area, label = mid
+        surfaces.append(
+            {"id": "Smid", "y": f"{p}/{q}", "area": area, "genus": 0, "self_intersection": label}
+        )
+    links = []
+    for i, j, ell, area in edges:
+        if i == j or max(i, j) >= len(points):
+            continue
+        gap = abs(Fraction(points[i][0], points[i][1]) - Fraction(points[j][0], points[j][1]))
+        link = {"from": f"p{i}", "to": f"p{j}", "ell": ell}
+        if area == "exact" and gap:
+            link["area"] = str(gap / ell)
+        elif area not in (None, "exact"):
+            link["area"] = area
+        links.append(link)
     doc = {
         "kind": "graph",
         "isolated": [
@@ -670,7 +809,7 @@ def test_stored_values_match_the_references(points, low, high):
             for i, (p, q, m, n) in enumerate(points)
         ],
         "surfaces": surfaces,
-        "edges": [],
+        "edges": links,
     }
     assert_matches_references(doc)
 

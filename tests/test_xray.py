@@ -36,8 +36,11 @@ from equicoh.s1 import (
     slot_value,
     torus_obstructions,
 )
+from equicoh.graph import IsolatedVertex, Violation, format_rational
+from equicoh.mpoly import is_primitive
 from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_columns, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
+from test_graph import reference_validate_graph
 from test_linalg import reference_nullspace
 
 
@@ -219,6 +222,318 @@ def test_induced_graph_violations_carry_piece_prefix():
         v.code == "self-intersection" and v.message.startswith("piece PX0: ")
         for v in violations
     )
+
+
+# -- validation against the Fraction-based reference -------------------------
+
+
+def reference_parallel_ratio(vector, lam):
+    """The scalar c with vector = c * lam as a Fraction, or None."""
+    pivot = next((i for i, x in enumerate(lam) if x), None)
+    if pivot is None:
+        raise InputError("the character must be nonzero")
+    a, b = vector[pivot], lam[pivot]
+    if all(v * b == a * l for v, l in zip(vector, lam)):
+        return Fraction(a, b)
+    return None
+
+
+def reference_validate_xray(xray):
+    """Validation that compares the momenta as Fractions and checks each
+    induced graph with :func:`reference_validate_graph`.  The one message
+    it renders as the library does is the ratio list of a point member of a
+    4-dimensional piece, which once printed Fraction reprs."""
+    violations = []
+    for piece in xray.pieces:
+        pid = piece.id
+        if not is_primitive(piece.lam):
+            violations.append(
+                Violation(
+                    "character-not-primitive",
+                    f"piece {pid}: character {list(piece.lam)} is not primitive",
+                    (pid,),
+                )
+            )
+            continue
+        members = [xray.find(m) for m in piece.members]
+        if piece.dim == 2:
+            violations.extend(_reference_dim2_piece(piece, members))
+        else:
+            violations.extend(_reference_dim4_piece(piece, members))
+    return sorted(violations, key=lambda v: (v.code, v.components, v.message))
+
+
+def _reference_ratios(member, lam):
+    return [r for w in member.weights if (r := reference_parallel_ratio(w, lam)) is not None]
+
+
+def _reference_dim2_piece(piece, members):
+    pid = piece.id
+    if len(members) != 2 or any(c.kind != "point" for c in members):
+        return [
+            Violation(
+                "piece-members",
+                f"piece {pid}: a 2-dimensional piece joins exactly two isolated points",
+                (pid,),
+            )
+        ]
+    a, b = members
+    delta = tuple(x - y for x, y in zip(a.y, b.y))
+    ratio = reference_parallel_ratio(delta, piece.lam)
+    if ratio is None or ratio == 0:
+        return [
+            Violation(
+                "piece-momentum",
+                f"piece {pid}: momenta of {a.id!r} and {b.id!r} must differ along the character",
+                (pid, a.id, b.id),
+            )
+        ]
+    lower, upper = (b, a) if ratio > 0 else (a, b)
+    out = []
+    for member, sign in ((lower, 1), (upper, -1)):
+        if _reference_ratios(member, piece.lam) != [sign * piece.ell]:
+            out.append(
+                Violation(
+                    "piece-weights",
+                    f"piece {pid}: {member.id!r} must carry exactly one weight along the "
+                    f"character, equal to {sign * piece.ell} times it",
+                    (pid, member.id),
+                )
+            )
+    return out
+
+
+def _reference_dim4_piece(piece, members):
+    pid = piece.id
+    induced = piece.induced
+    out = [
+        Violation(v.code, f"piece {pid}: {v.message}", (pid,) + v.components)
+        for v in reference_validate_graph(induced)
+    ]
+    if induced.component_ids() != sorted(piece.members):
+        out.append(
+            Violation(
+                "piece-members",
+                f"piece {pid}: induced components {induced.component_ids()} "
+                f"differ from members {sorted(piece.members)}",
+                (pid,),
+            )
+        )
+        return out
+    vertices = {v.id: v for v in induced.isolated + induced.surfaces}
+    y_min = min(v.y for v in vertices.values())
+    for member in members:
+        vertex = vertices[member.id]
+        if member.kind == "point":
+            if not isinstance(vertex, IsolatedVertex):
+                out.append(
+                    Violation(
+                        "member-data",
+                        f"piece {pid}: {member.id!r} is a point but the induced "
+                        "graph lists a surface",
+                        (pid, member.id),
+                    )
+                )
+                continue
+            ratios = sorted(_reference_ratios(member, piece.lam))
+            if ratios != sorted(Fraction(b) for b in vertex.weights):
+                shown = ", ".join(format_rational(r) for r in ratios)
+                out.append(
+                    Violation(
+                        "piece-weights",
+                        f"piece {pid}: weights of {member.id!r} along the character "
+                        f"are [{shown}], induced graph says {sorted(vertex.weights)}",
+                        (pid, member.id),
+                    )
+                )
+        else:
+            if isinstance(vertex, IsolatedVertex):
+                out.append(
+                    Violation(
+                        "member-data",
+                        f"piece {pid}: {member.id!r} is a surface but the induced "
+                        "graph lists a point",
+                        (pid, member.id),
+                    )
+                )
+                continue
+            if vertex.genus != member.genus or vertex.area != member.area:
+                out.append(
+                    Violation(
+                        "member-data",
+                        f"piece {pid}: genus/area of {member.id!r} disagree with "
+                        "the induced graph",
+                        (pid, member.id),
+                    )
+                )
+            expected = Fraction(1) if vertex.y == y_min else Fraction(-1)
+            if _reference_ratios(member, piece.lam) != [expected]:
+                out.append(
+                    Violation(
+                        "piece-weights",
+                        f"piece {pid}: {member.id!r} must carry exactly one weight "
+                        f"along the character, equal to {expected} times it",
+                        (pid, member.id),
+                    )
+                )
+    ordered = sorted(members, key=lambda c: c.id)
+    for a, b in zip(ordered, ordered[1:]):
+        delta = tuple(x - y for x, y in zip(a.y, b.y))
+        step = vertices[a.id].y - vertices[b.id].y
+        if delta != tuple(step * l for l in piece.lam):
+            out.append(
+                Violation(
+                    "piece-momentum",
+                    f"piece {pid}: momentum difference of {a.id!r} and {b.id!r} does "
+                    "not project to the induced labels",
+                    (pid, a.id, b.id),
+                )
+            )
+    return out
+
+
+def lifted_g1_doc(y=lambda level: level, tilt=0) -> dict:
+    """``fixtures.g1_doc()`` lifted to rank 2 along the character (1, 0):
+    points A, B, C, each with a third weight (0, 1), and one 4-dimensional
+    piece whose induced graph is g1 itself.  ``y`` writes a level of g1 as
+    a momentum, for the graph and for the first coordinate of the x-ray,
+    whose second coordinate is ``tilt``."""
+    graph = fixtures.g1_doc()
+    for v in graph["isolated"]:
+        v["y"] = y(v["y"])
+    components = [
+        {
+            "id": v["id"],
+            "y": [v["y"], tilt],
+            "weights": [[v["weights"][0], 0], [v["weights"][1], 0], [0, 1]],
+        }
+        for v in graph["isolated"]
+    ]
+    piece = {
+        "id": "P", "lambda": [1, 0], "dim": 4, "members": ["A", "B", "C"],
+        "induced_graph": graph,
+    }
+    return {"kind": "xray", "rank": 2, "components": components, "pieces": [piece]}
+
+
+def thirds(level):
+    return f"{level}/3"
+
+
+def halved_x2_doc(area=1) -> dict:
+    """``fixtures.x2_doc(1, area)`` with every momentum halved."""
+    doc = fixtures.x2_doc(1, area)
+    for c in doc["components"]:
+        c["y"] = [f"{x}/2" for x in c["y"]]
+    for piece in doc["pieces"]:
+        for s in piece["induced_graph"]["surfaces"]:
+            s["y"] = f"{s['y']}/2"
+    return doc
+
+
+def _component(doc, cid):
+    return next(c for c in doc["components"] if c["id"] == cid)
+
+
+def _set(doc, cid, **fields):
+    _component(doc, cid).update(fields)
+    return doc
+
+
+def _set_weight(doc, cid, index, weight):
+    _component(doc, cid)["weights"][index] = weight
+    return doc
+
+
+def _surface_as_point(doc):
+    induced = doc["pieces"][0]["induced_graph"]
+    surface = induced["surfaces"].pop(0)
+    induced["isolated"].append({"id": surface["id"], "y": surface["y"], "weights": [1, 1]})
+    return doc
+
+
+def _point_as_surface(doc):
+    induced = doc["pieces"][0]["induced_graph"]
+    point = induced["isolated"].pop(0)
+    induced["surfaces"].append({"id": point["id"], "y": point["y"], "area": 1, "genus": 0})
+    induced["edges"] = []
+    return doc
+
+
+def _induced_genus(doc, genus):
+    for s in doc["pieces"][0]["induced_graph"]["surfaces"]:
+        s["genus"] = genus
+    return doc
+
+
+def _induced_area(doc, area):
+    doc["pieces"][0]["induced_graph"]["surfaces"][0]["area"] = area
+    return doc
+
+
+def _dim2_on_surfaces(doc):
+    doc["pieces"][3] = {
+        "id": "PY1", "lambda": [0, 1], "dim": 2, "ell": 1, "members": ["Smax_0", "Smax_1"],
+    }
+    return doc
+
+
+# (code, document): each document has the code among its violations
+ONE_XRAY_PER_CODE = [
+    ("character-not-primitive",
+     mutate(fixtures.cp3_doc(), lambda d: d["pieces"][0].update({"lambda": [2, 0]}))),
+    ("piece-members", _dim2_on_surfaces(fixtures.x2_doc(1))),
+    ("piece-members",
+     mutate(fixtures.x2_doc(1), lambda d: d["pieces"][0]["members"].append("Smin_1"))),
+    ("piece-momentum",
+     mutate(fixtures.cp3_doc(), lambda d: d["pieces"][0].update({"lambda": [0, 1]}))),
+    ("piece-momentum", _set(fixtures.x2_doc(1), "Smax_0", y=[2, 0])),
+    ("piece-momentum", _set(halved_x2_doc(), "Smax_0", y=["1/3", 0])),
+    ("piece-momentum", _set(lifted_g1_doc(thirds, "2/7"), "B", y=["1/3", "3/7"])),
+    ("piece-momentum", _set(lifted_g1_doc(thirds, "2/7"), "C", y=["2/5", "2/7"])),
+    ("piece-weights", _set_weight(fixtures.cp3_doc(), "P0", 0, [2, 0])),
+    ("piece-weights", _set_weight(lifted_g1_doc(), "B", 0, [3, 0])),
+    ("piece-weights", _set_weight(lifted_g1_doc(thirds, "2/7"), "B", 0, [3, 0])),
+    ("piece-weights", _set_weight(lifted_g1_doc(thirds), "A", 1, [1, 1])),
+    ("piece-weights", _set_weight(fixtures.x2_doc(1), "Smin_0", 0, [2, 0])),
+    ("piece-weights", _set_weight(halved_x2_doc(), "Smax_1", 1, [0, 1])),
+    ("member-data", _induced_genus(fixtures.x2_doc(1), 2)),
+    ("member-data", _induced_area(halved_x2_doc("3/2"), "5/2")),
+    ("member-data", _surface_as_point(halved_x2_doc())),
+    ("member-data", _point_as_surface(lifted_g1_doc(thirds, "2/7"))),
+    ("self-intersection",
+     mutate(fixtures.x2_doc(1),
+            lambda d: d["pieces"][0]["induced_graph"]["surfaces"][0].update(
+                self_intersection=5))),
+]
+
+
+def test_fixtures_match_the_validation_reference():
+    for xray in (x2(0), x2(1), cp3(), cube(2, 0), cube(3, 1)):
+        assert validate_xray(xray) == reference_validate_xray(xray) == []
+    for doc in (lifted_g1_doc(), lifted_g1_doc(thirds, "2/7"), halved_x2_doc("3/2")):
+        assert validate_xray(parse_xray(doc)) == reference_validate_xray(parse_xray(doc)) == []
+
+
+@pytest.mark.parametrize("index", range(len(ONE_XRAY_PER_CODE)))
+def test_each_violation_code_matches_the_validation_reference(index):
+    code, doc = ONE_XRAY_PER_CODE[index]
+    violations = validate_xray(parse_xray(doc))
+    assert code in {v.code for v in violations}
+    assert violations == reference_validate_xray(parse_xray(doc))
+
+
+def test_point_member_ratios_print_as_rationals():
+    for doc in (lifted_g1_doc(), lifted_g1_doc(thirds, "2/7")):
+        violations = validate_xray(parse_xray(_set_weight(doc, "B", 0, [3, 0])))
+        assert [v.to_dict() for v in violations] == [
+            {
+                "code": "piece-weights",
+                "message": "piece P: weights of 'B' along the character are [1, 3], "
+                "induced graph says [-1, 1]",
+                "component-ids": ["P", "B"],
+            }
+        ]
 
 
 # -- membership ---------------------------------------------------------------

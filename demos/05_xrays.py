@@ -13,11 +13,11 @@ from equicoh import (
     ComponentClass,
     EquivariantClass,
     check_membership_xray,
+    class_to_vector,
+    degree_slots,
     image_basis_xray,
     parse_xray,
     validate_xray,
-    xray_class_to_vector,
-    xray_degree_slots,
 )
 
 # Four isolated points at the vertices of a unit square, joined by the six
@@ -63,10 +63,10 @@ print(" ", [len(image_basis_xray(xray, k)) for k in range(9)])
 print()
 
 print("degree-2 slots and basis vectors:")
-slots = xray_degree_slots(xray, 2)
+slots = degree_slots(xray, 2)
 print(" ", [s.label for s in slots])
 for element in image_basis_xray(xray, 2):
-    vector = xray_class_to_vector(xray, 2, element)
+    vector = class_to_vector(xray, 2, element)
     print(" ", [str(x) for x in vector])
 print()
 

@@ -90,11 +90,7 @@ from .xray import (
     parse_xray,
     serialize_xray,
     validate_xray,
-    xray_class_from_vector,
-    xray_class_to_vector,
-    xray_degree_slots,
     xray_to_dict,
-    xray_unit_class,
 )
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .graph import (
 )
 from .s1 import (
     DEFAULT_MAX_DEGREE,
+    _entry_to_dict,
     check_membership,
     class_to_dict,
     degree_slots,
@@ -61,7 +62,6 @@ from .xray import (
     parse_class_torus,
     parse_xray,
     validate_xray,
-    xray_degree_slots,
 )
 
 MAX_DEGREE_ENV = "EQUICOH_MAX_DEGREE"
@@ -106,7 +106,6 @@ class _DocumentKind:
     parse_class: Callable
     check: Callable
     image_basis: Callable
-    slots: Callable
 
 
 def _document_kind(name: str) -> _DocumentKind:
@@ -115,11 +114,11 @@ def _document_kind(name: str) -> _DocumentKind:
     if name == "xray":
         return _DocumentKind(
             DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
-            check_membership_xray, image_basis_xray, xray_degree_slots,
+            check_membership_xray, image_basis_xray,
         )
     return _DocumentKind(
         DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
-        image_basis, degree_slots,
+        image_basis,
     )
 
 
@@ -220,14 +219,6 @@ def _laurent_text(element) -> str:
             coeff = f"({coeff!r})"
         bits.append(f"{coeff} * u^{power}" if power else f"{coeff}")
     return " + ".join(bits)
-
-
-def _surface_entry_json(value: SurfaceClass) -> dict:
-    return {
-        "c0": format_rational(value.c0),
-        "c1": [format_rational(x) for x in value.c1],
-        "c2": format_rational(value.c2),
-    }
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -360,7 +351,7 @@ def cmd_basis(args) -> int:
     if config.output_format == "json":
         print(_dump([class_to_dict(b, path) for b in basis]))
         return 0
-    slots = args.kind.slots(document, args.degree)
+    slots = degree_slots(document, args.degree)
     headers = [s.label for s in slots]
     rows = [
         [format_rational(slot_value(b, args.degree, s)) for s in slots] for b in basis
@@ -421,12 +412,10 @@ def cmd_euler(args) -> int:
         return 1
     euler = euler_class(graph, args.component)
     if config.output_format == "json":
-        terms: dict[str, object] = {}
-        for power, coeff in euler.laurent.terms.items():
-            if isinstance(coeff, SurfaceClass):
-                terms[str(power)] = _surface_entry_json(coeff)
-            else:
-                terms[str(power)] = format_rational(coeff)
+        terms = {
+            str(power): _entry_to_dict(coeff, format_rational)
+            for power, coeff in euler.laurent.terms.items()
+        }
         print(
             _dump(
                 {

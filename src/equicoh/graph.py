@@ -12,7 +12,8 @@ exact rational formulas implemented in :func:`extremal_self_intersections`.
 A graph is frozen, so what is derived from it is computed at most once,
 when first needed, and kept on the graph: its momenta as integer levels
 over one common denominator, its momentum span, its two extremal labels,
-its resolved graph and its index of components by id.  Validation and
+its resolved graph, its index of components by id, the ``(id, kind,
+genus)`` of its components and its validation report.  Validation and
 every later query of the same graph share them.  Validation compares and
 sums momenta as those integers, and builds a Fraction only for a value it
 returns or prints.  A computation that raises (a degenerate span, a zero
@@ -25,7 +26,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -68,6 +68,22 @@ def format_rational(x: Fraction) -> str:
     """``"p/q"`` in lowest terms, or the integer; a Fraction prints as it is,
     without building a copy."""
     return str(x) if type(x) is Fraction else str(Fraction(x))
+
+
+class _kept:
+    """``functools.cached_property`` without the lock it takes on every first
+    read before Python 3.12: the value goes into the instance dict, which
+    ==, hash and repr never read, and a getter that raises keeps nothing."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return self
+        value = record.__dict__[self.name] = self.compute(record)
+        return value
 
 
 @dataclass(frozen=True)
@@ -127,15 +143,13 @@ class DecoratedGraph:
     def momentum_span(self) -> tuple[Fraction, Fraction]:
         return self._span
 
-    # Derived values.  A cached_property keeps its value in the instance
-    # dict, which ==, hash and repr never read; a getter that raises keeps
-    # nothing.
+    rank = None  # not a field: a graph's classes are a circle action's
 
-    @cached_property
+    @_kept
     def _by_id(self) -> dict[str, IsolatedVertex | FatVertex]:
         return _id_index(self.isolated + self.surfaces)
 
-    @cached_property
+    @_kept
     def _levels(self) -> _Levels:
         ys = [v.y for v in self.isolated] + [v.y for v in self.surfaces]
         denominator = lcm(*(y.denominator for y in ys))
@@ -145,7 +159,7 @@ class DecoratedGraph:
             denominator, tuple(levels[:n]), tuple(levels[n:]), min(levels), max(levels)
         )
 
-    @cached_property
+    @_kept
     def _span(self) -> tuple[Fraction, Fraction]:
         """The momenta of a lowest and a highest component: their own
         Fractions, picked by level."""
@@ -157,11 +171,21 @@ class DecoratedGraph:
             components[ordered.index(levels.highest)].y,
         )
 
-    @cached_property
+    @_kept
     def _labels(self) -> tuple[Fraction, Fraction]:
         return _extremal_labels(self)
 
-    @cached_property
+    @_kept
+    def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
+        """``(id, kind, genus)`` of every fixed component, sorted by id."""
+        points = [(v.id, "point", 0) for v in self.isolated]
+        return tuple(sorted(points + [(v.id, "surface", v.genus) for v in self.surfaces]))
+
+    @_kept
+    def _report(self) -> tuple[Violation, ...]:
+        return tuple(_graph_violations(self))
+
+    @_kept
     def _resolved(self) -> DecoratedGraph:
         """The graph with its missing extremal labels filled in; read only
         when one is missing, since keeping the graph itself would make a
@@ -328,7 +352,7 @@ def parse_graph(text) -> DecoratedGraph:
         seen.add(vid)
         y = parse_rational(_require(item, "y", where), where)
         area = parse_rational(_require(item, "area", where), where)
-        if area <= 0:
+        if area.numerator <= 0:
             raise SchemaError("area must be positive", where)
         genus = _require(item, "genus", where)
         if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
@@ -363,7 +387,7 @@ def parse_graph(text) -> DecoratedGraph:
         area = item.get("area")
         if area is not None:
             area = parse_rational(area, where)
-            if area <= 0:
+            if area.numerator <= 0:
                 raise SchemaError("area must be positive", where)
         edges.append(GraphEdge(start, end, ell, area))
 
@@ -518,6 +542,22 @@ def abbv_zero_check(graph: DecoratedGraph) -> bool:
 
 def validate_graph(graph: DecoratedGraph) -> list[Violation]:
     """All compatibility violations, canonically sorted; empty iff valid.
+    Computed once per graph and kept on it."""
+    return list(graph._report)
+
+
+def _refuse_invalid(document) -> None:
+    """The gate in front of the compute entry points: raise InputError
+    naming every violation of an invalid graph or x-ray, read off the
+    report validation keeps on it."""
+    if document._report:
+        noun = "graph" if document.rank is None else "x-ray"
+        found = "; ".join(f"{v.code}: {v.message}" for v in document._report)
+        raise InputError(f"invalid {noun}: {found}")
+
+
+def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
+    """The report of :func:`validate_graph`.
 
     Momenta are compared as integer levels over one common denominator
     (``graph._levels``), and each component is placed once, at the minimum,

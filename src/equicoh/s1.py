@@ -16,11 +16,13 @@ table: image bases route each slot's unit part and take the nullspace of
 the resulting rows, membership routes the class's own parts and reads the
 violations off the keys.  There is no second description.
 
-Graphs and x-rays share one slot space per degree, given by the fixed
-components and a rank (None for a circle action): one slot per part of a
-component's entry, or per monomial of each part for a torus.  One
-enumerator, one reader (:func:`slot_value`) and one class builder serve
-both sides.
+Graphs and x-rays are one kind of document here: each gives its fixed
+components as ``(id, kind, genus)`` sorted by id and a rank (None for a
+graph).  Those two values fix the slot space in each degree (one slot per
+part of a component's entry, or per monomial of each part for a torus),
+and the slot and class helpers and the one image-basis body read only
+them.  A graph is one constraint group, an x-ray has one per piece.
+Compute entry points refuse an invalid graph.
 
 The same table serves a higher-rank torus along a primitive integer
 character: each part is rewritten once in coordinates where the character
@@ -47,6 +49,7 @@ from .graph import (
     IsolatedVertex,
     _check_keys,
     _load_document,
+    _refuse_invalid,
     _require,
     format_rational,
     parse_rational,
@@ -58,6 +61,7 @@ from .mpoly import (
     LinearSubstitution,
     MPoly,
     monomials_of_degree,
+    poly_from_pairs,
     poly_to_pairs,
     unimodular_completion,
 )
@@ -363,7 +367,8 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     :func:`_localization_rules`): only point values and the H^0 and H^2
     parts of a surface contribute, each shifted and scaled.
     """
-    _check_addressing("graph", _graph_components(graph), None, _addressed(alpha))
+    _refuse_invalid(graph)
+    _check_addressing("graph", graph._fixed_components, None, _addressed(alpha))
     resolved = resolve_self_intersections(graph)
 
     def powers(value: Fraction, half: int):
@@ -390,27 +395,19 @@ class Slot:
     exps: tuple[int, ...] = ()
 
 
-def _component(v: IsolatedVertex | FatVertex) -> tuple[str, str, int]:
-    return (v.id, "point", 0) if isinstance(v, IsolatedVertex) else (v.id, "surface", v.genus)
+def degree_slots(document, degree: int) -> list[Slot]:
+    """Canonical coordinate order of the degree-k restriction space of a
+    graph or an x-ray.
 
-
-def _graph_components(graph: DecoratedGraph) -> list[tuple[str, str, int]]:
-    """``(id, kind, genus)`` of every fixed component, sorted by id."""
-    return sorted(_component(v) for v in graph.isolated + graph.surfaces)
-
-
-def _restriction_slots(components, rank: int | None, degree: int) -> list[Slot]:
-    """Canonical coordinate order of the degree-k restriction space.
-
-    ``components`` lists ``(id, kind, genus)`` sorted by id; ``rank`` is
-    None for a circle action.  Each component contributes its parts in the
-    order point value "c" or H^0 part "c0", H^1 parts "c1" (named a1..,
-    b1..), H^2 part "c2".  A circle action has one slot per part; a rank-r
-    torus has one per monomial of the part's degree in descending lex
-    order, and its labels end in the exponents.
+    Components come by id.  Each contributes its parts in the order point
+    value "c" or H^0 part "c0", H^1 parts "c1" (named a1.., b1..), H^2 part
+    "c2".  A graph has one slot per part; an x-ray of rank r has one per
+    monomial of the part's degree in descending lex order, and its labels
+    end in the exponents.
     """
+    rank = document.rank
     slots: list[Slot] = []
-    for cid, kind, genus in components:
+    for cid, kind, genus in document._fixed_components:
         if degree % 2 == 0:
             parts = [("c" if kind == "point" else "c0", 0)]
             if kind == "surface" and degree >= 2:
@@ -433,11 +430,6 @@ def _restriction_slots(components, rank: int | None, degree: int) -> list[Slot]:
     return slots
 
 
-def degree_slots(graph: DecoratedGraph, degree: int) -> list[Slot]:
-    """Canonical coordinate order: components by id, then part order."""
-    return _restriction_slots(_graph_components(graph), None, degree)
-
-
 def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     """The coordinate of the degree-k part of alpha at one slot.
 
@@ -451,22 +443,23 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     return value if alpha.rank is None else value.terms.get(slot.exps, _ZERO)
 
 
-def class_to_vector(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    return [slot_value(alpha, degree, slot) for slot in degree_slots(graph, degree)]
+def class_to_vector(document, degree: int, alpha: EquivariantClass) -> list[Fraction]:
+    return [slot_value(alpha, degree, slot) for slot in degree_slots(document, degree)]
 
 
 def _class_from_sparse(
-    components, rank: int | None, degree: int, slots: list[Slot], vector: dict[int, Fraction]
+    document, degree: int, slots: list[Slot], vector: dict[int, Fraction]
 ) -> EquivariantClass:
-    """The class with coordinate ``vector[i]`` at ``slots[i]`` and zero elsewhere.
+    """The class of a graph or an x-ray with coordinate ``vector[i]`` at
+    ``slots[i]`` and zero elsewhere.
 
-    ``components`` and ``rank`` are as in :func:`_restriction_slots`.  A
-    part's value is the Fraction for a circle action and, for a rank-r
-    torus, the polynomial whose terms are its slots' monomials.  ``vector``
-    holds nonzero Fractions only, so just the components it touches get an
-    entry.  Every record and polynomial is built afresh: no two classes
-    share a mutable one.
+    A part's value is the Fraction for a graph and, for an x-ray of rank r,
+    the polynomial whose terms are its slots' monomials.  ``vector`` holds
+    nonzero Fractions only, so just the components it touches get an entry.
+    Every record and polynomial is built afresh: no two classes share a
+    mutable one.
     """
+    rank = document.rank
     parts: dict[str, dict[tuple[str, int], object]] = {}
     for i, value in vector.items():
         slot = slots[i]
@@ -482,7 +475,7 @@ def _class_from_sparse(
         return MPoly._trusted(rank, rec.get((part, index), {}))
 
     comps: dict[str, ComponentClass] = {}
-    for cid, kind, genus in components:
+    for cid, kind, genus in document._fixed_components:
         rec = parts.get(cid)
         if rec is None:
             entries = {}
@@ -496,21 +489,16 @@ def _class_from_sparse(
     return EquivariantClass(comps, rank)
 
 
-def _class_from_vector(components, rank: int | None, degree: int, values) -> EquivariantClass:
-    slots = _restriction_slots(components, rank, degree)
+def class_from_vector(document, degree: int, values) -> EquivariantClass:
+    slots = degree_slots(document, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
-    return _class_from_sparse(
-        components, rank, degree, slots, {i: x for i, x in enumerate(map(Fraction, values)) if x}
-    )
+    vector = {i: x for i, x in enumerate(map(Fraction, values)) if x}
+    return _class_from_sparse(document, degree, slots, vector)
 
 
-def class_from_vector(graph: DecoratedGraph, degree: int, values) -> EquivariantClass:
-    return _class_from_vector(_graph_components(graph), None, degree, values)
-
-
-def unit_class(graph: DecoratedGraph, degree: int, slot: Slot) -> EquivariantClass:
-    return _class_from_sparse(_graph_components(graph), None, degree, [slot], {0: _ONE})
+def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
+    return _class_from_sparse(document, degree, [slot], {0: _ONE})
 
 
 def _constraint_table(
@@ -603,14 +591,58 @@ def _class_obstructions(
     return {key: c for key, c in out.items() if c}
 
 
-def _slot_columns(
-    table, degree: int, slots: list[Slot], positions, substitution: LinearSubstitution | None
+def _graph_group(graph: DecoratedGraph, lam=None) -> tuple:
+    """The one constraint group of a graph (see :func:`_group_table`)."""
+    return ((), graph._fixed_components, graph, lam)
+
+
+def _group_table(group: tuple, rank: int | None, addressed=None):
+    """The constraint table of one group of image conditions, and the
+    substitution of its character (None for a circle action).
+
+    A group ``(tag, members, graph, lam)`` is all of a graph's conditions or
+    one x-ray piece's: ``tag`` prefixes its obstruction keys (the piece id,
+    or nothing), ``members`` lists the ``(id, kind, genus)`` it constrains,
+    sorted by id, ``graph`` states the conditions (None for a 2-dimensional
+    piece: one division, no poles) and ``lam`` is the character.  Raises
+    unless the character has ``rank`` primitive entries and the graph is
+    valid and has the components ``addressed`` lists, when given (as in
+    :func:`_check_addressing`).  A valid x-ray's induced graphs have their
+    pieces' members, so its groups need no such check.
+    """
+    _, members, graph, lam = group
+    substitution = None
+    if lam is not None:
+        if len(lam) != rank:
+            raise InputError(f"character must have {rank} entries")
+        substitution = character_substitution(lam)
+    if graph is not None:
+        _refuse_invalid(graph)
+        if addressed is not None:
+            _check_addressing("graph", graph._fixed_components, rank, addressed)
+    return _constraint_table(members, graph), substitution
+
+
+def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
+    """The positions of each component's slots."""
+    index: dict[str, list[int]] = {}
+    for i, slot in enumerate(slots):
+        index.setdefault(slot.component, []).append(i)
+    return index
+
+
+def _group_columns(
+    group: tuple, rank: int | None, degree: int, slots: list[Slot], index
 ) -> dict[int, dict[tuple, Fraction]]:
-    """The obstructions of the unit class at ``slots[i]`` for each i in
-    ``positions``: the slot's rules applied to the memoised image of its
-    monomial under the character's ``substitution``, or to ``{(half,): 1}``
-    for a circle action.  No class is built and no polynomial arithmetic is
-    done."""
+    """The column of every degree-k slot on a group's members, by position
+    (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
+    of the unit class at the slot, read off the memoised image of its
+    monomial under the substitution, or ``{(half,): 1}`` for a circle
+    action.  A group with no slot here builds no table."""
+    positions = [i for cid, _, _ in group[1] for i in index.get(cid, ())]
+    if not positions:
+        return {}
+    table, substitution = _group_table(group, rank)
     columns: dict[int, dict[tuple, Fraction]] = {}
     for i in positions:
         slot = slots[i]
@@ -626,20 +658,36 @@ def _slot_columns(
     return columns
 
 
-def _graph_columns(
-    graph: DecoratedGraph, degree: int, slots: list[Slot]
-) -> dict[int, dict[tuple, Fraction]]:
-    """The degree-k image conditions of a graph, one column per slot."""
-    table = _constraint_table(_graph_components(graph), graph)
-    return _slot_columns(table, degree, slots, range(len(slots)), None)
+def _image_basis(document, degree: int, max_degree: int, groups) -> list[EquivariantClass]:
+    """Canonical basis (reduced echelon, fixed slot order) of the degree-k
+    image of a graph or an x-ray, cut out by its constraint groups: the
+    columns of the slots on each group's members (:func:`_group_columns`),
+    in rows keyed by the group's tag and the obstruction key."""
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
+    if degree > max_degree:
+        raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
+    slots = degree_slots(document, degree)
+    if not slots:
+        return []
+    index = _slot_index(slots)
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for group in groups:
+        tag = group[0]
+        for i, column in _group_columns(group, document.rank, degree, slots, index).items():
+            for key, value in column.items():
+                rows.setdefault(tag + key, {})[i] = value
+    return [
+        _class_from_sparse(document, degree, slots, vec)
+        for vec in nullspace(list(rows.values()), len(slots))
+    ]
 
 
 def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
     """The obstructions of a circle-action class, with the keys
     :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
-    components = _graph_components(graph)
-    _check_addressing("graph", components, None, _addressed(alpha))
-    return _class_obstructions(_constraint_table(components, graph), alpha, None)
+    table, _ = _group_table(_graph_group(graph), None, _addressed(alpha))
+    return _class_obstructions(table, alpha, None)
 
 
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
@@ -649,7 +697,7 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     with a zero for every slot it does not involve.
     """
     slots = degree_slots(graph, 2)
-    columns = _graph_columns(graph, 2, slots)
+    columns = _group_columns(_graph_group(graph), None, 2, slots, _slot_index(slots))
     return {slot.label: columns[i].get(("pole", -1, ()), _ZERO) for i, slot in enumerate(slots)}
 
 
@@ -730,22 +778,8 @@ def image_basis(
     graph: DecoratedGraph, degree: int, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> list[EquivariantClass]:
     """Canonical basis (reduced echelon, fixed slot order) of the degree-k image."""
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    if degree > max_degree:
-        raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
-    components = _graph_components(graph)
-    slots = _restriction_slots(components, None, degree)
-    if not slots:
-        return []
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for i, column in _graph_columns(graph, degree, slots).items():
-        for key, value in column.items():
-            rows.setdefault(key, {})[i] = value
-    return [
-        _class_from_sparse(components, None, degree, slots, vec)
-        for vec in nullspace(list(rows.values()), len(slots))
-    ]
+    _refuse_invalid(graph)
+    return _image_basis(graph, degree, max_degree, [_graph_group(graph)])
 
 
 def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:
@@ -758,29 +792,25 @@ def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
-    """Rewrite a circle-action class as a rank-1 polynomial class."""
+    """Rewrite a circle-action class as a rank-1 polynomial class: a part of
+    degree ``half`` in the parameter (:func:`_half`) becomes that power of
+    the one variable."""
     if alpha.rank is not None:
         raise InputError("class is already in polynomial form")
+
+    def lift(value, part: str, k: int) -> MPoly:
+        return MPoly.monomial((_half(part, k),), value) if value else MPoly.zero(1)
+
     comps: dict[str, ComponentClass] = {}
     for cid, cls in alpha.components.items():
         entries: dict[int, object] = {}
         for k, value in cls.entries.items():
             if cls.kind == "point":
-                entries[k] = MPoly.monomial((k // 2,), value)
-            else:
-                g = cls.genus
-                zero = MPoly.zero(1)
-                if k % 2 == 0:
-                    c0 = MPoly.monomial((k // 2,), value.c0)
-                    c2 = (
-                        MPoly.monomial(((k - 2) // 2,), value.c2)
-                        if k >= 2
-                        else zero
-                    )
-                    entries[k] = SurfaceClass(g, c0, tuple(zero for _ in range(2 * g)), c2)
-                else:
-                    c1 = tuple(MPoly.monomial(((k - 1) // 2,), x) for x in value.c1)
-                    entries[k] = SurfaceClass(g, zero, c1, zero)
+                entries[k] = lift(value, "c", k)
+                continue
+            c0, c2 = lift(value.c0, "c0", k), lift(value.c2, "c2", k)
+            c1 = tuple(lift(x, "c1", k) for x in value.c1)
+            entries[k] = SurfaceClass(cls.genus, c0, c1, c2)
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, 1)
     return EquivariantClass(comps, 1)
 
@@ -815,6 +845,7 @@ def localize_torus(
     ``substitution``; otherwise it is built here.  :func:`torus_obstructions`
     reads the poles of this sum off the constraint table instead.
     """
+    _refuse_invalid(graph)
     if len(lam) != rank:
         raise InputError(f"character must have {rank} entries")
     if substitution is None:
@@ -832,21 +863,6 @@ def localize_torus(
     return Laurent(total)
 
 
-def _character_table(graph: DecoratedGraph, rank: int, lam, addressed):
-    """The constraint table of ``graph`` along the character ``lam`` of a
-    rank-r torus, with the character's substitution.
-
-    Raises unless ``lam`` has r primitive entries and ``addressed`` (as in
-    :func:`_check_addressing`) lists the graph's components at rank r.
-    """
-    if len(lam) != rank:
-        raise InputError(f"character must have {rank} entries")
-    substitution = character_substitution(lam)
-    components = _graph_components(graph)
-    _check_addressing("graph", components, rank, addressed)
-    return _constraint_table(components, graph), substitution
-
-
 def torus_obstructions(
     graph: DecoratedGraph,
     rank: int,
@@ -861,7 +877,8 @@ def torus_obstructions(
     of the class is substituted once and routed through the graph's
     :func:`_constraint_table`.
     """
-    table, substitution = _character_table(graph, rank, lam, _addressed(alpha))
+    group = _graph_group(graph, lam)
+    table, substitution = _group_table(group, rank, _addressed(alpha))
     return _class_obstructions(table, alpha, substitution)
 
 
@@ -904,28 +921,35 @@ def _obstruction_violations(obstructions: dict[tuple, Fraction]) -> list[Members
 
 def parse_class(text, graph: DecoratedGraph) -> EquivariantClass:
     """Parse a circle-action class document against its graph."""
+    return _parse_class(text, graph)
+
+
+def _parse_class(text, document) -> EquivariantClass:
+    """Parse a class document against its graph or x-ray.
+
+    A point entry and each part of a surface's ``{c0, c1, c2}`` object is a
+    rational for a graph and, for an x-ray of rank r, a polynomial in r
+    variables written as ``[exponents, coefficient]`` pairs; a missing part
+    is zero.  The component ids must be the document's.
+    """
     doc = _load_document(text)
     _check_keys_class(doc)
-    components = [_component(v) for v in graph.isolated + graph.surfaces]
-    return _parse_components(
-        doc["components"], "graph", components, parse_rational, Fraction(0), "rationals", None
-    )
-
-
-def _parse_components(
-    comps_doc, owner: str, components, scalar, zero, noun: str, rank: int | None
-) -> EquivariantClass:
-    """The class described by a class document's "components" object.
-
-    ``components`` lists ``(id, kind, genus)`` in the order they are read;
-    ``owner`` ("graph" or "x-ray") is named when the ids disagree.  A point
-    entry and each part of a surface's ``{c0, c1, c2}`` object go through
-    ``scalar(value, where)``; a missing part is ``zero``, and ``noun`` says
-    what the "c1" list holds.
-    """
+    comps_doc = doc["components"]
     if not isinstance(comps_doc, dict):
         raise SchemaError('"components" must be an object', "class")
-    _check_ids(owner, sorted(cid for cid, _, _ in components), sorted(comps_doc))
+    components = document._fixed_components
+    rank = document.rank
+    if rank is None:
+        owner, noun, zero = "graph", "rationals", _ZERO
+    else:
+        owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
+
+    def scalar(value, where: str):
+        if rank is None:
+            return parse_rational(value, where)
+        return _pairs_to_poly(value, rank, where)
+
+    _check_ids(owner, [cid for cid, _, _ in components], sorted(comps_doc))
     comps: dict[str, ComponentClass] = {}
     for cid, kind, genus in components:
         entries = {}
@@ -950,14 +974,26 @@ def _parse_components(
     return EquivariantClass(comps, rank)
 
 
+def _pairs_to_poly(value, nvars: int, where: str) -> MPoly:
+    if not isinstance(value, list):
+        raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
+    try:
+        return poly_from_pairs(value, nvars, lambda v: parse_rational(v, where))
+    except SchemaError:
+        raise
+    except (InputError, ValueError, TypeError) as exc:
+        raise SchemaError(str(exc), where) from None
+
+
 def _check_keys_class(doc: dict) -> None:
+    """The header of a class document, for a graph's class or an x-ray's:
+    its fields, then "kind", "graph" and "components" in that order."""
     _check_keys(doc, _CLASS_KEYS, "class")
-    for key in ("kind", "graph", "components"):
-        _require(doc, key, "class")
-    if doc["kind"] != "class":
+    if _require(doc, "kind", "class") != "class":
         raise SchemaError('field "kind" must be "class"', "class")
-    if not isinstance(doc["graph"], str):
+    if not isinstance(_require(doc, "graph", "class"), str):
         raise SchemaError('field "graph" must be a string', "class")
+    _require(doc, "components", "class")
 
 
 def _degree_items(obj, cid: str):
@@ -975,30 +1011,20 @@ def _degree_items(obj, cid: str):
     return sorted(items)
 
 
+def _entry_to_dict(entry, fmt) -> object:
+    """JSON form of one restriction entry: ``fmt`` of a point value, or a
+    surface's ``{c0, c1, c2}`` object of ``fmt``-ed parts."""
+    if not isinstance(entry, SurfaceClass):
+        return fmt(entry)
+    return {"c0": fmt(entry.c0), "c1": [fmt(x) for x in entry.c1], "c2": fmt(entry.c2)}
+
+
 def class_to_dict(alpha: EquivariantClass, graph_ref: str = "") -> dict:
-    """Canonical JSON form of a class document."""
+    """Canonical JSON form of a class document: rationals as strings for a
+    graph's class, polynomials as exponent-coefficient pairs for an x-ray's."""
+    fmt = format_rational if alpha.rank is None else poly_to_pairs
     comps: dict[str, dict] = {}
     for cid in sorted(alpha.components):
         cls = alpha.components[cid]
-        entry_doc: dict[str, object] = {}
-        for k in cls.degrees():
-            value = cls.entries[k]
-            if cls.kind == "point":
-                entry_doc[str(k)] = (
-                    poly_to_pairs(value) if alpha.rank is not None else format_rational(value)
-                )
-            else:
-                if alpha.rank is not None:
-                    entry_doc[str(k)] = {
-                        "c0": poly_to_pairs(value.c0),
-                        "c1": [poly_to_pairs(x) for x in value.c1],
-                        "c2": poly_to_pairs(value.c2),
-                    }
-                else:
-                    entry_doc[str(k)] = {
-                        "c0": format_rational(value.c0),
-                        "c1": [format_rational(x) for x in value.c1],
-                        "c2": format_rational(value.c2),
-                    }
-        comps[cid] = entry_doc
+        comps[cid] = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
     return {"kind": "class", "graph": graph_ref, "components": comps}

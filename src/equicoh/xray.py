@@ -7,16 +7,14 @@ the image of the fixed-set restriction reduces piece by piece, with
 four-dimensional pieces delegating to the circle-action machinery under a
 substitution that turns the character into the equivariant parameter, and
 two-dimensional pieces contributing a single divisibility condition.
-Each piece states its conditions in the constraint table of the circle
-side (:mod:`equicoh.s1`): its induced graph's, or the H^0 difference of
-its two points.  Membership routes each part of the class through it once,
-under the piece's character substitution.  Graded bases of the image come
-from one exact nullspace solve over all piece constraints at once; each
-slot's column of that system routes the slot monomial's memoised image
-through the same table, and equals the piece's obstructions of the unit
-class at the slot.  The slots, their reader and the class builder are
-those of the circle side too, at the x-ray's rank: one slot per monomial
-of each part of a component's restriction.
+
+To :mod:`equicoh.s1` an x-ray is a document like a graph, given by its
+fixed components and its rank, so the slot and class helpers there accept
+it.  Each piece is one constraint group: its members under its induced
+graph's table, or the H^0 difference of its two points, along its
+character.  Membership routes the class through each piece once, and a
+graded basis is the one image-basis body over all pieces' groups.  Every
+entry point refuses an invalid x-ray.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from .errors import InputError, SchemaError
@@ -35,8 +32,10 @@ from .graph import (
     _check_keys,
     _find,
     _id_index,
+    _kept,
     _load_document,
     _parse_id,
+    _refuse_invalid,
     _require,
     _sorted_report,
     format_rational,
@@ -45,27 +44,18 @@ from .graph import (
     parse_rational,
     validate_graph,
 )
-from .linalg import nullspace
-from .mpoly import MPoly, is_primitive, poly_from_pairs
+from .mpoly import is_primitive
 from .s1 import (
-    _CLASS_KEYS,
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
-    Slot,
     _addressed,
-    _character_table,
     _check_addressing,
-    _class_from_sparse,
-    _class_from_vector,
     _class_obstructions,
-    _constraint_table,
+    _group_table,
+    _image_basis,
     _obstruction_violations,
-    _parse_components,
-    _restriction_slots,
-    _slot_columns,
-    character_substitution,
-    slot_value,
+    _parse_class,
     torus_obstructions,
 )
 
@@ -114,16 +104,25 @@ class XRay:
     def find(self, component_id: str) -> TorusFixedComponent:
         return _find(self._by_id, component_id)
 
-    @cached_property
+    # Derived values, kept on the frozen x-ray as on a graph.
+    @_kept
     def _by_id(self) -> dict[str, TorusFixedComponent]:
-        """Kept on the frozen x-ray, as on a graph."""
         return _id_index(self.components)
 
-    @cached_property
+    @_kept
+    def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
+        """``(id, kind, genus)`` of every fixed component, sorted by id."""
+        return tuple((c.id, c.kind, c.genus) for c in self.components)
+
+    @_kept
+    def _report(self) -> tuple[Violation, ...]:
+        return tuple(_xray_violations(self))
+
+    @_kept
     def _levels(self) -> tuple[int, dict[str, tuple[int, ...]]]:
         """``(D, {id: levels})``: every component momentum as an integer
         vector over one common denominator D, the lcm of all coordinates'
-        denominators, so that ``y == levels / D``.  Kept like ``_by_id``."""
+        denominators, so that ``y == levels / D``."""
         denominator = lcm(*(x.denominator for c in self.components for x in c.y))
         levels: dict[str, tuple[int, ...]] = {}
         for c in self.components:
@@ -182,7 +181,7 @@ def parse_xray(text) -> XRay:
             if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
                 raise SchemaError('"genus" must be a nonnegative integer', where)
             area = parse_rational(item["area"], where)
-            if area <= 0:
+            if area.numerator <= 0:
                 raise SchemaError("area must be positive", where)
         raw_weights = _require(item, "weights", where)
         expected = rank if is_surface else rank + 1
@@ -303,6 +302,12 @@ def _ratios(member: TorusFixedComponent, lam) -> list:
 
 def validate_xray(xray: XRay) -> list[Violation]:
     """Semantic checks: characters, piece shapes, projections, induced graphs.
+    Computed once per x-ray and kept on it."""
+    return list(xray._report)
+
+
+def _xray_violations(xray: XRay) -> list[Violation]:
+    """The report of :func:`validate_xray`.
 
     Momenta are compared as integer vectors over the x-ray's common
     denominator (``xray._levels``), against an induced graph's own levels
@@ -479,10 +484,11 @@ def piece_obstructions(
     character; a 2-dimensional piece's are the terms of its two point
     restrictions' difference that the character does not divide.
     """
+    _refuse_invalid(xray)
     restricted = alpha.restricted(piece.members)
     if piece.dim == 2:
-        table = _constraint_table(_members(xray, piece))
-        return _class_obstructions(table, restricted, character_substitution(piece.lam))
+        table, substitution = _group_table(_piece_group(xray, piece), xray.rank)
+        return _class_obstructions(table, restricted, substitution)
     return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
 
 
@@ -495,7 +501,8 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     the character substitution, two-dimensional pieces the divisibility of
     the two point restrictions' difference by the character form.
     """
-    _check_addressing("x-ray", _xray_components(xray), xray.rank, _addressed(alpha))
+    _refuse_invalid(xray)
+    _check_addressing("x-ray", xray._fixed_components, xray.rank, _addressed(alpha))
     violations = [
         MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
         for piece in xray.pieces
@@ -504,55 +511,10 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     return MembershipDecision(not violations, tuple(violations))
 
 
-def _xray_components(xray: XRay) -> list[tuple[str, str, int]]:
-    """``(id, kind, genus)`` of every fixed component, sorted by id."""
-    return [(c.id, c.kind, c.genus) for c in xray.components]
-
-
-def _members(xray: XRay, piece: SkeletonPiece) -> list[tuple[str, str, int]]:
-    """``(id, kind, genus)`` of the piece's members, sorted by id."""
-    return [c for c in _xray_components(xray) if c[0] in piece.members]
-
-
-def xray_degree_slots(xray: XRay, degree: int) -> list[Slot]:
-    """Canonical coordinate order: component id, part, then descending lex monomials."""
-    return _restriction_slots(_xray_components(xray), xray.rank, degree)
-
-
-def xray_unit_class(xray: XRay, degree: int, slot: Slot) -> EquivariantClass:
-    return _class_from_sparse(_xray_components(xray), xray.rank, degree, [slot], {0: Fraction(1)})
-
-
-def xray_class_from_vector(xray: XRay, degree: int, values) -> EquivariantClass:
-    return _class_from_vector(_xray_components(xray), xray.rank, degree, values)
-
-
-def xray_class_to_vector(xray: XRay, degree: int, alpha: EquivariantClass) -> list[Fraction]:
-    return [slot_value(alpha, degree, slot) for slot in xray_degree_slots(xray, degree)]
-
-
-def _piece_columns(
-    xray: XRay, piece: SkeletonPiece, degree: int, slots: list[Slot]
-) -> dict[int, dict[tuple, Fraction]]:
-    """The obstruction column of every degree-k slot on the piece's members.
-
-    Column i equals ``piece_obstructions(xray, piece, xray_unit_class(xray,
-    degree, slots[i]))``.  The piece's constraint table routes the slot
-    monomial's memoised image under the character substitution
-    (:func:`~equicoh.s1._slot_columns`), with no polynomial arithmetic.  A
-    4-dimensional piece's induced graph is checked against its members
-    first, with the messages :func:`piece_obstructions` raises.
-    """
-    on_piece = [i for i, slot in enumerate(slots) if slot.component in piece.members]
-    if not on_piece:
-        return {}
-    members = _members(xray, piece)
-    if piece.dim == 2:
-        table, substitution = _constraint_table(members), character_substitution(piece.lam)
-    else:
-        addressed = [member + (xray.rank,) for member in members]
-        table, substitution = _character_table(piece.induced, xray.rank, piece.lam, addressed)
-    return _slot_columns(table, degree, slots, on_piece, substitution)
+def _piece_group(xray: XRay, piece: SkeletonPiece) -> tuple:
+    """The constraint group of one piece (see :func:`~equicoh.s1._group_table`)."""
+    members = tuple((c.id, c.kind, c.genus) for c in map(xray.find, sorted(piece.members)))
+    return ((piece.id,), members, piece.induced, piece.lam)
 
 
 def image_basis_xray(
@@ -561,54 +523,13 @@ def image_basis_xray(
     """Canonical basis of the degree-k image over the multivariate parameter ring.
 
     Columns are monomial slots; rows are the union of all pieces'
-    obstruction coefficients, keyed by piece id and obstruction key.  Each
-    piece compiles the columns of the slots on its own members
-    (:func:`_piece_columns`), which equal :func:`piece_obstructions` of the
-    unit slot classes; a unit class elsewhere has no obstruction along it.
+    obstruction coefficients, keyed by piece id and obstruction key: the
+    one image-basis body of :mod:`equicoh.s1` over the pieces' groups.
     """
-    if degree < 0:
-        raise InputError("degree must be nonnegative")
-    if degree > max_degree:
-        raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
-    components = _xray_components(xray)
-    slots = _restriction_slots(components, xray.rank, degree)
-    if not slots:
-        return []
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    for piece in xray.pieces:
-        for i, column in _piece_columns(xray, piece, degree, slots).items():
-            for key, value in column.items():
-                rows.setdefault((piece.id,) + key, {})[i] = value
-    return [
-        _class_from_sparse(components, xray.rank, degree, slots, vec)
-        for vec in nullspace(list(rows.values()), len(slots))
-    ]
+    _refuse_invalid(xray)
+    return _image_basis(xray, degree, max_degree, (_piece_group(xray, p) for p in xray.pieces))
 
 
 def parse_class_torus(text, xray: XRay) -> EquivariantClass:
     """Parse a multivariate class document against its x-ray."""
-    doc = _load_document(text)
-    _check_keys(doc, _CLASS_KEYS, "class")
-    if doc.get("kind") != "class":
-        raise SchemaError('field "kind" must be "class"', "class")
-    r = xray.rank
-    return _parse_components(
-        _require(doc, "components", "class"),
-        "x-ray",
-        _xray_components(xray),
-        lambda value, where: _pairs_to_poly(value, r, where),
-        MPoly.zero(r),
-        "polynomials",
-        r,
-    )
-
-
-def _pairs_to_poly(value, nvars: int, where: str) -> MPoly:
-    if not isinstance(value, list):
-        raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
-    try:
-        return poly_from_pairs(value, nvars, lambda v: parse_rational(v, where))
-    except SchemaError:
-        raise
-    except (InputError, ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), where) from None
+    return _parse_class(text, xray)

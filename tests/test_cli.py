@@ -2,11 +2,13 @@
 the canonical JSON writer and repeated in-process calls of ``main``."""
 
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 import fixtures
 from equicoh import cli
 from equicoh import graph as graph_module
+from equicoh import xray as xray_module
 from equicoh.cli import main
 
 
@@ -687,6 +690,58 @@ def test_a_basis_call_computes_the_extremal_labels_once(capsys, monkeypatch, dat
         argv = ("basis", str(data_dir / "g2_uneq.json"), "--degree", degree)
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == 1, degree
+
+
+@pytest.mark.parametrize(
+    "argv, documents",
+    [
+        (("basis", "g2_uneq.json", "--degree", "2"), 1),
+        (("xray-basis", "x2_g1.json", "--degree", "2"), 5),
+        (("xray-check", "x2_g1.json", "class_x2_const.json"), 5),
+    ],
+)
+def test_a_query_validates_each_document_once(capsys, monkeypatch, data_dir, argv, documents):
+    """Validation keeps its report on the document, so the compute entry
+    points refuse invalid input without validating again: one validation of
+    the graph, or of the x-ray and of each of its four induced graphs."""
+    calls = []
+    for module, name in ((graph_module, "_graph_violations"), (xray_module, "_xray_violations")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda d, original=original: calls.append(d) or original(d)
+        )
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == len({id(d) for d in calls}) == documents
+
+
+def traced_calls(capsys, *argv) -> dict[str, int]:
+    """Calls per span name of ``bench/tracer.py`` over one in-process query;
+    the tracer is imported from its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer() as trace:
+        status = cli.main(list(argv))
+    capsys.readouterr()
+    assert status == 0
+    return dict(zip(trace.names, trace.calls))
+
+
+def test_the_tracer_tables_keep_each_layer_on_its_workload(capsys, data_dir):
+    """The benchmark's per-layer tables read the tracer's spans, so each
+    library layer must stay under the command it is measured on."""
+    d = str(data_dir)
+    basis = traced_calls(capsys, "basis", f"{d}/g2_g1.json", "--degree", "2")
+    xray_basis = traced_calls(capsys, "xray-basis", f"{d}/x2_g1.json", "--degree", "2")
+    xray_check = traced_calls(capsys, "xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_const.json")
+    assert basis["s1.image_basis"] == 1
+    assert xray_basis["s1.image_basis"] == 0
+    assert xray_basis["xray.image_basis_xray"] == 1
+    for name in ("xray.piece_obstructions", "s1.torus_obstructions"):
+        assert xray_check[name] > 0 and xray_basis[name] == 0, name
+    assert basis["linalg.nullspace"] > 0 and xray_basis["linalg.nullspace"] > 0
 
 
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys, monkeypatch, data_dir):

@@ -43,6 +43,7 @@ from equicoh import (
     relation_counts,
     torus_obstructions,
     unit_class,
+    validate_graph,
 )
 from equicoh import s1
 from equicoh.core import integrate_surface
@@ -249,7 +250,8 @@ def test_degree2_functional_frozen():
 def pole_columns(graph, degree, slots):
     """The pole keys of each slot's column of the graph's constraint table,
     as a Laurent element per slot."""
-    columns = s1._graph_columns(graph, degree, slots)
+    index = s1._slot_index(slots)
+    columns = s1._group_columns(s1._graph_group(graph), None, degree, slots, index)
     return [
         Laurent({key[1]: c for key, c in columns[i].items() if key[0] == "pole"})
         for i in range(len(slots))
@@ -693,6 +695,40 @@ def test_image_basis_degree_bounds():
     assert len(image_basis(g1(), 14, max_degree=14)) == 3
 
 
+def genus_mismatched_graph():
+    """``g2_doc(1)`` with a genus-2 upper surface: two fixed surfaces of
+    different genera bound no circle action."""
+    doc = fixtures.mutate(fixtures.g2_doc(1), lambda d: d["surfaces"][-1].update(genus=2))
+    return parse_graph(doc)
+
+
+REFUSING_ENTRY_POINTS = {
+    "image_basis": lambda g, a: image_basis(g, 1),
+    "check_membership": check_membership,
+    "in_image_span": lambda g, a: in_image_span(g, 0, a),
+    "abbv_degree2_functional": lambda g, a: abbv_degree2_functional(g),
+    "localize": localize,
+    "torus_obstructions": lambda g, a: torus_obstructions(g, 1, (1,), promote_to_torus(a)),
+    "localize_torus": lambda g, a: localize_torus(g, 1, (1,), promote_to_torus(a)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSING_ENTRY_POINTS))
+def test_compute_entry_points_refuse_an_invalid_graph(name):
+    graph = genus_mismatched_graph()
+    assert "genus-mismatch" in [v.code for v in validate_graph(graph)]
+    with pytest.raises(InputError, match="^invalid graph: genus-mismatch: "):
+        REFUSING_ENTRY_POINTS[name](graph, constant_class(graph, 1))
+
+
+def test_a_degree_without_slots_refuses_an_invalid_graph_too():
+    doc = fixtures.mutate(fixtures.g1_doc(), lambda d: d["isolated"][1].update(weights=[1, 1]))
+    graph = parse_graph(doc)
+    assert degree_slots(graph, 1) == []
+    with pytest.raises(InputError, match="^invalid graph: .*weight-signs: interior point"):
+        image_basis(graph, 1)
+
+
 def test_image_sizes_match_equivariant_series():
     for graph in all_graphs().values():
         series = equivariant_series(graph)
@@ -857,6 +893,10 @@ def test_parse_class_rejections():
         parse_class({"kind": "graph", "graph": "g", "components": {}}, graph)
     with pytest.raises(SchemaError, match="unknown field"):
         parse_class(dict(base, extra=1), graph)
+    with pytest.raises(SchemaError, match="missing required field 'graph'"):
+        parse_class({"kind": "class", "components": {}}, graph)
+    with pytest.raises(SchemaError, match='field "graph" must be a string'):
+        parse_class(dict(base, graph=5), graph)
 
 
 def test_class_to_dict_canonical_strings():

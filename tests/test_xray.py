@@ -16,29 +16,31 @@ from equicoh import (
     SurfaceClass,
     check_membership,
     check_membership_xray,
+    class_from_vector,
     class_to_dict,
+    class_to_vector,
+    degree_slots,
     image_basis_xray,
     parse_class,
     parse_class_torus,
     parse_xray,
     serialize_xray,
+    unit_class,
     validate_xray,
-    xray_class_from_vector,
-    xray_class_to_vector,
-    xray_degree_slots,
     xray_to_dict,
-    xray_unit_class,
 )
 from equicoh.s1 import (
     MembershipDecision,
     MembershipViolation,
+    _group_columns,
+    _slot_index,
     character_substitution,
     slot_value,
     torus_obstructions,
 )
 from equicoh.graph import IsolatedVertex, Violation, format_rational
 from equicoh.mpoly import is_primitive
-from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_columns, piece_obstructions
+from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_group, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
 from test_graph import reference_validate_graph
 from test_linalg import reference_nullspace
@@ -587,23 +589,23 @@ def test_membership_checks_addressing():
 
 
 def test_xray_slots_frozen():
-    labels = [s.label for s in xray_degree_slots(x2(1), 2)]
+    labels = [s.label for s in degree_slots(x2(1), 2)]
     assert labels[:3] == ["Smax_0.c0[1,0]", "Smax_0.c0[0,1]", "Smax_0.c2[0,0]"]
     assert len(labels) == 12
-    labels = [s.label for s in xray_degree_slots(x2(1), 1)]
+    labels = [s.label for s in degree_slots(x2(1), 1)]
     assert labels[:2] == ["Smax_0.a1[0,0]", "Smax_0.b1[0,0]"]
     assert len(labels) == 8
-    assert [s.label for s in xray_degree_slots(cp3(), 2)][:2] == ["P0.c[1,0]", "P0.c[0,1]"]
-    assert xray_degree_slots(cp3(), 1) == []
+    assert [s.label for s in degree_slots(cp3(), 2)][:2] == ["P0.c[1,0]", "P0.c[0,1]"]
+    assert degree_slots(cp3(), 1) == []
 
 
 def test_unit_class_vector_roundtrip():
     for make in EQUIVALENCE_XRAYS.values():
         xray = make()
         for degree in range(7):
-            slots = xray_degree_slots(xray, degree)
+            slots = degree_slots(xray, degree)
             for i, slot in enumerate(slots):
-                vec = xray_class_to_vector(xray, degree, xray_unit_class(xray, degree, slot))
+                vec = class_to_vector(xray, degree, unit_class(xray, degree, slot))
                 assert vec == [Fraction(j == i) for j in range(len(slots))]
 
 
@@ -622,15 +624,15 @@ def test_class_from_vector_roundtrip():
     for make in EQUIVALENCE_XRAYS.values():
         xray = make()
         for degree in range(7):
-            slots = xray_degree_slots(xray, degree)
+            slots = degree_slots(xray, degree)
             values = [Fraction(i % 5 - 2, 3) for i in range(len(slots))]
-            alpha = xray_class_from_vector(xray, degree, values)
-            assert xray_class_to_vector(xray, degree, alpha) == values
-            again = xray_class_from_vector(xray, degree, values)
+            alpha = class_from_vector(xray, degree, values)
+            assert class_to_vector(xray, degree, alpha) == values
+            again = class_from_vector(xray, degree, values)
             ours = {id(x) for x in _mutable_parts(alpha)}
             assert ours.isdisjoint(id(x) for x in _mutable_parts(again))
             with pytest.raises(InputError, match="coordinates"):
-                xray_class_from_vector(xray, degree, values + [Fraction(1)])
+                class_from_vector(xray, degree, values + [Fraction(1)])
 
 
 def test_image_sizes_frozen():
@@ -639,6 +641,21 @@ def test_image_sizes_frozen():
     xray = cp3()
     sizes = [len(image_basis_xray(xray, k)) for k in range(9)]
     assert sizes == [1, 0, 3, 0, 6, 0, 10, 0, 14]
+
+
+def test_compute_entry_points_refuse_an_invalid_xray():
+    doc = mutate(fixtures.cp3_doc(), lambda d: d["pieces"][0].update({"lambda": [2, 0]}))
+    xray = parse_xray(doc)
+    assert [v.code for v in validate_xray(xray)] == ["character-not-primitive"]
+    alpha = constant_torus_class(xray, 1)
+    refused = "^invalid x-ray: character-not-primitive: "
+    with pytest.raises(InputError, match=refused):
+        image_basis_xray(xray, 2)
+    with pytest.raises(InputError, match=refused):
+        check_membership_xray(xray, alpha)
+    for piece in xray.pieces:
+        with pytest.raises(InputError, match=refused):
+            piece_obstructions(xray, piece, alpha)
 
 
 def test_image_basis_degree_bounds():
@@ -663,8 +680,8 @@ def test_basis_is_stable_under_document_order():
     shuffled = parse_xray(doc)
     reference = x2(1)
     for k in range(4):
-        ours = [xray_class_to_vector(reference, k, b) for b in image_basis_xray(reference, k)]
-        theirs = [xray_class_to_vector(shuffled, k, b) for b in image_basis_xray(shuffled, k)]
+        ours = [class_to_vector(reference, k, b) for b in image_basis_xray(reference, k)]
+        theirs = [class_to_vector(shuffled, k, b) for b in image_basis_xray(shuffled, k)]
         assert ours == theirs
 
 
@@ -680,12 +697,12 @@ def test_module_closure_under_both_parameters():
 def reference_image_basis_xray(xray, degree):
     """The slot-major assembly: every piece visits every unit slot class, and
     the dense two-pass elimination of ``test_linalg`` solves the rows."""
-    slots = xray_degree_slots(xray, degree)
+    slots = degree_slots(xray, degree)
     if not slots:
         return []
     per_slot = []
     for slot in slots:
-        unit = xray_unit_class(xray, degree, slot)
+        unit = unit_class(xray, degree, slot)
         obstructions = {}
         for piece in xray.pieces:
             for key, value in piece_obstructions(xray, piece, unit).items():
@@ -694,7 +711,7 @@ def reference_image_basis_xray(xray, degree):
     keys = sorted({key for obs in per_slot for key in obs}, key=repr)
     rows = [[obs.get(key, Fraction(0)) for obs in per_slot] for key in keys]
     return [
-        xray_class_from_vector(xray, degree, vec)
+        class_from_vector(xray, degree, vec)
         for vec in reference_nullspace(rows, len(slots))
     ]
 
@@ -721,17 +738,24 @@ def test_piece_major_basis_matches_the_slot_major_reference(name):
         assert ours == theirs, degree
 
 
+def piece_columns(xray, piece, degree, slots):
+    """The columns of one piece's constraint group, as the x-ray basis
+    compiles them."""
+    group = _piece_group(xray, piece)
+    return _group_columns(group, xray.rank, degree, slots, _slot_index(slots))
+
+
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
 def test_compiled_columns_are_the_unit_class_obstructions(name):
     xray = EQUIVALENCE_XRAYS[name]()
     for degree in range(DEFAULT_XRAY_MAX_DEGREE + 1):
-        slots = xray_degree_slots(xray, degree)
+        slots = degree_slots(xray, degree)
         for piece in xray.pieces:
-            columns = _piece_columns(xray, piece, degree, slots)
+            columns = piece_columns(xray, piece, degree, slots)
             on_members = [i for i, s in enumerate(slots) if s.component in piece.members]
             assert sorted(columns) == on_members
             for i in on_members:
-                unit = xray_unit_class(xray, degree, slots[i])
+                unit = unit_class(xray, degree, slots[i])
                 expected = piece_obstructions(xray, piece, unit)
                 assert columns[i] == expected, (piece.id, slots[i].label)
 
@@ -746,8 +770,8 @@ def test_compiled_columns_sum_to_the_obstructions_of_a_class(name):
         for piece in xray.pieces:
             total = {}
             for degree in alpha.degrees():
-                slots = xray_degree_slots(xray, degree)
-                for i, column in _piece_columns(xray, piece, degree, slots).items():
+                slots = degree_slots(xray, degree)
+                for i, column in piece_columns(xray, piece, degree, slots).items():
                     value = slot_value(alpha, degree, slots[i])
                     if not value:
                         continue
@@ -772,9 +796,9 @@ def test_basis_rejects_an_induced_graph_as_the_obstructions_do(edit):
     xray = parse_xray(doc)
     assert validate_xray(xray)
     piece = xray.pieces[0]
-    slot = next(s for s in xray_degree_slots(xray, 1) if s.component in piece.members)
+    slot = next(s for s in degree_slots(xray, 1) if s.component in piece.members)
     with pytest.raises(InputError) as expected:
-        piece_obstructions(xray, piece, xray_unit_class(xray, 1, slot))
+        piece_obstructions(xray, piece, unit_class(xray, 1, slot))
     with pytest.raises(InputError) as found:
         image_basis_xray(xray, 1)
     assert str(found.value) == str(expected.value)
@@ -784,12 +808,12 @@ def _class_on(xray, components, rng, degrees=range(5)):
     """A random inhomogeneous class that vanishes off the given components."""
     comps = {c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components}
     for degree in degrees:
-        slots = xray_degree_slots(xray, degree)
+        slots = degree_slots(xray, degree)
         values = [
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if s.component in components else 0
             for s in slots
         ]
-        part = xray_class_from_vector(xray, degree, values)
+        part = class_from_vector(xray, degree, values)
         for cid in components:
             comps[cid].entries.update(part.components[cid].entries)
     return EquivariantClass(comps, xray.rank)
@@ -991,6 +1015,10 @@ def test_parse_class_torus_rejections():
         parse_class_torus(bad, xray)
     with pytest.raises(SchemaError, match='must be "class"'):
         parse_class_torus({"kind": "xray", "components": comps}, xray)
+    with pytest.raises(SchemaError, match="missing required field 'graph'"):
+        parse_class_torus({"kind": "class", "components": comps}, xray)
+    with pytest.raises(SchemaError, match='field "graph" must be a string'):
+        parse_class_torus(dict(base, graph=5, components=comps), xray)
 
 
 def test_parse_class_torus_surface_fields():

@@ -549,11 +549,14 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
 def _refuse_invalid(document) -> None:
     """The gate in front of the compute entry points: raise InputError
     naming every violation of an invalid graph or x-ray, read off the
-    report validation keeps on it."""
+    report validation keeps on it; DegenerateInputError when the one
+    violation is a degenerate momentum map."""
     if document._report:
         noun = "graph" if document.rank is None else "x-ray"
         found = "; ".join(f"{v.code}: {v.message}" for v in document._report)
-        raise InputError(f"invalid {noun}: {found}")
+        codes = [v.code for v in document._report]
+        error = DegenerateInputError if codes == ["degenerate-momentum"] else InputError
+        raise error(f"invalid {noun}: {found}")
 
 
 def _graph_violations(graph: DecoratedGraph) -> list[Violation]:

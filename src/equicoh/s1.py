@@ -14,7 +14,9 @@ the identification) and its poles (the closed form of its localization
 term, never hard-coded per graph).  Every query routes terms through that
 table: image bases route each slot's unit part and take the nullspace of
 the resulting rows, membership routes the class's own parts and reads the
-violations off the keys.  There is no second description.
+violations off the keys, and the localization sum is the class's parts
+under every pole at every power, not only the negative ones.  There is no
+second description.
 
 Graphs and x-rays are one kind of document here: each gives its fixed
 components as ``(id, kind, genus)`` sorted by id and a rank (None for a
@@ -22,7 +24,7 @@ graph).  Those two values fix the slot space in each degree (one slot per
 part of a component's entry, or per monomial of each part for a torus),
 and the slot and class helpers and the one image-basis body read only
 them.  A graph is one constraint group, an x-ray has one per piece.
-Compute entry points refuse an invalid graph.
+Every entry point that computes on a graph refuses an invalid one.
 
 The same table serves a higher-rank torus along a primitive integer
 character: each part is rewritten once in coordinates where the character
@@ -37,12 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ComponentClass, Laurent, PoincareSeries, SurfaceClass
-from .errors import (
-    DegenerateInputError,
-    InputError,
-    InternalInconsistencyError,
-    SchemaError,
-)
+from .errors import InputError, InternalInconsistencyError, SchemaError
 from .graph import (
     DecoratedGraph,
     FatVertex,
@@ -97,8 +94,6 @@ def betti_contribution(kind: str, position: str, genus: int = 0) -> tuple[int, .
 
 def _positions(graph: DecoratedGraph) -> dict[str, str]:
     y_min, y_max = graph.momentum_span()
-    if y_min == y_max:
-        raise DegenerateInputError("momentum map is constant")
     out = {}
     for v in list(graph.isolated) + list(graph.surfaces):
         out[v.id] = "min" if v.y == y_min else "max" if v.y == y_max else "interior"
@@ -107,6 +102,7 @@ def _positions(graph: DecoratedGraph) -> dict[str, str]:
 
 def poincare_manifold(graph: DecoratedGraph) -> PoincareSeries:
     """Ordinary Poincare polynomial of the manifold, as a degree-4 numerator."""
+    _refuse_invalid(graph)
     positions = _positions(graph)
     total = [0] * 5
     for v in graph.isolated:
@@ -132,6 +128,7 @@ def poincare_fixed_set(graph: DecoratedGraph) -> PoincareSeries:
 
 def equivariant_series(graph: DecoratedGraph, which: str = "manifold") -> PoincareSeries:
     """Equivariant Poincare series: the ordinary one over (1 - t^2)."""
+    _refuse_invalid(graph)
     if which in ("manifold", "M"):
         ordinary = poincare_manifold(graph)
     elif which in ("fixed", "fixed-set"):
@@ -147,6 +144,7 @@ def relation_counts(graph: DecoratedGraph) -> tuple[int, int, int]:
     Also asserts the series identity these counts must satisfy; a failure
     means the graph data is internally inconsistent.
     """
+    _refuse_invalid(graph)
     ncomp = len(graph.isolated) + len(graph.surfaces)
     r0 = ncomp - 1
     r1 = 2 * graph.surfaces[0].genus if len(graph.surfaces) == 2 else 0
@@ -178,6 +176,7 @@ def _surface_sign(vertex: FatVertex, graph: DecoratedGraph) -> int:
 
 
 def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
+    _refuse_invalid(graph)
     resolved = resolve_self_intersections(graph)
     comp = resolved.find(component_id)
     if isinstance(comp, IsolatedVertex):
@@ -200,6 +199,7 @@ def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
 
 def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     """The inverse of the Euler class in the localized module."""
+    _refuse_invalid(graph)
     resolved = resolve_self_intersections(graph)
     comp = resolved.find(component_id)
     if isinstance(comp, IsolatedVertex):
@@ -258,18 +258,17 @@ class EquivariantClass:
         return EquivariantClass(comps, None)
 
 
-def _check_addressing(owner: str, components, rank: int | None, addressed) -> None:
-    """Raise unless ``addressed`` gives an entry for exactly ``components``.
+def _check_addressing(owner: str, components, rank: int | None, alpha: EquivariantClass) -> None:
+    """Raise unless ``alpha`` gives an entry for exactly ``components``.
 
     ``components`` lists the ``(id, kind, genus)`` of the graph or x-ray
-    named by ``owner``, sorted by id; ``addressed`` lists ``(id, kind,
-    genus, rank)`` sorted by id, one per component a class gives entries
-    for (see :func:`_addressed`) or per member of an x-ray piece.  Each must
+    named by ``owner``, sorted by id.  Each component of the class must
     match its component at ``rank``, which is None for a circle action.
     """
-    _check_ids(owner, [cid for cid, _, _ in components], [entry[0] for entry in addressed])
-    for (cid, kind, genus), entry in zip(components, addressed):
-        if entry[1:] != (kind, genus, rank):
+    found = sorted(alpha.components.items())
+    _check_ids(owner, [cid for cid, _, _ in components], [cid for cid, _ in found])
+    for (cid, kind, genus), (_, cls) in zip(components, found):
+        if (cls.kind, cls.genus, cls.rank) != (kind, genus, rank):
             what = "point" if kind == "point" else f"genus-{genus} surface"
             raise InputError(f"component {cid!r}: expected a {what} entry of rank {rank}")
 
@@ -279,11 +278,6 @@ def _check_ids(owner: str, ids: list[str], found: list[str]) -> None:
     the graph or x-ray named by ``owner``; ``found`` are its own, sorted."""
     if found != ids:
         raise InputError(f"class addresses {found} but the {owner} has {ids}")
-
-
-def _addressed(alpha: EquivariantClass) -> list[tuple[str, str, int, int | None]]:
-    """``(id, kind, genus, rank)`` of every component of the class, sorted by id."""
-    return [(cid, c.kind, c.genus, c.rank) for cid, c in sorted(alpha.components.items())]
 
 
 def _localization_rules(
@@ -330,32 +324,6 @@ def _part(entry, part: str, index: int):
     return entry
 
 
-def _add_localization(
-    total: dict,
-    resolved: DecoratedGraph,
-    comp: IsolatedVertex | FatVertex,
-    entries: dict,
-    powers,
-) -> None:
-    """Add one fixed component's term of the localization sum to ``total``.
-
-    The term is read off :func:`_localization_rules`.  ``entries`` maps
-    degree to restriction entry (a scalar for a point, a SurfaceClass for a
-    surface); ``powers(value, half)`` lists the ``(p, coefficient of u^p)``
-    pairs of a scalar of degree ``half`` in the parameter.
-    """
-    rules = _localization_rules(resolved, comp)
-    for k, entry in entries.items():
-        for part, (shift, scale) in rules.items():
-            value = _part(entry, part, 0)
-            if not value:
-                continue
-            for p, coeff in powers(value, _half(part, k)):
-                term = coeff * scale
-                p += shift
-                total[p] = total[p] + term if p in total else term
-
-
 def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     """The localization sum over the fixed components, a scalar Laurent element.
 
@@ -365,19 +333,11 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
 
     The pairing has a closed form, part by part (see
     :func:`_localization_rules`): only point values and the H^0 and H^2
-    parts of a surface contribute, each shifted and scaled.
+    parts of a surface contribute, each shifted and scaled.  The sum reads
+    those poles off the graph's :func:`_constraint_table`.
     """
-    _refuse_invalid(graph)
-    _check_addressing("graph", graph._fixed_components, None, _addressed(alpha))
-    resolved = resolve_self_intersections(graph)
-
-    def powers(value: Fraction, half: int):
-        return ((half, value),)
-
-    total: dict[int, Fraction] = {}
-    for v in resolved.isolated + resolved.surfaces:
-        _add_localization(total, resolved, v, alpha.components[v.id].entries, powers)
-    return Laurent(total)
+    table, _ = _group_table(_graph_group(graph), None, alpha)
+    return _localization_sum(table, alpha, None)
 
 
 @dataclass(frozen=True)
@@ -570,25 +530,51 @@ def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> Non
                 out[key] = out.get(key, 0) + scale * c
 
 
-def _class_obstructions(
-    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
-) -> dict[tuple, Fraction]:
-    """The nonzero obstructions of ``alpha``: every part the table names, in
-    every degree, routed once.  A torus part is rewritten by the character's
-    ``substitution``; a circle-action value of degree ``half`` in the
-    parameter is the single term ``{(half,): value}``."""
-    out: dict[tuple, Fraction] = {}
+def _class_terms(table, alpha: EquivariantClass, substitution: LinearSubstitution | None):
+    """Every nonzero part of ``alpha`` the table names, in every degree, as
+    ``(rules, degree, terms)``: the part's rules and its terms in adapted
+    coordinates (see :func:`_route`).  A torus part is rewritten by the
+    character's ``substitution``; a circle-action value of degree ``half``
+    in the parameter is the single term ``{(half,): value}``."""
     for (cid, part, index), rules in table.items():
         for degree, entry in alpha.components[cid].entries.items():
             value = _part(entry, part, index)
             if not value:
                 continue
             if substitution is None:
-                terms = {(_half(part, degree),): value}
+                yield rules, degree, {(_half(part, degree),): value}
             else:
-                terms = substitution(value).terms
-            _route(out, rules, degree, terms)
+                yield rules, degree, substitution(value).terms
+
+
+def _class_obstructions(
+    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
+) -> dict[tuple, Fraction]:
+    """The nonzero obstructions of ``alpha``: each of its parts routed once."""
+    out: dict[tuple, Fraction] = {}
+    for rules, degree, terms in _class_terms(table, alpha, substitution):
+        _route(out, rules, degree, terms)
     return {key: c for key, c in out.items() if c}
+
+
+def _localization_sum(
+    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
+) -> Laurent:
+    """The localization sum of ``alpha``: each pole ``(shift, scale)`` of a
+    part adds ``scale`` times its term ``c * v^E`` at the power ``E[0] +
+    shift``, negative or not (:func:`_route` keeps only the negative ones).
+    The coefficients are scalars for a circle action and, along a character,
+    polynomials in the ``rank - 1`` remaining variables ``E[1:]``."""
+    total: dict[int, dict[tuple, Fraction]] = {}
+    for (_, poles), _, terms in _class_terms(table, alpha, substitution):
+        for exps, c in terms.items():
+            for shift, scale in poles:
+                coeff = total.setdefault(exps[0] + shift, {})
+                coeff[exps[1:]] = coeff.get(exps[1:], 0) + scale * c
+    if substitution is None:
+        return Laurent({power: coeff[()] for power, coeff in total.items()})
+    nvars = substitution.nout - 1
+    return Laurent({power: MPoly(nvars, coeff) for power, coeff in total.items()})
 
 
 def _graph_group(graph: DecoratedGraph, lam=None) -> tuple:
@@ -596,7 +582,7 @@ def _graph_group(graph: DecoratedGraph, lam=None) -> tuple:
     return ((), graph._fixed_components, graph, lam)
 
 
-def _group_table(group: tuple, rank: int | None, addressed=None):
+def _group_table(group: tuple, rank: int | None, alpha: EquivariantClass | None = None):
     """The constraint table of one group of image conditions, and the
     substitution of its character (None for a circle action).
 
@@ -605,10 +591,11 @@ def _group_table(group: tuple, rank: int | None, addressed=None):
     or nothing), ``members`` lists the ``(id, kind, genus)`` it constrains,
     sorted by id, ``graph`` states the conditions (None for a 2-dimensional
     piece: one division, no poles) and ``lam`` is the character.  Raises
-    unless the character has ``rank`` primitive entries and the graph is
-    valid and has the components ``addressed`` lists, when given (as in
-    :func:`_check_addressing`).  A valid x-ray's induced graphs have their
-    pieces' members, so its groups need no such check.
+    unless the character has ``rank`` primitive entries, the graph is valid
+    and, when ``alpha`` is given, the class addresses exactly the graph's
+    components at ``rank`` (:func:`_check_addressing`), checked in that
+    order.  A valid x-ray's induced graphs have their pieces' members, so
+    its groups need no such check.
     """
     _, members, graph, lam = group
     substitution = None
@@ -618,8 +605,8 @@ def _group_table(group: tuple, rank: int | None, addressed=None):
         substitution = character_substitution(lam)
     if graph is not None:
         _refuse_invalid(graph)
-        if addressed is not None:
-            _check_addressing("graph", graph._fixed_components, rank, addressed)
+        if alpha is not None:
+            _check_addressing("graph", graph._fixed_components, rank, alpha)
     return _constraint_table(members, graph), substitution
 
 
@@ -686,7 +673,7 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
 def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
     """The obstructions of a circle-action class, with the keys
     :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
-    table, _ = _group_table(_graph_group(graph), None, _addressed(alpha))
+    table, _ = _group_table(_graph_group(graph), None, alpha)
     return _class_obstructions(table, alpha, None)
 
 
@@ -815,52 +802,23 @@ def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
     return EquivariantClass(comps, 1)
 
 
-def _adapted_split(p: MPoly, substitution: LinearSubstitution) -> dict[int, MPoly]:
-    """Rewrite in character-adapted coordinates and split off powers of it."""
-    return substitution(p).split_leading()
-
-
 def character_substitution(lam) -> LinearSubstitution:
     """The substitution into coordinates where the character is the first variable."""
     return LinearSubstitution(unimodular_completion(lam))
 
 
-def localize_torus(
-    graph: DecoratedGraph,
-    rank: int,
-    lam,
-    alpha: EquivariantClass,
-    *,
-    substitution: LinearSubstitution | None = None,
-) -> Laurent:
+def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClass) -> Laurent:
     """Localization sum with the parameter replaced by the character form.
 
     Returns a Laurent element in the character direction whose coefficients
-    are polynomials in the complementary directions.  Each point value and
-    each H^0 and H^2 part of a surface is rewritten in coordinates where the
-    character is the first variable and split into powers of it; the closed
-    form of :func:`localize` then applies power by power, and H^1 parts are
-    never substituted.  A caller that already holds the character's
-    substitution (see :func:`character_substitution`) passes it as
-    ``substitution``; otherwise it is built here.  :func:`torus_obstructions`
-    reads the poles of this sum off the constraint table instead.
+    are polynomials in the complementary directions.  Each part of the class
+    is rewritten in coordinates where the character is the first variable,
+    and the poles of the graph's :func:`_constraint_table` apply power by
+    power, as in :func:`localize`; H^1 parts have none.
+    :func:`torus_obstructions` keeps the negative powers of this sum.
     """
-    _refuse_invalid(graph)
-    if len(lam) != rank:
-        raise InputError(f"character must have {rank} entries")
-    if substitution is None:
-        substitution = character_substitution(lam)
-    resolved = resolve_self_intersections(graph)
-
-    def powers(value: MPoly, half: int):
-        return _adapted_split(value, substitution).items()
-
-    total: dict[int, MPoly] = {}
-    for cid in sorted(alpha.components):
-        _add_localization(
-            total, resolved, resolved.find(cid), alpha.components[cid].entries, powers
-        )
-    return Laurent(total)
+    table, substitution = _group_table(_graph_group(graph, lam), rank, alpha)
+    return _localization_sum(table, alpha, substitution)
 
 
 def torus_obstructions(
@@ -878,7 +836,7 @@ def torus_obstructions(
     :func:`_constraint_table`.
     """
     group = _graph_group(graph, lam)
-    table, substitution = _group_table(group, rank, _addressed(alpha))
+    table, substitution = _group_table(group, rank, alpha)
     return _class_obstructions(table, alpha, substitution)
 
 

@@ -49,7 +49,6 @@ from .s1 import (
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
-    _addressed,
     _check_addressing,
     _class_obstructions,
     _group_table,
@@ -482,9 +481,12 @@ def piece_obstructions(
     them has none.  A 4-dimensional piece's are the
     :func:`~equicoh.s1.torus_obstructions` of its induced graph along its
     character; a 2-dimensional piece's are the terms of its two point
-    restrictions' difference that the character does not divide.
+    restrictions' difference that the character does not divide.  The
+    class must address exactly the x-ray's components, as in
+    :func:`check_membership_xray`.
     """
     _refuse_invalid(xray)
+    _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     restricted = alpha.restricted(piece.members)
     if piece.dim == 2:
         table, substitution = _group_table(_piece_group(xray, piece), xray.rank)
@@ -502,7 +504,7 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     the two point restrictions' difference by the character form.
     """
     _refuse_invalid(xray)
-    _check_addressing("x-ray", xray._fixed_components, xray.rank, _addressed(alpha))
+    _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     violations = [
         MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
         for piece in xray.pieces

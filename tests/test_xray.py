@@ -585,6 +585,17 @@ def test_membership_checks_addressing():
         check_membership_xray(xray, alpha)
 
 
+def test_piece_obstructions_check_addressing():
+    """A class missing a member of the piece is refused, not a KeyError."""
+    xray = x2(1)
+    alpha = constant_torus_class(xray, 1)
+    alpha.components.pop("Smax_0")
+    piece = next(p for p in xray.pieces if p.id == "PX0")
+    assert "Smax_0" in piece.members
+    with pytest.raises(InputError, match=r"^class addresses \['Smax_1', 'Smin_0', 'Smin_1'\]"):
+        piece_obstructions(xray, piece, alpha)
+
+
 # -- coordinates and bases ----------------------------------------------------
 
 

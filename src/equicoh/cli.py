@@ -7,7 +7,9 @@ keys, two-space indent, strings ASCII-escaped, rationals as strings), the
 bytes ``json.dumps(payload, indent=2, sort_keys=True)`` would give, so
 identical inputs yield byte-identical bytes across runs.  Exit codes: 0
 success or member, 1 semantic failure (invalid input, non-member), 2 usage,
-I/O or parse failure.
+I/O or parse failure, undecodable bytes and over-long numbers included.
+One table, :data:`_ERRORS`, gives every error its code and status, for a
+single file and for each file of a batch alike.
 
 :func:`main` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; the library functions behind each
@@ -71,29 +73,21 @@ class UsageError(EquicohError):
     """Bad flag/environment values that argparse cannot catch itself."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    paths: tuple[str, ...]
-    max_degree: int
-    output_format: str
-    fail_fast: bool = False
-
-    def __post_init__(self):
-        if self.max_degree < 0:
-            raise UsageError("max degree must be nonnegative")
-        if self.output_format not in ("text", "json"):
-            raise UsageError(f"unknown output format {self.output_format!r}")
+# (exception type, error code, exit status); the first type an error is an
+# instance of decides, so subclasses come before their bases.
+_ERRORS = (
+    (ParseError, "parse", 2),
+    (SchemaError, "schema", 2),
+    (UsageError, "usage", 2),
+    (OSError, "io", 2),
+    (InternalInconsistencyError, "inconsistency", 1),
+    (InputError, "input", 1),
+)
+_ERROR_TYPES = tuple(kind for kind, _, _ in _ERRORS)
 
 
-def _env_max_degree() -> int | None:
-    raw = os.environ.get(MAX_DEGREE_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{MAX_DEGREE_ENV} must be an integer, got {raw!r}") from None
+def _code_and_status(exc: Exception) -> tuple[str, int]:
+    return next((code, status) for kind, code, status in _ERRORS if isinstance(exc, kind))
 
 
 @dataclass(frozen=True)
@@ -122,24 +116,29 @@ def _document_kind(name: str) -> _DocumentKind:
     )
 
 
-def _config(args) -> RunConfig:
-    max_degree = args.max_degree if getattr(args, "max_degree", None) is not None else None
+def _max_degree(args) -> int:
+    """``--max-degree`` if given, else ``EQUICOH_MAX_DEGREE`` (read on every
+    call), else the document kind's default."""
+    max_degree = getattr(args, "max_degree", None)
     if max_degree is None:
-        max_degree = _env_max_degree()
-    if max_degree is None:
-        max_degree = args.kind.default_max_degree
-    return RunConfig(
-        subcommand=args.subcommand,
-        paths=tuple(getattr(args, name) for name in args.path_names),
-        max_degree=max_degree,
-        output_format=args.format,
-        fail_fast=getattr(args, "fail_fast", False),
-    )
+        raw = os.environ.get(MAX_DEGREE_ENV)
+        if raw is None:
+            return args.kind.default_max_degree
+        try:
+            max_degree = int(raw)
+        except ValueError:
+            raise UsageError(f"{MAX_DEGREE_ENV} must be an integer, got {raw!r}") from None
+    if max_degree < 0:
+        raise UsageError("max degree must be nonnegative")
+    return max_degree
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _dump(payload) -> str:
@@ -232,13 +231,13 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _load_valid(args, config: RunConfig):
-    """Parse and validate the first document; on violations print the report
+def _load_valid(args):
+    """Parse and validate the main document; on violations print the report
     and return None."""
-    document = args.kind.parse(_read(config.paths[0]))
+    document = args.kind.parse(_read(args.path))
     report = args.kind.validate(document)
     if report:
-        _emit_report(report, config.output_format)
+        _emit_report(report, args.format)
         return None
     return document
 
@@ -248,9 +247,8 @@ def _validate_document(path: str, strictly_xray: bool):
     doc = _decode_json(_read(path))
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
-    if strictly_xray or doc.get("kind") == "xray":
-        return validate_xray(parse_xray(doc))
-    return validate_graph(parse_graph(doc))
+    kind = _document_kind("xray" if strictly_xray or doc.get("kind") == "xray" else "graph")
+    return kind.validate(kind.parse(doc))
 
 
 def _validate_one(path: str, strictly_xray: bool) -> tuple[int, object]:
@@ -260,36 +258,29 @@ def _validate_one(path: str, strictly_xray: bool) -> tuple[int, object]:
         return (0 if not report else 1, report)
     except json.JSONDecodeError as exc:
         return (2, {"code": "parse", "message": str(exc)})
-    except ParseError as exc:
-        return (2, {"code": "parse", "message": str(exc)})
-    except SchemaError as exc:
-        return (2, {"code": "schema", "message": str(exc)})
-    except OSError as exc:
-        return (2, {"code": "io", "message": str(exc)})
-    except InputError as exc:
-        return (1, {"code": "input", "message": str(exc)})
+    except _ERROR_TYPES as exc:
+        code, status = _code_and_status(exc)
+        return (status, {"code": code, "message": str(exc)})
 
 
 def cmd_validate(args) -> int:
     strictly_xray = args.subcommand == "xray-validate"
-    config = _config(args)
-    path = config.paths[0]
-    if not os.path.isdir(path):
+    if not os.path.isdir(args.path):
         try:
-            report = _validate_document(path, strictly_xray)
+            report = _validate_document(args.path, strictly_xray)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.msg, exc.lineno, exc.colno) from None
-        return _emit_report(report, config.output_format)
+        return _emit_report(report, args.format)
 
-    names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
+    names = sorted(n for n in os.listdir(args.path) if n.endswith(".json"))
     results: list[tuple[str, int, object]] = []
     for name in names:
-        status, payload = _validate_one(os.path.join(path, name), strictly_xray)
+        status, payload = _validate_one(os.path.join(args.path, name), strictly_xray)
         results.append((name, status, payload))
-        if status and config.fail_fast:
+        if status and args.fail_fast:
             break
 
-    if config.output_format == "json":
+    if args.format == "json":
         entries = []
         for name, status, payload in results:
             entry: dict = {"path": name, "status": status}
@@ -310,18 +301,17 @@ def cmd_validate(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    config = _config(args)
-    graph = _load_valid(args, config)
+    graph = _load_valid(args)
     if graph is None:
         return 1
     if args.equivariant:
         series = equivariant_series(graph, "manifold")
-        upper = config.max_degree
+        upper = args.max_degree
     else:
         series = poincare_manifold(graph)
-        upper = min(config.max_degree, max(len(series.numerator) - 1, 0))
+        upper = min(args.max_degree, max(len(series.numerator) - 1, 0))
     coefficients = [series.coefficient(k) for k in range(upper + 1)]
-    if config.output_format == "json":
+    if args.format == "json":
         print(
             _dump(
                 {
@@ -342,14 +332,12 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    config = _config(args)
-    path = config.paths[0]
-    document = _load_valid(args, config)
+    document = _load_valid(args)
     if document is None:
         return 1
-    basis = args.kind.image_basis(document, args.degree, config.max_degree)
-    if config.output_format == "json":
-        print(_dump([class_to_dict(b, path) for b in basis]))
+    basis = args.kind.image_basis(document, args.degree, args.max_degree)
+    if args.format == "json":
+        print(_dump([class_to_dict(b, args.path) for b in basis]))
         return 0
     slots = degree_slots(document, args.degree)
     headers = [s.label for s in slots]
@@ -364,13 +352,12 @@ def cmd_basis(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _config(args)
-    document = _load_valid(args, config)
+    document = _load_valid(args)
     if document is None:
         return 1
-    alpha = args.kind.parse_class(_read(config.paths[1]), document)
+    alpha = args.kind.parse_class(_read(args.class_path), document)
     decision = args.kind.check(document, alpha)
-    if config.output_format == "json":
+    if args.format == "json":
         print(_dump(decision.to_dict()))
     elif decision.member:
         print("member")
@@ -381,13 +368,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    config = _config(args)
-    graph = _load_valid(args, config)
+    graph = _load_valid(args)
     if graph is None:
         return 1
-    alpha = parse_class(_read(config.paths[1]), graph)
+    alpha = parse_class(_read(args.class_path), graph)
     total = localize(graph, alpha)
-    if config.output_format == "json":
+    if args.format == "json":
         print(
             _dump(
                 {
@@ -406,12 +392,11 @@ def cmd_localize(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    config = _config(args)
-    graph = _load_valid(args, config)
+    graph = _load_valid(args)
     if graph is None:
         return 1
     euler = euler_class(graph, args.component)
-    if config.output_format == "json":
+    if args.format == "json":
         terms = {
             str(power): _entry_to_dict(coeff, format_rational)
             for power, coeff in euler.laurent.terms.items()
@@ -445,12 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand")
 
-    def add(name: str, handler, paths: list[str], kind="graph", **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, handler, metavars: list[str], kind="graph", **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
-        for path_name in paths:
-            p.add_argument(path_name)
+        for dest, metavar in zip(("path", "class_path"), metavars):
+            p.add_argument(dest, metavar=metavar)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(handler=handler, path_names=tuple(paths), kind=kind)
+        p.set_defaults(handler=handler, kind=kind)
         return p
 
     p = add("validate", cmd_validate, ["path"], help="validate a graph or x-ray file, or a directory of them")
@@ -482,11 +467,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(args, code: str, message: str, status: int = 2) -> int:
-    if getattr(args, "format", "text") == "json":
-        print(_dump({"kind": "error", "code": code, "message": message}))
+def _error(args, exc: Exception) -> int:
+    code, status = _code_and_status(exc)
+    if args.format == "json":
+        print(_dump({"kind": "error", "code": code, "message": str(exc)}))
     else:
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
     return status
 
 
@@ -498,19 +484,10 @@ def main(argv=None) -> int:
         return 2
     args.kind = _document_kind(args.kind)
     try:
+        args.max_degree = _max_degree(args)
         return args.handler(args)
-    except ParseError as exc:
-        return _error(args, "parse", str(exc))
-    except SchemaError as exc:
-        return _error(args, "schema", str(exc))
-    except UsageError as exc:
-        return _error(args, "usage", str(exc))
-    except OSError as exc:
-        return _error(args, "io", str(exc))
-    except InternalInconsistencyError as exc:
-        return _error(args, "inconsistency", str(exc), status=1)
-    except InputError as exc:
-        return _error(args, "input", str(exc), status=1)
+    except _ERROR_TYPES as exc:
+        return _error(args, exc)
 
 
 if __name__ == "__main__":

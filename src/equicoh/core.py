@@ -156,10 +156,6 @@ class Laurent:
                     clean[int(power)] = coeff
         self.terms = clean
 
-    @classmethod
-    def zero(cls) -> Laurent:
-        return cls()
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -13,11 +13,12 @@ A graph is frozen, so what is derived from it is computed at most once,
 when first needed, and kept on the graph: its momenta as integer levels
 over one common denominator, its momentum span, its two extremal labels,
 its resolved graph, its index of components by id, the ``(id, kind,
-genus)`` of its components and its validation report.  Validation and
-every later query of the same graph share them.  Validation compares and
-sums momenta as those integers, and builds a Fraction only for a value it
-returns or prints.  A computation that raises (a degenerate span, a zero
-weight) keeps nothing and raises again on the next call.
+genus)`` of its components, the nonzero entries of its H^1 identification
+and its validation report.  Validation and every later query of the same
+graph share them.  Validation compares and sums momenta as those integers,
+and builds a Fraction only for a value it returns or prints.  A computation
+that raises (a degenerate span, a zero weight) keeps nothing and raises
+again on the next call.
 """
 
 from __future__ import annotations
@@ -207,6 +208,17 @@ class DecoratedGraph:
         resolved.__dict__.update(_levels=levels, _span=self._span, _labels=self._labels)
         return resolved
 
+    @_kept
+    def _h1_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero ``(column, entry)`` pairs of each row of
+        :meth:`identification_matrix`; the default identity's are listed
+        without building the matrix.  Read only with two fat vertices."""
+        if self.h1_identification is None:
+            return tuple(((j, 1),) for j in range(2 * self.surfaces[0].genus))
+        return tuple(
+            tuple((i, m) for i, m in enumerate(row) if m) for row in self.h1_identification
+        )
+
     def identification_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The H^1 pairing between the two fat vertices; defaults to identity."""
         if len(self.surfaces) != 2:
@@ -285,11 +297,17 @@ def _parse_id(value, where: str) -> str:
 
 def _decode_json(text: str):
     """``json.loads``, reporting nesting deeper than the decoder's recursion
-    limit as a ParseError; JSONDecodeError passes through."""
+    limit, and any other ValueError (an integer literal over Python's digit
+    limit), as a ParseError; JSONDecodeError passes through."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ParseError("document is nested too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        reason = str(exc).partition(";")[0]
+        raise ParseError(f"cannot decode a number: {reason}") from None
 
 
 def _load_document(text) -> dict:

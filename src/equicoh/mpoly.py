@@ -155,12 +155,6 @@ class MPoly:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
 
-    def total_degree(self) -> int | None:
-        """Maximal term degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
 

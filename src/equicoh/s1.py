@@ -496,11 +496,10 @@ def _constraint_table(
     resolved = resolve_self_intersections(graph)
     if len(resolved.surfaces) == 2:
         lower, upper = sorted(resolved.surfaces, key=lambda v: v.y)
-        for j, row in enumerate(resolved.identification_matrix()):
+        for j, row in enumerate(resolved._h1_rows):
             head = ("div", (lower.id, upper.id), ("h1", j))
-            for i, m in enumerate(row):
-                if m:
-                    rules(lower.id, "c1", i)[0].append((head, m))
+            for i, m in row:
+                rules(lower.id, "c1", i)[0].append((head, m))
             rules(upper.id, "c1", j)[0].append((head, -1))
     for v in resolved.isolated + resolved.surfaces:
         for part, pole in _localization_rules(resolved, v).items():

@@ -241,6 +241,15 @@ def test_rank_five_cube_basis_scales():
     assert len(basis) == closed[4]
 
 
+def test_membership_scales_with_the_genus():
+    # Two genus-4000 surfaces and no edges: the default H^1 identification
+    # pairs 8000 coordinates, and is never built as an 8000 x 8000 matrix.
+    graph = g2(4000)
+    with budget(1.0):
+        assert check_membership(graph, fixtures.constant_class(graph, 1)).member
+        assert not check_membership(graph, class_from_vector(graph, 0, [1, 2])).member
+
+
 def test_cli_json_output_is_byte_deterministic(data_dir):
     with budget(5.0):
         commands = [("validate", str(data_dir), "--format", "json")]

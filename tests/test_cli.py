@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from equicoh import cli
+from equicoh import cli, errors
 from equicoh import graph as graph_module
 from equicoh import xray as xray_module
 from equicoh.cli import main
@@ -532,6 +532,37 @@ def test_negative_max_degree(capsys, data_dir):
 def test_no_subcommand_is_usage_error(capsys):
     status = main([])
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, status",
+    [
+        (errors.ParseError, "parse", 2),
+        (errors.SchemaError, "schema", 2),
+        (cli.UsageError, "usage", 2),
+        (OSError, "io", 2),
+        (errors.InternalInconsistencyError, "inconsistency", 1),
+        (errors.InputError, "input", 1),
+    ],
+)
+def test_a_file_and_a_batch_of_it_report_an_error_alike(
+    capsys, monkeypatch, tmp_path, error, code, status
+):
+    """The error codes and exit statuses the README documents, for a single
+    file and for the same file as the one entry of a batch."""
+    (tmp_path / "g1.json").write_text(json.dumps(fixtures.g1_doc()))
+
+    def raising(path, strictly_xray):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "_validate_document", raising)
+    single = run(capsys, "validate", str(tmp_path / "g1.json"), "--format", "json")
+    assert single[0] == status
+    assert json.loads(single[1]) == {"kind": "error", "code": code, "message": "refused"}
+    batch = run(capsys, "validate", str(tmp_path), "--format", "json")
+    assert batch[0] == status
+    entry = {"path": "g1.json", "status": status, "error": {"code": code, "message": "refused"}}
+    assert json.loads(batch[1]) == {"kind": "batch", "results": [entry]}
 
 
 def test_unknown_format_rejected(data_dir):

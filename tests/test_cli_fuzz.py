@@ -4,7 +4,8 @@ A hypothesis test deletes or replaces one node of a fixture graph, x-ray
 or class document, writes the pair to disk and drives
 ``equicoh.cli.main`` on it with every subcommand that reads it.  Each
 command must end with exit status 0, 1 or 2; an exception escaping
-``main`` fails the test.
+``main`` fails the test.  Bytes that are not UTF-8 and integer literals
+over Python's digit limit, in either document, are parse errors.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +153,38 @@ def test_mutated_documents_exit_with_a_documented_status(name, target, index, mu
             argv = [part.format(**files) for part in command] + ["--format", fmt]
             status = _run(argv)
             assert status in (0, 1, 2), (argv, status)
+
+
+FAULTS = {
+    "not-utf8": lambda text: b"\xff" + text.encode(),
+    "long-integer": lambda text: ('{"n": ' + "9" * 5000 + ", " + text[1:]).encode(),
+}
+
+
+def _run_json(argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main(argv + ["--format", "json"])
+    return status, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("target", ["main", "class"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_undecodable_bytes_and_overlong_integers_are_parse_errors(tmp_path, name, target, fault):
+    main_doc, class_doc, commands = CASES[name]
+    files = {"main": tmp_path / "batch" / "main.json", "class": tmp_path / "class.json"}
+    files["main"].parent.mkdir()
+    for key, doc in (("main", main_doc), ("class", class_doc)):
+        text = json.dumps(doc)
+        files[key].write_bytes(FAULTS[fault](text) if key == target else text.encode())
+    driven = [command for command in commands if "{" + target + "}" in command]
+    assert driven
+    for command in driven:
+        argv = [part.format(**files) for part in command]
+        status, payload = _run_json(argv)
+        assert (status, payload["kind"], payload["code"]) == (2, "error", "parse"), argv
+    if target == "main":
+        status, payload = _run_json(["validate", str(files["main"].parent)])
+        assert status == 2
+        assert [entry["error"]["code"] for entry in payload["results"]] == ["parse"]

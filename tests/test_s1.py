@@ -653,6 +653,33 @@ def test_membership_rows_match_the_hand_coded_reference(name):
         )
 
 
+def reference_h1_divisions(graph):
+    """The H^1 divisions of the constraint table, read entry by entry off the
+    dense identification matrix."""
+    lower, upper = sorted(resolve_self_intersections(graph).surfaces, key=lambda v: v.y)
+    divisions = {}
+    for j, row in enumerate(graph.identification_matrix()):
+        head = ("div", (lower.id, upper.id), ("h1", j))
+        for i, m in enumerate(row):
+            if m:
+                divisions.setdefault((lower.id, "c1", i), []).append((head, m))
+        divisions.setdefault((upper.id, "c1", j), []).append((head, -1))
+    return divisions
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, g in MEMBERSHIP_GRAPHS.items() if len(g.surfaces) == 2)
+)
+def test_h1_divisions_match_the_dense_identification(name):
+    """The table reads the identification's nonzero entries without building
+    the matrix; the default identity and an explicit one give the rows the
+    dense walk gives."""
+    graph = MEMBERSHIP_GRAPHS[name]
+    table = s1._constraint_table(graph._fixed_components, graph)
+    h1 = {key: divisions for key, (divisions, _) in table.items() if key[1] == "c1"}
+    assert h1 == reference_h1_divisions(graph)
+
+
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_GRAPHS))
 def test_row_residues_are_the_poles_of_the_localization_sum(name):
     """The pole check that membership no longer runs: the localization rows'

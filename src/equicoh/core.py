@@ -280,10 +280,9 @@ class PoincareSeries:
             value = self.numerator[k] if k < len(self.numerator) else 0
         else:
             value = 0
-            for j in range(k // 2 + 1):
-                idx = k - 2 * j
-                if idx < len(self.numerator):
-                    value += self.numerator[idx] * math.comb(m - 1 + j, m - 1)
+            # t^(k - 2j) lies in the numerator only from this j on
+            for j in range(max(0, (k - len(self.numerator) + 2) // 2), k // 2 + 1):
+                value += self.numerator[k - 2 * j] * math.comb(m - 1 + j, m - 1)
         if value < 0:
             raise InternalInconsistencyError(
                 f"negative series coefficient {value} at degree {k}"

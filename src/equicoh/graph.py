@@ -11,14 +11,15 @@ exact rational formulas implemented in :func:`extremal_self_intersections`.
 
 A graph is frozen, so what is derived from it is computed at most once,
 when first needed, and kept on the graph: its momenta as integer levels
-over one common denominator, its momentum span, its two extremal labels,
-its resolved graph, its index of components by id, the ``(id, kind,
-genus)`` of its components, the nonzero entries of its H^1 identification
-and its validation report.  Validation and every later query of the same
-graph share them.  Validation compares and sums momenta as those integers,
-and builds a Fraction only for a value it returns or prints.  A computation
-that raises (a degenerate span, a zero weight) keeps nothing and raises
-again on the next call.
+over one common denominator, the place of each component (minimum,
+maximum or interior), its two extremal labels, its resolved graph, its
+index of components by id, the ``(id, kind, genus)`` of its components,
+the nonzero entries of its H^1 identification and its validation report.
+Validation and every later query of the same graph share them; no other
+module places a component.  Validation compares and sums momenta as those
+integers, and builds a Fraction only for a value it returns or prints.  A
+computation that raises (a degenerate span, a zero weight) keeps nothing
+and raises again on the next call.
 """
 
 from __future__ import annotations
@@ -142,7 +143,15 @@ class DecoratedGraph:
         return _find(self._by_id, component_id)
 
     def momentum_span(self) -> tuple[Fraction, Fraction]:
-        return self._span
+        """The momenta of a lowest and a highest component: their own
+        Fractions, picked by level."""
+        levels = self._levels
+        ordered = levels.isolated + levels.surfaces
+        components = self.isolated + self.surfaces
+        return (
+            components[ordered.index(levels.lowest)].y,
+            components[ordered.index(levels.highest)].y,
+        )
 
     rank = None  # not a field: a graph's classes are a circle action's
 
@@ -161,16 +170,15 @@ class DecoratedGraph:
         )
 
     @_kept
-    def _span(self) -> tuple[Fraction, Fraction]:
-        """The momenta of a lowest and a highest component: their own
-        Fractions, picked by level."""
-        levels = self._levels
-        ordered = levels.isolated + levels.surfaces
-        components = self.isolated + self.surfaces
-        return (
-            components[ordered.index(levels.lowest)].y,
-            components[ordered.index(levels.highest)].y,
-        )
+    def _places(self) -> dict[str, str]:
+        """``{id: "min" | "max" | "interior"}``, read off the levels; on a
+        constant momentum every component is "min".  Where ids repeat, the
+        first record keeps the id."""
+        _, isolated, surfaces, lo, hi = self._levels
+        places: dict[str, str] = {}
+        for v, n in zip(self.isolated + self.surfaces, isolated + surfaces):
+            places.setdefault(v.id, "min" if n == lo else "max" if n == hi else "interior")
+        return places
 
     @_kept
     def _labels(self) -> tuple[Fraction, Fraction]:
@@ -205,7 +213,7 @@ class DecoratedGraph:
         )
         # The labels read only momenta, weights and areas, which resolving
         # keeps, and the surfaces keep their order.
-        resolved.__dict__.update(_levels=levels, _span=self._span, _labels=self._labels)
+        resolved.__dict__.update(_levels=levels, _labels=self._labels)
         return resolved
 
     @_kept

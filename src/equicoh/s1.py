@@ -24,7 +24,8 @@ graph).  Those two values fix the slot space in each degree (one slot per
 part of a component's entry, or per monomial of each part for a torus),
 and the slot and class helpers and the one image-basis body read only
 them.  A graph is one constraint group, an x-ray has one per piece.
-Every entry point that computes on a graph refuses an invalid one.
+Every entry point that computes on a graph refuses an invalid one, then
+reads where each component sits and its extremal labels off the graph.
 
 The same table serves a higher-rank torus along a primitive integer
 character: each part is rewritten once in coordinates where the character
@@ -50,7 +51,6 @@ from .graph import (
     _require,
     format_rational,
     parse_rational,
-    resolve_self_intersections,
     weight_product,
 )
 from .linalg import nullspace
@@ -92,24 +92,12 @@ def betti_contribution(kind: str, position: str, genus: int = 0) -> tuple[int, .
     return row(genus)
 
 
-def _positions(graph: DecoratedGraph) -> dict[str, str]:
-    y_min, y_max = graph.momentum_span()
-    out = {}
-    for v in list(graph.isolated) + list(graph.surfaces):
-        out[v.id] = "min" if v.y == y_min else "max" if v.y == y_max else "interior"
-    return out
-
-
 def poincare_manifold(graph: DecoratedGraph) -> PoincareSeries:
     """Ordinary Poincare polynomial of the manifold, as a degree-4 numerator."""
     _refuse_invalid(graph)
-    positions = _positions(graph)
     total = [0] * 5
-    for v in graph.isolated:
-        row = betti_contribution("point", positions[v.id])
-        total = [a + b for a, b in zip(total, row)]
-    for v in graph.surfaces:
-        row = betti_contribution("surface", positions[v.id], v.genus)
+    for cid, kind, genus in graph._fixed_components:
+        row = betti_contribution(kind, graph._places[cid], genus)
         total = [a + b for a, b in zip(total, row)]
     return PoincareSeries(tuple(total), 0)
 
@@ -166,52 +154,39 @@ class EquivariantEuler:
     laurent: Laurent
 
 
-def _surface_sign(vertex: FatVertex, graph: DecoratedGraph) -> int:
-    y_min, y_max = graph.momentum_span()
-    if vertex.y == y_min:
-        return -1
-    if vertex.y == y_max:
-        return 1
-    raise InputError(f"surface {vertex.id!r} is not extremal")
+def _extremal(graph: DecoratedGraph, surface: FatVertex) -> tuple[int, Fraction]:
+    """The sign of a fixed surface of a valid graph, -1 at the minimum and +1
+    at the maximum, and its self-intersection: the label the extremal
+    equations force there, which a given label equals on a valid graph."""
+    e_min, e_max = graph._labels
+    return (-1, e_min) if graph._places[surface.id] == "min" else (1, e_max)
 
 
 def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
     _refuse_invalid(graph)
-    resolved = resolve_self_intersections(graph)
-    comp = resolved.find(component_id)
+    comp = graph.find(component_id)
     if isinstance(comp, IsolatedVertex):
         return EquivariantEuler(
             component_id, "point", Laurent({2: Fraction(weight_product(comp))})
         )
-    sign = _surface_sign(comp, resolved)
+    sign, e = _extremal(graph, comp)
     g = comp.genus
     return EquivariantEuler(
         component_id,
         "surface",
-        Laurent(
-            {
-                1: SurfaceClass(g, c0=sign),
-                0: SurfaceClass(g, c2=comp.self_intersection),
-            }
-        ),
+        Laurent({1: SurfaceClass(g, c0=sign), 0: SurfaceClass(g, c2=e)}),
     )
 
 
 def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     """The inverse of the Euler class in the localized module."""
     _refuse_invalid(graph)
-    resolved = resolve_self_intersections(graph)
-    comp = resolved.find(component_id)
+    comp = graph.find(component_id)
     if isinstance(comp, IsolatedVertex):
         return Laurent({-2: Fraction(1, weight_product(comp))})
-    sign = _surface_sign(comp, resolved)
+    sign, e = _extremal(graph, comp)
     g = comp.genus
-    return Laurent(
-        {
-            -1: SurfaceClass(g, c0=sign),
-            -2: SurfaceClass(g, c2=-comp.self_intersection),
-        }
-    )
+    return Laurent({-1: SurfaceClass(g, c0=sign), -2: SurfaceClass(g, c2=-e)})
 
 
 @dataclass
@@ -281,7 +256,7 @@ def _check_ids(owner: str, ids: list[str], found: list[str]) -> None:
 
 
 def _localization_rules(
-    resolved: DecoratedGraph, comp: IsolatedVertex | FatVertex
+    graph: DecoratedGraph, comp: IsolatedVertex | FatVertex
 ) -> dict[str, tuple[int, object]]:
     """The closed form of one fixed component's term of the localization sum.
 
@@ -295,14 +270,15 @@ def _localization_rules(
     sign being -1 at the minimum and +1 at the maximum: integrated over the
     surface, its H^0 part has shift -2 and scale ``-e`` (no term when e is
     0), its H^2 part shift -1 and scale the sign, and its H^1 parts
-    contribute nothing.  ``resolved`` is the graph after
-    :func:`resolve_self_intersections`.
+    contribute nothing.  Sign and e are read off the valid ``graph``
+    (:func:`_extremal`).
     """
     if isinstance(comp, IsolatedVertex):
         return {"c": (-2, Fraction(1, weight_product(comp)))}
-    rules: dict[str, tuple[int, object]] = {"c2": (-1, _surface_sign(comp, resolved))}
-    if comp.self_intersection:
-        rules["c0"] = (-2, -comp.self_intersection)
+    sign, e = _extremal(graph, comp)
+    rules: dict[str, tuple[int, object]] = {"c2": (-1, sign)}
+    if e:
+        rules["c0"] = (-2, -e)
     return rules
 
 
@@ -357,7 +333,7 @@ class Slot:
 
 def degree_slots(document, degree: int) -> list[Slot]:
     """Canonical coordinate order of the degree-k restriction space of a
-    graph or an x-ray.
+    graph or an x-ray; empty in a negative degree.
 
     Components come by id.  Each contributes its parts in the order point
     value "c" or H^0 part "c0", H^1 parts "c1" (named a1.., b1..), H^2 part
@@ -365,6 +341,8 @@ def degree_slots(document, degree: int) -> list[Slot]:
     monomial of the part's degree in descending lex order, and its labels
     end in the exponents.
     """
+    if degree < 0:
+        return []
     rank = document.rank
     slots: list[Slot] = []
     for cid, kind, genus in document._fixed_components:
@@ -493,18 +471,23 @@ def _constraint_table(
         rules(b, "c" if kind_b == "point" else "c0")[0].append((head, -1))
     if graph is None:
         return table
-    resolved = resolve_self_intersections(graph)
-    if len(resolved.surfaces) == 2:
-        lower, upper = sorted(resolved.surfaces, key=lambda v: v.y)
-        for j, row in enumerate(resolved._h1_rows):
+    if len(graph.surfaces) == 2:
+        lower, upper = _surface_pair(graph)
+        for j, row in enumerate(graph._h1_rows):
             head = ("div", (lower.id, upper.id), ("h1", j))
             for i, m in row:
                 rules(lower.id, "c1", i)[0].append((head, m))
             rules(upper.id, "c1", j)[0].append((head, -1))
-    for v in resolved.isolated + resolved.surfaces:
-        for part, pole in _localization_rules(resolved, v).items():
+    for v in graph.isolated + graph.surfaces:
+        for part, pole in _localization_rules(graph, v).items():
             rules(v.id, part)[1].append(pole)
     return table
+
+
+def _surface_pair(graph: DecoratedGraph) -> tuple[FatVertex, FatVertex]:
+    """The two fixed surfaces of a valid graph, the one at the minimum first."""
+    a, b = graph.surfaces
+    return (a, b) if graph._places[a.id] == "min" else (b, a)
 
 
 def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> None:
@@ -732,7 +715,7 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
         )
 
     if "h1" in divisions:
-        lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
+        lower, upper = _surface_pair(graph)
         v_lower = alpha.components[lower.id].entry(1).c1
         v_upper = alpha.components[upper.id].entry(1).c1
         violations.append(

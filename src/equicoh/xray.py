@@ -438,7 +438,7 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                         (pid, member.id),
                     )
                 )
-            expected = 1 if level[member.id] == graph_levels.lowest else -1
+            expected = 1 if induced._places[member.id] == "min" else -1
             if _ratios(member, piece.lam) != [expected]:
                 out.append(
                     Violation(

@@ -250,6 +250,16 @@ def test_membership_scales_with_the_genus():
         assert not check_membership(graph, class_from_vector(graph, 0, [1, 2])).member
 
 
+def test_series_coefficients_cost_the_same_in_every_degree():
+    # Only the numerator's terms enter a coefficient, so 20 001 of them cost
+    # what 20 001 short sums cost, not a sum over half the degree each.
+    series = equivariant_series(g2(1))
+    with budget(0.5):
+        coefficients = [series.coefficient(k) for k in range(20001)]
+    # 1 + 2t + 2t^2 + 2t^3 + t^4 over 1 - t^2.
+    assert coefficients == [1, 2, 3] + [4] * 19998
+
+
 def test_cli_json_output_is_byte_deterministic(data_dir):
     with budget(5.0):
         commands = [("validate", str(data_dir), "--format", "json")]

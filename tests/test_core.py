@@ -1,5 +1,6 @@
 """Surface cohomology ring, Laurent elements and Poincare series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,12 @@ from equicoh import (
     PoincareSeries,
     SurfaceClass,
     cup_surface,
+    equivariant_series,
     integrate_surface,
     laurent_mul,
     series_coefficient,
 )
+from fixtures import chain, g1, g2, g3
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
@@ -161,6 +164,47 @@ def test_series_coefficients_frozen():
     assert PoincareSeries((1, 0, 1, 0, 1), 1).coefficient(4) == 3
     assert PoincareSeries((1, 2, 2, 2, 1), 1).coefficient(3) == 4
     assert series_coefficient(PoincareSeries((1, 2, 2, 2, 1), 1), 3) == 4
+
+
+def reference_coefficient(series: PoincareSeries, k: int) -> int:
+    """The coefficient of t^k, summed over every j with t^(k - 2j) tested
+    against the numerator."""
+    if k < 0:
+        return 0
+    m = series.denominator_power
+    if m == 0:
+        return series.numerator[k] if k < len(series.numerator) else 0
+    value = 0
+    for j in range(k // 2 + 1):
+        idx = k - 2 * j
+        if idx < len(series.numerator):
+            value += series.numerator[idx] * math.comb(m - 1 + j, m - 1)
+    return value
+
+
+def test_coefficient_matches_the_full_sum():
+    series = [
+        equivariant_series(graph, which)
+        for graph in (g1(), g2(0), g2(3), g3(), chain(5, 1))
+        for which in ("manifold", "fixed")
+    ]
+    series += [
+        PoincareSeries((3,), 1),
+        PoincareSeries((0, 0, 0, 0, 0, 0, 1), 3),
+        PoincareSeries((2, 0, 1, 4, 0, 0, 0, 5), 2),
+        PoincareSeries((), 2),
+    ]
+    for s in series:
+        for k in range(-2, 81):
+            assert s.coefficient(k) == reference_coefficient(s, k), (s, k)
+
+
+@given(
+    st.lists(st.integers(0, 5), max_size=9), st.integers(0, 4), st.integers(-2, 60)
+)
+def test_coefficient_matches_the_full_sum_on_random_series(numerator, power, k):
+    series = PoincareSeries(tuple(numerator), power)
+    assert series.coefficient(k) == reference_coefficient(series, k)
 
 
 def test_series_equality_cross_multiplied():

@@ -1,5 +1,6 @@
 """The narrative demos run to completion against the package under test,
-and the package's modules import only what they use."""
+the package's modules import only what they use, and only the graph module
+places a fixed component."""
 
 import ast
 import os
@@ -48,3 +49,22 @@ def test_every_package_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_graph_module_places_a_component():
+    """``s1`` and ``xray`` read where a component sits, and the extremal
+    labels, off the valid graph: neither names ``momentum_span`` or
+    ``resolve_self_intersections``, nor sorts by a ``.y`` attribute."""
+    placing = {"momentum_span", "resolve_self_intersections"}
+    found = []
+    package = Path(equicoh.__file__).resolve().parent
+    for name in ("s1.py", "xray.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            named = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            found += [f"{name}:{node.lineno} {hit}" for hit in sorted(named & placing)]
+            if isinstance(node, ast.keyword) and node.arg == "key" and any(
+                isinstance(n, ast.Attribute) and n.attr == "y" for n in ast.walk(node.value)
+            ):
+                found.append(f"{name}:{node.lineno} sorts by .y")
+    assert found == []

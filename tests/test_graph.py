@@ -37,6 +37,7 @@ from fixtures import (
     all_graphs,
     chain,
     chain_doc,
+    cube,
     g1,
     g1_doc,
     g2,
@@ -44,6 +45,7 @@ from fixtures import (
     g3,
     g3_doc,
     mutate,
+    x2,
 )
 
 
@@ -875,3 +877,38 @@ def test_the_labels_of_a_chain_are_computed_once(monkeypatch):
     extremal_self_intersections(resolved)
     validate_graph(resolved)
     assert calls == [graph]
+
+
+def reference_places(graph):
+    """Each component placed by comparing its momentum with the Fractions
+    ``momentum_span()`` returns."""
+    y_min, y_max = graph.momentum_span()
+    return {
+        v.id: "min" if v.y == y_min else "max" if v.y == y_max else "interior"
+        for v in graph.isolated + graph.surfaces
+    }
+
+
+def test_places_agree_with_the_momentum_span():
+    graphs = list(all_graphs().values()) + [chain(12, 1)]
+    for xray in (x2(1), cube(3, 0)):
+        graphs += [piece.induced for piece in xray.pieces]
+    rng = random.Random(15)
+    for _ in range(40):
+        # a chain with random, possibly tied, possibly constant momenta
+        doc = chain_doc(rng.randint(0, 6), rng.randint(0, 2))
+        for v in doc["isolated"] + doc["surfaces"]:
+            v["y"] = f"{rng.randint(-2, 2)}/{rng.choice([1, 2, 3])}"
+        graphs.append(parse_graph(doc))
+    for graph in graphs:
+        assert graph._places == reference_places(graph)
+
+
+def test_where_ids_repeat_the_first_record_is_placed():
+    graph = DecoratedGraph(
+        (IsolatedVertex("a", Fraction(0), (1, 1)),),
+        (FatVertex("a", Fraction(1), Fraction(1), 0),),
+        (),
+    )
+    assert graph._places == {"a": "min"}
+    assert graph.find("a") == graph.isolated[0]

@@ -22,6 +22,7 @@ from equicoh import (
     betti_contribution,
     check_membership,
     check_membership_torus,
+    check_membership_xray,
     class_from_vector,
     class_to_dict,
     class_to_vector,
@@ -29,6 +30,7 @@ from equicoh import (
     equivariant_series,
     euler_class,
     image_basis,
+    image_basis_xray,
     in_image_span,
     inverse_euler,
     laurent_mul,
@@ -46,9 +48,15 @@ from equicoh import (
 )
 from equicoh import s1
 from equicoh.core import integrate_surface
-from equicoh.graph import IsolatedVertex, resolve_self_intersections, weight_product
+from equicoh.graph import (
+    DecoratedGraph,
+    FatVertex,
+    IsolatedVertex,
+    resolve_self_intersections,
+    weight_product,
+)
 from equicoh.linalg import rref
-from equicoh.s1 import _surface_sign, character_substitution
+from equicoh.s1 import character_substitution
 from equicoh.xray import piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
 from test_linalg import reference_coordinates_in_span
@@ -311,6 +319,15 @@ def reference_localize(graph, alpha):
     return total
 
 
+def reference_surface_sign(vertex: FatVertex, graph: DecoratedGraph) -> int:
+    y_min, y_max = graph.momentum_span()
+    if vertex.y == y_min:
+        return -1
+    if vertex.y == y_max:
+        return 1
+    raise InputError(f"surface {vertex.id!r} is not extremal")
+
+
 def reference_localize_torus(graph, rank, lam, alpha):
     """The character-substituted localization sum as Laurent products of
     SurfaceClasses of polynomials, every H^1 part substituted."""
@@ -347,7 +364,7 @@ def reference_localize_torus(graph, rank, lam, alpha):
                     add(d, SurfaceClass(g, c0=zero, c1=c1, c2=zero))
             for d, q in substitution(entry.c2).split_leading().items():
                 add(d, SurfaceClass(g, c0=zero, c1=zeros, c2=q))
-        sign = _surface_sign(comp, resolved)
+        sign = reference_surface_sign(comp, resolved)
         inverse = Laurent(
             {
                 -1: SurfaceClass(g, c0=MPoly.constant(remaining, sign), c1=zeros, c2=zero),
@@ -481,6 +498,17 @@ def test_degree_slots_order_and_labels():
     assert labels == ["S.c0", "S.c2", "p.c"]
     assert degree_slots(g3(), 0) == degree_slots(g3(), 4)[:1] + degree_slots(g3(), 4)[2:]
     assert degree_slots(g1(), 1) == []
+
+
+def test_a_negative_degree_has_no_slots():
+    graphs = list(all_graphs().values()) + [fixtures.chain(3, 1)]
+    xrays = [fixtures.x2(1), fixtures.cp3(), fixtures.cube(3, 1)]
+    for document in graphs + xrays:
+        for degree in (-1, -2):
+            assert degree_slots(document, degree) == []
+    assert class_to_vector(g2(1), -2, constant_class(g2(1), 1)) == []
+    xray = fixtures.x2(1)
+    assert class_to_vector(xray, -2, fixtures.constant_torus_class(xray, 1)) == []
 
 
 def test_vector_roundtrip():
@@ -760,6 +788,45 @@ def test_compute_entry_points_refuse_an_invalid_graph(name):
     assert "genus-mismatch" in [v.code for v in validate_graph(graph)]
     with pytest.raises(InputError, match="^invalid graph: genus-mismatch: "):
         REFUSING_ENTRY_POINTS[name](graph, constant_class(graph, 1))
+
+
+def unlabelled_answers():
+    """Each compute entry point's answers on freshly parsed graphs and
+    x-rays whose extremal surfaces carry no self-intersection label."""
+    rng = random.Random(15)
+    answers = []
+    for graph in (g2(1), fixtures.chain(4, 1)):
+        alphas = [fixtures.random_class(graph, rng), fixtures.random_member(graph, rng)]
+        answers += [
+            [class_to_dict(b) for k in range(5) for b in image_basis(graph, k)],
+            [check_membership(graph, alpha).to_dict() for alpha in alphas],
+            [localize(graph, alpha) for alpha in alphas],
+            [(euler_class(graph, c), inverse_euler(graph, c)) for c in graph.component_ids()],
+            poincare_manifold(graph),
+            abbv_degree2_functional(graph),
+        ]
+    for xray in (fixtures.x2(1), fixtures.cube(3, 1)):
+        alphas = [
+            fixtures.random_torus_class(xray._fixed_components, xray.rank, rng),
+            fixtures.constant_torus_class(xray, 2),
+        ]
+        answers += [
+            [class_to_dict(b) for k in range(5) for b in image_basis_xray(xray, k)],
+            [check_membership_xray(xray, alpha).to_dict() for alpha in alphas],
+        ]
+    return answers
+
+
+def test_the_compute_layer_reads_places_and_labels_off_the_graph(monkeypatch):
+    """No entry point builds the resolved copy of a graph: with it made
+    unbuildable, every answer is the one given before."""
+    expected = unlabelled_answers()
+
+    def unbuildable(graph):
+        raise AssertionError("the resolved graph was built")
+
+    monkeypatch.setattr(DecoratedGraph, "_resolved", property(unbuildable))
+    assert unlabelled_answers() == expected
 
 
 def test_a_degree_without_slots_refuses_an_invalid_graph_too():

@@ -202,12 +202,6 @@ class Laurent:
     def is_polynomial(self) -> bool:
         return all(k >= 0 for k in self.terms)
 
-    def negative_part(self) -> Laurent:
-        return Laurent({k: c for k, c in self.terms.items() if k < 0})
-
-    def map_coefficients(self, fn) -> Laurent:
-        return Laurent({k: fn(c) for k, c in self.terms.items()})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -11,6 +11,7 @@ the corresponding linear form becomes a test on first-slot exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -165,15 +166,6 @@ class MPoly:
         """Replace variable i by the linear form ``sum_j matrix[i][j] * v_j``."""
         return LinearSubstitution(matrix)(self)
 
-    def split_leading(self) -> dict[int, MPoly]:
-        """Decompose as ``sum_d v_1^d * q_d(v_2..)``; returns {d: q_d}."""
-        if self.nvars == 0:
-            raise InputError("cannot split a polynomial in zero variables")
-        parts: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coeff in self.terms.items():
-            parts.setdefault(exps[0], {})[exps[1:]] = coeff
-        return {d: MPoly._trusted(self.nvars - 1, t) for d, t in parts.items()}
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -237,18 +229,17 @@ class LinearSubstitution:
         return MPoly._trusted(self.nout, {e: c for e, c in acc.items() if c})
 
 
+def _integer_entries(lam: Sequence[int]) -> list[int]:
+    """The entries of a character, refusing any that is not an int (a bool
+    included): truncating one would give another character."""
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in lam):
+        raise InputError(f"character {tuple(lam)} must have integer entries")
+    return list(lam)
+
+
 def is_primitive(lam: Sequence[int]) -> bool:
     """True when the integer vector is nonzero with coprime entries."""
-    g = 0
-    for a in lam:
-        g = _gcd(g, abs(int(a)))
-    return g == 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(*_integer_entries(lam)) == 1
 
 
 def unimodular_completion(lam: Sequence[int]) -> list[list[int]]:
@@ -256,12 +247,12 @@ def unimodular_completion(lam: Sequence[int]) -> list[list[int]]:
 
     Substituting ``u = V . v`` rewrites a polynomial in coordinates where the
     linear form of ``lam`` is exactly the first variable.  Raises InputError
-    when ``lam`` is not primitive.
+    when ``lam`` is not a primitive integer vector.
     """
-    r = len(lam)
+    a = _integer_entries(lam)
+    r = len(a)
     if r == 0:
         raise InputError("empty character")
-    a = [int(x) for x in lam]
     V = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     for j in range(1, r):
         while a[j]:

@@ -23,7 +23,8 @@ components as ``(id, kind, genus)`` sorted by id and a rank (None for a
 graph).  Those two values fix the slot space in each degree (one slot per
 part of a component's entry, or per monomial of each part for a torus),
 and the slot and class helpers and the one image-basis body read only
-them.  A graph is one constraint group, an x-ray has one per piece.
+them.  A graph is one constraint group, built per query, and an x-ray
+keeps one per piece, with one substitution per character.
 Every entry point that computes on a graph refuses an invalid one, then
 reads where each component sits and its extremal labels off the graph.
 
@@ -104,6 +105,7 @@ def poincare_manifold(graph: DecoratedGraph) -> PoincareSeries:
 
 def poincare_fixed_set(graph: DecoratedGraph) -> PoincareSeries:
     """Ordinary Poincare polynomial of the fixed set."""
+    _refuse_invalid(graph)
     total = [0, 0, 0]
     for _ in graph.isolated:
         total[0] += 1
@@ -312,7 +314,7 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     parts of a surface contribute, each shifted and scaled.  The sum reads
     those poles off the graph's :func:`_constraint_table`.
     """
-    table, _ = _group_table(_graph_group(graph), None, alpha)
+    _, _, table, _ = _graph_group(graph, alpha=alpha)
     return _localization_sum(table, alpha, None)
 
 
@@ -559,37 +561,31 @@ def _localization_sum(
     return Laurent({power: MPoly(nvars, coeff) for power, coeff in total.items()})
 
 
-def _graph_group(graph: DecoratedGraph, lam=None) -> tuple:
-    """The one constraint group of a graph (see :func:`_group_table`)."""
-    return ((), graph._fixed_components, graph, lam)
+def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None) -> tuple:
+    """The one constraint group of a graph, along the character ``lam`` of a
+    rank-``rank`` torus or, without one, for the circle action.
 
-
-def _group_table(group: tuple, rank: int | None, alpha: EquivariantClass | None = None):
-    """The constraint table of one group of image conditions, and the
-    substitution of its character (None for a circle action).
-
-    A group ``(tag, members, graph, lam)`` is all of a graph's conditions or
-    one x-ray piece's: ``tag`` prefixes its obstruction keys (the piece id,
-    or nothing), ``members`` lists the ``(id, kind, genus)`` it constrains,
-    sorted by id, ``graph`` states the conditions (None for a 2-dimensional
-    piece: one division, no poles) and ``lam`` is the character.  Raises
-    unless the character has ``rank`` primitive entries, the graph is valid
+    A group ``(tag, members, table, substitution)`` is all of a graph's
+    image conditions or one x-ray piece's (``XRay._groups``): ``tag``
+    prefixes its obstruction keys (the piece id, or nothing), ``members``
+    lists the ``(id, kind, genus)`` it constrains, sorted by id, ``table``
+    is their :func:`_constraint_table` and ``substitution`` rewrites a part
+    along the character (None for a circle action).  Raises unless the
+    character has ``rank`` primitive integer entries, the graph is valid
     and, when ``alpha`` is given, the class addresses exactly the graph's
     components at ``rank`` (:func:`_check_addressing`), checked in that
-    order.  A valid x-ray's induced graphs have their pieces' members, so
-    its groups need no such check.
+    order.
     """
-    _, members, graph, lam = group
     substitution = None
     if lam is not None:
         if len(lam) != rank:
             raise InputError(f"character must have {rank} entries")
         substitution = character_substitution(lam)
-    if graph is not None:
-        _refuse_invalid(graph)
-        if alpha is not None:
-            _check_addressing("graph", graph._fixed_components, rank, alpha)
-    return _constraint_table(members, graph), substitution
+    _refuse_invalid(graph)
+    if alpha is not None:
+        _check_addressing("graph", graph._fixed_components, rank, alpha)
+    members = graph._fixed_components
+    return (), members, _constraint_table(members, graph), substitution
 
 
 def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
@@ -601,29 +597,27 @@ def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
 
 
 def _group_columns(
-    group: tuple, rank: int | None, degree: int, slots: list[Slot], index
+    group: tuple, degree: int, slots: list[Slot], index
 ) -> dict[int, dict[tuple, Fraction]]:
     """The column of every degree-k slot on a group's members, by position
     (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
     of the unit class at the slot, read off the memoised image of its
     monomial under the substitution, or ``{(half,): 1}`` for a circle
-    action.  A group with no slot here builds no table."""
-    positions = [i for cid, _, _ in group[1] for i in index.get(cid, ())]
-    if not positions:
-        return {}
-    table, substitution = _group_table(group, rank)
+    action."""
+    _, members, table, substitution = group
     columns: dict[int, dict[tuple, Fraction]] = {}
-    for i in positions:
-        slot = slots[i]
-        columns[i] = column = {}
-        rules = table.get((slot.component, slot.part, slot.index))
-        if rules is None:
-            continue
-        if substitution is None:
-            terms = {(_half(slot.part, degree),): _ONE}
-        else:
-            terms = substitution._monomial(slot.exps)
-        _route(column, rules, degree, terms)
+    for cid, _, _ in members:
+        for i in index.get(cid, ()):
+            slot = slots[i]
+            columns[i] = column = {}
+            rules = table.get((slot.component, slot.part, slot.index))
+            if rules is None:
+                continue
+            if substitution is None:
+                terms = {(_half(slot.part, degree),): _ONE}
+            else:
+                terms = substitution._monomial(slot.exps)
+            _route(column, rules, degree, terms)
     return columns
 
 
@@ -643,7 +637,7 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
     rows: dict[tuple, dict[int, Fraction]] = {}
     for group in groups:
         tag = group[0]
-        for i, column in _group_columns(group, document.rank, degree, slots, index).items():
+        for i, column in _group_columns(group, degree, slots, index).items():
             for key, value in column.items():
                 rows.setdefault(tag + key, {})[i] = value
     return [
@@ -655,7 +649,7 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
 def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
     """The obstructions of a circle-action class, with the keys
     :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
-    table, _ = _group_table(_graph_group(graph), None, alpha)
+    _, _, table, _ = _graph_group(graph, alpha=alpha)
     return _class_obstructions(table, alpha, None)
 
 
@@ -666,7 +660,7 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     with a zero for every slot it does not involve.
     """
     slots = degree_slots(graph, 2)
-    columns = _group_columns(_graph_group(graph), None, 2, slots, _slot_index(slots))
+    columns = _group_columns(_graph_group(graph), 2, slots, _slot_index(slots))
     return {slot.label: columns[i].get(("pole", -1, ()), _ZERO) for i, slot in enumerate(slots)}
 
 
@@ -747,7 +741,6 @@ def image_basis(
     graph: DecoratedGraph, degree: int, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> list[EquivariantClass]:
     """Canonical basis (reduced echelon, fixed slot order) of the degree-k image."""
-    _refuse_invalid(graph)
     return _image_basis(graph, degree, max_degree, [_graph_group(graph)])
 
 
@@ -799,7 +792,7 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
     power, as in :func:`localize`; H^1 parts have none.
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
-    table, substitution = _group_table(_graph_group(graph, lam), rank, alpha)
+    _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
     return _localization_sum(table, alpha, substitution)
 
 
@@ -817,8 +810,7 @@ def torus_obstructions(
     of the class is substituted once and routed through the graph's
     :func:`_constraint_table`.
     """
-    group = _graph_group(graph, lam)
-    table, substitution = _group_table(group, rank, alpha)
+    _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
     return _class_obstructions(table, alpha, substitution)
 
 

@@ -10,11 +10,12 @@ two-dimensional pieces contributing a single divisibility condition.
 
 To :mod:`equicoh.s1` an x-ray is a document like a graph, given by its
 fixed components and its rank, so the slot and class helpers there accept
-it.  Each piece is one constraint group: its members under its induced
-graph's table, or the H^0 difference of its two points, along its
-character.  Membership routes the class through each piece once, and a
-graded basis is the one image-basis body over all pieces' groups.  Every
-entry point refuses an invalid x-ray.
+it.  Each piece is one constraint group, kept on the x-ray: its members
+under its induced graph's table, or the H^0 difference of its two points,
+along its character, one substitution serving every piece along it.
+Membership routes the class through each piece once, and a graded basis
+is the one image-basis body over all pieces' groups.  Every entry point
+refuses an invalid x-ray.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from .s1 import (
     MembershipViolation,
     _check_addressing,
     _class_obstructions,
-    _group_table,
+    _constraint_table,
     _image_basis,
     _obstruction_violations,
     _parse_class,
+    character_substitution,
     torus_obstructions,
 )
 
@@ -109,9 +111,31 @@ class XRay:
         return _id_index(self.components)
 
     @_kept
+    def _pieces_by_id(self) -> dict[str, SkeletonPiece]:
+        return _id_index(self.pieces)
+
+    @_kept
     def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
         """``(id, kind, genus)`` of every fixed component, sorted by id."""
         return tuple((c.id, c.kind, c.genus) for c in self.components)
+
+    @_kept
+    def _groups(self) -> dict[str, tuple]:
+        """``{piece id: (tag, members, table, substitution)}``: each piece's
+        constraint group (see :func:`~equicoh.s1._graph_group`), built once
+        behind the validity gate.  A valid x-ray's induced graphs have their
+        pieces' members, so no group needs an addressing check; pieces along
+        one character share its substitution."""
+        _refuse_invalid(self)
+        substitutions: dict[tuple[int, ...], object] = {}
+        groups: dict[str, tuple] = {}
+        for piece in self.pieces:
+            members = tuple((c.id, c.kind, c.genus) for c in map(self.find, sorted(piece.members)))
+            if piece.lam not in substitutions:
+                substitutions[piece.lam] = character_substitution(piece.lam)
+            table = _constraint_table(members, piece.induced)
+            groups[piece.id] = ((piece.id,), members, table, substitutions[piece.lam])
+        return groups
 
     @_kept
     def _report(self) -> tuple[Violation, ...]:
@@ -483,13 +507,15 @@ def piece_obstructions(
     character; a 2-dimensional piece's are the terms of its two point
     restrictions' difference that the character does not divide.  The
     class must address exactly the x-ray's components, as in
-    :func:`check_membership_xray`.
+    :func:`check_membership_xray`, and ``piece`` must be one of its pieces.
     """
     _refuse_invalid(xray)
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
+    if xray._pieces_by_id.get(piece.id) != piece:
+        raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
     restricted = alpha.restricted(piece.members)
     if piece.dim == 2:
-        table, substitution = _group_table(_piece_group(xray, piece), xray.rank)
+        _, _, table, substitution = xray._groups[piece.id]
         return _class_obstructions(table, restricted, substitution)
     return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
 
@@ -513,12 +539,6 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     return MembershipDecision(not violations, tuple(violations))
 
 
-def _piece_group(xray: XRay, piece: SkeletonPiece) -> tuple:
-    """The constraint group of one piece (see :func:`~equicoh.s1._group_table`)."""
-    members = tuple((c.id, c.kind, c.genus) for c in map(xray.find, sorted(piece.members)))
-    return ((piece.id,), members, piece.induced, piece.lam)
-
-
 def image_basis_xray(
     xray: XRay, degree: int, max_degree: int = DEFAULT_XRAY_MAX_DEGREE
 ) -> list[EquivariantClass]:
@@ -526,10 +546,9 @@ def image_basis_xray(
 
     Columns are monomial slots; rows are the union of all pieces'
     obstruction coefficients, keyed by piece id and obstruction key: the
-    one image-basis body of :mod:`equicoh.s1` over the pieces' groups.
+    one image-basis body of :mod:`equicoh.s1` over the x-ray's groups.
     """
-    _refuse_invalid(xray)
-    return _image_basis(xray, degree, max_degree, (_piece_group(xray, p) for p in xray.pieces))
+    return _image_basis(xray, degree, max_degree, xray._groups.values())
 
 
 def parse_class_torus(text, xray: XRay) -> EquivariantClass:

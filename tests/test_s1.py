@@ -59,7 +59,9 @@ from equicoh.linalg import rref
 from equicoh.s1 import character_substitution
 from equicoh.xray import piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
+from test_core import reference_negative_part
 from test_linalg import reference_coordinates_in_span
+from test_mpoly import reference_split_leading
 
 
 def point_class(graph, values):
@@ -254,7 +256,7 @@ def pole_columns(graph, degree, slots):
     """The pole keys of each slot's column of the graph's constraint table,
     as a Laurent element per slot."""
     index = s1._slot_index(slots)
-    columns = s1._group_columns(s1._graph_group(graph), None, degree, slots, index)
+    columns = s1._group_columns(s1._graph_group(graph), degree, slots, index)
     return [
         Laurent({key[1]: c for key, c in columns[i].items() if key[0] == "pole"})
         for i in range(len(slots))
@@ -267,7 +269,7 @@ def test_unit_localizations_match_per_slot_localize():
         for degree in range(7):
             slots = degree_slots(graph, degree)
             expected = [
-                localize(graph, unit_class(graph, degree, slot)).negative_part()
+                reference_negative_part(localize(graph, unit_class(graph, degree, slot)))
                 for slot in slots
             ]
             assert pole_columns(graph, degree, slots) == expected, (name, degree)
@@ -299,6 +301,11 @@ def reference_surface_restriction(cls):
     return Laurent(acc)
 
 
+def reference_map_coefficients(x, fn):
+    """``x`` with ``fn`` applied to every coefficient."""
+    return Laurent({k: fn(c) for k, c in x.terms.items()})
+
+
 def reference_component_localization(comp, cls, inverse):
     """One component's term: the restriction times its inverse Euler class,
     integrated over the component."""
@@ -306,7 +313,7 @@ def reference_component_localization(comp, cls, inverse):
         restriction = Laurent({k // 2: v for k, v in cls.entries.items()})
         return laurent_mul(restriction, inverse)
     product = laurent_mul(reference_surface_restriction(cls), inverse)
-    return product.map_coefficients(integrate_surface)
+    return reference_map_coefficients(product, integrate_surface)
 
 
 def reference_localize(graph, alpha):
@@ -341,7 +348,8 @@ def reference_localize_torus(graph, rank, lam, alpha):
         if isinstance(comp, IsolatedVertex):
             restriction = Laurent()
             for value in cls.entries.values():
-                restriction = restriction + Laurent(substitution(value).split_leading())
+                parts = reference_split_leading(substitution(value))
+                restriction = restriction + Laurent(parts)
             inverse = Laurent(
                 {-2: MPoly.constant(remaining, Fraction(1, weight_product(comp)))}
             )
@@ -356,13 +364,13 @@ def reference_localize_torus(graph, rank, lam, alpha):
             acc[power] = acc[power] + piece if power in acc else piece
 
         for entry in cls.entries.values():
-            for d, q in substitution(entry.c0).split_leading().items():
+            for d, q in reference_split_leading(substitution(entry.c0)).items():
                 add(d, SurfaceClass(g, c0=q, c1=zeros, c2=zero))
             for i, x in enumerate(entry.c1):
-                for d, q in substitution(x).split_leading().items():
+                for d, q in reference_split_leading(substitution(x)).items():
                     c1 = tuple(q if j == i else zero for j in range(2 * g))
                     add(d, SurfaceClass(g, c0=zero, c1=c1, c2=zero))
-            for d, q in substitution(entry.c2).split_leading().items():
+            for d, q in reference_split_leading(substitution(entry.c2)).items():
                 add(d, SurfaceClass(g, c0=zero, c1=zeros, c2=q))
         sign = reference_surface_sign(comp, resolved)
         inverse = Laurent(
@@ -374,7 +382,7 @@ def reference_localize_torus(graph, rank, lam, alpha):
             }
         )
         product = laurent_mul(Laurent(acc), inverse)
-        total = total + product.map_coefficients(integrate_surface)
+        total = total + reference_map_coefficients(product, integrate_surface)
     return total
 
 
@@ -402,7 +410,7 @@ def test_closed_form_localize_matches_the_laurent_product(name):
         units = [unit_class(graph, degree, slot) for slot in slots]
         expected = [reference_localize(graph, unit) for unit in units]
         assert [localize(graph, unit) for unit in units] == expected, degree
-        poles = [localization.negative_part() for localization in expected]
+        poles = [reference_negative_part(localization) for localization in expected]
         assert pole_columns(graph, degree, slots) == poles, degree
 
 
@@ -425,7 +433,7 @@ def test_closed_form_localize_torus_matches_the_laurent_product(name):
             }
             assert poles == {
                 ("pole", power, exps): c
-                for power, q in localization.negative_part().terms.items()
+                for power, q in reference_negative_part(localization).terms.items()
                 for exps, c in q.terms.items()
             }, lam
     for _ in range(6):
@@ -467,7 +475,7 @@ def test_closed_form_piece_localizations_match_the_laurent_product(name):
             # reference sum, monomial by monomial.
             assert poles == {
                 ("pole", power, exps): c
-                for power, q in expected.negative_part().terms.items()
+                for power, q in reference_negative_part(expected).terms.items()
                 for exps, c in q.terms.items()
             }, piece.id
 
@@ -483,6 +491,30 @@ def test_localize_torus_checks_the_character_length():
     wrong_rank = "^component 'Smax': expected a genus-1 surface entry of rank 1$"
     with pytest.raises(InputError, match=wrong_rank):
         localize_torus(graph, 1, (1,), alpha)
+
+
+@pytest.mark.parametrize("lam", [(1.0,), (True,)], ids=repr)
+def test_torus_entry_points_refuse_a_non_integer_character(lam):
+    """The character is read exactly: ``(1.0,)`` is not the character (1,)."""
+    graph = g1()
+    alpha = promote_to_torus(constant_class(graph, 1))
+    for entry_point in (localize_torus, torus_obstructions, check_membership_torus):
+        with pytest.raises(InputError, match="must have integer entries"):
+            entry_point(graph, 1, lam, alpha)
+
+
+@pytest.mark.parametrize("entry_point", [localize_torus, torus_obstructions])
+def test_torus_entry_points_check_character_then_graph_then_addressing(entry_point):
+    """With every fault present, the character's length is reported first,
+    then the invalid graph, then the class's addressing."""
+    invalid = genus_mismatched_graph()
+    partial = promote_to_torus(constant_class(invalid, 1)).restricted(["Smin"])
+    with pytest.raises(InputError, match="^character must have 1 entries$"):
+        entry_point(invalid, 1, (1, 0), partial)
+    with pytest.raises(InputError, match="^invalid graph: genus-mismatch: "):
+        entry_point(invalid, 1, (1,), partial)
+    with pytest.raises(InputError, match=r"^class addresses \['Smin'\] but the graph has"):
+        entry_point(g2(1), 1, (1,), partial)
 
 
 # -- coordinates on the restriction tuple space ------------------------------
@@ -593,7 +625,7 @@ def test_degree2_membership_closed_form(x, y, z):
 
 def reference_check_membership(graph, alpha):
     """The hand-coded conditions plus a full localization pass for poles."""
-    poles = localize(graph, alpha).negative_part()
+    poles = reference_negative_part(localize(graph, alpha))
     violations = []
 
     degree0 = []
@@ -715,7 +747,7 @@ def test_row_residues_are_the_poles_of_the_localization_sum(name):
     graph = MEMBERSHIP_GRAPHS[name]
     rng = random.Random(name)
     for alpha in _membership_classes(graph, rng):
-        poles = localize(graph, alpha).negative_part()
+        poles = reference_negative_part(localize(graph, alpha))
         reported = [
             v.detail for v in check_membership(graph, alpha).violations
             if v.kind == "localization-pole"
@@ -775,6 +807,7 @@ REFUSING_ENTRY_POINTS = {
     "torus_obstructions": lambda g, a: torus_obstructions(g, 1, (1,), promote_to_torus(a)),
     "localize_torus": lambda g, a: localize_torus(g, 1, (1,), promote_to_torus(a)),
     "poincare_manifold": lambda g, a: poincare_manifold(g),
+    "poincare_fixed_set": lambda g, a: poincare_fixed_set(g),
     "equivariant_series": lambda g, a: equivariant_series(g),
     "relation_counts": lambda g, a: relation_counts(g),
     "euler_class": lambda g, a: euler_class(g, "Smin"),

@@ -1,5 +1,6 @@
 """X-rays of complexity-one torus actions: validation, membership, bases."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from equicoh import (
 from equicoh.s1 import (
     MembershipDecision,
     MembershipViolation,
+    _constraint_table,
     _group_columns,
     _slot_index,
     character_substitution,
@@ -39,8 +41,9 @@ from equicoh.s1 import (
     torus_obstructions,
 )
 from equicoh.graph import IsolatedVertex, Violation, format_rational
+from equicoh import xray as xray_module
 from equicoh.mpoly import is_primitive
-from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, _piece_group, piece_obstructions
+from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
 from test_graph import reference_validate_graph
 from test_linalg import reference_nullspace
@@ -596,6 +599,52 @@ def test_piece_obstructions_check_addressing():
         piece_obstructions(xray, piece, alpha)
 
 
+def test_piece_obstructions_refuse_a_foreign_piece():
+    """A piece is found by id, so one from another x-ray, or one that shares
+    an id but not its data, is refused instead of getting this x-ray's group."""
+    xray = cube(2, 1)
+    alpha = _class_on(xray, xray.component_ids(), random.Random(2))
+    foreign = cp3().pieces[0]
+    with pytest.raises(InputError, match=r"^piece 'E01' is not a piece of this x-ray$"):
+        piece_obstructions(xray, foreign, alpha)
+    own = xray.pieces[0]
+    impostor = dataclasses.replace(own, lam=(1, 1))
+    with pytest.raises(InputError, match="is not a piece of this x-ray"):
+        piece_obstructions(xray, impostor, alpha)
+    # An equal piece of an equal document is the same piece.
+    found = piece_obstructions(xray, own, alpha)
+    assert found and piece_obstructions(xray, cube(2, 1).pieces[0], alpha) == found
+
+
+@pytest.mark.parametrize("make", [lambda: cube(3, 1), cp3], ids=["cube_r3_g1", "cp3"])
+def test_groups_are_built_once_per_document(make, monkeypatch):
+    """Every degree of a basis, and a membership query after them, reads the
+    groups kept on the x-ray: one table per piece and one substitution per
+    distinct character."""
+    tables, substitutions = [], []
+
+    def counting(record, build):
+        def wrapper(*args):
+            record.append(args)
+            return build(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(xray_module, "_constraint_table", counting(tables, _constraint_table))
+    monkeypatch.setattr(
+        xray_module, "character_substitution", counting(substitutions, character_substitution)
+    )
+    xray = make()
+    for degree in range(5):
+        image_basis_xray(xray, degree)
+    check_membership_xray(xray, constant_torus_class(xray, 1))
+    members = [tuple(cid for cid, _, _ in args[0]) for args in tables]
+    assert members == [piece.members for piece in xray.pieces]
+    characters = [args[0] for args in substitutions]
+    assert sorted(characters) == sorted({piece.lam for piece in xray.pieces})
+    assert len(characters) < len(xray.pieces)
+
+
 # -- coordinates and bases ----------------------------------------------------
 
 
@@ -752,8 +801,7 @@ def test_piece_major_basis_matches_the_slot_major_reference(name):
 def piece_columns(xray, piece, degree, slots):
     """The columns of one piece's constraint group, as the x-ray basis
     compiles them."""
-    group = _piece_group(xray, piece)
-    return _group_columns(group, xray.rank, degree, slots, _slot_index(slots))
+    return _group_columns(xray._groups[piece.id], degree, slots, _slot_index(slots))
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))

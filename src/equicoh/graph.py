@@ -191,6 +191,11 @@ class DecoratedGraph:
         return tuple(sorted(points + [(v.id, "surface", v.genus) for v in self.surfaces]))
 
     @_kept
+    def _kinds(self) -> dict[str, tuple[str, int]]:
+        """``{id: (kind, genus)}``, read off :attr:`_fixed_components`."""
+        return {cid: (kind, genus) for cid, kind, genus in self._fixed_components}
+
+    @_kept
     def _report(self) -> tuple[Violation, ...]:
         return tuple(_graph_violations(self))
 

@@ -193,10 +193,49 @@ def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
 
 @dataclass
 class EquivariantClass:
-    """A tuple of fixed-component restrictions indexed by component id."""
+    """A tuple of fixed-component restrictions indexed by component id.
+
+    A component the class addresses but holds no record for reads as zero
+    in every degree.  A class the library builds (a basis class,
+    :func:`class_from_vector`, :func:`unit_class`, and what the methods
+    below and :func:`promote_to_torus` make of one) holds records only for
+    its nonzero components and carries its document's ``(id, kind, genus)``
+    tuple, shared, as ``fixed_components``.  A class built directly from a
+    dict has no tuple and addresses exactly its own keys;
+    :func:`parse_class` requires every id and builds a record for each.
+    Equality reads an absent component as an empty record.
+    """
 
     components: dict[str, ComponentClass] = field(default_factory=dict)
     rank: int | None = None
+    fixed_components: tuple[tuple[str, str, int], ...] | None = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EquivariantClass):
+            return NotImplemented
+        if self.rank != other.rank:
+            return False
+        mine, theirs = self.components, other.components
+        for cid in mine.keys() | theirs.keys():
+            a, b = mine.get(cid), theirs.get(cid)
+            if a is None or b is None:
+                if (b if a is None else a).entries:
+                    return False
+            elif a != b:
+                return False
+        return True
+
+    def addressed(self) -> tuple[tuple[str, str, int], ...]:
+        """The ``(id, kind, genus)`` of every component the class addresses,
+        sorted by id."""
+        if self.fixed_components is not None:
+            return self.fixed_components
+        return tuple((cid, cls.kind, cls.genus) for cid, cls in sorted(self.components.items()))
+
+    def restriction(self, cid: str) -> dict:
+        """``{degree: entry}`` of one component, ``{}`` when it holds no record."""
+        cls = self.components.get(cid)
+        return {} if cls is None else cls.entries
 
     def degrees(self) -> list[int]:
         out: set[int] = set()
@@ -213,11 +252,22 @@ class EquivariantClass:
                 cls.rank,
             )
             for cid, cls in self.components.items()
+            if self.fixed_components is None or degree in cls.entries
         }
-        return EquivariantClass(comps, self.rank)
+        return EquivariantClass(comps, self.rank, self.fixed_components)
 
     def restricted(self, ids) -> EquivariantClass:
-        return EquivariantClass({cid: self.components[cid] for cid in ids}, self.rank)
+        """The class on the components ``ids`` alone; KeyError names one it
+        does not address."""
+        kept = set(ids)
+        fixed = self.fixed_components
+        missing = kept.difference(self.components if fixed is None else (c[0] for c in fixed))
+        if missing:
+            raise KeyError(min(missing))
+        comps = {cid: cls for cid in ids if (cls := self.components.get(cid)) is not None}
+        if fixed is not None:
+            fixed = tuple(c for c in fixed if c[0] in kept)
+        return EquivariantClass(comps, self.rank, fixed)
 
     def times_u(self) -> EquivariantClass:
         """Multiplication by the degree-2 equivariant parameter."""
@@ -232,20 +282,29 @@ class EquivariantClass:
             )
             for cid, cls in self.components.items()
         }
-        return EquivariantClass(comps, None)
+        return EquivariantClass(comps, None, self.fixed_components)
 
 
 def _check_addressing(owner: str, components, rank: int | None, alpha: EquivariantClass) -> None:
-    """Raise unless ``alpha`` gives an entry for exactly ``components``.
+    """Raise unless ``alpha`` addresses exactly ``components``.
 
     ``components`` lists the ``(id, kind, genus)`` of the graph or x-ray
-    named by ``owner``, sorted by id.  Each component of the class must
-    match its component at ``rank``, which is None for a circle action.
+    named by ``owner``, sorted by id.  Each component the class addresses
+    must match its component at ``rank``, which is None for a circle action:
+    a library class's tuple and rank, or each record of a class built from a
+    dict.
     """
-    found = sorted(alpha.components.items())
+    fixed = alpha.fixed_components
+    if fixed is None:
+        records = sorted(alpha.components.items())
+        found = [(cid, (cls.kind, cls.genus, cls.rank)) for cid, cls in records]
+    elif fixed == components and alpha.rank == rank:
+        return
+    else:
+        found = [(cid, (kind, genus, alpha.rank)) for cid, kind, genus in fixed]
     _check_ids(owner, [cid for cid, _, _ in components], [cid for cid, _ in found])
-    for (cid, kind, genus), (_, cls) in zip(components, found):
-        if (cls.kind, cls.genus, cls.rank) != (kind, genus, rank):
+    for (cid, kind, genus), (_, got) in zip(components, found):
+        if got != (kind, genus, rank):
             what = "point" if kind == "point" else f"genus-{genus} surface"
             raise InputError(f"component {cid!r}: expected a {what} entry of rank {rank}")
 
@@ -374,9 +433,11 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     """The coordinate of the degree-k part of alpha at one slot.
 
     That is the slot's part itself for a circle action and the part's
-    coefficient at ``slot.exps`` for a torus; an absent entry reads 0.
+    coefficient at ``slot.exps`` for a torus; an absent component or entry
+    reads 0.
     """
-    entry = alpha.components[slot.component].entries.get(degree)
+    cls = alpha.components.get(slot.component)
+    entry = None if cls is None else cls.entries.get(degree)
     if entry is None:
         return _ZERO
     value = _part(entry, slot.part, slot.index)
@@ -395,13 +456,14 @@ def _class_from_sparse(
 
     A part's value is the Fraction for a graph and, for an x-ray of rank r,
     the polynomial whose terms are its slots' monomials.  ``vector`` holds
-    nonzero Fractions only, so just the components it touches get an entry.
-    Every record and polynomial is built afresh: no two classes share a
-    mutable one.
+    nonzero Fractions only, and only the components it touches get a record,
+    with its kind and genus read off the document's ``_kinds``; the class
+    carries the document's ``_fixed_components``.  Every record and
+    polynomial is built afresh: no two classes share a mutable one.
     """
     rank = document.rank
     parts: dict[str, dict[tuple[str, int], object]] = {}
-    for i, value in vector.items():
+    for i, value in sorted(vector.items()):
         slot = slots[i]
         rec = parts.setdefault(slot.component, {})
         if rank is None:
@@ -414,30 +476,35 @@ def _class_from_sparse(
             return rec.get((part, index), _ZERO)
         return MPoly._trusted(rank, rec.get((part, index), {}))
 
+    kinds = document._kinds
     comps: dict[str, ComponentClass] = {}
-    for cid, kind, genus in document._fixed_components:
-        rec = parts.get(cid)
-        if rec is None:
-            entries = {}
-        elif kind == "point":
-            entries = {degree: part_value(rec, "c")}
+    for cid, rec in parts.items():
+        kind, genus = kinds[cid]
+        if kind == "point":
+            entry = part_value(rec, "c")
         else:
-            c0, c2 = part_value(rec, "c0"), part_value(rec, "c2")
             c1 = tuple(part_value(rec, "c1", i) for i in range(2 * genus))
-            entries = {degree: SurfaceClass(genus, c0, c1, c2)}
-        comps[cid] = ComponentClass(kind, genus, entries, rank)
-    return EquivariantClass(comps, rank)
+            entry = SurfaceClass(genus, part_value(rec, "c0"), c1, part_value(rec, "c2"))
+        comps[cid] = ComponentClass(kind, genus, {degree: entry}, rank)
+    return EquivariantClass(comps, rank, document._fixed_components)
 
 
 def class_from_vector(document, degree: int, values) -> EquivariantClass:
+    """The degree-k class of a graph or an x-ray with the exact coordinates
+    ``values`` (ints or Fractions, in :func:`degree_slots` order)."""
     slots = degree_slots(document, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
-    vector = {i: x for i, x in enumerate(map(Fraction, values)) if x}
+    for x in values:
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            raise InputError(f"coordinates must be ints or Fractions, got {x!r}")
+    vector = {i: Fraction(x) for i, x in enumerate(values) if x}
     return _class_from_sparse(document, degree, slots, vector)
 
 
 def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
+    if slot.component not in document._kinds:
+        raise InputError(f"slot {slot.label!r} is not on a component of this document")
     return _class_from_sparse(document, degree, [slot], {0: _ONE})
 
 
@@ -520,8 +587,12 @@ def _class_terms(table, alpha: EquivariantClass, substitution: LinearSubstitutio
     coordinates (see :func:`_route`).  A torus part is rewritten by the
     character's ``substitution``; a circle-action value of degree ``half``
     in the parameter is the single term ``{(half,): value}``."""
+    records = alpha.components
     for (cid, part, index), rules in table.items():
-        for degree, entry in alpha.components[cid].entries.items():
+        cls = records.get(cid)
+        if cls is None:
+            continue
+        for degree, entry in cls.entries.items():
             value = _part(entry, part, index)
             if not value:
                 continue
@@ -710,8 +781,9 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
 
     if "h1" in divisions:
         lower, upper = _surface_pair(graph)
-        v_lower = alpha.components[lower.id].entry(1).c1
-        v_upper = alpha.components[upper.id].entry(1).c1
+        v_lower, v_upper = (
+            alpha.restriction(s.id).get(1, SurfaceClass(s.genus)).c1 for s in (lower, upper)
+        )
         violations.append(
             MembershipViolation(
                 "degree1-surface-match",
@@ -774,7 +846,7 @@ def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
             c1 = tuple(lift(x, "c1", k) for x in value.c1)
             entries[k] = SurfaceClass(cls.genus, c0, c1, c2)
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, 1)
-    return EquivariantClass(comps, 1)
+    return EquivariantClass(comps, 1, alpha.fixed_components)
 
 
 def character_substitution(lam) -> LinearSubstitution:
@@ -953,10 +1025,15 @@ def _entry_to_dict(entry, fmt) -> object:
 
 def class_to_dict(alpha: EquivariantClass, graph_ref: str = "") -> dict:
     """Canonical JSON form of a class document: rationals as strings for a
-    graph's class, polynomials as exponent-coefficient pairs for an x-ray's."""
+    graph's class, polynomials as exponent-coefficient pairs for an x-ray's.
+    Every component the class addresses is written, ``{}`` where it holds
+    no entry."""
     fmt = format_rational if alpha.rank is None else poly_to_pairs
     comps: dict[str, dict] = {}
-    for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
-        comps[cid] = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
+    records = alpha.components
+    for cid, _, _ in alpha.addressed():
+        cls = records.get(cid)
+        comps[cid] = {} if cls is None else {
+            str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()
+        }
     return {"kind": "class", "graph": graph_ref, "components": comps}

@@ -120,6 +120,11 @@ class XRay:
         return tuple((c.id, c.kind, c.genus) for c in self.components)
 
     @_kept
+    def _kinds(self) -> dict[str, tuple[str, int]]:
+        """``{id: (kind, genus)}``, read off :attr:`_fixed_components`."""
+        return {cid: (kind, genus) for cid, kind, genus in self._fixed_components}
+
+    @_kept
     def _groups(self) -> dict[str, tuple]:
         """``{piece id: (tag, members, table, substitution)}``: each piece's
         constraint group (see :func:`~equicoh.s1._graph_group`), built once

@@ -325,11 +325,14 @@ def random_member(graph, rng: random.Random, degrees=(0, 1, 2, 3, 4)) -> Equivar
 
 
 def _merge(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
+    """A class with a record for every component x addresses, holding the
+    entries of both classes (y's where they share a degree); a component
+    either class holds no record for reads as empty."""
     comps = {}
-    for cid, cls in x.components.items():
-        entries = dict(cls.entries)
-        entries.update(y.components[cid].entries)
-        comps[cid] = ComponentClass(cls.kind, cls.genus, entries, cls.rank)
+    for cid, kind, genus in x.addressed():
+        entries = dict(x.restriction(cid))
+        entries.update(y.restriction(cid))
+        comps[cid] = ComponentClass(kind, genus, entries, x.rank)
     return EquivariantClass(comps, x.rank)
 
 

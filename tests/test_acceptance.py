@@ -16,6 +16,7 @@ import sympy
 
 import equicoh
 from equicoh import (
+    ComponentClass,
     EquicohError,
     Laurent,
     SurfaceClass,
@@ -38,6 +39,7 @@ from equicoh import (
     resolve_self_intersections,
     validate_graph,
 )
+from equicoh import s1
 import fixtures
 from fixtures import all_graphs, budget, g2, random_class, random_fraction
 
@@ -215,9 +217,8 @@ print(json.dumps(sizes))
 
 
 def test_chain_basis_scales_with_the_number_of_points():
-    # Timed in a fresh interpreter.  The basis holds about 2n classes of
-    # n + 2 component records each, and inside this suite every full pass
-    # of the cyclic collector over them also walks the suite's own heap.
+    # Timed in a fresh interpreter: inside this suite every full pass of
+    # the cyclic collector over the basis also walks the suite's own heap.
     n = 400
     path = [os.path.dirname(fixtures.__file__), os.path.dirname(os.path.dirname(equicoh.__file__))]
     run = subprocess.run(
@@ -230,6 +231,72 @@ def test_chain_basis_scales_with_the_number_of_points():
     assert run.returncode == 0, run.stderr
     # Betti numbers 1, 2g, n + 2, 2g, 1 with g = 1, over (1 - t^2).
     assert json.loads(run.stdout) == [1, 2, n + 3, 4, n + 4]
+
+
+def _fresh_interpreter(script: str):
+    """The JSON a script prints, run in a fresh interpreter with the package
+    and the fixtures on its path."""
+    path = [os.path.dirname(fixtures.__file__), os.path.dirname(os.path.dirname(equicoh.__file__))]
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_chain_basis_at_1600_points():
+    # A basis class holds a record only for the components its vector
+    # touches, so four times the points costs about four times the time.
+    n = 1600
+    assert _fresh_interpreter(CHAIN_GATE.format(n=n)) == [1, 2, n + 3, 4, n + 4]
+
+
+CHAIN_GROWTH = """
+import json
+import statistics
+import time
+import fixtures
+from equicoh import image_basis
+
+graphs = {n: fixtures.chain(n, 1) for n in (400, 1600)}
+ratios = []
+for _ in range(3):
+    took = {}
+    for n, graph in graphs.items():
+        start = time.perf_counter()
+        for k in range(5):
+            image_basis(graph, k)
+        took[n] = time.perf_counter() - start
+    ratios.append(took[1600] / took[400])
+print(json.dumps(statistics.median(ratios)))
+"""
+
+
+def test_chain_basis_grows_near_linearly():
+    # Linear cost gives 4; the dense classes of n + 2 records each gave
+    # about 16.
+    assert _fresh_interpreter(CHAIN_GROWTH) <= 6
+
+
+def test_a_basis_builds_records_only_for_the_components_it_touches(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(ComponentClass(*args))
+        return built[-1]
+
+    basis_graph = fixtures.chain(400, 1)
+    monkeypatch.setattr(s1, "ComponentClass", counting)
+    basis = image_basis(basis_graph, 2)
+    # Degree 2 is cut out by the one degree-2 localization row, so each
+    # reduced-echelon vector touches its free slot and the pivot slot, on
+    # two components; a dense basis would build 403 x 402 records.
+    assert len(basis) == 403
+    assert len(built) == sum(len(b.components) for b in basis) == 2 * len(basis)
 
 
 def test_rank_five_cube_basis_scales():

@@ -51,6 +51,24 @@ def test_every_package_import_is_used():
     assert unused == []
 
 
+def test_no_package_code_reads_a_class_component_by_key():
+    """A library class holds only its nonzero components, so every reader
+    goes through the absent-as-zero path (``EquivariantClass.restriction``
+    or ``.components.get``): nothing in the package subscripts
+    ``.components[...]``, which raises KeyError on an absent id."""
+    found = []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "components"
+        ]
+    assert found == []
+
+
 def test_only_the_graph_module_places_a_component():
     """``s1`` and ``xray`` read where a component sits, and the extremal
     labels, off the valid graph: neither names ``momentum_span`` or

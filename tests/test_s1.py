@@ -1,10 +1,11 @@
 """Circle-action invariants: series, Euler classes, localization, membership."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -62,6 +63,7 @@ from fixtures import all_graphs, constant_class, g1, g2, g3
 from test_core import reference_negative_part
 from test_linalg import reference_coordinates_in_span
 from test_mpoly import reference_split_leading
+from test_xray import EQUIVALENCE_XRAYS
 
 
 def point_class(graph, values):
@@ -319,10 +321,11 @@ def reference_component_localization(comp, cls, inverse):
 def reference_localize(graph, alpha):
     resolved = resolve_self_intersections(graph)
     total = Laurent()
-    for cid in sorted(alpha.components):
+    for cid, kind, genus in alpha.addressed():
         inverse = inverse_euler(graph, cid)
         comp = resolved.find(cid)
-        total = total + reference_component_localization(comp, alpha.components[cid], inverse)
+        cls = ComponentClass(kind, genus, alpha.restriction(cid), alpha.rank)
+        total = total + reference_component_localization(comp, cls, inverse)
     return total
 
 
@@ -342,12 +345,12 @@ def reference_localize_torus(graph, rank, lam, alpha):
     resolved = resolve_self_intersections(graph)
     remaining = rank - 1
     total = Laurent()
-    for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
+    for cid, _, _ in alpha.addressed():
+        entries = alpha.restriction(cid)
         comp = resolved.find(cid)
         if isinstance(comp, IsolatedVertex):
             restriction = Laurent()
-            for value in cls.entries.values():
+            for value in entries.values():
                 parts = reference_split_leading(substitution(value))
                 restriction = restriction + Laurent(parts)
             inverse = Laurent(
@@ -363,7 +366,7 @@ def reference_localize_torus(graph, rank, lam, alpha):
         def add(power, piece):
             acc[power] = acc[power] + piece if power in acc else piece
 
-        for entry in cls.entries.values():
+        for entry in entries.values():
             for d, q in reference_split_leading(substitution(entry.c0)).items():
                 add(d, SurfaceClass(g, c0=q, c1=zeros, c2=zero))
             for i, x in enumerate(entry.c1):
@@ -566,6 +569,111 @@ def test_unit_class_hits_one_slot():
                 assert vec == [Fraction(j == i) for j in range(len(slots))]
 
 
+@pytest.mark.parametrize("value", [0.1, True, "1/3"], ids=repr)
+def test_class_from_vector_accepts_only_exact_coordinates(value):
+    """A float, a bool or a string is refused, not read as some Fraction."""
+    with pytest.raises(InputError, match=r"^coordinates must be ints or Fractions, got "):
+        class_from_vector(g1(), 0, [value] * 3)
+    assert class_to_vector(g1(), 0, class_from_vector(g1(), 0, [1, Fraction(1, 3), 0])) == [
+        1, Fraction(1, 3), 0
+    ]
+
+
+def test_unit_class_refuses_a_slot_of_another_document():
+    slot = degree_slots(g3(), 0)[0]
+    with pytest.raises(InputError, match=r"^slot 'S\.c0' is not on a component of this document$"):
+        unit_class(g1(), 0, slot)
+
+
+def test_library_classes_hold_only_their_nonzero_components():
+    """A basis class has a record for each component its vector touches and
+    carries the graph's own component tuple; everything else reads as zero,
+    and the class still addresses, serializes and compares as the dense one."""
+    graph = g2(1)
+    for element in image_basis(graph, 2):
+        touched = {
+            s.component for s, x in zip(degree_slots(graph, 2), class_to_vector(graph, 2, element))
+            if x
+        }
+        assert set(element.components) == touched
+        assert element.fixed_components is graph._fixed_components
+        assert check_membership(graph, element).member
+        dense = parse_class(class_to_dict(element), graph)
+        assert dense.fixed_components is None
+        assert sorted(dense.components) == graph.component_ids()
+        assert dense == element and element == dense
+    lower = unit_class(graph, 0, degree_slots(graph, 0)[0])
+    assert set(lower.components) == {"Smax"}
+    assert lower.restricted(["Smin"]).components == {}
+    assert lower.restricted(["Smin"]).addressed() == (("Smin", "surface", 1),)
+    assert lower.homogeneous(2).components == {}
+    assert lower.times_u().fixed_components is graph._fixed_components
+    with pytest.raises(KeyError):
+        lower.restricted(["q"])
+    assert lower != EquivariantClass({}, None)
+
+
+def reference_class_from_sparse(document, degree, slots, vector):
+    """The dense class: a record for every fixed component of the document,
+    an empty one where ``vector`` touches none of its slots."""
+    rank = document.rank
+    parts = {}
+    for i, value in vector.items():
+        slot = slots[i]
+        rec = parts.setdefault(slot.component, {})
+        if rank is None:
+            rec[(slot.part, slot.index)] = value
+        else:
+            rec.setdefault((slot.part, slot.index), {})[slot.exps] = value
+
+    def part_value(rec, part, index=0):
+        if rank is None:
+            return rec.get((part, index), Fraction(0))
+        return MPoly._trusted(rank, rec.get((part, index), {}))
+
+    comps = {}
+    for cid, kind, genus in document._fixed_components:
+        rec = parts.get(cid)
+        if rec is None:
+            entries = {}
+        elif kind == "point":
+            entries = {degree: part_value(rec, "c")}
+        else:
+            c0, c2 = part_value(rec, "c0"), part_value(rec, "c2")
+            c1 = tuple(part_value(rec, "c1", i) for i in range(2 * genus))
+            entries = {degree: SurfaceClass(genus, c0, c1, c2)}
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
+    return EquivariantClass(comps, rank)
+
+
+SPARSE_DOCUMENTS = {
+    **all_graphs(),
+    **{name: make() for name, make in EQUIVALENCE_XRAYS.items()},
+}
+
+_NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SPARSE_DOCUMENTS)), st.integers(0, 6), st.data())
+def test_sparse_classes_agree_with_the_dense_reference(name, degree, data):
+    document = SPARSE_DOCUMENTS[name]
+    slots = degree_slots(document, degree)
+    vector = {}
+    if slots:
+        vector = data.draw(
+            st.dictionaries(st.integers(0, len(slots) - 1), _NONZERO, max_size=6), "vector"
+        )
+    new = s1._class_from_sparse(document, degree, slots, vector)
+    reference = reference_class_from_sparse(document, degree, slots, vector)
+    assert set(new.components) == {slots[i].component for i in vector}
+    assert json.dumps(class_to_dict(new, name)) == json.dumps(class_to_dict(reference, name))
+    expected = [vector.get(i, 0) for i in range(len(slots))]
+    assert class_to_vector(document, degree, new) == expected
+    assert class_to_vector(document, degree, reference) == expected
+    assert new == reference and reference == new
+
+
 # -- membership in the image of the restriction map --------------------------
 
 
@@ -629,9 +737,8 @@ def reference_check_membership(graph, alpha):
     violations = []
 
     degree0 = []
-    for cid in sorted(alpha.components):
-        cls = alpha.components[cid]
-        value = cls.entries.get(0, Fraction(0))
+    for cid, _, _ in alpha.addressed():
+        value = alpha.restriction(cid).get(0, Fraction(0))
         degree0.append((cid, value.c0 if isinstance(value, SurfaceClass) else value))
     if any(v != degree0[0][1] for _, v in degree0):
         rendered = ", ".join(f"{cid}: {v}" for cid, v in degree0)
@@ -643,8 +750,8 @@ def reference_check_membership(graph, alpha):
         lower, upper = sorted(graph.surfaces, key=lambda v: v.y)
         g = lower.genus
         matrix = graph.identification_matrix()
-        v_lower = alpha.components[lower.id].entry(1).c1
-        v_upper = alpha.components[upper.id].entry(1).c1
+        v_lower = alpha.restriction(lower.id).get(1, SurfaceClass(g)).c1
+        v_upper = alpha.restriction(upper.id).get(1, SurfaceClass(g)).c1
         mapped = tuple(
             sum((matrix[j][i] * v_lower[i] for i in range(2 * g)), start=Fraction(0))
             for j in range(2 * g)

@@ -63,7 +63,7 @@ def times_variable(xray, alpha, index):
                     cls.genus, value.c0 * u, tuple(x * u for x in value.c1), value.c2 * u
                 )
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, cls.rank)
-    return EquivariantClass(comps, alpha.rank)
+    return EquivariantClass(comps, alpha.rank, alpha.fixed_components)
 
 
 # -- parsing and serialization ------------------------------------------------
@@ -874,7 +874,7 @@ def _class_on(xray, components, rng, degrees=range(5)):
         ]
         part = class_from_vector(xray, degree, values)
         for cid in components:
-            comps[cid].entries.update(part.components[cid].entries)
+            comps[cid].entries.update(part.restriction(cid))
     return EquivariantClass(comps, xray.rank)
 
 
@@ -900,10 +900,9 @@ def reference_dim2_residues(xray, piece, alpha):
     substitution = character_substitution(piece.lam)
     a, b = piece.members
     out = {}
-    degrees = sorted(set(alpha.components[a].entries) | set(alpha.components[b].entries))
-    for k in degrees:
-        diff = alpha.components[a].entries.get(k, MPoly.zero(xray.rank)) - \
-            alpha.components[b].entries.get(k, MPoly.zero(xray.rank))
+    entries_a, entries_b = alpha.restriction(a), alpha.restriction(b)
+    for k in sorted(set(entries_a) | set(entries_b)):
+        diff = entries_a.get(k, MPoly.zero(xray.rank)) - entries_b.get(k, MPoly.zero(xray.rank))
         if not diff:
             continue
         for exps, coeff in substitution(diff).terms.items():
@@ -919,11 +918,10 @@ def reference_torus_h0(graph, rank, lam, alpha):
     ids = graph.component_ids()
 
     def h0_part(cid, k):
-        cls = alpha.components[cid]
-        if cls.kind == "point":
-            value = cls.entries.get(k)
-            return value if value is not None else MPoly.zero(rank)
-        return cls.entry(k).c0
+        value = alpha.restriction(cid).get(k)
+        if value is None:
+            return MPoly.zero(rank)
+        return value.c0 if isinstance(value, SurfaceClass) else value
 
     for i in range(len(ids) - 1):
         a, b = ids[i], ids[i + 1]

@@ -119,7 +119,7 @@ def _document_kind(name: str) -> _DocumentKind:
 def _max_degree(args) -> int:
     """``--max-degree`` if given, else ``EQUICOH_MAX_DEGREE`` (read on every
     call), else the document kind's default."""
-    max_degree = getattr(args, "max_degree", None)
+    max_degree = args.max_degree
     if max_degree is None:
         raw = os.environ.get(MAX_DEGREE_ENV)
         if raw is None:
@@ -484,7 +484,8 @@ def main(argv=None) -> int:
         return 2
     args.kind = _document_kind(args.kind)
     try:
-        args.max_degree = _max_degree(args)
+        if hasattr(args, "max_degree"):
+            args.max_degree = _max_degree(args)
         return args.handler(args)
     except _ERROR_TYPES as exc:
         return _error(args, exc)

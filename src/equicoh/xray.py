@@ -4,7 +4,7 @@ An x-ray lists the fixed components with vector momentum labels and the
 declared pieces of the one-skeleton.  Every piece is tagged with the
 primitive character cut out by the subtorus that fixes it; membership in
 the image of the fixed-set restriction reduces piece by piece, with
-four-dimensional pieces delegating to the circle-action machinery under a
+four-dimensional pieces carrying the circle-action conditions under a
 substitution that turns the character into the equivariant parameter, and
 two-dimensional pieces contributing a single divisibility condition.
 
@@ -13,9 +13,9 @@ fixed components and its rank, so the slot and class helpers there accept
 it.  Each piece is one constraint group, kept on the x-ray: its members
 under its induced graph's table, or the H^0 difference of its two points,
 along its character, one substitution serving every piece along it.
-Membership routes the class through each piece once, and a graded basis
-is the one image-basis body over all pieces' groups.  Every entry point
-refuses an invalid x-ray.
+Every query reads these groups: membership routes the class through each
+piece's group once, and a graded basis is the one image-basis body over
+all of them.  Every entry point refuses an invalid x-ray.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .s1 import (
     _obstruction_violations,
     _parse_class,
     character_substitution,
-    torus_obstructions,
 )
 
 DEFAULT_XRAY_MAX_DEGREE = 8
@@ -507,39 +506,35 @@ def piece_obstructions(
 
     Every obstruction is a coefficient of a linear expression in the
     restrictions to the piece's members, so a class vanishing on all of
-    them has none.  A 4-dimensional piece's are the
-    :func:`~equicoh.s1.torus_obstructions` of its induced graph along its
-    character; a 2-dimensional piece's are the terms of its two point
-    restrictions' difference that the character does not divide.  The
-    class must address exactly the x-ray's components, as in
-    :func:`check_membership_xray`, and ``piece`` must be one of its pieces.
+    them has none.  They are read off the piece's kept group: a
+    4-dimensional piece's are those of its induced graph's conditions along
+    its character; a 2-dimensional piece's are the terms of its two point restrictions'
+    difference that the character does not divide.  The class must address
+    exactly the x-ray's components, as in :func:`check_membership_xray`,
+    and ``piece`` must be one of its pieces.
     """
     _refuse_invalid(xray)
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     if xray._pieces_by_id.get(piece.id) != piece:
         raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
-    restricted = alpha.restricted(piece.members)
-    if piece.dim == 2:
-        _, _, table, substitution = xray._groups[piece.id]
-        return _class_obstructions(table, restricted, substitution)
-    return torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
+    _, _, table, substitution = xray._groups[piece.id]
+    return _class_obstructions(table, alpha, substitution)
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
     """Piece-by-piece membership for the full torus image.
 
-    Each piece's :func:`piece_obstructions` are reported as violations the
-    way :func:`check_membership_torus` reports them, prefixed with the
-    piece: four-dimensional pieces carry the circle-action criterion under
-    the character substitution, two-dimensional pieces the divisibility of
-    the two point restrictions' difference by the character form.
+    The x-ray and the addressing are checked once; each piece's
+    :func:`piece_obstructions`, read off its kept group, are reported as
+    violations the way :func:`check_membership_torus` reports them,
+    prefixed with the piece.
     """
     _refuse_invalid(xray)
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     violations = [
-        MembershipViolation(v.kind, f"piece {piece.id}: {v.detail}")
-        for piece in xray.pieces
-        for v in _obstruction_violations(piece_obstructions(xray, piece, alpha))
+        MembershipViolation(v.kind, f"piece {tag[0]}: {v.detail}")
+        for tag, _, table, substitution in xray._groups.values()
+        for v in _obstruction_violations(_class_obstructions(table, alpha, substitution))
     ]
     return MembershipDecision(not violations, tuple(violations))
 

@@ -23,6 +23,7 @@ from equicoh import (
     abbv_zero_check,
     check_membership,
     check_membership_torus,
+    check_membership_xray,
     class_from_vector,
     degree_slots,
     equivariant_series,
@@ -37,7 +38,9 @@ from equicoh import (
     parse_graph,
     promote_to_torus,
     resolve_self_intersections,
+    unit_class,
     validate_graph,
+    validate_xray,
 )
 from equicoh import s1
 import fixtures
@@ -306,6 +309,16 @@ def test_rank_five_cube_basis_scales():
     # Sigma_1 x (S^2)^5: (1 + 2t + t^2)(1 + t^2)^5 over (1 - t^2)^5.
     closed = _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**5", 4, rank=5)
     assert len(basis) == closed[4]
+
+
+def test_rank_seven_cube_membership_scales():
+    # 448 pieces along 7 characters: membership reads each piece's kept group.
+    xray = fixtures.cube(7, 1)
+    assert validate_xray(xray) == []
+    unit = unit_class(xray, 0, degree_slots(xray, 0)[0])
+    with budget(0.5):
+        assert check_membership_xray(xray, fixtures.constant_torus_class(xray, 1)).member
+        assert not check_membership_xray(xray, unit).member
 
 
 def test_membership_scales_with_the_genus():

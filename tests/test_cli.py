@@ -520,6 +520,29 @@ def test_bad_env_value(capsys, data_dir, monkeypatch):
     assert "EQUICOH_MAX_DEGREE must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "g1.json"),
+        ("xray-validate", "x2_g1.json"),
+        ("check", "g1.json", "class_g1_const.json"),
+        ("xray-check", "x2_g1.json", "class_x2_const.json"),
+        ("localize", "g1.json", "class_g1_const.json"),
+        ("euler", "g1.json", "--component", "B"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_subcommand_without_a_cutoff_ignores_the_variable(capsys, data_dir, monkeypatch, argv):
+    """Only ``poincare``, ``basis`` and ``xray-basis`` read a degree cutoff, so
+    a bad ``EQUICOH_MAX_DEGREE`` changes nothing for the other subcommands."""
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+    monkeypatch.delenv("EQUICOH_MAX_DEGREE", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("EQUICOH_MAX_DEGREE", "abc")
+    assert run(capsys, *argv) == expected
+
+
 def test_negative_max_degree(capsys, data_dir):
     status, _, err = run(
         capsys, "poincare", str(data_dir / "g1.json"),
@@ -770,8 +793,12 @@ def test_the_tracer_tables_keep_each_layer_on_its_workload(capsys, data_dir):
     assert basis["s1.image_basis"] == 1
     assert xray_basis["s1.image_basis"] == 0
     assert xray_basis["xray.image_basis_xray"] == 1
+    # Membership reads each piece's kept group: one substitution per
+    # character (x2_g1 has two) and no public entry point per piece.
+    assert xray_check["xray.check_membership_xray"] == 1
+    assert xray_check["mpoly.unimodular_completion"] == 2
     for name in ("xray.piece_obstructions", "s1.torus_obstructions"):
-        assert xray_check[name] > 0 and xray_basis[name] == 0, name
+        assert xray_check[name] == 0 and xray_basis[name] == 0, name
     assert basis["linalg.nullspace"] > 0 and xray_basis["linalg.nullspace"] > 0
 
 

@@ -33,6 +33,7 @@ from equicoh import (
 from equicoh.s1 import (
     MembershipDecision,
     MembershipViolation,
+    _check_addressing,
     _constraint_table,
     _group_columns,
     _slot_index,
@@ -41,6 +42,7 @@ from equicoh.s1 import (
     torus_obstructions,
 )
 from equicoh.graph import IsolatedVertex, Violation, format_rational
+from equicoh import s1 as s1_module
 from equicoh import xray as xray_module
 from equicoh.mpoly import is_primitive
 from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
@@ -620,8 +622,9 @@ def test_piece_obstructions_refuse_a_foreign_piece():
 def test_groups_are_built_once_per_document(make, monkeypatch):
     """Every degree of a basis, and a membership query after them, reads the
     groups kept on the x-ray: one table per piece and one substitution per
-    distinct character."""
-    tables, substitutions = [], []
+    distinct character, counted in both modules that build them, and one
+    addressing check for the membership query."""
+    tables, substitutions, addressing = [], [], []
 
     def counting(record, build):
         def wrapper(*args):
@@ -630,14 +633,18 @@ def test_groups_are_built_once_per_document(make, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(xray_module, "_constraint_table", counting(tables, _constraint_table))
-    monkeypatch.setattr(
-        xray_module, "character_substitution", counting(substitutions, character_substitution)
-    )
+    for module in (xray_module, s1_module):
+        monkeypatch.setattr(module, "_constraint_table", counting(tables, _constraint_table))
+        monkeypatch.setattr(
+            module, "character_substitution", counting(substitutions, character_substitution)
+        )
+        monkeypatch.setattr(module, "_check_addressing", counting(addressing, _check_addressing))
     xray = make()
     for degree in range(5):
         image_basis_xray(xray, degree)
+    assert addressing == []
     check_membership_xray(xray, constant_torus_class(xray, 1))
+    assert len(addressing) == 1
     members = [tuple(cid for cid, _, _ in args[0]) for args in tables]
     assert members == [piece.members for piece in xray.pieces]
     characters = [args[0] for args in substitutions]
@@ -1009,16 +1016,16 @@ def test_membership_from_piece_obstructions_matches_the_reference(name):
         ours = check_membership_xray(xray, alpha).to_dict()
         assert ours == reference_check_membership_xray(xray, alpha).to_dict()
         for piece in xray.pieces:
-            if piece.dim == 4:
-                restricted = alpha.restricted(piece.members)
-                h0 = {
-                    key: value
-                    for key, value in torus_obstructions(
-                        piece.induced, xray.rank, piece.lam, restricted
-                    ).items()
-                    if key[2] == ("h0",)
-                }
-                assert h0 == reference_torus_h0(piece.induced, xray.rank, piece.lam, restricted)
+            found = piece_obstructions(xray, piece, alpha)
+            if piece.dim == 2:
+                assert found == reference_dim2_residues(xray, piece, alpha)
+                continue
+            # The route through the induced graph is the oracle for the kept group.
+            restricted = alpha.restricted(piece.members)
+            induced = torus_obstructions(piece.induced, xray.rank, piece.lam, restricted)
+            assert found == induced
+            h0 = {key: value for key, value in induced.items() if key[2] == ("h0",)}
+            assert h0 == reference_torus_h0(piece.induced, xray.rank, piece.lam, restricted)
 
 
 # -- class documents ----------------------------------------------------------

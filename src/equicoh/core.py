@@ -150,10 +150,12 @@ class Laurent:
         clean: dict[int, object] = {}
         if terms:
             for power, coeff in terms.items():
+                if type(power) is not int:
+                    raise InputError(f"powers must be integers, got {power!r}")
                 if isinstance(coeff, _SCALARS):
                     coeff = as_fraction(coeff)
                 if coeff:
-                    clean[int(power)] = coeff
+                    clean[power] = coeff
         self.terms = clean
 
     def __bool__(self) -> bool:
@@ -373,9 +375,8 @@ class ComponentClass:
             raise InputError("point components have no genus")
         clean: dict[int, object] = {}
         for degree, value in self.entries.items():
-            degree = int(degree)
-            if degree < 0:
-                raise InputError("degrees must be nonnegative")
+            if type(degree) is not int or degree < 0:
+                raise InputError(f"degrees must be nonnegative integers, got {degree!r}")
             where = f"degree {degree}"
             if self.kind == "point":
                 if degree % 2:

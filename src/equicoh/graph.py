@@ -133,7 +133,7 @@ class DecoratedGraph:
             object.__setattr__(
                 self,
                 "h1_identification",
-                tuple(tuple(int(x) for x in row) for row in self.h1_identification),
+                tuple(tuple(row) for row in self.h1_identification),
             )
 
     def component_ids(self) -> list[str]:
@@ -424,32 +424,37 @@ def parse_graph(text) -> DecoratedGraph:
 
     identification = doc.get("h1_identification")
     if identification is not None:
-        where = "h1_identification"
-        if len(surfaces) != 2:
-            raise SchemaError("an identification needs exactly two fat vertices", where)
-        g = surfaces[0].genus
-        if (
-            not isinstance(identification, list)
-            or len(identification) != 2 * g
-            or any(
-                not isinstance(row, list)
-                or len(row) != 2 * g
-                or any(
-                    not isinstance(x, int) or isinstance(x, bool) or x not in (-1, 0, 1)
-                    for x in row
-                )
-                for row in identification
-            )
-        ):
-            raise SchemaError(f"expected a {2 * g}x{2 * g} matrix over {{-1, 0, 1}}", where)
-        for i in range(2 * g):
-            if sum(1 for x in identification[i] if x) != 1:
-                raise SchemaError("each row must have exactly one nonzero entry", where)
-            if sum(1 for row in identification if row[i]) != 1:
-                raise SchemaError("each column must have exactly one nonzero entry", where)
+        error = _identification_error(identification, surfaces)
+        if error:
+            raise SchemaError(error, "h1_identification")
         identification = tuple(tuple(row) for row in identification)
 
     return DecoratedGraph(tuple(isolated), tuple(surfaces), tuple(edges), identification)
+
+
+def _identification_error(identification, surfaces) -> str | None:
+    """Why an H^1 identification does not pair the two fat vertices' H^1,
+    read against the genus of the first; None when it does."""
+    if len(surfaces) != 2:
+        return "an identification needs exactly two fat vertices"
+    n = 2 * surfaces[0].genus
+    if (
+        not isinstance(identification, (list, tuple))
+        or len(identification) != n
+        or any(
+            not isinstance(row, (list, tuple))
+            or len(row) != n
+            or any(type(x) is not int or x not in (-1, 0, 1) for x in row)
+            for row in identification
+        )
+    ):
+        return f"expected a {n}x{n} matrix over {{-1, 0, 1}}"
+    for i in range(n):
+        if sum(1 for x in identification[i] if x) != 1:
+            return "each row must have exactly one nonzero entry"
+        if sum(1 for row in identification if row[i]) != 1:
+            return "each column must have exactly one nonzero entry"
+    return None
 
 
 def graph_to_dict(graph: DecoratedGraph) -> dict:
@@ -702,20 +707,25 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             )
 
     genera = sorted({v.genus for v in graph.surfaces})
+    surface_ids = tuple(v.id for v in graph.surfaces)
     if len(graph.surfaces) == 2 and len(genera) > 1:
         violations.append(
             Violation(
                 "genus-mismatch",
                 f"the two fixed surfaces have different genera {genera}",
-                tuple(v.id for v in graph.surfaces),
+                surface_ids,
             )
         )
+    elif graph.h1_identification is not None:
+        error = _identification_error(graph.h1_identification, graph.surfaces)
+        if error:
+            violations.append(Violation("h1-identification", error, surface_ids))
     if any(v.genus > 0 for v in graph.surfaces) and len(graph.surfaces) != 2:
         violations.append(
             Violation(
                 "genus-mismatch",
                 "positive genus forces exactly two fixed surfaces",
-                tuple(v.id for v in graph.surfaces),
+                surface_ids,
             )
         )
 

@@ -54,8 +54,8 @@ class MPoly:
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
+                exps = tuple(exps)
+                if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
                 value = as_fraction(coeff)
                 if exps in clean:
@@ -92,7 +92,7 @@ class MPoly:
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff) -> MPoly:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(exps)
         return cls(len(exps), {exps: Fraction(coeff)})
 
     def __bool__(self) -> bool:
@@ -154,7 +154,9 @@ class MPoly:
         return NotImplemented
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(int(e) for e in exps), Fraction(0))
+        if any(type(e) is not int for e in exps):
+            raise InputError(f"exponents must be integers, got {list(exps)}")
+        return self.terms.get(tuple(exps), Fraction(0))
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)

@@ -2,11 +2,12 @@
 
 An x-ray lists the fixed components with vector momentum labels and the
 declared pieces of the one-skeleton.  Every piece is tagged with the
-primitive character cut out by the subtorus that fixes it; membership in
-the image of the fixed-set restriction reduces piece by piece, with
-four-dimensional pieces carrying the circle-action conditions under a
-substitution that turns the character into the equivariant parameter, and
-two-dimensional pieces contributing a single divisibility condition.
+primitive character cut out by the subtorus that fixes it, so validation
+reads a weight along it as an integer ratio; membership in the image of
+the fixed-set restriction reduces piece by piece, with four-dimensional
+pieces carrying the circle-action conditions under a substitution that
+turns the character into the equivariant parameter, and two-dimensional
+pieces contributing a single divisibility condition.
 
 To :mod:`equicoh.s1` an x-ray is a document like a graph, given by its
 fixed components and its rank, so the slot and class helpers there accept
@@ -64,6 +65,8 @@ DEFAULT_XRAY_MAX_DEGREE = 8
 XRAY_KEYS = {"kind", "rank", "components", "pieces"}
 COMPONENT_KEYS = {"id", "y", "weights", "genus", "area"}
 PIECE_KEYS = {"id", "lambda", "dim", "members", "induced_graph", "ell"}
+# (type of dim, dim, no induced graph, no ell) of a piece a document can hold
+_PIECE_SHAPES = {(int, 2, True, False), (int, 4, False, True)}
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,7 @@ def parse_xray(text) -> XRay:
         if not any(lam):
             raise SchemaError("the character must be nonzero", where)
         dim = _require(item, "dim", where)
-        if dim not in (2, 4) or isinstance(dim, bool):
+        if type(dim) is not int or dim not in (2, 4):
             raise SchemaError('"dim" must be 2 or 4', where)
         raw_members = _require(item, "members", where)
         if not isinstance(raw_members, list) or not raw_members:
@@ -308,22 +311,16 @@ def serialize_xray(xray: XRay) -> str:
     return json.dumps(xray_to_dict(xray), indent=2, sort_keys=True) + "\n"
 
 
-def _parallel_ratio(vector, lam) -> int | Fraction | None:
-    """The scalar c with vector = c * lam, or None when not parallel.  For
-    integer vectors c is an int whenever lam's pivot entry divides the
-    vector's, which is always the case for a primitive lam."""
-    pivot = next((i for i, x in enumerate(lam) if x), None)
-    if pivot is None:
-        raise InputError("the character must be nonzero")
-    a, b = vector[pivot], lam[pivot]
-    if all(v * b == a * l for v, l in zip(vector, lam)):
-        c, r = divmod(a, b)
-        return c if r == 0 else Fraction(a, b)
-    return None
+def _parallel_ratio(vector, lam) -> int | None:
+    """The integer c with vector = c * lam, or None when not parallel: an
+    integer vector parallel to a primitive character is a multiple of it."""
+    pivot = next(i for i, x in enumerate(lam) if x)
+    c = vector[pivot] // lam[pivot]
+    return c if all(v == c * l for v, l in zip(vector, lam)) else None
 
 
 def _ratios(member: TorusFixedComponent, lam) -> list:
-    """The ratios of the member's weights that are parallel to lam."""
+    """The integer ratios of the member's weights that are parallel to lam."""
     return [r for w in member.weights if (r := _parallel_ratio(w, lam)) is not None]
 
 
@@ -343,6 +340,12 @@ def _xray_violations(xray: XRay) -> list[Violation]:
     violations: list[Violation] = []
     for piece in xray.pieces:
         pid = piece.id
+        shape = (type(piece.dim), piece.dim, piece.induced is None, piece.ell is None)
+        if shape not in _PIECE_SHAPES or len(piece.lam) != xray.rank:
+            rule = "dimension 2 with an ell or 4 with an induced graph"
+            message = f"piece {pid}: expected {rule}, along a character of length {xray.rank}"
+            violations.append(Violation("piece-shape", message, (pid,)))
+            continue
         if not is_primitive(piece.lam):
             violations.append(
                 Violation(
@@ -384,18 +387,22 @@ def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
             )
         ]
     lower, upper = (b, a) if ratio > 0 else (a, b)
-    out = []
-    for member, sign in ((lower, 1), (upper, -1)):
-        if _ratios(member, piece.lam) != [sign * piece.ell]:
-            out.append(
-                Violation(
-                    "piece-weights",
-                    f"piece {pid}: {member.id!r} must carry exactly one weight along the "
-                    f"character, equal to {sign * piece.ell} times it",
-                    (pid, member.id),
-                )
-            )
-    return out
+    return _one_weight(piece, lower, piece.ell) + _one_weight(piece, upper, -piece.ell)
+
+
+def _one_weight(piece: SkeletonPiece, member, ratio: int) -> list[Violation]:
+    """The violation of a member that does not carry exactly one weight
+    along the piece's character, equal to ``ratio`` times it."""
+    if _ratios(member, piece.lam) == [ratio]:
+        return []
+    return [
+        Violation(
+            "piece-weights",
+            f"piece {piece.id}: {member.id!r} must carry exactly one weight along the "
+            f"character, equal to {ratio} times it",
+            (piece.id, member.id),
+        )
+    ]
 
 
 def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
@@ -424,39 +431,28 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
     )
     for member in members:
         vertex = induced.find(member.id)
-        if member.kind == "point":
-            if not isinstance(vertex, IsolatedVertex):
-                out.append(
-                    Violation(
-                        "member-data",
-                        f"piece {pid}: {member.id!r} is a point but the induced "
-                        "graph lists a surface",
-                        (pid, member.id),
-                    )
+        listed = "point" if isinstance(vertex, IsolatedVertex) else "surface"
+        if member.kind != listed:
+            out.append(
+                Violation(
+                    "member-data",
+                    f"piece {pid}: {member.id!r} is a {member.kind} "
+                    f"but the induced graph lists a {listed}",
+                    (pid, member.id),
                 )
-                continue
+            )
+        elif member.kind == "point":
             ratios = sorted(_ratios(member, piece.lam))
             if ratios != sorted(vertex.weights):
                 out.append(
                     Violation(
                         "piece-weights",
                         f"piece {pid}: weights of {member.id!r} along the character "
-                        f"are [{', '.join(map(format_rational, ratios))}], "
-                        f"induced graph says {sorted(vertex.weights)}",
+                        f"are {ratios}, induced graph says {sorted(vertex.weights)}",
                         (pid, member.id),
                     )
                 )
         else:
-            if isinstance(vertex, IsolatedVertex):
-                out.append(
-                    Violation(
-                        "member-data",
-                        f"piece {pid}: {member.id!r} is a surface but the induced "
-                        "graph lists a point",
-                        (pid, member.id),
-                    )
-                )
-                continue
             if vertex.genus != member.genus or vertex.area != member.area:
                 out.append(
                     Violation(
@@ -466,16 +462,7 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                         (pid, member.id),
                     )
                 )
-            expected = 1 if induced._places[member.id] == "min" else -1
-            if _ratios(member, piece.lam) != [expected]:
-                out.append(
-                    Violation(
-                        "piece-weights",
-                        f"piece {pid}: {member.id!r} must carry exactly one weight "
-                        f"along the character, equal to {expected} times it",
-                        (pid, member.id),
-                    )
-                )
+            out += _one_weight(piece, member, 1 if induced._places[member.id] == "min" else -1)
     # a.y - b.y == (induced step) * lam, each side over its own denominator
     x_denominator, x_levels = xray._levels
     g_denominator = graph_levels.denominator

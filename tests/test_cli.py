@@ -244,6 +244,15 @@ def test_xray_validate_ok(capsys, data_dir):
     assert status == 0 and out == "ok\n"
 
 
+def test_xray_validate_refuses_a_float_dimension(capsys, tmp_path):
+    doc = fixtures.mutate(fixtures.x2_doc(1), lambda d: d["pieces"][0].update(dim=4.0))
+    path = tmp_path / "x2_float_dim.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = run(capsys, "xray-validate", str(path))
+    assert (status, out) == (2, "")
+    assert err == 'error: pieces[0]: "dim" must be 2 or 4\n'
+
+
 # -- poincare -----------------------------------------------------------------
 
 

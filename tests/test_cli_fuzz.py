@@ -21,7 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from equicoh import class_to_dict, image_basis_xray, parse_graph, parse_xray
+from equicoh import (
+    SchemaError,
+    class_to_dict,
+    image_basis_xray,
+    parse_class,
+    parse_class_torus,
+    parse_graph,
+    parse_xray,
+)
 from equicoh.cli import main
 
 
@@ -188,3 +196,58 @@ def test_undecodable_bytes_and_overlong_integers_are_parse_errors(tmp_path, name
         status, payload = _run_json(["validate", str(files["main"].parent)])
         assert status == 2
         assert [entry["error"]["code"] for entry in payload["results"]] == ["parse"]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _integral_rationals(node):
+    """The document with every integral rational string written as an integer."""
+    if isinstance(node, dict):
+        return {key: _integral_rationals(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_integral_rationals(item) for item in node]
+    return int(node) if isinstance(node, str) and node.lstrip("-").isdigit() else node
+
+
+def _twisted_g2_doc() -> dict:
+    doc = fixtures.g2_doc(1)
+    doc["h1_identification"] = [[0, 1], [-1, 0]]
+    return doc
+
+
+FLOAT_TWIN_CASES = {
+    "g1": (fixtures.g1_doc(), parse_graph),
+    "g2_g1_twisted": (_twisted_g2_doc(), parse_graph),
+    "x2_g1": (fixtures.x2_doc(1), parse_xray),
+    "cp3": (fixtures.cp3_doc(), parse_xray),
+    "graph-class": (
+        _integral_rationals(CASES["g2_g1"][1]),
+        lambda doc: parse_class(doc, parse_graph(_twisted_g2_doc())),
+    ),
+    "xray-class": (
+        _integral_rationals(CASES["x2_g1"][1]),
+        lambda doc: parse_class_torus(doc, fixtures.x2(1)),
+    ),
+}
+
+
+def test_every_integer_field_refuses_its_float_twin():
+    """Each integer of a graph, x-ray or class document written as a float
+    makes a schema error, whatever field holds it: nothing is read as the
+    integer it equals."""
+    accepted = []
+    for name, (doc, parse) in FLOAT_TWIN_CASES.items():
+        parse(doc)
+        leaves = [path for path in _paths(doc) if type(_at(doc, path)) is int]
+        assert leaves, name
+        for path in leaves:
+            try:
+                parse(_mutated(doc, path, float(_at(doc, path))))
+            except SchemaError:
+                continue
+            accepted.append((name, path))
+    assert accepted == []

@@ -271,6 +271,17 @@ def test_component_class_entries():
     assert point.entry(0) == 0
 
 
+@pytest.mark.parametrize("key", [2.5, 2.0, Fraction(2), "2", True, None], ids=repr)
+def test_non_integer_degrees_and_powers_are_refused(key):
+    """A degree or a power that is not an int is refused, never truncated."""
+    with pytest.raises(InputError, match="degrees must be nonnegative integers"):
+        ComponentClass("point", 0, {key: Fraction(1)})
+    with pytest.raises(InputError, match="degrees must be nonnegative"):
+        ComponentClass("point", 0, {-2: Fraction(1)})
+    with pytest.raises(InputError, match="powers must be integers"):
+        Laurent({key: Fraction(1)})
+
+
 def test_surface_class_shape_checks():
     with pytest.raises(InputError):
         SurfaceClass(1, c1=(Fraction(1),))

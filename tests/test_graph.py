@@ -1,6 +1,8 @@
 """Decorated graph parsing, validation and the extremal equations."""
 
+import dataclasses
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +17,7 @@ from equicoh import (
     SchemaError,
     abbv_zero_check,
     extremal_self_intersections,
+    image_basis,
     parse_graph,
     resolve_self_intersections,
     serialize_graph,
@@ -193,6 +196,43 @@ def test_identification_rejects_floats():
     doc["h1_identification"] = [[0, 1], [1, 0.0]]
     with pytest.raises(SchemaError, match="matrix over"):
         parse_graph(doc)
+
+
+def test_a_directly_built_identification_is_validated_as_parse_checks_it():
+    """Validation reports what parse refuses in an identification, on the two
+    surfaces, and keeps the entries as given; compute entry points refuse it."""
+    cases = {
+        ((1, 1), (0, 1)): "each row must have exactly one nonzero entry",
+        ((1, 0), (1, 0)): "each column must have exactly one nonzero entry",
+        ((2, 0), (0, 1)): "expected a 2x2 matrix over {-1, 0, 1}",
+        ((0.5, 0), (0, 1)): "expected a 2x2 matrix over {-1, 0, 1}",
+        ((True, 0), (0, 1)): "expected a 2x2 matrix over {-1, 0, 1}",
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)): "expected a 2x2 matrix over {-1, 0, 1}",
+    }
+    for matrix, message in cases.items():
+        graph = dataclasses.replace(g2(1), h1_identification=matrix)
+        assert graph.h1_identification == matrix
+        assert validate_graph(graph) == [
+            Violation("h1-identification", message, ("Smax", "Smin"))
+        ]
+        refused = f"^invalid graph: h1-identification: {re.escape(message)}$"
+        with pytest.raises(InputError, match=refused):
+            image_basis(graph, 2)
+        doc = g2_doc(1)
+        doc["h1_identification"] = [list(row) for row in matrix]
+        with pytest.raises(SchemaError, match=f"^h1_identification: {re.escape(message)}$"):
+            parse_graph(doc)
+    no_surfaces = dataclasses.replace(g1(), h1_identification=((1, 0), (0, 1)))
+    assert validate_graph(no_surfaces) == [
+        Violation("h1-identification", "an identification needs exactly two fat vertices", ())
+    ]
+    # two genera: the genus mismatch is reported and the identification is not read
+    unequal = dataclasses.replace(
+        g2(1),
+        surfaces=(dataclasses.replace(g2(1).surfaces[0], genus=2), g2(1).surfaces[1]),
+        h1_identification=((1, 1), (0, 1)),
+    )
+    assert codes(unequal) == ["genus-mismatch"]
 
 
 def test_parse_reports_deeply_nested_json_as_a_parse_error():

@@ -65,6 +65,18 @@ def test_constructor_rejects_bad_exponents():
         MPoly(2, {(-1, 0): Fraction(1)})
 
 
+@pytest.mark.parametrize("exponent", [1.5, 1.0, Fraction(1), "1", True, None], ids=repr)
+def test_non_integer_exponents_are_refused(exponent):
+    """A constructor, a monomial or a coefficient lookup refuses an exponent
+    that is not an int, never truncating it to another monomial."""
+    with pytest.raises(InputError, match="bad exponent tuple"):
+        MPoly(2, {(exponent, 0): Fraction(1)})
+    with pytest.raises(InputError, match="bad exponent tuple"):
+        MPoly.monomial((exponent, 1), 1)
+    with pytest.raises(InputError, match="exponents must be integers"):
+        MPoly.variable(2, 0).coefficient((exponent, 0))
+
+
 def test_zero_terms_are_dropped():
     p = MPoly(2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert list(p.terms) == [(1, 0)]

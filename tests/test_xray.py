@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,9 @@ def test_serialize_roundtrip():
     "edit,message",
     [
         (lambda d: d["pieces"][0].update(dim=3), '"dim" must be 2 or 4'),
+        pytest.param(
+            lambda d: d["pieces"][0].update(dim=4.0), '"dim" must be 2 or 4', id="float-dim"
+        ),
         (lambda d: d["pieces"][0].update(dim=2, ell=1),
          "carries no induced graph"),
         (lambda d: d["pieces"][0].update(ell=1), 'only 2-dimensional pieces carry "ell"'),
@@ -723,6 +727,41 @@ def test_compute_entry_points_refuse_an_invalid_xray():
     for piece in xray.pieces:
         with pytest.raises(InputError, match=refused):
             piece_obstructions(xray, piece, alpha)
+
+
+BAD_SHAPES = [
+    pytest.param("x2", {"induced": None}, id="dim4-without-induced-graph"),
+    pytest.param("x2", {"dim": 3}, id="dim3"),
+    pytest.param("x2", {"dim": 4.0}, id="float-dim"),
+    pytest.param("x2", {"ell": 1}, id="dim4-with-ell"),
+    pytest.param("x2", {"lam": (1, 0, 0)}, id="character-too-long"),
+    pytest.param("x2", {"lam": (1,)}, id="character-too-short"),
+    pytest.param("cp3", {"induced": g1()}, id="dim2-with-induced-graph"),
+    pytest.param("cp3", {"ell": None}, id="dim2-without-ell"),
+]
+
+
+@pytest.mark.parametrize("name,fields", BAD_SHAPES)
+def test_a_directly_built_piece_of_the_wrong_shape_is_refused(name, fields):
+    """Validation gives a piece that parse would refuse one piece-shape
+    violation and checks nothing else of it; every entry point refuses the
+    x-ray."""
+    xray = {"x2": x2(1), "cp3": cp3()}[name]
+    piece = next(p for p in xray.pieces if p.dim == (4 if name == "x2" else 2))
+    bad = dataclasses.replace(
+        xray,
+        pieces=tuple(dataclasses.replace(p, **fields) if p is piece else p for p in xray.pieces),
+    )
+    message = (
+        f"piece {piece.id}: expected dimension 2 with an ell or 4 with an induced "
+        f"graph, along a character of length {xray.rank}"
+    )
+    assert validate_xray(bad) == [Violation("piece-shape", message, (piece.id,))]
+    refused = f"^invalid x-ray: piece-shape: {re.escape(message)}$"
+    with pytest.raises(InputError, match=refused):
+        image_basis_xray(bad, 2)
+    with pytest.raises(InputError, match=refused):
+        check_membership_xray(bad, constant_torus_class(bad, 1))
 
 
 def test_image_basis_degree_bounds():

@@ -50,10 +50,24 @@ def _twisted_doc() -> dict:
     return doc
 
 
+# Ids that JSON must escape: a quote, a backslash, non-ASCII and non-BMP text.
+ESCAPED_IDS = {"Smin": 'S"min', "Smax": "Smax\u00e9", "p000": "p\\000", "p002": "p002\U0001f600"}
+
+
+def _escaped_doc() -> dict:
+    doc = fixtures.chain_doc(4, 1)
+    for item in doc["isolated"] + doc["surfaces"]:
+        item["id"] = ESCAPED_IDS.get(item["id"], item["id"])
+    return doc
+
+
 SQUARE = ("Smin_0", "Smin_1", "Smax_0", "Smax_1")
 
 EXTRA_DOCUMENTS = {
     "g2_twist.json": _twisted_doc(),
+    "chain24_g1.json": fixtures.chain_doc(24, 1),
+    "escaped.json": _escaped_doc(),
+    "cube3_g1.json": fixtures.cube_doc(3, 1),
     # g1: points of weights (1,2), (-1,1), (-2,-1).
     "class_g1_member.json": _class("g1.json", {
         "A": {"0": 2, "2": 1, "4": 5}, "B": {"0": 2, "2": 1, "4": -1},
@@ -201,7 +215,10 @@ def _commands() -> list[tuple[str, ...]]:
         ("basis", "g2_g1.json", "--degree", "3", "--max-degree", "2"),
         ("basis", "bad_weights.json", "--degree", "2"),
     ]
-    for xray in ("x2_g1.json", "cp3.json"):
+    # Long runs of absent components, escaped ids and wide cells.
+    for graph in ("chain24_g1.json", "escaped.json"):
+        out.extend(("basis", graph, "--degree", str(k)) for k in range(5))
+    for xray in ("x2_g1.json", "cp3.json", "cube3_g1.json"):
         out.extend(("xray-basis", xray, "--degree", str(k)) for k in range(5))
     out += [
         ("xray-basis", "cp3.json", "--degree", "8"),

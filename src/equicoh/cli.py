@@ -9,7 +9,9 @@ identical inputs yield byte-identical bytes across runs.  Exit codes: 0
 success or member, 1 semantic failure (invalid input, non-member), 2 usage,
 I/O or parse failure, undecodable bytes and over-long numbers included.
 One table, :data:`_ERRORS`, gives every error its code and status, for a
-single file and for each file of a batch alike.
+single file and for each file of a batch alike.  A basis is rendered from
+its classes' records, JSON and text alike, at a cost that follows its
+nonzero entries; the bytes are those of every class written out in full.
 
 :func:`main` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; the library functions behind each
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
@@ -43,11 +46,11 @@ from .graph import (
     report_to_json,
     validate_graph,
 )
+from .mpoly import poly_to_pairs
 from .s1 import (
     DEFAULT_MAX_DEGREE,
     _entry_to_dict,
     check_membership,
-    class_to_dict,
     degree_slots,
     equivariant_series,
     euler_class,
@@ -220,14 +223,76 @@ def _laurent_text(element) -> str:
     return " + ".join(bits)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
+def _basis_json(document, basis, graph_ref: str) -> str:
+    """``_dump([class_to_dict(b, graph_ref) for b in basis])`` for classes of
+    ``document``, written from their records.
+
+    The absent-component fragments ``,\n      "<id>": {}`` of every
+    addressed component are encoded once per call into one string; a class
+    slices out each run of components it holds no record for and writes
+    each record it holds through :func:`_write`, so the Python work follows
+    the records and not classes times components."""
+    if not basis:
+        return "[]"
+    fmt = format_rational if document.rank is None else poly_to_pairs
+    ids = sorted({cid for cid, _, _ in document._fixed_components})
+    position = {cid: i for i, cid in enumerate(ids)}
+    fragments = [",\n      " + encode_basestring_ascii(cid) + ": {}" for cid in ids]
+    absent = "".join(fragments)
+    # fragments[i] is absent[offsets[i]:offsets[i + 1]]
+    offsets = [0, *accumulate(map(len, fragments))]
+    tail = '\n    },\n    "graph": ' + encode_basestring_ascii(graph_ref) + ',\n    "kind": "class"\n  }'
+    parts: list[str] = []
+    separator = "["
+    for b in basis:
+        parts.append(separator + '\n  {\n    "components": {')
+        separator = ","
+        records = sorted(
+            (position[cid], cls) for cid, cls in b.components.items() if cid in position
+        )
+        cursor = 1  # the first component goes without a comma
+        for i, cls in records:
+            # the absent run before component i, then its fragment up to "{}"
+            parts.append(absent[cursor:offsets[i + 1] - 2])
+            entries = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
+            _write(entries, parts, "\n      ")
+            cursor = offsets[i + 1]
+        parts.append(absent[cursor:])
+        parts.append(tail)
+    parts.append("\n]")
+    return "".join(parts)
+
+
+def _basis_table(basis, degree: int, slots) -> str:
+    """The basis as a text table: one column per slot, labelled, and one row
+    per class, cells left-justified to the column's widest and joined by two
+    spaces, trailing blanks stripped.
+
+    Only the slots of the components a class holds records for are read;
+    a row starts as a copy of the all-"0" row and its nonzero cells are
+    written over it."""
+    by_component: dict[str, list[int]] = {}
+    for i, slot in enumerate(slots):
+        by_component.setdefault(slot.component, []).append(i)
+    widths = [len(slot.label) for slot in slots]
+    rows = []
+    for b in basis:
+        cells = []
+        for cid in b.components:
+            for i in by_component.get(cid, ()):
+                value = slot_value(b, degree, slots[i])
+                if value:
+                    text = format_rational(value)
+                    cells.append((i, text))
+                    widths[i] = max(widths[i], len(text))
+        rows.append(cells)
+    lines = ["  ".join(s.label.ljust(w) for s, w in zip(slots, widths)).rstrip()]
+    zero = ["0".ljust(w) for w in widths]
+    for cells in rows:
+        row = zero.copy()
+        for i, text in cells:
+            row[i] = text.ljust(widths[i])
+        lines.append("  ".join(row).rstrip())
     return "\n".join(lines)
 
 
@@ -337,17 +402,13 @@ def cmd_basis(args) -> int:
         return 1
     basis = args.kind.image_basis(document, args.degree, args.max_degree)
     if args.format == "json":
-        print(_dump([class_to_dict(b, args.path) for b in basis]))
+        print(_basis_json(document, basis, args.path))
         return 0
     slots = degree_slots(document, args.degree)
-    headers = [s.label for s in slots]
-    rows = [
-        [format_rational(slot_value(b, args.degree, s)) for s in slots] for b in basis
-    ]
-    if not headers:
+    if not slots:
         print(f"no classes in degree {args.degree}")
     else:
-        print(_table(headers, rows))
+        print(_basis_table(basis, args.degree, slots))
     return 0
 
 

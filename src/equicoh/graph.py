@@ -14,12 +14,14 @@ when first needed, and kept on the graph: its momenta as integer levels
 over one common denominator, the place of each component (minimum,
 maximum or interior), its two extremal labels, its resolved graph, its
 index of components by id, the ``(id, kind, genus)`` of its components,
-the nonzero entries of its H^1 identification and its validation report.
-Validation and every later query of the same graph share them; no other
-module places a component.  Validation compares and sums momenta as those
-integers, and builds a Fraction only for a value it returns or prints.  A
-computation that raises (a degenerate span, a zero weight) keeps nothing
-and raises again on the next call.
+the nonzero entries of its H^1 identification, its validation report and
+the shape check of its components (parse records an empty one, having
+refused every shape the check reports).  Validation and every later query
+of the same graph share them; no other module places a component.
+Validation compares and sums momenta as those integers, and builds a
+Fraction only for a value it returns or prints.  A computation that raises
+(a degenerate span, a zero weight) keeps nothing and raises again on the
+next call.
 """
 
 from __future__ import annotations
@@ -198,6 +200,16 @@ class DecoratedGraph:
     @_kept
     def _report(self) -> tuple[Violation, ...]:
         return tuple(_graph_violations(self))
+
+    @_kept
+    def _shapes(self) -> tuple[Violation, ...]:
+        """A ``component-shape`` violation for each component whose fields
+        do not have the shape parse gives them; parse fills in ``()``."""
+        return tuple(
+            Violation("component-shape", rule, (v.id,))
+            for v in self.isolated + self.surfaces
+            if (rule := _component_shape(v)) is not None
+        )
 
     @_kept
     def _resolved(self) -> DecoratedGraph:
@@ -429,7 +441,9 @@ def parse_graph(text) -> DecoratedGraph:
             raise SchemaError(error, "h1_identification")
         identification = tuple(tuple(row) for row in identification)
 
-    return DecoratedGraph(tuple(isolated), tuple(surfaces), tuple(edges), identification)
+    graph = DecoratedGraph(tuple(isolated), tuple(surfaces), tuple(edges), identification)
+    graph.__dict__["_shapes"] = ()  # every other shape was refused above
+    return graph
 
 
 def _identification_error(identification, surfaces) -> str | None:
@@ -595,14 +609,48 @@ def _refuse_invalid(document) -> None:
         raise error(f"invalid {noun}: {found}")
 
 
+# The types parse makes of an integer, of a rational and of a vector.
+_INT_TYPES = frozenset((int,))
+_RATIONAL_TYPES = frozenset((int, Fraction))
+_SEQUENCE_TYPES = frozenset((tuple, list))
+
+
+def _is_vector(x, length: int, types) -> bool:
+    """A tuple or list of ``length`` entries, each of a type in ``types``."""
+    return type(x) in _SEQUENCE_TYPES and len(x) == length and set(map(type, x)) <= types
+
+
+def _component_shape(v: IsolatedVertex | FatVertex) -> str | None:
+    """The rule a directly built component breaks that parse would have
+    refused it for, or None."""
+    if isinstance(v, IsolatedVertex):
+        if type(v.y) in _RATIONAL_TYPES and _is_vector(v.weights, 2, _INT_TYPES):
+            return None
+        return f"component {v.id}: expected a rational y and two integer weights"
+    e = v.self_intersection
+    if (
+        type(v.y) in _RATIONAL_TYPES and type(v.area) in _RATIONAL_TYPES and v.area > 0
+        and type(v.genus) is int and v.genus >= 0 and (e is None or type(e) in _RATIONAL_TYPES)
+    ):
+        return None
+    return (
+        f"component {v.id}: expected a rational y, a positive rational area, "
+        "a nonnegative integer genus and a rational or no self-intersection"
+    )
+
+
 def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
     """The report of :func:`validate_graph`.
 
+    A component whose fields do not have the shape parse gives them gets a
+    ``component-shape`` violation, and then nothing else is checked.
     Momenta are compared as integer levels over one common denominator
     (``graph._levels``), and each component is placed once, at the minimum,
     at the maximum or in between.  Raises InputError for an edge whose
     endpoints are not both isolated vertices of the graph.
     """
+    if graph._shapes:
+        return _sorted_report(list(graph._shapes))
     violations: list[Violation] = []
     denominator, isolated_levels, surface_levels, lo, hi = graph._levels
     if lo == hi:

@@ -28,12 +28,16 @@ from math import lcm
 
 from .errors import InputError, SchemaError
 from .graph import (
+    _INT_TYPES,
+    _RATIONAL_TYPES,
+    _SEQUENCE_TYPES,
     DecoratedGraph,
     IsolatedVertex,
     Violation,
     _check_keys,
     _find,
     _id_index,
+    _is_vector,
     _kept,
     _load_document,
     _parse_id,
@@ -147,6 +151,16 @@ class XRay:
     @_kept
     def _report(self) -> tuple[Violation, ...]:
         return tuple(_xray_violations(self))
+
+    @_kept
+    def _shapes(self) -> tuple[Violation, ...]:
+        """A ``component-shape`` violation for each fixed component whose
+        fields do not have the shape parse gives them; parse fills in ``()``."""
+        return tuple(
+            Violation("component-shape", rule, (c.id,))
+            for c in self.components
+            if (rule := _component_shape(c, self.rank)) is not None
+        )
 
     @_kept
     def _levels(self) -> tuple[int, dict[str, tuple[int, ...]]]:
@@ -276,7 +290,9 @@ def parse_xray(text) -> XRay:
                 raise SchemaError(str(exc), f"{where}.induced_graph") from None
         pieces.append(SkeletonPiece(pid, lam, dim, tuple(sorted(members)), induced, ell))
 
-    return XRay(rank, tuple(components), tuple(pieces))
+    xray = XRay(rank, tuple(components), tuple(pieces))
+    xray.__dict__["_shapes"] = ()  # every other shape was refused above
+    return xray
 
 
 def xray_to_dict(xray: XRay) -> dict:
@@ -330,13 +346,44 @@ def validate_xray(xray: XRay) -> list[Violation]:
     return list(xray._report)
 
 
+def _component_shape(c: TorusFixedComponent, rank: int) -> str | None:
+    """The rule a directly built fixed component breaks that parse would
+    have refused it for, or None."""
+    if c.kind == "point":
+        count, rest = rank + 1, "genus 0 and no area"
+        rest_ok = c.genus == 0 and c.area is None
+    elif c.kind == "surface":
+        count, rest = rank, "a nonnegative integer genus and a positive rational area"
+        rest_ok = (
+            type(c.genus) is int and c.genus >= 0
+            and type(c.area) in _RATIONAL_TYPES and c.area > 0
+        )
+    else:
+        return f'component {c.id}: kind must be "point" or "surface", got {c.kind!r}'
+    if (
+        rest_ok
+        and _is_vector(c.y, rank, _RATIONAL_TYPES)
+        and _is_vector(c.weights, count, _SEQUENCE_TYPES)
+        and all(_is_vector(w, rank, _INT_TYPES) and any(w) for w in c.weights)
+    ):
+        return None
+    return (
+        f"component {c.id}: expected a {c.kind} with a momentum of {rank} rationals, "
+        f"{count} nonzero weight vectors of {rank} integers, {rest}"
+    )
+
+
 def _xray_violations(xray: XRay) -> list[Violation]:
     """The report of :func:`validate_xray`.
 
+    A fixed component whose fields do not have the shape parse gives them
+    gets a ``component-shape`` violation, and then nothing else is checked.
     Momenta are compared as integer vectors over the x-ray's common
     denominator (``xray._levels``), against an induced graph's own levels
     by cross-multiplying.
     """
+    if xray._shapes:
+        return _sorted_report(list(xray._shapes))
     violations: list[Violation] = []
     for piece in xray.pieces:
         pid = piece.id

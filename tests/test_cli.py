@@ -4,6 +4,7 @@ the canonical JSON writer and repeated in-process calls of ``main``."""
 import argparse
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -19,6 +20,9 @@ from equicoh import cli, errors
 from equicoh import graph as graph_module
 from equicoh import xray as xray_module
 from equicoh.cli import main
+from equicoh.graph import format_rational, parse_graph
+from equicoh.s1 import class_from_vector, class_to_dict, degree_slots, image_basis, slot_value
+from equicoh.xray import image_basis_xray, parse_xray
 
 
 def run(capsys, *argv):
@@ -331,6 +335,117 @@ def test_basis_degree_above_cutoff(capsys, data_dir):
     assert "cutoff" in err
 
 
+def reference_table(document, basis, degree: int) -> str:
+    """The basis table built densely: every cell through ``slot_value``,
+    widths over every cell, as the CLI once printed it."""
+    slots = degree_slots(document, degree)
+    headers = [s.label for s in slots]
+    rows = [[format_rational(slot_value(b, degree, s)) for s in slots] for b in basis]
+    widths = [
+        max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in rows:
+        lines.append("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip())
+    return "\n".join(lines)
+
+
+def reference_basis_output(document, basis, degree: int, fmt: str, path: str) -> str:
+    """What ``basis`` and ``xray-basis`` print for ``basis``, built densely."""
+    if fmt == "json":
+        return cli._dump([class_to_dict(b, path) for b in basis]) + "\n"
+    if not degree_slots(document, degree):
+        return f"no classes in degree {degree}\n"
+    return reference_table(document, basis, degree) + "\n"
+
+
+BASIS_DOCUMENTS = {
+    "g1": fixtures.g1_doc(),
+    **{f"g2_{g}": fixtures.g2_doc(g) for g in range(3)},
+    "g3": fixtures.g3_doc(),
+    "x2_0": fixtures.x2_doc(0),
+    "x2_1": fixtures.x2_doc(1),
+    "cp3": fixtures.cp3_doc(),
+    **{f"cube{r}_{g}": fixtures.cube_doc(r, g) for r in (2, 3) for g in range(3)},
+    **{f"chain{n}_{g}": fixtures.chain_doc(n, g) for n in (1, 5, 17) for g in (0, 1, 2)},
+}
+
+
+def _parse_document(doc):
+    return (parse_xray if doc["kind"] == "xray" else parse_graph)(doc)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DOCUMENTS))
+def test_basis_output_matches_the_dense_reference(capsys, tmp_path, name):
+    """Both formats at degrees 0-6, degrees without slots among them, equal
+    the class documents written by ``_dump`` and the densely built table."""
+    doc = BASIS_DOCUMENTS[name]
+    path = str(tmp_path / f"{name}.json")
+    Path(path).write_text(json.dumps(doc))
+    document = _parse_document(doc)
+    command, compute = (
+        ("xray-basis", image_basis_xray) if doc["kind"] == "xray" else ("basis", image_basis)
+    )
+    for degree in range(7):
+        basis = compute(document, degree)
+        for fmt in ("text", "json"):
+            status, out, _ = run(capsys, command, path, "--degree", str(degree), "--format", fmt)
+            assert status == 0
+            assert out == reference_basis_output(document, basis, degree, fmt, path), (
+                degree, fmt,
+            )
+
+
+@pytest.mark.parametrize("name", ["g2_2", "x2_1", "cube3_1", "chain17_1"])
+def test_the_basis_writers_match_the_dense_reference_on_any_sparse_classes(name):
+    """Classes with random sparse coordinates, wide cells among them, with
+    the first and the last component present and absent, and no classes."""
+    document = _parse_document(BASIS_DOCUMENTS[name])
+    rng = random.Random(name)
+    for degree in range(5):
+        n = len(degree_slots(document, degree))
+        if not n:
+            continue
+        vectors = [[0] * n, [1] * n, [1] + [0] * (n - 1), [0] * (n - 1) + [-1]]
+        for _ in range(6):
+            vectors.append([
+                Fraction(rng.randint(-10**rng.randint(0, 9), 10**6), rng.randint(1, 40))
+                if rng.random() < 0.2 else 0
+                for _ in range(n)
+            ])
+        for classes in ([], [class_from_vector(document, degree, v) for v in vectors]):
+            assert cli._basis_json(document, classes, "d\u00e9\"oc") == cli._dump(
+                [class_to_dict(b, "d\u00e9\"oc") for b in classes]
+            )
+            slots = degree_slots(document, degree)
+            assert cli._basis_table(classes, degree, slots) == reference_table(
+                document, classes, degree
+            )
+
+
+def test_basis_json_writes_each_record_once_and_no_absent_component(capsys, monkeypatch, tmp_path):
+    """On a 400-point chain the degree-2 basis has 403 classes over 402
+    components and 806 records: the writer visits each record once, at the
+    component indent, and no component a class holds no record for."""
+    path = tmp_path / "chain400.json"
+    path.write_text(json.dumps(fixtures.chain_doc(400, 1)))
+    records = []
+    write = cli._write
+
+    def counting(value, parts, newline):
+        if newline == "\n      ":
+            records.append(value)
+        return write(value, parts, newline)
+
+    monkeypatch.setattr(cli, "_write", counting)
+    status, out, _ = run(capsys, "basis", str(path), "--degree", "2", "--format", "json")
+    assert status == 0
+    basis = json.loads(out)
+    assert len(basis) == 403 and all(len(b["components"]) == 402 for b in basis)
+    assert len(records) == 806 and all(records)
+
+
 # -- check and localize -------------------------------------------------------
 
 
@@ -638,9 +753,19 @@ def canonical(payload) -> str:
 
 
 def test_dump_matches_json_dumps_on_every_cli_payload(capsys, monkeypatch, data_dir, batch_dir):
+    """Every ``--format json`` output is ``json.dumps(payload, indent=2,
+    sort_keys=True)`` of its payload.  A basis is written from its records,
+    not through ``_dump``: its payload is the class documents of the basis
+    the command computed."""
     payloads = []
     dump = cli._dump
     monkeypatch.setattr(cli, "_dump", lambda payload: payloads.append(payload) or dump(payload))
+    bases = []
+    for name in ("image_basis", "image_basis_xray"):
+        compute = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *args, compute=compute: bases.append(compute(*args)) or bases[-1]
+        )
     d = str(data_dir)
     commands = [
         ("basis", f"{d}/g2_g1.json", "--degree", "2"),
@@ -658,8 +783,10 @@ def test_dump_matches_json_dumps_on_every_cli_payload(capsys, monkeypatch, data_
     ]
     for argv in commands:
         main([*argv, "--format", "json"])
+        if argv[0].endswith("basis"):
+            payloads.append([class_to_dict(b, argv[1]) for b in bases.pop()])
         assert capsys.readouterr().out == dump(payloads[-1]) + "\n"
-    assert len(payloads) == len(commands)
+    assert len(payloads) == len(commands) and not bases
     kinds = [p["kind"] if isinstance(p, dict) else p[0].get("kind", "report") for p in payloads]
     assert set(kinds) == {
         "class", "batch", "report", "error", "poincare", "localization", "euler", "membership"

@@ -3,7 +3,9 @@
 The commands run ``check``, ``xray-check``, ``basis``, ``xray-basis`` and
 ``localize`` in text and JSON on the fixture documents: members and
 non-members of every violation kind, every small degree, the default
-degree cutoffs, an invalid graph and a class addressed to the wrong graph.
+degree cutoffs, an invalid graph and a class addressed to the wrong graph;
+bases also on a 24-point chain, on ids that JSON must escape and on the
+rank-3 genus-1 cube.
 Each command runs from inside the document directory with bare file names,
 so the paths echoed in JSON output do not depend on where the test runs.
 

@@ -1,7 +1,9 @@
 """Circle-action invariants: series, Euler classes, localization, membership."""
 
+import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,7 @@ from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
     IsolatedVertex,
+    Violation,
     resolve_self_intersections,
     weight_product,
 )
@@ -928,6 +931,40 @@ def test_compute_entry_points_refuse_an_invalid_graph(name):
     assert "genus-mismatch" in [v.code for v in validate_graph(graph)]
     with pytest.raises(InputError, match="^invalid graph: genus-mismatch: "):
         REFUSING_ENTRY_POINTS[name](graph, constant_class(graph, 1))
+
+
+POINT_SHAPE = "component p: expected a rational y and two integer weights"
+SURFACE_SHAPE = (
+    "component S: expected a rational y, a positive rational area, "
+    "a nonnegative integer genus and a rational or no self-intersection"
+)
+BAD_COMPONENT_SHAPES = [
+    pytest.param("isolated", {"weights": (1, 1, 1)}, POINT_SHAPE, id="three-weights"),
+    pytest.param("isolated", {"weights": (1, 1.0)}, POINT_SHAPE, id="float-weight"),
+    pytest.param("isolated", {"weights": (1, True)}, POINT_SHAPE, id="bool-weight"),
+    pytest.param("isolated", {"y": 0.0}, POINT_SHAPE, id="float-point-y"),
+    pytest.param("surfaces", {"y": 1.0}, SURFACE_SHAPE, id="float-surface-y"),
+    pytest.param("surfaces", {"area": Fraction(0)}, SURFACE_SHAPE, id="zero-area"),
+    pytest.param("surfaces", {"genus": -1}, SURFACE_SHAPE, id="negative-genus"),
+    pytest.param("surfaces", {"genus": 0.0}, SURFACE_SHAPE, id="float-genus"),
+    pytest.param("surfaces", {"self_intersection": 1.0}, SURFACE_SHAPE, id="float-label"),
+]
+
+
+@pytest.mark.parametrize("field, change, message", BAD_COMPONENT_SHAPES)
+def test_a_directly_built_component_of_the_wrong_shape_is_refused(field, change, message):
+    """Validation gives a component that parse would refuse one
+    component-shape violation and checks nothing else; every compute entry
+    point refuses the graph with it, where it once raised a ValueError or an
+    AttributeError."""
+    graph = g3()
+    [component] = getattr(graph, field)
+    bad = dataclasses.replace(graph, **{field: (dataclasses.replace(component, **change),)})
+    assert validate_graph(bad) == [Violation("component-shape", message, (component.id,))]
+    alpha = constant_class(graph, 1)
+    for name, entry in REFUSING_ENTRY_POINTS.items():
+        with pytest.raises(InputError, match=f"^invalid graph: component-shape: {re.escape(message)}$"):
+            entry(bad, alpha)
 
 
 def unlabelled_answers():

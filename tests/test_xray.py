@@ -42,7 +42,7 @@ from equicoh.s1 import (
     slot_value,
     torus_obstructions,
 )
-from equicoh.graph import IsolatedVertex, Violation, format_rational
+from equicoh.graph import IsolatedVertex, Violation, format_rational, validate_graph
 from equicoh import s1 as s1_module
 from equicoh import xray as xray_module
 from equicoh.mpoly import is_primitive
@@ -762,6 +762,79 @@ def test_a_directly_built_piece_of_the_wrong_shape_is_refused(name, fields):
         image_basis_xray(bad, 2)
     with pytest.raises(InputError, match=refused):
         check_membership_xray(bad, constant_torus_class(bad, 1))
+
+
+BAD_COMPONENT_SHAPES = [
+    pytest.param("x2", {"weights": ((1, 0, 0), (0, 1, 0))}, id="weights-of-length-3"),
+    pytest.param("x2", {"weights": ((1, 0),)}, id="one-weight-on-a-surface"),
+    pytest.param("x2", {"weights": ((0, 0), (0, 1))}, id="zero-weight"),
+    pytest.param("x2", {"weights": ((1, 0), (0, 1.0))}, id="float-weight"),
+    pytest.param("x2", {"y": (Fraction(0),)}, id="y-of-length-1"),
+    pytest.param("x2", {"y": (0.0, 0)}, id="float-y"),
+    pytest.param("x2", {"kind": "blob"}, id="unknown-kind"),
+    pytest.param("x2", {"area": None}, id="surface-without-area"),
+    pytest.param("x2", {"genus": -1}, id="negative-genus"),
+    pytest.param("cp3", {"genus": 1}, id="point-with-genus"),
+    pytest.param("cp3", {"weights": ((1, 0), (0, 1))}, id="two-weights-on-a-point"),
+]
+
+
+@pytest.mark.parametrize("name,fields", BAD_COMPONENT_SHAPES)
+def test_a_directly_built_component_of_the_wrong_shape_is_refused(name, fields):
+    """Validation gives a fixed component that parse would refuse one
+    component-shape violation and checks nothing else (such components
+    once validated clean or as misleading piece violations); every entry
+    point refuses the x-ray."""
+    xray = {"x2": x2(1), "cp3": cp3()}[name]
+    component = xray.components[0]
+    bad = dataclasses.replace(
+        xray, components=(dataclasses.replace(component, **fields),) + xray.components[1:]
+    )
+    [violation] = validate_xray(bad)
+    assert violation.code == "component-shape" and violation.components == (component.id,)
+    assert violation.message.startswith(f"component {component.id}: ")
+    refused = f"^invalid x-ray: component-shape: {re.escape(violation.message)}$"
+    with pytest.raises(InputError, match=refused):
+        image_basis_xray(bad, 2)
+    with pytest.raises(InputError, match=refused):
+        check_membership_xray(bad, constant_torus_class(xray, 1))
+
+
+def test_parse_fills_in_the_shape_check_it_has_made():
+    """Parse refuses every shape the component-shape check reports, so a
+    parsed document carries an empty check; a copy built directly runs the
+    check, finds nothing either, and validates alike."""
+    xrays = [x2(0), x2(1), cp3()] + [cube(r, g) for r in (2, 3) for g in range(3)]
+    graphs = [g1(), fixtures.g2(1), fixtures.g3(), fixtures.chain(5, 1)]
+    graphs += [p.induced for x in xrays for p in x.pieces if p.induced is not None]
+    for parsed in xrays + graphs:
+        copy = dataclasses.replace(parsed)
+        assert parsed.__dict__["_shapes"] == ()
+        assert "_shapes" not in copy.__dict__ and copy._shapes == ()
+        validate = validate_graph if parsed.rank is None else validate_xray
+        assert validate(copy) == validate(parsed)
+
+
+def test_component_shape_messages_state_the_rule():
+    x = x2(1)
+    c = x.components[0]
+    reports = [
+        validate_xray(dataclasses.replace(x, components=(dataclasses.replace(c, **f),)))
+        for f in ({"y": (Fraction(0),)}, {"kind": "blob"})
+    ]
+    assert [r[0].message for r in reports] == [
+        "component Smax_0: expected a surface with a momentum of 2 rationals, 2 nonzero "
+        "weight vectors of 2 integers, a nonnegative integer genus and a positive rational area",
+        "component Smax_0: kind must be \"point\" or \"surface\", got 'blob'",
+    ]
+    p = cp3().components[0]
+    [violation] = validate_xray(
+        dataclasses.replace(cp3(), components=(dataclasses.replace(p, genus=1),))
+    )
+    assert violation.message == (
+        f"component {p.id}: expected a point with a momentum of 2 rationals, 3 nonzero "
+        "weight vectors of 2 integers, genus 0 and no area"
+    )
 
 
 def test_image_basis_degree_bounds():

@@ -11,17 +11,18 @@ exact rational formulas implemented in :func:`extremal_self_intersections`.
 
 A graph is frozen, so what is derived from it is computed at most once,
 when first needed, and kept on the graph: its momenta as integer levels
-over one common denominator, the place of each component (minimum,
-maximum or interior), its two extremal labels, its resolved graph, its
-index of components by id, the ``(id, kind, genus)`` of its components,
-the nonzero entries of its H^1 identification, its validation report and
-the shape check of its components (parse records an empty one, having
-refused every shape the check reports).  Validation and every later query
-of the same graph share them; no other module places a component.
-Validation compares and sums momenta as those integers, and builds a
-Fraction only for a value it returns or prints.  A computation that raises
-(a degenerate span, a zero weight) keeps nothing and raises again on the
-next call.
+over one common denominator, the place of each component (minimum, maximum
+or interior), its two extremal labels, its resolved graph, its index of
+components by id, the ``(id, kind, genus)`` of its components, the nonzero
+entries of its H^1 identification, its validation report and the shape
+check of its records (parse records an empty one, having refused every
+shape the check reports).  Each record's ``_shape_rule`` is the first rule
+its fields break, in parse's order and words, or None.  Validation and
+every later query of the same graph share them; no other module places a
+component.  Validation compares and sums momenta as those integers, and
+builds a Fraction only for a value it returns or prints.  A computation
+that raises (a degenerate span, a zero weight) keeps nothing and raises
+again on the next call.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ EDGE_KEYS = {"from", "to", "ell", "area"}
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_RATIONAL_RULE = "expected a rational number"
+_FLOAT_RULE = 'floats are rejected; use an integer or a "p/q" string'
+_ID_RULE = "id must be a nonempty string"
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -49,7 +53,7 @@ def parse_rational(value, where: str) -> Fraction:
     optional sign, decimal digits and an optional ``/`` with a positive
     denominator of decimal digits (``"-3"``, ``"3/2"``)."""
     if isinstance(value, bool):
-        raise SchemaError("expected a rational number", where)
+        raise SchemaError(_RATIONAL_RULE, where)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -63,9 +67,7 @@ def parse_rational(value, where: str) -> Fraction:
             except (ValueError, ZeroDivisionError):  # too many digits, or "/0"
                 pass
         raise SchemaError(f"cannot parse rational {value!r}", where)
-    if isinstance(value, float):
-        raise SchemaError('floats are rejected; use an integer or a "p/q" string', where)
-    raise SchemaError("expected a rational number", where)
+    raise SchemaError(_FLOAT_RULE if isinstance(value, float) else _RATIONAL_RULE, where)
 
 
 def format_rational(x: Fraction) -> str:
@@ -96,6 +98,17 @@ class IsolatedVertex:
     y: Fraction
     weights: tuple[int, int]
 
+    def _shape_rule(self) -> str | None:
+        if not _is_id(self.id):
+            return _ID_RULE
+        if type(self.y) not in _RATIONAL_TYPES:
+            return _rational_rule(self.y)
+        if not _is_vector(self.weights, 2, _INT_TYPES):
+            return '"weights" must be a pair of integers'
+        if 0 in self.weights:
+            return "weights must be nonzero"
+        return None
+
 
 @dataclass(frozen=True)
 class FatVertex:
@@ -105,6 +118,19 @@ class FatVertex:
     genus: int
     self_intersection: Fraction | None = None
 
+    def _shape_rule(self) -> str | None:
+        if not _is_id(self.id):
+            return _ID_RULE
+        if type(self.y) not in _RATIONAL_TYPES:
+            return _rational_rule(self.y)
+        if (rule := _area_rule(self.area)) is not None:
+            return rule
+        if type(self.genus) is not int or self.genus < 0:
+            return '"genus" must be a nonnegative integer'
+        if self.self_intersection is not None:
+            return _rational_rule(self.self_intersection)
+        return None
+
 
 @dataclass(frozen=True)
 class GraphEdge:
@@ -112,6 +138,17 @@ class GraphEdge:
     end: str  # serialized as "to"
     ell: int
     area: Fraction | None = None
+
+    def _shape_rule(self) -> str | None:
+        if not (_is_id(self.start) and _is_id(self.end)):
+            return _ID_RULE
+        if self.start == self.end:
+            return "edge endpoints must differ"
+        if type(self.ell) is not int or self.ell < 1:
+            return '"ell" must be a positive integer'
+        if self.area is not None:
+            return _area_rule(self.area)
+        return None
 
 
 @dataclass(frozen=True)
@@ -143,17 +180,6 @@ class DecoratedGraph:
 
     def find(self, component_id: str) -> IsolatedVertex | FatVertex:
         return _find(self._by_id, component_id)
-
-    def momentum_span(self) -> tuple[Fraction, Fraction]:
-        """The momenta of a lowest and a highest component: their own
-        Fractions, picked by level."""
-        levels = self._levels
-        ordered = levels.isolated + levels.surfaces
-        components = self.isolated + self.surfaces
-        return (
-            components[ordered.index(levels.lowest)].y,
-            components[ordered.index(levels.highest)].y,
-        )
 
     rank = None  # not a field: a graph's classes are a circle action's
 
@@ -203,13 +229,14 @@ class DecoratedGraph:
 
     @_kept
     def _shapes(self) -> tuple[Violation, ...]:
-        """A ``component-shape`` violation for each component whose fields
-        do not have the shape parse gives them; parse fills in ``()``."""
-        return tuple(
-            Violation("component-shape", rule, (v.id,))
-            for v in self.isolated + self.surfaces
-            if (rule := _component_shape(v)) is not None
-        )
+        """A ``component-shape`` or ``edge-shape`` violation for each record
+        that breaks its shape rule; parse fills in ``()``."""
+        shapes = _shape_violations("component", self.isolated + self.surfaces)
+        for e in self.edges:
+            if (rule := e._shape_rule()) is not None:
+                pair = tuple(sorted((e.start, e.end)))
+                shapes.append(Violation("edge-shape", f"edge {e.start}-{e.end}: {rule}", pair))
+        return tuple(shapes)
 
     @_kept
     def _resolved(self) -> DecoratedGraph:
@@ -309,15 +336,33 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise SchemaError(f"unknown field(s) {sorted(extra)}", where)
+    if not isinstance(obj, dict):
+        raise SchemaError("expected an object", where)
+    if not allowed.issuperset(obj):
+        raise SchemaError(f"unknown field(s) {sorted(set(obj) - allowed)}", where)
 
 
-def _parse_id(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise SchemaError("id must be a nonempty string", where)
-    return value
+def _tuple(value):
+    """A JSON array as a tuple; any other value as it is."""
+    return tuple(value) if type(value) is list else value
+
+
+def _shape_violations(noun: str, records, *rank) -> list[Violation]:
+    """A ``<noun>-shape`` violation for each record that breaks its shape rule."""
+    return [
+        Violation(f"{noun}-shape", f"{noun} {r.id}: {rule}", (r.id,))
+        for r in records
+        if (rule := r._shape_rule(*rank)) is not None
+    ]
+
+
+def _admit(rule: str | None, rid: str, seen: set[str], where: str, duplicate="duplicate id"):
+    """Raise the shape rule a parsed record breaks, or else a repeated id."""
+    if rule is not None:
+        raise SchemaError(rule, where)
+    if rid in seen:
+        raise SchemaError(f"{duplicate} {rid!r}", where)
+    seen.add(rid)
 
 
 def _decode_json(text: str):
@@ -364,46 +409,27 @@ def parse_graph(text) -> DecoratedGraph:
     isolated = []
     for i, item in enumerate(raw_isolated):
         where = f"isolated[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", where)
         _check_keys(item, ISOLATED_KEYS, where)
-        vid = _parse_id(_require(item, "id", where), where)
-        if vid in seen:
-            raise SchemaError(f"duplicate id {vid!r}", where)
-        seen.add(vid)
+        vid = _require(item, "id", where)
         y = parse_rational(_require(item, "y", where), where)
-        weights = _require(item, "weights", where)
-        if (
-            not isinstance(weights, list)
-            or len(weights) != 2
-            or not all(isinstance(w, int) and not isinstance(w, bool) for w in weights)
-        ):
-            raise SchemaError('"weights" must be a pair of integers', where)
-        if 0 in weights:
-            raise SchemaError("weights must be nonzero", where)
-        isolated.append(IsolatedVertex(vid, y, (weights[0], weights[1])))
+        vertex = IsolatedVertex(vid, y, _tuple(_require(item, "weights", where)))
+        _admit(vertex._shape_rule(), vid, seen, where)
+        isolated.append(vertex)
 
     surfaces = []
     for i, item in enumerate(raw_surfaces):
         where = f"surfaces[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", where)
         _check_keys(item, SURFACE_KEYS, where)
-        vid = _parse_id(_require(item, "id", where), where)
-        if vid in seen:
-            raise SchemaError(f"duplicate id {vid!r}", where)
-        seen.add(vid)
+        vid = _require(item, "id", where)
         y = parse_rational(_require(item, "y", where), where)
         area = parse_rational(_require(item, "area", where), where)
-        if area.numerator <= 0:
-            raise SchemaError("area must be positive", where)
         genus = _require(item, "genus", where)
-        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-            raise SchemaError('"genus" must be a nonnegative integer', where)
         e = item.get("self_intersection")
         if e is not None:
             e = parse_rational(e, where)
-        surfaces.append(FatVertex(vid, y, area, genus, e))
+        surface = FatVertex(vid, y, area, genus, e)
+        _admit(surface._shape_rule(), vid, seen, where)
+        surfaces.append(surface)
 
     if not seen:
         raise SchemaError("a graph needs at least one fixed component", "graph")
@@ -412,34 +438,28 @@ def parse_graph(text) -> DecoratedGraph:
     edges = []
     for i, item in enumerate(raw_edges):
         where = f"edges[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", where)
         _check_keys(item, EDGE_KEYS, where)
-        start = _parse_id(_require(item, "from", where), where)
-        end = _parse_id(_require(item, "to", where), where)
+        start = _require(item, "from", where)
+        end = _require(item, "to", where)
+        ell = _require(item, "ell", where)
+        area = item.get("area")
+        if area is not None:
+            area = parse_rational(area, where)
+        edge = GraphEdge(start, end, ell, area)
+        if (rule := edge._shape_rule()) is not None:
+            raise SchemaError(rule, where)
         for endpoint in (start, end):
             if endpoint not in seen:
                 raise SchemaError(f"edge references an unknown id {endpoint!r}", where)
             if endpoint not in isolated_ids:
                 raise SchemaError(f"edge endpoint {endpoint!r} is not an isolated vertex", where)
-        if start == end:
-            raise SchemaError("edge endpoints must differ", where)
-        ell = _require(item, "ell", where)
-        if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
-            raise SchemaError('"ell" must be a positive integer', where)
-        area = item.get("area")
-        if area is not None:
-            area = parse_rational(area, where)
-            if area.numerator <= 0:
-                raise SchemaError("area must be positive", where)
-        edges.append(GraphEdge(start, end, ell, area))
+        edges.append(edge)
 
     identification = doc.get("h1_identification")
     if identification is not None:
         error = _identification_error(identification, surfaces)
         if error:
             raise SchemaError(error, "h1_identification")
-        identification = tuple(tuple(row) for row in identification)
 
     graph = DecoratedGraph(tuple(isolated), tuple(surfaces), tuple(edges), identification)
     graph.__dict__["_shapes"] = ()  # every other shape was refused above
@@ -617,37 +637,36 @@ _SEQUENCE_TYPES = frozenset((tuple, list))
 
 def _is_vector(x, length: int, types) -> bool:
     """A tuple or list of ``length`` entries, each of a type in ``types``."""
-    return type(x) in _SEQUENCE_TYPES and len(x) == length and set(map(type, x)) <= types
+    return type(x) in _SEQUENCE_TYPES and len(x) == length and types.issuperset(map(type, x))
 
 
-def _component_shape(v: IsolatedVertex | FatVertex) -> str | None:
-    """The rule a directly built component breaks that parse would have
-    refused it for, or None."""
-    if isinstance(v, IsolatedVertex):
-        if type(v.y) in _RATIONAL_TYPES and _is_vector(v.weights, 2, _INT_TYPES):
-            return None
-        return f"component {v.id}: expected a rational y and two integer weights"
-    e = v.self_intersection
-    if (
-        type(v.y) in _RATIONAL_TYPES and type(v.area) in _RATIONAL_TYPES and v.area > 0
-        and type(v.genus) is int and v.genus >= 0 and (e is None or type(e) in _RATIONAL_TYPES)
-    ):
+def _is_id(x) -> bool:
+    return isinstance(x, str) and x != ""
+
+
+def _rational_rule(x) -> str | None:
+    """The rule a value breaks as a rational (an int or a Fraction), or None."""
+    if type(x) in _RATIONAL_TYPES:
         return None
-    return (
-        f"component {v.id}: expected a rational y, a positive rational area, "
-        "a nonnegative integer genus and a rational or no self-intersection"
-    )
+    return _FLOAT_RULE if type(x) is float else _RATIONAL_RULE
+
+
+def _area_rule(x) -> str | None:
+    """The rule a value breaks as an area, a positive rational; or None."""
+    if type(x) not in _RATIONAL_TYPES:
+        return _rational_rule(x)
+    return "area must be positive" if x.numerator <= 0 else None
 
 
 def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
     """The report of :func:`validate_graph`.
 
-    A component whose fields do not have the shape parse gives them gets a
-    ``component-shape`` violation, and then nothing else is checked.
-    Momenta are compared as integer levels over one common denominator
-    (``graph._levels``), and each component is placed once, at the minimum,
-    at the maximum or in between.  Raises InputError for an edge whose
-    endpoints are not both isolated vertices of the graph.
+    A fixed component or an edge that breaks its record's shape rule gets a
+    ``component-shape`` or ``edge-shape`` violation, and then nothing else
+    is checked.  Momenta are compared as integer levels over one common
+    denominator (``graph._levels``), and each component is placed once, at
+    the minimum, at the maximum or in between.  Raises InputError for an
+    edge whose endpoints are not both isolated vertices of the graph.
     """
     if graph._shapes:
         return _sorted_report(list(graph._shapes))
@@ -664,7 +683,6 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
 
     at_min: list[str] = []
     at_max: list[str] = []
-    weights_ok = True
     for v, n in zip(graph.isolated, isolated_levels):
         b1, b2 = v.weights
         if n == lo:
@@ -675,14 +693,11 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             rule, ok = "maximum point must have two negative weights", b1 < 0 and b2 < 0
         else:
             rule, ok = "interior point must have weights of opposite sign", b1 * b2 < 0
-        if b1 == 0 or b2 == 0:
-            violations.append(Violation("weight-signs", "weights must be nonzero", (v.id,)))
-            weights_ok = False
-        elif not ok:
+        if not ok:
             violations.append(Violation("weight-signs", f"{rule}, got {v.weights}", (v.id,)))
 
     labels: list[Fraction | None] = []
-    e_min, e_max = extremal_self_intersections(graph) if weights_ok else (None, None)
+    e_min, e_max = extremal_self_intersections(graph)
     for v, n in zip(graph.surfaces, surface_levels):
         if n == lo:
             at_min.append(v.id)
@@ -777,7 +792,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             )
         )
 
-    if not graph.surfaces and weights_ok:
+    if not graph.surfaces:
         g = 0
         for v in graph.isolated:
             g = gcd(g, abs(v.weights[0]))
@@ -792,7 +807,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             )
 
     # An unlabelled surface off the extrema leaves no label to sum.
-    summable = weights_ok and all(label is not None for label in labels)
+    summable = all(label is not None for label in labels)
     if summable and _inverse_euler_sum(graph.isolated) != sum(labels):
         violations.append(
             Violation(

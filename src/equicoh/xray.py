@@ -16,7 +16,8 @@ under its induced graph's table, or the H^0 difference of its two points,
 along its character, one substitution serving every piece along it.
 Every query reads these groups: membership routes the class through each
 piece's group once, and a graded basis is the one image-basis body over
-all of them.  Every entry point refuses an invalid x-ray.
+all of them.  Every entry point refuses an invalid x-ray.  Its records
+have a shape rule each, as a graph's do, read against its rank.
 """
 
 from __future__ import annotations
@@ -28,22 +29,28 @@ from math import lcm
 
 from .errors import InputError, SchemaError
 from .graph import (
+    _ID_RULE,
     _INT_TYPES,
     _RATIONAL_TYPES,
     _SEQUENCE_TYPES,
     DecoratedGraph,
     IsolatedVertex,
     Violation,
+    _admit,
+    _area_rule,
     _check_keys,
     _find,
     _id_index,
+    _is_id,
     _is_vector,
     _kept,
     _load_document,
-    _parse_id,
+    _rational_rule,
     _refuse_invalid,
     _require,
+    _shape_violations,
     _sorted_report,
+    _tuple,
     format_rational,
     graph_to_dict,
     parse_graph,
@@ -69,8 +76,8 @@ DEFAULT_XRAY_MAX_DEGREE = 8
 XRAY_KEYS = {"kind", "rank", "components", "pieces"}
 COMPONENT_KEYS = {"id", "y", "weights", "genus", "area"}
 PIECE_KEYS = {"id", "lambda", "dim", "members", "induced_graph", "ell"}
-# (type of dim, dim, no induced graph, no ell) of a piece a document can hold
-_PIECE_SHAPES = {(int, 2, True, False), (int, 4, False, True)}
+_NO_ELL = 'only 2-dimensional pieces carry "ell"'
+_NO_INDUCED_GRAPH = "a 2-dimensional piece carries no induced graph"
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,34 @@ class TorusFixedComponent:
     genus: int = 0
     area: Fraction | None = None
 
+    def _shape_rule(self, rank: int) -> str | None:
+        if not _is_id(self.id):
+            return _ID_RULE
+        if type(self.y) not in _SEQUENCE_TYPES or len(self.y) != rank:
+            return f'"y" must be a vector of {rank} rationals'
+        for x in self.y:
+            if type(x) not in _RATIONAL_TYPES:
+                return _rational_rule(x)
+        if self.kind == "surface":
+            if type(self.genus) is not int or self.genus < 0:
+                return '"genus" must be a nonnegative integer'
+            if (rule := _area_rule(self.area)) is not None:
+                return rule
+            count = rank
+        elif self.kind == "point":
+            if type(self.genus) is not int or self.genus != 0 or self.area is not None:
+                return "a point has genus 0 and no area"
+            count = rank + 1
+        else:
+            return f'kind must be "point" or "surface", got {self.kind!r}'
+        if type(self.weights) not in _SEQUENCE_TYPES or len(self.weights) != count:
+            return f'"weights" must list {count} vectors for this component'
+        if not all(_is_vector(w, rank, _INT_TYPES) for w in self.weights):
+            return f"expected a vector of {rank} integers"
+        if not all(map(any, self.weights)):
+            return "weight vectors must be nonzero"
+        return None
+
 
 @dataclass(frozen=True)
 class SkeletonPiece:
@@ -91,6 +126,31 @@ class SkeletonPiece:
     members: tuple[str, ...]
     induced: DecoratedGraph | None = None
     ell: int | None = None
+
+    def _shape_rule(self, rank: int) -> str | None:
+        if not _is_id(self.id):
+            return _ID_RULE
+        if not _is_vector(self.lam, rank, _INT_TYPES):
+            return f"expected a vector of {rank} integers"
+        if not any(self.lam):
+            return "the character must be nonzero"
+        if type(self.dim) is not int or self.dim not in (2, 4):
+            return '"dim" must be 2 or 4'
+        if type(self.members) not in _SEQUENCE_TYPES or not self.members:
+            return '"members" must be a nonempty array of ids'
+        if not all(map(_is_id, self.members)):
+            return _ID_RULE
+        if len(set(self.members)) != len(self.members):
+            return "duplicate member id"
+        if self.dim == 2 and self.induced is not None:
+            return _NO_INDUCED_GRAPH
+        if self.dim == 2 and (type(self.ell) is not int or self.ell < 1):
+            return '"ell" must be a positive integer'
+        if self.dim == 4 and self.ell is not None:
+            return _NO_ELL
+        if self.dim == 4 and not isinstance(self.induced, DecoratedGraph):
+            return "expected a graph object"
+        return None
 
 
 @dataclass(frozen=True)
@@ -154,13 +214,10 @@ class XRay:
 
     @_kept
     def _shapes(self) -> tuple[Violation, ...]:
-        """A ``component-shape`` violation for each fixed component whose
-        fields do not have the shape parse gives them; parse fills in ``()``."""
-        return tuple(
-            Violation("component-shape", rule, (c.id,))
-            for c in self.components
-            if (rule := _component_shape(c, self.rank)) is not None
-        )
+        """A ``component-shape`` or ``piece-shape`` violation for each record
+        that breaks its shape rule; parse fills in ``()``."""
+        shapes = _shape_violations("component", self.components, self.rank)
+        return tuple(shapes + _shape_violations("piece", self.pieces, self.rank))
 
     @_kept
     def _levels(self) -> tuple[int, dict[str, tuple[int, ...]]]:
@@ -174,16 +231,6 @@ class XRay:
                 c.id, tuple(x.numerator * (denominator // x.denominator) for x in c.y)
             )
         return denominator, levels
-
-
-def _parse_int_vector(value, length: int, where: str) -> tuple[int, ...]:
-    if (
-        not isinstance(value, list)
-        or len(value) != length
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
-        raise SchemaError(f"expected a vector of {length} integers", where)
-    return tuple(value)
 
 
 def parse_xray(text) -> XRay:
@@ -204,43 +251,23 @@ def parse_xray(text) -> XRay:
     components = []
     for i, item in enumerate(raw_components):
         where = f"components[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", where)
         _check_keys(item, COMPONENT_KEYS, where)
-        cid = _parse_id(_require(item, "id", where), where)
-        if cid in seen:
-            raise SchemaError(f"duplicate id {cid!r}", where)
-        seen.add(cid)
-        raw_y = _require(item, "y", where)
-        if not isinstance(raw_y, list) or len(raw_y) != rank:
-            raise SchemaError(f'"y" must be a vector of {rank} rationals', where)
-        y = tuple(parse_rational(x, where) for x in raw_y)
+        cid = _require(item, "id", where)
+        y = _require(item, "y", where)
+        if type(y) is list and len(y) == rank:  # any other y breaks the shape rule
+            y = tuple(parse_rational(x, where) for x in y)
         is_surface = "genus" in item or "area" in item
         if is_surface and not ("genus" in item and "area" in item):
             raise SchemaError('surfaces need both "genus" and "area"', where)
-        genus = 0
-        area = None
-        if is_surface:
-            genus = item["genus"]
-            if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-                raise SchemaError('"genus" must be a nonnegative integer', where)
-            area = parse_rational(item["area"], where)
-            if area.numerator <= 0:
-                raise SchemaError("area must be positive", where)
-        raw_weights = _require(item, "weights", where)
-        expected = rank if is_surface else rank + 1
-        if not isinstance(raw_weights, list) or len(raw_weights) != expected:
-            raise SchemaError(
-                f'"weights" must list {expected} vectors for this component', where
-            )
-        weights = tuple(_parse_int_vector(w, rank, where) for w in raw_weights)
-        if any(not any(w) for w in weights):
-            raise SchemaError("weight vectors must be nonzero", where)
-        components.append(
-            TorusFixedComponent(
-                cid, "surface" if is_surface else "point", y, weights, genus, area
-            )
-        )
+        genus = item["genus"] if is_surface else 0
+        area = parse_rational(item["area"], where) if is_surface else None
+        weights = _require(item, "weights", where)
+        if type(weights) is list:
+            weights = tuple(map(_tuple, weights))
+        kind = "surface" if is_surface else "point"
+        component = TorusFixedComponent(cid, kind, y, weights, genus, area)
+        _admit(component._shape_rule(rank), cid, seen, where)
+        components.append(component)
     if not components:
         raise SchemaError("an x-ray needs at least one fixed component", "xray")
 
@@ -248,39 +275,20 @@ def parse_xray(text) -> XRay:
     pieces = []
     for i, item in enumerate(raw_pieces):
         where = f"pieces[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError("expected an object", where)
         _check_keys(item, PIECE_KEYS, where)
-        pid = _parse_id(_require(item, "id", where), where)
-        if pid in piece_ids:
-            raise SchemaError(f"duplicate piece id {pid!r}", where)
-        piece_ids.add(pid)
-        lam = _parse_int_vector(_require(item, "lambda", where), rank, where)
-        if not any(lam):
-            raise SchemaError("the character must be nonzero", where)
+        pid = _require(item, "id", where)
+        lam = _tuple(_require(item, "lambda", where))
         dim = _require(item, "dim", where)
-        if type(dim) is not int or dim not in (2, 4):
-            raise SchemaError('"dim" must be 2 or 4', where)
-        raw_members = _require(item, "members", where)
-        if not isinstance(raw_members, list) or not raw_members:
-            raise SchemaError('"members" must be a nonempty array of ids', where)
-        members = tuple(_parse_id(m, where) for m in raw_members)
-        if len(set(members)) != len(members):
-            raise SchemaError("duplicate member id", where)
-        for m in members:
-            if m not in seen:
-                raise SchemaError(f"piece references an unknown id {m!r}", where)
-        induced = None
-        ell = None
-        if dim == 2:
+        members = _tuple(_require(item, "members", where))
+        induced = ell = None
+        # the keys a piece carries, by its dimension
+        if type(dim) is int and dim == 2:
             if "induced_graph" in item:
-                raise SchemaError("a 2-dimensional piece carries no induced graph", where)
+                raise SchemaError(_NO_INDUCED_GRAPH, where)
             ell = _require(item, "ell", where)
-            if not isinstance(ell, int) or isinstance(ell, bool) or ell < 1:
-                raise SchemaError('"ell" must be a positive integer', where)
-        else:
+        elif type(dim) is int and dim == 4:
             if "ell" in item:
-                raise SchemaError('only 2-dimensional pieces carry "ell"', where)
+                raise SchemaError(_NO_ELL, where)
             raw_graph = _require(item, "induced_graph", where)
             if not isinstance(raw_graph, dict):
                 raise SchemaError("expected a graph object", f"{where}.induced_graph")
@@ -288,7 +296,14 @@ def parse_xray(text) -> XRay:
                 induced = parse_graph(raw_graph)
             except SchemaError as exc:
                 raise SchemaError(str(exc), f"{where}.induced_graph") from None
-        pieces.append(SkeletonPiece(pid, lam, dim, tuple(sorted(members)), induced, ell))
+        piece = SkeletonPiece(pid, lam, dim, members, induced, ell)
+        _admit(piece._shape_rule(rank), pid, piece_ids, where, "duplicate piece id")
+        for m in members:
+            if m not in seen:
+                raise SchemaError(f"piece references an unknown id {m!r}", where)
+        if members != tuple(sorted(members)):  # a parsed piece lists its members sorted
+            piece = SkeletonPiece(pid, lam, dim, tuple(sorted(members)), induced, ell)
+        pieces.append(piece)
 
     xray = XRay(rank, tuple(components), tuple(pieces))
     xray.__dict__["_shapes"] = ()  # every other shape was refused above
@@ -341,44 +356,17 @@ def _ratios(member: TorusFixedComponent, lam) -> list:
 
 
 def validate_xray(xray: XRay) -> list[Violation]:
-    """Semantic checks: characters, piece shapes, projections, induced graphs.
-    Computed once per x-ray and kept on it."""
+    """Semantic checks: record shapes, characters, projections, induced
+    graphs.  Computed once per x-ray and kept on it."""
     return list(xray._report)
-
-
-def _component_shape(c: TorusFixedComponent, rank: int) -> str | None:
-    """The rule a directly built fixed component breaks that parse would
-    have refused it for, or None."""
-    if c.kind == "point":
-        count, rest = rank + 1, "genus 0 and no area"
-        rest_ok = c.genus == 0 and c.area is None
-    elif c.kind == "surface":
-        count, rest = rank, "a nonnegative integer genus and a positive rational area"
-        rest_ok = (
-            type(c.genus) is int and c.genus >= 0
-            and type(c.area) in _RATIONAL_TYPES and c.area > 0
-        )
-    else:
-        return f'component {c.id}: kind must be "point" or "surface", got {c.kind!r}'
-    if (
-        rest_ok
-        and _is_vector(c.y, rank, _RATIONAL_TYPES)
-        and _is_vector(c.weights, count, _SEQUENCE_TYPES)
-        and all(_is_vector(w, rank, _INT_TYPES) and any(w) for w in c.weights)
-    ):
-        return None
-    return (
-        f"component {c.id}: expected a {c.kind} with a momentum of {rank} rationals, "
-        f"{count} nonzero weight vectors of {rank} integers, {rest}"
-    )
 
 
 def _xray_violations(xray: XRay) -> list[Violation]:
     """The report of :func:`validate_xray`.
 
-    A fixed component whose fields do not have the shape parse gives them
-    gets a ``component-shape`` violation, and then nothing else is checked.
-    Momenta are compared as integer vectors over the x-ray's common
+    A fixed component or a piece that breaks its record's shape rule gets a
+    ``component-shape`` or ``piece-shape`` violation, and then nothing else
+    is checked.  Momenta are compared as integer vectors over the x-ray's common
     denominator (``xray._levels``), against an induced graph's own levels
     by cross-multiplying.
     """
@@ -387,12 +375,6 @@ def _xray_violations(xray: XRay) -> list[Violation]:
     violations: list[Violation] = []
     for piece in xray.pieces:
         pid = piece.id
-        shape = (type(piece.dim), piece.dim, piece.induced is None, piece.ell is None)
-        if shape not in _PIECE_SHAPES or len(piece.lam) != xray.rank:
-            rule = "dimension 2 with an ell or 4 with an induced graph"
-            message = f"piece {pid}: expected {rule}, along a character of length {xray.rank}"
-            violations.append(Violation("piece-shape", message, (pid,)))
-            continue
         if not is_primitive(piece.lam):
             violations.append(
                 Violation(

@@ -20,17 +20,24 @@ validated objects.  The fixtures:
 * ``chain``: two genus-g surfaces at momenta 0 and n + 1 around n
   interior points at momenta 1..n, for scaling in the number of slots.
 
-``budget`` is the wall-clock context manager of the acceptance gates.
+``budget`` is the wall-clock context manager of the acceptance gates;
+``raw_document`` and ``parse_status`` give the shape tests the JSON twin of
+a directly built document and what the command line makes of it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import dataclasses
+import io
 import itertools
 import json
 import random
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from equicoh import (
     ComponentClass,
@@ -44,7 +51,10 @@ from equicoh import (
     parse_graph,
     parse_xray,
 )
+from equicoh.cli import main
+from equicoh.graph import DecoratedGraph
 from equicoh.mpoly import monomials_of_degree
+from equicoh.xray import TorusFixedComponent, XRay
 
 
 class budget:
@@ -448,3 +458,52 @@ def mutate(doc: dict, fn) -> dict:
     out = copy.deepcopy(doc)
     fn(out)
     return out
+
+
+# The JSON keys of the record fields named otherwise.
+JSON_KEYS = {"start": "from", "end": "to", "lam": "lambda", "induced": "induced_graph"}
+
+
+def raw_document(value):
+    """A graph, an x-ray or one of their records as a JSON document, each
+    field written as it is held rather than as parse would have made it: a
+    Fraction as its "p/q" string, a tuple as an array, a float as a float.
+    An optional field holding None is left out.  JSON tells a surface from
+    a point by its genus and area keys, so a surface writes both, and a
+    point leaves out a genus 0; a kind other than "point" or "surface" can
+    only be written as a "kind" key."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [raw_document(x) for x in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    item = {
+        JSON_KEYS.get(f.name, f.name): raw_document(getattr(value, f.name))
+        for f in dataclasses.fields(value)
+        if getattr(value, f.name) is not None or f.default is not None
+    }
+    if isinstance(value, (DecoratedGraph, XRay)):
+        item["kind"] = "graph" if value.rank is None else "xray"
+    if isinstance(value, TorusFixedComponent):
+        kind = item.pop("kind")
+        if kind == "surface":
+            item["area"] = raw_document(value.area)
+        elif kind == "point" and type(value.genus) is int and value.genus == 0:
+            del item["genus"]
+        elif kind != "point":
+            item["kind"] = kind
+    return item
+
+
+def parse_status(document) -> tuple[int, str]:
+    """The exit status of ``validate`` (for an x-ray, ``xray-validate``) on
+    the :func:`raw_document` of ``document``, and its message on status 2."""
+    command = "validate" if document.rank is None else "xray-validate"
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "document.json"
+        path.write_text(json.dumps(raw_document(document)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = main([command, str(path), "--format", "json"])
+    return status, json.loads(out.getvalue())["message"] if status == 2 else ""

@@ -62,7 +62,7 @@ def test_parse_g1_shape():
     assert graph.surfaces == ()
     assert len(graph.edges) == 2
     assert graph.find("B").weights == (-1, 1)
-    assert graph.momentum_span() == (0, 2)
+    assert reference_momentum_span(graph) == (0, 2)
 
 
 def test_parse_accepts_rational_strings():
@@ -434,6 +434,12 @@ def test_graph_to_dict_is_canonical_json():
 # -- the values stored on a graph against the recomputing references ---------
 
 
+def reference_momentum_span(graph):
+    """The lowest and the highest momentum of the graph's components."""
+    ys = [v.y for v in graph.isolated] + [v.y for v in graph.surfaces]
+    return min(ys), max(ys)
+
+
 def reference_extremal_self_intersections(graph):
     """The extremal labels with every term a Fraction, from a span computed
     afresh."""
@@ -747,8 +753,10 @@ def test_a_zero_weight_built_directly_matches_the_references():
         (),
         (),
     )
-    assert validate_graph(graph) == reference_validate_graph(graph)
-    assert [v.code for v in validate_graph(graph)] == ["weight-signs"]
+    # the shape rule refuses a zero weight, as parse does, before any sign is read
+    assert validate_graph(graph) == [
+        Violation("component-shape", "component b: weights must be nonzero", ("b",))
+    ]
     for _ in range(2):
         assert outcome(extremal_self_intersections, graph) == (
             InputError,
@@ -874,7 +882,6 @@ def test_stored_values_leave_equality_hash_and_repr_alone():
         assert validate_graph(graph) == []
         resolved = resolve_self_intersections(graph)
         extremal_self_intersections(graph)
-        graph.momentum_span()
         graph.find(graph.component_ids()[0])
         fresh = parse_graph(doc)
         assert graph == fresh
@@ -884,7 +891,7 @@ def test_stored_values_leave_equality_hash_and_repr_alone():
         assert resolved == reparsed
         assert hash(resolved) == hash(reparsed)
         assert repr(resolved) == repr(reparsed)
-        assert resolved.momentum_span() == reparsed.momentum_span()
+        assert reference_momentum_span(resolved) == reference_momentum_span(reparsed)
         assert extremal_self_intersections(resolved) == extremal_self_intersections(reparsed)
 
 
@@ -921,8 +928,8 @@ def test_the_labels_of_a_chain_are_computed_once(monkeypatch):
 
 def reference_places(graph):
     """Each component placed by comparing its momentum with the Fractions
-    ``momentum_span()`` returns."""
-    y_min, y_max = graph.momentum_span()
+    :func:`reference_momentum_span` returns."""
+    y_min, y_max = reference_momentum_span(graph)
     return {
         v.id: "min" if v.y == y_min else "max" if v.y == y_max else "interior"
         for v in graph.isolated + graph.surfaces

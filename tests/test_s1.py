@@ -54,6 +54,7 @@ from equicoh.core import integrate_surface
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
+    GraphEdge,
     IsolatedVertex,
     Violation,
     resolve_self_intersections,
@@ -61,11 +62,14 @@ from equicoh.graph import (
 )
 from equicoh.linalg import rref
 from equicoh.s1 import character_substitution
-from equicoh.xray import piece_obstructions
+from equicoh.xray import SkeletonPiece, TorusFixedComponent, piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
 from test_core import reference_negative_part
+from test_graph import reference_momentum_span
 from test_linalg import reference_coordinates_in_span
 from test_mpoly import reference_split_leading
+from test_xray import BAD_COMPONENT_SHAPES as XRAY_COMPONENT_SHAPES
+from test_xray import BAD_SHAPES as XRAY_PIECE_SHAPES
 from test_xray import EQUIVALENCE_XRAYS
 
 
@@ -333,7 +337,7 @@ def reference_localize(graph, alpha):
 
 
 def reference_surface_sign(vertex: FatVertex, graph: DecoratedGraph) -> int:
-    y_min, y_max = graph.momentum_span()
+    y_min, y_max = reference_momentum_span(graph)
     if vertex.y == y_min:
         return -1
     if vertex.y == y_max:
@@ -933,38 +937,110 @@ def test_compute_entry_points_refuse_an_invalid_graph(name):
         REFUSING_ENTRY_POINTS[name](graph, constant_class(graph, 1))
 
 
-POINT_SHAPE = "component p: expected a rational y and two integer weights"
-SURFACE_SHAPE = (
-    "component S: expected a rational y, a positive rational area, "
-    "a nonnegative integer genus and a rational or no self-intersection"
-)
+FLOATS = 'floats are rejected; use an integer or a "p/q" string'
 BAD_COMPONENT_SHAPES = [
-    pytest.param("isolated", {"weights": (1, 1, 1)}, POINT_SHAPE, id="three-weights"),
-    pytest.param("isolated", {"weights": (1, 1.0)}, POINT_SHAPE, id="float-weight"),
-    pytest.param("isolated", {"weights": (1, True)}, POINT_SHAPE, id="bool-weight"),
-    pytest.param("isolated", {"y": 0.0}, POINT_SHAPE, id="float-point-y"),
-    pytest.param("surfaces", {"y": 1.0}, SURFACE_SHAPE, id="float-surface-y"),
-    pytest.param("surfaces", {"area": Fraction(0)}, SURFACE_SHAPE, id="zero-area"),
-    pytest.param("surfaces", {"genus": -1}, SURFACE_SHAPE, id="negative-genus"),
-    pytest.param("surfaces", {"genus": 0.0}, SURFACE_SHAPE, id="float-genus"),
-    pytest.param("surfaces", {"self_intersection": 1.0}, SURFACE_SHAPE, id="float-label"),
+    pytest.param("isolated", {"id": ""}, "id must be a nonempty string", id="empty-point-id"),
+    pytest.param("isolated", {"weights": (1, 1, 1)}, '"weights" must be a pair of integers',
+                 id="three-weights"),
+    pytest.param("isolated", {"weights": (1, 1.0)}, '"weights" must be a pair of integers',
+                 id="float-weight"),
+    pytest.param("isolated", {"weights": (1, True)}, '"weights" must be a pair of integers',
+                 id="bool-weight"),
+    pytest.param("isolated", {"weights": (0, 1)}, "weights must be nonzero", id="zero-weight"),
+    pytest.param("isolated", {"y": 0.0}, FLOATS, id="float-point-y"),
+    pytest.param("surfaces", {"id": ""}, "id must be a nonempty string", id="empty-surface-id"),
+    pytest.param("surfaces", {"y": 1.0}, FLOATS, id="float-surface-y"),
+    pytest.param("surfaces", {"area": Fraction(0)}, "area must be positive", id="zero-area"),
+    pytest.param("surfaces", {"area": 0.5}, FLOATS, id="float-area"),
+    pytest.param("surfaces", {"genus": -1}, '"genus" must be a nonnegative integer',
+                 id="negative-genus"),
+    pytest.param("surfaces", {"genus": 0.0}, '"genus" must be a nonnegative integer',
+                 id="float-genus"),
+    pytest.param("surfaces", {"self_intersection": 1.0}, FLOATS, id="float-label"),
 ]
 
 
-@pytest.mark.parametrize("field, change, message", BAD_COMPONENT_SHAPES)
-def test_a_directly_built_component_of_the_wrong_shape_is_refused(field, change, message):
+def assert_refused_twice(graph, bad, violation):
+    """Validation gives ``bad`` the one shape violation and every compute
+    entry point refuses it with that; parse refuses its JSON twin (exit 2)
+    with the same rule."""
+    assert validate_graph(bad) == [violation]
+    alpha = constant_class(graph, 1)
+    refused = f"^invalid graph: {violation.code}: {re.escape(violation.message)}$"
+    for entry in REFUSING_ENTRY_POINTS.values():
+        with pytest.raises(InputError, match=refused):
+            entry(bad, alpha)
+    status, message = fixtures.parse_status(bad)
+    assert status == 2
+    assert message.partition(": ")[2] == violation.message.partition(": ")[2]
+
+
+@pytest.mark.parametrize("field, change, rule", BAD_COMPONENT_SHAPES)
+def test_a_directly_built_component_of_the_wrong_shape_is_refused(field, change, rule):
     """Validation gives a component that parse would refuse one
-    component-shape violation and checks nothing else; every compute entry
-    point refuses the graph with it, where it once raised a ValueError or an
-    AttributeError."""
+    component-shape violation, with parse's rule, and checks nothing else;
+    every compute entry point refuses the graph with it, where it once
+    raised a ValueError or an AttributeError."""
     graph = g3()
     [component] = getattr(graph, field)
     bad = dataclasses.replace(graph, **{field: (dataclasses.replace(component, **change),)})
-    assert validate_graph(bad) == [Violation("component-shape", message, (component.id,))]
-    alpha = constant_class(graph, 1)
-    for name, entry in REFUSING_ENTRY_POINTS.items():
-        with pytest.raises(InputError, match=f"^invalid graph: component-shape: {re.escape(message)}$"):
-            entry(bad, alpha)
+    name = change.get("id", component.id)
+    violation = Violation("component-shape", f"component {name}: {rule}", (name,))
+    assert_refused_twice(graph, bad, violation)
+
+
+BAD_EDGE_SHAPES = [
+    pytest.param({"start": ""}, "id must be a nonempty string", id="empty-start"),
+    pytest.param({"end": ""}, "id must be a nonempty string", id="empty-end"),
+    pytest.param({"end": "A"}, "edge endpoints must differ", id="self-loop"),
+    pytest.param({"ell": 1.5}, '"ell" must be a positive integer', id="float-ell"),
+    pytest.param({"ell": (1,)}, '"ell" must be a positive integer', id="tuple-ell"),
+    pytest.param({"ell": 0}, '"ell" must be a positive integer', id="zero-ell"),
+    pytest.param({"ell": True}, '"ell" must be a positive integer', id="bool-ell"),
+    pytest.param({"area": 0.5}, FLOATS, id="float-area"),
+    pytest.param({"area": Fraction(-1)}, "area must be positive", id="negative-area"),
+]
+
+
+@pytest.mark.parametrize("change, rule", BAD_EDGE_SHAPES)
+def test_a_directly_built_edge_of_the_wrong_shape_is_refused(change, rule):
+    """Validation gives an edge that parse would refuse one edge-shape
+    violation, with parse's rule, on its two endpoints; such edges once
+    raised an AttributeError, validated clean or were reported as
+    misleading edge-weights."""
+    graph = g1()
+    edge = dataclasses.replace(graph.edges[0], **change)
+    bad = dataclasses.replace(graph, edges=(edge,) + graph.edges[1:])
+    pair = tuple(sorted((edge.start, edge.end)))
+    violation = Violation("edge-shape", f"edge {edge.start}-{edge.end}: {rule}", pair)
+    assert_refused_twice(graph, bad, violation)
+
+
+def test_every_record_field_has_a_row_in_the_shape_gate():
+    """Each field of the five record types has a twin in the shape gate, so
+    a field added later cannot skip its record's shape rule."""
+    records = {"isolated": IsolatedVertex, "surfaces": FatVertex}
+    rows = [(records[p.values[0]], p.values[1]) for p in BAD_COMPONENT_SHAPES]
+    rows += [(GraphEdge, p.values[0]) for p in BAD_EDGE_SHAPES]
+    rows += [(TorusFixedComponent, p.values[1]) for p in XRAY_COMPONENT_SHAPES]
+    rows += [(SkeletonPiece, p.values[1]) for p in XRAY_PIECE_SHAPES]
+    covered = {(record, field) for record, change in rows for field in change}
+    missing = [
+        f"{record.__name__}.{field.name}"
+        for record in (IsolatedVertex, FatVertex, GraphEdge, TorusFixedComponent, SkeletonPiece)
+        for field in dataclasses.fields(record)
+        if (record, field.name) not in covered
+    ]
+    assert missing == []
+
+
+def test_the_twin_of_a_parsed_document_parses_back():
+    """The JSON twin the shape gate hands to parse is faithful: written from
+    a parsed document, it parses to that document and validates clean."""
+    for document in list(all_graphs().values()) + [fixtures.x2(1), fixtures.cp3()]:
+        parse = parse_graph if document.rank is None else fixtures.parse_xray
+        assert parse(fixtures.raw_document(document)) == document
+        assert fixtures.parse_status(document) == (0, "")
 
 
 def unlabelled_answers():

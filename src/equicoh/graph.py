@@ -71,9 +71,9 @@ def parse_rational(value, where: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """``"p/q"`` in lowest terms, or the integer; a Fraction prints as it is,
-    without building a copy."""
-    return str(x) if type(x) is Fraction else str(Fraction(x))
+    """``"p/q"`` in lowest terms, or the integer; a Fraction or an int
+    prints as it is, without building a Fraction."""
+    return str(x) if type(x) in _RATIONAL_TYPES else str(Fraction(x))
 
 
 class _kept:
@@ -160,14 +160,12 @@ class DecoratedGraph:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "isolated", tuple(sorted(self.isolated, key=lambda v: v.id))
+            self, "isolated", tuple(sorted(self.isolated, key=lambda v: _order(v.id)))
         )
         object.__setattr__(
-            self, "surfaces", tuple(sorted(self.surfaces, key=lambda v: v.id))
+            self, "surfaces", tuple(sorted(self.surfaces, key=lambda v: _order(v.id)))
         )
-        object.__setattr__(
-            self, "edges", tuple(sorted(self.edges, key=lambda e: (e.start, e.end, e.ell)))
-        )
+        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_order)))
         if self.h1_identification is not None:
             object.__setattr__(
                 self,
@@ -234,7 +232,7 @@ class DecoratedGraph:
         shapes = _shape_violations("component", self.isolated + self.surfaces)
         for e in self.edges:
             if (rule := e._shape_rule()) is not None:
-                pair = tuple(sorted((e.start, e.end)))
+                pair = tuple(sorted((e.start, e.end), key=_order))
                 shapes.append(Violation("edge-shape", f"edge {e.start}-{e.end}: {rule}", pair))
         return tuple(shapes)
 
@@ -326,7 +324,7 @@ class Violation:
 
 
 def _sorted_report(violations: list[Violation]) -> list[Violation]:
-    return sorted(violations, key=lambda v: (v.code, v.components, v.message))
+    return sorted(violations, key=lambda v: (v.code, tuple(map(_order, v.components)), v.message))
 
 
 def _require(obj: dict, key: str, where: str):
@@ -642,6 +640,23 @@ def _is_vector(x, length: int, types) -> bool:
 
 def _is_id(x) -> bool:
     return isinstance(x, str) and x != ""
+
+
+def _order(x) -> tuple:
+    """A sort key for a record's id or ``ell`` that never raises: strings,
+    then ints, each in their own order, then any other value by its type's
+    name and its repr.  A valid record's ids are strings and its ``ell`` an
+    int, so those sort as themselves; a record of the wrong shape sorts
+    too, and its shape rule reports it."""
+    if type(x) is str:
+        return (0, x)
+    if type(x) is int:
+        return (1, x)
+    return (2, type(x).__name__, repr(x))
+
+
+def _edge_order(e: GraphEdge) -> tuple:
+    return _order(e.start), _order(e.end), _order(e.ell)
 
 
 def _rational_rule(x) -> str | None:

@@ -185,7 +185,10 @@ class LinearSubstitution:
     image in the ``v`` variables.  The image of each monomial is expanded
     once, from the image of a monomial one degree lower, and kept for
     later calls on the same object; every result gets a dict of its own,
-    so mutating it cannot reach the memo.
+    so mutating it cannot reach the memo.  The variable images and the memo
+    hold the matrix's integer entries as ``int``, so a monomial's image has
+    ``int`` coefficients; a polynomial with Fraction coefficients still maps
+    to one with Fraction coefficients.
     """
 
     __slots__ = ("nvars", "nout", "_variables", "_monomials")
@@ -194,16 +197,17 @@ class LinearSubstitution:
         self.nvars = len(matrix)
         self.nout = len(matrix[0]) if matrix else 0
         self._variables = [
-            {tuple(1 if j == k else 0 for k in range(self.nout)): Fraction(m)
+            {tuple(1 if j == k else 0 for k in range(self.nout)): m
              for j, m in enumerate(row) if m}
             for row in matrix
         ]
-        self._monomials: dict[Exponents, dict[Exponents, Fraction]] = {
-            (0,) * self.nvars: {(0,) * self.nout: Fraction(1)}
+        self._monomials: dict[Exponents, dict[Exponents, int]] = {
+            (0,) * self.nvars: {(0,) * self.nout: 1}
         }
 
-    def _monomial(self, exps: Exponents) -> dict[Exponents, Fraction]:
-        """The expanded image of one monomial; shared with the memo, read only."""
+    def _monomial(self, exps: Exponents) -> dict[Exponents, int]:
+        """The expanded image of one monomial, with ``int`` coefficients;
+        shared with the memo, read only."""
         pending = []
         while exps not in self._monomials:
             i = next(i for i, e in enumerate(exps) if e)
@@ -212,7 +216,7 @@ class LinearSubstitution:
         image = self._monomials[exps]
         while pending:
             exps, i = pending.pop()
-            product: dict[Exponents, Fraction] = {}
+            product: dict[Exponents, int] = {}
             for e1, c1 in image.items():
                 for e2, c2 in self._variables[i].items():
                     key = tuple(a + b for a, b in zip(e1, e2))

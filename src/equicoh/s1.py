@@ -58,6 +58,7 @@ from .linalg import nullspace
 from .mpoly import (
     LinearSubstitution,
     MPoly,
+    as_fraction,
     monomials_of_degree,
     poly_from_pairs,
     poly_to_pairs,
@@ -449,17 +450,18 @@ def class_to_vector(document, degree: int, alpha: EquivariantClass) -> list[Frac
 
 
 def _class_from_sparse(
-    document, degree: int, slots: list[Slot], vector: dict[int, Fraction]
+    document, degree: int, slots: list[Slot], vector: dict[int, int | Fraction]
 ) -> EquivariantClass:
     """The class of a graph or an x-ray with coordinate ``vector[i]`` at
     ``slots[i]`` and zero elsewhere.
 
     A part's value is the Fraction for a graph and, for an x-ray of rank r,
-    the polynomial whose terms are its slots' monomials.  ``vector`` holds
-    nonzero Fractions only, and only the components it touches get a record,
-    with its kind and genus read off the document's ``_kinds``; the class
-    carries the document's ``_fixed_components``.  Every record and
-    polynomial is built afresh: no two classes share a mutable one.
+    the polynomial whose terms are its slots' monomials, with the vector's
+    coefficients as they are.  ``vector`` holds nonzero ints and Fractions
+    only, and only the components it touches get a record, with its kind
+    and genus read off the document's ``_kinds``; the class carries the
+    document's ``_fixed_components``.  Every record and polynomial is built
+    afresh: no two classes share a mutable one.
     """
     rank = document.rank
     parts: dict[str, dict[tuple[str, int], object]] = {}
@@ -674,7 +676,8 @@ def _group_columns(
     (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
     of the unit class at the slot, read off the memoised image of its
     monomial under the substitution, or ``{(half,): 1}`` for a circle
-    action."""
+    action.  The unit's coefficients are ``int``, so an entry of a column
+    is an ``int`` times a division's factor or a pole's scale."""
     _, members, table, substitution = group
     columns: dict[int, dict[tuple, Fraction]] = {}
     for cid, _, _ in members:
@@ -685,7 +688,7 @@ def _group_columns(
             if rules is None:
                 continue
             if substitution is None:
-                terms = {(_half(slot.part, degree),): _ONE}
+                terms = {(_half(slot.part, degree),): 1}
             else:
                 terms = substitution._monomial(slot.exps)
             _route(column, rules, degree, terms)
@@ -732,7 +735,10 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     """
     slots = degree_slots(graph, 2)
     columns = _group_columns(_graph_group(graph), 2, slots, _slot_index(slots))
-    return {slot.label: columns[i].get(("pole", -1, ()), _ZERO) for i, slot in enumerate(slots)}
+    return {
+        slot.label: as_fraction(columns[i].get(("pole", -1, ()), 0))
+        for i, slot in enumerate(slots)
+    }
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .graph import (
     _is_vector,
     _kept,
     _load_document,
+    _order,
     _rational_rule,
     _refuse_invalid,
     _require,
@@ -161,9 +162,11 @@ class XRay:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda c: c.id))
+            self, "components", tuple(sorted(self.components, key=lambda c: _order(c.id)))
         )
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=lambda p: p.id)))
+        object.__setattr__(
+            self, "pieces", tuple(sorted(self.pieces, key=lambda p: _order(p.id)))
+        )
 
     def component_ids(self) -> list[str]:
         return [c.id for c in self.components]

@@ -42,7 +42,7 @@ from equicoh import (
     validate_graph,
     validate_xray,
 )
-from equicoh import s1
+from equicoh import linalg, s1
 import fixtures
 from fixtures import all_graphs, budget, g2, random_class, random_fraction
 
@@ -300,6 +300,51 @@ def test_a_basis_builds_records_only_for_the_components_it_touches(monkeypatch):
     # two components; a dense basis would build 403 x 402 records.
     assert len(basis) == 403
     assert len(built) == sum(len(b.components) for b in basis) == 2 * len(basis)
+
+
+def test_the_presolve_leaves_only_the_rows_of_more_than_two_terms(monkeypatch):
+    # Every degree-4 row of the rank-8 cube is a GKM edge condition with two
+    # nonzeros, so the union-find takes them all and the general
+    # elimination gets none; a chain's degree-2 rows are its edge
+    # conditions and the one localization row, which is all that is left.
+    handed = []
+
+    def counting(rows):
+        rows = list(rows)
+        handed.append(len(rows))
+        return reduced_rows(rows)
+
+    reduced_rows = linalg._reduced_rows
+    monkeypatch.setattr(linalg, "_reduced_rows", counting)
+    xray = fixtures.cube(8, 1)
+    basis = image_basis_xray(xray, 4)
+    assert handed == [0]
+    assert len(basis) == _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**8", 4, rank=8)[4]
+    handed.clear()
+    assert len(image_basis(fixtures.chain(400, 1), 2)) == 403
+    assert handed == [1]
+
+
+CUBE_GATE = """
+import json
+import fixtures
+from equicoh import image_basis_xray, validate_xray
+from fixtures import budget
+
+xray = fixtures.cube({rank}, 1)
+assert validate_xray(xray) == []
+with budget(1.0):
+    size = len(image_basis_xray(xray, 4))
+print(json.dumps(size))
+"""
+
+
+def test_rank_eight_cube_basis_scales():
+    # 11 264 slots and 35 840 rows, each with two nonzeros: the presolve
+    # merges them in close to linear time.  Timed in a fresh interpreter,
+    # as the chain gates are.
+    closed = _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**8", 4, rank=8)
+    assert _fresh_interpreter(CUBE_GATE.format(rank=8)) == closed[4]
 
 
 def test_rank_five_cube_basis_scales():

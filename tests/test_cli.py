@@ -21,8 +21,20 @@ from equicoh import graph as graph_module
 from equicoh import xray as xray_module
 from equicoh.cli import main
 from equicoh.graph import format_rational, parse_graph
-from equicoh.s1 import class_from_vector, class_to_dict, degree_slots, image_basis, slot_value
-from equicoh.xray import image_basis_xray, parse_xray
+from equicoh.core import Laurent, SurfaceClass
+from equicoh.mpoly import MPoly
+from equicoh.s1 import (
+    _class_from_sparse,
+    check_membership,
+    class_from_vector,
+    class_to_dict,
+    degree_slots,
+    image_basis,
+    localize,
+    slot_value,
+)
+from equicoh.xray import check_membership_xray, image_basis_xray, parse_xray
+from test_golden import EXTRA_DOCUMENTS
 
 
 def run(capsys, *argv):
@@ -422,6 +434,67 @@ def test_the_basis_writers_match_the_dense_reference_on_any_sparse_classes(name)
             assert cli._basis_table(classes, degree, slots) == reference_table(
                 document, classes, degree
             )
+
+
+@pytest.mark.parametrize("name", ["cube3_g1.json", "chain24_g1.json"])
+def test_int_coefficients_print_as_the_equal_fractions(name):
+    """The eliminator hands a basis its exact integers as ints; a class that
+    holds them prints the same bytes as its twin holding the equal
+    Fractions, through every writer and every detail that renders a
+    coefficient.  The documents are the golden gate's cube and chain."""
+    document = _parse_document(EXTRA_DOCUMENTS[name])
+    graph = document.rank is None
+    check = check_membership if graph else check_membership_xray
+    held = set()
+    for degree in range(5):
+        slots = degree_slots(document, degree)
+        basis = (image_basis if graph else image_basis_xray)(document, degree)
+        vectors = [
+            {i: value for i, s in enumerate(slots) if (value := slot_value(b, degree, s))}
+            for b in basis
+        ]
+        fractions = [
+            _class_from_sparse(document, degree, slots, {i: Fraction(x) for i, x in v.items()})
+            for v in vectors
+        ]
+        ints = [
+            _class_from_sparse(document, degree, slots, {
+                i: int(x) if x.denominator == 1 else x for i, x in v.items()
+            })
+            for v in vectors
+        ]
+        for classes in (basis, ints):
+            held.update(type(x) for v in vectors for x in v.values())
+            assert cli._basis_json(document, classes, name) == cli._basis_json(
+                document, fractions, name
+            )
+            assert cli._basis_table(classes, degree, slots) == cli._basis_table(
+                fractions, degree, slots
+            )
+        # units reach every membership detail, the degree-2 residue among them
+        units = [
+            [_class_from_sparse(document, degree, [s], {0: one}) for one in (1, Fraction(1))]
+            for s in slots
+        ]
+        for x, y in [*zip(basis, fractions), *zip(ints, fractions), *units]:
+            assert json.dumps(class_to_dict(x, name)) == json.dumps(class_to_dict(y, name))
+            assert check(document, x).to_dict() == check(document, y).to_dict()
+            assert [repr(c.entries) for c in x.components.values()] == [
+                repr(c.entries) for c in y.components.values()
+            ]
+            if graph:
+                assert repr(localize(document, x)) == repr(localize(document, y))
+    if not graph:
+        assert int in held  # an x-ray basis keeps the ints it was handed
+    # Laurent and surface reprs of polynomials with int coefficients
+    for value in (1, -3):
+        terms = {(1, 0, 0): value, (0, 0, 1): 2}
+        poly = MPoly._trusted(3, terms)
+        twin = MPoly._trusted(3, {e: Fraction(c) for e, c in terms.items()})
+        assert repr(Laurent({-1: poly})) == repr(Laurent({-1: twin}))
+        assert repr(SurfaceClass(1, poly, (poly, poly), poly)) == repr(
+            SurfaceClass(1, twin, (twin, twin), twin)
+        )
 
 
 def test_basis_json_writes_each_record_once_and_no_absent_component(capsys, monkeypatch, tmp_path):

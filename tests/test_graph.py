@@ -768,6 +768,48 @@ def test_a_zero_weight_built_directly_matches_the_references():
     )
 
 
+def test_records_whose_ids_mix_types_are_refused_not_raised():
+    """Sorting a directly built graph's records never raises: an id that is
+    not a string, beside one that is, gets its component-shape violation,
+    and two edges on one pair whose ``ell`` are an int and a tuple get an
+    edge-shape one, whichever order they come in."""
+    a = IsolatedVertex("A", Fraction(0), (1, 1))
+    graph = DecoratedGraph((a, IsolatedVertex(5, Fraction(1), (-1, -1))), (), ())
+    assert validate_graph(graph) == [
+        Violation("component-shape", "component 5: id must be a nonempty string", (5,))
+    ]
+    with pytest.raises(InputError, match="^invalid graph: component-shape: component 5: "):
+        image_basis(graph, 0)
+
+    points = (a, IsolatedVertex("B", Fraction(1), (-1, -1)))
+    edges = (GraphEdge("A", "B", 1), GraphEdge("A", "B", (1,)))
+    for given in (edges, edges[::-1]):
+        graph = DecoratedGraph(points, (), given)
+        assert graph.edges == edges
+        assert validate_graph(graph) == [
+            Violation("edge-shape", 'edge A-B: "ell" must be a positive integer', ("A", "B"))
+        ]
+
+    # two bad ids of different types, and an edge between a string and an int
+    graph = DecoratedGraph(
+        (IsolatedVertex(None, Fraction(0), (1, 1)), IsolatedVertex(5, Fraction(1), (-1, -1))),
+        (),
+        (GraphEdge("A", 5, 1),),
+    )
+    assert [(v.code, v.components) for v in validate_graph(graph)] == [
+        ("component-shape", (5,)),
+        ("component-shape", (None,)),
+        ("edge-shape", ("A", 5)),
+    ]
+
+
+def test_parsed_records_keep_the_plain_id_order():
+    for graph in all_graphs().values():
+        for records in (graph.isolated, graph.surfaces):
+            assert [v.id for v in records] == sorted(v.id for v in records)
+        assert list(graph.edges) == sorted(graph.edges, key=lambda e: (e.start, e.end, e.ell))
+
+
 positive_rational = st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
     lambda pq: f"{pq[0]}/{pq[1]}"
 )

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicoh.linalg import nullspace, rref
@@ -101,6 +101,67 @@ def sparse_systems(draw):
         rows += draw(st.lists(st.sampled_from(rows), max_size=3))
     rows += [{}] * draw(st.integers(0, 2))
     return draw(st.permutations(rows)), ncols
+
+
+@st.composite
+def two_term_systems(draw):
+    """(rows, ncols) as ``{column: value}`` dicts, mostly of rows with two
+    nonzeros ``a x_i + b x_j = 0``, the rows the presolve merges.  Entries
+    mix ints and Fractions.  The rows come in blocks: single pairs; pairs
+    repeated at a multiple (consistent) or with one entry changed (often
+    not); chains, built from both ends and then joined in the middle;
+    closed cycles, whose ratios rarely agree and so force zeros, then
+    linked to a lower column; and rows of one term or of three or more,
+    which land on merged columns.  Any row may carry explicit zero
+    entries."""
+    ncols = draw(st.integers(1, 9))
+    scalar = st.one_of(
+        st.integers(-3, 3), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    )
+    nonzero = scalar.filter(bool)
+    column = st.integers(0, ncols - 1)
+    rows: list[dict] = []
+
+    def link(i, j):
+        rows.append({i: draw(nonzero), j: draw(nonzero)})
+
+    for _ in range(draw(st.integers(0, 6))):
+        block = draw(st.sampled_from(["pair", "repeat", "chain", "cycle", "other"]))
+        if block == "pair" and ncols > 1:
+            i, j = draw(st.lists(column, min_size=2, max_size=2, unique=True))
+            link(i, j)
+        elif block == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                k = draw(nonzero)
+                rows.append({j: k * x for j, x in row.items()})
+            else:
+                j = draw(st.sampled_from(sorted(row)))
+                rows.append({**row, j: draw(nonzero)})
+        elif block == "chain" and ncols > 1:
+            path = draw(st.lists(column, min_size=2, max_size=ncols, unique=True))
+            edges = list(zip(path, path[1:]))
+            middle = len(edges) // 2
+            for i, j in edges[:middle]:  # one class from the left end
+                link(i, j)
+            for i, j in reversed(edges[middle + 1:]):  # another from the right end
+                link(i, j)
+            link(*edges[middle])  # then join them
+        elif block == "cycle" and ncols > 3:
+            path = draw(st.lists(st.integers(1, ncols - 1), min_size=3, unique=True))
+            for i, j in zip(path, path[1:] + path[:1]):
+                link(i, j)
+            # merge the class, forced or not, under a lower column
+            link(draw(st.integers(0, min(path) - 1)), path[0])
+        else:
+            support = draw(st.sampled_from([1, 3, 4]))
+            if support <= ncols:
+                cols = draw(st.lists(column, min_size=support, max_size=support, unique=True))
+                rows.append({j: draw(nonzero) for j in cols})
+    for row in rows:
+        if draw(st.booleans()):
+            row[draw(column)] = draw(st.sampled_from([0, Fraction(0)]))
+    return rows, ncols
 
 
 def sparse(rows):
@@ -214,9 +275,41 @@ def test_nullspace_matches_the_two_pass_reference(system):
 def test_sparse_nullspace_matches_the_dense_reference(system):
     rows, ncols = system
     basis = nullspace(rows, ncols)
-    assert all(x for vector in basis for x in vector.values())
+    assert_exact(basis)
     assert all(0 <= j < ncols for vector in basis for j in vector)
     assert dense(basis, ncols) == reference_nullspace(dense(rows, ncols), ncols)
+
+
+def assert_exact(basis):
+    """Every entry is a nonzero int or Fraction: never a float."""
+    assert all(type(x) in (int, Fraction) and x for vector in basis for x in vector.values())
+
+
+@settings(max_examples=300)
+@given(two_term_systems())
+def test_two_term_systems_match_the_dense_reference(system):
+    rows, ncols = system
+    basis = nullspace(rows, ncols)
+    assert_exact(basis)
+    assert all(0 <= j < ncols for vector in basis for j in vector)
+    assert dense(basis, ncols) == reference_nullspace(dense(rows, ncols), ncols)
+
+
+def test_an_inconsistent_cycle_forces_its_class_to_zero():
+    # x1 = x2 = x3, then x3 = 2 x1: the class is zero, x0 stays free
+    rows = [{1: 1, 2: -1}, {2: 1, 3: -1}, {3: 1, 1: -2}]
+    assert nullspace(rows, 4) == [{0: 1}]
+    # the forced class, merged under column 0, passes the flag on
+    rows += [{0: 1, 3: Fraction(-1, 2)}]
+    assert nullspace(rows, 4) == []
+
+
+def test_ratios_stay_int_where_the_division_is_exact():
+    # x1 = 2 x0, x2 = 3 x1 / 2 = 3 x0, x3 = x2 / 2
+    rows = [{0: 2, 1: -1}, {1: 3, 2: -2}, {2: 1, 3: -2}]
+    [vector] = nullspace(rows, 4)
+    assert vector == {0: 1, 1: 2, 2: 3, 3: Fraction(3, 2)}
+    assert [type(vector[j]) for j in range(4)] == [int, int, int, Fraction]
 
 
 def test_nullspace_of_a_bidiagonal_chain():

@@ -838,6 +838,26 @@ def test_a_directly_built_component_of_the_wrong_shape_is_refused(name, fields, 
     assert_refused_twice(xray, bad, violation, request.node.callspec.id)
 
 
+def test_ids_that_mix_types_are_refused_not_raised():
+    """Sorting a directly built x-ray's components and pieces never raises:
+    an id that is not a string, beside ids that are, gets its shape
+    violation."""
+    xray = x2(1)
+    component = dataclasses.replace(xray.components[0], id=5)
+    bad = dataclasses.replace(xray, components=(component,) + xray.components[1:])
+    assert validate_xray(bad) == [
+        Violation("component-shape", "component 5: id must be a nonempty string", (5,))
+    ]
+    piece = dataclasses.replace(xray.pieces[0], id=7)
+    bad = dataclasses.replace(xray, pieces=xray.pieces[1:] + (piece,))
+    assert bad.pieces[-1] is piece
+    assert validate_xray(bad) == [
+        Violation("piece-shape", "piece 7: id must be a nonempty string", (7,))
+    ]
+    with pytest.raises(InputError, match="^invalid x-ray: piece-shape: piece 7: "):
+        image_basis_xray(bad, 2)
+
+
 def test_parse_fills_in_the_shape_check_it_has_made():
     """Parse refuses every shape the component-shape check reports, so a
     parsed document carries an empty check; a copy built directly runs the

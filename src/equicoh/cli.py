@@ -50,6 +50,7 @@ from .mpoly import poly_to_pairs
 from .s1 import (
     DEFAULT_MAX_DEGREE,
     _entry_to_dict,
+    _slot_index,
     check_membership,
     degree_slots,
     equivariant_series,
@@ -271,9 +272,7 @@ def _basis_table(basis, degree: int, slots) -> str:
     Only the slots of the components a class holds records for are read;
     a row starts as a copy of the all-"0" row and its nonzero cells are
     written over it."""
-    by_component: dict[str, list[int]] = {}
-    for i, slot in enumerate(slots):
-        by_component.setdefault(slot.component, []).append(i)
+    by_component = _slot_index(slots)
     widths = [len(slot.label) for slot in slots]
     rows = []
     for b in basis:

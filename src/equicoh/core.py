@@ -16,6 +16,7 @@ form every Poincare series in this package takes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,10 +26,6 @@ from .errors import InputError, InternalInconsistencyError
 from .mpoly import MPoly, as_fraction
 
 _SCALARS = (int, Fraction)
-
-
-def _is_scalar(value) -> bool:
-    return isinstance(value, _SCALARS) or isinstance(value, MPoly)
 
 
 class SurfaceClass:
@@ -43,9 +40,9 @@ class SurfaceClass:
         if len(c1) != 2 * genus:
             raise InputError(f"H^1 part must have {2 * genus} slots, got {len(c1)}")
         self.genus = genus
-        self.c0 = as_fraction(c0) if isinstance(c0, _SCALARS) else c0
-        self.c1 = tuple(as_fraction(x) if isinstance(x, _SCALARS) else x for x in c1)
-        self.c2 = as_fraction(c2) if isinstance(c2, _SCALARS) else c2
+        self.c0 = Fraction(c0) if isinstance(c0, int) else c0
+        self.c1 = tuple(Fraction(x) if isinstance(x, int) else x for x in c1)
+        self.c2 = Fraction(c2) if isinstance(c2, int) else c2
 
     @classmethod
     def unit(cls, genus: int) -> SurfaceClass:
@@ -92,7 +89,7 @@ class SurfaceClass:
     def __mul__(self, other):
         if isinstance(other, SurfaceClass):
             return cup_surface(self, other)
-        if _is_scalar(other):
+        if isinstance(other, (*_SCALARS, MPoly)):
             return SurfaceClass(
                 self.genus,
                 self.c0 * other,
@@ -104,13 +101,12 @@ class SurfaceClass:
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        g = self.genus
         bits = []
         if self.c0:
             bits.append(f"({self.c0})*1")
-        for i, x in enumerate(self.c1):
+        # the H^1 parts are those of an odd-degree entry, named a1.., b1..
+        for (_, _, name), x in zip(entry_parts("surface", self.genus, 1), self.c1):
             if x:
-                name = f"a{i + 1}" if i < g else f"b{i - g + 1}"
                 bits.append(f"({x})*{name}")
         if self.c2:
             bits.append(f"({self.c2})*[S]")
@@ -334,33 +330,83 @@ def series_coefficient(series: PoincareSeries, k: int) -> int:
     return series.coefficient(k)
 
 
-def _zero_scalar(rank: int | None):
-    return Fraction(0) if rank is None else MPoly.zero(rank)
+@functools.lru_cache(maxsize=256)
+def entry_parts(kind: str, genus: int, degree: int) -> tuple[tuple[str, int, str], ...]:
+    """The ``(part, index, name)`` a degree-k entry holds, in slot order: a
+    point's value "c" or a surface's H^0 part "c0" (and from degree 2 its
+    H^2 part "c2") in even degree, a surface's H^1 parts "c1", named
+    a1..ag, b1..bg, in odd degree."""
+    if kind == "point":
+        return () if degree % 2 else (("c", 0, "c"),)
+    if degree % 2:
+        a = tuple(("c1", i, f"a{i + 1}") for i in range(genus))
+        return a + tuple(("c1", genus + i, f"b{i + 1}") for i in range(genus))
+    return (("c0", 0, "c0"), ("c2", 0, "c2")) if degree >= 2 else (("c0", 0, "c0"),)
 
 
-def _check_scalar_entry(value, rank: int | None, hom_degree: int, where: str):
+def part_power(part: str, degree: int) -> int:
+    """The power of the parameter that a part of a degree-k entry carries:
+    k/2 for "c" and "c0", (k-1)/2 for "c1" and (k-2)/2 for "c2"."""
+    return degree // 2 - (part == "c2")
+
+
+def entry_part(entry, part: str, index: int = 0):
+    """One part of a restriction entry: the point value itself ("c"), or a
+    surface's H^0 part, H^1 part ``index`` or H^2 part."""
+    if part == "c":
+        return entry
+    value = getattr(entry, part)
+    return value[index] if part == "c1" else value
+
+
+def map_parts(kind: str, entry, f):
+    """The entry with each part ``value`` replaced by ``f(part, value)``, in
+    slot order; ``entry`` itself when each result is the part it replaces."""
+    if kind == "point":
+        return f("c", entry)
+    c0 = f("c0", entry.c0)
+    c1 = tuple([f("c1", x) for x in entry.c1])
+    c2 = f("c2", entry.c2)
+    if c0 is entry.c0 and c2 is entry.c2 and all(a is b for a, b in zip(c1, entry.c1)):
+        return entry
+    return SurfaceClass(entry.genus, c0, c1, c2)
+
+
+def _vanishing(part: str, listed: set[str]) -> str:
+    """Why a part outside the ``listed`` parts of a surface's entry is zero."""
+    if part == "c1":
+        return "H^1 part must vanish in even degree"
+    if "c0" in listed:
+        return "H^2 part needs degree at least 2"
+    return "H^0 and H^2 parts must vanish in odd degree"
+
+
+def _checked_part(value, rank: int | None, power: int, where: str):
+    """A part in its domain, itself if already there: a rational for a circle
+    action (``rank`` None), else a polynomial in ``rank`` variables,
+    homogeneous of degree ``power``, or a zero int or Fraction."""
     if rank is None:
-        if not isinstance(value, (Fraction, int)):
-            raise InputError(f"{where}: expected a rational coefficient")
-        return Fraction(value)
-    if isinstance(value, (Fraction, int)) and not value:
+        if isinstance(value, _SCALARS):
+            return as_fraction(value)
+        raise InputError(f"{where}: expected a rational coefficient")
+    if isinstance(value, MPoly) and value.nvars == rank:
+        if not value.is_homogeneous(power):
+            raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
+        return value
+    if isinstance(value, _SCALARS) and not value:
         return MPoly.zero(rank)
-    if not isinstance(value, MPoly) or value.nvars != rank:
-        raise InputError(f"{where}: expected a polynomial in {rank} variables")
-    if not value.is_homogeneous(hom_degree):
-        raise InputError(f"{where}: polynomial must be homogeneous of degree {hom_degree}")
-    return value
+    raise InputError(f"{where}: expected a polynomial in {rank} variables")
 
 
 @dataclass
 class ComponentClass:
     """Restriction of an equivariant class to one fixed component, by degree.
 
-    For a point component the degree-k entry is the coefficient of u^{k/2}
-    (rank None) or the full homogeneous polynomial of degree k/2 (rank n-1).
-    For a surface component it is a SurfaceClass whose graded parts carry
-    u^{k/2}, u^{(k-1)/2} and u^{(k-2)/2} respectively; parity forces the
-    complementary parts to vanish and that is enforced here.
+    A point's degree-k entry is its value, a surface's a SurfaceClass of
+    values.  A nonzero value in a part that :func:`entry_parts` does not
+    list is refused, and every part of a point or a surface is checked in
+    its domain (:func:`_checked_part`) at its :func:`part_power`.  An entry
+    whose parts are all in their domain is kept, not copied.
     """
 
     kind: str
@@ -374,40 +420,24 @@ class ComponentClass:
         if self.kind == "point" and self.genus:
             raise InputError("point components have no genus")
         clean: dict[int, object] = {}
-        for degree, value in self.entries.items():
+        for degree, entry in self.entries.items():
             if type(degree) is not int or degree < 0:
                 raise InputError(f"degrees must be nonnegative integers, got {degree!r}")
             where = f"degree {degree}"
-            if self.kind == "point":
-                if degree % 2:
-                    raise InputError(f"{where}: a point carries no odd-degree classes")
-                value = _check_scalar_entry(value, self.rank, degree // 2, where)
-                if value:
-                    clean[degree] = value
-                continue
-            if not isinstance(value, SurfaceClass):
+            listed = {part for part, _, _ in entry_parts(self.kind, self.genus, degree)}
+            if self.kind == "point" and not listed:
+                raise InputError(f"{where}: a point carries no odd-degree classes")
+            if self.kind == "surface" and not isinstance(entry, SurfaceClass):
                 raise InputError(f"{where}: expected a surface class entry")
-            if value.genus != self.genus:
-                raise InputError(f"{where}: genus {value.genus} != component genus {self.genus}")
-            even = degree % 2 == 0
-            c0 = value.c0 if even else _zero_scalar(self.rank)
-            c2 = value.c2 if even and degree >= 2 else _zero_scalar(self.rank)
-            c1 = value.c1 if not even else tuple(_zero_scalar(self.rank) for _ in value.c1)
-            if even and any(bool(x) for x in value.c1):
-                raise InputError(f"{where}: H^1 part must vanish in even degree")
-            if not even and (bool(value.c0) or bool(value.c2)):
-                raise InputError(f"{where}: H^0 and H^2 parts must vanish in odd degree")
-            if degree < 2 and bool(value.c2):
-                raise InputError(f"{where}: H^2 part needs degree at least 2")
-            if self.rank is not None:
-                c0 = _check_scalar_entry(c0, self.rank, degree // 2, where) if even else c0
-                if not even:
-                    c1 = tuple(
-                        _check_scalar_entry(x, self.rank, (degree - 1) // 2, where) for x in c1
-                    )
-                if even and degree >= 2:
-                    c2 = _check_scalar_entry(c2, self.rank, (degree - 2) // 2, where)
-            entry = SurfaceClass(self.genus, c0, c1, c2)
+            if self.kind == "surface" and entry.genus != self.genus:
+                raise InputError(f"{where}: genus {entry.genus} != component genus {self.genus}")
+
+            def checked(part, value):
+                if value and part not in listed:
+                    raise InputError(f"{where}: {_vanishing(part, listed)}")
+                return _checked_part(value, self.rank, part_power(part, degree), where)
+
+            entry = map_parts(self.kind, entry, checked)
             if entry:
                 clean[degree] = entry
         self.entries = clean
@@ -415,10 +445,10 @@ class ComponentClass:
     def entry(self, degree: int):
         if degree in self.entries:
             return self.entries[degree]
+        zero = Fraction(0) if self.rank is None else MPoly.zero(self.rank)
         if self.kind == "point":
-            return _zero_scalar(self.rank)
-        zero = _zero_scalar(self.rank)
-        return SurfaceClass(self.genus, zero, tuple(zero for _ in range(2 * self.genus)), zero)
+            return zero
+        return SurfaceClass(self.genus, zero, (zero,) * (2 * self.genus), zero)
 
     def degrees(self) -> list[int]:
         return sorted(self.entries)

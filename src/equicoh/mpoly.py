@@ -285,6 +285,8 @@ def poly_to_pairs(p: MPoly) -> list[list]:
 
 
 def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
+    """The sum of ``[exponents, coefficient]`` pairs, each checked once by the
+    constructor's rules, built in the stored form without the constructor."""
     terms: dict[Exponents, Fraction] = {}
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -292,8 +294,11 @@ def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
         exps, coeff = pair
         if not isinstance(exps, (list, tuple)) or len(exps) != nvars:
             raise InputError(f"exponent vector must have length {nvars}")
-        if any(not isinstance(e, int) or isinstance(e, bool) for e in exps):
+        if any(type(e) is not int for e in exps):
             raise InputError(f"exponents must be integers, got {list(exps)}")
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + parse_scalar(coeff)
-    return MPoly(nvars, terms)
+        if any(e < 0 for e in key):
+            raise InputError(f"bad exponent tuple {key} for {nvars} variables")
+        value = as_fraction(parse_scalar(coeff))
+        terms[key] = terms[key] + value if key in terms else value
+    return MPoly._trusted(nvars, {key: c for key, c in terms.items() if c})

@@ -40,7 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import ComponentClass, Laurent, PoincareSeries, SurfaceClass
+from .core import (
+    ComponentClass,
+    Laurent,
+    PoincareSeries,
+    SurfaceClass,
+    entry_part,
+    entry_parts,
+    map_parts,
+    part_power,
+)
 from .errors import InputError, InternalInconsistencyError, SchemaError
 from .graph import (
     DecoratedGraph,
@@ -344,24 +353,6 @@ def _localization_rules(
     return rules
 
 
-def _half(part: str, degree: int) -> int:
-    """The degree in the parameter of a part of a degree-k entry: k // 2,
-    less one for the H^2 part of a surface."""
-    return degree // 2 - (part == "c2")
-
-
-def _part(entry, part: str, index: int):
-    """One part of a restriction entry: the point value itself ("c"), or a
-    surface's H^0 part, H^1 part ``index`` or H^2 part."""
-    if part == "c0":
-        return entry.c0
-    if part == "c2":
-        return entry.c2
-    if part == "c1":
-        return entry.c1[index]
-    return entry
-
-
 def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     """The localization sum over the fixed components, a scalar Laurent element.
 
@@ -397,34 +388,22 @@ def degree_slots(document, degree: int) -> list[Slot]:
     """Canonical coordinate order of the degree-k restriction space of a
     graph or an x-ray; empty in a negative degree.
 
-    Components come by id.  Each contributes its parts in the order point
-    value "c" or H^0 part "c0", H^1 parts "c1" (named a1.., b1..), H^2 part
-    "c2".  A graph has one slot per part; an x-ray of rank r has one per
-    monomial of the part's degree in descending lex order, and its labels
-    end in the exponents.
+    Components come by id, each with the parts its degree-k entry holds,
+    named as :func:`~equicoh.core.entry_parts` names them.  A graph has one
+    slot per part; an x-ray of rank r has one per monomial of the part's
+    power of the parameter in descending lex order, and its labels end in
+    the exponents.
     """
     if degree < 0:
         return []
     rank = document.rank
     slots: list[Slot] = []
     for cid, kind, genus in document._fixed_components:
-        if degree % 2 == 0:
-            parts = [("c" if kind == "point" else "c0", 0)]
-            if kind == "surface" and degree >= 2:
-                parts.append(("c2", 0))
-        else:
-            parts = [("c1", i) for i in range(2 * genus)]
-        for part, index in parts:
-            if part != "c1":
-                name = part
-            elif index < genus:
-                name = f"a{index + 1}"
-            else:
-                name = f"b{index - genus + 1}"
+        for part, index, name in entry_parts(kind, genus, degree):
             if rank is None:
                 slots.append(Slot(cid, part, index, f"{cid}.{name}"))
                 continue
-            for exps in monomials_of_degree(rank, _half(part, degree)):
+            for exps in monomials_of_degree(rank, part_power(part, degree)):
                 label = f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
                 slots.append(Slot(cid, part, index, label, exps))
     return slots
@@ -441,7 +420,7 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     entry = None if cls is None else cls.entries.get(degree)
     if entry is None:
         return _ZERO
-    value = _part(entry, slot.part, slot.index)
+    value = entry_part(entry, slot.part, slot.index)
     return value if alpha.rank is None else value.terms.get(slot.exps, _ZERO)
 
 
@@ -460,8 +439,9 @@ def _class_from_sparse(
     coefficients as they are.  ``vector`` holds nonzero ints and Fractions
     only, and only the components it touches get a record, with its kind
     and genus read off the document's ``_kinds``; the class carries the
-    document's ``_fixed_components``.  Every record and polynomial is built
-    afresh: no two classes share a mutable one.
+    document's ``_fixed_components``.  Each record's entry is built once,
+    afresh, with its parts in their domain: ComponentClass keeps it, and
+    no two classes share a mutable part.
     """
     rank = document.rank
     parts: dict[str, dict[tuple[str, int], object]] = {}
@@ -478,10 +458,9 @@ def _class_from_sparse(
             return rec.get((part, index), _ZERO)
         return MPoly._trusted(rank, rec.get((part, index), {}))
 
-    kinds = document._kinds
     comps: dict[str, ComponentClass] = {}
     for cid, rec in parts.items():
-        kind, genus = kinds[cid]
+        kind, genus = document._kinds[cid]
         if kind == "point":
             entry = part_value(rec, "c")
         else:
@@ -587,19 +566,19 @@ def _class_terms(table, alpha: EquivariantClass, substitution: LinearSubstitutio
     """Every nonzero part of ``alpha`` the table names, in every degree, as
     ``(rules, degree, terms)``: the part's rules and its terms in adapted
     coordinates (see :func:`_route`).  A torus part is rewritten by the
-    character's ``substitution``; a circle-action value of degree ``half``
-    in the parameter is the single term ``{(half,): value}``."""
+    character's ``substitution``; a circle-action value is the single term
+    ``{(p,): value}``, p its power of the parameter (:func:`part_power`)."""
     records = alpha.components
     for (cid, part, index), rules in table.items():
         cls = records.get(cid)
         if cls is None:
             continue
         for degree, entry in cls.entries.items():
-            value = _part(entry, part, index)
+            value = entry_part(entry, part, index)
             if not value:
                 continue
             if substitution is None:
-                yield rules, degree, {(_half(part, degree),): value}
+                yield rules, degree, {(part_power(part, degree),): value}
             else:
                 yield rules, degree, substitution(value).terms
 
@@ -675,8 +654,8 @@ def _group_columns(
     """The column of every degree-k slot on a group's members, by position
     (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
     of the unit class at the slot, read off the memoised image of its
-    monomial under the substitution, or ``{(half,): 1}`` for a circle
-    action.  The unit's coefficients are ``int``, so an entry of a column
+    monomial under the substitution or, for a circle action, ``{(p,): 1}``
+    with ``p`` the part's power of the parameter.  The unit's coefficients are ``int``, so an entry of a column
     is an ``int`` times a division's factor or a pole's scale."""
     _, members, table, substitution = group
     columns: dict[int, dict[tuple, Fraction]] = {}
@@ -688,7 +667,7 @@ def _group_columns(
             if rules is None:
                 continue
             if substitution is None:
-                terms = {(_half(slot.part, degree),): 1}
+                terms = {(part_power(slot.part, degree),): 1}
             else:
                 terms = substitution._monomial(slot.exps)
             _route(column, rules, degree, terms)
@@ -832,25 +811,20 @@ def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
-    """Rewrite a circle-action class as a rank-1 polynomial class: a part of
-    degree ``half`` in the parameter (:func:`_half`) becomes that power of
-    the one variable."""
+    """Rewrite a circle-action class as a rank-1 polynomial class: a part
+    carrying a power of the parameter (:func:`~equicoh.core.part_power`)
+    becomes that power of the one variable."""
     if alpha.rank is not None:
         raise InputError("class is already in polynomial form")
 
-    def lift(value, part: str, k: int) -> MPoly:
-        return MPoly.monomial((_half(part, k),), value) if value else MPoly.zero(1)
+    def lift(part: str, value, k: int) -> MPoly:
+        return MPoly.monomial((part_power(part, k),), value) if value else MPoly.zero(1)
 
     comps: dict[str, ComponentClass] = {}
     for cid, cls in alpha.components.items():
-        entries: dict[int, object] = {}
+        entries = {}
         for k, value in cls.entries.items():
-            if cls.kind == "point":
-                entries[k] = lift(value, "c", k)
-                continue
-            c0, c2 = lift(value.c0, "c0", k), lift(value.c2, "c2", k)
-            c1 = tuple(lift(x, "c1", k) for x in value.c1)
-            entries[k] = SurfaceClass(cls.genus, c0, c1, c2)
+            entries[k] = map_parts(cls.kind, value, lambda part, x: lift(part, x, k))
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, 1)
     return EquivariantClass(comps, 1, alpha.fixed_components)
 
@@ -957,7 +931,12 @@ def _parse_class(text, document) -> EquivariantClass:
     def scalar(value, where: str):
         if rank is None:
             return parse_rational(value, where)
-        return _pairs_to_poly(value, rank, where)
+        if not isinstance(value, list):
+            raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
+        try:
+            return poly_from_pairs(value, rank, lambda v: parse_rational(v, where))
+        except InputError as exc:
+            raise SchemaError(str(exc), where) from None
 
     _check_ids(owner, [cid for cid, _, _ in components], sorted(comps_doc))
     comps: dict[str, ComponentClass] = {}
@@ -982,17 +961,6 @@ def _parse_class(text, document) -> EquivariantClass:
             entries[key] = SurfaceClass(genus, c0, c1, c2)
         comps[cid] = ComponentClass(kind, genus, entries, rank)
     return EquivariantClass(comps, rank)
-
-
-def _pairs_to_poly(value, nvars: int, where: str) -> MPoly:
-    if not isinstance(value, list):
-        raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
-    try:
-        return poly_from_pairs(value, nvars, lambda v: parse_rational(v, where))
-    except SchemaError:
-        raise
-    except (InputError, ValueError, TypeError) as exc:
-        raise SchemaError(str(exc), where) from None
 
 
 def _check_keys_class(doc: dict) -> None:

@@ -188,10 +188,7 @@ class XRay:
         """``(id, kind, genus)`` of every fixed component, sorted by id."""
         return tuple((c.id, c.kind, c.genus) for c in self.components)
 
-    @_kept
-    def _kinds(self) -> dict[str, tuple[str, int]]:
-        """``{id: (kind, genus)}``, read off :attr:`_fixed_components`."""
-        return {cid: (kind, genus) for cid, kind, genus in self._fixed_components}
+    _kinds = DecoratedGraph._kinds  # {id: (kind, genus)}, as a graph reads it
 
     @_kept
     def _groups(self) -> dict[str, tuple]:

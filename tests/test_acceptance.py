@@ -302,6 +302,24 @@ def test_a_basis_builds_records_only_for_the_components_it_touches(monkeypatch):
     assert len(built) == sum(len(b.components) for b in basis) == 2 * len(basis)
 
 
+def test_an_xray_basis_builds_one_surface_class_per_surface_record(monkeypatch):
+    # Each record's entry is built once, with its parts in their domain, and
+    # ComponentClass keeps it; a copy per record doubled the count.
+    built = []
+    init = SurfaceClass.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    xray = fixtures.cube(8, 1)
+    monkeypatch.setattr(SurfaceClass, "__init__", counting)
+    basis = image_basis_xray(xray, 4)
+    records = [cls for b in basis for cls in b.components.values() if cls.kind == "surface"]
+    assert len(records) == 11264
+    assert len(built) == len(records)
+
+
 def test_the_presolve_leaves_only_the_rows_of_more_than_two_terms(monkeypatch):
     # Every degree-4 row of the rank-8 cube is a GKM edge condition with two
     # nonzeros, so the union-find takes them all and the general

@@ -12,6 +12,7 @@ from equicoh import (
     InputError,
     InternalInconsistencyError,
     Laurent,
+    MPoly,
     PoincareSeries,
     SurfaceClass,
     cup_surface,
@@ -259,6 +260,21 @@ def test_component_class_parity():
         ComponentClass("point", 1, {})
     with pytest.raises(InputError):
         ComponentClass("surface", 1, {2: SurfaceClass(0, c0=1)})
+
+
+@pytest.mark.parametrize("bad", [1.5, "x", MPoly.constant(1, 1)], ids=repr)
+@pytest.mark.parametrize("part, degree", [("c0", 0), ("c1", 1), ("c2", 2)])
+def test_every_surface_part_of_a_circle_action_class_is_a_rational(part, degree, bad):
+    """A surface's H^0, H^1 and H^2 parts are checked as a point's value is,
+    with the point's message, so no float, string or polynomial part gets
+    into a circle-action class (where membership would compute on it)."""
+    parts = {"c0": 0, "c1": (0, 0), "c2": 0}
+    parts[part] = (bad, 0) if part == "c1" else bad
+    refused = f"^degree {degree}: expected a rational coefficient$"
+    with pytest.raises(InputError, match=refused):
+        ComponentClass("surface", 1, {degree: SurfaceClass(1, **parts)})
+    with pytest.raises(InputError, match="^degree 0: expected a rational coefficient$"):
+        ComponentClass("point", 0, {0: bad})
 
 
 def test_component_class_entries():

@@ -1,6 +1,7 @@
 """The narrative demos run to completion against the package under test,
-the package's modules import only what they use, and only the graph module
-places a fixed component."""
+the package's modules import only what they use, only the graph module
+places a fixed component, and only the core module states the parity of a
+degree."""
 
 import ast
 import os
@@ -49,6 +50,31 @@ def test_every_package_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_core_module_halves_a_degree():
+    """Which parts a degree-k entry holds and their powers of the parameter
+    are stated once, in ``core.py`` (``entry_parts`` and ``part_power``):
+    no other module of the package has a ``% 2`` or ``// 2`` expression."""
+    found = []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                operand = node.right
+            elif isinstance(node, ast.AugAssign):
+                operand = node.value
+            else:
+                continue
+            if (
+                isinstance(node.op, (ast.Mod, ast.FloorDiv))
+                and isinstance(operand, ast.Constant)
+                and operand.value == 2
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_package_code_reads_a_class_component_by_key():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,7 @@ from equicoh import (
     validate_graph,
 )
 from equicoh import s1
-from equicoh.core import integrate_surface
+from equicoh.core import entry_part, integrate_surface
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
@@ -61,6 +62,7 @@ from equicoh.graph import (
     weight_product,
 )
 from equicoh.linalg import rref
+from equicoh.mpoly import monomials_of_degree
 from equicoh.s1 import character_substitution
 from equicoh.xray import SkeletonPiece, TorusFixedComponent, piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
@@ -551,6 +553,85 @@ def test_a_negative_degree_has_no_slots():
     assert class_to_vector(g2(1), -2, constant_class(g2(1), 1)) == []
     xray = fixtures.x2(1)
     assert class_to_vector(xray, -2, fixtures.constant_torus_class(xray, 1)) == []
+
+
+# The layout of a degree-k entry, written out: a point carries u^{k/2}; a
+# genus-g surface carries its H^0, H^1 and H^2 parts in u^{k/2}, u^{(k-1)/2}
+# and u^{(k-2)/2}, so each part lives in the degrees where that is a power.
+LAYOUT_COMPONENTS = [("point", 0)] + [("surface", genus) for genus in range(4)]
+
+
+def expected_layout(kind, genus, degree):
+    """``(part, index, power)`` of each part a degree-k entry holds."""
+    if kind == "point":
+        return [] if degree % 2 else [("c", 0, degree // 2)]
+    if degree % 2:
+        return [("c1", i, (degree - 1) // 2) for i in range(2 * genus)]
+    if degree < 2:
+        return [("c0", 0, degree // 2)]
+    return [("c0", 0, degree // 2), ("c2", 0, (degree - 2) // 2)]
+
+
+def layout_entry(kind, genus, rank, part, index, value):
+    """An entry with ``value`` in one part and, in every other, a fresh zero
+    of the domain (a Fraction, or a polynomial in ``rank`` variables)."""
+    def at(p, i=0):
+        if (p, i) == (part, index):
+            return value
+        return Fraction(0) if rank is None else MPoly.zero(rank)
+
+    if kind == "point":
+        return at("c")
+    return SurfaceClass(genus, at("c0"), tuple(at("c1", i) for i in range(2 * genus)), at("c2"))
+
+
+def vanishing_message(kind, part, degree):
+    if kind == "point":
+        return "a point carries no odd-degree classes"
+    if part == "c1":
+        return "H^1 part must vanish in even degree"
+    if degree % 2:
+        return "H^0 and H^2 parts must vanish in odd degree"
+    return "H^2 part needs degree at least 2"
+
+
+@pytest.mark.parametrize("rank", [None, 1, 2, 3])
+@pytest.mark.parametrize("kind, genus", LAYOUT_COMPONENTS)
+def test_every_entry_holds_exactly_the_parts_of_its_layout(kind, genus, rank):
+    """``degree_slots`` lists the layout's parts, one slot per monomial of
+    the part's power for a torus; :class:`ComponentClass` keeps an entry
+    with a nonzero value in a listed part, itself and not a copy, and
+    refuses one in any other part."""
+    document = types.SimpleNamespace(rank=rank, _fixed_components=(("X", kind, genus),))
+    every_part = [("c", 0)] if kind == "point" else (
+        [("c0", 0)] + [("c1", i) for i in range(2 * genus)] + [("c2", 0)]
+    )
+
+    def nonzero(power):
+        return Fraction(3) if rank is None else MPoly.monomial((power,) + (0,) * (rank - 1), 3)
+
+    for degree in range(10):
+        layout = expected_layout(kind, genus, degree)
+        slots = [(slot.part, slot.index, slot.exps) for slot in degree_slots(document, degree)]
+        assert slots == [
+            (part, index, exps)
+            for part, index, power in layout
+            for exps in ([()] if rank is None else monomials_of_degree(rank, power))
+        ]
+        for part, index, power in layout:
+            value = nonzero(power)
+            entry = layout_entry(kind, genus, rank, part, index, value)
+            kept = ComponentClass(kind, genus, {degree: entry}, rank).entries[degree]
+            assert kept is entry
+            assert entry_part(kept, part, index) is value
+        listed = [(part, index) for part, index, _ in layout]
+        for part, index in every_part:
+            if (part, index) in listed:
+                continue
+            entry = layout_entry(kind, genus, rank, part, index, nonzero(0))
+            message = f"^degree {degree}: {re.escape(vanishing_message(kind, part, degree))}$"
+            with pytest.raises(InputError, match=message):
+                ComponentClass(kind, genus, {degree: entry}, rank)
 
 
 def test_vector_roundtrip():

@@ -384,13 +384,14 @@ def _vanishing(part: str, listed: set[str]) -> str:
 def _checked_part(value, rank: int | None, power: int, where: str):
     """A part in its domain, itself if already there: a rational for a circle
     action (``rank`` None), else a polynomial in ``rank`` variables,
-    homogeneous of degree ``power``, or a zero int or Fraction."""
+    homogeneous of degree ``power``, or a zero int or Fraction.  A zero
+    polynomial of that rank is returned at once."""
     if rank is None:
         if isinstance(value, _SCALARS):
             return as_fraction(value)
         raise InputError(f"{where}: expected a rational coefficient")
     if isinstance(value, MPoly) and value.nvars == rank:
-        if not value.is_homogeneous(power):
+        if value.terms and not value.is_homogeneous(power):
             raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
         return value
     if isinstance(value, _SCALARS) and not value:

@@ -182,13 +182,14 @@ class LinearSubstitution:
     """The change of variables ``u_i = sum_j matrix[i][j] * v_j``.
 
     Calling the object on a polynomial in the ``u`` variables returns its
-    image in the ``v`` variables.  The image of each monomial is expanded
-    once, from the image of a monomial one degree lower, and kept for
-    later calls on the same object; every result gets a dict of its own,
-    so mutating it cannot reach the memo.  The variable images and the memo
-    hold the matrix's integer entries as ``int``, so a monomial's image has
-    ``int`` coefficients; a polynomial with Fraction coefficients still maps
-    to one with Fraction coefficients.
+    image in the ``v`` variables, and :meth:`map_terms` maps a bare term
+    dict.  The image of each monomial is expanded once, from the image of a
+    monomial one degree lower, and kept for later calls on the same object;
+    every result gets a dict of its own, so mutating it cannot reach the
+    memo.  The variable images and the memo hold the matrix's integer
+    entries as ``int``, so a monomial's image has ``int`` coefficients, and
+    so has the image of a polynomial with ``int`` coefficients; one with
+    Fraction coefficients still maps to one with Fraction coefficients.
     """
 
     __slots__ = ("nvars", "nout", "_variables", "_monomials")
@@ -225,14 +226,25 @@ class LinearSubstitution:
             self._monomials[exps] = image
         return image
 
+    def map_terms(self, terms: Mapping[Exponents, object]) -> dict:
+        """The image of the terms ``{exponents: coefficient}`` of a
+        polynomial in the ``u`` variables, as a new dict of its nonzero
+        terms.  Each coefficient is multiplied only by the memo's ``int``
+        coefficients, so ``int`` coefficients map to ``int`` ones."""
+        memo = self._monomials
+        acc: dict = {}
+        for exps, coeff in terms.items():
+            image = memo.get(exps)
+            if image is None:
+                image = self._monomial(exps)
+            for e, c in image.items():
+                acc[e] = acc.get(e, 0) + coeff * c
+        return {e: c for e, c in acc.items() if c}
+
     def __call__(self, p: MPoly) -> MPoly:
         if p.nvars != self.nvars:
             raise InputError("substitution matrix has wrong number of rows")
-        acc: dict[Exponents, Fraction] = {}
-        for exps, coeff in p.terms.items():
-            for e, c in self._monomial(exps).items():
-                acc[e] = acc.get(e, 0) + coeff * c
-        return MPoly._trusted(self.nout, {e: c for e, c in acc.items() if c})
+        return MPoly._trusted(self.nout, self.map_terms(p.terms))
 
 
 def _integer_entries(lam: Sequence[int]) -> list[int]:

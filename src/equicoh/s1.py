@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     ComponentClass,
@@ -366,7 +367,7 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     those poles off the graph's :func:`_constraint_table`.
     """
     _, _, table, _ = _graph_group(graph, alpha=alpha)
-    return _localization_sum(table, alpha, None)
+    return _localization_sum(table, _scaled_parts(alpha), None)
 
 
 @dataclass(frozen=True)
@@ -562,55 +563,89 @@ def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> Non
                 out[key] = out.get(key, 0) + scale * c
 
 
-def _class_terms(table, alpha: EquivariantClass, substitution: LinearSubstitution | None):
-    """Every nonzero part of ``alpha`` the table names, in every degree, as
-    ``(rules, degree, terms)``: the part's rules and its terms in adapted
-    coordinates (see :func:`_route`).  A torus part is rewritten by the
-    character's ``substitution``; a circle-action value is the single term
-    ``{(p,): value}``, p its power of the parameter (:func:`part_power`)."""
-    records = alpha.components
-    for (cid, part, index), rules in table.items():
-        cls = records.get(cid)
-        if cls is None:
-            continue
+def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, int], list]]:
+    """The nonzero parts of ``alpha`` as integers over one common denominator.
+
+    Returns ``(d, parts)``: ``d`` is the least common multiple of the
+    denominators of every coefficient of the class, and ``parts`` maps
+    ``(component, part, index)`` to the ``(degree, value)`` of each nonzero
+    part in that place, ``value`` being the part times ``d``: an ``int`` for
+    a circle action, an ``{exponents: int}`` term dict for a torus.  The
+    class is read once; a query reads these parts only, so it adds
+    integers (times a pole's scale, a Fraction for a point or a surface of
+    fractional self-intersection) and divides by ``d`` at the end.
+    """
+    found = []
+    for cid, cls in alpha.components.items():
         for degree, entry in cls.entries.items():
-            value = entry_part(entry, part, index)
-            if not value:
-                continue
+            for part, index, _ in entry_parts(cls.kind, cls.genus, degree):
+                value = entry_part(entry, part, index)
+                if value:
+                    found.append(((cid, part, index), degree, value))
+    parts: dict[tuple[str, str, int], list] = {}
+    if alpha.rank is None:
+        d = lcm(*(value.denominator for _, _, value in found))
+        for key, degree, value in found:
+            parts.setdefault(key, []).append((degree, value.numerator * (d // value.denominator)))
+        return d, parts
+    d = lcm(*(c.denominator for _, _, value in found for c in value.terms.values()))
+    for key, degree, value in found:
+        scaled = {e: c.numerator * (d // c.denominator) for e, c in value.terms.items()}
+        parts.setdefault(key, []).append((degree, scaled))
+    return d, parts
+
+
+def _class_terms(table, parts: dict, substitution: LinearSubstitution | None):
+    """Every scaled part (:func:`_scaled_parts`) the table names, in every
+    degree, as ``(rules, degree, terms)``: the part's rules and its terms in
+    adapted coordinates (see :func:`_route`).  A torus part is rewritten by
+    the character's ``substitution``; a circle-action value is the single
+    term ``{(p,): value}``, p its power of the parameter (:func:`part_power`)."""
+    for key, rules in table.items():
+        for degree, value in parts.get(key, ()):
             if substitution is None:
-                yield rules, degree, {(part_power(part, degree),): value}
+                yield rules, degree, {(part_power(key[1], degree),): value}
             else:
-                yield rules, degree, substitution(value).terms
+                yield rules, degree, substitution.map_terms(value)
 
 
 def _class_obstructions(
-    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
+    table, scaled: tuple[int, dict], substitution: LinearSubstitution | None
 ) -> dict[tuple, Fraction]:
-    """The nonzero obstructions of ``alpha``: each of its parts routed once."""
-    out: dict[tuple, Fraction] = {}
-    for rules, degree, terms in _class_terms(table, alpha, substitution):
+    """The nonzero obstructions of a class, from its :func:`_scaled_parts`
+    ``(d, parts)``: each part routed once as integers, and each nonzero sum
+    divided back by ``d``."""
+    d, parts = scaled
+    out: dict[tuple, int | Fraction] = {}
+    for rules, degree, terms in _class_terms(table, parts, substitution):
         _route(out, rules, degree, terms)
-    return {key: c for key, c in out.items() if c}
+    return {key: Fraction(c, d) for key, c in out.items() if c}
 
 
 def _localization_sum(
-    table, alpha: EquivariantClass, substitution: LinearSubstitution | None
+    table, scaled: tuple[int, dict], substitution: LinearSubstitution | None
 ) -> Laurent:
-    """The localization sum of ``alpha``: each pole ``(shift, scale)`` of a
-    part adds ``scale`` times its term ``c * v^E`` at the power ``E[0] +
-    shift``, negative or not (:func:`_route` keeps only the negative ones).
-    The coefficients are scalars for a circle action and, along a character,
-    polynomials in the ``rank - 1`` remaining variables ``E[1:]``."""
-    total: dict[int, dict[tuple, Fraction]] = {}
-    for (_, poles), _, terms in _class_terms(table, alpha, substitution):
+    """The localization sum of a class with :func:`_scaled_parts` ``(d,
+    parts)``: each pole ``(shift, scale)`` of a part adds ``scale`` times
+    its term ``c * v^E`` at the power ``E[0] + shift``, negative or not
+    (:func:`_route` keeps only the negative ones), and every coefficient is
+    divided back by ``d``.  The coefficients are scalars for a circle action
+    and, along a character, polynomials in the ``rank - 1`` remaining
+    variables ``E[1:]``."""
+    d, parts = scaled
+    total: dict[int, dict[tuple, int | Fraction]] = {}
+    for (_, poles), _, terms in _class_terms(table, parts, substitution):
         for exps, c in terms.items():
             for shift, scale in poles:
                 coeff = total.setdefault(exps[0] + shift, {})
                 coeff[exps[1:]] = coeff.get(exps[1:], 0) + scale * c
     if substitution is None:
-        return Laurent({power: coeff[()] for power, coeff in total.items()})
+        return Laurent({power: Fraction(coeff[()], d) for power, coeff in total.items()})
     nvars = substitution.nout - 1
-    return Laurent({power: MPoly(nvars, coeff) for power, coeff in total.items()})
+    return Laurent({
+        power: MPoly._trusted(nvars, {e: Fraction(c, d) for e, c in coeff.items() if c})
+        for power, coeff in total.items()
+    })
 
 
 def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None) -> tuple:
@@ -703,7 +738,7 @@ def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[
     """The obstructions of a circle-action class, with the keys
     :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
     _, _, table, _ = _graph_group(graph, alpha=alpha)
-    return _class_obstructions(table, alpha, None)
+    return _class_obstructions(table, _scaled_parts(alpha), None)
 
 
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
@@ -845,7 +880,7 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
     _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
-    return _localization_sum(table, alpha, substitution)
+    return _localization_sum(table, _scaled_parts(alpha), substitution)
 
 
 def torus_obstructions(
@@ -863,7 +898,7 @@ def torus_obstructions(
     :func:`_constraint_table`.
     """
     _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
-    return _class_obstructions(table, alpha, substitution)
+    return _class_obstructions(table, _scaled_parts(alpha), substitution)
 
 
 def check_membership_torus(

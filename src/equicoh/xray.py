@@ -69,6 +69,7 @@ from .s1 import (
     _image_basis,
     _obstruction_violations,
     _parse_class,
+    _scaled_parts,
     character_substitution,
 )
 
@@ -534,7 +535,7 @@ def piece_obstructions(
     if xray._pieces_by_id.get(piece.id) != piece:
         raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
     _, _, table, substitution = xray._groups[piece.id]
-    return _class_obstructions(table, alpha, substitution)
+    return _class_obstructions(table, _scaled_parts(alpha), substitution)
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
@@ -547,10 +548,11 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     """
     _refuse_invalid(xray)
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
+    scaled = _scaled_parts(alpha)
     violations = [
         MembershipViolation(v.kind, f"piece {tag[0]}: {v.detail}")
         for tag, _, table, substitution in xray._groups.values()
-        for v in _obstruction_violations(_class_obstructions(table, alpha, substitution))
+        for v in _obstruction_violations(_class_obstructions(table, scaled, substitution))
     ]
     return MembershipDecision(not violations, tuple(violations))
 

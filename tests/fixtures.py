@@ -303,13 +303,16 @@ def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
 
 
-def random_class(graph, rng: random.Random, degrees=(0, 1, 2, 3, 4)) -> EquivariantClass:
-    """A random, generally inhomogeneous class on the graph's components."""
+def random_class(
+    graph, rng: random.Random, degrees=(0, 1, 2, 3, 4), value=random_fraction
+) -> EquivariantClass:
+    """A random, generally inhomogeneous class on the graph's components,
+    each coordinate drawn by ``value(rng)``."""
     total = None
     for degree in degrees:
         if rng.random() < 0.4:
             continue
-        values = [random_fraction(rng) for _ in degree_slots(graph, degree)]
+        values = [value(rng) for _ in degree_slots(graph, degree)]
         part = class_from_vector(graph, degree, values)
         total = part if total is None else _merge(total, part)
     if total is None:
@@ -346,18 +349,21 @@ def _merge(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
     return EquivariantClass(comps, x.rank)
 
 
-def random_poly(rng: random.Random, nvars: int, degree: int) -> MPoly:
-    """A random homogeneous polynomial; most monomials get a coefficient."""
-    return MPoly(nvars, {
-        exps: random_fraction(rng)
-        for exps in monomials_of_degree(nvars, degree)
-        if rng.random() < 0.7
-    })
+def random_poly(rng: random.Random, nvars: int, degree: int, value=random_fraction) -> MPoly:
+    """A random homogeneous polynomial; most monomials get a coefficient,
+    drawn by ``value(rng)`` and kept as it is (an ``int`` stays one)."""
+    terms = {
+        exps: value(rng) for exps in monomials_of_degree(nvars, degree) if rng.random() < 0.7
+    }
+    return MPoly._trusted(nvars, {exps: c for exps, c in terms.items() if c})
 
 
-def random_torus_class(components, rank: int, rng: random.Random, degrees=range(7)):
+def random_torus_class(
+    components, rank: int, rng: random.Random, degrees=range(7), value=random_fraction
+):
     """A random inhomogeneous rank-r class on ``(id, kind, genus)`` components,
-    with polynomial H^0, H^1 and H^2 parts wherever the degree allows them."""
+    with polynomial H^0, H^1 and H^2 parts wherever the degree allows them,
+    each coefficient drawn by ``value(rng)``."""
     comps = {}
     for cid, kind, genus in components:
         zero = MPoly.zero(rank)
@@ -366,14 +372,14 @@ def random_torus_class(components, rank: int, rng: random.Random, degrees=range(
             if rng.random() < 0.3 or (kind == "point" and k % 2):
                 continue
             if kind == "point":
-                entries[k] = random_poly(rng, rank, k // 2)
+                entries[k] = random_poly(rng, rank, k // 2, value)
             elif k % 2 == 0:
-                c2 = random_poly(rng, rank, k // 2 - 1) if k >= 2 else zero
+                c2 = random_poly(rng, rank, k // 2 - 1, value) if k >= 2 else zero
                 entries[k] = SurfaceClass(
-                    genus, random_poly(rng, rank, k // 2), (zero,) * (2 * genus), c2
+                    genus, random_poly(rng, rank, k // 2, value), (zero,) * (2 * genus), c2
                 )
             else:
-                c1 = tuple(random_poly(rng, rank, k // 2) for _ in range(2 * genus))
+                c1 = tuple(random_poly(rng, rank, k // 2, value) for _ in range(2 * genus))
                 entries[k] = SurfaceClass(genus, zero, c1, zero)
         comps[cid] = ComponentClass(kind, genus, entries, rank)
     return EquivariantClass(comps, rank)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 import sympy
 
 import equicoh
@@ -382,6 +383,67 @@ def test_rank_seven_cube_membership_scales():
     with budget(0.5):
         assert check_membership_xray(xray, fixtures.constant_torus_class(xray, 1)).member
         assert not check_membership_xray(xray, unit).member
+
+
+@pytest.fixture(scope="module")
+def cube_member():
+    """The rank-7 genus-1 cube x-ray with its groups kept, a degree-4 member
+    class (its 112 basis classes summed with small fractional coefficients)
+    and that class with one more term at one slot, which is no member."""
+    xray = fixtures.cube(7, 1)
+    basis = image_basis_xray(xray, 4)
+    slots = degree_slots(xray, 4)
+    where = {(slot.component, slot.part, slot.exps): i for i, slot in enumerate(slots)}
+    rng = random.Random(7)
+    vector = [Fraction(0)] * len(slots)
+    for element in basis:
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5, 7]))
+        for cid, cls in element.components.items():
+            for part in ("c0", "c2"):  # a degree-4 surface entry's parts
+                for exps, x in getattr(cls.entries[4], part).terms.items():
+                    vector[where[cid, part, exps]] += c * x
+    member = class_from_vector(xray, 4, vector)
+    vector[0] += 1
+    return xray, member, class_from_vector(xray, 4, vector)
+
+
+def test_rank_seven_cube_membership_of_a_fractional_class_scales(cube_member):
+    # 448 pieces, each substituting and routing its two members' parts: the
+    # class is read once as ints over its common denominator.
+    xray, member, perturbed = cube_member
+    with budget(0.2):
+        assert check_membership_xray(xray, member).member
+        assert not check_membership_xray(xray, perturbed).member
+
+
+def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch):
+    # The cube's induced graphs have int pole scales, so a member class's
+    # sums are ints throughout and none is left nonzero to divide back.
+    xray, member, _ = cube_member
+    routed, built = [], []
+    route = s1._route
+
+    def counting_route(out, rules, degree, terms):
+        routed.extend(type(c) for c in terms.values())
+        route(out, rules, degree, terms)
+
+    def counting(make):
+        def build(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(s1, "_route", counting_route)
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic from 3.12 on
+        make = counting(Fraction._from_coprime_ints.__func__)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(make))
+    decision = check_membership_xray(xray, member)
+    monkeypatch.undo()
+    assert decision.member
+    assert built == []
+    assert routed and set(routed) == {int}
 
 
 def test_membership_scales_with_the_genus():

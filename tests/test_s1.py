@@ -51,7 +51,7 @@ from equicoh import (
     validate_graph,
 )
 from equicoh import s1
-from equicoh.core import entry_part, integrate_surface
+from equicoh.core import entry_part, integrate_surface, part_power
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
@@ -490,6 +490,105 @@ def test_closed_form_piece_localizations_match_the_laurent_product(name):
                 for power, q in reference_negative_part(expected).terms.items()
                 for exps, c in q.terms.items()
             }, piece.id
+
+
+# -- integer routing against the Fraction oracle ------------------------------
+
+
+def reference_class_obstructions(table, alpha, substitution):
+    """The obstructions of ``alpha`` with each nonzero part the table names
+    routed as it is, in Fractions: a circle-action value as the single term
+    ``{(p,): value}``, a torus part through the substituted polynomial."""
+    out = {}
+    records = alpha.components
+    for (cid, part, index), rules in table.items():
+        cls = records.get(cid)
+        if cls is None:
+            continue
+        for degree, entry in cls.entries.items():
+            value = entry_part(entry, part, index)
+            if not value:
+                continue
+            if substitution is None:
+                terms = {(part_power(part, degree),): value}
+            else:
+                terms = substitution(value).terms
+            s1._route(out, rules, degree, terms)
+    return {key: c for key, c in out.items() if c}
+
+
+PRIMES = [p for p in range(2, 600) if all(p % q for q in range(2, p))]
+
+
+def prime_denominator(rng):
+    """A value over one of 109 primes, so that a class's common denominator
+    is the product of many distinct ones."""
+    return Fraction(rng.randint(-6, 6), rng.choice(PRIMES))
+
+
+COEFFICIENTS = {
+    "int": lambda rng: rng.randint(-6, 6),
+    "fraction": fixtures.random_fraction,
+    "primes": prime_denominator,
+    "zero": lambda rng: 0,
+}
+
+ORACLE_XRAYS = {name: build() for name, build in LOCALIZATION_XRAYS.items()}
+
+
+def assert_equal_fractions(found, expected):
+    assert found == expected
+    assert all(type(c) is Fraction for c in found.values()), found
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(LOCALIZATION_GRAPHS)),
+    st.sampled_from(sorted(COEFFICIENTS)),
+    st.randoms(use_true_random=False),
+)
+def test_graph_obstructions_match_the_fraction_oracle(name, coefficients, rng):
+    graph = LOCALIZATION_GRAPHS[name]
+    value = COEFFICIENTS[coefficients]
+    alpha = fixtures.random_class(graph, rng, degrees=range(7), value=value)
+    _, _, table, _ = s1._graph_group(graph)
+    expected = reference_class_obstructions(table, alpha, None)
+    assert_equal_fractions(s1._graph_obstructions(graph, alpha), expected)
+    assert localize(graph, alpha) == reference_localize(graph, alpha)
+    for lam in [(1,), (-1,), (2, -1), (1, 2, 3)]:
+        rank = len(lam)
+        alpha = fixtures.random_torus_class(_torus_components(graph), rank, rng, value=value)
+        _, _, table, substitution = s1._graph_group(graph, rank, lam)
+        expected = reference_class_obstructions(table, alpha, substitution)
+        assert_equal_fractions(torus_obstructions(graph, rank, lam, alpha), expected)
+        localization = localize_torus(graph, rank, lam, alpha)
+        assert localization == reference_localize_torus(graph, rank, lam, alpha), lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(ORACLE_XRAYS)),
+    st.sampled_from(sorted(COEFFICIENTS)),
+    st.randoms(use_true_random=False),
+)
+def test_piece_obstructions_match_the_fraction_oracle(name, coefficients, rng):
+    xray = ORACLE_XRAYS[name]
+    value = COEFFICIENTS[coefficients]
+    alpha = fixtures.random_torus_class(xray._fixed_components, xray.rank, rng, value=value)
+    # A basis class holds int coefficients as the nullspace gave them.
+    basis = image_basis_xray(xray, rng.randrange(5))
+    classes = [alpha] + ([rng.choice(basis)] if basis else [])
+    for beta in classes:
+        for piece in xray.pieces:
+            _, _, table, substitution = xray._groups[piece.id]
+            expected = reference_class_obstructions(table, beta, substitution)
+            assert_equal_fractions(piece_obstructions(xray, piece, beta), expected)
+    for piece in xray.pieces:
+        if piece.dim == 4:
+            restricted = alpha.restricted(piece.members)
+            localization = localize_torus(piece.induced, xray.rank, piece.lam, restricted)
+            expected = reference_localize_torus(piece.induced, xray.rank, piece.lam, restricted)
+            assert localization == expected, piece.id
 
 
 def test_localize_torus_checks_the_character_length():

@@ -1,8 +1,10 @@
 """Graded building blocks for equivariant cohomology computations.
 
-Everything here is exact.  Scalars are ``fractions.Fraction``; in the torus
-setting they are replaced by :class:`~equicoh.mpoly.MPoly` values and all
-the algebra below is agnostic to that choice.
+Everything here is exact.  Scalars are the exact rationals of
+:mod:`equicoh.mpoly` (:data:`~equicoh.mpoly.RATIONAL_TYPES`: an ``int`` or a
+``Fraction``, kept as given); in the torus setting they are replaced by
+:class:`~equicoh.mpoly.MPoly` values and all the algebra below is agnostic
+to that choice.
 
 ``SurfaceClass`` models the cohomology of a closed oriented genus-g surface
 in the ordered basis ``1, a_1..a_g, b_1..b_g, [S]`` with the intersection
@@ -19,30 +21,29 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError, InternalInconsistencyError
-from .mpoly import MPoly, as_fraction
-
-_SCALARS = (int, Fraction)
+from .mpoly import RATIONAL_TYPES, MPoly
 
 
 class SurfaceClass:
-    """An element of H^*(surface of genus g) with coefficients in a scalar domain."""
+    """An element of H^*(surface of genus g) with coefficients held as given."""
 
     __slots__ = ("genus", "c0", "c1", "c2")
 
     def __init__(self, genus: int, c0=0, c1=(), c2=0):
+        if type(genus) is not int:
+            raise InputError(f"genus must be an integer, got {genus!r}")
         if genus < 0:
             raise InputError("genus must be nonnegative")
-        c1 = tuple(c1) if c1 else tuple(Fraction(0) for _ in range(2 * genus))
+        c1 = tuple(c1) if c1 else (0,) * (2 * genus)
         if len(c1) != 2 * genus:
             raise InputError(f"H^1 part must have {2 * genus} slots, got {len(c1)}")
         self.genus = genus
-        self.c0 = Fraction(c0) if isinstance(c0, int) else c0
-        self.c1 = tuple(Fraction(x) if isinstance(x, int) else x for x in c1)
-        self.c2 = Fraction(c2) if isinstance(c2, int) else c2
+        self.c0 = c0
+        self.c1 = c1
+        self.c2 = c2
 
     @classmethod
     def unit(cls, genus: int) -> SurfaceClass:
@@ -89,7 +90,7 @@ class SurfaceClass:
     def __mul__(self, other):
         if isinstance(other, SurfaceClass):
             return cup_surface(self, other)
-        if isinstance(other, (*_SCALARS, MPoly)):
+        if type(other) in RATIONAL_TYPES or isinstance(other, MPoly):
             return SurfaceClass(
                 self.genus,
                 self.c0 * other,
@@ -122,10 +123,7 @@ def cup_surface(x: SurfaceClass, y: SurfaceClass) -> SurfaceClass:
     g = x.genus
     c0 = x.c0 * y.c0
     c1 = tuple(x.c0 * y.c1[i] + x.c1[i] * y.c0 for i in range(2 * g))
-    pairing = sum(
-        (x.c1[i] * y.c1[g + i] - x.c1[g + i] * y.c1[i] for i in range(g)),
-        start=Fraction(0),
-    )
+    pairing = sum(x.c1[i] * y.c1[g + i] - x.c1[g + i] * y.c1[i] for i in range(g))
     c2 = x.c0 * y.c2 + x.c2 * y.c0 + pairing
     return SurfaceClass(g, c0, c1, c2)
 
@@ -138,7 +136,8 @@ def integrate_surface(x: SurfaceClass):
 
 
 class Laurent:
-    """A finite sum ``sum_k coeff_k * u^k`` with integer (possibly negative) k."""
+    """A finite sum ``sum_k coeff_k * u^k`` with integer (possibly negative) k,
+    each coefficient a rational, a surface class or a polynomial, kept as given."""
 
     __slots__ = ("terms",)
 
@@ -148,8 +147,8 @@ class Laurent:
             for power, coeff in terms.items():
                 if type(power) is not int:
                     raise InputError(f"powers must be integers, got {power!r}")
-                if isinstance(coeff, _SCALARS):
-                    coeff = as_fraction(coeff)
+                if type(coeff) not in RATIONAL_TYPES and type(coeff) not in (SurfaceClass, MPoly):
+                    raise InputError(f"not a rational, surface class or polynomial: {coeff!r}")
                 if coeff:
                     clean[power] = coeff
         self.terms = clean
@@ -192,7 +191,7 @@ class Laurent:
         return Laurent(prod)
 
     def coefficient(self, power: int):
-        return self.terms.get(power, Fraction(0))
+        return self.terms.get(power, 0)
 
     def powers(self) -> list[int]:
         return sorted(self.terms)
@@ -387,14 +386,14 @@ def _checked_part(value, rank: int | None, power: int, where: str):
     homogeneous of degree ``power``, or a zero int or Fraction.  A zero
     polynomial of that rank is returned at once."""
     if rank is None:
-        if isinstance(value, _SCALARS):
-            return as_fraction(value)
+        if type(value) in RATIONAL_TYPES:
+            return value
         raise InputError(f"{where}: expected a rational coefficient")
     if isinstance(value, MPoly) and value.nvars == rank:
         if value.terms and not value.is_homogeneous(power):
             raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
         return value
-    if isinstance(value, _SCALARS) and not value:
+    if type(value) in RATIONAL_TYPES and not value:
         return MPoly.zero(rank)
     raise InputError(f"{where}: expected a polynomial in {rank} variables")
 
@@ -420,6 +419,10 @@ class ComponentClass:
             raise InputError(f"unknown component kind {self.kind!r}")
         if self.kind == "point" and self.genus:
             raise InputError("point components have no genus")
+        if type(self.genus) is not int or self.genus < 0:
+            raise InputError(f"genus must be a nonnegative integer, got {self.genus!r}")
+        if self.rank is not None and (type(self.rank) is not int or self.rank < 0):
+            raise InputError(f"rank must be None or a nonnegative integer, got {self.rank!r}")
         clean: dict[int, object] = {}
         for degree, entry in self.entries.items():
             if type(degree) is not int or degree < 0:
@@ -446,7 +449,7 @@ class ComponentClass:
     def entry(self, degree: int):
         if degree in self.entries:
             return self.entries[degree]
-        zero = Fraction(0) if self.rank is None else MPoly.zero(self.rank)
+        zero = 0 if self.rank is None else MPoly.zero(self.rank)
         if self.kind == "point":
             return zero
         return SurfaceClass(self.genus, zero, (zero,) * (2 * self.genus), zero)

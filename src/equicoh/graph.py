@@ -20,7 +20,8 @@ shape the check reports).  Each record's ``_shape_rule`` is the first rule
 its fields break, in parse's order and words, or None.  Validation and
 every later query of the same graph share them; no other module places a
 component.  Validation compares and sums momenta as those integers, and
-builds a Fraction only for a value it returns or prints.  A computation
+divides only for a value it returns or prints, through
+:func:`~equicoh.mpoly.ratio`, so an integral value is an ``int``.  A computation
 that raises (a degenerate span, a zero weight) keeps nothing and raises
 again on the next call.
 """
@@ -35,6 +36,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, InputError, ParseError, SchemaError
+from .mpoly import RATIONAL_TYPES, ratio
 
 GRAPH_KEYS = {"kind", "isolated", "surfaces", "edges", "h1_identification"}
 ISOLATED_KEYS = {"id", "y", "weights"}
@@ -48,32 +50,31 @@ _FLOAT_RULE = 'floats are rejected; use an integer or a "p/q" string'
 _ID_RULE = "id must be a nonempty string"
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> int | Fraction:
     """Exact rational from a JSON value: an integer, or a string of an
     optional sign, decimal digits and an optional ``/`` with a positive
-    denominator of decimal digits (``"-3"``, ``"3/2"``)."""
+    denominator of decimal digits (``"-3"``, ``"3/2"``).  An integral value
+    is an ``int`` (``"6/3"`` is 2), any other a Fraction in lowest terms."""
     if isinstance(value, bool):
         raise SchemaError(_RATIONAL_RULE, where)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         if match is not None:
             numerator, denominator = match.groups()
             try:
-                if denominator is None:
-                    return Fraction(int(numerator))
-                return Fraction(int(numerator), int(denominator))
+                return ratio(int(numerator), int(denominator or 1))
             except (ValueError, ZeroDivisionError):  # too many digits, or "/0"
                 pass
         raise SchemaError(f"cannot parse rational {value!r}", where)
     raise SchemaError(_FLOAT_RULE if isinstance(value, float) else _RATIONAL_RULE, where)
 
 
-def format_rational(x: Fraction) -> str:
-    """``"p/q"`` in lowest terms, or the integer; a Fraction or an int
-    prints as it is, without building a Fraction."""
-    return str(x) if type(x) in _RATIONAL_TYPES else str(Fraction(x))
+def format_rational(x: int | Fraction) -> str:
+    """``"p/q"`` in lowest terms, or the integer: an exact rational (an int
+    or a Fraction) prints as it is."""
+    return str(x)
 
 
 class _kept:
@@ -95,13 +96,13 @@ class _kept:
 @dataclass(frozen=True)
 class IsolatedVertex:
     id: str
-    y: Fraction
+    y: int | Fraction
     weights: tuple[int, int]
 
     def _shape_rule(self) -> str | None:
         if not _is_id(self.id):
             return _ID_RULE
-        if type(self.y) not in _RATIONAL_TYPES:
+        if type(self.y) not in RATIONAL_TYPES:
             return _rational_rule(self.y)
         if not _is_vector(self.weights, 2, _INT_TYPES):
             return '"weights" must be a pair of integers'
@@ -113,15 +114,15 @@ class IsolatedVertex:
 @dataclass(frozen=True)
 class FatVertex:
     id: str
-    y: Fraction
-    area: Fraction
+    y: int | Fraction
+    area: int | Fraction
     genus: int
-    self_intersection: Fraction | None = None
+    self_intersection: int | Fraction | None = None
 
     def _shape_rule(self) -> str | None:
         if not _is_id(self.id):
             return _ID_RULE
-        if type(self.y) not in _RATIONAL_TYPES:
+        if type(self.y) not in RATIONAL_TYPES:
             return _rational_rule(self.y)
         if (rule := _area_rule(self.area)) is not None:
             return rule
@@ -137,7 +138,7 @@ class GraphEdge:
     start: str  # serialized as "from"
     end: str  # serialized as "to"
     ell: int
-    area: Fraction | None = None
+    area: int | Fraction | None = None
 
     def _shape_rule(self) -> str | None:
         if not (_is_id(self.start) and _is_id(self.end)):
@@ -207,7 +208,7 @@ class DecoratedGraph:
         return places
 
     @_kept
-    def _labels(self) -> tuple[Fraction, Fraction]:
+    def _labels(self) -> tuple[int | Fraction, int | Fraction]:
         return _extremal_labels(self)
 
     @_kept
@@ -523,7 +524,7 @@ def serialize_graph(graph: DecoratedGraph) -> str:
     return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n"
 
 
-def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
+def extremal_self_intersections(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fraction]:
     """Self-intersection numbers forced on the extrema by the interior data.
 
     Interior isolated points enter through 1/(m n) with m, n the weight
@@ -534,7 +535,7 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[Fraction, Fracti
     return graph._labels
 
 
-def _extremal_labels(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
+def _extremal_labels(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fraction]:
     """The pair :func:`extremal_self_intersections` returns, from integers.
 
     With the momenta as levels n over their common denominator D, the
@@ -543,7 +544,8 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
 
         e_min = (sum (n - n_max) L/(m n) + D (S_min - S_max)) / (L (n_max - n_min))
 
-    and e_max is its mirror image.  Each label is one Fraction.
+    and e_max is its mirror image.  Each label is one :func:`~equicoh.mpoly.ratio`,
+    an ``int`` when integral, as parse makes it.
     """
     denominator, isolated_levels, surface_levels, lo, hi = graph._levels
     if lo == hi:
@@ -567,7 +569,7 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[Fraction, Fraction]:
     sum_ne = sum(n * (common // mn) for n, mn in interior)
     gap = denominator * (p_min * (common // q_min) - p_max * (common // q_max))
     span = common * (hi - lo)
-    return Fraction(sum_ne - hi * sum_e + gap, span), Fraction(lo * sum_e - sum_ne - gap, span)
+    return ratio(sum_ne - hi * sum_e + gap, span), ratio(lo * sum_e - sum_ne - gap, span)
 
 
 def resolve_self_intersections(graph: DecoratedGraph) -> DecoratedGraph:
@@ -587,12 +589,12 @@ def weight_product(vertex: IsolatedVertex) -> int:
     return w
 
 
-def _inverse_euler_sum(points) -> Fraction:
+def _inverse_euler_sum(points) -> int | Fraction:
     """The sum of 1/(w1 w2) over isolated points, summed in integers over
     the lcm of the weight products."""
     products = [weight_product(v) for v in points]
     denominator = lcm(*products)
-    return Fraction(sum(denominator // w for w in products), denominator)
+    return ratio(sum(denominator // w for w in products), denominator)
 
 
 def abbv_zero_check(graph: DecoratedGraph) -> bool:
@@ -627,9 +629,8 @@ def _refuse_invalid(document) -> None:
         raise error(f"invalid {noun}: {found}")
 
 
-# The types parse makes of an integer, of a rational and of a vector.
+# The types parse makes of an integer and of a vector.
 _INT_TYPES = frozenset((int,))
-_RATIONAL_TYPES = frozenset((int, Fraction))
 _SEQUENCE_TYPES = frozenset((tuple, list))
 
 
@@ -661,14 +662,14 @@ def _edge_order(e: GraphEdge) -> tuple:
 
 def _rational_rule(x) -> str | None:
     """The rule a value breaks as a rational (an int or a Fraction), or None."""
-    if type(x) in _RATIONAL_TYPES:
+    if type(x) in RATIONAL_TYPES:
         return None
     return _FLOAT_RULE if type(x) is float else _RATIONAL_RULE
 
 
 def _area_rule(x) -> str | None:
     """The rule a value breaks as an area, a positive rational; or None."""
-    if type(x) not in _RATIONAL_TYPES:
+    if type(x) not in RATIONAL_TYPES:
         return _rational_rule(x)
     return "area must be positive" if x.numerator <= 0 else None
 
@@ -711,7 +712,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
         if not ok:
             violations.append(Violation("weight-signs", f"{rule}, got {v.weights}", (v.id,)))
 
-    labels: list[Fraction | None] = []
+    labels: list[int | Fraction | None] = []
     e_min, e_max = extremal_self_intersections(graph)
     for v, n in zip(graph.surfaces, surface_levels):
         if n == lo:

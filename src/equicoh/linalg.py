@@ -12,9 +12,10 @@ rewritten on the lowest columns, reach the general elimination.  Apart
 from one pass over the columns, the cost of that elimination follows the
 nonzeros met, not the width of the rows.  The basis is in reduced row
 echelon form, which makes it the unique canonical basis of the solution
-subspace for a fixed column order.  :func:`rref` keeps dense lists of
-Fraction on both sides and runs the same sparse elimination in between,
-without the presolve.
+subspace for a fixed column order.  :func:`rref` keeps dense lists on
+both sides and runs the same sparse elimination in between, without the
+presolve.  Entries are ints and Fractions, kept as given; every division
+is :func:`~equicoh.mpoly.ratio`, so an exact quotient stays an ``int``.
 """
 
 from __future__ import annotations
@@ -23,26 +24,27 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .mpoly import as_fraction
+from .mpoly import ratio
 
-_ZERO = Fraction(0)
+Rational = int | Fraction
 
 
-def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _reduced_rows(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, Rational]]:
     """Reduced echelon rows of a sparse system, keyed by pivot column.
 
     Rows are ``{column: value}`` dicts of ints and Fractions, kept as
-    Fractions; zero entries may be given and are never kept.  Each row's pivot is its highest column.  Forward
-    elimination brings each row, from its highest column down, onto the
-    echelon rows found so far and normalises what is left at its highest
-    remaining column.  Back-substitution then clears, from the lowest pivot
+    given; zero entries are allowed and never kept.  Each row's pivot is
+    its highest column.  Forward elimination brings each row, from its
+    highest column down, onto the echelon rows found so far and divides
+    what is left by its entry at its highest remaining column (one
+    :func:`~equicoh.mpoly.ratio` per entry).  Back-substitution then clears, from the lowest pivot
     up, every pivot column out of each echelon row, so a reduced row holds
     its pivot, at 1, and lower free columns only.  The reduced echelon form
     is unique, so the order of the rows does not affect the result.
     """
-    echelon: dict[int, dict[int, Fraction]] = {}
+    echelon: dict[int, dict[int, Rational]] = {}
     for given in rows:
-        row = {j: as_fraction(x) for j, x in given.items() if x}
+        row = {j: x for j, x in given.items() if x}
         heap = [-j for j in row]
         heapq.heapify(heap)
         while heap:
@@ -53,8 +55,7 @@ def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int,
             pivot_row = echelon.get(c)
             if pivot_row is None:
                 if factor != 1:
-                    inv = 1 / factor
-                    row = {j: x * inv for j, x in row.items()}
+                    row = {j: ratio(x, factor) for j, x in row.items()}
                 echelon[c] = row
                 break
             for j, y in pivot_row.items():
@@ -67,7 +68,7 @@ def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int,
                 else:
                     row[j] = -factor * y
                     heapq.heappush(heap, -j)
-    reduced: dict[int, dict[int, Fraction]] = {}
+    reduced: dict[int, dict[int, Rational]] = {}
     for p in sorted(echelon):
         row = echelon[p]
         for q in [q for q in row if q != p and q in reduced]:
@@ -83,7 +84,7 @@ def _reduced_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int,
     return reduced
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
     Dense rows go in and come out.  Column j is handed to
@@ -97,7 +98,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     dense = []
     pivots = []
     for p in sorted(reduced, reverse=True):
-        out = [_ZERO] * (last + 1)
+        out = [0] * (last + 1)
         for j, x in reduced[p].items():
             out[last - j] = x
         dense.append(out)
@@ -105,20 +106,11 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return dense, pivots
 
 
-def _ratio(num, den):
-    """``num / den`` exactly: an ``int`` when both are ints and ``den``
-    divides ``num``, and a Fraction otherwise, never a float."""
-    if type(num) is int and type(den) is int:
-        q, r = divmod(num, den)
-        return Fraction(num, den) if r else q
-    return num / den
-
-
-def _find(parent: list[int], ratio: list, c: int) -> tuple[int, object]:
+def _find(parent: list[int], weight: list, c: int) -> tuple[int, object]:
     """``(root, w)`` with ``x_c = w * x_root`` for the class of column ``c``.
 
     ``parent[c] <= c`` points one step towards the lowest column of the
-    class, with ``x_c = ratio[c] * x_parent[c]``.  The path walked is
+    class, with ``x_c = weight[c] * x_parent[c]``.  The path walked is
     compressed, iteratively: every column on it then points at the root,
     with its ratio to the root.
     """
@@ -129,14 +121,14 @@ def _find(parent: list[int], ratio: list, c: int) -> tuple[int, object]:
     for node in reversed(path):  # nearest the root first
         up = parent[node]
         if up != c:
-            ratio[node] = ratio[node] * ratio[up]
+            weight[node] = weight[node] * weight[up]
             parent[node] = c
-    return c, ratio[path[0]] if path else 1
+    return c, weight[path[0]] if path else 1
 
 
 def nullspace(
-    rows: Iterable[Mapping[int, int | Fraction]], ncols: int
-) -> list[dict[int, int | Fraction]]:
+    rows: Iterable[Mapping[int, Rational]], ncols: int
+) -> list[dict[int, Rational]]:
     """Canonical (reduced echelon) basis of {v : rows . v = 0} in Q^ncols.
 
     Rows and basis vectors are ``{column: value}`` dicts of ints and
@@ -146,7 +138,7 @@ def nullspace(
     Each row with exactly two nonzeros, ``a x_i + b x_j = 0``, is merged in
     a weighted union-find (Tarjan): every column points at the lowest
     column of its class, its representative ``r``, with ``x_c = w_c x_r``.
-    A ratio is an int when the division is exact and a Fraction otherwise.
+    A weight is an int when the division is exact and a Fraction otherwise.
     A row whose two columns are already in one class either holds there or
     forces the representative to zero; a forced representative merged
     under a lower one passes its flag on.  The rows of one term or of
@@ -164,18 +156,18 @@ def nullspace(
     basis is the same.
     """
     parent = list(range(ncols))
-    ratio: list = [1] * ncols
+    weight: list = [1] * ncols
     forced: set[int] = set()
     rest = []
     for given in rows:
-        terms = [(j, x if type(x) is int else as_fraction(x)) for j, x in given.items() if x]
+        terms = [(j, x) for j, x in given.items() if x]
         if len(terms) != 2:
             if terms:
                 rest.append(terms)
             continue
         (i, a), (j, b) = terms
-        ri, wi = _find(parent, ratio, i)
-        rj, wj = _find(parent, ratio, j)
+        ri, wi = _find(parent, weight, i)
+        rj, wj = _find(parent, weight, j)
         a, b = a * wi, b * wj  # now a x_ri + b x_rj = 0
         if ri == rj:
             if a + b:
@@ -184,7 +176,7 @@ def nullspace(
         if ri > rj:
             ri, rj, a, b = rj, ri, b, a
         parent[rj] = ri
-        ratio[rj] = _ratio(-a, b)
+        weight[rj] = ratio(-a, b)
         if rj in forced:
             forced.discard(rj)
             forced.add(ri)
@@ -193,7 +185,7 @@ def nullspace(
     for c in range(ncols):
         up = parent[c]
         if up != c and parent[up] != up:
-            ratio[c] = ratio[c] * ratio[up]
+            weight[c] = weight[c] * weight[up]
             parent[c] = up = parent[up]
         members.setdefault(up, []).append(c)
     reps_rows = [{r: 1} for r in forced]
@@ -201,7 +193,7 @@ def nullspace(
         row: dict[int, object] = {}
         for j, x in terms:
             r = parent[j]
-            row[r] = row.get(r, 0) + x * ratio[j]
+            row[r] = row.get(r, 0) + x * weight[j]
         reps_rows.append(row)
     reduced = _reduced_rows(reps_rows)
     basis = {f: {f: 1} for f in members if f not in reduced}
@@ -214,6 +206,6 @@ def nullspace(
         full = {}
         for r, v in vector.items():
             for c in members[r]:
-                full[c] = v * ratio[c]
+                full[c] = v * weight[c]
         out.append(full)
     return out

@@ -1,6 +1,9 @@
 """Exact multivariate polynomials over the rationals.
 
-Terms are stored as a map from exponent tuples to nonzero Fraction
+An exact rational is a value whose exact type is in :data:`RATIONAL_TYPES`,
+an ``int`` or a ``Fraction`` (no bool, float, string or Decimal).  It keeps
+the type it was given or computed as; the one division is :func:`ratio`.
+Terms are stored as a map from exponent tuples to nonzero rational
 coefficients, so every operation is exact and serialization is canonical
 (terms sort in descending lexicographic order of the exponent tuple).
 The module also provides the unimodular change of basis that turns a
@@ -18,12 +21,16 @@ from .errors import InputError
 
 Exponents = tuple[int, ...]
 
-_SCALARS = (int, Fraction)
+RATIONAL_TYPES = frozenset((int, Fraction))
 
 
-def as_fraction(value) -> Fraction:
-    """``Fraction(value)``, returning a Fraction argument itself instead of a copy."""
-    return value if type(value) is Fraction else Fraction(value)
+def ratio(num, den):
+    """``num / den`` exactly: an ``int`` when both are ints and ``den``
+    divides ``num``, and a Fraction otherwise, never a float."""
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return num / den
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
@@ -46,32 +53,30 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
 
 
 class MPoly:
-    """A polynomial in ``nvars`` variables with Fraction coefficients."""
+    """A polynomial in ``nvars`` variables with rational coefficients, stored as given."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int | Fraction] | None = None):
+        if type(nvars) is not int or nvars < 0:
+            raise InputError(f"nvars must be a nonnegative integer, got {nvars!r}")
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
-            for exps, coeff in terms.items():
+            for exps, value in terms.items():
                 exps = tuple(exps)
                 if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                     raise InputError(f"bad exponent tuple {exps} for {nvars} variables")
-                value = as_fraction(coeff)
-                if exps in clean:
-                    value = clean[exps] + value
-                    if not value:
-                        del clean[exps]
-                        continue
-                if value:
-                    clean[exps] = value
+                if type(value) not in RATIONAL_TYPES:
+                    raise InputError(f"coefficients must be ints or Fractions, got {value!r}")
+                clean[exps] = clean.get(exps, 0) + value
         self.nvars = nvars
-        self.terms = clean
+        self.terms = {exps: c for exps, c in clean.items() if c}
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponents, Fraction]) -> MPoly:
+    def _trusted(cls, nvars: int, terms: dict[Exponents, int | Fraction]) -> MPoly:
         """Wrap terms that already have the stored form: int tuples of length
-        ``nvars`` mapping to nonzero Fractions.  The dict is taken, not copied."""
+        ``nvars`` mapping to nonzero ints and Fractions.  The dict is taken,
+        not copied."""
         p = cls.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -83,17 +88,17 @@ class MPoly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> MPoly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> MPoly:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        return cls(nvars, {exps: 1})
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff) -> MPoly:
         exps = tuple(exps)
-        return cls(len(exps), {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -101,7 +106,7 @@ class MPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
             return self.nvars == other.nvars and self.terms == other.terms
-        if isinstance(other, _SCALARS):
+        if type(other) in RATIONAL_TYPES:
             return self == MPoly.constant(self.nvars, other)
         return NotImplemented
 
@@ -116,7 +121,7 @@ class MPoly:
             return NotImplemented
         merged = dict(self.terms)
         for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
+            merged[exps] = merged.get(exps, 0) + coeff
         return MPoly(self.nvars, merged)
 
     __radd__ = __add__
@@ -128,18 +133,18 @@ class MPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> MPoly:
-        if isinstance(other, _SCALARS):
+        if type(other) in RATIONAL_TYPES:
             if not other:
                 return MPoly.zero(self.nvars)
             return MPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod: dict[Exponents, Fraction] = {}
+        prod: dict[Exponents, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                prod[key] = prod.get(key, Fraction(0)) + c1 * c2
+                prod[key] = prod.get(key, 0) + c1 * c2
         return MPoly(self.nvars, prod)
 
     __rmul__ = __mul__
@@ -149,19 +154,19 @@ class MPoly:
             if other.nvars != self.nvars:
                 raise InputError("polynomials over different variable counts")
             return other
-        if isinstance(other, _SCALARS):
+        if type(other) in RATIONAL_TYPES:
             return MPoly.constant(self.nvars, other)
         return NotImplemented
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
+    def coefficient(self, exps: Sequence[int]) -> int | Fraction:
         if any(type(e) is not int for e in exps):
             raise InputError(f"exponents must be integers, got {list(exps)}")
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def substitute_linear(self, matrix: Sequence[Sequence[int]]) -> MPoly:
@@ -298,8 +303,9 @@ def poly_to_pairs(p: MPoly) -> list[list]:
 
 def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
     """The sum of ``[exponents, coefficient]`` pairs, each checked once by the
-    constructor's rules, built in the stored form without the constructor."""
-    terms: dict[Exponents, Fraction] = {}
+    constructor's rules, built in the stored form without the constructor;
+    ``parse_scalar`` reads each coefficient as an exact rational."""
+    terms: dict[Exponents, int | Fraction] = {}
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError("polynomial term must be an [exponents, coefficient] pair")
@@ -311,6 +317,5 @@ def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
         key = tuple(exps)
         if any(e < 0 for e in key):
             raise InputError(f"bad exponent tuple {key} for {nvars} variables")
-        value = as_fraction(parse_scalar(coeff))
-        terms[key] = terms[key] + value if key in terms else value
+        terms[key] = terms.get(key, 0) + parse_scalar(coeff)
     return MPoly._trusted(nvars, {key: c for key, c in terms.items() if c})

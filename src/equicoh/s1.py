@@ -66,19 +66,17 @@ from .graph import (
 )
 from .linalg import nullspace
 from .mpoly import (
+    RATIONAL_TYPES,
     LinearSubstitution,
     MPoly,
-    as_fraction,
     monomials_of_degree,
     poly_from_pairs,
     poly_to_pairs,
+    ratio,
     unimodular_completion,
 )
 
 DEFAULT_MAX_DEGREE = 12
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _CLASS_KEYS = {"kind", "graph", "components"}
 
@@ -167,7 +165,7 @@ class EquivariantEuler:
     laurent: Laurent
 
 
-def _extremal(graph: DecoratedGraph, surface: FatVertex) -> tuple[int, Fraction]:
+def _extremal(graph: DecoratedGraph, surface: FatVertex) -> tuple[int, int | Fraction]:
     """The sign of a fixed surface of a valid graph, -1 at the minimum and +1
     at the maximum, and its self-intersection: the label the extremal
     equations force there, which a given label equals on a valid graph."""
@@ -179,9 +177,7 @@ def euler_class(graph: DecoratedGraph, component_id: str) -> EquivariantEuler:
     _refuse_invalid(graph)
     comp = graph.find(component_id)
     if isinstance(comp, IsolatedVertex):
-        return EquivariantEuler(
-            component_id, "point", Laurent({2: Fraction(weight_product(comp))})
-        )
+        return EquivariantEuler(component_id, "point", Laurent({2: weight_product(comp)}))
     sign, e = _extremal(graph, comp)
     g = comp.genus
     return EquivariantEuler(
@@ -196,7 +192,7 @@ def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     _refuse_invalid(graph)
     comp = graph.find(component_id)
     if isinstance(comp, IsolatedVertex):
-        return Laurent({-2: Fraction(1, weight_product(comp))})
+        return Laurent({-2: ratio(1, weight_product(comp))})
     sign, e = _extremal(graph, comp)
     g = comp.genus
     return Laurent({-1: SurfaceClass(g, c0=sign), -2: SurfaceClass(g, c2=-e)})
@@ -346,7 +342,7 @@ def _localization_rules(
     (:func:`_extremal`).
     """
     if isinstance(comp, IsolatedVertex):
-        return {"c": (-2, Fraction(1, weight_product(comp)))}
+        return {"c": (-2, ratio(1, weight_product(comp)))}
     sign, e = _extremal(graph, comp)
     rules: dict[str, tuple[int, object]] = {"c2": (-1, sign)}
     if e:
@@ -410,7 +406,7 @@ def degree_slots(document, degree: int) -> list[Slot]:
     return slots
 
 
-def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
+def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> int | Fraction:
     """The coordinate of the degree-k part of alpha at one slot.
 
     That is the slot's part itself for a circle action and the part's
@@ -420,12 +416,12 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> Fraction:
     cls = alpha.components.get(slot.component)
     entry = None if cls is None else cls.entries.get(degree)
     if entry is None:
-        return _ZERO
+        return 0
     value = entry_part(entry, slot.part, slot.index)
-    return value if alpha.rank is None else value.terms.get(slot.exps, _ZERO)
+    return value if alpha.rank is None else value.terms.get(slot.exps, 0)
 
 
-def class_to_vector(document, degree: int, alpha: EquivariantClass) -> list[Fraction]:
+def class_to_vector(document, degree: int, alpha: EquivariantClass) -> list[int | Fraction]:
     return [slot_value(alpha, degree, slot) for slot in degree_slots(document, degree)]
 
 
@@ -435,7 +431,7 @@ def _class_from_sparse(
     """The class of a graph or an x-ray with coordinate ``vector[i]`` at
     ``slots[i]`` and zero elsewhere.
 
-    A part's value is the Fraction for a graph and, for an x-ray of rank r,
+    A part's value is the rational for a graph and, for an x-ray of rank r,
     the polynomial whose terms are its slots' monomials, with the vector's
     coefficients as they are.  ``vector`` holds nonzero ints and Fractions
     only, and only the components it touches get a record, with its kind
@@ -456,7 +452,7 @@ def _class_from_sparse(
 
     def part_value(rec, part: str, index: int = 0):
         if rank is None:
-            return rec.get((part, index), _ZERO)
+            return rec.get((part, index), 0)
         return MPoly._trusted(rank, rec.get((part, index), {}))
 
     comps: dict[str, ComponentClass] = {}
@@ -473,21 +469,22 @@ def _class_from_sparse(
 
 def class_from_vector(document, degree: int, values) -> EquivariantClass:
     """The degree-k class of a graph or an x-ray with the exact coordinates
-    ``values`` (ints or Fractions, in :func:`degree_slots` order)."""
+    ``values`` (ints or Fractions, in :func:`degree_slots` order), each kept
+    as given."""
     slots = degree_slots(document, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
     for x in values:
-        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+        if type(x) not in RATIONAL_TYPES:
             raise InputError(f"coordinates must be ints or Fractions, got {x!r}")
-    vector = {i: Fraction(x) for i, x in enumerate(values) if x}
+    vector = {i: x for i, x in enumerate(values) if x}
     return _class_from_sparse(document, degree, slots, vector)
 
 
 def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
     if slot.component not in document._kinds:
         raise InputError(f"slot {slot.label!r} is not on a component of this document")
-    return _class_from_sparse(document, degree, [slot], {0: _ONE})
+    return _class_from_sparse(document, degree, [slot], {0: 1})
 
 
 def _constraint_table(
@@ -572,8 +569,8 @@ def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, in
     part in that place, ``value`` being the part times ``d``: an ``int`` for
     a circle action, an ``{exponents: int}`` term dict for a torus.  The
     class is read once; a query reads these parts only, so it adds
-    integers (times a pole's scale, a Fraction for a point or a surface of
-    fractional self-intersection) and divides by ``d`` at the end.
+    integers (times a pole's scale, an int or a Fraction) and divides by
+    ``d`` at the end.
     """
     found = []
     for cid, cls in alpha.components.items():
@@ -685,7 +682,7 @@ def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
 
 def _group_columns(
     group: tuple, degree: int, slots: list[Slot], index
-) -> dict[int, dict[tuple, Fraction]]:
+) -> dict[int, dict[tuple, int | Fraction]]:
     """The column of every degree-k slot on a group's members, by position
     (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
     of the unit class at the slot, read off the memoised image of its
@@ -693,7 +690,7 @@ def _group_columns(
     with ``p`` the part's power of the parameter.  The unit's coefficients are ``int``, so an entry of a column
     is an ``int`` times a division's factor or a pole's scale."""
     _, members, table, substitution = group
-    columns: dict[int, dict[tuple, Fraction]] = {}
+    columns: dict[int, dict[tuple, int | Fraction]] = {}
     for cid, _, _ in members:
         for i in index.get(cid, ()):
             slot = slots[i]
@@ -722,7 +719,7 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
     if not slots:
         return []
     index = _slot_index(slots)
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int | Fraction]] = {}
     for group in groups:
         tag = group[0]
         for i, column in _group_columns(group, degree, slots, index).items():
@@ -741,7 +738,7 @@ def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[
     return _class_obstructions(table, _scaled_parts(alpha), None)
 
 
-def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
+def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
     """The linear functional cutting out degree 2 of the image, slot by slot.
 
     This is the coefficient of u^-1 in each unit class's localization sum,
@@ -750,7 +747,7 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, Fraction]:
     slots = degree_slots(graph, 2)
     columns = _group_columns(_graph_group(graph), 2, slots, _slot_index(slots))
     return {
-        slot.label: as_fraction(columns[i].get(("pole", -1, ()), 0))
+        slot.label: columns[i].get(("pole", -1, ()), 0)
         for i, slot in enumerate(slots)
     }
 
@@ -804,11 +801,13 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
         v_lower, v_upper = (
             alpha.restriction(s.id).get(1, SurfaceClass(s.genus)).c1 for s in (lower, upper)
         )
+        # pinned bytes: each H^1 part shows as the repr of the equal Fraction
         violations.append(
             MembershipViolation(
                 "degree1-surface-match",
                 f"H^1 parts disagree under the identification "
-                f"({lower.id}: {list(v_lower)} vs {upper.id}: {list(v_upper)})",
+                f"({lower.id}: {list(map(Fraction, v_lower))} "
+                f"vs {upper.id}: {list(map(Fraction, v_upper))})",
             )
         )
 
@@ -959,7 +958,7 @@ def _parse_class(text, document) -> EquivariantClass:
     components = document._fixed_components
     rank = document.rank
     if rank is None:
-        owner, noun, zero = "graph", "rationals", _ZERO
+        owner, noun, zero = "graph", "rationals", 0
     else:
         owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
 

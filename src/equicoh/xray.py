@@ -31,7 +31,6 @@ from .errors import InputError, SchemaError
 from .graph import (
     _ID_RULE,
     _INT_TYPES,
-    _RATIONAL_TYPES,
     _SEQUENCE_TYPES,
     DecoratedGraph,
     IsolatedVertex,
@@ -58,7 +57,7 @@ from .graph import (
     parse_rational,
     validate_graph,
 )
-from .mpoly import is_primitive
+from .mpoly import RATIONAL_TYPES, is_primitive
 from .s1 import (
     EquivariantClass,
     MembershipDecision,
@@ -86,10 +85,10 @@ _NO_INDUCED_GRAPH = "a 2-dimensional piece carries no induced graph"
 class TorusFixedComponent:
     id: str
     kind: str  # "point" | "surface"
-    y: tuple[Fraction, ...]
+    y: tuple[int | Fraction, ...]
     weights: tuple[tuple[int, ...], ...]
     genus: int = 0
-    area: Fraction | None = None
+    area: int | Fraction | None = None
 
     def _shape_rule(self, rank: int) -> str | None:
         if not _is_id(self.id):
@@ -97,7 +96,7 @@ class TorusFixedComponent:
         if type(self.y) not in _SEQUENCE_TYPES or len(self.y) != rank:
             return f'"y" must be a vector of {rank} rationals'
         for x in self.y:
-            if type(x) not in _RATIONAL_TYPES:
+            if type(x) not in RATIONAL_TYPES:
                 return _rational_rule(x)
         if self.kind == "surface":
             if type(self.genus) is not int or self.genus < 0:

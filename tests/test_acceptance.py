@@ -6,6 +6,7 @@ independent brute-force solver embedded at the bottom of this module.
 """
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -26,6 +27,8 @@ from equicoh import (
     check_membership_torus,
     check_membership_xray,
     class_from_vector,
+    class_to_dict,
+    class_to_vector,
     degree_slots,
     equivariant_series,
     euler_class,
@@ -36,6 +39,7 @@ from equicoh import (
     inverse_euler,
     laurent_mul,
     localize,
+    parse_class_torus,
     parse_graph,
     promote_to_torus,
     resolve_self_intersections,
@@ -444,6 +448,51 @@ def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch)
     assert decision.member
     assert built == []
     assert routed and set(routed) == {int}
+
+
+def _integer_member_text(xray, degrees=range(5)) -> str:
+    """The JSON text of a member class of ``xray`` with int coefficients
+    only: in each degree, each basis class cleared of its denominators,
+    times a small int, summed."""
+    rng = random.Random(3)
+    components: dict = {}
+    for degree in degrees:
+        vector = [0] * len(degree_slots(xray, degree))
+        for element in image_basis_xray(xray, degree):
+            values = class_to_vector(xray, degree, element)
+            c = rng.choice([-2, -1, 1, 2]) * math.lcm(*(x.denominator for x in values))
+            vector = [v + int(c * x) for v, x in zip(vector, values)]
+        doc = class_to_dict(class_from_vector(xray, degree, vector), "cube")
+        for cid, entries in doc["components"].items():
+            components.setdefault(cid, {}).update(entries)
+    return json.dumps({"kind": "class", "graph": "cube", "components": components})
+
+
+def test_an_integer_class_is_parsed_and_checked_without_a_fraction(monkeypatch):
+    # Every coefficient of the document is a JSON-style integer string, so
+    # parse keeps ints, the routed sums are ints and none is divided back.
+    xray = fixtures.cube(3, 1)
+    text = _integer_member_text(xray)
+    assert check_membership_xray(xray, parse_class_torus(text, xray)).member
+    built = []
+
+    def counting(make):
+        def build(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic from 3.12 on
+        make = counting(Fraction._from_coprime_ints.__func__)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(make))
+    alpha = parse_class_torus(text, xray)
+    decision = check_membership_xray(xray, alpha)
+    monkeypatch.undo()
+    assert decision.member
+    assert built == []
+    assert {type(x) for k in range(5) for x in class_to_vector(xray, k, alpha)} == {int}
 
 
 def test_membership_scales_with_the_genus():

@@ -479,9 +479,9 @@ def test_int_coefficients_print_as_the_equal_fractions(name):
         for x, y in [*zip(basis, fractions), *zip(ints, fractions), *units]:
             assert json.dumps(class_to_dict(x, name)) == json.dumps(class_to_dict(y, name))
             assert check(document, x).to_dict() == check(document, y).to_dict()
-            assert [repr(c.entries) for c in x.components.values()] == [
-                repr(c.entries) for c in y.components.values()
-            ]
+            assert [
+                {k: str(entry) for k, entry in c.entries.items()} for c in x.components.values()
+            ] == [{k: str(entry) for k, entry in c.entries.items()} for c in y.components.values()]
             if graph:
                 assert repr(localize(document, x)) == repr(localize(document, y))
     if not graph:

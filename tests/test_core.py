@@ -1,6 +1,7 @@
 """Surface cohomology ring, Laurent elements and Poincare series."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,9 @@ from equicoh import (
     MPoly,
     PoincareSeries,
     SurfaceClass,
+    class_from_vector,
     cup_surface,
+    degree_slots,
     equivariant_series,
     integrate_surface,
     laurent_mul,
@@ -262,7 +265,7 @@ def test_component_class_parity():
         ComponentClass("surface", 1, {2: SurfaceClass(0, c0=1)})
 
 
-@pytest.mark.parametrize("bad", [1.5, "x", MPoly.constant(1, 1)], ids=repr)
+@pytest.mark.parametrize("bad", [1.5, "x", MPoly.constant(1, 1), True], ids=repr)
 @pytest.mark.parametrize("part, degree", [("c0", 0), ("c1", 1), ("c2", 2)])
 def test_every_surface_part_of_a_circle_action_class_is_a_rational(part, degree, bad):
     """A surface's H^0, H^1 and H^2 parts are checked as a point's value is,
@@ -275,6 +278,77 @@ def test_every_surface_part_of_a_circle_action_class_is_a_rational(part, degree,
         ComponentClass("surface", 1, {degree: SurfaceClass(1, **parts)})
     with pytest.raises(InputError, match="^degree 0: expected a rational coefficient$"):
         ComponentClass("point", 0, {0: bad})
+
+
+NOT_RATIONALS = [0.5, "1/2", True, Decimal("0.1")]
+
+# Every constructor that takes a coefficient, applied to one value.
+COEFFICIENT_TAKERS = {
+    "MPoly": lambda x: MPoly(1, {(1,): x}),
+    "MPoly.constant": lambda x: MPoly.constant(2, x),
+    "MPoly.monomial": lambda x: MPoly.monomial((1, 0), x),
+    "Laurent": lambda x: Laurent({-1: x}),
+    "point value": lambda x: ComponentClass("point", 0, {2: x}),
+    "surface part": lambda x: ComponentClass("surface", 1, {2: SurfaceClass(1, c0=x)}),
+    "class_from_vector": lambda x: class_from_vector(g1(), 0, [x] * len(degree_slots(g1(), 0))),
+}
+
+
+def test_every_coefficient_taker_refuses_what_is_not_a_rational():
+    """A rational is an int or a Fraction, by exact type: a float, a string,
+    a bool or a Decimal handed to any constructor that takes a coefficient
+    is refused with InputError, never converted to the rational it equals."""
+    for make in COEFFICIENT_TAKERS.values():
+        make(1)
+        make(Fraction(1, 2))
+    accepted = []
+    for name, make in COEFFICIENT_TAKERS.items():
+        for bad in NOT_RATIONALS:
+            try:
+                make(bad)
+            except InputError:
+                continue
+            accepted.append((name, bad))
+    assert accepted == []
+
+
+def test_coefficients_are_kept_as_given():
+    """An int stays an int and a Fraction a Fraction: no constructor turns
+    one into the other."""
+    assert type(MPoly(1, {(1,): 3}).terms[(1,)]) is int
+    assert type(MPoly.constant(1, Fraction(3)).terms[(0,)]) is Fraction
+    assert [type(c) for c in Laurent({0: 2, 1: Fraction(1, 2)}).terms.values()] == [int, Fraction]
+    point = ComponentClass("point", 0, {0: 1, 2: Fraction(2)})
+    assert [type(point.entry(k)) for k in (0, 2, 4)] == [int, Fraction, int]
+    surface = SurfaceClass(1, 1, (2, Fraction(3)), 4)
+    assert [type(x) for x in (surface.c0, *surface.c1, surface.c2)] == [int, int, Fraction, int]
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)
+def test_every_integer_field_of_a_class_constructor_refuses_a_float_or_a_bool(bad):
+    """The genus of a surface class or a component, the rank of a component
+    and the variable count of a polynomial are refused, not truncated, when
+    they are not ints."""
+    makers = [
+        lambda: SurfaceClass(bad),
+        lambda: ComponentClass("surface", bad, {}),
+        lambda: ComponentClass("point", 0, {}, rank=bad),
+        lambda: MPoly(bad, {}),
+    ]
+    for make in makers:
+        with pytest.raises(InputError):
+            make()
+
+
+def test_the_integer_fields_keep_their_messages():
+    """A negative genus and a point's genus are refused as before the type
+    checks; an int rank and variable count pass."""
+    with pytest.raises(InputError, match="^genus must be nonnegative$"):
+        SurfaceClass(-1)
+    with pytest.raises(InputError, match="^point components have no genus$"):
+        ComponentClass("point", 1, {})
+    assert ComponentClass("point", 0, {}, rank=2).rank == 2
+    assert MPoly(0).nvars == 0
 
 
 def test_component_class_entries():

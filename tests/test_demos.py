@@ -77,6 +77,23 @@ def test_only_the_core_module_halves_a_degree():
     assert found == []
 
 
+def test_only_the_mpoly_module_divides():
+    """The one division of two rationals is ``mpoly.ratio``, exact and an
+    ``int`` where it can be: no other module of the package has a ``/`` or
+    ``/=`` expression, so no quotient is computed a second way."""
+    found = []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        if path.name == "mpoly.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+    assert found == []
+
+
 def test_no_package_code_reads_a_class_component_by_key():
     """A library class holds only its nonzero components, so every reader
     goes through the absent-as-zero path (``EquivariantClass.restriction``

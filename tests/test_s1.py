@@ -948,7 +948,8 @@ def reference_check_membership(graph, alpha):
                 s1.MembershipViolation(
                     "degree1-surface-match",
                     f"H^1 parts disagree under the identification "
-                    f"({lower.id}: {list(v_lower)} vs {upper.id}: {list(v_upper)})",
+                    f"({lower.id}: {list(map(Fraction, v_lower))} "
+                    f"vs {upper.id}: {list(map(Fraction, v_upper))})",
                 )
             )
 

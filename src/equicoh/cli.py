@@ -12,6 +12,9 @@ One table, :data:`_ERRORS`, gives every error its code and status, for a
 single file and for each file of a batch alike.  A basis is rendered from
 its classes' records, JSON and text alike, at a cost that follows its
 nonzero entries; the bytes are those of every class written out in full.
+In JSON each record is written by one function straight from its parts
+(a rational, or a polynomial's terms in descending order), with no dict
+or list built in between.
 
 :func:`main` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; the library functions behind each
@@ -46,7 +49,7 @@ from .graph import (
     report_to_json,
     validate_graph,
 )
-from .mpoly import poly_to_pairs
+from .mpoly import MPoly
 from .s1 import (
     DEFAULT_MAX_DEGREE,
     _entry_to_dict,
@@ -231,11 +234,11 @@ def _basis_json(document, basis, graph_ref: str) -> str:
     The absent-component fragments ``,\n      "<id>": {}`` of every
     addressed component are encoded once per call into one string; a class
     slices out each run of components it holds no record for and writes
-    each record it holds through :func:`_write`, so the Python work follows
-    the records and not classes times components."""
+    each record it holds through :func:`_write_record`, straight from the
+    record's parts, so the Python work follows the records and not classes
+    times components, and no dict or list is built for a record."""
     if not basis:
         return "[]"
-    fmt = format_rational if document.rank is None else poly_to_pairs
     ids = sorted({cid for cid, _, _ in document._fixed_components})
     position = {cid: i for i, cid in enumerate(ids)}
     fragments = [",\n      " + encode_basestring_ascii(cid) + ": {}" for cid in ids]
@@ -255,13 +258,69 @@ def _basis_json(document, basis, graph_ref: str) -> str:
         for i, cls in records:
             # the absent run before component i, then its fragment up to "{}"
             parts.append(absent[cursor:offsets[i + 1] - 2])
-            entries = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
-            _write(entries, parts, "\n      ")
+            _write_record(cls, parts)
             cursor = offsets[i + 1]
         parts.append(absent[cursor:])
         parts.append(tail)
     parts.append("\n]")
     return "".join(parts)
+
+
+def _write_record(cls, parts: list[str]) -> None:
+    """Append the JSON text of one component record at the component indent,
+    as :func:`_write` gives its ``class_to_dict`` value: degrees as sorted
+    strings, a surface's ``c0``, ``c1`` list and ``c2`` (a genus-0 surface
+    has ``"c1": []``), each part through :func:`_part_json`."""
+    entries = cls.entries
+    if not entries:
+        parts.append("{}")
+        return
+    separator = "{"
+    for key, entry in sorted([(str(k), entry) for k, entry in entries.items()]):
+        if type(entry) is SurfaceClass:
+            c1 = f",{_ITEM[0]}".join([_part_json(x, _ITEM) for x in entry.c1])
+            c1 = f"[{_ITEM[0]}{c1}{_PART[0]}]" if c1 else "[]"
+            text = (
+                f'{{{_PART[0]}"c0": {_part_json(entry.c0, _PART)},{_PART[0]}"c1": {c1},'
+                f'{_PART[0]}"c2": {_part_json(entry.c2, _PART)}{_ENTRY[0]}}}'
+            )
+        else:
+            text = _part_json(entry, _ENTRY)
+        parts.append(f'{separator}{_ENTRY[0]}"{key}": {text}')
+        separator = ","
+    parts.append("\n      }")
+
+
+def _layout(spaces: int) -> tuple[str, str, str, str]:
+    """The line breaks of a part that starts on a line indented by
+    ``spaces``: its own, its pairs', their elements', and the separator of
+    the exponents one level further in."""
+    newline = "\n" + " " * spaces
+    return newline, newline + "  ", newline + "    ", "," + newline + "      "
+
+
+# A record sits at the component indent of six spaces: the layouts of its
+# entries, of a surface's parts and of the items of its H^1 list.
+_ENTRY, _PART, _ITEM = _layout(8), _layout(10), _layout(12)
+
+
+def _part_json(value, layout: tuple[str, str, str, str]) -> str:
+    """The JSON text of one part, laid out by :func:`_layout`: a rational as
+    its string (``"0"`` when zero), a polynomial as its ``[exponents,
+    "p/q"]`` pairs in descending exponent order, one element per line
+    (``[]`` when zero)."""
+    if type(value) is not MPoly:
+        return f'"{value!s}"'
+    terms = value.terms
+    if not terms:
+        return "[]"
+    newline, pair, item, exponents = layout
+    texts = [
+        f'[{item}[{item}  {exponents.join(map(str, exps))}{item}],{item}"{terms[exps]!s}"{pair}]'
+        if exps else f'[{item}[],{item}"{terms[exps]!s}"{pair}]'
+        for exps in sorted(terms, reverse=True)
+    ]
+    return f"[{pair}" + f",{pair}".join(texts) + f"{newline}]"
 
 
 def _basis_table(basis, degree: int, slots) -> str:

@@ -244,10 +244,16 @@ def _poly_mul_int(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _trim(coeffs) -> tuple[int, ...]:
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(int(c) for c in coeffs)
+    """The coefficients without trailing zeros; InputError names the first
+    that is not an ``int`` (a float or a bool is refused, not truncated)."""
+    coeffs = tuple(coeffs)
+    for c in coeffs:
+        if type(c) is not int:
+            raise InputError(f"series coefficients must be integers, got {c!r}")
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    return coeffs[:end]
 
 
 @dataclass(frozen=True)
@@ -407,6 +413,8 @@ class ComponentClass:
     list is refused, and every part of a point or a surface is checked in
     its domain (:func:`_checked_part`) at its :func:`part_power`.  An entry
     whose parts are all in their domain is kept, not copied.
+    :meth:`_trusted` builds a record that already holds to these rules
+    without checking it again.
     """
 
     kind: str
@@ -445,6 +453,18 @@ class ComponentClass:
             if entry:
                 clean[degree] = entry
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, kind: str, genus: int, entries: dict, rank: int | None) -> ComponentClass:
+        """Wrap fields that already hold to the constructor's rules: nonzero
+        entries with every part in its domain.  The dict is taken, not
+        copied."""
+        record = object.__new__(cls)
+        record.kind = kind
+        record.genus = genus
+        record.entries = entries
+        record.rank = rank
+        return record
 
     def entry(self, degree: int):
         if degree in self.entries:

@@ -16,17 +16,25 @@ subspace for a fixed column order.  :func:`rref` keeps dense lists on
 both sides and runs the same sparse elimination in between, without the
 presolve.  Entries are ints and Fractions, kept as given; every division
 is :func:`~equicoh.mpoly.ratio`, so an exact quotient stays an ``int``.
+Both refuse any other entry (a float or a bool, zero or not) with
+``InputError`` as they read the row that holds it.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
-from .mpoly import ratio
+from .errors import InputError
+from .mpoly import RATIONAL_TYPES, ratio
 
 Rational = int | Fraction
+
+
+def _refuse(x) -> NoReturn:
+    """Raise for an entry that is not an exact rational."""
+    raise InputError(f"entries must be ints or Fractions, got {x!r}")
 
 
 def _reduced_rows(rows: Iterable[Mapping[int, Rational]]) -> dict[int, dict[int, Rational]]:
@@ -94,7 +102,14 @@ def rref(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[Rational]], list
     if not rows:
         return [], []
     last = len(rows[0]) - 1
-    reduced = _reduced_rows({last - j: x for j, x in enumerate(row) if x} for row in rows)
+    reduced = _reduced_rows(
+        {
+            last - j: x
+            for j, x in enumerate(row)
+            if (x if type(x) in RATIONAL_TYPES else _refuse(x))
+        }
+        for row in rows
+    )
     dense = []
     pivots = []
     for p in sorted(reduced, reverse=True):
@@ -133,7 +148,8 @@ def nullspace(
 
     Rows and basis vectors are ``{column: value}`` dicts of ints and
     Fractions; zero entries may be given and are never returned, and no
-    entry is ever a float.
+    entry is ever a float: a row entry of any other type raises
+    ``InputError``.
 
     Each row with exactly two nonzeros, ``a x_i + b x_j = 0``, is merged in
     a weighted union-find (Tarjan): every column points at the lowest
@@ -160,7 +176,9 @@ def nullspace(
     forced: set[int] = set()
     rest = []
     for given in rows:
-        terms = [(j, x) for j, x in given.items() if x]
+        terms = [
+            (j, x) for j, x in given.items() if (x if type(x) in RATIONAL_TYPES else _refuse(x))
+        ]
         if len(terms) != 2:
             if terms:
                 rest.append(terms)

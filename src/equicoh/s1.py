@@ -437,8 +437,9 @@ def _class_from_sparse(
     only, and only the components it touches get a record, with its kind
     and genus read off the document's ``_kinds``; the class carries the
     document's ``_fixed_components``.  Each record's entry is built once,
-    afresh, with its parts in their domain: ComponentClass keeps it, and
-    no two classes share a mutable part.
+    afresh, with its parts in their domain, so the record is built by
+    :meth:`ComponentClass._trusted` without a second check, and no two
+    classes share a mutable part.
     """
     rank = document.rank
     parts: dict[str, dict[tuple[str, int], object]] = {}
@@ -463,7 +464,7 @@ def _class_from_sparse(
         else:
             c1 = tuple(part_value(rec, "c1", i) for i in range(2 * genus))
             entry = SurfaceClass(genus, part_value(rec, "c0"), c1, part_value(rec, "c2"))
-        comps[cid] = ComponentClass(kind, genus, {degree: entry}, rank)
+        comps[cid] = ComponentClass._trusted(kind, genus, {degree: entry}, rank)
     return EquivariantClass(comps, rank, document._fixed_components)
 
 
@@ -471,6 +472,7 @@ def class_from_vector(document, degree: int, values) -> EquivariantClass:
     """The degree-k class of a graph or an x-ray with the exact coordinates
     ``values`` (ints or Fractions, in :func:`degree_slots` order), each kept
     as given."""
+    _check_degree(degree)
     slots = degree_slots(document, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
@@ -482,9 +484,22 @@ def class_from_vector(document, degree: int, values) -> EquivariantClass:
 
 
 def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
+    """The degree-k class that is 1 at ``slot``, one of the document's
+    :func:`degree_slots` in that degree, and 0 elsewhere."""
     if slot.component not in document._kinds:
         raise InputError(f"slot {slot.label!r} is not on a component of this document")
+    _check_degree(degree)
+    key = (slot.component, slot.part, slot.index, slot.exps)
+    if all((s.component, s.part, s.index, s.exps) != key for s in degree_slots(document, degree)):
+        raise InputError(f"slot {slot.label!r} is not a degree-{degree} slot of this document")
     return _class_from_sparse(document, degree, [slot], {0: 1})
+
+
+def _check_degree(degree) -> None:
+    """Refuse a degree that is not an int: the slots a class is built on
+    must be those of one degree, as :func:`_class_from_sparse` trusts."""
+    if type(degree) is not int:
+        raise InputError(f"degree must be an integer, got {degree!r}")
 
 
 def _constraint_table(
@@ -711,6 +726,7 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
     image of a graph or an x-ray, cut out by its constraint groups: the
     columns of the slots on each group's members (:func:`_group_columns`),
     in rows keyed by the group's tag and the obstruction key."""
+    _check_degree(degree)
     if degree < 0:
         raise InputError("degree must be nonnegative")
     if degree > max_degree:

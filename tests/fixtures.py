@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -38,6 +39,8 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from equicoh import (
     ComponentClass,
@@ -111,16 +114,24 @@ def g3_doc() -> dict:
     }
 
 
-def chain_doc(n: int, genus: int) -> dict:
-    """n interior points between two genus-g surfaces, no isotropy spheres.
+def chain_doc(n: int, genus: int, edges: bool = False) -> dict:
+    """n interior points between two genus-g surfaces, no isotropy spheres
+    unless ``edges`` is set.
 
     Point i has weights ``(up, -down)`` with ``(up, down)`` running through
     the sixteen pairs in 1..4; the self-intersections are left to the
-    extremal equations, so the graph is valid for every n.
+    extremal equations, so the graph is valid for every n.  With ``edges``,
+    point i and point i + 1 are joined by a sphere of speed ``up`` wherever
+    point i + 1 has ``down == up`` (i = 0, 5, 10, ...).
     """
     isolated = [
         {"id": f"p{i:03d}", "y": i + 1, "weights": [1 + i % 4, -(1 + i // 4 % 4)]}
         for i in range(n)
+    ]
+    spheres = [
+        {"from": a["id"], "to": b["id"], "ell": a["weights"][0]}
+        for a, b in zip(isolated, isolated[1:])
+        if edges and a["weights"][0] == -b["weights"][1]
     ]
     return {
         "kind": "graph",
@@ -129,7 +140,7 @@ def chain_doc(n: int, genus: int) -> dict:
             {"id": "Smin", "y": 0, "area": 1, "genus": genus},
             {"id": "Smax", "y": n + 1, "area": 2, "genus": genus},
         ],
-        "edges": [],
+        "edges": spheres,
     }
 
 
@@ -276,6 +287,29 @@ def cp3():
 
 def cube(rank: int, genus: int):
     return parse_xray(cube_doc(rank, genus))
+
+
+# The keys of the documents the basis gates draw from: ("chain", n, genus)
+# with n interior points, ("edged", n, genus) the same chain with its
+# spheres, ("cube", rank, genus) and ("cp3", 0, 0).  The family is drawn
+# first, so cp3, whose basis parts hold several terms, is drawn as often
+# as the chains.
+basis_document_keys = st.one_of(
+    st.tuples(st.sampled_from(["chain", "edged"]), st.integers(1, 12), st.integers(0, 2)),
+    st.tuples(st.just("cube"), st.integers(2, 4), st.integers(0, 2)),
+    st.just(("cp3", 0, 0)),
+)
+
+
+@functools.cache
+def basis_document(family: str, size: int, genus: int):
+    """The parsed document of a key drawn by :data:`basis_document_keys`,
+    parsed once per test session."""
+    if family == "cube":
+        return cube(size, genus)
+    if family == "cp3":
+        return cp3()
+    return parse_graph(chain_doc(size, genus, edges=family == "edged"))
 
 
 def all_graphs() -> dict:

@@ -47,7 +47,7 @@ from equicoh import (
     validate_graph,
     validate_xray,
 )
-from equicoh import linalg, s1
+from equicoh import core, linalg, s1
 import fixtures
 from fixtures import all_graphs, budget, g2, random_class, random_fraction
 
@@ -292,13 +292,14 @@ def test_chain_basis_grows_near_linearly():
 
 def test_a_basis_builds_records_only_for_the_components_it_touches(monkeypatch):
     built = []
+    trusted = ComponentClass._trusted
 
     def counting(*args):
-        built.append(ComponentClass(*args))
+        built.append(trusted(*args))
         return built[-1]
 
     basis_graph = fixtures.chain(400, 1)
-    monkeypatch.setattr(s1, "ComponentClass", counting)
+    monkeypatch.setattr(ComponentClass, "_trusted", counting)
     basis = image_basis(basis_graph, 2)
     # Degree 2 is cut out by the one degree-2 localization row, so each
     # reduced-echelon vector touches its free slot and the pivot slot, on
@@ -323,6 +324,25 @@ def test_an_xray_basis_builds_one_surface_class_per_surface_record(monkeypatch):
     records = [cls for b in basis for cls in b.components.values() if cls.kind == "surface"]
     assert len(records) == 11264
     assert len(built) == len(records)
+
+
+def test_a_basis_checks_no_part_a_second_time(monkeypatch):
+    # Each record is built from the slot layout with its parts in their
+    # domain, so the rank-8 degree-4 basis checks none of them again; a
+    # checked record would check every part of its 11264 surface records.
+    checked = []
+    check = core._checked_part
+
+    def counting(*args):
+        checked.append(args)
+        return check(*args)
+
+    xray = fixtures.cube(8, 1)
+    monkeypatch.setattr(core, "_checked_part", counting)
+    basis = image_basis_xray(xray, 4)
+    assert sum(len(b.components) for b in basis) == 11264 and checked == []
+    ComponentClass("point", 0, {0: 1})
+    assert len(checked) == 1
 
 
 def test_the_presolve_leaves_only_the_rows_of_more_than_two_terms(monkeypatch):

@@ -9,10 +9,12 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -22,9 +24,10 @@ from equicoh import xray as xray_module
 from equicoh.cli import main
 from equicoh.graph import format_rational, parse_graph
 from equicoh.core import Laurent, SurfaceClass
-from equicoh.mpoly import MPoly
+from equicoh.mpoly import MPoly, poly_to_pairs
 from equicoh.s1 import (
     _class_from_sparse,
+    _entry_to_dict,
     check_membership,
     class_from_vector,
     class_to_dict,
@@ -499,24 +502,101 @@ def test_int_coefficients_print_as_the_equal_fractions(name):
 
 def test_basis_json_writes_each_record_once_and_no_absent_component(capsys, monkeypatch, tmp_path):
     """On a 400-point chain the degree-2 basis has 403 classes over 402
-    components and 806 records: the writer visits each record once, at the
-    component indent, and no component a class holds no record for."""
+    components and 806 records: the record writer visits each record once,
+    and no component a class holds no record for."""
     path = tmp_path / "chain400.json"
     path.write_text(json.dumps(fixtures.chain_doc(400, 1)))
     records = []
-    write = cli._write
+    write = cli._write_record
 
-    def counting(value, parts, newline):
-        if newline == "\n      ":
-            records.append(value)
-        return write(value, parts, newline)
+    def counting(cls, parts):
+        records.append(cls.entries)
+        return write(cls, parts)
 
-    monkeypatch.setattr(cli, "_write", counting)
+    monkeypatch.setattr(cli, "_write_record", counting)
     status, out, _ = run(capsys, "basis", str(path), "--degree", "2", "--format", "json")
     assert status == 0
     basis = json.loads(out)
     assert len(basis) == 403 and all(len(b["components"]) == 402 for b in basis)
     assert len(records) == 806 and all(records)
+
+
+def reference_basis_json(document, basis, graph_ref: str) -> str:
+    """The basis JSON as the CLI once wrote it: the absent-component
+    fragments sliced as ``_basis_json`` slices them, and each record
+    turned into its ``class_to_dict`` dicts and lists (``_entry_to_dict``,
+    ``poly_to_pairs``) and written by the recursive ``_write``."""
+    if not basis:
+        return "[]"
+    fmt = format_rational if document.rank is None else poly_to_pairs
+    ids = sorted({cid for cid, _, _ in document._fixed_components})
+    position = {cid: i for i, cid in enumerate(ids)}
+    fragments = [",\n      " + encode_basestring_ascii(cid) + ": {}" for cid in ids]
+    absent = "".join(fragments)
+    offsets = [0, *accumulate(map(len, fragments))]
+    tail = '\n    },\n    "graph": ' + encode_basestring_ascii(graph_ref) + ',\n    "kind": "class"\n  }'
+    parts: list[str] = []
+    separator = "["
+    for b in basis:
+        parts.append(separator + '\n  {\n    "components": {')
+        separator = ","
+        records = sorted(
+            (position[cid], cls) for cid, cls in b.components.items() if cid in position
+        )
+        cursor = 1
+        for i, cls in records:
+            parts.append(absent[cursor:offsets[i + 1] - 2])
+            entries = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
+            cli._write(entries, parts, "\n      ")
+            cursor = offsets[i + 1]
+        parts.append(absent[cursor:])
+        parts.append(tail)
+    parts.append("\n]")
+    return "".join(parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixtures.basis_document_keys, st.integers(0, 6))
+@example(("cp3", 0, 0), 4)
+def test_the_record_writer_gives_the_reference_bytes(key, degree):
+    """Each record written straight from its parts gives the bytes of its
+    dicts and lists written by ``_write``: zero parts as "0" or [], a
+    genus-0 surface's empty H^1 list, one pair element per line."""
+    document = fixtures.basis_document(*key)
+    basis = (image_basis if document.rank is None else image_basis_xray)(document, degree)
+    ref = "d\u00e9\"oc"
+    text = cli._basis_json(document, basis, ref)
+    assert text == reference_basis_json(document, basis, ref)
+    assert text == cli._dump([class_to_dict(b, ref) for b in basis])
+
+
+@pytest.mark.parametrize("name", ["g1", "g2_0", "g2_2", "cp3", "cube2_0", "cube3_2"])
+def test_the_record_writer_handles_any_record(name):
+    """Records of several degrees (written in the order of their keys as
+    strings, "10" before "2"), empty records, zero entries of every part
+    and Fractions with wide numerators: the bytes of ``_dump``."""
+    document = _parse_document(BASIS_DOCUMENTS[name])
+    rng = random.Random(name)
+    degrees = (0, 1, 2, 3, 4, 10, 12)
+
+    def wide(rng):
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 99)) if rng.random() < 0.5 else 0
+
+    zero = fixtures.constant_class if document.rank is None else fixtures.constant_torus_class
+    classes = [zero(document, 0)]
+    for value in (fixtures.random_fraction, wide):
+        for _ in range(4):
+            if document.rank is None:
+                classes.append(fixtures.random_class(document, rng, degrees, value))
+            else:
+                classes.append(fixtures.random_torus_class(
+                    document._fixed_components, document.rank, rng, degrees, value
+                ))
+    assert any(not cls.entries for b in classes for cls in b.components.values())
+    assert any(len(cls.entries) > 1 for b in classes for cls in b.components.values())
+    assert cli._basis_json(document, classes, name) == cli._dump(
+        [class_to_dict(b, name) for b in classes]
+    )
 
 
 # -- check and localize -------------------------------------------------------

@@ -24,6 +24,7 @@ from equicoh import (
     laurent_mul,
     series_coefficient,
 )
+from equicoh.linalg import nullspace, rref
 from fixtures import chain, g1, g2, g3
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -322,6 +323,36 @@ def test_coefficients_are_kept_as_given():
     assert [type(point.entry(k)) for k in (0, 2, 4)] == [int, Fraction, int]
     surface = SurfaceClass(1, 1, (2, Fraction(3)), 4)
     assert [type(x) for x in (surface.c0, *surface.c1, surface.c2)] == [int, int, Fraction, int]
+
+
+# Exact elimination and Poincare series, each applied to one entry: an
+# exact entry, what it gives, and the float and bool twins it refuses,
+# zeros included, rather than compute in floats or read True as 1.
+EXACT_ENTRY_TAKERS = [
+    ("rref", lambda x: rref([[x, 1], [1, 3]]), Fraction(1, 2), ([[1, 0], [0, 1]], [0, 1]), [0.5]),
+    ("rref", lambda x: rref([[x, 1], [1, 3]]), 1, ([[1, 0], [0, 1]], [0, 1]), [1.0, True]),
+    ("rref zero", lambda x: rref([[1, x], [1, 3]]), 0, ([[1, 0], [0, 1]], [0, 1]), [0.0, False]),
+    ("nullspace", lambda x: nullspace([{0: x, 1: 1}], 2), Fraction(1, 2),
+     [{0: 1, 1: Fraction(-1, 2)}], [0.5]),
+    ("nullspace", lambda x: nullspace([{0: x, 1: 1}], 2), 1, [{0: 1, 1: -1}], [1.0, True]),
+    ("nullspace zero", lambda x: nullspace([{0: x, 1: 1}], 2), 0, [{0: 1}], [0.0, False]),
+    ("nullspace three terms", lambda x: nullspace([{0: x, 1: 1, 2: 1}], 3), 1,
+     [{0: 1, 2: -1}, {1: 1, 2: -1}], [1.0, True]),
+    ("PoincareSeries", lambda x: PoincareSeries((x, 2), 0).numerator, 1, (1, 2), [1.5, 1.0, True]),
+    ("PoincareSeries zero", lambda x: PoincareSeries((1, x), 1).numerator, 0, (1,), [0.0, False]),
+]
+
+
+@pytest.mark.parametrize(
+    ("make", "exact", "result", "twins"),
+    [row[1:] for row in EXACT_ENTRY_TAKERS],
+    ids=[f"{row[0]}-{row[2]}" for row in EXACT_ENTRY_TAKERS],
+)
+def test_exact_elimination_and_series_refuse_the_float_and_bool_twins(make, exact, result, twins):
+    assert make(exact) == result
+    for twin in twins:
+        with pytest.raises(InputError, match=r"must be (ints or Fractions|integers), got "):
+            make(twin)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=repr)

@@ -1,7 +1,7 @@
 """The narrative demos run to completion against the package under test,
 the package's modules import only what they use, only the graph module
-places a fixed component, and only the core module states the parity of a
-degree."""
+places a fixed component, only the core module states the parity of a
+degree, and only the basis record builder skips the record check."""
 
 import ast
 import os
@@ -92,6 +92,32 @@ def test_only_the_mpoly_module_divides():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         ]
     assert found == []
+
+
+def test_only_the_basis_record_builder_skips_the_record_check():
+    """``ComponentClass._trusted`` builds a record without the constructor's
+    check, so its one caller is ``s1._class_from_sparse``, which builds each
+    record from the slot layout: parsing and every other constructor keep
+    the check."""
+    found = []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_trusted"
+            ):
+                continue
+            owner = node.func.value
+            if getattr(owner, "id", getattr(owner, "attr", None)) != "ComponentClass":
+                continue
+            scope = node
+            while scope in parent and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parent[scope]
+            found.append(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+    assert found == ["s1.py:_class_from_sparse"]
 
 
 def test_no_package_code_reads_a_class_component_by_key():

@@ -8,7 +8,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
@@ -770,6 +770,63 @@ def test_unit_class_refuses_a_slot_of_another_document():
     slot = degree_slots(g3(), 0)[0]
     with pytest.raises(InputError, match=r"^slot 'S\.c0' is not on a component of this document$"):
         unit_class(g1(), 0, slot)
+
+
+def test_a_class_is_built_only_on_the_slots_of_one_int_degree():
+    """Library classes are built without a second check of their records,
+    so a slot of another degree and a degree that is not an int are
+    refused where they come in."""
+    graph = g2(1)
+    odd = degree_slots(graph, 1)[0]
+    with pytest.raises(InputError, match=r"^slot 'Smax\.a1' is not a degree-2 slot of this document$"):
+        unit_class(graph, 2, odd)
+    xray = fixtures.x2(1)
+    low = degree_slots(xray, 2)[0]
+    with pytest.raises(InputError, match=r" is not a degree-4 slot of this document$"):
+        unit_class(xray, 4, low)
+    for degree in (2.0, True):
+        with pytest.raises(InputError, match=r"^degree must be an integer, got "):
+            unit_class(graph, degree, degree_slots(graph, 2)[0])
+        with pytest.raises(InputError, match=r"^degree must be an integer, got "):
+            class_from_vector(graph, degree, [1] * len(degree_slots(graph, 2)))
+        with pytest.raises(InputError, match=r"^degree must be an integer, got "):
+            image_basis(graph, degree)
+    assert unit_class(xray, 2, low) == class_from_vector(
+        xray, 2, [int(s == low) for s in degree_slots(xray, 2)]
+    )
+
+
+def _mutable_parts(cls: ComponentClass) -> list:
+    """The record, its entries dict, each SurfaceClass or MPoly entry and the
+    terms dict of every polynomial part: what a caller could change."""
+    found = [cls, cls.entries]
+    for entry in cls.entries.values():
+        parts = (entry.c0, *entry.c1, entry.c2) if isinstance(entry, SurfaceClass) else (entry,)
+        if isinstance(entry, (SurfaceClass, MPoly)):
+            found.append(entry)
+        found += [p.terms for p in parts if isinstance(p, MPoly)]
+    return found
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixtures.basis_document_keys, st.integers(0, 6))
+@example(("cp3", 0, 0), 4)
+def test_every_basis_record_is_the_checked_record_of_its_fields(key, degree):
+    """A basis builds its records without the constructor's check; each one
+    equals the record the checked constructor builds from the same fields,
+    which keeps every entry as it is (all its parts are in their domain),
+    and no two classes of a basis share a mutable part."""
+    document = fixtures.basis_document(*key)
+    basis = (image_basis if document.rank is None else image_basis_xray)(document, degree)
+    owner = {}
+    for n, b in enumerate(basis):
+        for cls in b.components.values():
+            checked = ComponentClass(cls.kind, cls.genus, dict(cls.entries), cls.rank)
+            assert type(cls) is ComponentClass and cls == checked
+            assert all(checked.entries[k] is entry for k, entry in cls.entries.items())
+            assert cls.entries and cls.degrees() == [degree]
+            for part in _mutable_parts(cls):
+                assert owner.setdefault(id(part), n) == n
 
 
 def test_library_classes_hold_only_their_nonzero_components():

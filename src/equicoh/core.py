@@ -265,6 +265,10 @@ class PoincareSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "numerator", _trim(self.numerator))
+        if type(self.denominator_power) is not int:
+            raise InputError(
+                f"denominator power must be an integer, got {self.denominator_power!r}"
+            )
         if self.denominator_power < 0:
             raise InputError("denominator power must be nonnegative")
 
@@ -364,6 +368,17 @@ def entry_part(entry, part: str, index: int = 0):
     return value[index] if part == "c1" else value
 
 
+def nonzero_parts(kind: str, entry) -> list[tuple[str, object]]:
+    """``(part, value)`` of each nonzero part of an entry, in slot order."""
+    if kind == "point":
+        return [("c", entry)] if entry else []
+    found = [("c0", entry.c0)] if entry.c0 else []
+    found += [("c1", x) for x in entry.c1 if x]
+    if entry.c2:
+        found.append(("c2", entry.c2))
+    return found
+
+
 def map_parts(kind: str, entry, f):
     """The entry with each part ``value`` replaced by ``f(part, value)``, in
     slot order; ``entry`` itself when each result is the part it replaces."""
@@ -386,6 +401,47 @@ def _vanishing(part: str, listed: set[str]) -> str:
     return "H^0 and H^2 parts must vanish in odd degree"
 
 
+def record_rule(kind: str, genus: int, rank: int | None) -> None:
+    """Refuse the header of a record: an unknown kind, a point with a genus,
+    a genus or a rank that is not a nonnegative int (a rank may be None)."""
+    if kind not in ("point", "surface"):
+        raise InputError(f"unknown component kind {kind!r}")
+    if kind == "point" and genus:
+        raise InputError("point components have no genus")
+    if type(genus) is not int or genus < 0:
+        raise InputError(f"genus must be a nonnegative integer, got {genus!r}")
+    if rank is not None and (type(rank) is not int or rank < 0):
+        raise InputError(f"rank must be None or a nonnegative integer, got {rank!r}")
+
+
+def part_rule(kind: str, genus: int, degree: int, domain=None):
+    """The check of each part of a degree-k entry, as ``f(part, value)`` for
+    :func:`map_parts`, once a point entry in odd degree is refused: a
+    nonzero value in a part that :func:`entry_parts` does not list is
+    refused (:func:`_vanishing`), and then ``domain(value, power, where)``
+    gives the part in its domain at its :func:`part_power`.  With no
+    ``domain`` each part is taken to be in its domain already."""
+    where = f"degree {degree}"
+    listed = {part for part, _, _ in entry_parts(kind, genus, degree)}
+    if kind == "point" and not listed:
+        raise InputError(f"{where}: a point carries no odd-degree classes")
+
+    def checked(part, value):
+        if value and part not in listed:
+            raise InputError(f"{where}: {_vanishing(part, listed)}")
+        return value if domain is None else domain(value, part_power(part, degree), where)
+
+    return checked
+
+
+def homogeneous_part(value: MPoly, power: int, where: str) -> MPoly:
+    """The polynomial itself; InputError unless it is zero or homogeneous of
+    degree ``power``."""
+    if value.terms and not value.is_homogeneous(power):
+        raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
+    return value
+
+
 def _checked_part(value, rank: int | None, power: int, where: str):
     """A part in its domain, itself if already there: a rational for a circle
     action (``rank`` None), else a polynomial in ``rank`` variables,
@@ -396,9 +452,7 @@ def _checked_part(value, rank: int | None, power: int, where: str):
             return value
         raise InputError(f"{where}: expected a rational coefficient")
     if isinstance(value, MPoly) and value.nvars == rank:
-        if value.terms and not value.is_homogeneous(power):
-            raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
-        return value
+        return homogeneous_part(value, power, where)
     if type(value) in RATIONAL_TYPES and not value:
         return MPoly.zero(rank)
     raise InputError(f"{where}: expected a polynomial in {rank} variables")
@@ -409,12 +463,13 @@ class ComponentClass:
     """Restriction of an equivariant class to one fixed component, by degree.
 
     A point's degree-k entry is its value, a surface's a SurfaceClass of
-    values.  A nonzero value in a part that :func:`entry_parts` does not
-    list is refused, and every part of a point or a surface is checked in
-    its domain (:func:`_checked_part`) at its :func:`part_power`.  An entry
-    whose parts are all in their domain is kept, not copied.
-    :meth:`_trusted` builds a record that already holds to these rules
-    without checking it again.
+    values.  The header must hold to :func:`record_rule`, and each part to
+    :func:`part_rule` with its domain check (:func:`_checked_part`): a
+    nonzero value in a part that :func:`entry_parts` does not list is
+    refused, and every part of a point or a surface is checked in its
+    domain at its :func:`part_power`.  An entry whose parts are all in
+    their domain is kept, not copied.  :meth:`_trusted` builds a record
+    that already holds to these rules without checking it again.
     """
 
     kind: str
@@ -423,32 +478,22 @@ class ComponentClass:
     rank: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("point", "surface"):
-            raise InputError(f"unknown component kind {self.kind!r}")
-        if self.kind == "point" and self.genus:
-            raise InputError("point components have no genus")
-        if type(self.genus) is not int or self.genus < 0:
-            raise InputError(f"genus must be a nonnegative integer, got {self.genus!r}")
-        if self.rank is not None and (type(self.rank) is not int or self.rank < 0):
-            raise InputError(f"rank must be None or a nonnegative integer, got {self.rank!r}")
+        record_rule(self.kind, self.genus, self.rank)
+        rank = self.rank
+
+        def domain(value, power: int, where: str):
+            return _checked_part(value, rank, power, where)
+
         clean: dict[int, object] = {}
         for degree, entry in self.entries.items():
             if type(degree) is not int or degree < 0:
                 raise InputError(f"degrees must be nonnegative integers, got {degree!r}")
+            checked = part_rule(self.kind, self.genus, degree, domain)
             where = f"degree {degree}"
-            listed = {part for part, _, _ in entry_parts(self.kind, self.genus, degree)}
-            if self.kind == "point" and not listed:
-                raise InputError(f"{where}: a point carries no odd-degree classes")
             if self.kind == "surface" and not isinstance(entry, SurfaceClass):
                 raise InputError(f"{where}: expected a surface class entry")
             if self.kind == "surface" and entry.genus != self.genus:
                 raise InputError(f"{where}: genus {entry.genus} != component genus {self.genus}")
-
-            def checked(part, value):
-                if value and part not in listed:
-                    raise InputError(f"{where}: {_vanishing(part, listed)}")
-                return _checked_part(value, self.rank, part_power(part, degree), where)
-
             entry = map_parts(self.kind, entry, checked)
             if entry:
                 clean[degree] = entry

@@ -22,6 +22,7 @@ from .errors import InputError
 Exponents = tuple[int, ...]
 
 RATIONAL_TYPES = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 def ratio(num, den):
@@ -312,10 +313,15 @@ def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
         exps, coeff = pair
         if not isinstance(exps, (list, tuple)) or len(exps) != nvars:
             raise InputError(f"exponent vector must have length {nvars}")
-        if any(type(e) is not int for e in exps):
-            raise InputError(f"exponents must be integers, got {list(exps)}")
         key = tuple(exps)
-        if any(e < 0 for e in key):
+        if not _INT.issuperset(map(type, key)):
+            raise InputError(f"exponents must be integers, got {list(exps)}")
+        if key and min(key) < 0:
             raise InputError(f"bad exponent tuple {key} for {nvars} variables")
-        terms[key] = terms.get(key, 0) + parse_scalar(coeff)
+        value = parse_scalar(coeff)
+        # a repeated key only adds: 0 + Fraction goes through Fraction.__radd__
+        if key in terms:
+            terms[key] += value
+        else:
+            terms[key] = value
     return MPoly._trusted(nvars, {key: c for key, c in terms.items() if c})

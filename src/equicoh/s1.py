@@ -48,8 +48,12 @@ from .core import (
     SurfaceClass,
     entry_part,
     entry_parts,
+    homogeneous_part,
     map_parts,
+    nonzero_parts,
     part_power,
+    part_rule,
+    record_rule,
 )
 from .errors import InputError, InternalInconsistencyError, SchemaError
 from .graph import (
@@ -965,6 +969,14 @@ def _parse_class(text, document) -> EquivariantClass:
     rational for a graph and, for an x-ray of rank r, a polynomial in r
     variables written as ``[exponents, coefficient]`` pairs; a missing part
     is zero.  The component ids must be the document's.
+
+    Each part is read into its domain, so a component's record is checked
+    once, where it is read: after its entries, by the constructor's
+    :func:`~equicoh.core.record_rule` and, on each nonzero part,
+    :func:`~equicoh.core.part_rule`, with only the homogeneity of a torus
+    part as its domain check.  It is then built by
+    :meth:`ComponentClass._trusted` and equals the checked record of the
+    same fields.
     """
     doc = _load_document(text)
     _check_keys_class(doc)
@@ -973,20 +985,21 @@ def _parse_class(text, document) -> EquivariantClass:
         raise SchemaError('"components" must be an object', "class")
     components = document._fixed_components
     rank = document.rank
-    if rank is None:
-        owner, noun, zero = "graph", "rationals", 0
-    else:
-        owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
 
-    def scalar(value, where: str):
-        if rank is None:
-            return parse_rational(value, where)
+    def polynomial(value, where: str) -> MPoly:
         if not isinstance(value, list):
             raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
         try:
             return poly_from_pairs(value, rank, lambda v: parse_rational(v, where))
         except InputError as exc:
             raise SchemaError(str(exc), where) from None
+
+    if rank is None:
+        owner, noun, zero, scalar, domain = "graph", "rationals", 0, parse_rational, None
+    else:
+        owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
+        scalar, domain = polynomial, homogeneous_part
+    rules: dict[tuple[str, int, int], object] = {}  # part_rule per layout, this call only
 
     _check_ids(owner, [cid for cid, _, _ in components], sorted(comps_doc))
     comps: dict[str, ComponentClass] = {}
@@ -1009,7 +1022,19 @@ def _parse_class(text, document) -> EquivariantClass:
                 raise SchemaError(f'"c1" must be a list of {2 * genus} {noun}', where)
             c1 = tuple(scalar(x, where) for x in c1_doc) or (zero,) * (2 * genus)
             entries[key] = SurfaceClass(genus, c0, c1, c2)
-        comps[cid] = ComponentClass(kind, genus, entries, rank)
+        # the record's rules that parse does not already keep, once all its
+        # entries are read; a zero part keeps every one of them
+        record_rule(kind, genus, rank)
+        for key, entry in entries.items():
+            layout = (kind, genus, key)
+            checked = rules.get(layout) or rules.setdefault(
+                layout, part_rule(kind, genus, key, domain)
+            )
+            for part, value in nonzero_parts(kind, entry):
+                checked(part, value)
+        comps[cid] = ComponentClass._trusted(
+            kind, genus, {key: entry for key, entry in entries.items() if entry}, rank
+        )
     return EquivariantClass(comps, rank)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InputError, SchemaError
 from .graph import (
@@ -178,6 +178,21 @@ class XRay:
     @_kept
     def _by_id(self) -> dict[str, TorusFixedComponent]:
         return _id_index(self.components)
+
+    @_kept
+    def _along(self) -> dict[str, dict[tuple[int, ...], list[int]]]:
+        """``{id: {direction: ratios}}``: each weight of a component as a
+        positive ratio times its primitive direction, read once behind the
+        shape gate (every weight is a nonzero int vector); a repeated id
+        keeps its first record, as :attr:`_by_id` does."""
+        along: dict[str, dict[tuple[int, ...], list[int]]] = {}
+        for cid, component in self._by_id.items():
+            directions: dict[tuple[int, ...], list[int]] = {}
+            for w in component.weights:
+                c = gcd(*w)
+                directions.setdefault(tuple(x // c for x in w), []).append(c)
+            along[cid] = directions
+        return along
 
     @_kept
     def _pieces_by_id(self) -> dict[str, SkeletonPiece]:
@@ -350,9 +365,13 @@ def _parallel_ratio(vector, lam) -> int | None:
     return c if all(v == c * l for v, l in zip(vector, lam)) else None
 
 
-def _ratios(member: TorusFixedComponent, lam) -> list:
-    """The integer ratios of the member's weights that are parallel to lam."""
-    return [r for w in member.weights if (r := _parallel_ratio(w, lam)) is not None]
+def _ratios(xray: XRay, member: TorusFixedComponent, lam) -> list:
+    """The integer ratios of the member's weights that are parallel to the
+    primitive character lam, in no particular order: those along lam and,
+    negated, those along -lam (``xray._along``)."""
+    along = xray._along[member.id]
+    lam = tuple(lam)
+    return along.get(lam, []) + [-c for c in along.get(tuple(-x for x in lam), ())]
 
 
 def validate_xray(xray: XRay) -> list[Violation]:
@@ -416,13 +435,14 @@ def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
             )
         ]
     lower, upper = (b, a) if ratio > 0 else (a, b)
-    return _one_weight(piece, lower, piece.ell) + _one_weight(piece, upper, -piece.ell)
+    ell = piece.ell
+    return _one_weight(xray, piece, lower, ell) + _one_weight(xray, piece, upper, -ell)
 
 
-def _one_weight(piece: SkeletonPiece, member, ratio: int) -> list[Violation]:
+def _one_weight(xray: XRay, piece: SkeletonPiece, member, ratio: int) -> list[Violation]:
     """The violation of a member that does not carry exactly one weight
     along the piece's character, equal to ``ratio`` times it."""
-    if _ratios(member, piece.lam) == [ratio]:
+    if _ratios(xray, member, piece.lam) == [ratio]:
         return []
     return [
         Violation(
@@ -471,7 +491,7 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                 )
             )
         elif member.kind == "point":
-            ratios = sorted(_ratios(member, piece.lam))
+            ratios = sorted(_ratios(xray, member, piece.lam))
             if ratios != sorted(vertex.weights):
                 out.append(
                     Violation(
@@ -491,7 +511,8 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
                         (pid, member.id),
                     )
                 )
-            out += _one_weight(piece, member, 1 if induced._places[member.id] == "min" else -1)
+            place = induced._places[member.id]
+            out += _one_weight(xray, piece, member, 1 if place == "min" else -1)
     # a.y - b.y == (induced step) * lam, each side over its own denominator
     x_denominator, x_levels = xray._levels
     g_denominator = graph_levels.denominator

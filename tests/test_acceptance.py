@@ -345,6 +345,33 @@ def test_a_basis_checks_no_part_a_second_time(monkeypatch):
     assert len(checked) == 1
 
 
+def test_a_parsed_class_checks_no_part_a_second_time(monkeypatch):
+    # Parse reads each part into its domain and checks each record once,
+    # where it reads it, so parsing a class with H^0, H^1 and H^2 parts on
+    # every surface of the rank-3, genus-2 cube checks none of its parts
+    # again; the checked constructor still does.
+    checked = []
+    check = core._checked_part
+
+    def counting(*args):
+        checked.append(args)
+        return check(*args)
+
+    xray = fixtures.cube(3, 2)
+    rng = random.Random(5)
+    alpha = fixtures.random_torus_class(xray._fixed_components, 3, rng, range(5))
+    doc = class_to_dict(alpha, "cube")
+    monkeypatch.setattr(core, "_checked_part", counting)
+    parsed = parse_class_torus(doc, xray)
+    assert parsed == alpha and checked == []
+    parts = sum(
+        len(entry.c1) + 2 for cls in parsed.components.values() for entry in cls.entries.values()
+    )
+    assert parts > 100
+    ComponentClass("point", 0, {0: 1})
+    assert len(checked) == 1
+
+
 def test_the_presolve_leaves_only_the_rows_of_more_than_two_terms(monkeypatch):
     # Every degree-4 row of the rank-8 cube is a GKM edge condition with two
     # nonzeros, so the union-find takes them all and the general

@@ -340,6 +340,9 @@ EXACT_ENTRY_TAKERS = [
      [{0: 1, 2: -1}, {1: 1, 2: -1}], [1.0, True]),
     ("PoincareSeries", lambda x: PoincareSeries((x, 2), 0).numerator, 1, (1, 2), [1.5, 1.0, True]),
     ("PoincareSeries zero", lambda x: PoincareSeries((1, x), 1).numerator, 0, (1,), [0.0, False]),
+    ("PoincareSeries power", lambda x: PoincareSeries((1,), x).coefficient(2), 1, 1, [1.0, True]),
+    ("PoincareSeries power zero", lambda x: repr(PoincareSeries((1,), x)), 0, "1*t^0",
+     [0.0, False]),
 ]
 
 
@@ -351,7 +354,9 @@ EXACT_ENTRY_TAKERS = [
 def test_exact_elimination_and_series_refuse_the_float_and_bool_twins(make, exact, result, twins):
     assert make(exact) == result
     for twin in twins:
-        with pytest.raises(InputError, match=r"must be (ints or Fractions|integers), got "):
+        with pytest.raises(
+            InputError, match=r"must be (ints or Fractions|integers|an integer), got "
+        ):
             make(twin)
 
 

@@ -94,11 +94,11 @@ def test_only_the_mpoly_module_divides():
     assert found == []
 
 
-def test_only_the_basis_record_builder_skips_the_record_check():
+def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
     """``ComponentClass._trusted`` builds a record without the constructor's
-    check, so its one caller is ``s1._class_from_sparse``, which builds each
-    record from the slot layout: parsing and every other constructor keep
-    the check."""
+    check, so its callers are ``s1._class_from_sparse``, which builds each
+    record from the slot layout, and ``s1._parse_class``, which checks each
+    record where it reads it: every other constructor keeps the check."""
     found = []
     for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -117,7 +117,7 @@ def test_only_the_basis_record_builder_skips_the_record_check():
             while scope in parent and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = parent[scope]
             found.append(f"{path.name}:{getattr(scope, 'name', '<module>')}")
-    assert found == ["s1.py:_class_from_sparse"]
+    assert found == ["s1.py:_class_from_sparse", "s1.py:_parse_class"]
 
 
 def test_no_package_code_reads_a_class_component_by_key():

@@ -289,3 +289,83 @@ def test_pairs_are_checked_once_and_stored_directly(monkeypatch):
     q = poly_from_pairs([[[2, 0], 4]], 2, int)
     assert q.terms == {(2, 0): Fraction(4)}
     assert [type(c) for c in q.terms.values()] == [int]
+
+
+def reference_poly_from_pairs(pairs, nvars, parse_scalar):
+    """The sum of the pairs, each exponent entry tested one by one and each
+    coefficient added to the running sum, starting from 0."""
+    terms = {}
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InputError("polynomial term must be an [exponents, coefficient] pair")
+        exps, coeff = pair
+        if not isinstance(exps, (list, tuple)) or len(exps) != nvars:
+            raise InputError(f"exponent vector must have length {nvars}")
+        if any(type(e) is not int for e in exps):
+            raise InputError(f"exponents must be integers, got {list(exps)}")
+        key = tuple(exps)
+        if any(e < 0 for e in key):
+            raise InputError(f"bad exponent tuple {key} for {nvars} variables")
+        terms[key] = terms.get(key, 0) + parse_scalar(coeff)
+    return MPoly._trusted(nvars, {key: c for key, c in terms.items() if c})
+
+
+def _outcome(read, *args):
+    """``("ok", value)`` or the type and message of what ``read`` raised."""
+    try:
+        return "ok", read(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+_EXPONENTS = st.one_of(
+    st.integers(-2, 3), st.sampled_from([1.0, 2.5, True, "1", None])
+)
+_PAIRS = st.lists(
+    st.one_of(
+        st.tuples(st.lists(st.integers(0, 2), min_size=2, max_size=2), fractions).map(list),
+        st.tuples(st.lists(_EXPONENTS, min_size=1, max_size=3), fractions).map(list),
+        st.sampled_from([[[0, 0]], "pair", [[0, 0], 1, 2], [7, 1]]),
+    ),
+    max_size=5,
+)
+
+
+@given(_PAIRS, st.sampled_from([0, 1, 2]))
+def test_pairs_match_the_reference_reader(pairs, nvars):
+    """The same polynomial, coefficient types included, or the same refusal,
+    as the term-by-term reader; a non-integer exponent is named before a
+    negative one."""
+    found = _outcome(poly_from_pairs, pairs, nvars, lambda c: c)
+    expected = _outcome(reference_poly_from_pairs, pairs, nvars, lambda c: c)
+    assert found[0] == expected[0]
+    if found[0] != "ok":
+        assert found == expected
+        return
+    assert found[1].nvars == expected[1].nvars and found[1].terms == expected[1].terms
+    assert [type(c) for c in found[1].terms.values()] == [
+        type(c) for c in expected[1].terms.values()
+    ]
+
+
+def test_pairs_name_a_non_integer_exponent_before_a_negative_one():
+    with pytest.raises(InputError, match=r"^exponents must be integers, got \[-1, 1\.5\]$"):
+        poly_from_pairs([[[-1, 1.5], "1"]], 2, Fraction)
+    assert poly_from_pairs([[[], 3]], 0, int).terms == {(): 3}
+
+
+def test_a_coefficient_is_added_only_to_a_repeated_key(monkeypatch):
+    """A Fraction coefficient read once is stored as it is; only a repeated
+    key adds, so nothing is added to a 0 first."""
+    added = []
+    radd = Fraction.__radd__
+
+    def counting(self, other):
+        added.append(other)
+        return radd(self, other)
+
+    monkeypatch.setattr(Fraction, "__radd__", counting)
+    p = poly_from_pairs([[[1, 0], Fraction(1, 2)], [[0, 1], Fraction(1, 3)]], 2, lambda c: c)
+    assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)} and added == []
+    q = poly_from_pairs([[[1, 0], 1], [[1, 0], Fraction(1, 2)]], 2, lambda c: c)
+    assert q.terms == {(1, 0): Fraction(3, 2)} and added == [1]

@@ -1,6 +1,8 @@
 """Circle-action invariants: series, Euler classes, localization, membership."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import random
 import re
@@ -51,25 +53,28 @@ from equicoh import (
     validate_graph,
 )
 from equicoh import s1
-from equicoh.core import entry_part, integrate_surface, part_power
+from equicoh.cli import main
+from equicoh.core import entry_part, entry_parts, integrate_surface, part_power
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
     GraphEdge,
     IsolatedVertex,
     Violation,
+    _load_document,
+    parse_rational,
     resolve_self_intersections,
     weight_product,
 )
 from equicoh.linalg import rref
 from equicoh.mpoly import monomials_of_degree
-from equicoh.s1 import character_substitution
-from equicoh.xray import SkeletonPiece, TorusFixedComponent, piece_obstructions
+from equicoh.s1 import _check_ids, _check_keys_class, _degree_items, character_substitution
+from equicoh.xray import SkeletonPiece, TorusFixedComponent, XRay, piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
 from test_core import reference_negative_part
 from test_graph import reference_momentum_span
 from test_linalg import reference_coordinates_in_span
-from test_mpoly import reference_split_leading
+from test_mpoly import reference_poly_from_pairs, reference_split_leading
 from test_xray import BAD_COMPONENT_SHAPES as XRAY_COMPONENT_SHAPES
 from test_xray import BAD_SHAPES as XRAY_PIECE_SHAPES
 from test_xray import EQUIVALENCE_XRAYS
@@ -1502,3 +1507,278 @@ def test_class_to_dict_canonical_strings():
     alpha = constant_class(g1(), Fraction(1, 2))
     doc = class_to_dict(alpha, "g1")
     assert doc["components"] == {"A": {"0": "1/2"}, "B": {"0": "1/2"}, "C": {"0": "1/2"}}
+
+
+def reference_parse_class(text, document) -> EquivariantClass:
+    """Each component's entries read, then its record built by the checked
+    constructor, which checks every part a second time."""
+    doc = _load_document(text)
+    _check_keys_class(doc)
+    comps_doc = doc["components"]
+    if not isinstance(comps_doc, dict):
+        raise SchemaError('"components" must be an object', "class")
+    components = document._fixed_components
+    rank = document.rank
+    if rank is None:
+        owner, noun, zero = "graph", "rationals", 0
+    else:
+        owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
+
+    def scalar(value, where: str):
+        if rank is None:
+            return parse_rational(value, where)
+        if not isinstance(value, list):
+            raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
+        try:
+            return reference_poly_from_pairs(value, rank, lambda v: parse_rational(v, where))
+        except InputError as exc:
+            raise SchemaError(str(exc), where) from None
+
+    _check_ids(owner, [cid for cid, _, _ in components], sorted(comps_doc))
+    comps: dict[str, ComponentClass] = {}
+    for cid, kind, genus in components:
+        entries = {}
+        for key, value in _degree_items(comps_doc[cid], cid):
+            where = f"components.{cid}.{key}"
+            if kind == "point":
+                entries[key] = scalar(value, where)
+                continue
+            if not isinstance(value, dict):
+                raise SchemaError("surface entries are {c0, c1, c2} objects", where)
+            extra = set(value) - {"c0", "c1", "c2"}
+            if extra:
+                raise SchemaError(f"unknown field(s) {sorted(extra)}", where)
+            c0 = scalar(value["c0"], where) if "c0" in value else zero
+            c2 = scalar(value["c2"], where) if "c2" in value else zero
+            c1_doc = value.get("c1", [])
+            if not isinstance(c1_doc, list) or len(c1_doc) not in (0, 2 * genus):
+                raise SchemaError(f'"c1" must be a list of {2 * genus} {noun}', where)
+            c1 = tuple(scalar(x, where) for x in c1_doc) or (zero,) * (2 * genus)
+            entries[key] = SurfaceClass(genus, c0, c1, c2)
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
+    return EquivariantClass(comps, rank)
+
+
+def _parse_outcome(parse, doc, document):
+    """``("ok", class)`` or the type and message of what ``parse`` raised."""
+    try:
+        return "ok", parse(doc, document)
+    except (InputError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def _typed(value):
+    """A value with the type of every rational spelled out, so that 2 and
+    Fraction(2) differ."""
+    if isinstance(value, SurfaceClass):
+        return ("surface", value.genus, _typed(value.c0), [_typed(x) for x in value.c1],
+                _typed(value.c2))
+    if isinstance(value, MPoly):
+        return ("poly", value.nvars, sorted((e, _typed(c)) for e, c in value.terms.items()))
+    return (type(value).__name__, value)
+
+
+def _typed_class(alpha: EquivariantClass):
+    return (alpha.rank, alpha.fixed_components, {
+        cid: (cls.kind, cls.genus, cls.rank, {k: _typed(e) for k, e in cls.entries.items()})
+        for cid, cls in alpha.components.items()
+    })
+
+
+_DOC_NONZERO = [1, -2, "3", "-1/2", "6/3", "5/4"]
+_DOC_RATIONALS = st.sampled_from([0, "0", "0/7"] + _DOC_NONZERO)
+# what may go wrong in one entry of a drawn class document
+_ENTRY_FAULTS = st.sampled_from([None] * 3 + ["unlisted", "power", "odd point"])
+
+
+def _doc_value(data, rank, power, fault=False):
+    """A part as a class document writes it: a rational, or the pairs of a
+    polynomial of degree ``power``, where a monomial may repeat.  With
+    ``fault`` it is nonzero, and a polynomial has degree ``power + 1``."""
+    rationals = st.sampled_from(_DOC_NONZERO) if fault else _DOC_RATIONALS
+    if rank is None:
+        return data.draw(rationals)
+    monomials = st.sampled_from(monomials_of_degree(rank, power + fault))
+    pairs = data.draw(st.lists(st.tuples(monomials, rationals), min_size=fault, max_size=3))
+    return [[list(e), c] for e, c in pairs]
+
+
+def _doc_zero(data, rank):
+    return data.draw(st.sampled_from([0, "0", "0/3"] if rank is None else [[]]))
+
+
+def _doc_entry(data, rank, kind, genus, degree, faulty):
+    """One drawn entry of a class document, or None for none; with
+    ``faulty``, it may hold a nonzero part outside its layout, a part of
+    the wrong degree or a point entry in odd degree."""
+    fault = data.draw(_ENTRY_FAULTS) if faulty else None
+    layout = {(part, index): part_power(part, degree)
+              for part, index, _ in entry_parts(kind, genus, degree)}
+    if kind == "point":
+        if degree % 2:
+            return _doc_zero(data, rank) if fault == "odd point" else None
+        return _doc_value(data, rank, degree // 2, fault == "power")
+    entry = {}
+    c1 = []
+    for part, index in [("c0", 0)] + [("c1", i) for i in range(2 * genus)] + [("c2", 0)]:
+        if (part, index) in layout:
+            value = _doc_value(data, rank, layout[part, index], fault == "power")
+        elif fault == "unlisted" and data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(_DOC_NONZERO)) if rank is None else [[[0] * rank, 1]]
+        else:
+            value = _doc_zero(data, rank)
+        if part == "c1":
+            c1.append(value)
+        elif (part, index) in layout or data.draw(st.booleans()):
+            entry[part] = value
+    if c1 and data.draw(st.booleans()):
+        entry["c1"] = c1
+    return entry
+
+
+def _class_document(data, document):
+    """A class document for a graph or an x-ray, with up to three degrees
+    in 0..6, and sometimes an entry that breaks its layout."""
+    faulty = data.draw(st.booleans(), "faulty")
+    degrees = data.draw(st.sets(st.integers(0, 6), min_size=1, max_size=3), "degrees")
+    components = {}
+    for cid, kind, genus in document._fixed_components:
+        entries = {}
+        for degree in sorted(degrees):
+            if data.draw(st.booleans()):
+                entry = _doc_entry(data, document.rank, kind, genus, degree, faulty)
+                if entry is not None:
+                    entries[str(degree)] = entry
+        components[cid] = entries
+    return {"kind": "class", "graph": "g", "components": components}
+
+
+@settings(max_examples=120, deadline=None)
+@given(fixtures.basis_document_keys, st.data())
+def test_a_parsed_class_is_the_checked_class_of_the_reference(key, data):
+    """Parsing checks each record once, where it reads it, and gives the
+    reference's class, every rational of the same type, or its refusal;
+    each record equals the checked record of its fields, keeping every
+    entry as it is."""
+    document = fixtures.basis_document(*key)
+    doc = _class_document(data, document)
+    found = _parse_outcome(s1._parse_class, doc, document)
+    expected = _parse_outcome(reference_parse_class, doc, document)
+    if expected[0] != "ok":
+        assert found == expected
+        return
+    assert found[0] == "ok"
+    alpha, reference = found[1], expected[1]
+    assert alpha == reference and _typed_class(alpha) == _typed_class(reference)
+    for cls in alpha.components.values():
+        checked = ComponentClass(cls.kind, cls.genus, dict(cls.entries), cls.rank)
+        assert type(cls) is ComponentClass and cls == checked
+        assert all(checked.entries[k] is entry for k, entry in cls.entries.items())
+
+
+def _surfaces(**components):
+    return {"Smin": {}, "Smax": {}, **components}
+
+
+def _cube(**components):
+    return {"S00": {}, "S01": {}, "S10": {}, "S11": {}, **components}
+
+
+# (main document, class components): refused class documents, and two that
+# read as zero only once their repeated keys are added up.
+FAULTY_CLASSES = {
+    "odd-degree zero point": ("g1", {"A": {"1": "0"}, "B": {}, "C": {}}),
+    "odd-degree empty point polynomial": ("cp3", {"P0": {"3": []}, "P1": {}, "P2": {}, "P3": {}}),
+    "H^1 part in even degree": ("g2", _surfaces(Smin={"2": {"c1": ["1", "0"]}})),
+    "H^2 part at degree 0": ("g2", _surfaces(Smin={"0": {"c2": "1/2"}})),
+    "H^0 part in odd degree": ("g2", _surfaces(Smax={"1": {"c0": "1"}})),
+    "H^2 part in odd degree": ("g2", _surfaces(Smax={"3": {"c2": 4}})),
+    "H^1 before H^2 at degree 0": ("g2", _surfaces(Smin={"0": {"c2": "1", "c1": ["0", "2"]}})),
+    "H^0 part of an x-ray in odd degree": ("cube", _cube(S01={"1": {"c0": [[[0, 0], "1"]]}})),
+    "non-homogeneous H^0 part": ("cube", _cube(S00={"2": {"c0": [[[1, 0], 1], [[0, 0], 1]]}})),
+    "non-homogeneous H^2 part": ("cube", _cube(S10={"4": {"c2": [[[2, 0], 1]]}})),
+    "non-homogeneous point part": ("cp3", {"P0": {}, "P1": {"2": [[[0, 0, 0], "1"]]},
+                                           "P2": {}, "P3": {}}),
+    "H^1 part before a non-homogeneous H^2 part": (
+        "cube", _cube(S00={"2": {"c2": [[[1, 0], 1]], "c1": [[[[0, 0], 1]], []]}})
+    ),
+    "repeated keys that sum to zero off the layout": (
+        "cube", _cube(S00={"1": {"c0": [[[0, 0], "1/2"], [[0, 0], "-1/2"]]}})
+    ),
+    "repeated keys that sum to zero off the degree": (
+        "cube", _cube(S11={"2": {"c0": [[[2, 0], 3], [[1, 0], 1], [[2, 0], -3]]}})
+    ),
+    "repeated keys that sum to a wrong degree": (
+        "cube", _cube(S11={"2": {"c0": [[[2, 0], 3], [[1, 0], 1], [[2, 0], -2]]}})
+    ),
+    "rule fault, then a schema fault in the same component": (
+        "g1", {"A": {"1": "0", "2": "x"}, "B": {}, "C": {}}
+    ),
+    "rule fault, then a schema fault in the same surface": (
+        "g2", _surfaces(Smin={"1": {"c0": "1"}, "2": {"c3": "1"}})
+    ),
+    "rule fault, then a schema fault in the next component": (
+        "g1", {"A": {"1": "0"}, "B": {"2": "x"}, "C": {}}
+    ),
+    "rule fault, then a schema fault in the next surface": (
+        "g2", {"Smax": {"1": {"c0": "1"}}, "Smin": {"2": {"c3": "1"}}}
+    ),
+    "x-ray rule fault, then a schema fault in the next component": (
+        "cube", _cube(S00={"1": {"c0": [[[0, 0], 1]]}}, S01={"0": {"c0": [[[0], 1]]}})
+    ),
+}
+
+FAULTY_MAINS = {
+    "g1": (fixtures.g1_doc, "check"),
+    "g2": (lambda: fixtures.g2_doc(1), "check"),
+    "cube": (lambda: fixtures.cube_doc(2, 1), "xray-check"),
+    "cp3": (fixtures.cp3_doc, "xray-check"),
+}
+
+
+def _cli_answer(tmp_path, main_doc, class_doc, command, fmt):
+    paths = []
+    for name, doc in (("main.json", main_doc), ("class.json", class_doc)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = main([command, *map(str, paths), "--format", fmt])
+    return status, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_CLASSES))
+def test_a_faulty_class_document_gets_the_answer_of_the_reference(name, tmp_path, monkeypatch):
+    """The same exception, message and command-line exit code and output as
+    the reference parser, whose checked constructor reads each record after
+    its entries."""
+    main_name, components = FAULTY_CLASSES[name]
+    make, command = FAULTY_MAINS[main_name]
+    document = (parse_graph if command == "check" else fixtures.parse_xray)(make())
+    doc = {"kind": "class", "graph": main_name, "components": components}
+    expected = _parse_outcome(reference_parse_class, doc, document)
+    assert _parse_outcome(s1._parse_class, doc, document) == expected
+    assert (expected[0] == "ok") == name.startswith("repeated keys that sum to zero")
+    answers = [_cli_answer(tmp_path, make(), doc, command, fmt) for fmt in ("text", "json")]
+    monkeypatch.setattr(s1, "_parse_class", reference_parse_class)
+    monkeypatch.setattr("equicoh.xray._parse_class", reference_parse_class)
+    assert answers == [_cli_answer(tmp_path, make(), doc, command, fmt) for fmt in ("text", "json")]
+    if expected[0] != "ok":
+        assert answers[0][0] == (2 if expected[0] is SchemaError else 1)
+
+
+@pytest.mark.parametrize(
+    "kind, genus, rule",
+    [("blob", 0, "unknown component kind 'blob'"), ("point", 1, "point components have no genus")],
+)
+def test_a_record_of_an_unchecked_document_is_refused_as_the_reference_does(kind, genus, rule):
+    """A directly built x-ray whose component breaks the record's header
+    rule gets the checked constructor's refusal once its entries are read."""
+    component = TorusFixedComponent("A", kind, (0, 0), ((1, 0), (0, 1), (1, 1)), genus)
+    document = XRay(2, (component,), ())
+    one = [[[0, 0], 1]]
+    for entries in ({}, {"0": one if kind == "point" else {"c0": one}}):
+        doc = {"kind": "class", "graph": "x", "components": {"A": entries}}
+        expected = _parse_outcome(reference_parse_class, doc, document)
+        assert expected == (InputError, rule)
+        assert _parse_outcome(s1._parse_class, doc, document) == expected

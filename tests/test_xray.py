@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from equicoh import (
@@ -46,7 +48,7 @@ from equicoh.graph import IsolatedVertex, Violation, format_rational, validate_g
 from equicoh import s1 as s1_module
 from equicoh import xray as xray_module
 from equicoh.mpoly import is_primitive
-from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, piece_obstructions
+from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, TorusFixedComponent, XRay, piece_obstructions
 from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
 from test_graph import reference_validate_graph
 from test_linalg import reference_nullspace
@@ -545,6 +547,63 @@ def test_point_member_ratios_print_as_rationals():
                 "component-ids": ["P", "B"],
             }
         ]
+
+
+def reference_ratios(member, lam):
+    """The integer ratios of the member's weights parallel to ``lam``, in
+    weight order, by testing each weight against the character."""
+    found = []
+    for w in member.weights:
+        pivot = next(i for i, x in enumerate(lam) if x)
+        c = w[pivot] // lam[pivot]
+        if all(v == c * l for v, l in zip(w, lam)):
+            found.append(c)
+    return found
+
+
+_PRIMITIVE = st.integers(1, 3).flatmap(
+    lambda rank: st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).filter(is_primitive)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PRIMITIVE, st.data())
+def test_the_ratio_lookup_is_the_scan_of_the_weights(lam, data):
+    """Each member's ratios along a primitive character, read off the
+    x-ray's directions, are the ratios the scan finds, as a multiset: weights
+    along the character and against it, several of them, and a repeated id,
+    whose first record keeps it."""
+    rank = len(lam)
+    multiple = st.integers(-3, 3).filter(bool).map(lambda c: tuple(c * x for x in lam))
+    other = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank).map(tuple).filter(any)
+    weights = st.lists(st.one_of(multiple, other), min_size=1, max_size=5).map(tuple)
+    ids = data.draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=5), "ids")
+    components = tuple(
+        TorusFixedComponent(cid, "point", (0,) * rank, data.draw(weights, f"weights {n}"))
+        for n, cid in enumerate(ids)
+    )
+    xray = XRay(rank, components, ())
+    for cid in set(ids):
+        member = xray.find(cid)
+        assert member is next(c for c in components if c.id == cid)
+        for direction in (lam, [-x for x in lam]):
+            found = xray_module._ratios(xray, member, direction)
+            assert sorted(found) == sorted(reference_ratios(member, direction))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_drawn_point_weights_get_the_reports_of_the_reference(data):
+    """Point weights along a piece's character, against it, several at once
+    or off it: validation reports what the Fraction reference reports."""
+    doc = data.draw(st.sampled_from([fixtures.cp3_doc(), lifted_g1_doc()]), "document")
+    places = [(c["weights"], n) for c in doc["components"] for n in range(len(c["weights"]))]
+    directions = st.sampled_from([[1, 0], [0, 1], [1, 1], [-1, 1], [2, 1]])
+    for weights, n in data.draw(st.lists(st.sampled_from(places), max_size=3), "changed"):
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        weights[n] = [c * x for x in data.draw(directions)]
+    xray = parse_xray(doc)
+    assert validate_xray(xray) == reference_validate_xray(xray)
 
 
 # -- membership ---------------------------------------------------------------

@@ -17,7 +17,6 @@ from .core import (
     cup_surface,
     integrate_surface,
     laurent_mul,
-    series_coefficient,
 )
 from .errors import (
     DegenerateInputError,

@@ -141,11 +141,17 @@ def _max_degree(args) -> int:
 
 
 def _read(path: str) -> str:
+    """The file's bytes decoded as UTF-8 once, with the newlines text mode
+    reads: ``\\r\\n`` and a lone ``\\r`` become ``\\n``."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _dump(payload) -> str:

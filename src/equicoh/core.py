@@ -335,10 +335,6 @@ class PoincareSeries:
         return f"({num}) / (1 - t^2)^{self.denominator_power}"
 
 
-def series_coefficient(series: PoincareSeries, k: int) -> int:
-    return series.coefficient(k)
-
-
 @functools.lru_cache(maxsize=256)
 def entry_parts(kind: str, genus: int, degree: int) -> tuple[tuple[str, int, str], ...]:
     """The ``(part, index, name)`` a degree-k entry holds, in slot order: a

@@ -20,10 +20,14 @@ shape the check reports).  Each record's ``_shape_rule`` is the first rule
 its fields break, in parse's order and words, or None.  Validation and
 every later query of the same graph share them; no other module places a
 component.  Validation compares and sums momenta as those integers, and
-divides only for a value it returns or prints, through
-:func:`~equicoh.mpoly.ratio`, so an integral value is an ``int``.  A computation
-that raises (a degenerate span, a zero weight) keeps nothing and raises
-again on the next call.
+compares the inverse Euler numbers with the labels in integers over one
+lcm of their denominators, so it adds no two fractions; it divides only
+for a value it returns or prints, through :func:`~equicoh.mpoly.ratio`, so
+an integral value is an ``int``.  A computation that raises (a degenerate
+span, a zero weight) keeps nothing and raises again on the next call.
+
+Parse checks each record's keys once and then reads its fields directly,
+in a fixed order, so the first fault in that order is the one reported.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, InputError, ParseError, SchemaError
@@ -55,6 +60,8 @@ def parse_rational(value, where: str) -> int | Fraction:
     optional sign, decimal digits and an optional ``/`` with a positive
     denominator of decimal digits (``"-3"``, ``"3/2"``).  An integral value
     is an ``int`` (``"6/3"`` is 2), any other a Fraction in lowest terms."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise SchemaError(_RATIONAL_RULE, where)
     if isinstance(value, int):
@@ -160,12 +167,8 @@ class DecoratedGraph:
     h1_identification: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "isolated", tuple(sorted(self.isolated, key=lambda v: _order(v.id)))
-        )
-        object.__setattr__(
-            self, "surfaces", tuple(sorted(self.surfaces, key=lambda v: _order(v.id)))
-        )
+        object.__setattr__(self, "isolated", _sorted_by_id(self.isolated))
+        object.__setattr__(self, "surfaces", _sorted_by_id(self.surfaces))
         object.__setattr__(self, "edges", tuple(sorted(self.edges, key=_edge_order)))
         if self.h1_identification is not None:
             object.__setattr__(
@@ -189,8 +192,11 @@ class DecoratedGraph:
     @_kept
     def _levels(self) -> _Levels:
         ys = [v.y for v in self.isolated] + [v.y for v in self.surfaces]
-        denominator = lcm(*(y.denominator for y in ys))
-        levels = [y.numerator * (denominator // y.denominator) for y in ys]
+        if _INT_TYPES.issuperset(map(type, ys)):
+            denominator, levels = 1, ys
+        else:
+            denominator = lcm(*(y.denominator for y in ys))
+            levels = [y.numerator * (denominator // y.denominator) for y in ys]
         n = len(self.isolated)
         return _Levels(
             denominator, tuple(levels[:n]), tuple(levels[n:]), min(levels), max(levels)
@@ -329,9 +335,15 @@ def _sorted_report(violations: list[Violation]) -> list[Violation]:
 
 
 def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise SchemaError(f"missing required field {key!r}", where)
-    return obj[key]
+    try:
+        return obj[key]
+    except KeyError as exc:
+        raise _missing(exc, where) from None
+
+
+def _missing(exc: KeyError, where: str) -> SchemaError:
+    """The error of a required field whose read raised ``exc``."""
+    return SchemaError(f"missing required field {exc.args[0]!r}", where)
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -392,14 +404,19 @@ def _load_document(text) -> dict:
 
 
 def parse_graph(text) -> DecoratedGraph:
-    """Strictly parse a graph document (JSON text or an already-loaded dict)."""
+    """Strictly parse a graph document (JSON text or an already-loaded dict).
+
+    Each record's keys are checked once, and its fields are then read
+    directly; a missing field is reported where its read fails, so the
+    first fault in reading order is the one named."""
     doc = _load_document(text)
     _check_keys(doc, GRAPH_KEYS, "graph")
-    if _require(doc, "kind", "graph") != "graph":
-        raise SchemaError('field "kind" must be "graph"', "graph")
-    raw_isolated = _require(doc, "isolated", "graph")
-    raw_surfaces = _require(doc, "surfaces", "graph")
-    raw_edges = _require(doc, "edges", "graph")
+    try:
+        if doc["kind"] != "graph":
+            raise SchemaError('field "kind" must be "graph"', "graph")
+        raw_isolated, raw_surfaces, raw_edges = doc["isolated"], doc["surfaces"], doc["edges"]
+    except KeyError as exc:
+        raise _missing(exc, "graph") from None
     if not isinstance(raw_isolated, list) or not isinstance(raw_surfaces, list) \
             or not isinstance(raw_edges, list):
         raise SchemaError('"isolated", "surfaces" and "edges" must be arrays', "graph")
@@ -409,9 +426,11 @@ def parse_graph(text) -> DecoratedGraph:
     for i, item in enumerate(raw_isolated):
         where = f"isolated[{i}]"
         _check_keys(item, ISOLATED_KEYS, where)
-        vid = _require(item, "id", where)
-        y = parse_rational(_require(item, "y", where), where)
-        vertex = IsolatedVertex(vid, y, _tuple(_require(item, "weights", where)))
+        try:
+            vid = item["id"]
+            vertex = IsolatedVertex(vid, parse_rational(item["y"], where), _tuple(item["weights"]))
+        except KeyError as exc:
+            raise _missing(exc, where) from None
         _admit(vertex._shape_rule(), vid, seen, where)
         isolated.append(vertex)
 
@@ -419,10 +438,13 @@ def parse_graph(text) -> DecoratedGraph:
     for i, item in enumerate(raw_surfaces):
         where = f"surfaces[{i}]"
         _check_keys(item, SURFACE_KEYS, where)
-        vid = _require(item, "id", where)
-        y = parse_rational(_require(item, "y", where), where)
-        area = parse_rational(_require(item, "area", where), where)
-        genus = _require(item, "genus", where)
+        try:
+            vid = item["id"]
+            y = parse_rational(item["y"], where)
+            area = parse_rational(item["area"], where)
+            genus = item["genus"]
+        except KeyError as exc:
+            raise _missing(exc, where) from None
         e = item.get("self_intersection")
         if e is not None:
             e = parse_rational(e, where)
@@ -438,9 +460,10 @@ def parse_graph(text) -> DecoratedGraph:
     for i, item in enumerate(raw_edges):
         where = f"edges[{i}]"
         _check_keys(item, EDGE_KEYS, where)
-        start = _require(item, "from", where)
-        end = _require(item, "to", where)
-        ell = _require(item, "ell", where)
+        try:
+            start, end, ell = item["from"], item["to"], item["ell"]
+        except KeyError as exc:
+            raise _missing(exc, where) from None
         area = item.get("area")
         if area is not None:
             area = parse_rational(area, where)
@@ -589,12 +612,14 @@ def weight_product(vertex: IsolatedVertex) -> int:
     return w
 
 
-def _inverse_euler_sum(points) -> int | Fraction:
-    """The sum of 1/(w1 w2) over isolated points, summed in integers over
-    the lcm of the weight products."""
-    products = [weight_product(v) for v in points]
-    denominator = lcm(*products)
-    return ratio(sum(denominator // w for w in products), denominator)
+def _euler_sum_vanishes(products, labels) -> bool:
+    """Whether the 1/w over the weight products w of the isolated points sum
+    to the labels (the fat vertices' self-intersections), compared in
+    integers over one lcm of every denominator."""
+    common = lcm(*products, *(x.denominator for x in labels))
+    return sum(common // w for w in products) == sum(
+        x.numerator * (common // x.denominator) for x in labels
+    )
 
 
 def abbv_zero_check(graph: DecoratedGraph) -> bool:
@@ -602,12 +627,11 @@ def abbv_zero_check(graph: DecoratedGraph) -> bool:
 
     Requires every fat vertex to carry a resolved self_intersection.
     """
-    total = _inverse_euler_sum(graph.isolated)
+    products = [weight_product(v) for v in graph.isolated]
     for v in graph.surfaces:
         if v.self_intersection is None:
             raise InputError(f"unresolved self_intersection at {v.id!r}")
-        total -= v.self_intersection
-    return total == 0
+    return _euler_sum_vanishes(products, [v.self_intersection for v in graph.surfaces])
 
 
 def validate_graph(graph: DecoratedGraph) -> list[Violation]:
@@ -656,6 +680,18 @@ def _order(x) -> tuple:
     return (2, type(x).__name__, repr(x))
 
 
+_STR_TYPES = frozenset((str,))
+_ID = attrgetter("id")
+
+
+def _sorted_by_id(records) -> tuple:
+    """The records in the :func:`_order` of their ids: where every id is a
+    string, that is the strings' own order, sorted by the ids alone."""
+    if _STR_TYPES.issuperset(map(type, map(_ID, records))):
+        return tuple(sorted(records, key=_ID))
+    return tuple(sorted(records, key=lambda r: _order(r.id)))
+
+
 def _edge_order(e: GraphEdge) -> tuple:
     return _order(e.start), _order(e.end), _order(e.ell)
 
@@ -699,8 +735,10 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
 
     at_min: list[str] = []
     at_max: list[str] = []
+    products = []
     for v, n in zip(graph.isolated, isolated_levels):
         b1, b2 = v.weights
+        products.append(b1 * b2)
         if n == lo:
             at_min.append(v.id)
             rule, ok = "minimum point must have two positive weights", b1 > 0 and b2 > 0
@@ -824,7 +862,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
 
     # An unlabelled surface off the extrema leaves no label to sum.
     summable = all(label is not None for label in labels)
-    if summable and _inverse_euler_sum(graph.isolated) != sum(labels):
+    if summable and not _euler_sum_vanishes(products, labels):
         violations.append(
             Violation(
                 "euler-sum",

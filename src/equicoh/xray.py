@@ -18,6 +18,11 @@ Every query reads these groups: membership routes the class through each
 piece's group once, and a graded basis is the one image-basis body over
 all of them.  Every entry point refuses an invalid x-ray.  Its records
 have a shape rule each, as a graph's do, read against its rank.
+
+A 4-dimensional piece is checked off values kept on its induced graph
+(its index of components by id, its momentum levels and the place of each
+component) and on the x-ray (each component's weights by primitive
+direction), each read once per piece.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .graph import (
     _INT_TYPES,
     _SEQUENCE_TYPES,
     DecoratedGraph,
-    IsolatedVertex,
     Violation,
     _admit,
     _area_rule,
@@ -44,11 +48,11 @@ from .graph import (
     _is_vector,
     _kept,
     _load_document,
-    _order,
+    _missing,
     _rational_rule,
     _refuse_invalid,
-    _require,
     _shape_violations,
+    _sorted_by_id,
     _sorted_report,
     _tuple,
     format_rational,
@@ -57,7 +61,7 @@ from .graph import (
     parse_rational,
     validate_graph,
 )
-from .mpoly import RATIONAL_TYPES, is_primitive
+from .mpoly import RATIONAL_TYPES
 from .s1 import (
     EquivariantClass,
     MembershipDecision,
@@ -161,12 +165,8 @@ class XRay:
     pieces: tuple[SkeletonPiece, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(sorted(self.components, key=lambda c: _order(c.id)))
-        )
-        object.__setattr__(
-            self, "pieces", tuple(sorted(self.pieces, key=lambda p: _order(p.id)))
-        )
+        object.__setattr__(self, "components", _sorted_by_id(self.components))
+        object.__setattr__(self, "pieces", _sorted_by_id(self.pieces))
 
     def component_ids(self) -> list[str]:
         return [c.id for c in self.components]
@@ -190,7 +190,8 @@ class XRay:
             directions: dict[tuple[int, ...], list[int]] = {}
             for w in component.weights:
                 c = gcd(*w)
-                directions.setdefault(tuple(x // c for x in w), []).append(c)
+                direction = tuple(w) if c == 1 else tuple([x // c for x in w])
+                directions.setdefault(direction, []).append(c)
             along[cid] = directions
         return along
 
@@ -249,16 +250,20 @@ class XRay:
 
 
 def parse_xray(text) -> XRay:
-    """Strictly parse an x-ray document (JSON text or an already-loaded dict)."""
+    """Strictly parse an x-ray document (JSON text or an already-loaded dict),
+    each record's keys checked once and its fields then read directly, as
+    :func:`~equicoh.graph.parse_graph` reads them."""
     doc = _load_document(text)
     _check_keys(doc, XRAY_KEYS, "xray")
-    if _require(doc, "kind", "xray") != "xray":
-        raise SchemaError('field "kind" must be "xray"', "xray")
-    rank = _require(doc, "rank", "xray")
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise SchemaError('"rank" must be a positive integer', "xray")
-    raw_components = _require(doc, "components", "xray")
-    raw_pieces = _require(doc, "pieces", "xray")
+    try:
+        if doc["kind"] != "xray":
+            raise SchemaError('field "kind" must be "xray"', "xray")
+        rank = doc["rank"]
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise SchemaError('"rank" must be a positive integer', "xray")
+        raw_components, raw_pieces = doc["components"], doc["pieces"]
+    except KeyError as exc:
+        raise _missing(exc, "xray") from None
     if not isinstance(raw_components, list) or not isinstance(raw_pieces, list):
         raise SchemaError('"components" and "pieces" must be arrays', "xray")
 
@@ -267,19 +272,21 @@ def parse_xray(text) -> XRay:
     for i, item in enumerate(raw_components):
         where = f"components[{i}]"
         _check_keys(item, COMPONENT_KEYS, where)
-        cid = _require(item, "id", where)
-        y = _require(item, "y", where)
-        if type(y) is list and len(y) == rank:  # any other y breaks the shape rule
-            y = tuple(parse_rational(x, where) for x in y)
-        is_surface = "genus" in item or "area" in item
-        if is_surface and not ("genus" in item and "area" in item):
-            raise SchemaError('surfaces need both "genus" and "area"', where)
-        genus = item["genus"] if is_surface else 0
-        area = parse_rational(item["area"], where) if is_surface else None
-        weights = _require(item, "weights", where)
+        try:
+            cid, y = item["id"], item["y"]
+            if type(y) is list and len(y) == rank:  # any other y breaks the shape rule
+                y = tuple([parse_rational(x, where) for x in y])
+            if "genus" in item or "area" in item:
+                if not ("genus" in item and "area" in item):
+                    raise SchemaError('surfaces need both "genus" and "area"', where)
+                kind, genus, area = "surface", item["genus"], parse_rational(item["area"], where)
+            else:
+                kind, genus, area = "point", 0, None
+            weights = item["weights"]
+        except KeyError as exc:
+            raise _missing(exc, where) from None
         if type(weights) is list:
             weights = tuple(map(_tuple, weights))
-        kind = "surface" if is_surface else "point"
         component = TorusFixedComponent(cid, kind, y, weights, genus, area)
         _admit(component._shape_rule(rank), cid, seen, where)
         components.append(component)
@@ -291,26 +298,28 @@ def parse_xray(text) -> XRay:
     for i, item in enumerate(raw_pieces):
         where = f"pieces[{i}]"
         _check_keys(item, PIECE_KEYS, where)
-        pid = _require(item, "id", where)
-        lam = _tuple(_require(item, "lambda", where))
-        dim = _require(item, "dim", where)
-        members = _tuple(_require(item, "members", where))
-        induced = ell = None
-        # the keys a piece carries, by its dimension
-        if type(dim) is int and dim == 2:
-            if "induced_graph" in item:
-                raise SchemaError(_NO_INDUCED_GRAPH, where)
-            ell = _require(item, "ell", where)
-        elif type(dim) is int and dim == 4:
-            if "ell" in item:
-                raise SchemaError(_NO_ELL, where)
-            raw_graph = _require(item, "induced_graph", where)
+        try:
+            pid, lam, dim, members = item["id"], item["lambda"], item["dim"], item["members"]
+            induced = ell = None
+            # the keys a piece carries, by its dimension
+            if type(dim) is int and dim == 2:
+                if "induced_graph" in item:
+                    raise SchemaError(_NO_INDUCED_GRAPH, where)
+                ell = item["ell"]
+            elif type(dim) is int and dim == 4:
+                if "ell" in item:
+                    raise SchemaError(_NO_ELL, where)
+                raw_graph = item["induced_graph"]
+        except KeyError as exc:
+            raise _missing(exc, where) from None
+        if type(dim) is int and dim == 4:
             if not isinstance(raw_graph, dict):
                 raise SchemaError("expected a graph object", f"{where}.induced_graph")
             try:
                 induced = parse_graph(raw_graph)
             except SchemaError as exc:
                 raise SchemaError(str(exc), f"{where}.induced_graph") from None
+        lam, members = _tuple(lam), _tuple(members)
         piece = SkeletonPiece(pid, lam, dim, members, induced, ell)
         _admit(piece._shape_rule(rank), pid, piece_ids, where, "duplicate piece id")
         for m in members:
@@ -365,13 +374,12 @@ def _parallel_ratio(vector, lam) -> int | None:
     return c if all(v == c * l for v, l in zip(vector, lam)) else None
 
 
-def _ratios(xray: XRay, member: TorusFixedComponent, lam) -> list:
-    """The integer ratios of the member's weights that are parallel to the
+def _ratios(directions: dict, lam: tuple, against: tuple) -> list:
+    """The integer ratios of a member's weights that are parallel to the
     primitive character lam, in no particular order: those along lam and,
-    negated, those along -lam (``xray._along``)."""
-    along = xray._along[member.id]
-    lam = tuple(lam)
-    return along.get(lam, []) + [-c for c in along.get(tuple(-x for x in lam), ())]
+    negated, those along ``against`` (``-lam``), read off the member's
+    ``xray._along`` entry ``directions``."""
+    return directions.get(lam, []) + [-c for c in directions.get(against, ())]
 
 
 def validate_xray(xray: XRay) -> list[Violation]:
@@ -385,16 +393,18 @@ def _xray_violations(xray: XRay) -> list[Violation]:
 
     A fixed component or a piece that breaks its record's shape rule gets a
     ``component-shape`` or ``piece-shape`` violation, and then nothing else
-    is checked.  Momenta are compared as integer vectors over the x-ray's common
-    denominator (``xray._levels``), against an induced graph's own levels
-    by cross-multiplying.
+    is checked, so a character is a nonzero integer vector and primitive
+    when the gcd of its entries is 1.  Momenta are compared as integer
+    vectors over the x-ray's common denominator (``xray._levels``), against
+    an induced graph's own levels by cross-multiplying.
     """
     if xray._shapes:
         return _sorted_report(list(xray._shapes))
     violations: list[Violation] = []
+    by_id = xray._by_id
     for piece in xray.pieces:
         pid = piece.id
-        if not is_primitive(piece.lam):
+        if gcd(*piece.lam) != 1:
             violations.append(
                 Violation(
                     "character-not-primitive",
@@ -403,12 +413,18 @@ def _xray_violations(xray: XRay) -> list[Violation]:
                 )
             )
             continue
-        members = [xray.find(m) for m in piece.members]
+        members = [_find(by_id, m) for m in piece.members]
         if piece.dim == 2:
             violations.extend(_validate_dim2_piece(xray, piece, members))
         else:
             violations.extend(_validate_dim4_piece(xray, piece, members))
     return _sorted_report(violations)
+
+
+def _character(piece: SkeletonPiece) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The piece's character and its negative, as the tuples ``_along`` keys."""
+    lam = tuple(piece.lam)
+    return lam, tuple([-x for x in lam])
 
 
 def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
@@ -435,14 +451,20 @@ def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
             )
         ]
     lower, upper = (b, a) if ratio > 0 else (a, b)
-    ell = piece.ell
-    return _one_weight(xray, piece, lower, ell) + _one_weight(xray, piece, upper, -ell)
+    character, along = _character(piece), xray._along
+    return _one_weight(piece, lower, along[lower.id], character, piece.ell) + _one_weight(
+        piece, upper, along[upper.id], character, -piece.ell
+    )
 
 
-def _one_weight(xray: XRay, piece: SkeletonPiece, member, ratio: int) -> list[Violation]:
+def _one_weight(piece: SkeletonPiece, member, directions: dict, character, ratio: int):
     """The violation of a member that does not carry exactly one weight
-    along the piece's character, equal to ``ratio`` times it."""
-    if _ratios(xray, member, piece.lam) == [ratio]:
+    along the piece's character, equal to ``ratio`` times it: its
+    ``directions`` (its ``xray._along`` entry, whose ratios are positive)
+    must list that one ratio on the side of ``ratio``'s sign and nothing on
+    the other."""
+    lam, against = character if ratio > 0 else character[::-1]
+    if directions.get(lam) == [abs(ratio)] and against not in directions:
         return []
     return [
         Violation(
@@ -455,80 +477,88 @@ def _one_weight(xray: XRay, piece: SkeletonPiece, member, ratio: int) -> list[Vi
 
 
 def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
+    """The induced graph's report, prefixed with the piece, and the checks of
+    its members against the graph, each read once off the graph's kept
+    ``_by_id``, ``_levels`` and ``_places`` and the x-ray's ``_along``."""
     pid = piece.id
-    out = []
-    for v in validate_graph(piece.induced):
-        out.append(Violation(v.code, f"piece {pid}: {v.message}", (pid,) + v.components))
-    if piece.induced.component_ids() != sorted(piece.members):
+    induced = piece.induced
+    out = [
+        Violation(v.code, f"piece {pid}: {v.message}", (pid,) + v.components)
+        for v in validate_graph(induced)
+    ]
+    # the members are distinct, so the ids match when they match as sets
+    # and the graph has one record per member
+    if len(induced.isolated) + len(induced.surfaces) != len(members) or (
+        induced._by_id.keys() != set(piece.members)
+    ):
         out.append(
             Violation(
                 "piece-members",
-                f"piece {pid}: induced components {piece.induced.component_ids()} "
+                f"piece {pid}: induced components {induced.component_ids()} "
                 f"differ from members {sorted(piece.members)}",
                 (pid,),
             )
         )
         return out
-    induced = piece.induced
-    graph_levels = induced._levels
-    # the ids are the members', so each names one component
-    level = dict(
-        zip(
-            [v.id for v in induced.isolated + induced.surfaces],
-            graph_levels.isolated + graph_levels.surfaces,
-        )
-    )
-    for member in members:
-        vertex = induced.find(member.id)
-        listed = "point" if isinstance(vertex, IsolatedVertex) else "surface"
-        if member.kind != listed:
-            out.append(
-                Violation(
-                    "member-data",
-                    f"piece {pid}: {member.id!r} is a {member.kind} "
-                    f"but the induced graph lists a {listed}",
-                    (pid, member.id),
-                )
-            )
-        elif member.kind == "point":
-            ratios = sorted(_ratios(xray, member, piece.lam))
-            if ratios != sorted(vertex.weights):
-                out.append(
-                    Violation(
-                        "piece-weights",
-                        f"piece {pid}: weights of {member.id!r} along the character "
-                        f"are {ratios}, induced graph says {sorted(vertex.weights)}",
-                        (pid, member.id),
-                    )
-                )
-        else:
-            if vertex.genus != member.genus or vertex.area != member.area:
+    character = lam, against = _character(piece)
+    along, places = xray._along, induced._places
+    g_denominator, g_isolated, g_surfaces, _, _ = induced._levels
+    by_id = xray._by_id
+    level = {}
+    for listed, vertices, g_levels in (
+        ("point", induced.isolated, g_isolated),
+        ("surface", induced.surfaces, g_surfaces),
+    ):
+        for vertex, n in zip(vertices, g_levels):
+            member = by_id[vertex.id]
+            level[vertex.id] = n
+            if member.kind != listed:
                 out.append(
                     Violation(
                         "member-data",
-                        f"piece {pid}: genus/area of {member.id!r} disagree with "
-                        "the induced graph",
+                        f"piece {pid}: {member.id!r} is a {member.kind} "
+                        f"but the induced graph lists a {listed}",
                         (pid, member.id),
                     )
                 )
-            place = induced._places[member.id]
-            out += _one_weight(xray, piece, member, 1 if place == "min" else -1)
+            elif listed == "point":
+                ratios = sorted(_ratios(along[member.id], lam, against))
+                if ratios != sorted(vertex.weights):
+                    out.append(
+                        Violation(
+                            "piece-weights",
+                            f"piece {pid}: weights of {member.id!r} along the character "
+                            f"are {ratios}, induced graph says {sorted(vertex.weights)}",
+                            (pid, member.id),
+                        )
+                    )
+            else:
+                if vertex.genus != member.genus or vertex.area != member.area:
+                    out.append(
+                        Violation(
+                            "member-data",
+                            f"piece {pid}: genus/area of {member.id!r} disagree with "
+                            "the induced graph",
+                            (pid, member.id),
+                        )
+                    )
+                ratio = 1 if places[vertex.id] == "min" else -1
+                out += _one_weight(piece, member, along[member.id], character, ratio)
     # a.y - b.y == (induced step) * lam, each side over its own denominator
     x_denominator, x_levels = xray._levels
-    g_denominator = graph_levels.denominator
-    ordered = sorted(members, key=lambda c: c.id)
+    ordered = sorted(level)
     for a, b in zip(ordered, ordered[1:]):
-        step = (level[a.id] - level[b.id]) * x_denominator
+        step = (level[a] - level[b]) * x_denominator
         if any(
             (x - y) * g_denominator != step * l
-            for x, y, l in zip(x_levels[a.id], x_levels[b.id], piece.lam)
+            for x, y, l in zip(x_levels[a], x_levels[b], lam)
         ):
             out.append(
                 Violation(
                     "piece-momentum",
-                    f"piece {pid}: momentum difference of {a.id!r} and {b.id!r} does "
+                    f"piece {pid}: momentum difference of {a!r} and {b!r} does "
                     "not project to the induced labels",
-                    (pid, a.id, b.id),
+                    (pid, a, b),
                 )
             )
     return out

@@ -59,6 +59,49 @@ def batch_dir(tmp_path_factory):
     return directory
 
 
+def reference_read(path: str) -> str:
+    """A file read through a text-mode handle, which decodes UTF-8 and
+    translates newlines as it reads."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _read_cases() -> dict[str, bytes]:
+    text = json.dumps(fixtures.g1_doc(), indent=2)
+    broken = text.replace('"y"', '"y" "', 1)  # a JSON error a few lines in
+    return {
+        "crlf.json": text.replace("\n", "\r\n").encode(),
+        "cr.json": broken.replace("\n", "\r").encode(),
+        "bom.json": "\ufeff".encode() + text.encode(),
+        "latin1.json": text.replace('"A"', '"\u00c5"').encode("latin-1"),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(_read_cases()))
+def test_files_read_as_the_text_mode_reference_reads_them(
+    capsys, monkeypatch, tmp_path, name, fmt
+):
+    """CRLF and CR-only newlines, a byte order mark and bytes that are not
+    UTF-8: one file, and a batch holding it, give the stdout, stderr and
+    exit code of a text-mode read."""
+    (tmp_path / name).write_bytes(_read_cases()[name])
+    outcomes = []
+    for read in (cli._read, reference_read):
+        monkeypatch.setattr(cli, "_read", read)
+        outcomes.append(
+            [
+                run(capsys, "validate", str(path), "--format", fmt)
+                for path in (tmp_path / name, tmp_path)
+            ]
+        )
+    assert outcomes[0] == outcomes[1]
+    assert {status for status, _, _ in outcomes[0]} == ({0} if name == "crlf.json" else {2})
+
+
 # -- validate -----------------------------------------------------------------
 
 

@@ -22,7 +22,6 @@ from equicoh import (
     equivariant_series,
     integrate_surface,
     laurent_mul,
-    series_coefficient,
 )
 from equicoh.linalg import nullspace, rref
 from fixtures import chain, g1, g2, g3
@@ -173,7 +172,6 @@ def test_series_coefficients_frozen():
 
     assert PoincareSeries((1, 0, 1, 0, 1), 1).coefficient(4) == 3
     assert PoincareSeries((1, 2, 2, 2, 1), 1).coefficient(3) == 4
-    assert series_coefficient(PoincareSeries((1, 2, 2, 2, 1), 1), 3) == 4
 
 
 def reference_coefficient(series: PoincareSeries, k: int) -> int:

@@ -1,8 +1,10 @@
 """Decorated graph parsing, validation and the extremal equations."""
 
 import dataclasses
+import fractions
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -26,11 +28,22 @@ from equicoh import (
 )
 from equicoh import graph as graph_module
 from equicoh.graph import (
+    EDGE_KEYS,
+    GRAPH_KEYS,
+    ISOLATED_KEYS,
+    SURFACE_KEYS,
     DecoratedGraph,
     FatVertex,
     GraphEdge,
     IsolatedVertex,
     Violation,
+    _admit,
+    _check_keys,
+    _identification_error,
+    _load_document,
+    _order,
+    _require,
+    _tuple,
     graph_to_dict,
     parse_rational,
     report_to_json,
@@ -429,6 +442,104 @@ def test_graph_to_dict_is_canonical_json():
     doc = graph_to_dict(g3())
     assert doc["surfaces"][0]["self_intersection"] == "1"
     assert doc["isolated"][0]["y"] == "0"
+
+
+# -- parsing against the field-by-field reference ------------------------------
+
+
+def reference_parse_graph(text) -> DecoratedGraph:
+    """Graph parsing that checks each record's keys and then looks each
+    required field up on its own, in reading order."""
+    doc = _load_document(text)
+    _check_keys(doc, GRAPH_KEYS, "graph")
+    if _require(doc, "kind", "graph") != "graph":
+        raise SchemaError('field "kind" must be "graph"', "graph")
+    raw_isolated = _require(doc, "isolated", "graph")
+    raw_surfaces = _require(doc, "surfaces", "graph")
+    raw_edges = _require(doc, "edges", "graph")
+    if not isinstance(raw_isolated, list) or not isinstance(raw_surfaces, list) \
+            or not isinstance(raw_edges, list):
+        raise SchemaError('"isolated", "surfaces" and "edges" must be arrays', "graph")
+
+    seen: set[str] = set()
+    isolated = []
+    for i, item in enumerate(raw_isolated):
+        where = f"isolated[{i}]"
+        _check_keys(item, ISOLATED_KEYS, where)
+        vid = _require(item, "id", where)
+        y = parse_rational(_require(item, "y", where), where)
+        vertex = IsolatedVertex(vid, y, _tuple(_require(item, "weights", where)))
+        _admit(vertex._shape_rule(), vid, seen, where)
+        isolated.append(vertex)
+
+    surfaces = []
+    for i, item in enumerate(raw_surfaces):
+        where = f"surfaces[{i}]"
+        _check_keys(item, SURFACE_KEYS, where)
+        vid = _require(item, "id", where)
+        y = parse_rational(_require(item, "y", where), where)
+        area = parse_rational(_require(item, "area", where), where)
+        genus = _require(item, "genus", where)
+        e = item.get("self_intersection")
+        if e is not None:
+            e = parse_rational(e, where)
+        surface = FatVertex(vid, y, area, genus, e)
+        _admit(surface._shape_rule(), vid, seen, where)
+        surfaces.append(surface)
+
+    if not seen:
+        raise SchemaError("a graph needs at least one fixed component", "graph")
+
+    isolated_ids = {v.id for v in isolated}
+    edges = []
+    for i, item in enumerate(raw_edges):
+        where = f"edges[{i}]"
+        _check_keys(item, EDGE_KEYS, where)
+        start = _require(item, "from", where)
+        end = _require(item, "to", where)
+        ell = _require(item, "ell", where)
+        area = item.get("area")
+        if area is not None:
+            area = parse_rational(area, where)
+        edge = GraphEdge(start, end, ell, area)
+        if (rule := edge._shape_rule()) is not None:
+            raise SchemaError(rule, where)
+        for endpoint in (start, end):
+            if endpoint not in seen:
+                raise SchemaError(f"edge references an unknown id {endpoint!r}", where)
+            if endpoint not in isolated_ids:
+                raise SchemaError(f"edge endpoint {endpoint!r} is not an isolated vertex", where)
+        edges.append(edge)
+
+    identification = doc.get("h1_identification")
+    if identification is not None:
+        error = _identification_error(identification, surfaces)
+        if error:
+            raise SchemaError(error, "h1_identification")
+
+    graph = DecoratedGraph(tuple(isolated), tuple(surfaces), tuple(edges), identification)
+    graph.__dict__["_shapes"] = ()  # every other shape was refused above
+    return graph
+
+
+_IDS = st.one_of(
+    st.text("ab", max_size=2),
+    st.integers(-2, 2),
+    st.none(),
+    st.tuples(st.integers(0, 1)),
+)
+
+
+@given(st.lists(_IDS, max_size=6), st.booleans())
+def test_records_sort_by_their_ids_in_the_order_of_any_id(ids, strings_only):
+    """A record tuple sorts as the ``_order`` of its ids sorts it, stably:
+    by the strings alone where every id is one, by ``_order`` otherwise."""
+    if strings_only:
+        ids = [x for x in ids if type(x) is str]
+    records = [IsolatedVertex(x, n, (1, 1)) for n, x in enumerate(ids)]
+    expected = tuple(sorted(records, key=lambda r: _order(r.id)))
+    assert graph_module._sorted_by_id(records) == expected
+    assert DecoratedGraph(tuple(records), (), ()).isolated == expected
 
 
 # -- the values stored on a graph against the recomputing references ---------
@@ -904,6 +1015,69 @@ def test_stored_values_match_the_references(points, low, high, mid, edges):
         "edges": links,
     }
     assert_matches_references(doc)
+
+
+def _batch_chain_doc(n, genus, denominator, shifts):
+    """``chain_doc(n, genus, edges=True)`` with every momentum divided by
+    ``denominator``, each edge's area matching its gap, and the extremal
+    labels written out, each shifted by the matching entry of ``shifts``
+    (None leaves that label off)."""
+    doc = chain_doc(n, genus, edges=True)
+    for v in doc["isolated"] + doc["surfaces"]:
+        v["y"] = str(Fraction(v["y"], denominator))
+    for e in doc["edges"]:
+        e["area"] = str(Fraction(1, denominator * e["ell"]))
+    labels = extremal_self_intersections(parse_graph(doc))
+    for surface, label, shift in zip(doc["surfaces"], labels, shifts):
+        if shift is not None:
+            surface["self_intersection"] = str(label + shift)
+    return doc
+
+
+_SHIFTS = st.one_of(st.none(), st.just(Fraction(0)), st.fractions(-2, 2, max_denominator=6))
+
+
+@given(st.integers(0, 8), st.integers(0, 2), st.integers(1, 7), _SHIFTS, _SHIFTS)
+def test_batch_chains_with_fractional_momenta_get_the_reports_of_the_reference(
+    n, genus, denominator, low, high
+):
+    """Chains as a validation batch holds them, with fractional momenta and
+    labels, right or wrong: the same report as the Fraction reference."""
+    doc = _batch_chain_doc(n, genus, denominator, (low, high))
+    graph = parse_graph(doc)
+    assert validate_graph(graph) == reference_validate_graph(graph)
+    assert_matches_references(doc)
+
+
+def test_validating_fractional_momenta_and_labels_adds_no_fractions():
+    """The Euler sum, the labels and the momenta are compared in integers:
+    validating a graph whose momenta and labels are fractions adds no two
+    Fractions, counted as calls of ``Fraction._add``."""
+    doc = _batch_chain_doc(5, 1, 3, (Fraction(1, 2), Fraction(0)))
+    graphs = [parse_graph(doc) for _ in range(2)]
+    assert any(type(v.y) is Fraction for v in graphs[0].isolated)
+    assert all(type(v.self_intersection) is Fraction for v in graphs[0].surfaces)
+    adds = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "_add" and code.co_filename == fractions.__file__:
+            adds.append(frame)
+
+    sys.setprofile(count)
+    try:
+        reports = [validate_graph(graph) for graph in graphs]
+    finally:
+        sys.setprofile(None)
+    assert [v.code for v in reports[0]] == ["euler-sum", "self-intersection"]
+    assert adds == []
+    # the count sees a Fraction sum
+    sys.setprofile(count)
+    try:
+        sum(v.self_intersection for v in graphs[0].surfaces)
+    finally:
+        sys.setprofile(None)
+    assert adds
 
 
 # -- each derived value once per graph -----------------------------------------

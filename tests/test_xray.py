@@ -44,13 +44,40 @@ from equicoh.s1 import (
     slot_value,
     torus_obstructions,
 )
-from equicoh.graph import IsolatedVertex, Violation, format_rational, validate_graph
+from equicoh.graph import (
+    EDGE_KEYS,
+    GRAPH_KEYS,
+    ISOLATED_KEYS,
+    SURFACE_KEYS,
+    IsolatedVertex,
+    Violation,
+    _admit,
+    _check_keys,
+    _load_document,
+    _require,
+    _tuple,
+    format_rational,
+    parse_graph,
+    parse_rational,
+    validate_graph,
+)
 from equicoh import s1 as s1_module
 from equicoh import xray as xray_module
 from equicoh.mpoly import is_primitive
-from equicoh.xray import DEFAULT_XRAY_MAX_DEGREE, TorusFixedComponent, XRay, piece_obstructions
+from equicoh.xray import (
+    _NO_ELL,
+    _NO_INDUCED_GRAPH,
+    COMPONENT_KEYS,
+    DEFAULT_XRAY_MAX_DEGREE,
+    PIECE_KEYS,
+    XRAY_KEYS,
+    SkeletonPiece,
+    TorusFixedComponent,
+    XRay,
+    piece_obstructions,
+)
 from fixtures import constant_torus_class, cp3, cube, g1, mutate, x2
-from test_graph import reference_validate_graph
+from test_graph import reference_parse_graph, reference_validate_graph
 from test_linalg import reference_nullspace
 
 
@@ -163,6 +190,213 @@ def test_induced_graph_must_be_an_object(value):
     with pytest.raises(SchemaError) as info:
         parse_xray(doc)
     assert str(info.value) == "pieces[0].induced_graph: expected a graph object"
+
+
+def reference_parse_xray(text) -> XRay:
+    """X-ray parsing that checks each record's keys and then looks each
+    required field up on its own, in reading order, and each induced graph
+    with :func:`test_graph.reference_parse_graph`."""
+    doc = _load_document(text)
+    _check_keys(doc, XRAY_KEYS, "xray")
+    if _require(doc, "kind", "xray") != "xray":
+        raise SchemaError('field "kind" must be "xray"', "xray")
+    rank = _require(doc, "rank", "xray")
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+        raise SchemaError('"rank" must be a positive integer', "xray")
+    raw_components = _require(doc, "components", "xray")
+    raw_pieces = _require(doc, "pieces", "xray")
+    if not isinstance(raw_components, list) or not isinstance(raw_pieces, list):
+        raise SchemaError('"components" and "pieces" must be arrays', "xray")
+
+    seen: set[str] = set()
+    components = []
+    for i, item in enumerate(raw_components):
+        where = f"components[{i}]"
+        _check_keys(item, COMPONENT_KEYS, where)
+        cid = _require(item, "id", where)
+        y = _require(item, "y", where)
+        if type(y) is list and len(y) == rank:  # any other y breaks the shape rule
+            y = tuple(parse_rational(x, where) for x in y)
+        is_surface = "genus" in item or "area" in item
+        if is_surface and not ("genus" in item and "area" in item):
+            raise SchemaError('surfaces need both "genus" and "area"', where)
+        genus = item["genus"] if is_surface else 0
+        area = parse_rational(item["area"], where) if is_surface else None
+        weights = _require(item, "weights", where)
+        if type(weights) is list:
+            weights = tuple(map(_tuple, weights))
+        kind = "surface" if is_surface else "point"
+        component = TorusFixedComponent(cid, kind, y, weights, genus, area)
+        _admit(component._shape_rule(rank), cid, seen, where)
+        components.append(component)
+    if not components:
+        raise SchemaError("an x-ray needs at least one fixed component", "xray")
+
+    piece_ids: set[str] = set()
+    pieces = []
+    for i, item in enumerate(raw_pieces):
+        where = f"pieces[{i}]"
+        _check_keys(item, PIECE_KEYS, where)
+        pid = _require(item, "id", where)
+        lam = _tuple(_require(item, "lambda", where))
+        dim = _require(item, "dim", where)
+        members = _tuple(_require(item, "members", where))
+        induced = ell = None
+        # the keys a piece carries, by its dimension
+        if type(dim) is int and dim == 2:
+            if "induced_graph" in item:
+                raise SchemaError(_NO_INDUCED_GRAPH, where)
+            ell = _require(item, "ell", where)
+        elif type(dim) is int and dim == 4:
+            if "ell" in item:
+                raise SchemaError(_NO_ELL, where)
+            raw_graph = _require(item, "induced_graph", where)
+            if not isinstance(raw_graph, dict):
+                raise SchemaError("expected a graph object", f"{where}.induced_graph")
+            try:
+                induced = reference_parse_graph(raw_graph)
+            except SchemaError as exc:
+                raise SchemaError(str(exc), f"{where}.induced_graph") from None
+        piece = SkeletonPiece(pid, lam, dim, members, induced, ell)
+        _admit(piece._shape_rule(rank), pid, piece_ids, where, "duplicate piece id")
+        for m in members:
+            if m not in seen:
+                raise SchemaError(f"piece references an unknown id {m!r}", where)
+        if members != tuple(sorted(members)):  # a parsed piece lists its members sorted
+            piece = SkeletonPiece(pid, lam, dim, tuple(sorted(members)), induced, ell)
+        pieces.append(piece)
+
+    xray = XRay(rank, tuple(components), tuple(pieces))
+    xray.__dict__["_shapes"] = ()  # every other shape was refused above
+    return xray
+
+
+# One value of every JSON type, and strings that are ids, rationals or
+# neither: each replaces a node of a fixture document in turn.
+FAULT_VALUES = [
+    None, True, False, 0, 1, -1, 2, 4, 10**30, 1.5, 2.0, -0.0,
+    "", "x", "A", "P0", "Smin_0", "0", "1/2", "-3/4", "1/0", "2/4", " 1",
+    [], [0], [1, 2], [0, 0], [1, -1, 0], [[1, 0], [0, 1]], ["A", "B"], {}, {"kind": "graph"},
+]
+
+
+# the keys of the records an array of each name holds
+_RECORD_KEYS = {
+    "isolated": ISOLATED_KEYS,
+    "surfaces": SURFACE_KEYS,
+    "edges": EDGE_KEYS,
+    "components": COMPONENT_KEYS,
+    "pieces": PIECE_KEYS,
+}
+
+
+def _single_faults(doc: dict, keys: frozenset) -> list:
+    """``(container, key, value)`` for each single-node fault of ``doc``:
+    every node below the root replaced by each fault value or deleted
+    (``value`` is ``_DELETE``), and every key a record may carry but lacks
+    added with each fault value."""
+    faults = []
+
+    def walk(node, keys):
+        # ``keys``: a record's own keys, or those of an array's records
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            faults.extend((node, key, value) for value in FAULT_VALUES + [_DELETE])
+            if isinstance(child, dict):
+                walk(child, GRAPH_KEYS if key == "induced_graph" else keys)
+            elif isinstance(child, list):
+                walk(child, _RECORD_KEYS.get(key))
+        if isinstance(node, dict) and keys:
+            for key in sorted(keys - node.keys()):
+                faults.extend((node, key, value) for value in FAULT_VALUES)
+
+    walk(doc, keys)
+    return faults
+
+
+_DELETE = object()
+
+
+def _apply(container, key, value):
+    """Make the fault; return the function that undoes it."""
+    if value is _DELETE:
+        old = container[key]
+        if isinstance(container, list):
+            del container[key]
+            return lambda: container.insert(key, old)
+        del container[key]
+        return lambda: container.__setitem__(key, old)
+    if isinstance(container, dict) and key not in container:
+        container[key] = value
+        return lambda: container.pop(key)
+    old, container[key] = container[key], value
+    return lambda: container.__setitem__(key, old)
+
+
+def parse_outcome(parse, doc):
+    """The record ``parse`` builds, or the type, text and location of what it raises."""
+    try:
+        return parse(doc)
+    except Exception as exc:  # noqa: BLE001 - any exception is an outcome to compare
+        return type(exc), str(exc), getattr(exc, "path", None)
+
+
+SWEPT_DOCUMENTS = {
+    "g1": (fixtures.g1_doc, parse_graph, reference_parse_graph, GRAPH_KEYS),
+    "g2_1": (lambda: fixtures.g2_doc(1), parse_graph, reference_parse_graph, GRAPH_KEYS),
+    "g3": (fixtures.g3_doc, parse_graph, reference_parse_graph, GRAPH_KEYS),
+    "x2_1": (lambda: fixtures.x2_doc(1), parse_xray, reference_parse_xray, XRAY_KEYS),
+    "cp3": (fixtures.cp3_doc, parse_xray, reference_parse_xray, XRAY_KEYS),
+    "cube_2_1": (lambda: fixtures.cube_doc(2, 1), parse_xray, reference_parse_xray, XRAY_KEYS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT_DOCUMENTS))
+def test_every_single_fault_parses_as_the_reference_parses_it(name):
+    """Each node of a fixture document replaced by a fault value or
+    deleted, and each absent record key added, induced graphs included:
+    the parser raises what the reference raises, with the same message and
+    location, or builds an equal record."""
+    make, parse, reference, keys = SWEPT_DOCUMENTS[name]
+    doc = make()
+    faults = _single_faults(doc, keys)
+    for container, key, value in faults:
+        undo = _apply(container, key, value)
+        try:
+            assert parse_outcome(parse, doc) == parse_outcome(reference, doc), (key, value)
+        finally:
+            undo()
+    assert doc == make()
+
+
+# the second faults paired with a missing field
+_SECOND_FAULTS = [None, 1.5, "x", [], {}, _DELETE]
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT_DOCUMENTS))
+def test_a_missing_field_with_another_fault_in_its_record_parses_as_the_reference(name):
+    """A required field deleted and another field of the same record broken
+    or deleted too: the fault named first is the reference's, so each
+    record's fields are read in the reference's order."""
+    make, parse, reference, keys = SWEPT_DOCUMENTS[name]
+    doc = make()
+    faults = _single_faults(doc, keys)
+    for container, key, value in faults:
+        if value is not _DELETE or not isinstance(container, dict):
+            continue
+        seconds = [
+            (other, second)
+            for c, other, second in faults
+            if c is container and other != key and any(second is x for x in _SECOND_FAULTS)
+        ]
+        for other, second in seconds:
+            undo = _apply(container, key, value)
+            undo_second = _apply(container, other, second)
+            try:
+                assert parse_outcome(parse, doc) == parse_outcome(reference, doc), (key, other)
+            finally:
+                undo_second()
+                undo()
+    assert doc == make()
 
 
 # -- semantic validation ------------------------------------------------------
@@ -587,7 +821,8 @@ def test_the_ratio_lookup_is_the_scan_of_the_weights(lam, data):
         member = xray.find(cid)
         assert member is next(c for c in components if c.id == cid)
         for direction in (lam, [-x for x in lam]):
-            found = xray_module._ratios(xray, member, direction)
+            against = tuple(-x for x in direction)
+            found = xray_module._ratios(xray._along[cid], tuple(direction), against)
             assert sorted(found) == sorted(reference_ratios(member, direction))
 
 
@@ -602,6 +837,122 @@ def test_drawn_point_weights_get_the_reports_of_the_reference(data):
     for weights, n in data.draw(st.lists(st.sampled_from(places), max_size=3), "changed"):
         c = data.draw(st.integers(-3, 3).filter(bool))
         weights[n] = [c * x for x in data.draw(directions)]
+    xray = parse_xray(doc)
+    assert validate_xray(xray) == reference_validate_xray(xray)
+
+
+_RATIONALS = st.tuples(st.integers(-4, 4), st.integers(1, 3)).map(
+    lambda pq: str(Fraction(*pq))
+)
+_POSITIVE = st.tuples(st.integers(1, 4), st.integers(1, 3)).map(lambda pq: str(Fraction(*pq)))
+_WEIGHT_PAIRS = st.sampled_from([[1, 1], [1, -1], [-1, 1], [-1, -1], [2, -1], [1, -2], [-2, -2]])
+
+
+def _pieces_with_graphs(doc):
+    return [p for p in doc["pieces"] if "induced_graph" in p]
+
+
+def _shift_induced_y(doc, data):
+    graph = data.draw(st.sampled_from(_pieces_with_graphs(doc)))["induced_graph"]
+    record = data.draw(st.sampled_from(graph["isolated"] + graph["surfaces"]))
+    record["y"] = str(Fraction(record["y"]) + Fraction(data.draw(_RATIONALS)))
+
+
+def _change_surface(doc, data):
+    graphs = [p["induced_graph"] for p in _pieces_with_graphs(doc)]
+    surfaces = [c for c in doc["components"] if "genus" in c]
+    surfaces += [s for graph in graphs for s in graph["surfaces"]]
+    if not surfaces:
+        return
+    surface = data.draw(st.sampled_from(surfaces))
+    if data.draw(st.booleans()):
+        surface["genus"] = data.draw(st.integers(0, 3))
+    else:
+        surface["area"] = data.draw(_POSITIVE)
+
+
+def _swap_member_kind(doc, data):
+    """An induced surface listed as a point, or an induced point as a surface."""
+    graph = data.draw(st.sampled_from(_pieces_with_graphs(doc)))["induced_graph"]
+    if graph["surfaces"] and (not graph["isolated"] or data.draw(st.booleans())):
+        surface = graph["surfaces"].pop(data.draw(st.integers(0, len(graph["surfaces"]) - 1)))
+        graph["isolated"].append(
+            {"id": surface["id"], "y": surface["y"], "weights": data.draw(_WEIGHT_PAIRS)}
+        )
+    else:
+        point = graph["isolated"].pop(data.draw(st.integers(0, len(graph["isolated"]) - 1)))
+        graph["edges"] = [e for e in graph["edges"] if point["id"] not in (e["from"], e["to"])]
+        graph["surfaces"].append({"id": point["id"], "y": point["y"], "area": 1, "genus": 0})
+
+
+def _drop_induced_component(doc, data):
+    graph = data.draw(st.sampled_from(_pieces_with_graphs(doc)))["induced_graph"]
+    records = graph["isolated"] + graph["surfaces"]
+    if len(records) > 1:
+        gone = data.draw(st.sampled_from(records))["id"]
+        for name in ("isolated", "surfaces"):
+            graph[name] = [r for r in graph[name] if r["id"] != gone]
+        graph["edges"] = [e for e in graph["edges"] if gone not in (e["from"], e["to"])]
+
+
+def _add_induced_component(doc, data):
+    graph = data.draw(st.sampled_from(_pieces_with_graphs(doc)))["induced_graph"]
+    taken = {r["id"] for r in graph["isolated"] + graph["surfaces"]}
+    fresh = next(f"Z{n}" for n in range(len(taken) + 1) if f"Z{n}" not in taken)
+    free = sorted({c["id"] for c in doc["components"]} - taken) + [fresh]
+    graph["isolated"].append(
+        {"id": data.draw(st.sampled_from(free)), "y": data.draw(_RATIONALS),
+         "weights": data.draw(_WEIGHT_PAIRS)}
+    )
+
+
+def _redraw_weight(doc, data):
+    component = data.draw(st.sampled_from(doc["components"]))
+    n = data.draw(st.integers(0, len(component["weights"]) - 1))
+    rank = doc["rank"]
+    direction = data.draw(
+        st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).filter(any)
+    )
+    c = data.draw(st.integers(-3, 3).filter(bool))
+    component["weights"][n] = [c * x for x in direction]
+
+
+def _scale_character(doc, data):
+    piece = data.draw(st.sampled_from(doc["pieces"]))
+    k = data.draw(st.sampled_from([-1, 2, -2, 3]))
+    piece["lambda"] = [k * x for x in piece["lambda"]]
+
+
+_XRAY_EDITS = {
+    "induced y": _shift_induced_y,
+    "surface": _change_surface,
+    "member kind": _swap_member_kind,
+    "missing": _drop_induced_component,
+    "extra": _add_induced_component,
+    "weight": _redraw_weight,
+    "character": _scale_character,
+}
+_DRAWN_XRAYS = {
+    "cube_2_0": lambda: fixtures.cube_doc(2, 0),
+    "cube_2_1": lambda: fixtures.cube_doc(2, 1, "3/2"),
+    "cube_3_1": lambda: fixtures.cube_doc(3, 1),
+    "cp3": fixtures.cp3_doc,
+    "lifted_g1": lambda: lifted_g1_doc(thirds, "2/7"),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_DRAWN_XRAYS)), st.data())
+def test_drawn_xrays_get_the_reports_of_the_reference(name, data):
+    """Cube, cp3 and lifted-graph x-rays with their induced graphs' momenta,
+    surfaces, member kinds and components, their point weights and their
+    characters redrawn: validation reports what the Fraction reference
+    reports, with the same codes, messages, component ids and order."""
+    doc = _DRAWN_XRAYS[name]()
+    pieces = _pieces_with_graphs(doc)
+    edits = sorted(_XRAY_EDITS) if pieces else ["weight", "character"]
+    for edit in data.draw(st.lists(st.sampled_from(edits), min_size=1, max_size=3), "edits"):
+        _XRAY_EDITS[edit](doc, data)
     xray = parse_xray(doc)
     assert validate_xray(xray) == reference_validate_xray(xray)
 

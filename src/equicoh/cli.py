@@ -9,12 +9,13 @@ identical inputs yield byte-identical bytes across runs.  Exit codes: 0
 success or member, 1 semantic failure (invalid input, non-member), 2 usage,
 I/O or parse failure, undecodable bytes and over-long numbers included.
 One table, :data:`_ERRORS`, gives every error its code and status, for a
-single file and for each file of a batch alike.  A basis is rendered from
-its classes' records, JSON and text alike, at a cost that follows its
-nonzero entries; the bytes are those of every class written out in full.
-In JSON each record is written by one function straight from its parts
-(a rational, or a polynomial's terms in descending order), with no dict
-or list built in between.
+single file and for each file of a batch alike.  A basis is rendered
+straight from the sparse kernel vectors of its image, JSON and text alike,
+at a cost that follows their nonzero coordinates; no class is built, and
+the bytes are those of every basis class written out in full.  In JSON
+each record is written by one function from its coordinates (a rational,
+or a polynomial's terms in the descending order its slots come in), with
+no dict or list built in between.
 
 :func:`main` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; the library functions behind each
@@ -29,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -49,25 +51,22 @@ from .graph import (
     report_to_json,
     validate_graph,
 )
-from .mpoly import MPoly
 from .s1 import (
     DEFAULT_MAX_DEGREE,
     _entry_to_dict,
-    _slot_index,
+    _graph_groups,
+    _image_vectors,
     check_membership,
-    degree_slots,
     equivariant_series,
     euler_class,
-    image_basis,
     localize,
     parse_class,
     poincare_manifold,
-    slot_value,
 )
 from .xray import (
     DEFAULT_XRAY_MAX_DEGREE,
+    _piece_groups,
     check_membership_xray,
-    image_basis_xray,
     parse_class_torus,
     parse_xray,
     validate_xray,
@@ -106,7 +105,7 @@ class _DocumentKind:
     validate: Callable
     parse_class: Callable
     check: Callable
-    image_basis: Callable
+    groups: Callable  # the document's constraint groups, for _image_vectors
 
 
 def _document_kind(name: str) -> _DocumentKind:
@@ -115,11 +114,11 @@ def _document_kind(name: str) -> _DocumentKind:
     if name == "xray":
         return _DocumentKind(
             DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
-            check_membership_xray, image_basis_xray,
+            check_membership_xray, _piece_groups,
         )
     return _DocumentKind(
         DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
-        image_basis,
+        _graph_groups,
     )
 
 
@@ -233,17 +232,20 @@ def _laurent_text(element) -> str:
     return " + ".join(bits)
 
 
-def _basis_json(document, basis, graph_ref: str) -> str:
-    """``_dump([class_to_dict(b, graph_ref) for b in basis])`` for classes of
-    ``document``, written from their records.
+def _basis_json(document, degree: int, slots, vectors, graph_ref: str) -> str:
+    """``_dump([class_to_dict(b, graph_ref) for b in basis])`` for the
+    degree-k classes of ``document`` with coordinates ``vectors`` at
+    ``slots``, written from the vectors.
 
     The absent-component fragments ``,\n      "<id>": {}`` of every
-    addressed component are encoded once per call into one string; a class
-    slices out each run of components it holds no record for and writes
-    each record it holds through :func:`_write_record`, straight from the
-    record's parts, so the Python work follows the records and not classes
-    times components, and no dict or list is built for a record."""
-    if not basis:
+    addressed component are encoded once per call into one string, and
+    each kind of record once into its template (:func:`_record_template`).
+    A class slices out each run of components it has no coordinate on and
+    writes the record of each component it has through
+    :func:`_write_record`, so the Python work follows the nonzero
+    coordinates and not classes times components, and no class, dict or
+    list is built for a record."""
+    if not vectors:
         return "[]"
     ids = sorted({cid for cid, _, _ in document._fixed_components})
     position = {cid: i for i, cid in enumerate(ids)}
@@ -252,49 +254,106 @@ def _basis_json(document, basis, graph_ref: str) -> str:
     # fragments[i] is absent[offsets[i]:offsets[i + 1]]
     offsets = [0, *accumulate(map(len, fragments))]
     tail = '\n    },\n    "graph": ' + encode_basestring_ascii(graph_ref) + ',\n    "kind": "class"\n  }'
+    # the slots come component by component in id order, so owner ascends
+    owner = [position[slot.component] for slot in slots]
+    zero = "[]" if document.rank is not None else '"0"'
+    kinds = document._kinds
+    # components of one kind and genus have the same slots, so one template
+    # serves them all, read at a slot's offset from its component's first
+    templates: dict[tuple[str, int], tuple] = {}
+    # by component: its kind's template, its first slot and (its end,),
+    # the bound of its cells in a sorted vector
+    records: dict[int, tuple] = {}
+    first = 0
+    while first < len(owner):
+        i = owner[first]
+        end = bisect_left(owner, i + 1, first)
+        kind_genus = kinds[ids[i]]
+        if kind_genus not in templates:
+            templates[kind_genus] = _record_template(*kind_genus, degree, zero, slots[first:end])
+        records[i] = templates[kind_genus], first, (end,)
+        first = end
     parts: list[str] = []
     separator = "["
-    for b in basis:
+    for vec in vectors:
         parts.append(separator + '\n  {\n    "components": {')
         separator = ","
-        records = sorted(
-            (position[cid], cls) for cid, cls in b.components.items() if cid in position
-        )
+        cells = sorted(vec.items())
         cursor = 1  # the first component goes without a comma
-        for i, cls in records:
+        start = 0
+        while start < len(cells):
+            i = owner[cells[start][0]]
+            template, first, bound = records[i]
+            end = bisect_left(cells, bound, start)
             # the absent run before component i, then its fragment up to "{}"
             parts.append(absent[cursor:offsets[i + 1] - 2])
-            _write_record(cls, parts)
+            _write_record(template, first, cells[start:end], parts)
             cursor = offsets[i + 1]
+            start = end
         parts.append(absent[cursor:])
         parts.append(tail)
     parts.append("\n]")
     return "".join(parts)
 
 
-def _write_record(cls, parts: list[str]) -> None:
-    """Append the JSON text of one component record at the component indent,
-    as :func:`_write` gives its ``class_to_dict`` value: degrees as sorted
-    strings, a surface's ``c0``, ``c1`` list and ``c2`` (a genus-0 surface
-    has ``"c1": []``), each part through :func:`_part_json`."""
-    entries = cls.entries
-    if not entries:
-        parts.append("{}")
-        return
-    separator = "{"
-    for key, entry in sorted([(str(k), entry) for k, entry in entries.items()]):
-        if type(entry) is SurfaceClass:
-            c1 = f",{_ITEM[0]}".join([_part_json(x, _ITEM) for x in entry.c1])
-            c1 = f"[{_ITEM[0]}{c1}{_PART[0]}]" if c1 else "[]"
-            text = (
-                f'{{{_PART[0]}"c0": {_part_json(entry.c0, _PART)},{_PART[0]}"c1": {c1},'
-                f'{_PART[0]}"c2": {_part_json(entry.c2, _PART)}{_ENTRY[0]}}}'
-            )
+def _record_template(kind: str, genus: int, degree: int, zero: str, slots) -> tuple:
+    """``(texts, where)``: the JSON text of a component's degree-k record
+    with every part ``zero``, as :func:`_write` gives its ``class_to_dict``
+    value at the component indent (a point's value, or a surface's ``c0``,
+    ``c1`` list and ``c2``; a genus-0 surface has ``"c1": []``), split into
+    a list, and for each of the component's ``slots`` ``(hole, head,
+    after, newline)``: its part is ``texts[hole]`` and its value is written
+    between ``head`` and ``after``.  A graph's part is that one rational
+    (``newline`` is None); a torus part is a list of ``[exponents, "p/q"]``
+    pairs closed by ``newline``, laid out as :func:`_layout` gives them."""
+    key = f'{{{_ENTRY[0]}"{degree}": '
+    if kind == "point":
+        texts = [key, zero, "\n      }"]
+        holes = {("c", 0): (1, _ENTRY)}
+    else:
+        texts = [f'{key}{{{_PART[0]}"c0": ', zero]
+        holes = {("c0", 0): (1, _PART)}
+        if genus:
+            texts.append(f',{_PART[0]}"c1": [{_ITEM[0]}')
+            for j in range(2 * genus):
+                if j:
+                    texts.append(f",{_ITEM[0]}")
+                holes[("c1", j)] = (len(texts), _ITEM)
+                texts.append(zero)
+            texts.append(f'{_PART[0]}],{_PART[0]}"c2": ')
         else:
-            text = _part_json(entry, _ENTRY)
-        parts.append(f'{separator}{_ENTRY[0]}"{key}": {text}')
-        separator = ","
-    parts.append("\n      }")
+            texts.append(f',{_PART[0]}"c1": [],{_PART[0]}"c2": ')
+        holes[("c2", 0)] = (len(texts), _PART)
+        texts += [zero, f'{_ENTRY[0]}}}\n      }}']
+    where = []
+    for slot in slots:
+        hole, (newline, pair, item, exponents) = holes[(slot.part, slot.index)]
+        if not slot.exps:
+            where.append((hole, '"', '"', None))
+            continue
+        exps = exponents.join(map(str, slot.exps))
+        where.append((hole, f'{pair}[{item}[{item}  {exps}{item}],{item}"', f'"{pair}]', newline))
+    return texts, where
+
+
+def _write_record(template: tuple, first: int, cells, parts: list[str]) -> None:
+    """Append one component's record: the ``template`` of its kind
+    (:func:`_record_template`) with the part of each nonzero ``(slot
+    position, value)`` cell filled in, the component's slots starting at
+    position ``first``.  A torus part's pairs come in the descending
+    exponent order of its slots."""
+    texts, where = template
+    texts = texts.copy()
+    pairs: dict[tuple[int, str], list[str]] = {}
+    for i, value in cells:
+        hole, head, after, newline = where[i - first]
+        if newline is None:
+            texts[hole] = f"{head}{value!s}{after}"
+        else:
+            pairs.setdefault((hole, newline), []).append(f"{head}{value!s}{after}")
+    for (hole, newline), found in pairs.items():
+        texts[hole] = f"[{','.join(found)}{newline}]"
+    parts += texts
 
 
 def _layout(spaces: int) -> tuple[str, str, str, str]:
@@ -310,47 +369,23 @@ def _layout(spaces: int) -> tuple[str, str, str, str]:
 _ENTRY, _PART, _ITEM = _layout(8), _layout(10), _layout(12)
 
 
-def _part_json(value, layout: tuple[str, str, str, str]) -> str:
-    """The JSON text of one part, laid out by :func:`_layout`: a rational as
-    its string (``"0"`` when zero), a polynomial as its ``[exponents,
-    "p/q"]`` pairs in descending exponent order, one element per line
-    (``[]`` when zero)."""
-    if type(value) is not MPoly:
-        return f'"{value!s}"'
-    terms = value.terms
-    if not terms:
-        return "[]"
-    newline, pair, item, exponents = layout
-    texts = [
-        f'[{item}[{item}  {exponents.join(map(str, exps))}{item}],{item}"{terms[exps]!s}"{pair}]'
-        if exps else f'[{item}[],{item}"{terms[exps]!s}"{pair}]'
-        for exps in sorted(terms, reverse=True)
-    ]
-    return f"[{pair}" + f",{pair}".join(texts) + f"{newline}]"
-
-
-def _basis_table(basis, degree: int, slots) -> str:
+def _basis_table(slots, vectors) -> str:
     """The basis as a text table: one column per slot, labelled, and one row
-    per class, cells left-justified to the column's widest and joined by two
-    spaces, trailing blanks stripped.
+    per vector, cells left-justified to the column's widest and joined by
+    two spaces, trailing blanks stripped.
 
-    Only the slots of the components a class holds records for are read;
-    a row starts as a copy of the all-"0" row and its nonzero cells are
-    written over it."""
-    by_component = _slot_index(slots)
-    widths = [len(slot.label) for slot in slots]
+    A row starts as a copy of the all-"0" row and its nonzero cells,
+    ``format_rational`` of each coordinate, are written over it."""
+    labels = [slot.label for slot in slots]
+    widths = [len(label) for label in labels]
     rows = []
-    for b in basis:
-        cells = []
-        for cid in b.components:
-            for i in by_component.get(cid, ()):
-                value = slot_value(b, degree, slots[i])
-                if value:
-                    text = format_rational(value)
-                    cells.append((i, text))
-                    widths[i] = max(widths[i], len(text))
+    for vec in vectors:
+        cells = [(i, format_rational(value)) for i, value in vec.items()]
+        for i, text in cells:
+            if len(text) > widths[i]:
+                widths[i] = len(text)
         rows.append(cells)
-    lines = ["  ".join(s.label.ljust(w) for s, w in zip(slots, widths)).rstrip()]
+    lines = ["  ".join(label.ljust(w) for label, w in zip(labels, widths)).rstrip()]
     zero = ["0".ljust(w) for w in widths]
     for cells in rows:
         row = zero.copy()
@@ -464,15 +499,13 @@ def cmd_basis(args) -> int:
     document = _load_valid(args)
     if document is None:
         return 1
-    basis = args.kind.image_basis(document, args.degree, args.max_degree)
+    slots, vectors = _image_vectors(document, args.degree, args.max_degree, args.kind.groups)
     if args.format == "json":
-        print(_basis_json(document, basis, args.path))
-        return 0
-    slots = degree_slots(document, args.degree)
-    if not slots:
+        print(_basis_json(document, args.degree, slots, vectors, args.path))
+    elif not slots:
         print(f"no classes in degree {args.degree}")
     else:
-        print(_basis_table(basis, args.degree, slots))
+        print(_basis_table(slots, vectors))
     return 0
 
 

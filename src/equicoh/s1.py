@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .core import (
     ComponentClass,
@@ -370,19 +371,27 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     return _localization_sum(table, _scaled_parts(alpha), None)
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """One coordinate of the degree-k restriction tuple space.
 
     A circle action has one slot per part of a component's degree-k entry;
-    a rank-r torus has one per monomial ``exps`` of each part.
+    a rank-r torus has one per monomial ``exps`` of each part.  ``name`` is
+    the part's name as :func:`~equicoh.core.entry_parts` gives it.
     """
 
     component: str
     part: str  # "c" (point), "c0", "c1" or "c2" (surface)
     index: int = 0
-    label: str = ""
+    name: str = ""
     exps: tuple[int, ...] = ()
+
+    @property
+    def label(self) -> str:
+        """``<component>.<name>``, and for a torus slot its exponents in
+        brackets (``Smax_0.c0[1,0]``); built when read."""
+        if not self.exps:
+            return f"{self.component}.{self.name}"
+        return f"{self.component}.{self.name}[{','.join(map(str, self.exps))}]"
 
 
 def degree_slots(document, degree: int) -> list[Slot]:
@@ -393,20 +402,24 @@ def degree_slots(document, degree: int) -> list[Slot]:
     named as :func:`~equicoh.core.entry_parts` names them.  A graph has one
     slot per part; an x-ray of rank r has one per monomial of the part's
     power of the parameter in descending lex order, and its labels end in
-    the exponents.
+    the exponents.  Each slot is built as the tuple it is, and the
+    monomials of each power are listed once.
     """
     if degree < 0:
         return []
     rank = document.rank
+    new = tuple.__new__
+    monomials: dict[int, list[tuple[int, ...]]] = {}
     slots: list[Slot] = []
     for cid, kind, genus in document._fixed_components:
         for part, index, name in entry_parts(kind, genus, degree):
             if rank is None:
-                slots.append(Slot(cid, part, index, f"{cid}.{name}"))
+                slots.append(new(Slot, (cid, part, index, name, ())))
                 continue
-            for exps in monomials_of_degree(rank, part_power(part, degree)):
-                label = f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
-                slots.append(Slot(cid, part, index, label, exps))
+            power = part_power(part, degree)
+            if power not in monomials:
+                monomials[power] = monomials_of_degree(rank, power)
+            slots += [new(Slot, (cid, part, index, name, exps)) for exps in monomials[power]]
     return slots
 
 
@@ -691,6 +704,11 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None) -> tupl
     return (), members, _constraint_table(members, graph), substitution
 
 
+def _graph_groups(graph: DecoratedGraph) -> list[tuple]:
+    """The constraint groups of a graph: its one group, built per query."""
+    return [_graph_group(graph)]
+
+
 def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
     """The positions of each component's slots."""
     index: dict[str, list[int]] = {}
@@ -725,11 +743,19 @@ def _group_columns(
     return columns
 
 
-def _image_basis(document, degree: int, max_degree: int, groups) -> list[EquivariantClass]:
-    """Canonical basis (reduced echelon, fixed slot order) of the degree-k
-    image of a graph or an x-ray, cut out by its constraint groups: the
+def _image_vectors(
+    document, degree: int, max_degree: int, groups
+) -> tuple[list[Slot], list[dict[int, int | Fraction]]]:
+    """The slots of the degree-k image of a graph or an x-ray and its
+    canonical basis (reduced echelon, fixed slot order) as sparse vectors
+    over them, cut out by the constraint groups ``groups(document)``: the
     columns of the slots on each group's members (:func:`_group_columns`),
-    in rows keyed by the group's tag and the obstruction key."""
+    in rows keyed by the group's tag and the obstruction key.
+
+    An invalid document is refused first, then a degree that is not a
+    nonnegative int within ``max_degree``; the groups are built only when
+    the degree has slots."""
+    _refuse_invalid(document)
     _check_degree(degree)
     if degree < 0:
         raise InputError("degree must be nonnegative")
@@ -737,18 +763,21 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
         raise InputError(f"degree {degree} exceeds the cutoff {max_degree}")
     slots = degree_slots(document, degree)
     if not slots:
-        return []
+        return slots, []
     index = _slot_index(slots)
     rows: dict[tuple, dict[int, int | Fraction]] = {}
-    for group in groups:
+    for group in groups(document):
         tag = group[0]
         for i, column in _group_columns(group, degree, slots, index).items():
             for key, value in column.items():
                 rows.setdefault(tag + key, {})[i] = value
-    return [
-        _class_from_sparse(document, degree, slots, vec)
-        for vec in nullspace(list(rows.values()), len(slots))
-    ]
+    return slots, nullspace(list(rows.values()), len(slots))
+
+
+def _image_basis(document, degree: int, max_degree: int, groups) -> list[EquivariantClass]:
+    """The canonical basis of :func:`_image_vectors` as classes."""
+    slots, vectors = _image_vectors(document, degree, max_degree, groups)
+    return [_class_from_sparse(document, degree, slots, vec) for vec in vectors]
 
 
 def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
@@ -852,7 +881,7 @@ def image_basis(
     graph: DecoratedGraph, degree: int, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> list[EquivariantClass]:
     """Canonical basis (reduced echelon, fixed slot order) of the degree-k image."""
-    return _image_basis(graph, degree, max_degree, [_graph_group(graph)])
+    return _image_basis(graph, degree, max_degree, _graph_groups)
 
 
 def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:

@@ -479,13 +479,17 @@ def _one_weight(piece: SkeletonPiece, member, directions: dict, character, ratio
 def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
     """The induced graph's report, prefixed with the piece, and the checks of
     its members against the graph, each read once off the graph's kept
-    ``_by_id``, ``_levels`` and ``_places`` and the x-ray's ``_along``."""
+    ``_by_id``, ``_levels`` and ``_places`` and the x-ray's ``_along``.  An
+    induced graph that breaks its own shape rules gets its report alone:
+    its ids need not sort and its momenta need not be rational."""
     pid = piece.id
     induced = piece.induced
     out = [
         Violation(v.code, f"piece {pid}: {v.message}", (pid,) + v.components)
         for v in validate_graph(induced)
     ]
+    if induced._shapes:
+        return out
     # the members are distinct, so the ids match when they match as sets
     # and the graph has one record per member
     if len(induced.isolated) + len(induced.surfaces) != len(members) or (
@@ -607,6 +611,11 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     return MembershipDecision(not violations, tuple(violations))
 
 
+def _piece_groups(xray: XRay):
+    """The constraint groups of an x-ray: one per piece, kept on it."""
+    return xray._groups.values()
+
+
 def image_basis_xray(
     xray: XRay, degree: int, max_degree: int = DEFAULT_XRAY_MAX_DEGREE
 ) -> list[EquivariantClass]:
@@ -616,7 +625,7 @@ def image_basis_xray(
     obstruction coefficients, keyed by piece id and obstruction key: the
     one image-basis body of :mod:`equicoh.s1` over the x-ray's groups.
     """
-    return _image_basis(xray, degree, max_degree, xray._groups.values())
+    return _image_basis(xray, degree, max_degree, _piece_groups)
 
 
 def parse_class_torus(text, xray: XRay) -> EquivariantClass:

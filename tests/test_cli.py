@@ -18,16 +18,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from equicoh import cli, errors
+from equicoh import cli, errors, s1
 from equicoh import graph as graph_module
 from equicoh import xray as xray_module
 from equicoh.cli import main
 from equicoh.graph import format_rational, parse_graph
-from equicoh.core import Laurent, SurfaceClass
+from equicoh.core import ComponentClass, Laurent, SurfaceClass
 from equicoh.mpoly import MPoly, poly_to_pairs
 from equicoh.s1 import (
     _class_from_sparse,
     _entry_to_dict,
+    _graph_groups,
+    _image_vectors,
+    _slot_index,
     check_membership,
     class_from_vector,
     class_to_dict,
@@ -36,7 +39,7 @@ from equicoh.s1 import (
     localize,
     slot_value,
 )
-from equicoh.xray import check_membership_xray, image_basis_xray, parse_xray
+from equicoh.xray import _piece_groups, check_membership_xray, image_basis_xray, parse_xray
 from test_golden import EXTRA_DOCUMENTS
 
 
@@ -434,6 +437,115 @@ def _parse_document(doc):
     return (parse_xray if doc["kind"] == "xray" else parse_graph)(doc)
 
 
+def basis_vectors(document, degree: int):
+    """The ``(slots, vectors)`` that ``basis`` or ``xray-basis`` writes."""
+    groups = _graph_groups if document.rank is None else _piece_groups
+    return _image_vectors(document, degree, degree, groups)
+
+
+def reference_record_json(document, basis, graph_ref: str) -> str:
+    """The basis JSON written from its classes' records, as the CLI wrote it
+    before it wrote from vectors: the absent-component fragments encoded
+    once and sliced, and each record through :func:`reference_write_record`."""
+    if not basis:
+        return "[]"
+    ids = sorted({cid for cid, _, _ in document._fixed_components})
+    position = {cid: i for i, cid in enumerate(ids)}
+    fragments = [",\n      " + encode_basestring_ascii(cid) + ": {}" for cid in ids]
+    absent = "".join(fragments)
+    # fragments[i] is absent[offsets[i]:offsets[i + 1]]
+    offsets = [0, *accumulate(map(len, fragments))]
+    tail = '\n    },\n    "graph": ' + encode_basestring_ascii(graph_ref) + ',\n    "kind": "class"\n  }'
+    parts: list[str] = []
+    separator = "["
+    for b in basis:
+        parts.append(separator + '\n  {\n    "components": {')
+        separator = ","
+        records = sorted(
+            (position[cid], cls) for cid, cls in b.components.items() if cid in position
+        )
+        cursor = 1  # the first component goes without a comma
+        for i, cls in records:
+            # the absent run before component i, then its fragment up to "{}"
+            parts.append(absent[cursor:offsets[i + 1] - 2])
+            reference_write_record(cls, parts)
+            cursor = offsets[i + 1]
+        parts.append(absent[cursor:])
+        parts.append(tail)
+    parts.append("\n]")
+    return "".join(parts)
+
+
+def reference_write_record(cls, parts: list[str]) -> None:
+    """One component record at the component indent, from its parts: degrees
+    as sorted strings, a surface's ``c0``, ``c1`` list and ``c2`` (a genus-0
+    surface has ``"c1": []``), each part through :func:`reference_part_json`."""
+    entries = cls.entries
+    if not entries:
+        parts.append("{}")
+        return
+    entry_nl, part_nl, item_nl = cli._ENTRY[0], cli._PART[0], cli._ITEM[0]
+    separator = "{"
+    for key, entry in sorted([(str(k), entry) for k, entry in entries.items()]):
+        if type(entry) is SurfaceClass:
+            c1 = f",{item_nl}".join([reference_part_json(x, cli._ITEM) for x in entry.c1])
+            c1 = f"[{item_nl}{c1}{part_nl}]" if c1 else "[]"
+            text = (
+                f'{{{part_nl}"c0": {reference_part_json(entry.c0, cli._PART)},{part_nl}"c1": {c1},'
+                f'{part_nl}"c2": {reference_part_json(entry.c2, cli._PART)}{entry_nl}}}'
+            )
+        else:
+            text = reference_part_json(entry, cli._ENTRY)
+        parts.append(f'{separator}{entry_nl}"{key}": {text}')
+        separator = ","
+    parts.append("\n      }")
+
+
+def reference_part_json(value, layout) -> str:
+    """One part: a rational as its string (``"0"`` when zero), a polynomial
+    as its ``[exponents, "p/q"]`` pairs sorted in descending exponent order,
+    one element per line (``[]`` when zero)."""
+    if type(value) is not MPoly:
+        return f'"{value!s}"'
+    terms = value.terms
+    if not terms:
+        return "[]"
+    newline, pair, item, exponents = layout
+    texts = [
+        f'[{item}[{item}  {exponents.join(map(str, exps))}{item}],{item}"{terms[exps]!s}"{pair}]'
+        if exps else f'[{item}[],{item}"{terms[exps]!s}"{pair}]'
+        for exps in sorted(terms, reverse=True)
+    ]
+    return f"[{pair}" + f",{pair}".join(texts) + f"{newline}]"
+
+
+def reference_sparse_table(basis, degree: int, slots) -> str:
+    """The basis table written from its classes' records, as the CLI wrote
+    it before it wrote from vectors: only the slots of the components a
+    class holds records for are read through ``slot_value``."""
+    by_component = _slot_index(slots)
+    widths = [len(slot.label) for slot in slots]
+    rows = []
+    for b in basis:
+        cells = []
+        for cid in b.components:
+            for i in by_component.get(cid, ()):
+                value = slot_value(b, degree, slots[i])
+                if value:
+                    text = format_rational(value)
+                    cells.append((i, text))
+                    widths[i] = max(widths[i], len(text))
+        rows.append(cells)
+    lines = ["  ".join(s.label.ljust(w) for s, w in zip(slots, widths)).rstrip()]
+    zero = ["0".ljust(w) for w in widths]
+    for cells in rows:
+        row = zero.copy()
+        for i, text in cells:
+            row[i] = text.ljust(widths[i])
+        lines.append("  ".join(row).rstrip())
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("name", sorted(BASIS_DOCUMENTS))
 def test_basis_output_matches_the_dense_reference(capsys, tmp_path, name):
     """Both formats at degrees 0-6, degrees without slots among them, equal
@@ -457,12 +569,16 @@ def test_basis_output_matches_the_dense_reference(capsys, tmp_path, name):
 
 @pytest.mark.parametrize("name", ["g2_2", "x2_1", "cube3_1", "chain17_1"])
 def test_the_basis_writers_match_the_dense_reference_on_any_sparse_classes(name):
-    """Classes with random sparse coordinates, wide cells among them, with
-    the first and the last component present and absent, and no classes."""
+    """Random sparse vectors, wide cells among them, with the first and the
+    last component present and absent, and no vectors: the vector writers
+    print the class documents written by ``_dump``, the densely built table
+    and the bytes of the record writers they replace."""
     document = _parse_document(BASIS_DOCUMENTS[name])
     rng = random.Random(name)
+    ref = "d\u00e9\"oc"
     for degree in range(5):
-        n = len(degree_slots(document, degree))
+        slots = degree_slots(document, degree)
+        n = len(slots)
         if not n:
             continue
         vectors = [[0] * n, [1] * n, [1] + [0] * (n - 1), [0] * (n - 1) + [-1]]
@@ -472,51 +588,41 @@ def test_the_basis_writers_match_the_dense_reference_on_any_sparse_classes(name)
                 if rng.random() < 0.2 else 0
                 for _ in range(n)
             ])
-        for classes in ([], [class_from_vector(document, degree, v) for v in vectors]):
-            assert cli._basis_json(document, classes, "d\u00e9\"oc") == cli._dump(
-                [class_to_dict(b, "d\u00e9\"oc") for b in classes]
-            )
-            slots = degree_slots(document, degree)
-            assert cli._basis_table(classes, degree, slots) == reference_table(
-                document, classes, degree
-            )
+        for dense in ([], vectors):
+            sparse = [{i: x for i, x in enumerate(v) if x} for v in dense]
+            classes = [class_from_vector(document, degree, v) for v in dense]
+            text = cli._basis_json(document, degree, slots, sparse, ref)
+            assert text == cli._dump([class_to_dict(b, ref) for b in classes])
+            assert text == reference_record_json(document, classes, ref)
+            table = cli._basis_table(slots, sparse)
+            assert table == reference_table(document, classes, degree)
+            assert table == reference_sparse_table(classes, degree, slots)
 
 
 @pytest.mark.parametrize("name", ["cube3_g1.json", "chain24_g1.json"])
 def test_int_coefficients_print_as_the_equal_fractions(name):
-    """The eliminator hands a basis its exact integers as ints; a class that
-    holds them prints the same bytes as its twin holding the equal
-    Fractions, through every writer and every detail that renders a
-    coefficient.  The documents are the golden gate's cube and chain."""
+    """The eliminator hands a basis its exact integers as ints; a vector or
+    a class that holds them prints the same bytes as its twin holding the
+    equal Fractions, through both vector writers and every detail that
+    renders a coefficient.  The documents are the golden gate's cube and
+    chain."""
     document = _parse_document(EXTRA_DOCUMENTS[name])
     graph = document.rank is None
     check = check_membership if graph else check_membership_xray
     held = set()
     for degree in range(5):
-        slots = degree_slots(document, degree)
-        basis = (image_basis if graph else image_basis_xray)(document, degree)
-        vectors = [
-            {i: value for i, s in enumerate(slots) if (value := slot_value(b, degree, s))}
-            for b in basis
-        ]
-        fractions = [
-            _class_from_sparse(document, degree, slots, {i: Fraction(x) for i, x in v.items()})
-            for v in vectors
-        ]
-        ints = [
-            _class_from_sparse(document, degree, slots, {
-                i: int(x) if x.denominator == 1 else x for i, x in v.items()
-            })
-            for v in vectors
-        ]
-        for classes in (basis, ints):
-            held.update(type(x) for v in vectors for x in v.values())
-            assert cli._basis_json(document, classes, name) == cli._basis_json(
-                document, fractions, name
+        slots, vectors = basis_vectors(document, degree)
+        basis = [_class_from_sparse(document, degree, slots, v) for v in vectors]
+        fractions = [{i: Fraction(x) for i, x in v.items()} for v in vectors]
+        ints = [{i: int(x) if x.denominator == 1 else x for i, x in v.items()} for v in fractions]
+        for twin in (vectors, ints):
+            held.update(type(x) for v in twin for x in v.values())
+            assert cli._basis_json(document, degree, slots, twin, name) == cli._basis_json(
+                document, degree, slots, fractions, name
             )
-            assert cli._basis_table(classes, degree, slots) == cli._basis_table(
-                fractions, degree, slots
-            )
+            assert cli._basis_table(slots, twin) == cli._basis_table(slots, fractions)
+        fractions = [_class_from_sparse(document, degree, slots, v) for v in fractions]
+        ints = [_class_from_sparse(document, degree, slots, v) for v in ints]
         # units reach every membership detail, the degree-2 residue among them
         units = [
             [_class_from_sparse(document, degree, [s], {0: one}) for one in (1, Fraction(1))]
@@ -545,16 +651,16 @@ def test_int_coefficients_print_as_the_equal_fractions(name):
 
 def test_basis_json_writes_each_record_once_and_no_absent_component(capsys, monkeypatch, tmp_path):
     """On a 400-point chain the degree-2 basis has 403 classes over 402
-    components and 806 records: the record writer visits each record once,
-    and no component a class holds no record for."""
+    components and 806 records: the record writer visits each component a
+    vector has a coordinate on once, and no other component."""
     path = tmp_path / "chain400.json"
     path.write_text(json.dumps(fixtures.chain_doc(400, 1)))
     records = []
     write = cli._write_record
 
-    def counting(cls, parts):
-        records.append(cls.entries)
-        return write(cls, parts)
+    def counting(template, first, cells, parts):
+        records.append(cells)
+        return write(template, first, cells, parts)
 
     monkeypatch.setattr(cli, "_write_record", counting)
     status, out, _ = run(capsys, "basis", str(path), "--degree", "2", "--format", "json")
@@ -564,9 +670,43 @@ def test_basis_json_writes_each_record_once_and_no_absent_component(capsys, monk
     assert len(records) == 806 and all(records)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_basis_query_builds_no_class_and_no_group_it_does_not_need(
+    capsys, monkeypatch, data_dir, fmt
+):
+    """``basis`` and ``xray-basis`` write the kernel vectors themselves: no
+    class and no record is built.  A degree without slots builds no
+    constraint group (each group builds one constraint table), a degree
+    with slots builds them."""
+    calls = Counter()
+    build = s1._class_from_sparse
+    monkeypatch.setattr(
+        s1, "_class_from_sparse", lambda *a: calls.update(["class"]) or build(*a)
+    )
+    trusted = ComponentClass._trusted.__func__
+    monkeypatch.setattr(
+        ComponentClass, "_trusted",
+        classmethod(lambda cls, *a: calls.update(["record"]) or trusted(cls, *a)),
+    )
+    for module in (s1, xray_module):
+        table = module._constraint_table
+        monkeypatch.setattr(
+            module, "_constraint_table",
+            lambda *a, table=table: calls.update(["group"]) or table(*a),
+        )
+    d = str(data_dir)
+    for command, name in (("basis", "g1.json"), ("xray-basis", "cp3.json")):
+        for degree, slotless in (("1", True), ("2", False)):
+            calls.clear()
+            argv = (command, f"{d}/{name}", "--degree", degree, "--format", fmt)
+            assert run(capsys, *argv)[0] == 0
+            assert calls["class"] == calls["record"] == 0, argv
+            assert (calls["group"] == 0) == slotless, argv
+
+
 def reference_basis_json(document, basis, graph_ref: str) -> str:
     """The basis JSON as the CLI once wrote it: the absent-component
-    fragments sliced as ``_basis_json`` slices them, and each record
+    fragments sliced as :func:`reference_record_json` slices them, and each record
     turned into its ``class_to_dict`` dicts and lists (``_entry_to_dict``,
     ``poly_to_pairs``) and written by the recursive ``_write``."""
     if not basis:
@@ -602,20 +742,30 @@ def reference_basis_json(document, basis, graph_ref: str) -> str:
 @given(fixtures.basis_document_keys, st.integers(0, 6))
 @example(("cp3", 0, 0), 4)
 def test_the_record_writer_gives_the_reference_bytes(key, degree):
-    """Each record written straight from its parts gives the bytes of its
-    dicts and lists written by ``_write``: zero parts as "0" or [], a
-    genus-0 surface's empty H^1 list, one pair element per line."""
+    """Both formats written from the basis vectors give the bytes of its
+    classes' dicts and lists written by ``_dump`` and ``_write``, of the
+    record writers they replace and of the dense table: zero parts as "0"
+    or [], a genus-0 surface's empty H^1 list, one pair element per line,
+    and degrees without slots."""
     document = fixtures.basis_document(*key)
-    basis = (image_basis if document.rank is None else image_basis_xray)(document, degree)
+    slots, vectors = basis_vectors(document, degree)
+    basis = [_class_from_sparse(document, degree, slots, v) for v in vectors]
+    assert basis == (image_basis if document.rank is None else image_basis_xray)(document, degree)
     ref = "d\u00e9\"oc"
-    text = cli._basis_json(document, basis, ref)
+    text = cli._basis_json(document, degree, slots, vectors, ref)
     assert text == reference_basis_json(document, basis, ref)
+    assert text == reference_record_json(document, basis, ref)
     assert text == cli._dump([class_to_dict(b, ref) for b in basis])
+    if slots:
+        table = cli._basis_table(slots, vectors)
+        assert table == reference_table(document, basis, degree)
+        assert table == reference_sparse_table(basis, degree, slots)
 
 
 @pytest.mark.parametrize("name", ["g1", "g2_0", "g2_2", "cp3", "cube2_0", "cube3_2"])
 def test_the_record_writer_handles_any_record(name):
-    """Records of several degrees (written in the order of their keys as
+    """The record writer the vector writer replaced, kept as its oracle, on
+    records of several degrees (written in the order of their keys as
     strings, "10" before "2"), empty records, zero entries of every part
     and Fractions with wide numerators: the bytes of ``_dump``."""
     document = _parse_document(BASIS_DOCUMENTS[name])
@@ -637,7 +787,7 @@ def test_the_record_writer_handles_any_record(name):
                 ))
     assert any(not cls.entries for b in classes for cls in b.components.values())
     assert any(len(cls.entries) > 1 for b in classes for cls in b.components.values())
-    assert cli._basis_json(document, classes, name) == cli._dump(
+    assert reference_record_json(document, classes, name) == cli._dump(
         [class_to_dict(b, name) for b in classes]
     )
 
@@ -950,18 +1100,21 @@ def canonical(payload) -> str:
 
 def test_dump_matches_json_dumps_on_every_cli_payload(capsys, monkeypatch, data_dir, batch_dir):
     """Every ``--format json`` output is ``json.dumps(payload, indent=2,
-    sort_keys=True)`` of its payload.  A basis is written from its records,
-    not through ``_dump``: its payload is the class documents of the basis
-    the command computed."""
+    sort_keys=True)`` of its payload.  A basis is written from its vectors,
+    not through ``_dump``: its payload is the class documents built from the
+    vectors the command computed."""
     payloads = []
     dump = cli._dump
     monkeypatch.setattr(cli, "_dump", lambda payload: payloads.append(payload) or dump(payload))
     bases = []
-    for name in ("image_basis", "image_basis_xray"):
-        compute = getattr(cli, name)
-        monkeypatch.setattr(
-            cli, name, lambda *args, compute=compute: bases.append(compute(*args)) or bases[-1]
-        )
+    compute = cli._image_vectors
+
+    def recording(document, degree, max_degree, groups):
+        slots, vectors = compute(document, degree, max_degree, groups)
+        bases.append([_class_from_sparse(document, degree, slots, v) for v in vectors])
+        return slots, vectors
+
+    monkeypatch.setattr(cli, "_image_vectors", recording)
     d = str(data_dir)
     commands = [
         ("basis", f"{d}/g2_g1.json", "--degree", "2"),
@@ -1036,8 +1189,8 @@ def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data
     run(capsys, "basis", f"{d}/g1.json", "--degree", "2")
     calls = Counter()
     names = (
-        "parse_graph", "validate_graph", "image_basis", "parse_xray",
-        "image_basis_xray", "parse_class_torus", "check_membership_xray",
+        "parse_graph", "validate_graph", "_image_vectors", "_graph_groups", "parse_xray",
+        "_piece_groups", "parse_class_torus", "check_membership_xray",
     )
     for name in names:
         original = getattr(cli, name)
@@ -1057,8 +1210,8 @@ def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data
     assert run(capsys, "xray-basis", f"{d}/cp3.json", "--degree", "2")[0] == 0
     assert run(capsys, "xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_const.json")[0] == 0
     assert calls == {
-        "parse_graph": 1, "validate_graph": 1, "image_basis": 1, "parse_xray": 2,
-        "image_basis_xray": 1, "parse_class_torus": 1, "check_membership_xray": 1,
+        "parse_graph": 1, "validate_graph": 1, "_image_vectors": 2, "_graph_groups": 1,
+        "parse_xray": 2, "_piece_groups": 1, "parse_class_torus": 1, "check_membership_xray": 1,
     }
     assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
 
@@ -1122,9 +1275,10 @@ def test_the_tracer_tables_keep_each_layer_on_its_workload(capsys, data_dir):
     basis = traced_calls(capsys, "basis", f"{d}/g2_g1.json", "--degree", "2")
     xray_basis = traced_calls(capsys, "xray-basis", f"{d}/x2_g1.json", "--degree", "2")
     xray_check = traced_calls(capsys, "xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_const.json")
-    assert basis["s1.image_basis"] == 1
-    assert xray_basis["s1.image_basis"] == 0
-    assert xray_basis["xray.image_basis_xray"] == 1
+    # A basis query writes its kernel vectors without the public class
+    # builders: the elimination is traced, the rest is the CLI's own time.
+    for name in ("s1.image_basis", "xray.image_basis_xray"):
+        assert basis[name] == 0 and xray_basis[name] == 0, name
     # Membership reads each piece's kept group: one substitution per
     # character (x2_g1 has two) and no public entry point per piece.
     assert xray_check["xray.check_membership_xray"] == 1

@@ -1,7 +1,8 @@
 """The narrative demos run to completion against the package under test,
 the package's modules import only what they use, only the graph module
 places a fixed component, only the core module states the parity of a
-degree, and only the basis record builder skips the record check."""
+degree, only the basis record builder skips the record check, and the
+command line writes a basis without building its classes."""
 
 import ast
 import os
@@ -118,6 +119,23 @@ def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
                 scope = parent[scope]
             found.append(f"{path.name}:{getattr(scope, 'name', '<module>')}")
     assert found == ["s1.py:_class_from_sparse", "s1.py:_parse_class"]
+
+
+def test_the_command_line_writes_a_basis_without_building_its_classes():
+    """``basis`` and ``xray-basis`` print the kernel vectors of
+    ``s1._image_vectors`` directly, so ``cli.py`` calls none of the class
+    builders: not ``image_basis``, ``image_basis_xray`` or
+    ``_class_from_sparse``."""
+    builders = {"image_basis", "image_basis_xray", "_class_from_sparse"}
+    path = Path(equicoh.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in builders
+    ]
+    assert found == []
 
 
 def test_no_package_code_reads_a_class_component_by_key():

@@ -69,8 +69,9 @@ from equicoh.graph import (
 from equicoh.linalg import rref
 from equicoh.mpoly import monomials_of_degree
 from equicoh.s1 import _check_ids, _check_keys_class, _degree_items, character_substitution
-from equicoh.xray import SkeletonPiece, TorusFixedComponent, XRay, piece_obstructions
+from equicoh.xray import SkeletonPiece, TorusFixedComponent, XRay, parse_xray, piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
+from test_cli import BASIS_DOCUMENTS
 from test_core import reference_negative_part
 from test_graph import reference_momentum_span
 from test_linalg import reference_coordinates_in_span
@@ -646,6 +647,54 @@ def test_degree_slots_order_and_labels():
     assert labels == ["S.c0", "S.c2", "p.c"]
     assert degree_slots(g3(), 0) == degree_slots(g3(), 4)[:1] + degree_slots(g3(), 4)[2:]
     assert degree_slots(g1(), 1) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceSlot:
+    """A slot as a frozen dataclass with its label built in, as
+    ``s1.Slot`` was before it became a tuple."""
+
+    component: str
+    part: str
+    index: int = 0
+    label: str = ""
+    exps: tuple[int, ...] = ()
+
+
+def reference_degree_slots(document, degree: int) -> list[ReferenceSlot]:
+    """The slots as :func:`degree_slots` built them before it built tuples:
+    a dataclass and a label f-string per slot, the monomials listed again
+    for every part."""
+    if degree < 0:
+        return []
+    rank = document.rank
+    slots: list[ReferenceSlot] = []
+    for cid, kind, genus in document._fixed_components:
+        for part, index, name in entry_parts(kind, genus, degree):
+            if rank is None:
+                slots.append(ReferenceSlot(cid, part, index, f"{cid}.{name}"))
+                continue
+            for exps in monomials_of_degree(rank, part_power(part, degree)):
+                label = f"{cid}.{name}[{','.join(str(e) for e in exps)}]"
+                slots.append(ReferenceSlot(cid, part, index, label, exps))
+    return slots
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_DOCUMENTS))
+def test_degree_slots_match_the_dataclass_reference(name):
+    """Field by field, labels read off the tuples included, on every basis
+    document at degrees 0-8."""
+    doc = BASIS_DOCUMENTS[name]
+    document = (parse_xray if doc["kind"] == "xray" else parse_graph)(doc)
+    for degree in range(9):
+        slots = degree_slots(document, degree)
+        expected = reference_degree_slots(document, degree)
+        assert len(slots) == len(expected)
+        for slot, ref in zip(slots, expected):
+            assert type(slot) is s1.Slot
+            assert (slot.component, slot.part, slot.index, slot.exps, slot.label) == (
+                ref.component, ref.part, ref.index, ref.exps, ref.label
+            )
 
 
 def test_a_negative_degree_has_no_slots():
@@ -1326,11 +1375,20 @@ def test_the_compute_layer_reads_places_and_labels_off_the_graph(monkeypatch):
 
 
 def test_a_degree_without_slots_refuses_an_invalid_graph_too():
+    """An invalid document is refused before its degree is checked, and in
+    a degree without slots too, where no constraint group is built."""
     doc = fixtures.mutate(fixtures.g1_doc(), lambda d: d["isolated"][1].update(weights=[1, 1]))
     graph = parse_graph(doc)
     assert degree_slots(graph, 1) == []
-    with pytest.raises(InputError, match="^invalid graph: .*weight-signs: interior point"):
-        image_basis(graph, 1)
+    for degree in (1, 2.0, -1, 99):
+        with pytest.raises(InputError, match="^invalid graph: .*weight-signs: interior point"):
+            image_basis(graph, degree)
+    doc = fixtures.mutate(fixtures.cp3_doc(), lambda d: d["pieces"][0].update({"lambda": [2, 0]}))
+    xray = fixtures.parse_xray(doc)
+    assert degree_slots(xray, 1) == []
+    for degree in (1, 2.0, -1, 99):
+        with pytest.raises(InputError, match="^invalid x-ray: character-not-primitive: "):
+            image_basis_xray(xray, degree)
 
 
 def test_image_sizes_match_equivariant_series():

@@ -1268,6 +1268,69 @@ def test_ids_that_mix_types_are_refused_not_raised():
         image_basis_xray(bad, 2)
 
 
+def _with_induced_point_id_5(graph):
+    return dataclasses.replace(graph, isolated=(IsolatedVertex(5, Fraction(1, 2), (1, -1)),))
+
+
+def _with_induced_float_y(graph):
+    surface = dataclasses.replace(graph.surfaces[0], y=0.5)
+    return dataclasses.replace(graph, surfaces=(surface,) + graph.surfaces[1:])
+
+
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        pytest.param(
+            _with_induced_point_id_5,
+            Violation("component-shape", "piece PX0: component 5: id must be a nonempty string",
+                      ("PX0", 5)),
+            id="int-id-beside-string-ids",
+        ),
+        pytest.param(
+            _with_induced_float_y,
+            Violation(
+                "component-shape",
+                'piece PX0: component Smax_0: floats are rejected; use an integer or a "p/q" string',
+                ("PX0", "Smax_0"),
+            ),
+            id="float-y",
+        ),
+    ],
+)
+def test_an_induced_graph_of_the_wrong_shape_is_reported_not_raised(edit, violation):
+    """A directly built 4-dimensional piece whose induced graph breaks its
+    own shape rules gets that graph's report, prefixed with the piece, and
+    no member check: its ids need not sort (once a TypeError) and its
+    momenta need not be rational (once an AttributeError)."""
+    xray = x2(1)
+    piece = xray.pieces[0]
+    changed = dataclasses.replace(piece, induced=edit(piece.induced))
+    bad = dataclasses.replace(xray, pieces=(changed,) + xray.pieces[1:])
+    assert validate_xray(bad) == [violation]
+    with pytest.raises(InputError, match="^invalid x-ray: component-shape: piece PX0: "):
+        image_basis_xray(bad, 2)
+
+
+def test_an_interior_surface_member_must_point_against_the_character():
+    """A piece whose induced graph holds three surfaces (an invalid graph,
+    reported as such) still checks its interior surface member's weight
+    along the character as the reference does: a surface that is not the
+    minimum carries -1 times the character."""
+    doc = fixtures.x2_doc(1)
+    piece = doc["pieces"][0]
+    piece["members"].append("Smin_1")
+    piece["induced_graph"]["surfaces"].append({"id": "Smin_1", "y": "1/2", "area": 1, "genus": 1})
+    xray = parse_xray(doc)
+    assert xray.pieces[0].induced._places["Smin_1"] == "interior"
+    report = validate_xray(xray)
+    assert report == reference_validate_xray(xray)
+    assert Violation(
+        "piece-weights",
+        "piece PX0: 'Smin_1' must carry exactly one weight along the character, equal to -1 times it",
+        ("PX0", "Smin_1"),
+    ) in report
+
+
 def test_parse_fills_in_the_shape_check_it_has_made():
     """Parse refuses every shape the component-shape check reports, so a
     parsed document carries an empty check; a copy built directly runs the

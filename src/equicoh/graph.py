@@ -14,17 +14,17 @@ when first needed, and kept on the graph: its momenta as integer levels
 over one common denominator, the place of each component (minimum, maximum
 or interior), its two extremal labels, its resolved graph, its index of
 components by id, the ``(id, kind, genus)`` of its components, the nonzero
-entries of its H^1 identification, its validation report and the shape
-check of its records (parse records an empty one, having refused every
-shape the check reports).  Each record's ``_shape_rule`` is the first rule
-its fields break, in parse's order and words, or None.  Validation and
-every later query of the same graph share them; no other module places a
-component.  Validation compares and sums momenta as those integers, and
-compares the inverse Euler numbers with the labels in integers over one
-lcm of their denominators, so it adds no two fractions; it divides only
-for a value it returns or prints, through :func:`~equicoh.mpoly.ratio`, so
-an integral value is an ``int``.  A computation that raises (a degenerate
-span, a zero weight) keeps nothing and raises again on the next call.
+entries of its H^1 identification, its validation report and its shape
+check, which reports every fault parse refuses (parse records an empty
+one): each such rule is stated once, in parse's order and words, for parse
+to raise and validation to report.  Validation and every later query of
+the same graph share them; no other module places a component.
+Validation compares and sums momenta as those integers, and compares the
+inverse Euler numbers with the labels in integers over one lcm of their
+denominators, so it adds no two fractions; it divides only for a value it
+returns or prints, through :func:`~equicoh.mpoly.ratio`, so an integral
+value is an ``int``.  A computation that raises (a degenerate span, a zero
+weight) keeps nothing and raises again on the next call.
 
 Parse checks each record's keys once and then reads its fields directly,
 in a fixed order, so the first fault in that order is the one reported.
@@ -53,6 +53,8 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _RATIONAL_RULE = "expected a rational number"
 _FLOAT_RULE = 'floats are rejected; use an integer or a "p/q" string'
 _ID_RULE = "id must be a nonempty string"
+_NO_COMPONENTS = "needs at least one fixed component"
+_EMPTY_GRAPH = f"a graph {_NO_COMPONENTS}"
 
 
 def parse_rational(value, where: str) -> int | Fraction:
@@ -152,10 +154,18 @@ class GraphEdge:
             return _ID_RULE
         if self.start == self.end:
             return "edge endpoints must differ"
-        if type(self.ell) is not int or self.ell < 1:
-            return '"ell" must be a positive integer'
+        if (rule := _positive_rule("ell", self.ell)) is not None:
+            return rule
         if self.area is not None:
             return _area_rule(self.area)
+        return None
+
+    def _endpoint_rule(self, ids, isolated) -> str | None:
+        for endpoint in (self.start, self.end):
+            if endpoint not in ids:
+                return f"edge references an unknown id {endpoint!r}"
+            if endpoint not in isolated:
+                return f"edge endpoint {endpoint!r} is not an isolated vertex"
         return None
 
 
@@ -181,7 +191,10 @@ class DecoratedGraph:
         return sorted([v.id for v in self.isolated] + [v.id for v in self.surfaces])
 
     def find(self, component_id: str) -> IsolatedVertex | FatVertex:
-        return _find(self._by_id, component_id)
+        try:
+            return self._by_id[component_id]
+        except KeyError:
+            raise InputError(f"no component named {component_id!r}") from None
 
     rank = None  # not a field: a graph's classes are a circle action's
 
@@ -234,11 +247,16 @@ class DecoratedGraph:
 
     @_kept
     def _shapes(self) -> tuple[Violation, ...]:
-        """A ``component-shape`` or ``edge-shape`` violation for each record
-        that breaks its shape rule; parse fills in ``()``."""
+        """A violation for each fault parse refuses; parse fills in ``()``."""
+        if not (self.isolated or self.surfaces):
+            return (Violation("graph-shape", f"graph: {_EMPTY_GRAPH}"),)
         shapes = _shape_violations("component", self.isolated + self.surfaces)
+        isolated = None if shapes else {v.id for v in self.isolated}
         for e in self.edges:
-            if (rule := e._shape_rule()) is not None:
+            rule = e._shape_rule()
+            if rule is None and isolated is not None:
+                rule = e._endpoint_rule(self._by_id, isolated)
+            if rule is not None:
                 pair = tuple(sorted((e.start, e.end), key=_order))
                 shapes.append(Violation("edge-shape", f"edge {e.start}-{e.end}: {rule}", pair))
         return tuple(shapes)
@@ -309,13 +327,6 @@ def _id_index(records) -> dict:
     return index
 
 
-def _find(index: dict, component_id: str):
-    try:
-        return index[component_id]
-    except KeyError:
-        raise InputError(f"no component named {component_id!r}") from None
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -358,22 +369,32 @@ def _tuple(value):
     return tuple(value) if type(value) is list else value
 
 
-def _shape_violations(noun: str, records, *rank) -> list[Violation]:
-    """A ``<noun>-shape`` violation for each record that breaks its shape rule."""
-    return [
-        Violation(f"{noun}-shape", f"{noun} {r.id}: {rule}", (r.id,))
-        for r in records
-        if (rule := r._shape_rule(*rank)) is not None
-    ]
+def _shape_violations(noun: str, records, *rank, duplicate="duplicate id", then=None):
+    """A ``<noun>-shape`` violation per record breaking its shape, id or ``then`` rule."""
+    seen: set[str] = set()
+    violations = []
+    for r in records:
+        rule = _record_rule(r._shape_rule(*rank), r.id, seen, duplicate)
+        if rule is None and then is not None:
+            rule = then(r)
+        if rule is not None:
+            violations.append(Violation(f"{noun}-shape", f"{noun} {r.id}: {rule}", (r.id,)))
+    return violations
+
+
+def _record_rule(rule: str | None, rid: str, seen: set[str], duplicate: str) -> str | None:
+    """The shape rule a record breaks, else a repeat of its id; else it joins ``seen``."""
+    if rule is None:
+        if rid in seen:
+            return f"{duplicate} {rid!r}"
+        seen.add(rid)
+    return rule
 
 
 def _admit(rule: str | None, rid: str, seen: set[str], where: str, duplicate="duplicate id"):
     """Raise the shape rule a parsed record breaks, or else a repeated id."""
-    if rule is not None:
+    if (rule := _record_rule(rule, rid, seen, duplicate)) is not None:
         raise SchemaError(rule, where)
-    if rid in seen:
-        raise SchemaError(f"{duplicate} {rid!r}", where)
-    seen.add(rid)
 
 
 def _decode_json(text: str):
@@ -453,7 +474,7 @@ def parse_graph(text) -> DecoratedGraph:
         surfaces.append(surface)
 
     if not seen:
-        raise SchemaError("a graph needs at least one fixed component", "graph")
+        raise SchemaError(_EMPTY_GRAPH, "graph")
 
     isolated_ids = {v.id for v in isolated}
     edges = []
@@ -468,13 +489,8 @@ def parse_graph(text) -> DecoratedGraph:
         if area is not None:
             area = parse_rational(area, where)
         edge = GraphEdge(start, end, ell, area)
-        if (rule := edge._shape_rule()) is not None:
+        if (rule := edge._shape_rule() or edge._endpoint_rule(seen, isolated_ids)) is not None:
             raise SchemaError(rule, where)
-        for endpoint in (start, end):
-            if endpoint not in seen:
-                raise SchemaError(f"edge references an unknown id {endpoint!r}", where)
-            if endpoint not in isolated_ids:
-                raise SchemaError(f"edge endpoint {endpoint!r} is not an isolated vertex", where)
         edges.append(edge)
 
     identification = doc.get("h1_identification")
@@ -703,6 +719,13 @@ def _rational_rule(x) -> str | None:
     return _FLOAT_RULE if type(x) is float else _RATIONAL_RULE
 
 
+def _positive_rule(field: str, x) -> str | None:
+    """The rule a value breaks as the positive integer ``field``, or None."""
+    if type(x) is int and x >= 1:
+        return None
+    return f'"{field}" must be a positive integer'
+
+
 def _area_rule(x) -> str | None:
     """The rule a value breaks as an area, a positive rational; or None."""
     if type(x) not in RATIONAL_TYPES:
@@ -713,12 +736,11 @@ def _area_rule(x) -> str | None:
 def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
     """The report of :func:`validate_graph`.
 
-    A fixed component or an edge that breaks its record's shape rule gets a
-    ``component-shape`` or ``edge-shape`` violation, and then nothing else
-    is checked.  Momenta are compared as integer levels over one common
-    denominator (``graph._levels``), and each component is placed once, at
-    the minimum, at the maximum or in between.  Raises InputError for an
-    edge whose endpoints are not both isolated vertices of the graph.
+    A graph that breaks a rule parse refuses gets the violations of
+    ``graph._shapes``, and then nothing else is checked.  Momenta are
+    compared as integer levels over one common denominator
+    (``graph._levels``), and each component is placed once, at the minimum,
+    at the maximum or in between.
     """
     if graph._shapes:
         return _sorted_report(list(graph._shapes))
@@ -789,12 +811,6 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
 
     vertices = {v.id: (v, n) for v, n in zip(graph.isolated, isolated_levels)}
     for e in graph.edges:
-        for endpoint in (e.start, e.end):
-            if endpoint not in vertices:
-                raise InputError(
-                    f"edge from {e.start!r} to {e.end!r}: {endpoint!r} is not an "
-                    "isolated vertex of the graph"
-                )
         (a, na), (b, nb) = vertices[e.start], vertices[e.end]
         pair = tuple(sorted((e.start, e.end)))
         if na == nb:

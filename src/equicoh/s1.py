@@ -396,7 +396,7 @@ class Slot(NamedTuple):
 
 def degree_slots(document, degree: int) -> list[Slot]:
     """Canonical coordinate order of the degree-k restriction space of a
-    graph or an x-ray; empty in a negative degree.
+    graph or an x-ray: empty in a negative degree, refused in a non-int one.
 
     Components come by id, each with the parts its degree-k entry holds,
     named as :func:`~equicoh.core.entry_parts` names them.  A graph has one
@@ -405,6 +405,7 @@ def degree_slots(document, degree: int) -> list[Slot]:
     the exponents.  Each slot is built as the tuple it is, and the
     monomials of each power are listed once.
     """
+    _check_degree(degree)
     if degree < 0:
         return []
     rank = document.rank
@@ -489,7 +490,6 @@ def class_from_vector(document, degree: int, values) -> EquivariantClass:
     """The degree-k class of a graph or an x-ray with the exact coordinates
     ``values`` (ints or Fractions, in :func:`degree_slots` order), each kept
     as given."""
-    _check_degree(degree)
     slots = degree_slots(document, degree)
     if len(values) != len(slots):
         raise InputError(f"expected {len(slots)} coordinates, got {len(values)}")
@@ -505,7 +505,6 @@ def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
     :func:`degree_slots` in that degree, and 0 elsewhere."""
     if slot.component not in document._kinds:
         raise InputError(f"slot {slot.label!r} is not on a component of this document")
-    _check_degree(degree)
     key = (slot.component, slot.part, slot.index, slot.exps)
     if all((s.component, s.part, s.index, s.exps) != key for s in degree_slots(document, degree)):
         raise InputError(f"slot {slot.label!r} is not a degree-{degree} slot of this document")

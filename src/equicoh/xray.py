@@ -36,19 +36,20 @@ from .errors import InputError, SchemaError
 from .graph import (
     _ID_RULE,
     _INT_TYPES,
+    _NO_COMPONENTS,
     _SEQUENCE_TYPES,
     DecoratedGraph,
     Violation,
     _admit,
     _area_rule,
     _check_keys,
-    _find,
     _id_index,
     _is_id,
     _is_vector,
     _kept,
     _load_document,
     _missing,
+    _positive_rule,
     _rational_rule,
     _refuse_invalid,
     _shape_violations,
@@ -83,6 +84,8 @@ COMPONENT_KEYS = {"id", "y", "weights", "genus", "area"}
 PIECE_KEYS = {"id", "lambda", "dim", "members", "induced_graph", "ell"}
 _NO_ELL = 'only 2-dimensional pieces carry "ell"'
 _NO_INDUCED_GRAPH = "a 2-dimensional piece carries no induced graph"
+_EMPTY_XRAY = f"an x-ray {_NO_COMPONENTS}"
+_DUPLICATE_PIECE = "duplicate piece id"
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,18 @@ class SkeletonPiece:
             return "duplicate member id"
         if self.dim == 2 and self.induced is not None:
             return _NO_INDUCED_GRAPH
-        if self.dim == 2 and (type(self.ell) is not int or self.ell < 1):
-            return '"ell" must be a positive integer'
+        if self.dim == 2 and (rule := _positive_rule("ell", self.ell)) is not None:
+            return rule
         if self.dim == 4 and self.ell is not None:
             return _NO_ELL
         if self.dim == 4 and not isinstance(self.induced, DecoratedGraph):
             return "expected a graph object"
+        return None
+
+    def _member_rule(self, ids) -> str | None:
+        for m in self.members:
+            if m not in ids:
+                return f"piece references an unknown id {m!r}"
         return None
 
 
@@ -171,8 +180,7 @@ class XRay:
     def component_ids(self) -> list[str]:
         return [c.id for c in self.components]
 
-    def find(self, component_id: str) -> TorusFixedComponent:
-        return _find(self._by_id, component_id)
+    find = DecoratedGraph.find
 
     # Derived values, kept on the frozen x-ray as on a graph.
     @_kept
@@ -194,10 +202,6 @@ class XRay:
                 directions.setdefault(direction, []).append(c)
             along[cid] = directions
         return along
-
-    @_kept
-    def _pieces_by_id(self) -> dict[str, SkeletonPiece]:
-        return _id_index(self.pieces)
 
     @_kept
     def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
@@ -230,10 +234,18 @@ class XRay:
 
     @_kept
     def _shapes(self) -> tuple[Violation, ...]:
-        """A ``component-shape`` or ``piece-shape`` violation for each record
-        that breaks its shape rule; parse fills in ``()``."""
+        """A violation for each fault parse refuses; parse fills in ``()``."""
+        rule = _positive_rule("rank", self.rank)
+        if rule is None and not self.components:
+            rule = _EMPTY_XRAY
+        if rule is not None:
+            return (Violation("xray-shape", f"xray: {rule}"),)
         shapes = _shape_violations("component", self.components, self.rank)
-        return tuple(shapes + _shape_violations("piece", self.pieces, self.rank))
+        members = None if shapes else lambda p: p._member_rule(self._by_id)
+        pieces = _shape_violations(
+            "piece", self.pieces, self.rank, duplicate=_DUPLICATE_PIECE, then=members
+        )
+        return tuple(shapes + pieces)
 
     @_kept
     def _levels(self) -> tuple[int, dict[str, tuple[int, ...]]]:
@@ -241,12 +253,10 @@ class XRay:
         vector over one common denominator D, the lcm of all coordinates'
         denominators, so that ``y == levels / D``."""
         denominator = lcm(*(x.denominator for c in self.components for x in c.y))
-        levels: dict[str, tuple[int, ...]] = {}
-        for c in self.components:
-            levels.setdefault(
-                c.id, tuple(x.numerator * (denominator // x.denominator) for x in c.y)
-            )
-        return denominator, levels
+        return denominator, {
+            c.id: tuple([x.numerator * (denominator // x.denominator) for x in c.y])
+            for c in self.components
+        }
 
 
 def parse_xray(text) -> XRay:
@@ -259,8 +269,8 @@ def parse_xray(text) -> XRay:
         if doc["kind"] != "xray":
             raise SchemaError('field "kind" must be "xray"', "xray")
         rank = doc["rank"]
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise SchemaError('"rank" must be a positive integer', "xray")
+        if (rule := _positive_rule("rank", rank)) is not None:
+            raise SchemaError(rule, "xray")
         raw_components, raw_pieces = doc["components"], doc["pieces"]
     except KeyError as exc:
         raise _missing(exc, "xray") from None
@@ -291,7 +301,7 @@ def parse_xray(text) -> XRay:
         _admit(component._shape_rule(rank), cid, seen, where)
         components.append(component)
     if not components:
-        raise SchemaError("an x-ray needs at least one fixed component", "xray")
+        raise SchemaError(_EMPTY_XRAY, "xray")
 
     piece_ids: set[str] = set()
     pieces = []
@@ -321,10 +331,9 @@ def parse_xray(text) -> XRay:
                 raise SchemaError(str(exc), f"{where}.induced_graph") from None
         lam, members = _tuple(lam), _tuple(members)
         piece = SkeletonPiece(pid, lam, dim, members, induced, ell)
-        _admit(piece._shape_rule(rank), pid, piece_ids, where, "duplicate piece id")
-        for m in members:
-            if m not in seen:
-                raise SchemaError(f"piece references an unknown id {m!r}", where)
+        _admit(piece._shape_rule(rank), pid, piece_ids, where, _DUPLICATE_PIECE)
+        if (rule := piece._member_rule(seen)) is not None:
+            raise SchemaError(rule, where)
         if members != tuple(sorted(members)):  # a parsed piece lists its members sorted
             piece = SkeletonPiece(pid, lam, dim, tuple(sorted(members)), induced, ell)
         pieces.append(piece)
@@ -391,9 +400,9 @@ def validate_xray(xray: XRay) -> list[Violation]:
 def _xray_violations(xray: XRay) -> list[Violation]:
     """The report of :func:`validate_xray`.
 
-    A fixed component or a piece that breaks its record's shape rule gets a
-    ``component-shape`` or ``piece-shape`` violation, and then nothing else
-    is checked, so a character is a nonzero integer vector and primitive
+    An x-ray that breaks a rule parse refuses gets the violations of
+    ``xray._shapes``, and then nothing else is checked, so every member is
+    a component and a character is a nonzero integer vector, primitive
     when the gcd of its entries is 1.  Momenta are compared as integer
     vectors over the x-ray's common denominator (``xray._levels``), against
     an induced graph's own levels by cross-multiplying.
@@ -401,7 +410,6 @@ def _xray_violations(xray: XRay) -> list[Violation]:
     if xray._shapes:
         return _sorted_report(list(xray._shapes))
     violations: list[Violation] = []
-    by_id = xray._by_id
     for piece in xray.pieces:
         pid = piece.id
         if gcd(*piece.lam) != 1:
@@ -413,11 +421,8 @@ def _xray_violations(xray: XRay) -> list[Violation]:
                 )
             )
             continue
-        members = [_find(by_id, m) for m in piece.members]
-        if piece.dim == 2:
-            violations.extend(_validate_dim2_piece(xray, piece, members))
-        else:
-            violations.extend(_validate_dim4_piece(xray, piece, members))
+        validate = _validate_dim2_piece if piece.dim == 2 else _validate_dim4_piece
+        violations.extend(validate(xray, piece))
     return _sorted_report(violations)
 
 
@@ -427,8 +432,9 @@ def _character(piece: SkeletonPiece) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lam, tuple([-x for x in lam])
 
 
-def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
+def _validate_dim2_piece(xray: XRay, piece: SkeletonPiece) -> list[Violation]:
     pid = piece.id
+    members = [xray._by_id[m] for m in piece.members]
     if len(members) != 2 or any(c.kind != "point" for c in members):
         return [
             Violation(
@@ -476,7 +482,7 @@ def _one_weight(piece: SkeletonPiece, member, directions: dict, character, ratio
     ]
 
 
-def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Violation]:
+def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece) -> list[Violation]:
     """The induced graph's report, prefixed with the piece, and the checks of
     its members against the graph, each read once off the graph's kept
     ``_by_id``, ``_levels`` and ``_places`` and the x-ray's ``_along``.  An
@@ -490,11 +496,7 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
     ]
     if induced._shapes:
         return out
-    # the members are distinct, so the ids match when they match as sets
-    # and the graph has one record per member
-    if len(induced.isolated) + len(induced.surfaces) != len(members) or (
-        induced._by_id.keys() != set(piece.members)
-    ):
+    if induced._by_id.keys() != set(piece.members):
         out.append(
             Violation(
                 "piece-members",
@@ -507,14 +509,13 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece, members) -> list[Viol
     character = lam, against = _character(piece)
     along, places = xray._along, induced._places
     g_denominator, g_isolated, g_surfaces, _, _ = induced._levels
-    by_id = xray._by_id
     level = {}
     for listed, vertices, g_levels in (
         ("point", induced.isolated, g_isolated),
         ("surface", induced.surfaces, g_surfaces),
     ):
         for vertex, n in zip(vertices, g_levels):
-            member = by_id[vertex.id]
+            member = xray._by_id[vertex.id]
             level[vertex.id] = n
             if member.kind != listed:
                 out.append(
@@ -586,7 +587,7 @@ def piece_obstructions(
     """
     _refuse_invalid(xray)
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
-    if xray._pieces_by_id.get(piece.id) != piece:
+    if piece not in xray.pieces:
         raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
     _, _, table, substitution = xray._groups[piece.id]
     return _class_obstructions(table, _scaled_parts(alpha), substitution)

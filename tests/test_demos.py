@@ -1,8 +1,9 @@
 """The narrative demos run to completion against the package under test,
 the package's modules import only what they use, only the graph module
 places a fixed component, only the core module states the parity of a
-degree, only the basis record builder skips the record check, and the
-command line writes a basis without building its classes."""
+degree, only the basis record builder skips the record check, the
+command line writes a basis without building its classes, validation
+reports without raising and each document rule is stated once."""
 
 import ast
 import os
@@ -173,3 +174,47 @@ def test_only_the_graph_module_places_a_component():
             ):
                 found.append(f"{name}:{node.lineno} sorts by .y")
     assert found == []
+
+
+def test_validation_reports_and_never_raises():
+    """The validation bodies report every fault as a violation: none of them
+    raises, or looks a component up through ``find``, which raises for an
+    unknown id, since the shape check has reported what parse refuses."""
+    bodies = {
+        "graph.py": {"_graph_violations"},
+        "xray.py": {"_xray_violations", "_validate_dim2_piece", "_validate_dim4_piece"},
+    }
+    package = Path(equicoh.__file__).resolve().parent
+    checked, found = set(), []
+    for name, functions in bodies.items():
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not (isinstance(function, ast.FunctionDef) and function.name in functions):
+                continue
+            checked.add(function.name)
+            for node in ast.walk(function):
+                if isinstance(node, ast.Raise):
+                    found.append(f"{name}:{node.lineno} raise")
+                elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                ) in {"_find", "find"}:
+                    found.append(f"{name}:{node.lineno} find")
+    assert checked == set().union(*bodies.values())
+    assert found == []
+
+
+DOCUMENT_RULES = [
+    "edge references an unknown id",
+    "is not an isolated vertex",
+    "piece references an unknown id",
+    "needs at least one fixed component",
+    "must be a positive integer",
+]
+
+
+def test_each_document_rule_is_stated_once():
+    """Parse raises and validation reports each document rule from its one
+    statement, so each rule's words occur once in the package."""
+    package = Path(equicoh.__file__).resolve().parent
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    assert {rule: text.count(rule) for rule in DOCUMENT_RULES} == dict.fromkeys(DOCUMENT_RULES, 1)

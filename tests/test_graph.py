@@ -182,10 +182,15 @@ def _hand_built_with_edge(start, end):
     "start, end, named", [("a", "zz", "zz"), ("zz", "b", "zz"), ("a", "S", "S")]
 )
 def test_validate_names_an_edge_off_the_isolated_vertices(start, end, named):
+    """An edge to an unknown id or to a fat vertex gets an ``edge-shape``
+    violation with parse's rule, and the graph is checked no further."""
     graph = _hand_built_with_edge(start, end)
-    message = f"edge from '{start}' to '{end}': '{named}' is not an isolated vertex"
-    with pytest.raises(InputError, match=message):
-        validate_graph(graph)
+    if named == "S":
+        rule = "edge endpoint 'S' is not an isolated vertex"
+    else:
+        rule = f"edge references an unknown id {named!r}"
+    pair = tuple(sorted((start, end)))
+    assert validate_graph(graph) == [Violation("edge-shape", f"edge {start}-{end}: {rule}", pair)]
     # an edge between isolated vertices validates as usual
     assert "fat-not-extremal" in codes(_hand_built_with_edge("a", "b"))
 

@@ -850,6 +850,24 @@ def test_a_class_is_built_only_on_the_slots_of_one_int_degree():
     )
 
 
+@pytest.mark.parametrize("degree", [2.0, True, "2", -0.5])
+@pytest.mark.parametrize(
+    "document", [lambda: g2(1), lambda: fixtures.cube(2, 1)], ids=["g2", "cube_2_1"]
+)
+def test_the_slot_space_is_listed_only_in_an_int_degree(document, degree):
+    """``degree_slots`` and ``class_to_vector`` refuse a degree that is not
+    an int, where they once listed the slots of the int it equals (2.0,
+    True), listed none (-0.5) or raised TypeError ("2", and 2.0 on an
+    x-ray)."""
+    document = document()
+    alpha = class_from_vector(document, 2, [1] * len(degree_slots(document, 2)))
+    refused = rf"^degree must be an integer, got {re.escape(repr(degree))}$"
+    with pytest.raises(InputError, match=refused):
+        degree_slots(document, degree)
+    with pytest.raises(InputError, match=r"^degree must be an integer, got "):
+        class_to_vector(document, degree, alpha)
+
+
 def _mutable_parts(cls: ComponentClass) -> list:
     """The record, its entries dict, each SurfaceClass or MPoly entry and the
     terms dict of every polynomial part: what a caller could change."""

@@ -24,6 +24,8 @@ from equicoh import (
     class_to_dict,
     class_to_vector,
     degree_slots,
+    graph_to_dict,
+    image_basis,
     image_basis_xray,
     parse_class,
     parse_class_torus,
@@ -49,6 +51,8 @@ from equicoh.graph import (
     GRAPH_KEYS,
     ISOLATED_KEYS,
     SURFACE_KEYS,
+    DecoratedGraph,
+    GraphEdge,
     IsolatedVertex,
     Violation,
     _admit,
@@ -1309,6 +1313,143 @@ def test_an_induced_graph_of_the_wrong_shape_is_reported_not_raised(edit, violat
     assert validate_xray(bad) == [violation]
     with pytest.raises(InputError, match="^invalid x-ray: component-shape: piece PX0: "):
         image_basis_xray(bad, 2)
+
+
+def _graph_with_edge(end):
+    graph = fixtures.chain(3, 0)
+    return dataclasses.replace(graph, edges=(GraphEdge("p000", end, 1),))
+
+
+def _appended(document, field, record):
+    return dataclasses.replace(document, **{field: getattr(document, field) + (record,)})
+
+
+def _cube_2_0_with(edit):
+    xray = cube(2, 0)
+    return dataclasses.replace(xray, pieces=tuple(map(edit, xray.pieces)))
+
+
+def _piece_member_renamed(piece):
+    if piece.id != "E0_S00_S10":
+        return piece
+    return dataclasses.replace(piece, members=("S00", "nope"))
+
+
+def _induced_edge_between_surfaces(piece):
+    if piece.id != "E0_S00_S10":
+        return piece
+    induced = dataclasses.replace(piece.induced, edges=(GraphEdge("S00", "S10", 1),))
+    return dataclasses.replace(piece, induced=induced)
+
+
+def _s00(xray):
+    return next(c for c in xray.components if c.id == "S00")
+
+
+# Each document breaks one rule parse refuses: a document without fixed
+# components, a rank that is not a positive int, a repeated id, an edge off
+# the isolated vertices (also inside a piece's induced graph) and a piece
+# member that is not a component.  Each row: the document and its one
+# violation.
+DOCUMENT_RULES = [
+    pytest.param(
+        lambda: DecoratedGraph((), (), ()),
+        Violation("graph-shape", "graph: a graph needs at least one fixed component"),
+        id="graph-without-components",
+    ),
+    pytest.param(
+        lambda: _appended(fixtures.chain(3, 0), "isolated", fixtures.chain(3, 0).isolated[1]),
+        Violation("component-shape", "component p001: duplicate id 'p001'", ("p001",)),
+        id="graph-repeated-id",
+    ),
+    pytest.param(
+        lambda: _graph_with_edge("zz"),
+        Violation(
+            "edge-shape", "edge p000-zz: edge references an unknown id 'zz'", ("p000", "zz")
+        ),
+        id="graph-edge-to-an-unknown-id",
+    ),
+    pytest.param(
+        lambda: _graph_with_edge("Smax"),
+        Violation(
+            "edge-shape",
+            "edge p000-Smax: edge endpoint 'Smax' is not an isolated vertex",
+            ("Smax", "p000"),
+        ),
+        id="graph-edge-to-a-surface",
+    ),
+    pytest.param(
+        lambda: XRay(2, (), ()),
+        Violation("xray-shape", "xray: an x-ray needs at least one fixed component"),
+        id="xray-without-components",
+    ),
+    pytest.param(
+        lambda: dataclasses.replace(cube(1, 0), rank=True),
+        Violation("xray-shape", 'xray: "rank" must be a positive integer'),
+        id="bool-rank",
+    ),
+    pytest.param(
+        lambda: dataclasses.replace(cube(1, 0), rank=1.0),
+        Violation("xray-shape", 'xray: "rank" must be a positive integer'),
+        id="float-rank",
+    ),
+    pytest.param(
+        lambda: _appended(cube(2, 0), "components", _s00(cube(2, 0))),
+        Violation("component-shape", "component S00: duplicate id 'S00'", ("S00",)),
+        id="xray-repeated-id",
+    ),
+    pytest.param(
+        lambda: _appended(
+            cube(2, 0), "components", dataclasses.replace(_s00(cube(2, 0)), y=(5, 5))
+        ),
+        Violation("component-shape", "component S00: duplicate id 'S00'", ("S00",)),
+        id="xray-repeated-id-elsewhere",
+    ),
+    pytest.param(
+        lambda: _appended(cube(2, 0), "pieces", cube(2, 0).pieces[0]),
+        Violation(
+            "piece-shape",
+            "piece E0_S00_S10: duplicate piece id 'E0_S00_S10'",
+            ("E0_S00_S10",),
+        ),
+        id="repeated-piece",
+    ),
+    pytest.param(
+        lambda: _cube_2_0_with(_piece_member_renamed),
+        Violation(
+            "piece-shape",
+            "piece E0_S00_S10: piece references an unknown id 'nope'",
+            ("E0_S00_S10",),
+        ),
+        id="unknown-member",
+    ),
+    pytest.param(
+        lambda: _cube_2_0_with(_induced_edge_between_surfaces),
+        Violation(
+            "edge-shape",
+            "piece E0_S00_S10: edge S00-S10: edge endpoint 'S00' is not an isolated vertex",
+            ("E0_S00_S10", "S00", "S10"),
+        ),
+        id="induced-edge-between-surfaces",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, violation", DOCUMENT_RULES)
+def test_a_document_parse_refuses_is_reported_when_built_directly(make, violation):
+    """Validation reports a directly built document that breaks a rule
+    parse refuses, in parse's words, where it once raised or passed it;
+    parse refuses the same document written out, and the bases refuse it.
+    Such documents once validated clean and got bases of the wrong size,
+    or raised ValueError or InputError inside validation."""
+    document = make()
+    graph = document.rank is None
+    assert (validate_graph if graph else validate_xray)(document) == [violation]
+    with pytest.raises(SchemaError) as info:
+        parse_graph(graph_to_dict(document)) if graph else parse_xray(xray_to_dict(document))
+    assert violation.message.rpartition(": ")[2] == str(info.value).rpartition(": ")[2]
+    with pytest.raises(InputError, match=f"^invalid (graph|x-ray): {violation.code}: "):
+        (image_basis if graph else image_basis_xray)(document, 2)
 
 
 def test_an_interior_surface_member_must_point_against_the_character():

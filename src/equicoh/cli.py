@@ -13,9 +13,9 @@ single file and for each file of a batch alike.  A basis is rendered
 straight from the sparse kernel vectors of its image, JSON and text alike,
 at a cost that follows their nonzero coordinates; no class is built, and
 the bytes are those of every basis class written out in full.  In JSON
-each record is written by one function from its coordinates (a rational,
-or a polynomial's terms in the descending order its slots come in), with
-no dict or list built in between.
+each record is written from its coordinates (a rational, or a polynomial's
+terms in the descending order its slots come in) into a template cut from
+:func:`_write`'s text of the ``class_to_dict`` form, with no dict between.
 
 :func:`main` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; the library functions behind each
@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -237,29 +238,30 @@ def _basis_json(document, degree: int, slots, vectors, graph_ref: str) -> str:
     degree-k classes of ``document`` with coordinates ``vectors`` at
     ``slots``, written from the vectors.
 
-    The absent-component fragments ``,\n      "<id>": {}`` of every
-    addressed component are encoded once per call into one string, and
-    each kind of record once into its template (:func:`_record_template`).
-    A class slices out each run of components it has no coordinate on and
-    writes the record of each component it has through
-    :func:`_write_record`, so the Python work follows the nonzero
-    coordinates and not classes times components, and no class, dict or
-    list is built for a record."""
+    Its texts are cut from the ``class_to_dict`` form (:func:`_basis_frame`).
+    The absent-component fragments of every addressed component are encoded
+    once per call into one string.  A class slices out each run of
+    components it has no coordinate on and writes the record of each one it
+    has through :func:`_write_record`, so the work follows the nonzero
+    coordinates, not classes times components, and builds no class, dict or
+    list for a record."""
     if not vectors:
         return "[]"
-    ids = sorted({cid for cid, _, _ in document._fixed_components})
+    kinds = document._kinds
+    ids = sorted(kinds)
     position = {cid: i for i, cid in enumerate(ids)}
-    fragments = [",\n      " + encode_basestring_ascii(cid) + ": {}" for cid in ids]
+    frame = _basis_frame(frozenset(kinds.values()), degree, document.rank is not None)
+    opening, later, before, empty, tail, ending, layouts = frame
+    tail = encode_basestring_ascii(graph_ref).join(tail)
+    fragments = [before + encode_basestring_ascii(cid) + empty for cid in ids]
     absent = "".join(fragments)
     # fragments[i] is absent[offsets[i]:offsets[i + 1]]
     offsets = [0, *accumulate(map(len, fragments))]
-    tail = '\n    },\n    "graph": ' + encode_basestring_ascii(graph_ref) + ',\n    "kind": "class"\n  }'
     # the slots come component by component in id order, so owner ascends
     owner = [position[slot.component] for slot in slots]
-    zero = "[]" if document.rank is not None else '"0"'
-    kinds = document._kinds
     # components of one kind and genus have the same slots, so one template
-    # serves them all, read at a slot's offset from its component's first
+    # (texts, where) serves them all, read at a slot's offset from its
+    # component's first
     templates: dict[tuple[str, int], tuple] = {}
     # by component: its kind's template, its first slot and (its end,),
     # the bound of its cells in a sorted vector
@@ -270,14 +272,19 @@ def _basis_json(document, degree: int, slots, vectors, graph_ref: str) -> str:
         end = bisect_left(owner, i + 1, first)
         kind_genus = kinds[ids[i]]
         if kind_genus not in templates:
-            templates[kind_genus] = _record_template(*kind_genus, degree, zero, slots[first:end])
+            texts, holes = layouts[kind_genus]
+            where = []
+            for slot in slots[first:end]:
+                hole, head, exponents, middle, after, newline = holes[slot.part, slot.index]
+                exps = exponents.join(map(str, slot.exps))
+                where.append((hole, f"{head}{exps}{middle}", after, newline))
+            templates[kind_genus] = texts, where
         records[i] = templates[kind_genus], first, (end,)
         first = end
     parts: list[str] = []
-    separator = "["
     for vec in vectors:
-        parts.append(separator + '\n  {\n    "components": {')
-        separator = ","
+        parts.append(opening)
+        opening = later
         cells = sorted(vec.items())
         cursor = 1  # the first component goes without a comma
         start = 0
@@ -285,60 +292,71 @@ def _basis_json(document, degree: int, slots, vectors, graph_ref: str) -> str:
             i = owner[cells[start][0]]
             template, first, bound = records[i]
             end = bisect_left(cells, bound, start)
-            # the absent run before component i, then its fragment up to "{}"
-            parts.append(absent[cursor:offsets[i + 1] - 2])
+            # the absent run before component i, then its fragment up to its id
+            parts.append(absent[cursor:offsets[i + 1] - len(empty)])
             _write_record(template, first, cells[start:end], parts)
             cursor = offsets[i + 1]
             start = end
         parts.append(absent[cursor:])
         parts.append(tail)
-    parts.append("\n]")
+    parts.append(ending)
     return "".join(parts)
 
 
-def _record_template(kind: str, genus: int, degree: int, zero: str, slots) -> tuple:
-    """``(texts, where)``: the JSON text of a component's degree-k record
-    with every part ``zero``, as :func:`_write` gives its ``class_to_dict``
-    value at the component indent (a point's value, or a surface's ``c0``,
-    ``c1`` list and ``c2``; a genus-0 surface has ``"c1": []``), split into
-    a list, and for each of the component's ``slots`` ``(hole, head,
-    after, newline)``: its part is ``texts[hole]`` and its value is written
-    between ``head`` and ``after``.  A graph's part is that one rational
-    (``newline`` is None); a torus part is a list of ``[exponents, "p/q"]``
-    pairs closed by ``newline``, laid out as :func:`_layout` gives them."""
-    key = f'{{{_ENTRY[0]}"{degree}": '
-    if kind == "point":
-        texts = [key, zero, "\n      }"]
-        holes = {("c", 0): (1, _ENTRY)}
-    else:
-        texts = [f'{key}{{{_PART[0]}"c0": ', zero]
-        holes = {("c0", 0): (1, _PART)}
-        if genus:
-            texts.append(f',{_PART[0]}"c1": [{_ITEM[0]}')
-            for j in range(2 * genus):
-                if j:
-                    texts.append(f",{_ITEM[0]}")
-                holes[("c1", j)] = (len(texts), _ITEM)
-                texts.append(zero)
-            texts.append(f'{_PART[0]}],{_PART[0]}"c2": ')
-        else:
-            texts.append(f',{_PART[0]}"c1": [],{_PART[0]}"c2": ')
-        holes[("c2", 0)] = (len(texts), _PART)
-        texts += [zero, f'{_ENTRY[0]}}}\n      }}']
-    where = []
-    for slot in slots:
-        hole, (newline, pair, item, exponents) = holes[(slot.part, slot.index)]
-        if not slot.exps:
-            where.append((hole, '"', '"', None))
+@functools.lru_cache(maxsize=256)
+def _basis_frame(kind_genera: frozenset, degree: int, torus: bool) -> tuple:
+    """The layout of the degree-k class documents of a graph (an x-ray if
+    ``torus``) whose components have the ``(kind, genus)`` in ``kind_genera``,
+    cut at the markers (a NUL and a name) of :func:`_write`'s text of one
+    ``class_to_dict`` form: two absent components, between them a record per
+    ``(kind, genus)`` with a marker for each part, through ``_entry_to_dict``
+    (a genus-0 surface has ``"c1": []``), and a marker for the graph ref.
+
+    Returns ``(opening, later, before, empty, tail, ending, layouts)``: the
+    first and a later class up to its components, the text before an id and
+    after an absent one's, a class after its components split at the graph
+    ref, the list's end, and by ``(kind, genus)`` the record after its id
+    with every part zero, as ``texts``, and by ``(part, index)`` ``(hole,
+    head, exponents, middle, after, newline)``: a value in ``texts[hole]`` is
+    written as ``head``, a torus slot's exponents joined by ``exponents``,
+    ``middle``, the value and ``after``, and a torus part's pairs are closed
+    by ``newline``.  The lists are shared and not to be changed."""
+    components: dict[str, dict] = {"\0": {}, "\0~": {}}
+    for kind, genus in kind_genera:
+        c1 = [("c1", j) for j in range(2 * genus)]
+        entry = ("c", 0) if kind == "point" else SurfaceClass(genus, ("c0", 0), c1, ("c2", 0))
+        components[f"\0{kind} {genus}"] = {str(degree): _entry_to_dict(entry, "\0%s.%d".__mod__)}
+    text = _dump([{"kind": "class", "graph": "\0", "components": components}])
+    # text and marker name in turn: the first absent id "", the records'
+    # ids and parts, the last absent id "~" (sorted after them), the ref ""
+    pieces = re.split(r'"\\u0000([^"]*)"', text)
+    empty, comma, indent = pieces[2].partition(",")
+    layouts: dict[tuple[str, int], tuple] = {}
+    for name, piece in zip(pieces[3:-4:2], pieces[4:-4:2]):
+        kind, space, genus = name.partition(" ")
+        if space:  # a record's id
+            texts, holes = layouts[kind, int(genus)] = [piece], {}
             continue
-        exps = exponents.join(map(str, slot.exps))
-        where.append((hole, f'{pair}[{item}[{item}  {exps}{item}],{item}"', f'"{pair}]', newline))
-    return texts, where
+        part, _, index = name.partition(".")
+        newline = re.findall(r"\n *", texts[-1])[-1]  # the part's line
+        holes[part, int(index)] = len(texts), '"', "", "", '"', None
+        if torus:
+            pair: list[str] = []
+            _write([[["\0", "\0"], "\0"]], pair, newline)
+            head, exponents, middle, closing = "".join(pair).split(encode_basestring_ascii("\0"))
+            after = '"' + closing[: closing.rindex("\n")]  # up to the part's own line
+            holes[part, int(index)] = len(texts), head[1:], exponents, middle + '"', after, newline
+        # only a record's last text ends where the next id begins
+        texts += ["[]" if torus else '"0"', piece.removesuffix(comma + indent)]
+    head = pieces[0][1:].removesuffix(indent)
+    end = pieces[-1].rindex("\n")  # the list's last line
+    tail = pieces[-3].removeprefix(empty), pieces[-1][:end]
+    return pieces[0][0] + head, comma + head, comma + indent, empty, tail, pieces[-1][end:], layouts
 
 
 def _write_record(template: tuple, first: int, cells, parts: list[str]) -> None:
     """Append one component's record: the ``template`` of its kind
-    (:func:`_record_template`) with the part of each nonzero ``(slot
+    (:func:`_basis_json`) with the part of each nonzero ``(slot
     position, value)`` cell filled in, the component's slots starting at
     position ``first``.  A torus part's pairs come in the descending
     exponent order of its slots."""
@@ -354,19 +372,6 @@ def _write_record(template: tuple, first: int, cells, parts: list[str]) -> None:
     for (hole, newline), found in pairs.items():
         texts[hole] = f"[{','.join(found)}{newline}]"
     parts += texts
-
-
-def _layout(spaces: int) -> tuple[str, str, str, str]:
-    """The line breaks of a part that starts on a line indented by
-    ``spaces``: its own, its pairs', their elements', and the separator of
-    the exponents one level further in."""
-    newline = "\n" + " " * spaces
-    return newline, newline + "  ", newline + "    ", "," + newline + "      "
-
-
-# A record sits at the component indent of six spaces: the layouts of its
-# entries, of a surface's parts and of the items of its H^1 list.
-_ENTRY, _PART, _ITEM = _layout(8), _layout(10), _layout(12)
 
 
 def _basis_table(slots, vectors) -> str:

@@ -53,6 +53,8 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _RATIONAL_RULE = "expected a rational number"
 _FLOAT_RULE = 'floats are rejected; use an integer or a "p/q" string'
 _ID_RULE = "id must be a nonempty string"
+_GENUS_RULE = '"genus" must be a nonnegative integer'
+_TWO_SURFACES = "an identification needs exactly two fat vertices"
 _NO_COMPONENTS = "needs at least one fixed component"
 _EMPTY_GRAPH = f"a graph {_NO_COMPONENTS}"
 
@@ -136,7 +138,7 @@ class FatVertex:
         if (rule := _area_rule(self.area)) is not None:
             return rule
         if type(self.genus) is not int or self.genus < 0:
-            return '"genus" must be a nonnegative integer'
+            return _GENUS_RULE
         if self.self_intersection is not None:
             return _rational_rule(self.self_intersection)
         return None
@@ -200,7 +202,7 @@ class DecoratedGraph:
 
     @_kept
     def _by_id(self) -> dict[str, IsolatedVertex | FatVertex]:
-        return _id_index(self.isolated + self.surfaces)
+        return {v.id: v for v in self.isolated + self.surfaces}
 
     @_kept
     def _levels(self) -> _Levels:
@@ -218,13 +220,12 @@ class DecoratedGraph:
     @_kept
     def _places(self) -> dict[str, str]:
         """``{id: "min" | "max" | "interior"}``, read off the levels; on a
-        constant momentum every component is "min".  Where ids repeat, the
-        first record keeps the id."""
+        constant momentum every component is "min"."""
         _, isolated, surfaces, lo, hi = self._levels
-        places: dict[str, str] = {}
-        for v, n in zip(self.isolated + self.surfaces, isolated + surfaces):
-            places.setdefault(v.id, "min" if n == lo else "max" if n == hi else "interior")
-        return places
+        return {
+            v.id: "min" if n == lo else "max" if n == hi else "interior"
+            for v, n in zip(self.isolated + self.surfaces, isolated + surfaces)
+        }
 
     @_kept
     def _labels(self) -> tuple[int | Fraction, int | Fraction]:
@@ -297,7 +298,7 @@ class DecoratedGraph:
     def identification_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The H^1 pairing between the two fat vertices; defaults to identity."""
         if len(self.surfaces) != 2:
-            raise InputError("an H^1 identification needs exactly two fat vertices")
+            raise InputError(_TWO_SURFACES)
         g = self.surfaces[0].genus
         if self.h1_identification is not None:
             return self.h1_identification
@@ -317,14 +318,6 @@ class _Levels(NamedTuple):
     surfaces: tuple[int, ...]
     lowest: int
     highest: int
-
-
-def _id_index(records) -> dict:
-    """``{id: record}``; where ids repeat, the first record keeps the id."""
-    index: dict = {}
-    for r in records:
-        index.setdefault(r.id, r)
-    return index
 
 
 @dataclass(frozen=True)
@@ -508,7 +501,7 @@ def _identification_error(identification, surfaces) -> str | None:
     """Why an H^1 identification does not pair the two fat vertices' H^1,
     read against the genus of the first; None when it does."""
     if len(surfaces) != 2:
-        return "an identification needs exactly two fat vertices"
+        return _TWO_SURFACES
     n = 2 * surfaces[0].genus
     if (
         not isinstance(identification, (list, tuple))

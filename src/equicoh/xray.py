@@ -34,6 +34,7 @@ from math import gcd, lcm
 
 from .errors import InputError, SchemaError
 from .graph import (
+    _GENUS_RULE,
     _ID_RULE,
     _INT_TYPES,
     _NO_COMPONENTS,
@@ -43,7 +44,6 @@ from .graph import (
     _admit,
     _area_rule,
     _check_keys,
-    _id_index,
     _is_id,
     _is_vector,
     _kept,
@@ -86,6 +86,8 @@ _NO_ELL = 'only 2-dimensional pieces carry "ell"'
 _NO_INDUCED_GRAPH = "a 2-dimensional piece carries no induced graph"
 _EMPTY_XRAY = f"an x-ray {_NO_COMPONENTS}"
 _DUPLICATE_PIECE = "duplicate piece id"
+_GRAPH_RULE = "expected a graph object"
+_INT_VECTOR = "expected a vector of {} integers"
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class TorusFixedComponent:
                 return _rational_rule(x)
         if self.kind == "surface":
             if type(self.genus) is not int or self.genus < 0:
-                return '"genus" must be a nonnegative integer'
+                return _GENUS_RULE
             if (rule := _area_rule(self.area)) is not None:
                 return rule
             count = rank
@@ -120,7 +122,7 @@ class TorusFixedComponent:
         if type(self.weights) not in _SEQUENCE_TYPES or len(self.weights) != count:
             return f'"weights" must list {count} vectors for this component'
         if not all(_is_vector(w, rank, _INT_TYPES) for w in self.weights):
-            return f"expected a vector of {rank} integers"
+            return _INT_VECTOR.format(rank)
         if not all(map(any, self.weights)):
             return "weight vectors must be nonzero"
         return None
@@ -139,7 +141,7 @@ class SkeletonPiece:
         if not _is_id(self.id):
             return _ID_RULE
         if not _is_vector(self.lam, rank, _INT_TYPES):
-            return f"expected a vector of {rank} integers"
+            return _INT_VECTOR.format(rank)
         if not any(self.lam):
             return "the character must be nonzero"
         if type(self.dim) is not int or self.dim not in (2, 4):
@@ -157,7 +159,7 @@ class SkeletonPiece:
         if self.dim == 4 and self.ell is not None:
             return _NO_ELL
         if self.dim == 4 and not isinstance(self.induced, DecoratedGraph):
-            return "expected a graph object"
+            return _GRAPH_RULE
         return None
 
     def _member_rule(self, ids) -> str | None:
@@ -185,14 +187,13 @@ class XRay:
     # Derived values, kept on the frozen x-ray as on a graph.
     @_kept
     def _by_id(self) -> dict[str, TorusFixedComponent]:
-        return _id_index(self.components)
+        return {c.id: c for c in self.components}
 
     @_kept
     def _along(self) -> dict[str, dict[tuple[int, ...], list[int]]]:
         """``{id: {direction: ratios}}``: each weight of a component as a
         positive ratio times its primitive direction, read once behind the
-        shape gate (every weight is a nonzero int vector); a repeated id
-        keeps its first record, as :attr:`_by_id` does."""
+        shape gate (every weight is a nonzero int vector)."""
         along: dict[str, dict[tuple[int, ...], list[int]]] = {}
         for cid, component in self._by_id.items():
             directions: dict[tuple[int, ...], list[int]] = {}
@@ -324,7 +325,7 @@ def parse_xray(text) -> XRay:
             raise _missing(exc, where) from None
         if type(dim) is int and dim == 4:
             if not isinstance(raw_graph, dict):
-                raise SchemaError("expected a graph object", f"{where}.induced_graph")
+                raise SchemaError(_GRAPH_RULE, f"{where}.induced_graph")
             try:
                 induced = parse_graph(raw_graph)
             except SchemaError as exc:

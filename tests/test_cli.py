@@ -484,21 +484,34 @@ def reference_write_record(cls, parts: list[str]) -> None:
     if not entries:
         parts.append("{}")
         return
-    entry_nl, part_nl, item_nl = cli._ENTRY[0], cli._PART[0], cli._ITEM[0]
+    entry_nl, part_nl, item_nl = _ENTRY[0], _PART[0], _ITEM[0]
     separator = "{"
     for key, entry in sorted([(str(k), entry) for k, entry in entries.items()]):
         if type(entry) is SurfaceClass:
-            c1 = f",{item_nl}".join([reference_part_json(x, cli._ITEM) for x in entry.c1])
+            c1 = f",{item_nl}".join([reference_part_json(x, _ITEM) for x in entry.c1])
             c1 = f"[{item_nl}{c1}{part_nl}]" if c1 else "[]"
             text = (
-                f'{{{part_nl}"c0": {reference_part_json(entry.c0, cli._PART)},{part_nl}"c1": {c1},'
-                f'{part_nl}"c2": {reference_part_json(entry.c2, cli._PART)}{entry_nl}}}'
+                f'{{{part_nl}"c0": {reference_part_json(entry.c0, _PART)},{part_nl}"c1": {c1},'
+                f'{part_nl}"c2": {reference_part_json(entry.c2, _PART)}{entry_nl}}}'
             )
         else:
-            text = reference_part_json(entry, cli._ENTRY)
+            text = reference_part_json(entry, _ENTRY)
         parts.append(f'{separator}{entry_nl}"{key}": {text}')
         separator = ","
     parts.append("\n      }")
+
+
+def reference_layout(spaces: int) -> tuple[str, str, str, str]:
+    """The line breaks of a part that starts on a line indented by
+    ``spaces``: its own, its pairs', their elements', and the separator of
+    the exponents one level further in, written out by hand."""
+    newline = "\n" + " " * spaces
+    return newline, newline + "  ", newline + "    ", "," + newline + "      "
+
+
+# A record sits at the component indent of six spaces: the layouts of its
+# entries, of a surface's parts and of the items of its H^1 list.
+_ENTRY, _PART, _ITEM = reference_layout(8), reference_layout(10), reference_layout(12)
 
 
 def reference_part_json(value, layout) -> str:
@@ -597,6 +610,37 @@ def test_the_basis_writers_match_the_dense_reference_on_any_sparse_classes(name)
             table = cli._basis_table(slots, sparse)
             assert table == reference_table(document, classes, degree)
             assert table == reference_sparse_table(classes, degree, slots)
+
+
+# a text whose encoding holds the "\u0000" token of a NUL string, a quote,
+# a backslash, a NUL, an e-acute and the text of an absent record
+HOSTILE = ['"\0', '"', "\\", "\0", "\u00e9", '": {}']
+
+
+@pytest.mark.parametrize("name", ["g2_0", "g2_1", "chain5_2", "cp3", "cube2_1", "x2_1"])
+def test_hostile_ids_and_graph_refs_are_written_as_dump_writes_them(name):
+    """Component ids and a graph ref holding quotes, backslashes, NULs, an
+    e-acute and ``": {}"``, among them the token the layout is cut at: the
+    basis JSON of graphs and x-rays is the text ``_dump`` gives the basis
+    classes."""
+    doc = BASIS_DOCUMENTS[name]
+    records = doc["components"] if doc["kind"] == "xray" else doc["isolated"] + doc["surfaces"]
+    text = json.dumps(doc)
+    for n, record in enumerate(records):
+        hostile = HOSTILE[n % len(HOSTILE)]
+        cid = record["id"]
+        text = text.replace(json.dumps(cid), json.dumps(f"{hostile}{cid}{hostile}"))
+    document = _parse_document(json.loads(text))
+    assert any('"\\u0000"' in encode_basestring_ascii(cid) for cid in document._kinds)
+    ref = "".join(HOSTILE)
+    written = 0
+    for degree in range(5):
+        slots, vectors = basis_vectors(document, degree)
+        basis = [_class_from_sparse(document, degree, slots, v) for v in vectors]
+        text = cli._basis_json(document, degree, slots, vectors, ref)
+        assert text == cli._dump([class_to_dict(b, ref) for b in basis]), degree
+        written += len(basis)
+    assert written
 
 
 @pytest.mark.parametrize("name", ["cube3_g1.json", "chain24_g1.json"])

@@ -209,6 +209,10 @@ DOCUMENT_RULES = [
     "piece references an unknown id",
     "needs at least one fixed component",
     "must be a positive integer",
+    '"genus" must be a nonnegative integer',
+    "expected a vector of",
+    "expected a graph object",
+    "exactly two fat vertices",
 ]
 
 
@@ -218,3 +222,27 @@ def test_each_document_rule_is_stated_once():
     package = Path(equicoh.__file__).resolve().parent
     text = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
     assert {rule: text.count(rule) for rule in DOCUMENT_RULES} == dict.fromkeys(DOCUMENT_RULES, 1)
+
+
+def test_the_cli_states_no_json_indentation():
+    """Apart from docstrings and the body of ``_write``, no string constant
+    in the CLI holds a line break followed by a space: the JSON indentation
+    is stated once, by ``_write``, and every layout is cut from its text."""
+    package = Path(equicoh.__file__).resolve().parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+            exempt.add(id(node.body[0].value))
+        if isinstance(node, ast.FunctionDef) and node.name == "_write":
+            exempt.update(id(inner) for inner in ast.walk(node))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_write" for node in tree.body)
+    found = [
+        f"cli.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "\n " in node.value
+        and id(node) not in exempt
+    ]
+    assert found == []

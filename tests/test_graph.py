@@ -1172,11 +1172,17 @@ def test_places_agree_with_the_momentum_span():
         assert graph._places == reference_places(graph)
 
 
-def test_where_ids_repeat_the_first_record_is_placed():
+def test_a_repeated_id_is_reported_and_refused():
+    """Two components under one id are a component-shape violation, and the
+    library refuses the graph, so no reader of the ids behind the shape gate
+    chooses between the two records."""
     graph = DecoratedGraph(
         (IsolatedVertex("a", Fraction(0), (1, 1)),),
         (FatVertex("a", Fraction(1), Fraction(1), 0),),
         (),
     )
-    assert graph._places == {"a": "min"}
-    assert graph.find("a") == graph.isolated[0]
+    assert validate_graph(graph) == [
+        Violation("component-shape", "component a: duplicate id 'a'", ("a",))
+    ]
+    with pytest.raises(InputError, match="^invalid graph: component-shape: component a: duplicate id 'a'$"):
+        image_basis(graph, 0)

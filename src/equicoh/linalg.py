@@ -15,7 +15,10 @@ echelon form, which makes it the unique canonical basis of the solution
 subspace for a fixed column order.  :func:`rref` keeps dense lists on
 both sides and runs the same sparse elimination in between, without the
 presolve.  Entries are ints and Fractions, kept as given; every division
-is :func:`~equicoh.mpoly.ratio`, so an exact quotient stays an ``int``.
+is :func:`~equicoh.mpoly.ratio`, so an exact quotient stays an ``int``,
+and a unit weight of the presolve multiplies nothing, so the rows of
+``int``s that graphs and x-rays hand in stay ``int``s wherever the
+elimination is exact.
 Both refuse any other entry (a float or a bool, zero or not) with
 ``InputError`` as they read the row that holds it.
 """
@@ -163,7 +166,9 @@ def nullspace(
     reduced row holds its pivot and lower free columns, so the kernel
     vector of a free representative f is 1 at f and minus the reduced
     rows' f entries at their pivots; each entry ``v`` at a representative
-    expands to ``v * w_c`` at every member c of its class.
+    expands to ``v * w_c`` at every member c of its class.  A unit weight
+    multiplies nothing, there or where a row is rewritten: the entry is
+    kept as it is, and no new ``Fraction`` is made for it.
 
     The basis is the one elimination of the full system gives: every
     column c that is not a representative is the pivot of the row
@@ -199,10 +204,14 @@ def nullspace(
             forced.discard(rj)
             forced.add(ri)
     # Point every column at its root: a parent is lower, so it is done first.
-    members: dict[int, list[int]] = {}
+    roots: list[int] = []
+    members: dict[int, list[int]] = {}  # the other columns of each class
     for c in range(ncols):
         up = parent[c]
-        if up != c and parent[up] != up:
+        if up == c:
+            roots.append(c)
+            continue
+        if parent[up] != up:
             weight[c] = weight[c] * weight[up]
             parent[c] = up = parent[up]
         members.setdefault(up, []).append(c)
@@ -210,20 +219,20 @@ def nullspace(
     for terms in rest:
         row: dict[int, object] = {}
         for j, x in terms:
-            r = parent[j]
-            row[r] = row.get(r, 0) + x * weight[j]
+            r, w = parent[j], weight[j]
+            row[r] = row.get(r, 0) + (x if w == 1 else x * w)
         reps_rows.append(row)
     reduced = _reduced_rows(reps_rows)
-    basis = {f: {f: 1} for f in members if f not in reduced}
+    basis = {f: {f: 1} for f in roots if f not in reduced}
     for p, row in reduced.items():
         for f, x in row.items():
             if f != p:
                 basis[f][p] = -x
-    out = []
-    for vector in basis.values():
-        full = {}
-        for r, v in vector.items():
-            for c in members[r]:
-                full[c] = v * weight[c]
-        out.append(full)
+    out = list(basis.values())
+    if members:  # expand each vector in place onto the other columns
+        for vector in out:
+            for r, v in list(vector.items()):
+                for c in members.get(r, ()):
+                    w = weight[c]
+                    vector[c] = v if w == 1 else v * w
     return out

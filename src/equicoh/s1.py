@@ -16,7 +16,12 @@ table: image bases route each slot's unit part and take the nullspace of
 the resulting rows, membership routes the class's own parts and reads the
 violations off the keys, and the localization sum is the class's parts
 under every pole at every power, not only the negative ones.  There is no
-second description.
+second description.  Every division factor and pole numerator of the table
+is an integer, the poles over one denominator per table, so a query adds
+and multiplies integers only and divides back once.  A basis reads the
+table of its degree alone: in a given degree, each part of a circle action
+carries a fixed power of the parameter, so only the rules that power can
+meet are stated, and a graph has none from degree 3 on.
 
 Graphs and x-rays are one kind of document here: each gives its fixed
 components as ``(id, kind, genus)`` sorted by id and a rank (None for a
@@ -40,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     ComponentClass,
@@ -328,14 +333,20 @@ def _check_ids(owner: str, ids: list[str], found: list[str]) -> None:
         raise InputError(f"class addresses {found} but the {owner} has {ids}")
 
 
+# The power of the parameter each part's localization term drops by: a
+# point's value and a surface's H^0 part meet u^-2, its H^2 part u^-1.
+_POLE_SHIFTS = {"c": -2, "c0": -2, "c2": -1}
+
+
 def _localization_rules(
     graph: DecoratedGraph, comp: IsolatedVertex | FatVertex
-) -> dict[str, tuple[int, object]]:
+) -> dict[str, tuple[int, int]]:
     """The closed form of one fixed component's term of the localization sum.
 
     Maps each part of the component's restriction that contributes to its
-    ``(shift, scale)``: the part's value at ``u^p`` adds ``scale`` times
-    itself at ``u^(p + shift)``.  The term is the integral over the
+    scale ``(num, den)``, two ``int``s: the part's value at ``u^p`` adds
+    ``num / den`` times itself at ``u^(p + shift)``, the shift being the
+    part's :data:`_POLE_SHIFTS`.  The term is the integral over the
     component of its restriction times the inverse Euler class of its
     normal bundle.  A point of weights w1, w2 has inverse Euler class
     ``u^-2 / (w1 w2)``, so its value has shift -2 and scale ``1 / (w1 w2)``.
@@ -347,11 +358,11 @@ def _localization_rules(
     (:func:`_extremal`).
     """
     if isinstance(comp, IsolatedVertex):
-        return {"c": (-2, ratio(1, weight_product(comp)))}
+        return {"c": (1, weight_product(comp))}
     sign, e = _extremal(graph, comp)
-    rules: dict[str, tuple[int, object]] = {"c2": (-1, sign)}
+    rules = {"c2": (sign, 1)}
     if e:
-        rules["c0"] = (-2, -e)
+        rules["c0"] = (-e.numerator, e.denominator)
     return rules
 
 
@@ -367,8 +378,7 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     parts of a surface contribute, each shifted and scaled.  The sum reads
     those poles off the graph's :func:`_constraint_table`.
     """
-    _, _, table, _ = _graph_group(graph, alpha=alpha)
-    return _localization_sum(table, _scaled_parts(alpha), None)
+    return _localization_sum(_graph_group(graph, alpha=alpha), _scaled_parts(alpha))
 
 
 class Slot(NamedTuple):
@@ -519,13 +529,14 @@ def _check_degree(degree) -> None:
 
 
 def _constraint_table(
-    components, graph: DecoratedGraph | None = None
-) -> dict[tuple[str, str, int], tuple[list, list]]:
+    components, graph: DecoratedGraph | None = None, degree: int | None = None
+) -> tuple[dict[tuple[str, str, int], tuple], int]:
     """The image conditions, part by part: the one description every query reads.
 
-    Maps ``(component, part, index)`` to the part's divisions and poles.  A
-    division ``(head, factor)`` says that the part, times ``factor``, enters
-    a sum that the parameter must divide:
+    Returns ``(table, denominator)``.  The table maps ``(component, part,
+    index)`` to the part's divisions and poles.  A division ``(head,
+    factor)`` says that the part, times ``factor``, enters a sum that the
+    parameter must divide:
 
     - ``("div", (a, b), ("h0",))`` for each adjacent pair of ``components``
       (``(id, kind, genus)`` sorted by id): the point value or H^0 part of
@@ -534,33 +545,75 @@ def _constraint_table(
       surfaces: H^1 part i of the lower surface with the identification
       entry ``(j, i)``, H^1 part j of the upper one with -1.
 
-    A pole ``(shift, scale)`` is the part's term of the localization sum
-    over ``graph`` (:func:`_localization_rules`).  A graph passes its own
-    components; a 2-dimensional x-ray piece passes its two points and no
-    graph, so it has one division and no poles.
+    A pole ``(shift, n)`` is the part's term of the localization sum over
+    ``graph`` (:func:`_localization_rules`), with scale ``n / denominator``:
+    every factor and numerator is an ``int``, and the denominator is the
+    lcm of the scales' denominators, that of the points' weight products
+    and of the surfaces' self-intersections (1 without poles).  A graph
+    passes its own components; a 2-dimensional x-ray piece passes its two
+    points and no graph, so it has one division and no poles.
+
+    With a ``degree``, the table holds only the rules a circle action's
+    degree-k part can meet: its power of the parameter (:func:`part_power`)
+    is fixed, so a division is stated only where that power is 0 and a pole
+    only where the power plus the shift is negative.  A graph has none in
+    degree 3 or more, and only its H^1 divisions in degree 1.  Without one,
+    every rule is stated, as membership, the localization sum and a torus
+    need.
     """
-    table: dict[tuple[str, str, int], tuple[list, list]] = {}
+    table: dict[tuple[str, str, int], tuple] = {}
+    if degree is None:
+        h0 = h1 = True
+        live = _POLE_SHIFTS
+    else:
+        # the power of each part a degree-k entry holds (a genus-1 surface
+        # holds every surface part of its degree); a division needs power 0,
+        # and a point's value and an H^0 part share theirs
+        powers = {
+            part: part_power(part, degree)
+            for kind, genus in (("point", 0), ("surface", 1))
+            for part, _, _ in entry_parts(kind, genus, degree)
+        }
+        h0, h1 = powers.get("c0") == 0, powers.get("c1") == 0
+        live = [part for part, shift in _POLE_SHIFTS.items() if powers.get(part, -shift) < -shift]
 
-    def rules(cid: str, part: str, index: int = 0) -> tuple[list, list]:
-        return table.setdefault((cid, part, index), ([], []))
+    def rules(cid: str, part: str, index: int = 0) -> tuple:
+        return table.setdefault((cid, part, index), ([], ()))
 
-    for (a, kind_a, _), (b, kind_b, _) in zip(components, components[1:]):
-        head = ("div", (a, b), ("h0",))
-        rules(a, "c" if kind_a == "point" else "c0")[0].append((head, 1))
-        rules(b, "c" if kind_b == "point" else "c0")[0].append((head, -1))
+    if h0:
+        for (a, kind_a, _), (b, kind_b, _) in zip(components, components[1:]):
+            head = ("div", (a, b), ("h0",))
+            rules(a, "c" if kind_a == "point" else "c0")[0].append((head, 1))
+            rules(b, "c" if kind_b == "point" else "c0")[0].append((head, -1))
     if graph is None:
-        return table
-    if len(graph.surfaces) == 2:
+        return table, 1
+    if h1 and len(graph.surfaces) == 2:
         lower, upper = _surface_pair(graph)
         for j, row in enumerate(graph._h1_rows):
             head = ("div", (lower.id, upper.id), ("h1", j))
             for i, m in row:
                 rules(lower.id, "c1", i)[0].append((head, m))
             rules(upper.id, "c1", j)[0].append((head, -1))
+    if not live:
+        return table, 1
+    # the one denominator is the lcm of the scales' denominators, taken in
+    # the loop that finds the poles
+    found = []
+    denominator = 1
     for v in graph.isolated + graph.surfaces:
-        for part, pole in _localization_rules(graph, v).items():
-            rules(v.id, part)[1].append(pole)
-    return table
+        for part, (num, den) in _localization_rules(graph, v).items():
+            if part in live:
+                found.append(((v.id, part, 0), _POLE_SHIFTS[part], num, den))
+                if den != 1:
+                    denominator = lcm(denominator, den)
+    # a part has at most one pole, stated last; equal poles share one tuple,
+    # so the points of one weight product hold one between them
+    poles: dict[tuple[int, int], tuple] = {}
+    for key, shift, num, den in found:
+        pole = (shift, num * (denominator // den))
+        entry = table.get(key)
+        table[key] = (entry[0] if entry else (), poles.setdefault(pole, (pole,)))
+    return table, denominator
 
 
 def _surface_pair(graph: DecoratedGraph) -> tuple[FatVertex, FatVertex]:
@@ -569,14 +622,17 @@ def _surface_pair(graph: DecoratedGraph) -> tuple[FatVertex, FatVertex]:
     return (a, b) if graph._places[a.id] == "min" else (b, a)
 
 
-def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> None:
+def _route(out: dict, rules: tuple, degree: int, terms: dict) -> None:
     """Add a degree-k part's obstructions to ``out``.
 
     ``terms`` are the part's terms in adapted coordinates, where the
     parameter (or the character) is the first variable.  A term ``c * v^E``
     with ``E[0] = 0`` adds ``factor * c`` at ``head + (degree, E)`` for each
-    division; it adds ``scale * c`` at ``("pole", E[0] + shift, E[1:])`` for
-    each pole whose power ``E[0] + shift`` is negative.
+    division; it adds ``n * c`` at ``("pole", E[0] + shift, E[1:])`` for
+    each pole ``(shift, n)`` whose power ``E[0] + shift`` is negative.  The
+    factors and numerators of :func:`_constraint_table` are ``int``s, so
+    integer terms give integer sums: a pole key holds its value times the
+    table's denominator.
     """
     divisions, poles = rules
     for exps, c in terms.items():
@@ -584,11 +640,11 @@ def _route(out: dict, rules: tuple[list, list], degree: int, terms: dict) -> Non
             for head, factor in divisions:
                 key = head + (degree, exps)
                 out[key] = out.get(key, 0) + factor * c
-        for shift, scale in poles:
+        for shift, n in poles:
             power = exps[0] + shift
             if power < 0:
                 key = ("pole", power, exps[1:])
-                out[key] = out.get(key, 0) + scale * c
+                out[key] = out.get(key, 0) + n * c
 
 
 def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, int], list]]:
@@ -600,8 +656,8 @@ def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, in
     part in that place, ``value`` being the part times ``d``: an ``int`` for
     a circle action, an ``{exponents: int}`` term dict for a torus.  The
     class is read once; a query reads these parts only, so it adds
-    integers (times a pole's scale, an int or a Fraction) and divides by
-    ``d`` at the end.
+    integers (times a division's factor or a pole's numerator, both
+    ``int``s) and divides by ``d`` at the end.
     """
     found = []
     for cid, cls in alpha.components.items():
@@ -637,36 +693,38 @@ def _class_terms(table, parts: dict, substitution: LinearSubstitution | None):
                 yield rules, degree, substitution.map_terms(value)
 
 
-def _class_obstructions(
-    table, scaled: tuple[int, dict], substitution: LinearSubstitution | None
-) -> dict[tuple, Fraction]:
-    """The nonzero obstructions of a class, from its :func:`_scaled_parts`
-    ``(d, parts)``: each part routed once as integers, and each nonzero sum
-    divided back by ``d``."""
+def _class_obstructions(group: tuple, scaled: tuple[int, dict]) -> dict[tuple, Fraction]:
+    """The nonzero obstructions of a class under one constraint group (see
+    :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``:
+    each part routed once as integers, and each nonzero sum divided back by
+    ``d``, a pole's by ``d`` times the group's pole denominator."""
+    _, _, table, substitution, denominator = group
     d, parts = scaled
-    out: dict[tuple, int | Fraction] = {}
+    out: dict[tuple, int] = {}
     for rules, degree, terms in _class_terms(table, parts, substitution):
         _route(out, rules, degree, terms)
-    return {key: Fraction(c, d) for key, c in out.items() if c}
+    poles = d * denominator
+    return {key: Fraction(c, poles if key[0] == "pole" else d) for key, c in out.items() if c}
 
 
-def _localization_sum(
-    table, scaled: tuple[int, dict], substitution: LinearSubstitution | None
-) -> Laurent:
-    """The localization sum of a class with :func:`_scaled_parts` ``(d,
-    parts)``: each pole ``(shift, scale)`` of a part adds ``scale`` times
-    its term ``c * v^E`` at the power ``E[0] + shift``, negative or not
-    (:func:`_route` keeps only the negative ones), and every coefficient is
-    divided back by ``d``.  The coefficients are scalars for a circle action
-    and, along a character, polynomials in the ``rank - 1`` remaining
-    variables ``E[1:]``."""
+def _localization_sum(group: tuple, scaled: tuple[int, dict]) -> Laurent:
+    """The localization sum of a class under a graph's constraint group (see
+    :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``:
+    each pole ``(shift, n)`` of a part adds ``n`` times its term ``c * v^E``
+    at the power ``E[0] + shift``, negative or not (:func:`_route` keeps
+    only the negative ones), in integers, and every coefficient is divided
+    back once by ``d`` times the group's pole denominator.  The
+    coefficients are scalars for a circle action and, along a character,
+    polynomials in the ``rank - 1`` remaining variables ``E[1:]``."""
+    _, _, table, substitution, denominator = group
     d, parts = scaled
-    total: dict[int, dict[tuple, int | Fraction]] = {}
+    d *= denominator
+    total: dict[int, dict[tuple, int]] = {}
     for (_, poles), _, terms in _class_terms(table, parts, substitution):
         for exps, c in terms.items():
-            for shift, scale in poles:
+            for shift, n in poles:
                 coeff = total.setdefault(exps[0] + shift, {})
-                coeff[exps[1:]] = coeff.get(exps[1:], 0) + scale * c
+                coeff[exps[1:]] = coeff.get(exps[1:], 0) + n * c
     if substitution is None:
         return Laurent({power: Fraction(coeff[()], d) for power, coeff in total.items()})
     nvars = substitution.nout - 1
@@ -676,15 +734,16 @@ def _localization_sum(
     })
 
 
-def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None) -> tuple:
+def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=None) -> tuple:
     """The one constraint group of a graph, along the character ``lam`` of a
     rank-``rank`` torus or, without one, for the circle action.
 
-    A group ``(tag, members, table, substitution)`` is all of a graph's
-    image conditions or one x-ray piece's (``XRay._groups``): ``tag``
-    prefixes its obstruction keys (the piece id, or nothing), ``members``
-    lists the ``(id, kind, genus)`` it constrains, sorted by id, ``table``
-    is their :func:`_constraint_table` and ``substitution`` rewrites a part
+    A group ``(tag, members, table, substitution, denominator)`` is all of a
+    graph's image conditions or one x-ray piece's (``XRay._groups``):
+    ``tag`` prefixes its obstruction keys (the piece id, or nothing),
+    ``members`` lists the ``(id, kind, genus)`` it constrains, sorted by id,
+    ``table`` and ``denominator`` are their :func:`_constraint_table`, in
+    ``degree`` only when one is given, and ``substitution`` rewrites a part
     along the character (None for a circle action).  Raises unless the
     character has ``rank`` primitive integer entries, the graph is valid
     and, when ``alpha`` is given, the class addresses exactly the graph's
@@ -700,12 +759,14 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None) -> tupl
     if alpha is not None:
         _check_addressing("graph", graph._fixed_components, rank, alpha)
     members = graph._fixed_components
-    return (), members, _constraint_table(members, graph), substitution
+    table, denominator = _constraint_table(members, graph, degree)
+    return (), members, table, substitution, denominator
 
 
-def _graph_groups(graph: DecoratedGraph) -> list[tuple]:
-    """The constraint groups of a graph: its one group, built per query."""
-    return [_graph_group(graph)]
+def _graph_groups(graph: DecoratedGraph, degree: int) -> list[tuple]:
+    """The constraint groups of a graph's degree-k basis: its one group,
+    built per query with the rules of that degree only."""
+    return [_graph_group(graph, degree=degree)]
 
 
 def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
@@ -716,30 +777,30 @@ def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
     return index
 
 
-def _group_columns(
-    group: tuple, degree: int, slots: list[Slot], index
-) -> dict[int, dict[tuple, int | Fraction]]:
-    """The column of every degree-k slot on a group's members, by position
-    (``index`` is :func:`_slot_index` of ``slots``): the group's obstructions
-    of the unit class at the slot, read off the memoised image of its
-    monomial under the substitution or, for a circle action, ``{(p,): 1}``
-    with ``p`` the part's power of the parameter.  The unit's coefficients are ``int``, so an entry of a column
-    is an ``int`` times a division's factor or a pole's scale."""
-    _, members, table, substitution = group
-    columns: dict[int, dict[tuple, int | Fraction]] = {}
+def _group_columns(group: tuple, degree: int, slots: list[Slot], index) -> Iterator[tuple]:
+    """Yield ``(i, column)`` for every degree-k slot on a group's members, by
+    position (``index`` is :func:`_slot_index` of ``slots``): the group's
+    obstructions of the unit class at the slot, read off the memoised image
+    of its monomial under the substitution or, for a circle action,
+    ``{(p,): 1}`` with ``p`` the part's power of the parameter.  The unit's
+    coefficients are ``int``, so an entry of a column is an ``int`` times a
+    division's factor or a pole's numerator, an ``int``: a pole entry is its
+    value times the group's denominator, and a pole row is scaled whole.
+    Each column is built as it is asked for, so a caller that folds the
+    columns into rows keeps none of them."""
+    _, members, table, substitution, _ = group
     for cid, _, _ in members:
         for i in index.get(cid, ()):
             slot = slots[i]
-            columns[i] = column = {}
+            column: dict[tuple, int] = {}
             rules = table.get((slot.component, slot.part, slot.index))
-            if rules is None:
-                continue
-            if substitution is None:
-                terms = {(part_power(slot.part, degree),): 1}
-            else:
-                terms = substitution._monomial(slot.exps)
-            _route(column, rules, degree, terms)
-    return columns
+            if rules is not None:
+                if substitution is None:
+                    terms = {(part_power(slot.part, degree),): 1}
+                else:
+                    terms = substitution._monomial(slot.exps)
+                _route(column, rules, degree, terms)
+            yield i, column
 
 
 def _image_vectors(
@@ -747,7 +808,8 @@ def _image_vectors(
 ) -> tuple[list[Slot], list[dict[int, int | Fraction]]]:
     """The slots of the degree-k image of a graph or an x-ray and its
     canonical basis (reduced echelon, fixed slot order) as sparse vectors
-    over them, cut out by the constraint groups ``groups(document)``: the
+    over them, cut out by the constraint groups ``groups(document,
+    degree)``: the
     columns of the slots on each group's members (:func:`_group_columns`),
     in rows keyed by the group's tag and the obstruction key.
 
@@ -765,9 +827,9 @@ def _image_vectors(
         return slots, []
     index = _slot_index(slots)
     rows: dict[tuple, dict[int, int | Fraction]] = {}
-    for group in groups(document):
+    for group in groups(document, degree):
         tag = group[0]
-        for i, column in _group_columns(group, degree, slots, index).items():
+        for i, column in _group_columns(group, degree, slots, index):
             for key, value in column.items():
                 rows.setdefault(tag + key, {})[i] = value
     return slots, nullspace(list(rows.values()), len(slots))
@@ -779,11 +841,14 @@ def _image_basis(document, degree: int, max_degree: int, groups) -> list[Equivar
     return [_class_from_sparse(document, degree, slots, vec) for vec in vectors]
 
 
-def _graph_obstructions(graph: DecoratedGraph, alpha: EquivariantClass) -> dict[tuple, Fraction]:
+def _graph_obstructions(
+    graph: DecoratedGraph, alpha: EquivariantClass, degree: int | None = None
+) -> dict[tuple, Fraction]:
     """The obstructions of a circle-action class, with the keys
-    :func:`torus_obstructions` gives its rank-1 promotion along (1,)."""
-    _, _, table, _ = _graph_group(graph, alpha=alpha)
-    return _class_obstructions(table, _scaled_parts(alpha), None)
+    :func:`torus_obstructions` gives its rank-1 promotion along (1,); with a
+    ``degree``, of a class of that degree alone."""
+    group = _graph_group(graph, alpha=alpha, degree=degree)
+    return _class_obstructions(group, _scaled_parts(alpha))
 
 
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
@@ -793,9 +858,11 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
     with a zero for every slot it does not involve.
     """
     slots = degree_slots(graph, 2)
-    columns = _group_columns(_graph_group(graph), 2, slots, _slot_index(slots))
+    group = _graph_group(graph, degree=2)
+    columns = dict(_group_columns(group, 2, slots, _slot_index(slots)))
+    denominator = group[4]
     return {
-        slot.label: columns[i].get(("pole", -1, ()), 0)
+        slot.label: ratio(columns[i].get(("pole", -1, ()), 0), denominator)
         for i, slot in enumerate(slots)
     }
 
@@ -887,9 +954,10 @@ def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -
     """Whether the degree-k part of alpha lies in the degree-k image.
 
     The image is cut out by the graph's :func:`_constraint_table`, so this
-    asks whether the degree-k part has no obstruction.
+    asks whether the degree-k part has no obstruction under the rules of
+    that degree.
     """
-    return not _graph_obstructions(graph, alpha.homogeneous(degree))
+    return not _graph_obstructions(graph, alpha.homogeneous(degree), degree)
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
@@ -926,8 +994,7 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
     power, as in :func:`localize`; H^1 parts have none.
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
-    _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
-    return _localization_sum(table, _scaled_parts(alpha), substitution)
+    return _localization_sum(_graph_group(graph, rank, lam, alpha), _scaled_parts(alpha))
 
 
 def torus_obstructions(
@@ -944,8 +1011,7 @@ def torus_obstructions(
     of the class is substituted once and routed through the graph's
     :func:`_constraint_table`.
     """
-    _, _, table, substitution = _graph_group(graph, rank, lam, alpha)
-    return _class_obstructions(table, _scaled_parts(alpha), substitution)
+    return _class_obstructions(_graph_group(graph, rank, lam, alpha), _scaled_parts(alpha))
 
 
 def check_membership_torus(

@@ -213,9 +213,9 @@ class XRay:
 
     @_kept
     def _groups(self) -> dict[str, tuple]:
-        """``{piece id: (tag, members, table, substitution)}``: each piece's
-        constraint group (see :func:`~equicoh.s1._graph_group`), built once
-        behind the validity gate.  A valid x-ray's induced graphs have their
+        """``{piece id: (tag, members, table, substitution, denominator)}``:
+        each piece's constraint group (see :func:`~equicoh.s1._graph_group`),
+        built once behind the validity gate.  A valid x-ray's induced graphs have their
         pieces' members, so no group needs an addressing check; pieces along
         one character share its substitution."""
         _refuse_invalid(self)
@@ -225,8 +225,8 @@ class XRay:
             members = tuple((c.id, c.kind, c.genus) for c in map(self.find, sorted(piece.members)))
             if piece.lam not in substitutions:
                 substitutions[piece.lam] = character_substitution(piece.lam)
-            table = _constraint_table(members, piece.induced)
-            groups[piece.id] = ((piece.id,), members, table, substitutions[piece.lam])
+            table, denominator = _constraint_table(members, piece.induced)
+            groups[piece.id] = ((piece.id,), members, table, substitutions[piece.lam], denominator)
         return groups
 
     @_kept
@@ -590,8 +590,7 @@ def piece_obstructions(
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     if piece not in xray.pieces:
         raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
-    _, _, table, substitution = xray._groups[piece.id]
-    return _class_obstructions(table, _scaled_parts(alpha), substitution)
+    return _class_obstructions(xray._groups[piece.id], _scaled_parts(alpha))
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
@@ -606,15 +605,17 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
     scaled = _scaled_parts(alpha)
     violations = [
-        MembershipViolation(v.kind, f"piece {tag[0]}: {v.detail}")
-        for tag, _, table, substitution in xray._groups.values()
-        for v in _obstruction_violations(_class_obstructions(table, scaled, substitution))
+        MembershipViolation(v.kind, f"piece {group[0][0]}: {v.detail}")
+        for group in xray._groups.values()
+        for v in _obstruction_violations(_class_obstructions(group, scaled))
     ]
     return MembershipDecision(not violations, tuple(violations))
 
 
-def _piece_groups(xray: XRay):
-    """The constraint groups of an x-ray: one per piece, kept on it."""
+def _piece_groups(xray: XRay, degree: int):
+    """The constraint groups of an x-ray: one per piece, kept on it, for
+    every degree alike (along a character a part's power of the parameter
+    varies by monomial, so no rule can be left out by degree)."""
     return xray._groups.values()
 
 

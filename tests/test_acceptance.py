@@ -39,6 +39,7 @@ from equicoh import (
     inverse_euler,
     laurent_mul,
     localize,
+    parse_class,
     parse_class_torus,
     parse_graph,
     promote_to_torus,
@@ -467,6 +468,22 @@ def test_rank_seven_cube_membership_of_a_fractional_class_scales(cube_member):
         assert not check_membership_xray(xray, perturbed).member
 
 
+def _counting_fractions(monkeypatch, built: list) -> None:
+    """Record every Fraction built while the patch holds."""
+
+    def counting(make):
+        def build(*args, **kwargs):
+            built.append(args)
+            return make(*args, **kwargs)
+
+        return build
+
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic from 3.12 on
+        make = counting(Fraction._from_coprime_ints.__func__)
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(make))
+
+
 def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch):
     # The cube's induced graphs have int pole scales, so a member class's
     # sums are ints throughout and none is left nonzero to divide back.
@@ -478,18 +495,8 @@ def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch)
         routed.extend(type(c) for c in terms.values())
         route(out, rules, degree, terms)
 
-    def counting(make):
-        def build(*args, **kwargs):
-            built.append(args)
-            return make(*args, **kwargs)
-
-        return build
-
     monkeypatch.setattr(s1, "_route", counting_route)
-    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
-    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic from 3.12 on
-        make = counting(Fraction._from_coprime_ints.__func__)
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(make))
+    _counting_fractions(monkeypatch, built)
     decision = check_membership_xray(xray, member)
     monkeypatch.undo()
     assert decision.member
@@ -497,19 +504,20 @@ def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch)
     assert routed and set(routed) == {int}
 
 
-def _integer_member_text(xray, degrees=range(5)) -> str:
-    """The JSON text of a member class of ``xray`` with int coefficients
-    only: in each degree, each basis class cleared of its denominators,
-    times a small int, summed."""
+def _integer_member_text(document, degrees=range(5)) -> str:
+    """The JSON text of a member class of a graph or an x-ray with int
+    coefficients only: in each degree, each basis class cleared of its
+    denominators, times a small int, summed."""
     rng = random.Random(3)
+    basis = image_basis if document.rank is None else image_basis_xray
     components: dict = {}
     for degree in degrees:
-        vector = [0] * len(degree_slots(xray, degree))
-        for element in image_basis_xray(xray, degree):
-            values = class_to_vector(xray, degree, element)
+        vector = [0] * len(degree_slots(document, degree))
+        for element in basis(document, degree):
+            values = class_to_vector(document, degree, element)
             c = rng.choice([-2, -1, 1, 2]) * math.lcm(*(x.denominator for x in values))
             vector = [v + int(c * x) for v, x in zip(vector, values)]
-        doc = class_to_dict(class_from_vector(xray, degree, vector), "cube")
+        doc = class_to_dict(class_from_vector(document, degree, vector), "cube")
         for cid, entries in doc["components"].items():
             components.setdefault(cid, {}).update(entries)
     return json.dumps({"kind": "class", "graph": "cube", "components": components})
@@ -522,24 +530,81 @@ def test_an_integer_class_is_parsed_and_checked_without_a_fraction(monkeypatch):
     text = _integer_member_text(xray)
     assert check_membership_xray(xray, parse_class_torus(text, xray)).member
     built = []
-
-    def counting(make):
-        def build(*args, **kwargs):
-            built.append(args)
-            return make(*args, **kwargs)
-
-        return build
-
-    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
-    if hasattr(Fraction, "_from_coprime_ints"):  # Fraction arithmetic from 3.12 on
-        make = counting(Fraction._from_coprime_ints.__func__)
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(make))
+    _counting_fractions(monkeypatch, built)
     alpha = parse_class_torus(text, xray)
     decision = check_membership_xray(xray, alpha)
     monkeypatch.undo()
     assert decision.member
     assert built == []
     assert {type(x) for k in range(5) for x in class_to_vector(xray, k, alpha)} == {int}
+
+
+def test_an_integer_class_on_a_graph_is_parsed_and_checked_without_a_fraction(monkeypatch):
+    # Weight products up to 16 and fractional self-intersections: the pole
+    # scales are ints over one denominator, so the routed sums of a member
+    # are ints and none is divided back.
+    graph = fixtures.chain(16, 1)
+    text = _integer_member_text(graph)
+    assert check_membership(graph, parse_class(text, graph)).member
+    assert max(abs(v.weights[0] * v.weights[1]) for v in graph.isolated) == 16
+    built = []
+    _counting_fractions(monkeypatch, built)
+    alpha = parse_class(text, graph)
+    decision = check_membership(graph, alpha)
+    monkeypatch.undo()
+    assert decision.member
+    assert built == []
+
+
+def _recording_nullspace(monkeypatch) -> list:
+    """The rows each ``nullspace`` call of ``s1`` is handed, call by call."""
+    handed = []
+    nullspace = s1.nullspace
+
+    def recording(rows, ncols):
+        rows = list(rows)
+        handed.append(rows)
+        return nullspace(rows, ncols)
+
+    monkeypatch.setattr(s1, "nullspace", recording)
+    return handed
+
+
+def test_chain_basis_rows_are_ints(monkeypatch):
+    # The H^0 divisions and the poles of points of weight products up to 16
+    # reach the elimination as int rows, the poles over one denominator.
+    handed = _recording_nullspace(monkeypatch)
+    for graph in (fixtures.chain(16, 1), fixtures.chain(40, 2)):
+        for degree in (0, 2):
+            handed.clear()
+            image_basis(graph, degree)
+            (rows,) = handed
+            assert rows and all(rows), degree
+            assert {type(x) for row in rows for x in row.values()} == {int}, degree
+
+
+def test_a_graph_states_no_rule_above_degree_two(monkeypatch):
+    # No part of degree 3 or more meets a division or a pole: the table is
+    # empty, the elimination gets no rows, and the basis is the unit basis.
+    handed = _recording_nullspace(monkeypatch)
+    tables = []
+    table = s1._constraint_table
+    monkeypatch.setattr(
+        s1, "_constraint_table", lambda *a: tables.append(table(*a)) or tables[-1]
+    )
+    graphs = dict(
+        all_graphs(), chain=fixtures.chain(16, 1), edged=fixtures.basis_document("edged", 12, 2)
+    )
+    for name, graph in graphs.items():
+        for degree in range(3, 7):
+            handed.clear()
+            tables.clear()
+            basis = image_basis(graph, degree)
+            slots = degree_slots(graph, degree)
+            calls = 1 if slots else 0  # a degree without slots builds no group
+            assert tables == [({}, 1)] * calls, (name, degree)
+            assert handed == [[]] * calls, (name, degree)
+            assert basis == [unit_class(graph, degree, slot) for slot in slots], (name, degree)
 
 
 def test_membership_scales_with_the_genus():

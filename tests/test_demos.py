@@ -96,6 +96,29 @@ def test_only_the_mpoly_module_divides():
     assert found == []
 
 
+def test_the_constraint_rows_are_stated_without_a_fraction():
+    """The table's factors and pole numerators are ``int``s over one
+    denominator, so the functions that state and route its rules, and the
+    columns read off it, call neither ``Fraction`` nor ``ratio``."""
+    path = Path(equicoh.__file__).resolve().parent / "s1.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    integer = {
+        "_constraint_table", "_localization_rules", "_route", "_group_columns"
+    }
+    bodies = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in integer
+    ]
+    assert sorted(node.name for node in bodies) == sorted(integer)
+    found = [
+        f"{body.name}:{node.lineno}"
+        for body in bodies
+        for node in ast.walk(body)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Fraction", "ratio")
+    ]
+    assert found == []
+
+
 def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
     """``ComponentClass._trusted`` builds a record without the constructor's
     check, so its callers are ``s1._class_from_sparse``, which builds each

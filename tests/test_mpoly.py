@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equicoh import InputError, MPoly
@@ -154,6 +154,7 @@ def naive_substitution(p, matrix):
 primitive_characters = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(is_primitive)
 
 
+@settings(deadline=None)
 @given(st.data(), primitive_characters)
 def test_memoised_substitution_matches_naive_expansion(data, lam):
     matrix = unimodular_completion(lam)

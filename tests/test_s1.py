@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import random
 import re
 import types
@@ -67,7 +68,7 @@ from equicoh.graph import (
     weight_product,
 )
 from equicoh.linalg import rref
-from equicoh.mpoly import monomials_of_degree
+from equicoh.mpoly import monomials_of_degree, ratio
 from equicoh.s1 import _check_ids, _check_keys_class, _degree_items, character_substitution
 from equicoh.xray import SkeletonPiece, TorusFixedComponent, XRay, parse_xray, piece_obstructions
 from fixtures import all_graphs, constant_class, g1, g2, g3
@@ -270,14 +271,17 @@ def test_degree2_functional_frozen():
 
 
 def pole_columns(graph, degree, slots):
-    """The pole keys of each slot's column of the graph's constraint table,
-    as a Laurent element per slot."""
+    """The pole keys of each slot's column of the graph's degree-k
+    constraint group, divided back by its pole denominator, as a Laurent
+    element per slot."""
     index = s1._slot_index(slots)
-    columns = s1._group_columns(s1._graph_group(graph), degree, slots, index)
-    return [
-        Laurent({key[1]: c for key, c in columns[i].items() if key[0] == "pole"})
+    (group,) = s1._graph_groups(graph, degree)
+    columns = dict(s1._group_columns(group, degree, slots, index))
+    poles = [
+        {key[1]: Fraction(c, group[4]) for key, c in columns[i].items() if key[0] == "pole"}
         for i in range(len(slots))
     ]
+    return [Laurent(terms) for terms in poles]
 
 
 def test_unit_localizations_match_per_slot_localize():
@@ -501,10 +505,12 @@ def test_closed_form_piece_localizations_match_the_laurent_product(name):
 # -- integer routing against the Fraction oracle ------------------------------
 
 
-def reference_class_obstructions(table, alpha, substitution):
-    """The obstructions of ``alpha`` with each nonzero part the table names
-    routed as it is, in Fractions: a circle-action value as the single term
-    ``{(p,): value}``, a torus part through the substituted polynomial."""
+def reference_class_obstructions(group, alpha):
+    """The obstructions of ``alpha`` with each nonzero part the group's table
+    names routed as it is, in Fractions: a circle-action value as the single
+    term ``{(p,): value}``, a torus part through the substituted polynomial;
+    each pole sum is divided back by the group's pole denominator."""
+    _, _, table, substitution, denominator = group
     out = {}
     records = alpha.components
     for (cid, part, index), rules in table.items():
@@ -520,7 +526,11 @@ def reference_class_obstructions(table, alpha, substitution):
             else:
                 terms = substitution(value).terms
             s1._route(out, rules, degree, terms)
-    return {key: c for key, c in out.items() if c}
+    return {
+        key: Fraction(c, 1) / denominator if key[0] == "pole" else c
+        for key, c in out.items()
+        if c
+    }
 
 
 PRIMES = [p for p in range(2, 600) if all(p % q for q in range(2, p))]
@@ -557,15 +567,13 @@ def test_graph_obstructions_match_the_fraction_oracle(name, coefficients, rng):
     graph = LOCALIZATION_GRAPHS[name]
     value = COEFFICIENTS[coefficients]
     alpha = fixtures.random_class(graph, rng, degrees=range(7), value=value)
-    _, _, table, _ = s1._graph_group(graph)
-    expected = reference_class_obstructions(table, alpha, None)
+    expected = reference_class_obstructions(s1._graph_group(graph), alpha)
     assert_equal_fractions(s1._graph_obstructions(graph, alpha), expected)
     assert localize(graph, alpha) == reference_localize(graph, alpha)
     for lam in [(1,), (-1,), (2, -1), (1, 2, 3)]:
         rank = len(lam)
         alpha = fixtures.random_torus_class(_torus_components(graph), rank, rng, value=value)
-        _, _, table, substitution = s1._graph_group(graph, rank, lam)
-        expected = reference_class_obstructions(table, alpha, substitution)
+        expected = reference_class_obstructions(s1._graph_group(graph, rank, lam), alpha)
         assert_equal_fractions(torus_obstructions(graph, rank, lam, alpha), expected)
         localization = localize_torus(graph, rank, lam, alpha)
         assert localization == reference_localize_torus(graph, rank, lam, alpha), lam
@@ -586,8 +594,7 @@ def test_piece_obstructions_match_the_fraction_oracle(name, coefficients, rng):
     classes = [alpha] + ([rng.choice(basis)] if basis else [])
     for beta in classes:
         for piece in xray.pieces:
-            _, _, table, substitution = xray._groups[piece.id]
-            expected = reference_class_obstructions(table, beta, substitution)
+            expected = reference_class_obstructions(xray._groups[piece.id], beta)
             assert_equal_fractions(piece_obstructions(xray, piece, beta), expected)
     for piece in xray.pieces:
         if piece.dim == 4:
@@ -1159,9 +1166,128 @@ def test_h1_divisions_match_the_dense_identification(name):
     the matrix; the default identity and an explicit one give the rows the
     dense walk gives."""
     graph = MEMBERSHIP_GRAPHS[name]
-    table = s1._constraint_table(graph._fixed_components, graph)
+    table, _ = s1._constraint_table(graph._fixed_components, graph)
     h1 = {key: divisions for key, (divisions, _) in table.items() if key[1] == "c1"}
     assert h1 == reference_h1_divisions(graph)
+
+
+# -- the integer table against the Fraction-scaled one -------------------------
+
+
+def reference_localization_rules(graph, comp) -> dict:
+    """Each contributing part's ``(shift, scale)``, the scale an exact
+    rational: ``1 / (w1 w2)`` at a point, the sign at a surface's H^2 part
+    and ``-e`` at its H^0 part when e is not 0."""
+    if isinstance(comp, IsolatedVertex):
+        return {"c": (-2, ratio(1, weight_product(comp)))}
+    sign, e = s1._extremal(graph, comp)
+    rules = {"c2": (-1, sign)}
+    if e:
+        rules["c0"] = (-2, -e)
+    return rules
+
+
+def reference_constraint_table(components, graph=None) -> dict:
+    """The constraint table of every degree with each pole's scale a
+    rational, as it was stated before the scales were integers over one
+    denominator."""
+    table = {}
+
+    def rules(cid, part, index=0):
+        return table.setdefault((cid, part, index), ([], []))
+
+    for (a, kind_a, _), (b, kind_b, _) in zip(components, components[1:]):
+        head = ("div", (a, b), ("h0",))
+        rules(a, "c" if kind_a == "point" else "c0")[0].append((head, 1))
+        rules(b, "c" if kind_b == "point" else "c0")[0].append((head, -1))
+    if graph is None:
+        return table
+    if len(graph.surfaces) == 2:
+        lower, upper = s1._surface_pair(graph)
+        for j, row in enumerate(graph._h1_rows):
+            head = ("div", (lower.id, upper.id), ("h1", j))
+            for i, m in row:
+                rules(lower.id, "c1", i)[0].append((head, m))
+            rules(upper.id, "c1", j)[0].append((head, -1))
+    for v in graph.isolated + graph.surfaces:
+        for part, pole in reference_localization_rules(graph, v).items():
+            rules(v.id, part)[1].append(pole)
+    return table
+
+
+def reference_degree_rules(table, components, degree) -> dict:
+    """The rules of a reference table that a circle action's degree-k part
+    meets: the part is in the degree's layout, a division needs its power
+    of the parameter to be 0 and a pole needs the power plus the shift to
+    be negative.  A part meeting none is left out."""
+    kinds = {cid: (kind, genus) for cid, kind, genus in components}
+    out = {}
+    for (cid, part, index), (divisions, poles) in table.items():
+        if (part, index) not in [(p, i) for p, i, _ in entry_parts(*kinds[cid], degree)]:
+            continue
+        power = part_power(part, degree)
+        kept = (
+            divisions if power == 0 else [],
+            [(shift, scale) for shift, scale in poles if power + shift < 0],
+        )
+        if kept != ([], []):
+            out[(cid, part, index)] = kept
+    return out
+
+
+def scaled_back(table, denominator) -> dict:
+    """A table with each pole's numerator divided by the denominator."""
+    return {
+        key: (list(divisions), [(shift, Fraction(n, denominator)) for shift, n in poles])
+        for key, (divisions, poles) in table.items()
+    }
+
+
+TABLE_GRAPHS = dict(
+    MEMBERSHIP_GRAPHS,
+    chain_16_g1=fixtures.chain(16, 1),
+    edged_12_g2=parse_graph(fixtures.chain_doc(12, 2, edges=True)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_pole_numerators_over_the_denominator_are_the_reference_scales(name):
+    """The table of every degree, as membership and localization read it."""
+    graph = TABLE_GRAPHS[name]
+    components = graph._fixed_components
+    reference = reference_constraint_table(components, graph)
+    table, denominator = s1._constraint_table(components, graph)
+    assert all(type(n) is int for _, poles in table.values() for _, n in poles)
+    assert scaled_back(table, denominator) == reference
+    # the one denominator is the least: the lcm of the scales' denominators
+    scales = [Fraction(scale) for _, poles in reference.values() for _, scale in poles]
+    assert denominator == math.lcm(*(scale.denominator for scale in scales))
+
+
+@pytest.mark.parametrize("name", sorted(LOCALIZATION_XRAYS))
+def test_piece_tables_are_the_reference_tables(name):
+    xray = LOCALIZATION_XRAYS[name]()
+    for piece in xray.pieces:
+        _, members, table, _, denominator = xray._groups[piece.id]
+        expected = reference_constraint_table(members, piece.induced)
+        assert scaled_back(table, denominator) == expected, piece.id
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
+def test_a_degree_table_is_the_reference_restricted_to_that_degree(name):
+    graph = TABLE_GRAPHS[name]
+    components = graph._fixed_components
+    reference = reference_constraint_table(components, graph)
+    for degree in range(7):
+        table, denominator = s1._constraint_table(components, graph, degree)
+        assert all(type(n) is int for _, poles in table.values() for _, n in poles)
+        assert scaled_back(table, denominator) == reference_degree_rules(
+            reference, components, degree
+        ), degree
+        if degree >= 3:
+            assert table == {}, degree
+        if degree == 1:
+            assert {key[1] for key in table} <= {"c1"}
 
 
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_GRAPHS))
@@ -1470,6 +1596,22 @@ def test_membership_agrees_with_degreewise_span():
             spans = [reference_in_image_span(graph, k, alpha, bases[k]) for k in range(5)]
             assert [in_image_span(graph, k, alpha) for k in range(5)] == spans
             assert check_membership(graph, alpha).member == all(spans)
+
+
+def test_in_image_span_reads_the_table_of_its_degree(monkeypatch):
+    """One degree is checked against the rules of that degree alone; what a
+    class holds in other degrees does not enter."""
+    graph = g2(1, 2, 4)
+    degrees = []
+    table = s1._constraint_table
+    monkeypatch.setattr(
+        s1, "_constraint_table", lambda *a: degrees.append(a[2:]) or table(*a)
+    )
+    off_image = class_from_vector(graph, 0, [1, 2])
+    for k in range(5):
+        degrees.clear()
+        assert in_image_span(graph, k, off_image) == (k != 0)
+        assert degrees == [(k,)], k
 
 
 # -- reduction to characters of a torus ---------------------------------------

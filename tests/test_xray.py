@@ -1586,8 +1586,13 @@ def test_piece_major_basis_matches_the_slot_major_reference(name):
 
 def piece_columns(xray, piece, degree, slots):
     """The columns of one piece's constraint group, as the x-ray basis
-    compiles them."""
-    return _group_columns(xray._groups[piece.id], degree, slots, _slot_index(slots))
+    compiles them, with each pole entry divided back by the group's pole
+    denominator."""
+    group = xray._groups[piece.id]
+    return {
+        i: {key: Fraction(c, group[4]) if key[0] == "pole" else c for key, c in column.items()}
+        for i, column in _group_columns(group, degree, slots, _slot_index(slots))
+    }
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))

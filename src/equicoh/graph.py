@@ -233,9 +233,10 @@ class DecoratedGraph:
 
     @_kept
     def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
-        """``(id, kind, genus)`` of every fixed component, sorted by id."""
+        """``(id, kind, genus)`` of every fixed component, in the :func:`_order` of the ids."""
         points = [(v.id, "point", 0) for v in self.isolated]
-        return tuple(sorted(points + [(v.id, "surface", v.genus) for v in self.surfaces]))
+        components = points + [(v.id, "surface", v.genus) for v in self.surfaces]
+        return tuple(sorted(components, key=lambda c: _order(c[0])))
 
     @_kept
     def _kinds(self) -> dict[str, tuple[str, int]]:

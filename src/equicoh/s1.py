@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .core import (
     ComponentClass,
@@ -698,7 +698,7 @@ def _class_obstructions(group: tuple, scaled: tuple[int, dict]) -> dict[tuple, F
     :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``:
     each part routed once as integers, and each nonzero sum divided back by
     ``d``, a pole's by ``d`` times the group's pole denominator."""
-    _, _, table, substitution, denominator = group
+    _, table, substitution, denominator = group
     d, parts = scaled
     out: dict[tuple, int] = {}
     for rules, degree, terms in _class_terms(table, parts, substitution):
@@ -716,7 +716,7 @@ def _localization_sum(group: tuple, scaled: tuple[int, dict]) -> Laurent:
     back once by ``d`` times the group's pole denominator.  The
     coefficients are scalars for a circle action and, along a character,
     polynomials in the ``rank - 1`` remaining variables ``E[1:]``."""
-    _, _, table, substitution, denominator = group
+    _, table, substitution, denominator = group
     d, parts = scaled
     d *= denominator
     total: dict[int, dict[tuple, int]] = {}
@@ -738,11 +738,10 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=
     """The one constraint group of a graph, along the character ``lam`` of a
     rank-``rank`` torus or, without one, for the circle action.
 
-    A group ``(tag, members, table, substitution, denominator)`` is all of a
-    graph's image conditions or one x-ray piece's (``XRay._groups``):
-    ``tag`` prefixes its obstruction keys (the piece id, or nothing),
-    ``members`` lists the ``(id, kind, genus)`` it constrains, sorted by id,
-    ``table`` and ``denominator`` are their :func:`_constraint_table`, in
+    A group ``(tag, table, substitution, denominator)`` is all of a graph's
+    image conditions or one x-ray piece's (``XRay._groups``): ``tag``
+    prefixes its obstruction keys (the piece id, or nothing), ``table`` and
+    ``denominator`` are the :func:`_constraint_table` of its components, in
     ``degree`` only when one is given, and ``substitution`` rewrites a part
     along the character (None for a circle action).  Raises unless the
     character has ``rank`` primitive integer entries, the graph is valid
@@ -758,9 +757,8 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=
     _refuse_invalid(graph)
     if alpha is not None:
         _check_addressing("graph", graph._fixed_components, rank, alpha)
-    members = graph._fixed_components
-    table, denominator = _constraint_table(members, graph, degree)
-    return (), members, table, substitution, denominator
+    table, denominator = _constraint_table(graph._fixed_components, graph, degree)
+    return (), table, substitution, denominator
 
 
 def _graph_groups(graph: DecoratedGraph, degree: int) -> list[tuple]:
@@ -769,38 +767,31 @@ def _graph_groups(graph: DecoratedGraph, degree: int) -> list[tuple]:
     return [_graph_group(graph, degree=degree)]
 
 
-def _slot_index(slots: list[Slot]) -> dict[str, list[int]]:
-    """The positions of each component's slots."""
-    index: dict[str, list[int]] = {}
+def _rows(groups, degree: int, slots: list[Slot]) -> dict[tuple, dict[int, int]]:
+    """The rows of the degree-k image conditions of ``groups`` over
+    ``slots``, ``{tag + obstruction key: {slot position: int}}``: each
+    group's table is walked by its keys, as :func:`_class_terms` walks a
+    class, and every slot at a key routes its unit terms through the key's
+    rules (``{(p,): 1}`` for a circle action, p the part's power of the
+    parameter; the memoised image of the slot's monomial under the
+    substitution for a torus), all in ints: a pole entry is its value
+    times the group's denominator."""
+    positions: dict[tuple, list[int]] = {}  # by (component, part, index)
     for i, slot in enumerate(slots):
-        index.setdefault(slot.component, []).append(i)
-    return index
-
-
-def _group_columns(group: tuple, degree: int, slots: list[Slot], index) -> Iterator[tuple]:
-    """Yield ``(i, column)`` for every degree-k slot on a group's members, by
-    position (``index`` is :func:`_slot_index` of ``slots``): the group's
-    obstructions of the unit class at the slot, read off the memoised image
-    of its monomial under the substitution or, for a circle action,
-    ``{(p,): 1}`` with ``p`` the part's power of the parameter.  The unit's
-    coefficients are ``int``, so an entry of a column is an ``int`` times a
-    division's factor or a pole's numerator, an ``int``: a pole entry is its
-    value times the group's denominator, and a pole row is scaled whole.
-    Each column is built as it is asked for, so a caller that folds the
-    columns into rows keeps none of them."""
-    _, members, table, substitution, _ = group
-    for cid, _, _ in members:
-        for i in index.get(cid, ()):
-            slot = slots[i]
-            column: dict[tuple, int] = {}
-            rules = table.get((slot.component, slot.part, slot.index))
-            if rules is not None:
+        positions.setdefault(slot[:3], []).append(i)
+    rows: dict[tuple, dict[int, int]] = {}
+    for tag, table, substitution, _ in groups:
+        for key, rules in table.items():
+            for i in positions.get(key, ()):
                 if substitution is None:
-                    terms = {(part_power(slot.part, degree),): 1}
+                    terms = {(part_power(key[1], degree),): 1}
                 else:
-                    terms = substitution._monomial(slot.exps)
+                    terms = substitution._monomial(slots[i].exps)
+                column: dict[tuple, int] = {}
                 _route(column, rules, degree, terms)
-            yield i, column
+                for obstruction, value in column.items():
+                    rows.setdefault(tag + obstruction, {})[i] = value
+    return rows
 
 
 def _image_vectors(
@@ -808,10 +799,8 @@ def _image_vectors(
 ) -> tuple[list[Slot], list[dict[int, int | Fraction]]]:
     """The slots of the degree-k image of a graph or an x-ray and its
     canonical basis (reduced echelon, fixed slot order) as sparse vectors
-    over them, cut out by the constraint groups ``groups(document,
-    degree)``: the
-    columns of the slots on each group's members (:func:`_group_columns`),
-    in rows keyed by the group's tag and the obstruction key.
+    over them, cut out by the :func:`_rows` of the constraint groups
+    ``groups(document, degree)``.
 
     An invalid document is refused first, then a degree that is not a
     nonnegative int within ``max_degree``; the groups are built only when
@@ -825,13 +814,7 @@ def _image_vectors(
     slots = degree_slots(document, degree)
     if not slots:
         return slots, []
-    index = _slot_index(slots)
-    rows: dict[tuple, dict[int, int | Fraction]] = {}
-    for group in groups(document, degree):
-        tag = group[0]
-        for i, column in _group_columns(group, degree, slots, index):
-            for key, value in column.items():
-                rows.setdefault(tag + key, {})[i] = value
+    rows = _rows(groups(document, degree), degree, slots)
     return slots, nullspace(list(rows.values()), len(slots))
 
 
@@ -857,14 +840,10 @@ def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
     This is the coefficient of u^-1 in each unit class's localization sum,
     with a zero for every slot it does not involve.
     """
-    slots = degree_slots(graph, 2)
     group = _graph_group(graph, degree=2)
-    columns = dict(_group_columns(group, 2, slots, _slot_index(slots)))
-    denominator = group[4]
-    return {
-        slot.label: ratio(columns[i].get(("pole", -1, ()), 0), denominator)
-        for i, slot in enumerate(slots)
-    }
+    slots = degree_slots(graph, 2)
+    pole = _rows([group], 2, slots).get(("pole", -1, ()), {})
+    return {slot.label: ratio(pole.get(i, 0), group[3]) for i, slot in enumerate(slots)}
 
 
 @dataclass(frozen=True)

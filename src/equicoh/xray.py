@@ -11,9 +11,9 @@ pieces contributing a single divisibility condition.
 
 To :mod:`equicoh.s1` an x-ray is a document like a graph, given by its
 fixed components and its rank, so the slot and class helpers there accept
-it.  Each piece is one constraint group, kept on the x-ray: its members
-under its induced graph's table, or the H^0 difference of its two points,
-along its character, one substitution serving every piece along it.
+it.  Each piece is one constraint group, kept on the x-ray: its induced
+graph's table, or the H^0 difference of its two points, along its
+character, one substitution serving every piece along it.
 Every query reads these groups: membership routes the class through each
 piece's group once, and a graded basis is the one image-basis body over
 all of them.  Every entry point refuses an invalid x-ray.  Its records
@@ -213,11 +213,11 @@ class XRay:
 
     @_kept
     def _groups(self) -> dict[str, tuple]:
-        """``{piece id: (tag, members, table, substitution, denominator)}``:
-        each piece's constraint group (see :func:`~equicoh.s1._graph_group`),
-        built once behind the validity gate.  A valid x-ray's induced graphs have their
-        pieces' members, so no group needs an addressing check; pieces along
-        one character share its substitution."""
+        """``{piece id: (tag, table, substitution, denominator)}``: each piece's
+        constraint group over its members (see :func:`~equicoh.s1._graph_group`),
+        built once behind the validity gate.  A valid x-ray's induced graphs have
+        their pieces' members, so no group needs an addressing check; pieces
+        along one character share its substitution."""
         _refuse_invalid(self)
         substitutions: dict[tuple[int, ...], object] = {}
         groups: dict[str, tuple] = {}
@@ -226,7 +226,7 @@ class XRay:
             if piece.lam not in substitutions:
                 substitutions[piece.lam] = character_substitution(piece.lam)
             table, denominator = _constraint_table(members, piece.induced)
-            groups[piece.id] = ((piece.id,), members, table, substitutions[piece.lam], denominator)
+            groups[piece.id] = ((piece.id,), table, substitutions[piece.lam], denominator)
         return groups
 
     @_kept

@@ -30,7 +30,6 @@ from equicoh.s1 import (
     _entry_to_dict,
     _graph_groups,
     _image_vectors,
-    _slot_index,
     check_membership,
     class_from_vector,
     class_to_dict,
@@ -536,7 +535,9 @@ def reference_sparse_table(basis, degree: int, slots) -> str:
     """The basis table written from its classes' records, as the CLI wrote
     it before it wrote from vectors: only the slots of the components a
     class holds records for are read through ``slot_value``."""
-    by_component = _slot_index(slots)
+    by_component = {}
+    for i, slot in enumerate(slots):
+        by_component.setdefault(slot.component, []).append(i)
     widths = [len(slot.label) for slot in slots]
     rows = []
     for b in basis:

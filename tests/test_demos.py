@@ -1,9 +1,10 @@
 """The narrative demos run to completion against the package under test,
 the package's modules import only what they use, only the graph module
 places a fixed component, only the core module states the parity of a
-degree, only the basis record builder skips the record check, the
-command line writes a basis without building its classes, validation
-reports without raising and each document rule is stated once."""
+degree, only the basis record builder skips the record check, one
+router serves bases and membership, the command line writes a basis
+without building its classes, validation reports without raising and
+each document rule is stated once."""
 
 import ast
 import os
@@ -99,12 +100,10 @@ def test_only_the_mpoly_module_divides():
 def test_the_constraint_rows_are_stated_without_a_fraction():
     """The table's factors and pole numerators are ``int``s over one
     denominator, so the functions that state and route its rules, and the
-    columns read off it, call neither ``Fraction`` nor ``ratio``."""
+    rows read off it, call neither ``Fraction`` nor ``ratio``."""
     path = Path(equicoh.__file__).resolve().parent / "s1.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    integer = {
-        "_constraint_table", "_localization_rules", "_route", "_group_columns"
-    }
+    integer = {"_constraint_table", "_localization_rules", "_route", "_rows"}
     bodies = [
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in integer
     ]
@@ -119,29 +118,44 @@ def test_the_constraint_rows_are_stated_without_a_fraction():
     assert found == []
 
 
-def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
-    """``ComponentClass._trusted`` builds a record without the constructor's
-    check, so its callers are ``s1._class_from_sparse``, which builds each
-    record from the slot layout, and ``s1._parse_class``, which checks each
-    record where it reads it: every other constructor keeps the check."""
-    found = []
+def package_calls(name: str):
+    """``(module file, call, enclosing function name or "<module>")`` for
+    every call in the package of a function or attribute named ``name``."""
     for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_trusted"
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
             ):
-                continue
-            owner = node.func.value
-            if getattr(owner, "id", getattr(owner, "attr", None)) != "ComponentClass":
                 continue
             scope = node
             while scope in parent and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = parent[scope]
-            found.append(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+            yield path.name, node, getattr(scope, "name", "<module>")
+
+
+def test_only_the_rows_and_membership_route_a_part():
+    """One router serves bases and membership: the package calls
+    ``s1._route`` only from ``_rows``, which reads a basis's rows off the
+    table, and ``_class_obstructions``, which routes a class's parts."""
+    found = sorted(f"{module}:{scope}" for module, _, scope in package_calls("_route"))
+    assert found == ["s1.py:_class_obstructions", "s1.py:_rows"]
+
+
+def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
+    """``ComponentClass._trusted`` builds a record without the constructor's
+    check, so its callers are ``s1._class_from_sparse``, which builds each
+    record from the slot layout, and ``s1._parse_class``, which checks each
+    record where it reads it: every other constructor keeps the check."""
+    found = [
+        f"{module}:{scope}"
+        for module, node, scope in package_calls("_trusted")
+        if isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None))
+        == "ComponentClass"
+    ]
     assert found == ["s1.py:_class_from_sparse", "s1.py:_parse_class"]
 
 

@@ -70,7 +70,14 @@ from equicoh.graph import (
 from equicoh.linalg import rref
 from equicoh.mpoly import monomials_of_degree, ratio
 from equicoh.s1 import _check_ids, _check_keys_class, _degree_items, character_substitution
-from equicoh.xray import SkeletonPiece, TorusFixedComponent, XRay, parse_xray, piece_obstructions
+from equicoh.xray import (
+    DEFAULT_XRAY_MAX_DEGREE,
+    SkeletonPiece,
+    TorusFixedComponent,
+    XRay,
+    parse_xray,
+    piece_obstructions,
+)
 from fixtures import all_graphs, constant_class, g1, g2, g3
 from test_cli import BASIS_DOCUMENTS
 from test_core import reference_negative_part
@@ -271,16 +278,15 @@ def test_degree2_functional_frozen():
 
 
 def pole_columns(graph, degree, slots):
-    """The pole keys of each slot's column of the graph's degree-k
-    constraint group, divided back by its pole denominator, as a Laurent
-    element per slot."""
-    index = s1._slot_index(slots)
+    """The pole keys of each slot's column of the rows of the graph's
+    degree-k constraint group, divided back by its pole denominator, as a
+    Laurent element per slot."""
     (group,) = s1._graph_groups(graph, degree)
-    columns = dict(s1._group_columns(group, degree, slots, index))
-    poles = [
-        {key[1]: Fraction(c, group[4]) for key, c in columns[i].items() if key[0] == "pole"}
-        for i in range(len(slots))
-    ]
+    poles = [{} for _ in slots]
+    for key, row in s1._rows([group], degree, slots).items():
+        if key[0] == "pole":
+            for i, c in row.items():
+                poles[i][key[1]] = Fraction(c, group[3])
     return [Laurent(terms) for terms in poles]
 
 
@@ -299,6 +305,89 @@ def test_unit_localizations_match_per_slot_localize():
             for slot in degree_slots(graph, 2)
         }
         assert abbv_degree2_functional(graph) == expected, name
+
+
+def reference_group_columns(group, members, degree, slots):
+    """Yield ``(i, column)`` for every degree-k slot on ``members``, the
+    ``(id, kind, genus)`` a group constrains sorted by id, as the basis
+    built its rows before it read them off the table: the column is the
+    group's obstructions of the unit class at the slot, its unit terms
+    (``{(p,): 1}`` for a circle action, the substituted monomial for a
+    torus) routed through its part's rules, and empty where the table
+    names no rule; a pole entry is its value times the group's
+    denominator."""
+    _, table, substitution, _ = group
+    index = {}
+    for i, slot in enumerate(slots):
+        index.setdefault(slot.component, []).append(i)
+    for cid, _, _ in members:
+        for i in index.get(cid, ()):
+            slot = slots[i]
+            column = {}
+            rules = table.get((slot.component, slot.part, slot.index))
+            if rules is not None:
+                if substitution is None:
+                    terms = {(part_power(slot.part, degree),): 1}
+                else:
+                    terms = substitution._monomial(slot.exps)
+                s1._route(column, rules, degree, terms)
+            yield i, column
+
+
+def piece_components(xray, piece):
+    """The ``(id, kind, genus)`` of a piece's members, sorted by id."""
+    return tuple((c.id, c.kind, c.genus) for c in map(xray.find, sorted(piece.members)))
+
+
+def transposed_rows(groups, degree, slots):
+    """``{tag: {i: column}}``: the rows of :func:`s1._rows` over ``groups``
+    split by the tag that prefixes each key, and turned into columns."""
+    columns = {group[0]: {} for group in groups}
+    for key, row in s1._rows(groups, degree, slots).items():
+        (tag,) = [tag for tag in columns if key[: len(tag)] == tag]
+        for i, c in row.items():
+            columns[tag].setdefault(i, {})[key[len(tag):]] = c
+    return columns
+
+
+ROW_DOCUMENTS = {
+    **{name: (graph, range(7)) for name, graph in all_graphs().items()},
+    **{
+        name: (build(), range(DEFAULT_XRAY_MAX_DEGREE + 1))
+        for name, build in [
+            ("x2_1", lambda: fixtures.x2(1)),
+            ("cp3", fixtures.cp3),
+            ("cube3_1", lambda: fixtures.cube(3, 1)),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DOCUMENTS))
+def test_the_rows_are_the_reference_columns_and_the_unit_obstructions(name):
+    """Per tag, the transpose of the rows a basis eliminates is the slot
+    columns of the member walk, without its empty columns, and each
+    column, its poles divided back, is the unit class's obstructions."""
+    document, degrees = ROW_DOCUMENTS[name]
+    for degree in degrees:
+        slots = degree_slots(document, degree)
+        if document.rank is None:
+            groups = s1._graph_groups(document, degree)
+            members = [document._fixed_components]
+        else:
+            groups = list(document._groups.values())
+            members = [piece_components(document, piece) for piece in document.pieces]
+        columns = transposed_rows(groups, degree, slots)
+        for group, on in zip(groups, members):
+            expected = dict(reference_group_columns(group, on, degree, slots))
+            assert columns[group[0]] == {i: c for i, c in expected.items() if c}, degree
+            for i, column in expected.items():
+                unit = s1._scaled_parts(unit_class(document, degree, slots[i]))
+                scaled = {
+                    key: Fraction(c, group[3]) if key[0] == "pole" else c
+                    for key, c in column.items()
+                }
+                assert scaled == s1._class_obstructions(group, unit), (degree, slots[i].label)
 
 
 # -- closed-form localization against the Laurent-product reference ---------
@@ -510,7 +599,7 @@ def reference_class_obstructions(group, alpha):
     names routed as it is, in Fractions: a circle-action value as the single
     term ``{(p,): value}``, a torus part through the substituted polynomial;
     each pole sum is divided back by the group's pole denominator."""
-    _, _, table, substitution, denominator = group
+    _, table, substitution, denominator = group
     out = {}
     records = alpha.components
     for (cid, part, index), rules in table.items():
@@ -1268,8 +1357,8 @@ def test_pole_numerators_over_the_denominator_are_the_reference_scales(name):
 def test_piece_tables_are_the_reference_tables(name):
     xray = LOCALIZATION_XRAYS[name]()
     for piece in xray.pieces:
-        _, members, table, _, denominator = xray._groups[piece.id]
-        expected = reference_constraint_table(members, piece.induced)
+        _, table, _, denominator = xray._groups[piece.id]
+        expected = reference_constraint_table(piece_components(xray, piece), piece.induced)
         assert scaled_back(table, denominator) == expected, piece.id
 
 
@@ -1423,6 +1512,21 @@ def test_a_directly_built_component_of_the_wrong_shape_is_refused(field, change,
     name = change.get("id", component.id)
     violation = Violation("component-shape", f"component {name}: {rule}", (name,))
     assert_refused_twice(graph, bad, violation)
+
+
+def test_an_int_id_beside_string_ids_is_refused_and_sorts_after_them():
+    """A directly built point with an ``int`` id beside string ids is
+    refused with its component-shape violation by every compute entry
+    point, the degree-2 functional among them, which once listed the slots
+    first and raised a TypeError comparing the ids; the slot helpers sort
+    the ids as an x-ray sorts its own, strings first."""
+    graph = g3()
+    bad = dataclasses.replace(graph, isolated=graph.isolated + (IsolatedVertex(1, 1, (1, -1)),))
+    violation = Violation("component-shape", "component 1: id must be a nonempty string", (1,))
+    assert_refused_twice(graph, bad, violation)
+    assert bad._fixed_components == (("S", "surface", 0), ("p", "point", 0), (1, "point", 0))
+    assert [slot.label for slot in degree_slots(bad, 0)] == ["S.c0", "p.c", "1.c"]
+    assert class_to_vector(bad, 0, class_from_vector(bad, 0, [1, 2, 3])) == [1, 2, 3]
 
 
 BAD_EDGE_SHAPES = [

@@ -40,8 +40,7 @@ from equicoh.s1 import (
     MembershipViolation,
     _check_addressing,
     _constraint_table,
-    _group_columns,
-    _slot_index,
+    _rows,
     character_substitution,
     slot_value,
     torus_obstructions,
@@ -1585,14 +1584,16 @@ def test_piece_major_basis_matches_the_slot_major_reference(name):
 
 
 def piece_columns(xray, piece, degree, slots):
-    """The columns of one piece's constraint group, as the x-ray basis
-    compiles them, with each pole entry divided back by the group's pole
-    denominator."""
+    """The columns of the rows of one piece's constraint group, as the
+    x-ray basis builds them, with the piece's tag taken off each key and
+    each pole entry divided back by the group's pole denominator."""
     group = xray._groups[piece.id]
-    return {
-        i: {key: Fraction(c, group[4]) if key[0] == "pole" else c for key, c in column.items()}
-        for i, column in _group_columns(group, degree, slots, _slot_index(slots))
-    }
+    columns = {}
+    for (_, *key), row in _rows([group], degree, slots).items():
+        for i, c in row.items():
+            value = Fraction(c, group[3]) if key[0] == "pole" else c
+            columns.setdefault(i, {})[tuple(key)] = value
+    return columns
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))
@@ -1603,11 +1604,11 @@ def test_compiled_columns_are_the_unit_class_obstructions(name):
         for piece in xray.pieces:
             columns = piece_columns(xray, piece, degree, slots)
             on_members = [i for i, s in enumerate(slots) if s.component in piece.members]
-            assert sorted(columns) == on_members
+            assert set(columns) <= set(on_members)
             for i in on_members:
                 unit = unit_class(xray, degree, slots[i])
                 expected = piece_obstructions(xray, piece, unit)
-                assert columns[i] == expected, (piece.id, slots[i].label)
+                assert columns.get(i, {}) == expected, (piece.id, slots[i].label)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_XRAYS))

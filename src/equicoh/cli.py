@@ -55,7 +55,6 @@ from .graph import (
 from .s1 import (
     DEFAULT_MAX_DEGREE,
     _entry_to_dict,
-    _graph_groups,
     _image_vectors,
     check_membership,
     equivariant_series,
@@ -66,7 +65,6 @@ from .s1 import (
 )
 from .xray import (
     DEFAULT_XRAY_MAX_DEGREE,
-    _piece_groups,
     check_membership_xray,
     parse_class_torus,
     parse_xray,
@@ -106,7 +104,6 @@ class _DocumentKind:
     validate: Callable
     parse_class: Callable
     check: Callable
-    groups: Callable  # the document's constraint groups, for _image_vectors
 
 
 def _document_kind(name: str) -> _DocumentKind:
@@ -115,11 +112,10 @@ def _document_kind(name: str) -> _DocumentKind:
     if name == "xray":
         return _DocumentKind(
             DEFAULT_XRAY_MAX_DEGREE, parse_xray, validate_xray, parse_class_torus,
-            check_membership_xray, _piece_groups,
+            check_membership_xray,
         )
     return _DocumentKind(
-        DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership,
-        _graph_groups,
+        DEFAULT_MAX_DEGREE, parse_graph, validate_graph, parse_class, check_membership
     )
 
 
@@ -248,7 +244,7 @@ def _basis_json(document, degree: int, slots, vectors, graph_ref: str) -> str:
     if not vectors:
         return "[]"
     kinds = document._kinds
-    ids = sorted(kinds)
+    ids = list(kinds)
     position = {cid: i for i, cid in enumerate(ids)}
     frame = _basis_frame(frozenset(kinds.values()), degree, document.rank is not None)
     opening, later, before, empty, tail, ending, layouts = frame
@@ -504,7 +500,7 @@ def cmd_basis(args) -> int:
     document = _load_valid(args)
     if document is None:
         return 1
-    slots, vectors = _image_vectors(document, args.degree, args.max_degree, args.kind.groups)
+    slots, vectors = _image_vectors(document, args.degree, args.max_degree)
     if args.format == "json":
         print(_basis_json(document, args.degree, slots, vectors, args.path))
     elif not slots:

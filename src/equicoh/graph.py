@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import DegenerateInputError, InputError, ParseError, SchemaError
@@ -190,7 +190,8 @@ class DecoratedGraph:
             )
 
     def component_ids(self) -> list[str]:
-        return sorted([v.id for v in self.isolated] + [v.id for v in self.surfaces])
+        """The ids of :attr:`_fixed_components`, in their order."""
+        return [cid for cid, _, _ in self._fixed_components]
 
     def find(self, component_id: str) -> IsolatedVertex | FatVertex:
         try:
@@ -235,8 +236,7 @@ class DecoratedGraph:
     def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
         """``(id, kind, genus)`` of every fixed component, in the :func:`_order` of the ids."""
         points = [(v.id, "point", 0) for v in self.isolated]
-        components = points + [(v.id, "surface", v.genus) for v in self.surfaces]
-        return tuple(sorted(components, key=lambda c: _order(c[0])))
+        return _sorted_by_id(points + [(v.id, "surface", v.genus) for v in self.surfaces], _FIRST)
 
     @_kept
     def _kinds(self) -> dict[str, tuple[str, int]]:
@@ -692,14 +692,15 @@ def _order(x) -> tuple:
 
 _STR_TYPES = frozenset((str,))
 _ID = attrgetter("id")
+_FIRST = itemgetter(0)  # the id of an ``(id, kind, genus)`` tuple
 
 
-def _sorted_by_id(records) -> tuple:
-    """The records in the :func:`_order` of their ids: where every id is a
-    string, that is the strings' own order, sorted by the ids alone."""
-    if _STR_TYPES.issuperset(map(type, map(_ID, records))):
-        return tuple(sorted(records, key=_ID))
-    return tuple(sorted(records, key=lambda r: _order(r.id)))
+def _sorted_by_id(records, key=_ID) -> tuple:
+    """The records in the :func:`_order` of their ids (read by ``key``): where
+    every id is a string, that is the strings' own order, by the ids alone."""
+    if _STR_TYPES.issuperset(map(type, map(key, records))):
+        return tuple(sorted(records, key=key))
+    return tuple(sorted(records, key=lambda r: _order(key(r))))
 
 
 def _edge_order(e: GraphEdge) -> tuple:

@@ -63,6 +63,7 @@ from .core import (
 )
 from .errors import InputError, InternalInconsistencyError, SchemaError
 from .graph import (
+    _FIRST,
     DecoratedGraph,
     FatVertex,
     IsolatedVertex,
@@ -70,6 +71,7 @@ from .graph import (
     _load_document,
     _refuse_invalid,
     _require,
+    _sorted_by_id,
     format_rational,
     parse_rational,
     weight_product,
@@ -218,14 +220,23 @@ class EquivariantClass:
     below and :func:`promote_to_torus` make of one) holds records only for
     its nonzero components and carries its document's ``(id, kind, genus)``
     tuple, shared, as ``fixed_components``.  A class built directly from a
-    dict has no tuple and addresses exactly its own keys;
-    :func:`parse_class` requires every id and builds a record for each.
-    Equality reads an absent component as an empty record.
+    dict has no tuple, addresses exactly its own keys and refuses a record
+    of another rank; :func:`parse_class` requires every id and builds a
+    record for each.  Equality reads an absent component as an empty record.
     """
 
     components: dict[str, ComponentClass] = field(default_factory=dict)
     rank: int | None = None
     fixed_components: tuple[tuple[str, str, int], ...] | None = None
+
+    def __post_init__(self):
+        if self.fixed_components is None:
+            for cid, cls in self.components.items():
+                if cls.rank != self.rank:
+                    raise InputError(
+                        f"component {cid!r}: a record of rank {cls.rank} "
+                        f"in a class of rank {self.rank}"
+                    )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EquivariantClass):
@@ -244,10 +255,11 @@ class EquivariantClass:
 
     def addressed(self) -> tuple[tuple[str, str, int], ...]:
         """The ``(id, kind, genus)`` of every component the class addresses,
-        sorted by id."""
+        in the id order of a document's ``_fixed_components``."""
         if self.fixed_components is not None:
             return self.fixed_components
-        return tuple((cid, cls.kind, cls.genus) for cid, cls in sorted(self.components.items()))
+        found = [(cid, cls.kind, cls.genus) for cid, cls in self.components.items()]
+        return _sorted_by_id(found, _FIRST)
 
     def restriction(self, cid: str) -> dict:
         """``{degree: entry}`` of one component, ``{}`` when it holds no record."""
@@ -303,25 +315,19 @@ class EquivariantClass:
 
 
 def _check_addressing(owner: str, components, rank: int | None, alpha: EquivariantClass) -> None:
-    """Raise unless ``alpha`` addresses exactly ``components``.
+    """Raise unless ``alpha`` addresses exactly ``components`` at ``rank``.
 
     ``components`` lists the ``(id, kind, genus)`` of the graph or x-ray
-    named by ``owner``, sorted by id.  Each component the class addresses
-    must match its component at ``rank``, which is None for a circle action:
-    a library class's tuple and rank, or each record of a class built from a
-    dict.
+    named by ``owner``, in id order, and ``rank`` is None for a circle
+    action.  The class's :meth:`~EquivariantClass.addressed` components
+    must be those, and its rank, the one rank of its records, that one.
     """
-    fixed = alpha.fixed_components
-    if fixed is None:
-        records = sorted(alpha.components.items())
-        found = [(cid, (cls.kind, cls.genus, cls.rank)) for cid, cls in records]
-    elif fixed == components and alpha.rank == rank:
+    found = alpha.addressed()
+    if found == components and alpha.rank == rank:
         return
-    else:
-        found = [(cid, (kind, genus, alpha.rank)) for cid, kind, genus in fixed]
-    _check_ids(owner, [cid for cid, _, _ in components], [cid for cid, _ in found])
-    for (cid, kind, genus), (_, got) in zip(components, found):
-        if got != (kind, genus, rank):
+    _check_ids(owner, [cid for cid, _, _ in components], [cid for cid, _, _ in found])
+    for (cid, kind, genus), got in zip(components, found):
+        if got[1:] != (kind, genus) or alpha.rank != rank:
             what = "point" if kind == "point" else f"genus-{genus} surface"
             raise InputError(f"component {cid!r}: expected a {what} entry of rank {rank}")
 
@@ -521,11 +527,11 @@ def unit_class(document, degree: int, slot: Slot) -> EquivariantClass:
     return _class_from_sparse(document, degree, [slot], {0: 1})
 
 
-def _check_degree(degree) -> None:
-    """Refuse a degree that is not an int: the slots a class is built on
-    must be those of one degree, as :func:`_class_from_sparse` trusts."""
+def _check_degree(degree, name: str = "degree") -> None:
+    """Refuse a degree (or the cutoff ``name``) that is not an int: a class's
+    slots must be those of one degree, as :func:`_class_from_sparse` trusts."""
     if type(degree) is not int:
-        raise InputError(f"degree must be an integer, got {degree!r}")
+        raise InputError(f"{name} must be an integer, got {degree!r}")
 
 
 def _constraint_table(
@@ -761,10 +767,14 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=
     return (), table, substitution, denominator
 
 
-def _graph_groups(graph: DecoratedGraph, degree: int) -> list[tuple]:
-    """The constraint groups of a graph's degree-k basis: its one group,
-    built per query with the rules of that degree only."""
-    return [_graph_group(graph, degree=degree)]
+def _groups(document, degree: int):
+    """The constraint groups of a degree-k basis: a graph's one group, built
+    per query with the rules of that degree only, or an x-ray's kept groups,
+    one per piece, for every degree alike (along a character a part's power
+    of the parameter varies by monomial, so no rule is left out by degree)."""
+    if document.rank is None:
+        return [_graph_group(document, degree=degree)]
+    return document._groups.values()
 
 
 def _rows(groups, degree: int, slots: list[Slot]) -> dict[tuple, dict[int, int]]:
@@ -795,18 +805,19 @@ def _rows(groups, degree: int, slots: list[Slot]) -> dict[tuple, dict[int, int]]
 
 
 def _image_vectors(
-    document, degree: int, max_degree: int, groups
+    document, degree: int, max_degree: int
 ) -> tuple[list[Slot], list[dict[int, int | Fraction]]]:
     """The slots of the degree-k image of a graph or an x-ray and its
     canonical basis (reduced echelon, fixed slot order) as sparse vectors
-    over them, cut out by the :func:`_rows` of the constraint groups
-    ``groups(document, degree)``.
+    over them, cut out by the :func:`_rows` of the document's
+    :func:`_groups`.
 
-    An invalid document is refused first, then a degree that is not a
-    nonnegative int within ``max_degree``; the groups are built only when
-    the degree has slots."""
+    An invalid document is refused first, then a degree or a cutoff that
+    is not an int, then a negative degree or one over the cutoff; the
+    groups are built only when the degree has slots."""
     _refuse_invalid(document)
     _check_degree(degree)
+    _check_degree(max_degree, "max_degree")
     if degree < 0:
         raise InputError("degree must be nonnegative")
     if degree > max_degree:
@@ -814,13 +825,13 @@ def _image_vectors(
     slots = degree_slots(document, degree)
     if not slots:
         return slots, []
-    rows = _rows(groups(document, degree), degree, slots)
+    rows = _rows(_groups(document, degree), degree, slots)
     return slots, nullspace(list(rows.values()), len(slots))
 
 
-def _image_basis(document, degree: int, max_degree: int, groups) -> list[EquivariantClass]:
+def _image_basis(document, degree: int, max_degree: int) -> list[EquivariantClass]:
     """The canonical basis of :func:`_image_vectors` as classes."""
-    slots, vectors = _image_vectors(document, degree, max_degree, groups)
+    slots, vectors = _image_vectors(document, degree, max_degree)
     return [_class_from_sparse(document, degree, slots, vec) for vec in vectors]
 
 
@@ -926,7 +937,7 @@ def image_basis(
     graph: DecoratedGraph, degree: int, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> list[EquivariantClass]:
     """Canonical basis (reduced echelon, fixed slot order) of the degree-k image."""
-    return _image_basis(graph, degree, max_degree, _graph_groups)
+    return _image_basis(graph, degree, max_degree)
 
 
 def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:

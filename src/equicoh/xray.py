@@ -179,9 +179,7 @@ class XRay:
         object.__setattr__(self, "components", _sorted_by_id(self.components))
         object.__setattr__(self, "pieces", _sorted_by_id(self.pieces))
 
-    def component_ids(self) -> list[str]:
-        return [c.id for c in self.components]
-
+    component_ids = DecoratedGraph.component_ids
     find = DecoratedGraph.find
 
     # Derived values, kept on the frozen x-ray as on a graph.
@@ -206,7 +204,7 @@ class XRay:
 
     @_kept
     def _fixed_components(self) -> tuple[tuple[str, str, int], ...]:
-        """``(id, kind, genus)`` of every fixed component, sorted by id."""
+        """``(id, kind, genus)`` of every fixed component, in the :func:`_order` of the ids."""
         return tuple((c.id, c.kind, c.genus) for c in self.components)
 
     _kinds = DecoratedGraph._kinds  # {id: (kind, genus)}, as a graph reads it
@@ -612,13 +610,6 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     return MembershipDecision(not violations, tuple(violations))
 
 
-def _piece_groups(xray: XRay, degree: int):
-    """The constraint groups of an x-ray: one per piece, kept on it, for
-    every degree alike (along a character a part's power of the parameter
-    varies by monomial, so no rule can be left out by degree)."""
-    return xray._groups.values()
-
-
 def image_basis_xray(
     xray: XRay, degree: int, max_degree: int = DEFAULT_XRAY_MAX_DEGREE
 ) -> list[EquivariantClass]:
@@ -628,7 +619,7 @@ def image_basis_xray(
     obstruction coefficients, keyed by piece id and obstruction key: the
     one image-basis body of :mod:`equicoh.s1` over the x-ray's groups.
     """
-    return _image_basis(xray, degree, max_degree, _piece_groups)
+    return _image_basis(xray, degree, max_degree)
 
 
 def parse_class_torus(text, xray: XRay) -> EquivariantClass:

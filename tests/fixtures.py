@@ -19,6 +19,8 @@ validated objects.  The fixtures:
   along each edge (``cube(2, g)`` is ``x2(g)`` with other ids).
 * ``chain``: two genus-g surfaces at momenta 0 and n + 1 around n
   interior points at momenta 1..n, for scaling in the number of slots.
+* ``twisted``: an x-ray document moved by a unimodular matrix, so that
+  its 4-dimensional pieces lie along skew characters.
 
 ``budget`` is the wall-clock context manager of the acceptance gates;
 ``raw_document`` and ``parse_status`` give the shape tests the JSON twin of
@@ -259,6 +261,24 @@ def cube_doc(rank: int, genus: int, area=1) -> dict:
                 },
             })
     return {"kind": "xray", "rank": rank, "components": components, "pieces": pieces}
+
+
+def twisted(doc: dict, matrix) -> dict:
+    """The x-ray document ``doc`` moved by the unimodular integer ``matrix``:
+    every momentum ``y``, weight and character ``lambda``, as a column
+    vector, is replaced by ``matrix`` times it.  The induced graphs are left
+    as they are: each piece's momenta along its character move with it."""
+
+    def apply(v) -> list[int]:
+        return [sum(a * x for a, x in zip(row, v)) for row in matrix]
+
+    out = copy.deepcopy(doc)
+    for c in out["components"]:
+        c["y"] = apply(c["y"])
+        c["weights"] = [apply(w) for w in c["weights"]]
+    for piece in out["pieces"]:
+        piece["lambda"] = apply(piece["lambda"])
+    return out
 
 
 def g1():

@@ -28,7 +28,6 @@ from equicoh.mpoly import MPoly, poly_to_pairs
 from equicoh.s1 import (
     _class_from_sparse,
     _entry_to_dict,
-    _graph_groups,
     _image_vectors,
     check_membership,
     class_from_vector,
@@ -38,7 +37,7 @@ from equicoh.s1 import (
     localize,
     slot_value,
 )
-from equicoh.xray import _piece_groups, check_membership_xray, image_basis_xray, parse_xray
+from equicoh.xray import check_membership_xray, image_basis_xray, parse_xray
 from test_golden import EXTRA_DOCUMENTS
 
 
@@ -438,8 +437,7 @@ def _parse_document(doc):
 
 def basis_vectors(document, degree: int):
     """The ``(slots, vectors)`` that ``basis`` or ``xray-basis`` writes."""
-    groups = _graph_groups if document.rank is None else _piece_groups
-    return _image_vectors(document, degree, degree, groups)
+    return _image_vectors(document, degree, degree)
 
 
 def reference_record_json(document, basis, graph_ref: str) -> str:
@@ -1154,8 +1152,8 @@ def test_dump_matches_json_dumps_on_every_cli_payload(capsys, monkeypatch, data_
     bases = []
     compute = cli._image_vectors
 
-    def recording(document, degree, max_degree, groups):
-        slots, vectors = compute(document, degree, max_degree, groups)
+    def recording(document, degree, max_degree):
+        slots, vectors = compute(document, degree, max_degree)
         bases.append([_class_from_sparse(document, degree, slots, v) for v in vectors])
         return slots, vectors
 
@@ -1234,8 +1232,8 @@ def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data
     run(capsys, "basis", f"{d}/g1.json", "--degree", "2")
     calls = Counter()
     names = (
-        "parse_graph", "validate_graph", "_image_vectors", "_graph_groups", "parse_xray",
-        "_piece_groups", "parse_class_torus", "check_membership_xray",
+        "parse_graph", "validate_graph", "_image_vectors", "parse_xray", "parse_class_torus",
+        "check_membership_xray",
     )
     for name in names:
         original = getattr(cli, name)
@@ -1255,8 +1253,8 @@ def test_library_functions_are_looked_up_on_every_call(capsys, monkeypatch, data
     assert run(capsys, "xray-basis", f"{d}/cp3.json", "--degree", "2")[0] == 0
     assert run(capsys, "xray-check", f"{d}/x2_g1.json", f"{d}/class_x2_const.json")[0] == 0
     assert calls == {
-        "parse_graph": 1, "validate_graph": 1, "_image_vectors": 2, "_graph_groups": 1,
-        "parse_xray": 2, "_piece_groups": 1, "parse_class_torus": 1, "check_membership_xray": 1,
+        "parse_graph": 1, "validate_graph": 1, "_image_vectors": 2, "parse_xray": 2,
+        "parse_class_torus": 1, "check_membership_xray": 1,
     }
     assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
 

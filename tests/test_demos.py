@@ -3,8 +3,9 @@ the package's modules import only what they use, only the graph module
 places a fixed component, only the core module states the parity of a
 degree, only the basis record builder skips the record check, one
 router serves bases and membership, the command line writes a basis
-without building its classes, validation reports without raising and
-each document rule is stated once."""
+without building its classes, validation reports without raising,
+each document rule is stated once and no module keeps state beyond three
+bounded caches and one environment read."""
 
 import ast
 import os
@@ -283,3 +284,30 @@ def test_the_cli_states_no_json_indentation():
         and id(node) not in exempt
     ]
     assert found == []
+
+
+def test_three_functions_are_cached_and_one_reads_the_environment():
+    """No global state: ``functools.cache`` and ``lru_cache`` decorate
+    exactly ``core.entry_parts``, ``cli._basis_frame`` and
+    ``cli._build_parser``, and are named nowhere else, and ``os.environ``
+    is read only in ``cli._max_degree``."""
+    cached, environment = [], []
+    for path in sorted(Path(equicoh.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope, decorating = {}, {}
+        # ast.walk goes outside in, so an inner function's name wins
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope.update(dict.fromkeys(map(id, ast.walk(node)), node.name))
+                for decorator in node.decorator_list:
+                    decorating.update(dict.fromkeys(map(id, ast.walk(decorator)), node.name))
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if not isinstance(node, (ast.Attribute, ast.Name)):
+                continue
+            if name in ("cache", "lru_cache"):
+                cached.append(f"{path.stem}.{decorating.get(id(node), f'line {node.lineno}')}")
+            elif name in ("environ", "getenv"):
+                environment.append(f"{path.stem}.{scope.get(id(node), '<module>')}")
+    assert sorted(cached) == ["cli._basis_frame", "cli._build_parser", "core.entry_parts"]
+    assert environment == ["cli._max_degree"]

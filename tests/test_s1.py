@@ -252,6 +252,70 @@ def test_localize_checks_addressing():
         localize(g1(), alpha)
 
 
+# Each library entry point that takes a class, with the rank of the classes
+# it reads and a call on the document and a class.
+CLASS_ENTRY_POINTS = {
+    "check_membership": (g3, None, check_membership),
+    "localize": (g3, None, localize),
+    "in_image_span": (g3, None, lambda graph, alpha: in_image_span(graph, 0, alpha)),
+    "check_membership_torus": (
+        g3, 1, lambda graph, alpha: check_membership_torus(graph, 1, (1,), alpha)
+    ),
+    "torus_obstructions": (g3, 1, lambda graph, alpha: torus_obstructions(graph, 1, (1,), alpha)),
+    "localize_torus": (g3, 1, lambda graph, alpha: localize_torus(graph, 1, (1,), alpha)),
+    "check_membership_xray": (lambda: fixtures.x2(1), 2, check_membership_xray),
+    "piece_obstructions": (
+        lambda: fixtures.x2(1), 2, lambda x, alpha: piece_obstructions(x, x.pieces[0], alpha)
+    ),
+}
+
+
+def constant_class_of_rank(document, rank):
+    """The constant class 1 on ``document``, as a dict class of ``rank``."""
+    if rank is None:
+        return constant_class(document, 1)
+    if document.rank is None:
+        return promote_to_torus(constant_class(document, 1))
+    return fixtures.constant_torus_class(document, 1)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_ENTRY_POINTS))
+def test_class_entry_points_refuse_a_foreign_id_and_a_record_of_another_rank(name):
+    """Each entry point that takes a class refuses, with an InputError, a
+    dict class with an ``int`` id beside the string ids (once a TypeError
+    sorting the ids), and a dict class whose records are of the document's
+    rank but whose own rank is another (once an AttributeError, or a class
+    read as the wrong kind of values): the class refuses such a record as
+    it is built."""
+    make, rank, call = CLASS_ENTRY_POINTS[name]
+    document = make()
+    alpha = constant_class_of_rank(document, rank)
+    call(document, alpha)
+    one = Fraction(1) if rank is None else MPoly.constant(rank, 1)
+    records = {**alpha.components, 1: ComponentClass("point", 0, {0: one}, rank)}
+    with pytest.raises(InputError, match=r"^class addresses \[.*, 1\] but the "):
+        call(document, EquivariantClass(records, rank))
+    other = 1 if rank is None else None
+    with pytest.raises(InputError, match=f"a record of rank {rank} in a class of rank {other}$"):
+        call(document, EquivariantClass(dict(alpha.components), other))
+
+
+def test_a_dict_class_is_addressed_in_the_documents_id_order():
+    """A dict class's components are ordered as a document orders its ids,
+    strings before ints, and a record of another rank is refused as the
+    class is built."""
+    graph = g3()
+    alpha = constant_class(graph, 1)
+    alpha.components[1] = ComponentClass("point", 0, {0: Fraction(2)}, None)
+    assert alpha.addressed() == (("S", "surface", 0), ("p", "point", 0), (1, "point", 0))
+    assert list(class_to_dict(alpha)["components"]) == ["S", "p", 1]
+    assert constant_class(graph, 1).addressed() == graph._fixed_components
+    xray = fixtures.x2(1)
+    records = fixtures.constant_torus_class(xray, 1).components
+    with pytest.raises(InputError, match="^component 'Smax_0': a record of rank 2 in a class"):
+        EquivariantClass(records)
+
+
 def test_degree2_functional_frozen():
     assert abbv_degree2_functional(g1()) == {
         "A.c": Fraction(1, 2),
@@ -281,7 +345,7 @@ def pole_columns(graph, degree, slots):
     """The pole keys of each slot's column of the rows of the graph's
     degree-k constraint group, divided back by its pole denominator, as a
     Laurent element per slot."""
-    (group,) = s1._graph_groups(graph, degree)
+    (group,) = s1._groups(graph, degree)
     poles = [{} for _ in slots]
     for key, row in s1._rows([group], degree, slots).items():
         if key[0] == "pole":
@@ -372,7 +436,7 @@ def test_the_rows_are_the_reference_columns_and_the_unit_obstructions(name):
     for degree in degrees:
         slots = degree_slots(document, degree)
         if document.rank is None:
-            groups = s1._graph_groups(document, degree)
+            groups = s1._groups(document, degree)
             members = [document._fixed_components]
         else:
             groups = list(document._groups.values())
@@ -1430,6 +1494,18 @@ def test_image_basis_degree_bounds():
     assert len(image_basis(g1(), 14, max_degree=14)) == 3
 
 
+@pytest.mark.parametrize("cutoff", [2.5, True, "4", None, Fraction(4)], ids=repr)
+def test_image_basis_refuses_a_cutoff_that_is_not_an_int(cutoff):
+    """The cutoff is read exactly, as the degree is: 2.5 once gave a basis,
+    True reported "exceeds the cutoff True", and "4" or None raised a
+    TypeError."""
+    refused = f"^max_degree must be an integer, got {re.escape(repr(cutoff))}$"
+    with pytest.raises(InputError, match=refused):
+        image_basis(g3(), 2, cutoff)
+    with pytest.raises(InputError, match="^max_degree must be an integer"):
+        image_basis_xray(fixtures.x2(1), 2, cutoff)
+
+
 def genus_mismatched_graph():
     """``g2_doc(1)`` with a genus-2 upper surface: two fixed surfaces of
     different genera bound no circle action."""
@@ -1525,6 +1601,7 @@ def test_an_int_id_beside_string_ids_is_refused_and_sorts_after_them():
     violation = Violation("component-shape", "component 1: id must be a nonempty string", (1,))
     assert_refused_twice(graph, bad, violation)
     assert bad._fixed_components == (("S", "surface", 0), ("p", "point", 0), (1, "point", 0))
+    assert bad.component_ids() == ["S", "p", 1]
     assert [slot.label for slot in degree_slots(bad, 0)] == ["S.c0", "p.c", "1.c"]
     assert class_to_vector(bad, 0, class_from_vector(bad, 0, [1, 2, 3])) == [1, 2, 3]
 

@@ -66,6 +66,7 @@ from equicoh.graph import (
 )
 from equicoh import s1 as s1_module
 from equicoh import xray as xray_module
+from equicoh.core import map_parts
 from equicoh.mpoly import is_primitive
 from equicoh.xray import (
     _NO_ELL,
@@ -1528,6 +1529,76 @@ def test_basis_is_stable_under_document_order():
         ours = [class_to_vector(reference, k, b) for b in image_basis_xray(reference, k)]
         theirs = [class_to_vector(shuffled, k, b) for b in image_basis_xray(shuffled, k)]
         assert ours == theirs
+
+
+def moved(alpha: EquivariantClass, matrix) -> EquivariantClass:
+    """``alpha`` with every part moved by ``u_j -> sum_i matrix[i][j] u_i``,
+    the map that sends each weight ``w`` to ``matrix`` times ``w``."""
+    r = alpha.rank
+    images = [
+        sum((MPoly.variable(r, i) * matrix[i][j] for i in range(r)), MPoly.zero(r))
+        for j in range(r)
+    ]
+
+    def move(_, p: MPoly) -> MPoly:
+        out = MPoly.zero(r)
+        for exps, c in p.terms.items():
+            term = MPoly.constant(r, c)
+            for image, e in zip(images, exps):
+                for _ in range(e):
+                    term = term * image
+            out = out + term
+        return out
+
+    comps = {
+        cid: ComponentClass(
+            kind,
+            genus,
+            {k: map_parts(kind, entry, move) for k, entry in alpha.restriction(cid).items()},
+            r,
+        )
+        for cid, kind, genus in alpha.addressed()
+    }
+    return EquivariantClass(comps, r)
+
+
+# Unimodular matrices by rank: bidiagonal ones and a lower triangular one
+# with larger entries, each turning some coordinate characters skew.
+TWISTS = {
+    2: [((1, 1), (0, 1)), ((1, 0), (-1, 1))],
+    3: [((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((1, 0, 0), (2, 1, 0), (3, 4, 1))],
+}
+
+
+@pytest.mark.parametrize(
+    "rank, genus, matrix",
+    [(rank, genus, m) for rank, ms in TWISTS.items() for genus in (0, 1) for m in ms],
+    ids=lambda v: repr(v).replace(" ", ""),
+)
+def test_a_twisted_cube_has_the_moved_image_of_the_plain_one(rank, genus, matrix):
+    """A cube moved by a unimodular matrix validates clean and, in degrees
+    0 to 4, has bases of the plain cube's sizes; every moved plain basis
+    class is a member, and a basis class perturbed at one slot is a member
+    of one exactly when its move is of the other.  Equal sizes and
+    membership make the twisted image the moved plain image."""
+    plain = cube(rank, genus)
+    twist = parse_xray(fixtures.twisted(fixtures.cube_doc(rank, genus), matrix))
+    assert validate_xray(twist) == []
+    assert any(sorted(map(abs, piece.lam))[-2] for piece in twist.pieces)  # a skew character
+    refused = 0
+    for degree in range(5):
+        basis = image_basis_xray(plain, degree)
+        assert len(image_basis_xray(twist, degree)) == len(basis)
+        for element in basis:
+            assert check_membership_xray(twist, moved(element, matrix)).member
+        slots = degree_slots(plain, degree)
+        base = class_to_vector(plain, degree, basis[0]) if basis else [0] * len(slots)
+        for i in range(len(slots)):
+            perturbed = class_from_vector(plain, degree, base[:i] + [base[i] + 1] + base[i + 1:])
+            member = check_membership_xray(plain, perturbed).member
+            assert check_membership_xray(twist, moved(perturbed, matrix)).member == member
+            refused += not member
+    assert refused
 
 
 def test_module_closure_under_both_parameters():

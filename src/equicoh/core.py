@@ -274,6 +274,8 @@ class PoincareSeries:
 
     def coefficient(self, k: int) -> int:
         """Series coefficient of t^k; negative results are invalid by contract."""
+        if type(k) is not int:
+            raise InputError(f"degree must be an integer, got {k!r}")
         if k < 0:
             return 0
         m = self.denominator_power
@@ -397,6 +399,12 @@ def _vanishing(part: str, listed: set[str]) -> str:
     return "H^0 and H^2 parts must vanish in odd degree"
 
 
+def genus_rule(genus) -> None:
+    """Refuse a genus that is not a nonnegative int."""
+    if type(genus) is not int or genus < 0:
+        raise InputError(f"genus must be a nonnegative integer, got {genus!r}")
+
+
 def record_rule(kind: str, genus: int, rank: int | None) -> None:
     """Refuse the header of a record: an unknown kind, a point with a genus,
     a genus or a rank that is not a nonnegative int (a rank may be None)."""
@@ -404,8 +412,7 @@ def record_rule(kind: str, genus: int, rank: int | None) -> None:
         raise InputError(f"unknown component kind {kind!r}")
     if kind == "point" and genus:
         raise InputError("point components have no genus")
-    if type(genus) is not int or genus < 0:
-        raise InputError(f"genus must be a nonnegative integer, got {genus!r}")
+    genus_rule(genus)
     if rank is not None and (type(rank) is not int or rank < 0):
         raise InputError(f"rank must be None or a nonnegative integer, got {rank!r}")
 

@@ -562,9 +562,11 @@ def extremal_self_intersections(graph: DecoratedGraph) -> tuple[int | Fraction, 
 
     Interior isolated points enter through 1/(m n) with m, n the weight
     magnitudes; extremal area labels enter directly (0 for isolated
-    extrema).  Raises DegenerateInputError when the momentum span collapses.
-    The pair is computed once per graph.
+    extrema).  Raises InputError on a graph that breaks a shape rule and
+    DegenerateInputError when the momentum span collapses.  The pair is
+    computed once per graph.
     """
+    _refuse_invalid(graph, shapes_only=True)
     return graph._labels
 
 
@@ -578,7 +580,8 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fract
         e_min = (sum (n - n_max) L/(m n) + D (S_min - S_max)) / (L (n_max - n_min))
 
     and e_max is its mirror image.  Each label is one :func:`~equicoh.mpoly.ratio`,
-    an ``int`` when integral, as parse makes it.
+    an ``int`` when integral, as parse makes it.  The graph holds to its shape
+    rules (every reader gates on them first), so no weight is zero.
     """
     denominator, isolated_levels, surface_levels, lo, hi = graph._levels
     if lo == hi:
@@ -588,8 +591,6 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fract
     for v, n in zip(graph.isolated, isolated_levels):
         if lo < n < hi:
             mn = abs(v.weights[0] * v.weights[1])
-            if mn == 0:
-                raise InputError(f"zero weight at {v.id!r}")
             common = lcm(common, mn)
             interior.append((n, mn))
     ends = {lo: (0, 1), hi: (0, 1)}  # numerator and denominator of the extremal areas
@@ -607,8 +608,10 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fract
 
 def resolve_self_intersections(graph: DecoratedGraph) -> DecoratedGraph:
     """Fill missing self_intersection labels on extremal surfaces from the
-    equations; the graph itself when every label is present.  The resolved
-    graph is built once per graph."""
+    equations; the graph itself when every label is present.  Raises
+    InputError on a graph that breaks a shape rule.  The resolved graph is
+    built once per graph."""
+    _refuse_invalid(graph, shapes_only=True)
     if all(v.self_intersection is not None for v in graph.surfaces):
         return graph
     return graph._resolved
@@ -635,8 +638,10 @@ def _euler_sum_vanishes(products, labels) -> bool:
 def abbv_zero_check(graph: DecoratedGraph) -> bool:
     """Degree-zero localization identity: sum of inverse Euler numbers vanishes.
 
-    Requires every fat vertex to carry a resolved self_intersection.
+    Requires every fat vertex to carry a resolved self_intersection, and
+    raises InputError on a graph that breaks a shape rule.
     """
+    _refuse_invalid(graph, shapes_only=True)
     products = [weight_product(v) for v in graph.isolated]
     for v in graph.surfaces:
         if v.self_intersection is None:
@@ -650,15 +655,18 @@ def validate_graph(graph: DecoratedGraph) -> list[Violation]:
     return list(graph._report)
 
 
-def _refuse_invalid(document) -> None:
+def _refuse_invalid(document, shapes_only: bool = False) -> None:
     """The gate in front of the compute entry points: raise InputError
     naming every violation of an invalid graph or x-ray, read off the
     report validation keeps on it; DegenerateInputError when the one
-    violation is a degenerate momentum map."""
-    if document._report:
+    violation is a degenerate momentum map.  With ``shapes_only`` only the
+    shape violations are refused, for the label entry points, which
+    answer on a graph that breaks the other rules."""
+    report = document._shapes if shapes_only else document._report
+    if report:
         noun = "graph" if document.rank is None else "x-ray"
-        found = "; ".join(f"{v.code}: {v.message}" for v in document._report)
-        codes = [v.code for v in document._report]
+        found = "; ".join(f"{v.code}: {v.message}" for v in report)
+        codes = [v.code for v in report]
         error = DegenerateInputError if codes == ["degenerate-momentum"] else InputError
         raise error(f"invalid {noun}: {found}")
 
@@ -768,7 +776,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             violations.append(Violation("weight-signs", f"{rule}, got {v.weights}", (v.id,)))
 
     labels: list[int | Fraction | None] = []
-    e_min, e_max = extremal_self_intersections(graph)
+    e_min, e_max = graph._labels
     for v, n in zip(graph.surfaces, surface_levels):
         if n == lo:
             at_min.append(v.id)

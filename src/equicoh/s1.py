@@ -42,9 +42,11 @@ value is the rank-1 case, a single power of the parameter.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .core import (
@@ -54,6 +56,7 @@ from .core import (
     SurfaceClass,
     entry_part,
     entry_parts,
+    genus_rule,
     homogeneous_part,
     map_parts,
     nonzero_parts,
@@ -109,8 +112,7 @@ def betti_contribution(kind: str, position: str, genus: int = 0) -> tuple[int, .
         row = BETTI_TABLE[(kind, position)]
     except KeyError:
         raise InputError(f"unknown component ({kind!r}, {position!r})") from None
-    if genus < 0:
-        raise InputError("genus must be nonnegative")
+    genus_rule(genus)
     return row(genus)
 
 
@@ -140,9 +142,9 @@ def poincare_fixed_set(graph: DecoratedGraph) -> PoincareSeries:
 def equivariant_series(graph: DecoratedGraph, which: str = "manifold") -> PoincareSeries:
     """Equivariant Poincare series: the ordinary one over (1 - t^2)."""
     _refuse_invalid(graph)
-    if which in ("manifold", "M"):
+    if which == "manifold":
         ordinary = poincare_manifold(graph)
-    elif which in ("fixed", "fixed-set"):
+    elif which == "fixed":
         ordinary = poincare_fixed_set(graph)
     else:
         raise InputError(f"unknown series {which!r}")
@@ -210,56 +212,45 @@ def inverse_euler(graph: DecoratedGraph, component_id: str) -> Laurent:
     return Laurent({-1: SurfaceClass(g, c0=sign), -2: SurfaceClass(g, c2=-e)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantClass:
     """A tuple of fixed-component restrictions indexed by component id.
 
-    A component the class addresses but holds no record for reads as zero
-    in every degree.  A class the library builds (a basis class,
-    :func:`class_from_vector`, :func:`unit_class`, and what the methods
-    below and :func:`promote_to_torus` make of one) holds records only for
-    its nonzero components and carries its document's ``(id, kind, genus)``
-    tuple, shared, as ``fixed_components``.  A class built directly from a
-    dict has no tuple, addresses exactly its own keys and refuses a record
-    of another rank; :func:`parse_class` requires every id and builds a
-    record for each.  Equality reads an absent component as an empty record.
+    A class addresses the ``(id, kind, genus)`` tuple ``fixed_components``,
+    in the id order of a document's ``_fixed_components``, fixed when the
+    class is built: a class built from a dict alone addresses exactly its
+    keys, and refuses a record of another rank; a class the library builds
+    (:func:`parse_class`, a basis class, :func:`class_from_vector`,
+    :func:`unit_class`, and what the methods below and
+    :func:`promote_to_torus` make of one) carries its document's tuple,
+    shared.  ``components`` is a read-only mapping holding a record for each
+    component with an entry, and no other: a component the class addresses
+    but holds no record for reads as zero in every degree.
     """
 
-    components: dict[str, ComponentClass] = field(default_factory=dict)
+    components: Mapping[str, ComponentClass] = field(default_factory=dict)
     rank: int | None = None
-    fixed_components: tuple[tuple[str, str, int], ...] | None = None
+    fixed_components: tuple[tuple[str, str, int], ...] | None = field(
+        default=None, compare=False
+    )
 
     def __post_init__(self):
+        records = self.components
         if self.fixed_components is None:
-            for cid, cls in self.components.items():
+            for cid, cls in records.items():
                 if cls.rank != self.rank:
                     raise InputError(
                         f"component {cid!r}: a record of rank {cls.rank} "
                         f"in a class of rank {self.rank}"
                     )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EquivariantClass):
-            return NotImplemented
-        if self.rank != other.rank:
-            return False
-        mine, theirs = self.components, other.components
-        for cid in mine.keys() | theirs.keys():
-            a, b = mine.get(cid), theirs.get(cid)
-            if a is None or b is None:
-                if (b if a is None else a).entries:
-                    return False
-            elif a != b:
-                return False
-        return True
+            found = [(cid, cls.kind, cls.genus) for cid, cls in records.items()]
+            object.__setattr__(self, "fixed_components", _sorted_by_id(found, _FIRST))
+        kept = {cid: cls for cid, cls in records.items() if cls.entries}
+        object.__setattr__(self, "components", MappingProxyType(kept))
 
     def addressed(self) -> tuple[tuple[str, str, int], ...]:
-        """The ``(id, kind, genus)`` of every component the class addresses,
-        in the id order of a document's ``_fixed_components``."""
-        if self.fixed_components is not None:
-            return self.fixed_components
-        found = [(cid, cls.kind, cls.genus) for cid, cls in self.components.items()]
-        return _sorted_by_id(found, _FIRST)
+        """The ``(id, kind, genus)`` of every component the class addresses."""
+        return self.fixed_components
 
     def restriction(self, cid: str) -> dict:
         """``{degree: entry}`` of one component, ``{}`` when it holds no record."""
@@ -274,14 +265,9 @@ class EquivariantClass:
 
     def homogeneous(self, degree: int) -> EquivariantClass:
         comps = {
-            cid: ComponentClass(
-                cls.kind,
-                cls.genus,
-                {degree: cls.entries[degree]} if degree in cls.entries else {},
-                cls.rank,
-            )
+            cid: ComponentClass(cls.kind, cls.genus, {degree: cls.entries[degree]}, cls.rank)
             for cid, cls in self.components.items()
-            if self.fixed_components is None or degree in cls.entries
+            if degree in cls.entries
         }
         return EquivariantClass(comps, self.rank, self.fixed_components)
 
@@ -289,13 +275,11 @@ class EquivariantClass:
         """The class on the components ``ids`` alone; KeyError names one it
         does not address."""
         kept = set(ids)
-        fixed = self.fixed_components
-        missing = kept.difference(self.components if fixed is None else (c[0] for c in fixed))
+        missing = kept.difference(c[0] for c in self.fixed_components)
         if missing:
             raise KeyError(min(missing))
         comps = {cid: cls for cid in ids if (cls := self.components.get(cid)) is not None}
-        if fixed is not None:
-            fixed = tuple(c for c in fixed if c[0] in kept)
+        fixed = tuple(c for c in self.fixed_components if c[0] in kept)
         return EquivariantClass(comps, self.rank, fixed)
 
     def times_u(self) -> EquivariantClass:
@@ -314,17 +298,14 @@ class EquivariantClass:
         return EquivariantClass(comps, None, self.fixed_components)
 
 
-def _check_addressing(owner: str, components, rank: int | None, alpha: EquivariantClass) -> None:
-    """Raise unless ``alpha`` addresses exactly ``components`` at ``rank``.
-
-    ``components`` lists the ``(id, kind, genus)`` of the graph or x-ray
-    named by ``owner``, in id order, and ``rank`` is None for a circle
-    action.  The class's :meth:`~EquivariantClass.addressed` components
-    must be those, and its rank, the one rank of its records, that one.
-    """
-    found = alpha.addressed()
+def _check_addressing(document, rank: int | None, alpha: EquivariantClass) -> None:
+    """Raise unless ``alpha`` addresses exactly the components of the graph
+    or x-ray ``document`` at ``rank`` (None for a circle action): its
+    ``fixed_components`` must be the document's, and its rank that one."""
+    components, found = document._fixed_components, alpha.fixed_components
     if found == components and alpha.rank == rank:
         return
+    owner = "graph" if document.rank is None else "x-ray"
     _check_ids(owner, [cid for cid, _, _ in components], [cid for cid, _, _ in found])
     for (cid, kind, genus), got in zip(components, found):
         if got[1:] != (kind, genus) or alpha.rank != rank:
@@ -384,7 +365,7 @@ def localize(graph: DecoratedGraph, alpha: EquivariantClass) -> Laurent:
     parts of a surface contribute, each shifted and scaled.  The sum reads
     those poles off the graph's :func:`_constraint_table`.
     """
-    return _localization_sum(_graph_group(graph, alpha=alpha), _scaled_parts(alpha))
+    return _localization_sum(_graph_group(graph), _scaled_parts(graph, None, alpha))
 
 
 class Slot(NamedTuple):
@@ -447,8 +428,7 @@ def slot_value(alpha: EquivariantClass, degree: int, slot: Slot) -> int | Fracti
     coefficient at ``slot.exps`` for a torus; an absent component or entry
     reads 0.
     """
-    cls = alpha.components.get(slot.component)
-    entry = None if cls is None else cls.entries.get(degree)
+    entry = alpha.restriction(slot.component).get(degree)
     if entry is None:
         return 0
     value = entry_part(entry, slot.part, slot.index)
@@ -653,8 +633,12 @@ def _route(out: dict, rules: tuple, degree: int, terms: dict) -> None:
                 out[key] = out.get(key, 0) + n * c
 
 
-def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, int], list]]:
-    """The nonzero parts of ``alpha`` as integers over one common denominator.
+def _scaled_parts(
+    document, rank: int | None, alpha: EquivariantClass
+) -> tuple[int, dict[tuple[str, str, int], list]]:
+    """The nonzero parts of ``alpha``, a class of the graph or x-ray
+    ``document`` at ``rank`` (:func:`_check_addressing`, checked first), as
+    integers over one common denominator.
 
     Returns ``(d, parts)``: ``d`` is the least common multiple of the
     denominators of every coefficient of the class, and ``parts`` maps
@@ -665,6 +649,7 @@ def _scaled_parts(alpha: EquivariantClass) -> tuple[int, dict[tuple[str, str, in
     integers (times a division's factor or a pole's numerator, both
     ``int``s) and divides by ``d`` at the end.
     """
+    _check_addressing(document, rank, alpha)
     found = []
     for cid, cls in alpha.components.items():
         for degree, entry in cls.entries.items():
@@ -740,7 +725,7 @@ def _localization_sum(group: tuple, scaled: tuple[int, dict]) -> Laurent:
     })
 
 
-def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=None) -> tuple:
+def _graph_group(graph: DecoratedGraph, rank=None, lam=None, degree=None) -> tuple:
     """The one constraint group of a graph, along the character ``lam`` of a
     rank-``rank`` torus or, without one, for the circle action.
 
@@ -750,10 +735,9 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=
     ``denominator`` are the :func:`_constraint_table` of its components, in
     ``degree`` only when one is given, and ``substitution`` rewrites a part
     along the character (None for a circle action).  Raises unless the
-    character has ``rank`` primitive integer entries, the graph is valid
-    and, when ``alpha`` is given, the class addresses exactly the graph's
-    components at ``rank`` (:func:`_check_addressing`), checked in that
-    order.
+    character has ``rank`` primitive integer entries and the graph is
+    valid, checked in that order; a class's addressing is checked after
+    both, as its parts are read (:func:`_scaled_parts`).
     """
     substitution = None
     if lam is not None:
@@ -761,8 +745,6 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, alpha=None, degree=
             raise InputError(f"character must have {rank} entries")
         substitution = character_substitution(lam)
     _refuse_invalid(graph)
-    if alpha is not None:
-        _check_addressing("graph", graph._fixed_components, rank, alpha)
     table, denominator = _constraint_table(graph._fixed_components, graph, degree)
     return (), table, substitution, denominator
 
@@ -841,8 +823,8 @@ def _graph_obstructions(
     """The obstructions of a circle-action class, with the keys
     :func:`torus_obstructions` gives its rank-1 promotion along (1,); with a
     ``degree``, of a class of that degree alone."""
-    group = _graph_group(graph, alpha=alpha, degree=degree)
-    return _class_obstructions(group, _scaled_parts(alpha))
+    group = _graph_group(graph, degree=degree)
+    return _class_obstructions(group, _scaled_parts(graph, None, alpha))
 
 
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
@@ -984,7 +966,7 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
     power, as in :func:`localize`; H^1 parts have none.
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
-    return _localization_sum(_graph_group(graph, rank, lam, alpha), _scaled_parts(alpha))
+    return _localization_sum(_graph_group(graph, rank, lam), _scaled_parts(graph, rank, alpha))
 
 
 def torus_obstructions(
@@ -1001,7 +983,8 @@ def torus_obstructions(
     of the class is substituted once and routed through the graph's
     :func:`_constraint_table`.
     """
-    return _class_obstructions(_graph_group(graph, rank, lam, alpha), _scaled_parts(alpha))
+    group = _graph_group(graph, rank, lam)
+    return _class_obstructions(group, _scaled_parts(graph, rank, alpha))
 
 
 def check_membership_torus(
@@ -1052,7 +1035,8 @@ def _parse_class(text, document) -> EquivariantClass:
     A point entry and each part of a surface's ``{c0, c1, c2}`` object is a
     rational for a graph and, for an x-ray of rank r, a polynomial in r
     variables written as ``[exponents, coefficient]`` pairs; a missing part
-    is zero.  The component ids must be the document's.
+    is zero.  The component ids must be the document's, and the class
+    carries the document's ``_fixed_components``.
 
     Each part is read into its domain, so a component's record is checked
     once, where it is read: after its entries, by the constructor's
@@ -1119,7 +1103,7 @@ def _parse_class(text, document) -> EquivariantClass:
         comps[cid] = ComponentClass._trusted(
             kind, genus, {key: entry for key, entry in entries.items() if entry}, rank
         )
-    return EquivariantClass(comps, rank)
+    return EquivariantClass(comps, rank, components)
 
 
 def _check_keys_class(doc: dict) -> None:
@@ -1163,10 +1147,7 @@ def class_to_dict(alpha: EquivariantClass, graph_ref: str = "") -> dict:
     no entry."""
     fmt = format_rational if alpha.rank is None else poly_to_pairs
     comps: dict[str, dict] = {}
-    records = alpha.components
     for cid, _, _ in alpha.addressed():
-        cls = records.get(cid)
-        comps[cid] = {} if cls is None else {
-            str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()
-        }
+        entries = alpha.restriction(cid)
+        comps[cid] = {str(k): _entry_to_dict(entries[k], fmt) for k in sorted(entries)}
     return {"kind": "class", "graph": graph_ref, "components": comps}

@@ -67,7 +67,6 @@ from .s1 import (
     EquivariantClass,
     MembershipDecision,
     MembershipViolation,
-    _check_addressing,
     _class_obstructions,
     _constraint_table,
     _image_basis,
@@ -585,10 +584,10 @@ def piece_obstructions(
     and ``piece`` must be one of its pieces.
     """
     _refuse_invalid(xray)
-    _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
+    scaled = _scaled_parts(xray, xray.rank, alpha)
     if piece not in xray.pieces:
         raise InputError(f"piece {piece.id!r} is not a piece of this x-ray")
-    return _class_obstructions(xray._groups[piece.id], _scaled_parts(alpha))
+    return _class_obstructions(xray._groups[piece.id], scaled)
 
 
 def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDecision:
@@ -600,8 +599,7 @@ def check_membership_xray(xray: XRay, alpha: EquivariantClass) -> MembershipDeci
     prefixed with the piece.
     """
     _refuse_invalid(xray)
-    _check_addressing("x-ray", xray._fixed_components, xray.rank, alpha)
-    scaled = _scaled_parts(alpha)
+    scaled = _scaled_parts(xray, xray.rank, alpha)
     violations = [
         MembershipViolation(v.kind, f"piece {group[0][0]}: {v.detail}")
         for group in xray._groups.values()

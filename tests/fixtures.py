@@ -353,6 +353,13 @@ def constant_class(graph, value) -> EquivariantClass:
     return EquivariantClass(comps, None)
 
 
+def without(alpha: EquivariantClass, *ids) -> EquivariantClass:
+    """The dict class of alpha's records but those of ``ids``: a class that
+    addresses the components alpha holds records for, less ``ids``."""
+    comps = {cid: cls for cid, cls in alpha.components.items() if cid not in ids}
+    return EquivariantClass(comps, alpha.rank)
+
+
 def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
 
@@ -392,9 +399,10 @@ def random_member(graph, rng: random.Random, degrees=(0, 1, 2, 3, 4)) -> Equivar
 
 
 def _merge(x: EquivariantClass, y: EquivariantClass) -> EquivariantClass:
-    """A class with a record for every component x addresses, holding the
-    entries of both classes (y's where they share a degree); a component
-    either class holds no record for reads as empty."""
+    """The dict class of a record for every component x addresses, holding
+    the entries of both classes (y's where they share a degree); a record
+    left without entries is dropped, and the class still addresses its
+    component."""
     comps = {}
     for cid, kind, genus in x.addressed():
         entries = dict(x.restriction(cid))

@@ -828,7 +828,7 @@ def test_the_record_writer_handles_any_record(name):
                 classes.append(fixtures.random_torus_class(
                     document._fixed_components, document.rank, rng, degrees, value
                 ))
-    assert any(not cls.entries for b in classes for cls in b.components.values())
+    assert any(len(b.components) < len(b.addressed()) for b in classes)
     assert any(len(cls.entries) > 1 for b in classes for cls in b.components.values())
     assert reference_record_json(document, classes, name) == cli._dump(
         [class_to_dict(b, name) for b in classes]

@@ -341,6 +341,12 @@ EXACT_ENTRY_TAKERS = [
     ("PoincareSeries power", lambda x: PoincareSeries((1,), x).coefficient(2), 1, 1, [1.0, True]),
     ("PoincareSeries power zero", lambda x: repr(PoincareSeries((1,), x)), 0, "1*t^0",
      [0.0, False]),
+    ("PoincareSeries degree", lambda k: PoincareSeries((1, 1), 1).coefficient(k), 1, 1,
+     [1.0, True, "1"]),
+    ("PoincareSeries degree", lambda k: PoincareSeries((1, 1), 1).coefficient(k), 2, 1,
+     [2.0, "2"]),
+    ("PoincareSeries degree zero", lambda k: PoincareSeries((1, 1), 1).coefficient(k), 0, 1,
+     [0.0, False]),
 ]
 
 

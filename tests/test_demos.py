@@ -145,6 +145,20 @@ def test_only_the_rows_and_membership_route_a_part():
     assert found == ["s1.py:_class_obstructions", "s1.py:_rows"]
 
 
+def test_a_class_is_checked_where_its_parts_are_read():
+    """A class fixes what it addresses when it is built, so its addressing
+    is checked on one path: the package calls ``s1._check_addressing`` only
+    from ``_scaled_parts``, the one reader of a class's parts, and
+    ``EquivariantClass`` compares by the dataclass's own ``__eq__``."""
+    found = sorted(f"{module}:{scope}" for module, _, scope in package_calls("_check_addressing"))
+    assert found == ["s1.py:_scaled_parts"]
+    path = Path(equicoh.__file__).resolve().parent / "s1.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (body,) = [n.body for n in tree.body if getattr(n, "name", None) == "EquivariantClass"]
+    assert "__post_init__" in [getattr(n, "name", None) for n in body]
+    assert "__eq__" not in [getattr(n, "name", None) for n in body]
+
+
 def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
     """``ComponentClass._trusted`` builds a record without the constructor's
     check, so its callers are ``s1._class_from_sparse``, which builds each

@@ -381,6 +381,37 @@ def test_resolve_self_intersections():
     assert resolve_self_intersections(g3()).find("S").self_intersection == 1
 
 
+def test_the_label_entry_points_refuse_a_graph_that_breaks_a_shape_rule():
+    """A direct build with a float ``y`` or a float self-intersection breaks
+    a shape rule, and the three label entry points refuse it with an
+    InputError naming it (once an AttributeError from the labels and the
+    Euler sum, and from resolve the float-labelled graph itself); a graph
+    that breaks another rule still gets its answer."""
+    graph = g1()
+    point = graph.find("A")
+    float_y = dataclasses.replace(
+        graph, isolated=(dataclasses.replace(point, y=0.0),) + graph.isolated[1:]
+    )
+    graph = g2(0)  # both labels 0
+    float_label = dataclasses.replace(
+        graph,
+        surfaces=tuple(dataclasses.replace(v, self_intersection=0.0) for v in graph.surfaces),
+    )
+    for bad, where in ((float_y, "component A"), (float_label, "component Smax")):
+        assert codes(bad) == ["component-shape"]
+        for entry_point in (
+            extremal_self_intersections, resolve_self_intersections, abbv_zero_check
+        ):
+            with pytest.raises(
+                InputError, match=f"^invalid graph: component-shape: {where}: floats are rejected"
+            ):
+                entry_point(bad)
+    euler = parse_graph(ONE_GRAPH_PER_CODE["euler-sum"])
+    assert "euler-sum" in codes(euler) and not abbv_zero_check(euler)
+    assert resolve_self_intersections(euler) is euler
+    assert extremal_self_intersections(euler) == euler._labels
+
+
 def test_find_names_a_missing_component():
     with pytest.raises(InputError, match="no component named 'Z'"):
         g1().find("Z")
@@ -869,14 +900,15 @@ def test_a_zero_weight_built_directly_matches_the_references():
         (),
         (),
     )
-    # the shape rule refuses a zero weight, as parse does, before any sign is read
+    # the shape rule refuses a zero weight, as parse does, before any sign is
+    # read, and the labels are refused on it, naming the same fault
     assert validate_graph(graph) == [
         Violation("component-shape", "component b: weights must be nonzero", ("b",))
     ]
     for _ in range(2):
         assert outcome(extremal_self_intersections, graph) == (
             InputError,
-            "zero weight at 'b'",
+            "invalid graph: component-shape: component b: weights must be nonzero",
         )
     assert outcome(reference_extremal_self_intersections, graph) == (
         InputError,

@@ -75,6 +75,7 @@ from equicoh.xray import (
     SkeletonPiece,
     TorusFixedComponent,
     XRay,
+    parse_class_torus,
     parse_xray,
     piece_obstructions,
 )
@@ -122,8 +123,11 @@ def test_betti_rows_rejections():
         betti_contribution("surface", "interior")
     with pytest.raises(InputError, match="unknown component"):
         betti_contribution("blob", "min")
-    with pytest.raises(InputError, match="genus"):
-        betti_contribution("surface", "min", -1)
+    for genus in (1.5, True, "1", -1):
+        with pytest.raises(
+            InputError, match=f"^genus must be a nonnegative integer, got {genus!r}$"
+        ):
+            betti_contribution("surface", "min", genus)
 
 
 def test_poincare_manifold_frozen():
@@ -154,8 +158,9 @@ def test_equivariant_series_coefficients():
 
 
 def test_equivariant_series_rejects_unknown_name():
-    with pytest.raises(InputError, match="unknown series"):
-        equivariant_series(g1(), "orbit")
+    for which in ("orbit", "M", "fixed-set"):
+        with pytest.raises(InputError, match=f"^unknown series {which!r}$"):
+            equivariant_series(g1(), which)
 
 
 def test_degenerate_momentum_raises():
@@ -246,8 +251,7 @@ def test_localize_matched_surface_volumes_vanish():
 
 
 def test_localize_checks_addressing():
-    alpha = point_class(g1(), {})
-    alpha.components.pop("C")
+    alpha = fixtures.without(constant_class(g1(), 1), "C")
     with pytest.raises(InputError, match="class addresses"):
         localize(g1(), alpha)
 
@@ -305,8 +309,8 @@ def test_a_dict_class_is_addressed_in_the_documents_id_order():
     strings before ints, and a record of another rank is refused as the
     class is built."""
     graph = g3()
-    alpha = constant_class(graph, 1)
-    alpha.components[1] = ComponentClass("point", 0, {0: Fraction(2)}, None)
+    one = ComponentClass("point", 0, {0: Fraction(2)}, None)
+    alpha = EquivariantClass({**constant_class(graph, 1).components, 1: one}, None)
     assert alpha.addressed() == (("S", "surface", 0), ("p", "point", 0), (1, "point", 0))
     assert list(class_to_dict(alpha)["components"]) == ["S", "p", 1]
     assert constant_class(graph, 1).addressed() == graph._fixed_components
@@ -446,7 +450,9 @@ def test_the_rows_are_the_reference_columns_and_the_unit_obstructions(name):
             expected = dict(reference_group_columns(group, on, degree, slots))
             assert columns[group[0]] == {i: c for i, c in expected.items() if c}, degree
             for i, column in expected.items():
-                unit = s1._scaled_parts(unit_class(document, degree, slots[i]))
+                unit = s1._scaled_parts(
+                    document, document.rank, unit_class(document, degree, slots[i])
+                )
                 scaled = {
                     key: Fraction(c, group[3]) if key[0] == "pole" else c
                     for key, c in column.items()
@@ -1074,10 +1080,10 @@ def test_library_classes_hold_only_their_nonzero_components():
         assert set(element.components) == touched
         assert element.fixed_components is graph._fixed_components
         assert check_membership(graph, element).member
-        dense = parse_class(class_to_dict(element), graph)
-        assert dense.fixed_components is None
-        assert sorted(dense.components) == graph.component_ids()
-        assert dense == element and element == dense
+        parsed = parse_class(class_to_dict(element), graph)
+        assert parsed.fixed_components is graph._fixed_components
+        assert set(parsed.components) == touched
+        assert parsed == element and element == parsed
     lower = unit_class(graph, 0, degree_slots(graph, 0)[0])
     assert set(lower.components) == {"Smax"}
     assert lower.restricted(["Smin"]).components == {}
@@ -1087,6 +1093,70 @@ def test_library_classes_hold_only_their_nonzero_components():
     with pytest.raises(KeyError):
         lower.restricted(["q"])
     assert lower != EquivariantClass({}, None)
+
+
+ROUND_TRIP_DOCUMENTS = {
+    **all_graphs(),
+    "x2_1": fixtures.x2(1),
+    "cp3": fixtures.cp3(),
+    **{f"cube{r}_{g}": fixtures.cube(r, g) for r in (2, 3) for g in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_DOCUMENTS))
+def test_a_class_round_trips_through_its_document(name):
+    """Random classes of degrees 0-4, homogeneous and not: each parses back
+    from its document to an equal class, both address the document's
+    tuple, each holds a record for exactly the components with entries
+    (the same class built with an empty record for every other one drops
+    them), and neither takes a record assigned or deleted."""
+    document = ROUND_TRIP_DOCUMENTS[name]
+    rank = document.rank
+    rng = random.Random(name)
+    classes = []
+    for degrees in [(k,) for k in range(5)] * 2 + [range(5)] * 4:
+        if rank is None:
+            classes.append(fixtures.random_class(document, rng, degrees))
+        else:
+            classes.append(
+                fixtures.random_torus_class(document._fixed_components, rank, rng, degrees)
+            )
+    assert any(len(alpha.components) < len(document._fixed_components) for alpha in classes)
+    parse = parse_class if rank is None else parse_class_torus
+    cid, record = document.component_ids()[0], ComponentClass("point", 0, {}, rank)
+    for alpha in classes:
+        written = class_to_dict(alpha)
+        parsed = parse(written, document)
+        assert parsed == alpha and alpha == parsed
+        assert alpha.addressed() == parsed.addressed() == document._fixed_components
+        with_entries = {cid for cid, entries in written["components"].items() if entries}
+        empty = {
+            cid: ComponentClass(kind, genus, {}, rank) for cid, kind, genus in alpha.addressed()
+        }
+        padded = EquivariantClass({**empty, **alpha.components}, rank)
+        for beta in (alpha, parsed, padded):
+            assert set(beta.components) == with_entries
+            assert all(cls.entries for cls in beta.components.values())
+            assert beta.addressed() == document._fixed_components and beta == alpha
+            with pytest.raises(TypeError):
+                beta.components[cid] = record
+            with pytest.raises(TypeError):
+                del beta.components[cid]
+            assert not hasattr(beta.components, "pop")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                beta.components = dict(beta.components)
+        assert class_to_dict(padded) == class_to_dict(parsed) == written
+
+
+def test_a_class_takes_no_record_after_it_is_built():
+    """A record assigned to a built class, once accepted and then read as the
+    wrong kind of value by membership (an AttributeError), is refused where
+    it is assigned."""
+    graph = g3()
+    alpha = constant_class(graph, 1)
+    with pytest.raises(TypeError):
+        alpha.components["p"] = ComponentClass("point", 0, {0: MPoly.constant(1, 1)}, 1)
+    assert check_membership(graph, alpha).member
 
 
 def reference_class_from_sparse(document, degree, slots, vector):

@@ -1001,8 +1001,7 @@ def test_dim2_divisibility_localizes_failures():
 
 def test_membership_checks_addressing():
     xray = cp3()
-    alpha = constant_torus_class(xray, 1)
-    alpha.components.pop("P3")
+    alpha = fixtures.without(constant_torus_class(xray, 1), "P3")
     with pytest.raises(InputError, match="class addresses"):
         check_membership_xray(xray, alpha)
 
@@ -1010,8 +1009,7 @@ def test_membership_checks_addressing():
 def test_piece_obstructions_check_addressing():
     """A class missing a member of the piece is refused, not a KeyError."""
     xray = x2(1)
-    alpha = constant_torus_class(xray, 1)
-    alpha.components.pop("Smax_0")
+    alpha = fixtures.without(constant_torus_class(xray, 1), "Smax_0")
     piece = next(p for p in xray.pieces if p.id == "PX0")
     assert "Smax_0" in piece.members
     with pytest.raises(InputError, match=r"^class addresses \['Smax_1', 'Smin_0', 'Smin_1'\]"):
@@ -1055,7 +1053,7 @@ def test_groups_are_built_once_per_document(make, monkeypatch):
         monkeypatch.setattr(
             module, "character_substitution", counting(substitutions, character_substitution)
         )
-        monkeypatch.setattr(module, "_check_addressing", counting(addressing, _check_addressing))
+    monkeypatch.setattr(s1_module, "_check_addressing", counting(addressing, _check_addressing))
     xray = make()
     for degree in range(5):
         image_basis_xray(xray, degree)
@@ -1947,9 +1945,12 @@ def test_parse_class_torus_surface_fields():
     base = {"kind": "class", "graph": "x2", "components": comps}
     doc = dict(base, components=dict(comps, Smax_0={"1": {"c1": [[], []]}}))
     alpha = parse_class_torus(doc, xray)
-    # All-zero entries are pruned; the typed zero comes back through entry().
-    assert alpha.components["Smax_0"].entries == {}
-    assert alpha.components["Smax_0"].entry(1).c1 == (MPoly.zero(2), MPoly.zero(2))
+    # All-zero entries are pruned, and a component left without one holds
+    # no record; the typed zero comes back through entry().
+    assert "Smax_0" not in alpha.components and alpha.restriction("Smax_0") == {}
+    assert alpha.addressed() == xray._fixed_components
+    assert alpha == parse_class_torus(base, xray)
+    assert ComponentClass("surface", 1, {}, 2).entry(1).c1 == (MPoly.zero(2), MPoly.zero(2))
     bad = dict(base, components=dict(comps, Smax_0={"1": {"c1": [[]]}}))
     with pytest.raises(SchemaError, match='"c1" must be a list of 2 polynomials'):
         parse_class_torus(bad, xray)

@@ -13,7 +13,10 @@ degree-one generators zero.  ``Laurent`` is a finitely supported sum of
 integer powers of the equivariant parameter with coefficients in any of the
 scalar or surface domains.  ``PoincareSeries`` is a rational function
 ``numerator / (1 - t^2)^m`` with integer numerator, which is the closed
-form every Poincare series in this package takes.
+form every Poincare series in this package takes.  ``ComponentClass`` is
+a class's restriction to one fixed component; its constructor is the one
+check of a record's rules (:func:`record_rule`, then :func:`_checked_entry`
+on each entry), the class parser's included.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Mapping
 
 from .errors import InputError, InternalInconsistencyError
@@ -366,35 +370,28 @@ def entry_part(entry, part: str, index: int = 0):
     return value[index] if part == "c1" else value
 
 
-def nonzero_parts(kind: str, entry) -> list[tuple[str, object]]:
-    """``(part, value)`` of each nonzero part of an entry, in slot order."""
+def map_parts(kind: str, entry, f, arg):
+    """The entry with each part ``value`` replaced by ``f(part, value, arg)``,
+    in slot order; ``entry`` itself when each result is the part it replaces."""
     if kind == "point":
-        return [("c", entry)] if entry else []
-    found = [("c0", entry.c0)] if entry.c0 else []
-    found += [("c1", x) for x in entry.c1 if x]
-    if entry.c2:
-        found.append(("c2", entry.c2))
-    return found
-
-
-def map_parts(kind: str, entry, f):
-    """The entry with each part ``value`` replaced by ``f(part, value)``, in
-    slot order; ``entry`` itself when each result is the part it replaces."""
-    if kind == "point":
-        return f("c", entry)
-    c0 = f("c0", entry.c0)
-    c1 = tuple([f("c1", x) for x in entry.c1])
-    c2 = f("c2", entry.c2)
-    if c0 is entry.c0 and c2 is entry.c2 and all(a is b for a, b in zip(c1, entry.c1)):
+        return f("c", entry, arg)
+    c0 = f("c0", entry.c0, arg)
+    c1 = tuple([f("c1", x, arg) for x in entry.c1])
+    c2 = f("c2", entry.c2, arg)
+    if c0 is entry.c0 and c2 is entry.c2 and all(map(is_, c1, entry.c1)):
         return entry
     return SurfaceClass(entry.genus, c0, c1, c2)
 
 
-def _vanishing(part: str, listed: set[str]) -> str:
-    """Why a part outside the ``listed`` parts of a surface's entry is zero."""
+def _vanishing(part: str, listed) -> str | None:
+    """Why a nonzero ``part`` of an entry is refused, or None where the
+    ``listed`` parts of its degree (:func:`entry_parts`) hold it."""
+    for held, _, _ in listed:
+        if held == part:
+            return None
     if part == "c1":
         return "H^1 part must vanish in even degree"
-    if "c0" in listed:
+    if ("c0", 0, "c0") in listed:
         return "H^2 part needs degree at least 2"
     return "H^0 and H^2 parts must vanish in odd degree"
 
@@ -417,45 +414,45 @@ def record_rule(kind: str, genus: int, rank: int | None) -> None:
         raise InputError(f"rank must be None or a nonnegative integer, got {rank!r}")
 
 
-def part_rule(kind: str, genus: int, degree: int, domain=None):
-    """The check of each part of a degree-k entry, as ``f(part, value)`` for
-    :func:`map_parts`, once a point entry in odd degree is refused: a
-    nonzero value in a part that :func:`entry_parts` does not list is
-    refused (:func:`_vanishing`), and then ``domain(value, power, where)``
-    gives the part in its domain at its :func:`part_power`.  With no
-    ``domain`` each part is taken to be in its domain already."""
+def _checked_entry(kind: str, genus: int, degree, entry, rank: int | None):
+    """A degree-k entry of a record with each part in its domain, ``entry``
+    itself when every part is already there.  The degree must be a
+    nonnegative int, a point carries no odd-degree entry, even a zero one,
+    and a surface's entry is a SurfaceClass of its genus; then each part,
+    in :func:`map_parts` order, goes through :func:`_checked_part`."""
+    if type(degree) is not int or degree < 0:
+        raise InputError(f"degrees must be nonnegative integers, got {degree!r}")
     where = f"degree {degree}"
-    listed = {part for part, _, _ in entry_parts(kind, genus, degree)}
+    listed = entry_parts(kind, genus, degree)
     if kind == "point" and not listed:
         raise InputError(f"{where}: a point carries no odd-degree classes")
-
-    def checked(part, value):
-        if value and part not in listed:
-            raise InputError(f"{where}: {_vanishing(part, listed)}")
-        return value if domain is None else domain(value, part_power(part, degree), where)
-
-    return checked
+    if kind == "surface" and not isinstance(entry, SurfaceClass):
+        raise InputError(f"{where}: expected a surface class entry")
+    if kind == "surface" and entry.genus != genus:
+        raise InputError(f"{where}: genus {entry.genus} != component genus {genus}")
+    return map_parts(kind, entry, _checked_part, (degree, rank, where, listed))
 
 
-def homogeneous_part(value: MPoly, power: int, where: str) -> MPoly:
-    """The polynomial itself; InputError unless it is zero or homogeneous of
-    degree ``power``."""
-    if value.terms and not value.is_homogeneous(power):
-        raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
-    return value
-
-
-def _checked_part(value, rank: int | None, power: int, where: str):
-    """A part in its domain, itself if already there: a rational for a circle
+def _checked_part(part: str, value, context: tuple):
+    """A part of a degree-k entry in its domain, itself if already there,
+    with ``context`` the entry's ``(degree, rank, where, listed)``.  A
+    nonzero value in a part that is not ``listed`` is refused
+    (:func:`_vanishing`); then the part must be a rational for a circle
     action (``rank`` None), else a polynomial in ``rank`` variables,
-    homogeneous of degree ``power``, or a zero int or Fraction.  A zero
-    polynomial of that rank is returned at once."""
+    homogeneous of its :func:`part_power`, or a zero int or Fraction.  A
+    zero polynomial of that rank is returned at once."""
+    degree, rank, where, listed = context
+    if value and (why := _vanishing(part, listed)):
+        raise InputError(f"{where}: {why}")
     if rank is None:
         if type(value) in RATIONAL_TYPES:
             return value
         raise InputError(f"{where}: expected a rational coefficient")
     if isinstance(value, MPoly) and value.nvars == rank:
-        return homogeneous_part(value, power, where)
+        power = part_power(part, degree)
+        if value.terms and not value.is_homogeneous(power):
+            raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
+        return value
     if type(value) in RATIONAL_TYPES and not value:
         return MPoly.zero(rank)
     raise InputError(f"{where}: expected a polynomial in {rank} variables")
@@ -466,13 +463,13 @@ class ComponentClass:
     """Restriction of an equivariant class to one fixed component, by degree.
 
     A point's degree-k entry is its value, a surface's a SurfaceClass of
-    values.  The header must hold to :func:`record_rule`, and each part to
-    :func:`part_rule` with its domain check (:func:`_checked_part`): a
-    nonzero value in a part that :func:`entry_parts` does not list is
-    refused, and every part of a point or a surface is checked in its
-    domain at its :func:`part_power`.  An entry whose parts are all in
-    their domain is kept, not copied.  :meth:`_trusted` builds a record
-    that already holds to these rules without checking it again.
+    values.  The header must hold to :func:`record_rule`, and each entry
+    to :func:`_checked_entry`: a nonzero value in a part that
+    :func:`entry_parts` does not list is refused, and every part of a point
+    or a surface is checked in its domain at its :func:`part_power`.  An
+    entry whose parts are all in their domain is kept, not copied.  This
+    is the one check of a record, for every caller, the class parser
+    included; only :meth:`_trusted` builds a record without it.
     """
 
     kind: str
@@ -482,22 +479,9 @@ class ComponentClass:
 
     def __post_init__(self):
         record_rule(self.kind, self.genus, self.rank)
-        rank = self.rank
-
-        def domain(value, power: int, where: str):
-            return _checked_part(value, rank, power, where)
-
         clean: dict[int, object] = {}
         for degree, entry in self.entries.items():
-            if type(degree) is not int or degree < 0:
-                raise InputError(f"degrees must be nonnegative integers, got {degree!r}")
-            checked = part_rule(self.kind, self.genus, degree, domain)
-            where = f"degree {degree}"
-            if self.kind == "surface" and not isinstance(entry, SurfaceClass):
-                raise InputError(f"{where}: expected a surface class entry")
-            if self.kind == "surface" and entry.genus != self.genus:
-                raise InputError(f"{where}: genus {entry.genus} != component genus {self.genus}")
-            entry = map_parts(self.kind, entry, checked)
+            entry = _checked_entry(self.kind, self.genus, degree, entry, self.rank)
             if entry:
                 clean[degree] = entry
         self.entries = clean

@@ -57,12 +57,8 @@ from .core import (
     entry_part,
     entry_parts,
     genus_rule,
-    homogeneous_part,
     map_parts,
-    nonzero_parts,
     part_power,
-    part_rule,
-    record_rule,
 )
 from .errors import InputError, InternalInconsistencyError, SchemaError
 from .graph import (
@@ -72,6 +68,7 @@ from .graph import (
     IsolatedVertex,
     _check_keys,
     _load_document,
+    _order,
     _refuse_invalid,
     _require,
     _sorted_by_id,
@@ -272,12 +269,13 @@ class EquivariantClass:
         return EquivariantClass(comps, self.rank, self.fixed_components)
 
     def restricted(self, ids) -> EquivariantClass:
-        """The class on the components ``ids`` alone; KeyError names one it
-        does not address."""
+        """The class on the components ``ids`` alone; KeyError names the
+        least one, in :func:`~equicoh.graph._order`, that it does not
+        address."""
         kept = set(ids)
         missing = kept.difference(c[0] for c in self.fixed_components)
         if missing:
-            raise KeyError(min(missing))
+            raise KeyError(min(missing, key=_order))
         comps = {cid: cls for cid in ids if (cls := self.components.get(cid)) is not None}
         fixed = tuple(c for c in self.fixed_components if c[0] in kept)
         return EquivariantClass(comps, self.rank, fixed)
@@ -946,7 +944,7 @@ def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
     for cid, cls in alpha.components.items():
         entries = {}
         for k, value in cls.entries.items():
-            entries[k] = map_parts(cls.kind, value, lambda part, x: lift(part, x, k))
+            entries[k] = map_parts(cls.kind, value, lift, k)
         comps[cid] = ComponentClass(cls.kind, cls.genus, entries, 1)
     return EquivariantClass(comps, 1, alpha.fixed_components)
 
@@ -1038,13 +1036,9 @@ def _parse_class(text, document) -> EquivariantClass:
     is zero.  The component ids must be the document's, and the class
     carries the document's ``_fixed_components``.
 
-    Each part is read into its domain, so a component's record is checked
-    once, where it is read: after its entries, by the constructor's
-    :func:`~equicoh.core.record_rule` and, on each nonzero part,
-    :func:`~equicoh.core.part_rule`, with only the homogeneity of a torus
-    part as its domain check.  It is then built by
-    :meth:`ComponentClass._trusted` and equals the checked record of the
-    same fields.
+    Each part is read into its domain, and once a component's entries are
+    read, its record is built by the checked constructor of
+    :class:`ComponentClass`, so a record's rules are checked on one path.
     """
     doc = _load_document(text)
     _check_keys_class(doc)
@@ -1063,11 +1057,9 @@ def _parse_class(text, document) -> EquivariantClass:
             raise SchemaError(str(exc), where) from None
 
     if rank is None:
-        owner, noun, zero, scalar, domain = "graph", "rationals", 0, parse_rational, None
+        owner, noun, zero, scalar = "graph", "rationals", 0, parse_rational
     else:
-        owner, noun, zero = "x-ray", "polynomials", MPoly.zero(rank)
-        scalar, domain = polynomial, homogeneous_part
-    rules: dict[tuple[str, int, int], object] = {}  # part_rule per layout, this call only
+        owner, noun, zero, scalar = "x-ray", "polynomials", MPoly.zero(rank), polynomial
 
     _check_ids(owner, [cid for cid, _, _ in components], sorted(comps_doc))
     comps: dict[str, ComponentClass] = {}
@@ -1090,19 +1082,7 @@ def _parse_class(text, document) -> EquivariantClass:
                 raise SchemaError(f'"c1" must be a list of {2 * genus} {noun}', where)
             c1 = tuple(scalar(x, where) for x in c1_doc) or (zero,) * (2 * genus)
             entries[key] = SurfaceClass(genus, c0, c1, c2)
-        # the record's rules that parse does not already keep, once all its
-        # entries are read; a zero part keeps every one of them
-        record_rule(kind, genus, rank)
-        for key, entry in entries.items():
-            layout = (kind, genus, key)
-            checked = rules.get(layout) or rules.setdefault(
-                layout, part_rule(kind, genus, key, domain)
-            )
-            for part, value in nonzero_parts(kind, entry):
-                checked(part, value)
-        comps[cid] = ComponentClass._trusted(
-            kind, genus, {key: entry for key, entry in entries.items() if entry}, rank
-        )
+        comps[cid] = ComponentClass(kind, genus, entries, rank)
     return EquivariantClass(comps, rank, components)
 
 

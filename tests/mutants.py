@@ -1,0 +1,137 @@
+"""Mutants of the package that the tests must kill, and their runner.
+
+Each mutant is one exact edit of one source file under ``src/equicoh``: a
+text that occurs there exactly once, its replacement, and the test files
+expected to fail on the mutated program.  The runner copies ``src`` to a
+temporary directory, applies one mutant, runs the named test files against
+the copy in a fresh interpreter, and reports whether they failed (the
+mutant is killed) or passed (it survived).  It uses the standard library
+only and leaves the repository untouched.
+
+Run it from the repository root, on demand (it is not part of the test
+suite; ``tests/test_demos.py`` only checks that each text still occurs
+exactly once):
+
+    python3 tests/mutants.py           # every mutant
+    python3 tests/mutants.py 0 3       # the mutants at these indices
+    python3 tests/mutants.py --list    # the table, without running it
+
+It prints one line per mutant and exits 1 when any mutant survived or its
+tests could not run.  The table only grows: a mutant is removed or rewritten
+only with a stated reason.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/equicoh
+    text: str
+    replacement: str
+    tests: tuple[str, ...]  # relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "a point's localization pole doubled",
+        "s1.py",
+        '{"c": (1, weight_product(comp))}',
+        '{"c": (2, weight_product(comp))}',
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "a dim-4 piece's surface ratio keyed on not-max",
+        "xray.py",
+        'places[vertex.id] == "min"',
+        'places[vertex.id] != "max"',
+        ("tests/test_xray.py",),
+    ),
+    Mutant(
+        "the unimodular completion transposed",
+        "mpoly.py",
+        "    return V\n",
+        "    return [list(column) for column in zip(*V)]\n",
+        ("tests/test_xray.py",),
+    ),
+    Mutant(
+        "the record check without its vanishing rule",
+        "core.py",
+        'raise InputError(f"{where}: {why}")',
+        "pass",
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "the record check without its homogeneity rule",
+        "core.py",
+        "if value.terms and not value.is_homogeneous(power):",
+        "if False:",
+        ("tests/test_s1.py",),
+    ),
+)
+
+
+def occurrences(mutant: Mutant, src: Path) -> int:
+    """How often the mutant's text occurs in its file under ``src``."""
+    return (src / "equicoh" / mutant.file).read_text(encoding="utf-8").count(mutant.text)
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """("killed" | "SURVIVED" | "ERROR", detail) of one mutant."""
+    with tempfile.TemporaryDirectory(prefix="equicoh-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if occurrences(mutant, src) != 1:
+            return "ERROR", f"its text occurs {occurrences(mutant, src)} times in {mutant.file}"
+        path = src / "equicoh" / mutant.file
+        path.write_text(
+            path.read_text(encoding="utf-8").replace(mutant.text, mutant.replacement),
+            encoding="utf-8",
+        )
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    lines = done.stdout.strip().splitlines()
+    last = lines[-1] if lines else done.stderr.strip()
+    # pytest exits 1 when a test failed and 0 when all passed; any other
+    # status means the tests did not run to a verdict
+    verdict = {0: "SURVIVED", 1: "killed"}.get(done.returncode, "ERROR")
+    return verdict, last
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("indices", nargs="*", type=int, help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the table and exit")
+    args = parser.parse_args(argv)
+    chosen = args.indices or range(len(MUTANTS))
+    failed = 0
+    for i in chosen:
+        mutant = MUTANTS[i]
+        if args.list:
+            print(f"{i}: {mutant.name} ({mutant.file}; {', '.join(mutant.tests)})")
+            continue
+        verdict, detail = run(mutant)
+        failed += verdict != "killed"
+        print(f"{i}: {verdict}: {mutant.name}: {detail}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

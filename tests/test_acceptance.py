@@ -352,10 +352,10 @@ def test_a_basis_checks_no_part_a_second_time(monkeypatch):
 
 
 def test_a_parsed_class_checks_no_part_a_second_time(monkeypatch):
-    # Parse reads each part into its domain and checks each record once,
-    # where it reads it, so parsing a class with H^0, H^1 and H^2 parts on
-    # every surface of the rank-3, genus-2 cube checks none of its parts
-    # again; the checked constructor still does.
+    # Parse reads each part into its domain and builds each record with the
+    # checked constructor, so parsing a class with H^0, H^1 and H^2 parts on
+    # every surface of the rank-3, genus-2 cube checks each part of each
+    # entry exactly once, in slot order.
     checked = []
     check = core._checked_part
 
@@ -369,13 +369,15 @@ def test_a_parsed_class_checks_no_part_a_second_time(monkeypatch):
     doc = class_to_dict(alpha, "cube")
     monkeypatch.setattr(core, "_checked_part", counting)
     parsed = parse_class_torus(doc, xray)
-    assert parsed == alpha and checked == []
-    parts = sum(
-        len(entry.c1) + 2 for cls in parsed.components.values() for entry in cls.entries.values()
-    )
-    assert parts > 100
-    ComponentClass("point", 0, {0: 1})
-    assert len(checked) == 1
+    assert parsed == alpha
+    parts = [
+        (part, degree)
+        for cls in parsed.components.values()
+        for degree, entry in cls.entries.items()
+        for part in ["c0"] + ["c1"] * len(entry.c1) + ["c2"]
+    ]
+    assert len(parts) > 100
+    assert [(part, context[0]) for part, _, context in checked] == parts
 
 
 def test_the_presolve_leaves_only_the_rows_of_more_than_two_terms(monkeypatch):
@@ -414,6 +416,24 @@ with budget(1.0):
 print(json.dumps(size))
 """
 
+# The 8 x 8 upper bidiagonal matrix of ones: it moves the rank-8 cube so
+# that its characters are no longer coordinate vectors.
+BIDIAGONAL_8 = [[int(j in (i, i + 1)) for j in range(8)] for i in range(8)]
+
+TWISTED_CUBE_GATE = """
+import json
+import fixtures
+from equicoh import image_basis_xray, validate_xray
+from fixtures import budget
+
+matrix = [[int(j in (i, i + 1)) for j in range(8)] for i in range(8)]
+xray = fixtures.parse_xray(fixtures.twisted(fixtures.cube_doc(8, 1), matrix))
+assert validate_xray(xray) == []
+with budget(1.0):
+    size = len(image_basis_xray(xray, 4))
+print(json.dumps(size))
+"""
+
 
 def test_rank_eight_cube_basis_scales():
     # 11 264 slots and 35 840 rows, each with two nonzeros: the presolve
@@ -421,6 +441,32 @@ def test_rank_eight_cube_basis_scales():
     # as the chain gates are.
     closed = _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**8", 4, rank=8)
     assert _fresh_interpreter(CUBE_GATE.format(rank=8)) == closed[4]
+
+
+def test_the_twisted_rank_eight_cube_hands_the_elimination_its_moved_rows(monkeypatch):
+    # Moved by the bidiagonal matrix, the rank-8 cube's degree-4 rows are no
+    # longer all GKM edge conditions of two nonzeros: 7168 of them reach the
+    # general elimination, where the plain cube hands it none.
+    handed = []
+
+    def counting(rows):
+        rows = list(rows)
+        handed.append(len(rows))
+        return reduced_rows(rows)
+
+    reduced_rows = linalg._reduced_rows
+    monkeypatch.setattr(linalg, "_reduced_rows", counting)
+    xray = fixtures.parse_xray(fixtures.twisted(fixtures.cube_doc(8, 1), BIDIAGONAL_8))
+    assert validate_xray(xray) == []
+    closed = _series_coefficients("(1 + 2*t + t**2)*(1 + t**2)**8", 4, rank=8)
+    assert len(image_basis_xray(xray, 4)) == closed[4] == 144
+    assert handed == [7168]
+
+
+def test_twisted_rank_eight_cube_basis_scales():
+    # The twin of the plain rank-8 gate, on the cube moved by the
+    # bidiagonal matrix, with the same budget.
+    assert _fresh_interpreter(TWISTED_CUBE_GATE) == 144
 
 
 def test_rank_five_cube_basis_scales():

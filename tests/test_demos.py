@@ -4,8 +4,9 @@ places a fixed component, only the core module states the parity of a
 degree, only the basis record builder skips the record check, one
 router serves bases and membership, the command line writes a basis
 without building its classes, validation reports without raising,
-each document rule is stated once and no module keeps state beyond three
-bounded caches and one environment read."""
+each document rule is stated once, no module keeps state beyond three
+bounded caches and one environment read, and each mutant of the mutant
+table edits one place in the package."""
 
 import ast
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import equicoh
+import mutants
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 SRC = str(Path(equicoh.__file__).resolve().parent.parent)
@@ -159,11 +161,11 @@ def test_a_class_is_checked_where_its_parts_are_read():
     assert "__eq__" not in [getattr(n, "name", None) for n in body]
 
 
-def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
+def test_only_the_basis_builder_skips_the_record_check():
     """``ComponentClass._trusted`` builds a record without the constructor's
-    check, so its callers are ``s1._class_from_sparse``, which builds each
-    record from the slot layout, and ``s1._parse_class``, which checks each
-    record where it reads it: every other constructor keeps the check."""
+    check, so its one caller is ``s1._class_from_sparse``, which builds each
+    record from the slot layout: every other constructor, the class parser
+    included, keeps the check."""
     found = [
         f"{module}:{scope}"
         for module, node, scope in package_calls("_trusted")
@@ -171,7 +173,7 @@ def test_only_the_basis_builder_and_the_parser_skip_the_record_check():
         and getattr(node.func.value, "id", getattr(node.func.value, "attr", None))
         == "ComponentClass"
     ]
-    assert found == ["s1.py:_class_from_sparse", "s1.py:_parse_class"]
+    assert found == ["s1.py:_class_from_sparse"]
 
 
 def test_the_command_line_writes_a_basis_without_building_its_classes():
@@ -325,3 +327,16 @@ def test_three_functions_are_cached_and_one_reads_the_environment():
                 environment.append(f"{path.stem}.{scope.get(id(node), '<module>')}")
     assert sorted(cached) == ["cli._basis_frame", "cli._build_parser", "core.entry_parts"]
     assert environment == ["cli._max_degree"]
+
+
+def test_every_mutant_edits_one_place_in_the_package():
+    """Each mutant of ``tests/mutants.py`` replaces a text that occurs
+    exactly once under ``src/equicoh``, in the file it names, so the table
+    cannot rot unseen when code moves; and the tests it names exist."""
+    package = Path(equicoh.__file__).resolve().parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    for mutant in mutants.MUTANTS:
+        counts = {name: text.count(mutant.text) for name, text in sources.items()}
+        assert {name: n for name, n in counts.items() if n} == {mutant.file: 1}, mutant.name
+        assert mutant.replacement != mutant.text
+        assert mutant.tests and all((mutants.ROOT / path).is_file() for path in mutant.tests)

@@ -55,7 +55,7 @@ from equicoh import (
 )
 from equicoh import s1
 from equicoh.cli import main
-from equicoh.core import entry_part, entry_parts, integrate_surface, part_power
+from equicoh.core import entry_part, entry_parts, integrate_surface, part_power, record_rule
 from equicoh.graph import (
     DecoratedGraph,
     FatVertex,
@@ -1095,6 +1095,27 @@ def test_library_classes_hold_only_their_nonzero_components():
     assert lower != EquivariantClass({}, None)
 
 
+@pytest.mark.parametrize(
+    "ids, missing",
+    [
+        (["q", 1], "q"),
+        ([2, 1], 1),
+        ([None, 1, "a", "A"], "A"),
+        ([(1,), 2.5], 2.5),
+        (["p", 3, "S", "q"], "q"),
+    ],
+)
+def test_restricted_names_the_least_missing_id_of_any_type(ids, missing):
+    """KeyError names the least id the class does not address, in the
+    order that sorts a document's ids (strings, then ints, then any other
+    value by its type's name); ids of mixed types do not raise TypeError."""
+    alpha = constant_class(g3(), 1)
+    assert [cid for cid, _, _ in alpha.addressed()] == ["S", "p"]
+    with pytest.raises(KeyError) as info:
+        alpha.restricted(ids)
+    assert info.value.args == (missing,)
+
+
 ROUND_TRIP_DOCUMENTS = {
     **all_graphs(),
     "x2_1": fixtures.x2(1),
@@ -1978,8 +1999,9 @@ def test_class_to_dict_canonical_strings():
     assert doc["components"] == {"A": {"0": "1/2"}, "B": {"0": "1/2"}, "C": {"0": "1/2"}}
 
 
-def reference_parse_class(text, document) -> EquivariantClass:
-    """Each component's entries read, then its record built by the checked
+def reference_parse_class(text, document, build=ComponentClass) -> EquivariantClass:
+    """Each component's entries read, then its record built by ``build``
+    from ``(kind, genus, entries, rank)``: by default the checked
     constructor, which checks every part a second time."""
     doc = _load_document(text)
     _check_keys_class(doc)
@@ -2024,8 +2046,46 @@ def reference_parse_class(text, document) -> EquivariantClass:
                 raise SchemaError(f'"c1" must be a list of {2 * genus} {noun}', where)
             c1 = tuple(scalar(x, where) for x in c1_doc) or (zero,) * (2 * genus)
             entries[key] = SurfaceClass(genus, c0, c1, c2)
-        comps[cid] = ComponentClass(kind, genus, entries, rank)
+        comps[cid] = build(kind, genus, entries, rank)
     return EquivariantClass(comps, rank)
+
+
+def reference_record_check(kind, genus, entries, rank) -> ComponentClass:
+    """The record of a parsed component's entries, with each part already
+    read into its domain, checked as a parser may check it on its own: the
+    header rule, a point entry in odd degree (even a zero one), then each
+    nonzero part in slot order against the layout and, for a torus,
+    homogeneity of its power; built without the constructor's check."""
+    record_rule(kind, genus, rank)
+    for degree, entry in entries.items():
+        where = f"degree {degree}"
+        listed = {part for part, _, _ in entry_parts(kind, genus, degree)}
+        if kind == "point" and not listed:
+            raise InputError(f"{where}: a point carries no odd-degree classes")
+        if kind == "point":
+            found = [("c", entry)]
+        else:
+            found = [("c0", entry.c0)] + [("c1", x) for x in entry.c1] + [("c2", entry.c2)]
+        for part, value in found:
+            if not value:
+                continue
+            if part == "c1" and part not in listed:
+                raise InputError(f"{where}: H^1 part must vanish in even degree")
+            if part not in listed and "c0" in listed:
+                raise InputError(f"{where}: H^2 part needs degree at least 2")
+            if part not in listed:
+                raise InputError(f"{where}: H^0 and H^2 parts must vanish in odd degree")
+            power = part_power(part, degree)
+            if rank is not None and not value.is_homogeneous(power):
+                raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
+    nonzero = {degree: entry for degree, entry in entries.items() if entry}
+    return ComponentClass._trusted(kind, genus, nonzero, rank)
+
+
+def reference_parse_checked_apart(text, document) -> EquivariantClass:
+    """The reference parse with each record checked by
+    :func:`reference_record_check` instead of the constructor."""
+    return reference_parse_class(text, document, reference_record_check)
 
 
 def _parse_outcome(parse, doc, document):
@@ -2145,6 +2205,25 @@ def test_a_parsed_class_is_the_checked_class_of_the_reference(key, data):
         assert all(checked.entries[k] is entry for k, entry in cls.entries.items())
 
 
+@settings(max_examples=120, deadline=None)
+@given(fixtures.basis_document_keys, st.data())
+def test_the_record_check_answers_as_the_parse_check_reference(key, data):
+    """On drawn class documents, every record the checked constructor
+    builds from parsed entries is the record of the parse-only check, with
+    every part of the same type, or both refuse with one exception and
+    message."""
+    document = fixtures.basis_document(*key)
+    doc = _class_document(data, document)
+    found = _parse_outcome(reference_parse_class, doc, document)
+    expected = _parse_outcome(reference_parse_checked_apart, doc, document)
+    if expected[0] != "ok":
+        assert found == expected
+        return
+    assert found[0] == "ok" and _typed_class(found[1]) == _typed_class(expected[1])
+    for cid, cls in found[1].components.items():
+        assert cls == expected[1].components[cid]
+
+
 def _surfaces(**components):
     return {"Smin": {}, "Smax": {}, **components}
 
@@ -2234,6 +2313,20 @@ def test_a_faulty_class_document_gets_the_answer_of_the_reference(name, tmp_path
     assert answers == [_cli_answer(tmp_path, make(), doc, command, fmt) for fmt in ("text", "json")]
     if expected[0] != "ok":
         assert answers[0][0] == (2 if expected[0] is SchemaError else 1)
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_CLASSES))
+def test_a_faulty_record_gets_the_answer_of_the_parse_check_reference(name):
+    """Each hand-written faulty class document gets the same class, or the
+    same exception and message, from the checked constructor as from the
+    parse-only check."""
+    main_name, components = FAULTY_CLASSES[name]
+    make, command = FAULTY_MAINS[main_name]
+    document = (parse_graph if command == "check" else fixtures.parse_xray)(make())
+    doc = {"kind": "class", "graph": main_name, "components": components}
+    found = _parse_outcome(reference_parse_class, doc, document)
+    expected = _parse_outcome(reference_parse_checked_apart, doc, document)
+    assert found == expected
 
 
 @pytest.mark.parametrize(

@@ -1538,7 +1538,7 @@ def moved(alpha: EquivariantClass, matrix) -> EquivariantClass:
         for j in range(r)
     ]
 
-    def move(_, p: MPoly) -> MPoly:
+    def move(_, p: MPoly, __) -> MPoly:
         out = MPoly.zero(r)
         for exps, c in p.terms.items():
             term = MPoly.constant(r, c)
@@ -1552,7 +1552,7 @@ def moved(alpha: EquivariantClass, matrix) -> EquivariantClass:
         cid: ComponentClass(
             kind,
             genus,
-            {k: map_parts(kind, entry, move) for k, entry in alpha.restriction(cid).items()},
+            {k: map_parts(kind, entry, move, None) for k, entry in alpha.restriction(cid).items()},
             r,
         )
         for cid, kind, genus in alpha.addressed()

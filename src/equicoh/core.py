@@ -53,11 +53,6 @@ class SurfaceClass:
     def unit(cls, genus: int) -> SurfaceClass:
         return cls(genus, c0=1)
 
-    @classmethod
-    def point_class(cls, genus: int) -> SurfaceClass:
-        """The fundamental-class generator [S] of H^2."""
-        return cls(genus, c2=1)
-
     def __bool__(self) -> bool:
         return bool(self.c0) or any(bool(x) for x in self.c1) or bool(self.c2)
 

@@ -14,6 +14,7 @@ the corresponding linear form becomes a test on first-slot exponents.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -35,21 +36,16 @@ def ratio(num, den):
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of the given total degree, descending lex order."""
+    """All exponent tuples of the given total degree, in descending lex order,
+    as ``combinations_with_replacement`` lists the multisets of variables."""
     if degree < 0:
         return []
-    if nvars == 0:
-        return [()] if degree == 0 else []
     out: list[Exponents] = []
-
-    def emit(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            emit(prefix + (e,), remaining - e, slots - 1)
-
-    emit((), degree, nvars)
+    for chosen in combinations_with_replacement(range(nvars), degree):
+        exps = [0] * nvars
+        for i in chosen:
+            exps[i] += 1
+        out.append(tuple(exps))
     return out
 
 

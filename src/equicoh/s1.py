@@ -541,9 +541,9 @@ def _constraint_table(
     degree-k part can meet: its power of the parameter (:func:`part_power`)
     is fixed, so a division is stated only where that power is 0 and a pole
     only where the power plus the shift is negative.  A graph has none in
-    degree 3 or more, and only its H^1 divisions in degree 1.  Without one,
-    every rule is stated, as membership, the localization sum and a torus
-    need.
+    degree 3 or more, and only its H^1 divisions in degree 1.  Only a graph
+    basis reads one degree's table (:func:`_groups`); every other graph
+    query reads every rule, as an x-ray query reads the kept groups.
     """
     table: dict[tuple[str, str, int], tuple] = {}
     if degree is None:
@@ -723,16 +723,18 @@ def _localization_sum(group: tuple, scaled: tuple[int, dict]) -> Laurent:
     })
 
 
-def _graph_group(graph: DecoratedGraph, rank=None, lam=None, degree=None) -> tuple:
+def _graph_group(graph: DecoratedGraph, rank=None, lam=None) -> tuple:
     """The one constraint group of a graph, along the character ``lam`` of a
     rank-``rank`` torus or, without one, for the circle action.
 
     A group ``(tag, table, substitution, denominator)`` is all of a graph's
     image conditions or one x-ray piece's (``XRay._groups``): ``tag``
     prefixes its obstruction keys (the piece id, or nothing), ``table`` and
-    ``denominator`` are the :func:`_constraint_table` of its components, in
-    ``degree`` only when one is given, and ``substitution`` rewrites a part
-    along the character (None for a circle action).  Raises unless the
+    ``denominator`` are the full :func:`_constraint_table` of its
+    components, and ``substitution`` rewrites a part along the character
+    (None for a circle action).  Every graph query but a basis reads this
+    group (a basis reads one degree's table, :func:`_groups`), as every
+    x-ray query reads the x-ray's kept groups.  Raises unless the
     character has ``rank`` primitive integer entries and the graph is
     valid, checked in that order; a class's addressing is checked after
     both, as its parts are read (:func:`_scaled_parts`).
@@ -743,17 +745,19 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None, degree=None) -> tup
             raise InputError(f"character must have {rank} entries")
         substitution = character_substitution(lam)
     _refuse_invalid(graph)
-    table, denominator = _constraint_table(graph._fixed_components, graph, degree)
+    table, denominator = _constraint_table(graph._fixed_components, graph)
     return (), table, substitution, denominator
 
 
 def _groups(document, degree: int):
     """The constraint groups of a degree-k basis: a graph's one group, built
-    per query with the rules of that degree only, or an x-ray's kept groups,
-    one per piece, for every degree alike (along a character a part's power
-    of the parameter varies by monomial, so no rule is left out by degree)."""
+    per query from the table of that degree only (no other graph query reads
+    one, :func:`_graph_group`), or an x-ray's kept groups, one per piece,
+    for every degree alike (along a character a part's power of the
+    parameter varies by monomial, so no rule is left out by degree)."""
     if document.rank is None:
-        return [_graph_group(document, degree=degree)]
+        table, denominator = _constraint_table(document._fixed_components, document, degree)
+        return [((), table, None, denominator)]
     return document._groups.values()
 
 
@@ -815,23 +819,14 @@ def _image_basis(document, degree: int, max_degree: int) -> list[EquivariantClas
     return [_class_from_sparse(document, degree, slots, vec) for vec in vectors]
 
 
-def _graph_obstructions(
-    graph: DecoratedGraph, alpha: EquivariantClass, degree: int | None = None
-) -> dict[tuple, Fraction]:
-    """The obstructions of a circle-action class, with the keys
-    :func:`torus_obstructions` gives its rank-1 promotion along (1,); with a
-    ``degree``, of a class of that degree alone."""
-    group = _graph_group(graph, degree=degree)
-    return _class_obstructions(group, _scaled_parts(graph, None, alpha))
-
-
 def abbv_degree2_functional(graph: DecoratedGraph) -> dict[str, int | Fraction]:
     """The linear functional cutting out degree 2 of the image, slot by slot.
 
     This is the coefficient of u^-1 in each unit class's localization sum,
-    with a zero for every slot it does not involve.
+    with a zero for every slot it does not involve, read off the graph's one
+    group: every pole of its table meets a degree-2 part.
     """
-    group = _graph_group(graph, degree=2)
+    group = _graph_group(graph)
     slots = degree_slots(graph, 2)
     pole = _rows([group], 2, slots).get(("pole", -1, ()), {})
     return {slot.label: ratio(pole.get(i, 0), group[3]) for i, slot in enumerate(slots)}
@@ -869,7 +864,7 @@ def check_membership(graph: DecoratedGraph, alpha: EquivariantClass) -> Membersh
     (only degree 2 reaches it) is the "abbv-degree2" residue, and all poles
     together are those of the localization sum ("localization-pole").
     """
-    found = _graph_obstructions(graph, alpha)
+    found = _class_obstructions(_graph_group(graph), _scaled_parts(graph, None, alpha))
     divisions = {key[2][0] for key in found if key[0] == "div"}
     violations: list[MembershipViolation] = []
 
@@ -921,13 +916,10 @@ def image_basis(
 
 
 def in_image_span(graph: DecoratedGraph, degree: int, alpha: EquivariantClass) -> bool:
-    """Whether the degree-k part of alpha lies in the degree-k image.
-
-    The image is cut out by the graph's :func:`_constraint_table`, so this
-    asks whether the degree-k part has no obstruction under the rules of
-    that degree.
-    """
-    return not _graph_obstructions(graph, alpha.homogeneous(degree), degree)
+    """Whether the degree-k part of alpha lies in the degree-k image: the
+    :func:`check_membership` verdict on that part, read off the graph's one
+    group (:func:`_graph_group`) like every graph query but a basis."""
+    return check_membership(graph, alpha.homogeneous(degree)).member
 
 
 def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:

@@ -79,6 +79,41 @@ MUTANTS = (
         "if False:",
         ("tests/test_s1.py",),
     ),
+    Mutant(
+        "the surface sign at the minimum flipped",
+        "s1.py",
+        'return (-1, e_min) if graph._places[surface.id] == "min" else (1, e_max)',
+        'return (1, e_min) if graph._places[surface.id] == "min" else (1, e_max)',
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "max in place of lcm in the table's denominator",
+        "s1.py",
+        "denominator = lcm(denominator, den)",
+        "denominator = max(denominator, den)",
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "the upper surface's H^1 factor flipped",
+        "s1.py",
+        'rules(upper.id, "c1", j)[0].append((head, -1))',
+        'rules(upper.id, "c1", j)[0].append((head, 1))',
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "a division met at every power",
+        "s1.py",
+        "if not exps[0]:",
+        "if True:",
+        ("tests/test_s1.py", "tests/test_xray.py"),
+    ),
+    Mutant(
+        "a pole kept at power zero",
+        "s1.py",
+        "if power < 0:",
+        "if power <= 0:",
+        ("tests/test_s1.py", "tests/test_xray.py"),
+    ),
 )
 
 

@@ -933,6 +933,29 @@ def test_euler_unknown_component(capsys, data_dir):
     assert "error: " in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_euler_on_an_invalid_graph_prints_the_report(capsys, data_dir, fmt):
+    path = str(data_dir / "bad_weights.json")
+    status, out, err = run(capsys, "euler", path, "--component", "B", "--format", fmt)
+    assert status == 1 and err == ""
+    assert (status, out) == run(capsys, "validate", path, "--format", fmt)[:2]
+    assert "weight-signs" in out
+
+
+@pytest.mark.parametrize("command", ["basis", "check"])
+def test_a_json_syntax_error_is_a_parse_error_with_its_position(capsys, data_dir, command):
+    operand = ("--degree", "0") if command == "basis" else (str(data_dir / "class_g1_const.json"),)
+    argv = (command, str(data_dir / "broken.json"), *operand)
+    status, out, _ = run(capsys, *argv, "--format", "json")
+    assert status == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "error" and doc["code"] == "parse"
+    assert doc["message"].endswith("(line 1, column 3)")
+    status, out, err = run(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err == f"error: {doc['message']}\n"
+
+
 def test_euler_requires_component_flag(data_dir):
     with pytest.raises(SystemExit):
         main(["euler", str(data_dir / "g1.json")])

@@ -51,8 +51,8 @@ def h1_generator(genus: int, index: int) -> SurfaceClass:
 def test_cup_intersection_form():
     a1 = h1_generator(1, 0)
     b1 = h1_generator(1, 1)
-    assert cup_surface(a1, b1) == SurfaceClass.point_class(1)
-    assert cup_surface(b1, a1) == -SurfaceClass.point_class(1)
+    assert cup_surface(a1, b1) == SurfaceClass(1, c2=1)
+    assert cup_surface(b1, a1) == -SurfaceClass(1, c2=1)
     assert not cup_surface(a1, a1)
     assert not cup_surface(b1, b1)
 
@@ -66,7 +66,7 @@ def test_cup_cross_terms_vanish():
 
 def test_cup_unit_and_top():
     one = SurfaceClass.unit(1)
-    top = SurfaceClass.point_class(1)
+    top = SurfaceClass(1, c2=1)
     a1 = h1_generator(1, 0)
     assert cup_surface(one, a1) == a1
     assert cup_surface(one, top) == top
@@ -98,7 +98,7 @@ def test_cup_graded_commutativity(x, y):
 
 
 def test_integrate_surface():
-    assert integrate_surface(SurfaceClass.point_class(3)) == 1
+    assert integrate_surface(SurfaceClass(3, c2=1)) == 1
     assert integrate_surface(SurfaceClass.unit(2)) == 0
     mixed = SurfaceClass(1, c0=3, c1=(Fraction(3), Fraction(0)), c2=5)
     assert integrate_surface(mixed) == 5
@@ -417,3 +417,78 @@ def test_surface_class_shape_checks():
         SurfaceClass(1, c1=(Fraction(1),))
     with pytest.raises(InputError):
         SurfaceClass(-1)
+
+
+# -- surface classes, Laurent elements and series: the remaining operations ----
+
+
+def test_surface_classes_of_different_genus_do_not_add():
+    with pytest.raises(InputError, match="^cannot add classes on surfaces of different genus$"):
+        SurfaceClass(1, 1) + SurfaceClass(2, 1)
+
+
+def test_surface_class_subtraction_is_partwise():
+    left = SurfaceClass(1, 3, (1, 2), 5)
+    right = SurfaceClass(1, 1, (1, Fraction(-1, 2)), 2)
+    assert left - right == SurfaceClass(1, 2, (0, Fraction(5, 2)), 3)
+    assert right - left == SurfaceClass(1, -2, (0, Fraction(-5, 2)), -3)
+
+
+def test_surface_class_scalar_and_polynomial_multiples():
+    x = SurfaceClass(1, 1, (2, 0), 4)
+    half = Fraction(1, 2)
+    assert x * half == SurfaceClass(1, half, (1, 0), 2)
+    assert 3 * x == x * 3 == SurfaceClass(1, 3, (6, 0), 12)
+    v = MPoly.variable(2, 1)
+    times_v = x * v
+    assert times_v.c0 == v and times_v.c1 == (2 * v, 0 * v) and times_v.c2 == 4 * v
+    assert v * x == times_v
+    with pytest.raises(TypeError):
+        x * 1.5
+
+
+def test_laurent_compares_only_with_a_laurent_of_the_same_powers():
+    one = Laurent({0: 1})
+    assert Laurent.__eq__(one, 1) is NotImplemented
+    assert (one == 1) is False and one != "1"
+    wider = Laurent({0: 1, 1: 2})
+    assert one != wider and wider != one
+    assert one != Laurent({1: 1})
+    assert wider == Laurent({1: 2, 0: Fraction(1)})
+
+
+def test_laurent_negation_and_subtraction():
+    x = Laurent({-1: 2, 0: Fraction(1, 2)})
+    assert -x == Laurent({-1: -2, 0: Fraction(-1, 2)})
+    assert x - Laurent({0: Fraction(1, 2), 2: 3}) == Laurent({-1: 2, 2: -3})
+    assert (x - x).terms == {}
+
+
+def test_a_negative_series_denominator_power_is_refused():
+    with pytest.raises(InputError, match="^denominator power must be nonnegative$"):
+        PoincareSeries((1,), -1)
+
+
+def test_series_repr_shows_its_denominator():
+    assert repr(PoincareSeries((1, 0, 1), 2)) == "(1*t^0 + 1*t^2) / (1 - t^2)^2"
+    assert repr(PoincareSeries((), 1)) == "(0) / (1 - t^2)^1"
+    assert repr(PoincareSeries((2, 3))) == "2*t^0 + 3*t^1"
+
+
+def test_a_surface_record_needs_surface_class_entries():
+    for entry in (1, Fraction(1), (1, (), 0), {"c0": 1}):
+        with pytest.raises(InputError, match="^degree 2: expected a surface class entry$"):
+            ComponentClass("surface", 0, {2: entry})
+
+
+def test_a_torus_part_is_a_polynomial_of_its_rank_or_a_zero_rational():
+    message = "^degree 0: expected a polynomial in 2 variables$"
+    for value in (1, Fraction(1, 2), MPoly.constant(3, 1), "0"):
+        with pytest.raises(InputError, match=message):
+            ComponentClass("point", 0, {0: value}, 2)
+    with pytest.raises(InputError, match=message):
+        ComponentClass("surface", 0, {0: SurfaceClass(0, 1)}, 2)
+    # a zero rational is the zero polynomial of the rank
+    entry = SurfaceClass(0, MPoly.variable(2, 0), (), Fraction(0))
+    (kept,) = ComponentClass("surface", 0, {2: entry}, 2).entries.values()
+    assert type(kept.c2) is MPoly and kept.c2 == MPoly.zero(2)

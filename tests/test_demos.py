@@ -2,7 +2,8 @@
 the package's modules import only what they use, only the graph module
 places a fixed component, only the core module states the parity of a
 degree, only the basis record builder skips the record check, one
-router serves bases and membership, the command line writes a basis
+router serves bases and membership, only a graph basis reads the
+constraint table of one degree, the command line writes a basis
 without building its classes, validation reports without raising,
 each document rule is stated once, no module keeps state beyond three
 bounded caches and one environment read, and each mutant of the mutant
@@ -145,6 +146,22 @@ def test_only_the_rows_and_membership_route_a_part():
     table, and ``_class_obstructions``, which routes a class's parts."""
     found = sorted(f"{module}:{scope}" for module, _, scope in package_calls("_route"))
     assert found == ["s1.py:_class_obstructions", "s1.py:_rows"]
+
+
+def test_only_a_graph_basis_reads_the_table_of_one_degree():
+    """A graph has one constraint group, its full table, which every graph
+    query reads but a basis: the package passes a degree to
+    ``s1._constraint_table`` only from ``_groups``, which builds a graph
+    basis's group, and every other call states the table of every degree."""
+    found = sorted(
+        f"{module}:{scope}"
+        for module, node, scope in package_calls("_constraint_table")
+        if len(node.args) > 2 or node.keywords
+    )
+    assert found == ["s1.py:_groups"]
+    assert sorted({module for module, _, _ in package_calls("_constraint_table")}) == [
+        "s1.py", "xray.py"
+    ]
 
 
 def test_a_class_is_checked_where_its_parts_are_read():

@@ -1218,3 +1218,39 @@ def test_a_repeated_id_is_reported_and_refused():
     ]
     with pytest.raises(InputError, match="^invalid graph: component-shape: component a: duplicate id 'a'$"):
         image_basis(graph, 0)
+
+
+# -- identification, serialization and label errors ----------------------------
+
+
+def test_the_identification_matrix_needs_two_surfaces():
+    for graph in (g1(), g3()):
+        with pytest.raises(
+            InputError, match="^an identification needs exactly two fat vertices$"
+        ):
+            graph.identification_matrix()
+
+
+def test_graph_to_dict_writes_an_edge_area():
+    doc = mutate(g1_doc(), lambda d: d["edges"][1].update(area="3/2"))
+    written = graph_to_dict(parse_graph(doc))
+    assert written["edges"] == [
+        {"from": "A", "to": "B", "ell": 1},
+        {"from": "B", "to": "C", "ell": 1, "area": "3/2"},
+    ]
+    assert parse_graph(serialize_graph(parse_graph(doc))) == parse_graph(doc)
+
+
+def test_a_zero_weight_has_no_weight_product():
+    for weights in ((0, 1), (2, 0)):
+        with pytest.raises(InputError, match="^zero weight at 'p'$"):
+            weight_product(IsolatedVertex("p", 0, weights))
+
+
+def test_abbv_zero_check_needs_resolved_labels():
+    graph = g2(0)
+    assert all(v.self_intersection is None for v in graph.surfaces)
+    first = graph.surfaces[0].id
+    with pytest.raises(InputError, match=f"^unresolved self_intersection at '{first}'$"):
+        abbv_zero_check(graph)
+    assert abbv_zero_check(resolve_self_intersections(graph))

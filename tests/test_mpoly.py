@@ -56,6 +56,35 @@ def test_monomials_of_degree_order_and_count():
     assert monomials_of_degree(1, 5) == [(5,)]
     assert len(monomials_of_degree(3, 4)) == 15
     assert monomials_of_degree(2, -1) == []
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 1) == monomials_of_degree(0, 4) == []
+
+
+def reference_monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of one total degree in descending lex order, by
+    recursion on the leading exponent, from the largest down."""
+    if degree < 0:
+        return []
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+
+    def emit(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            emit(prefix + (e,), remaining - e, slots - 1)
+
+    emit((), degree, nvars)
+    return out
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_monomials_of_degree_are_the_reference_listing(nvars):
+    for degree in range(-1, 7):
+        expected = reference_monomials_of_degree(nvars, degree)
+        assert monomials_of_degree(nvars, degree) == expected, degree
 
 
 def test_constructor_rejects_bad_exponents():
@@ -370,3 +399,33 @@ def test_a_coefficient_is_added_only_to_a_repeated_key(monkeypatch):
     assert p.terms == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)} and added == []
     q = poly_from_pairs([[[1, 0], 1], [[1, 0], Fraction(1, 2)]], 2, lambda c: c)
     assert q.terms == {(1, 0): Fraction(3, 2)} and added == [1]
+
+
+# -- comparisons, reflected subtraction, lookups and the zero repr -------------
+
+
+def test_a_polynomial_equals_the_rational_constant_it_is():
+    assert MPoly.constant(2, 3) == 3 and 3 == MPoly.constant(2, 3)
+    assert MPoly.constant(1, Fraction(1, 2)) == Fraction(1, 2)
+    assert MPoly.zero(3) == 0
+    assert MPoly.variable(2, 0) != 3 and MPoly.constant(2, 3) != 4
+    assert MPoly.__eq__(MPoly.constant(2, 3), 3.0) is NotImplemented
+
+
+def test_a_rational_minus_a_polynomial():
+    p = MPoly(2, {(1, 0): 1, (0, 1): Fraction(1, 2)})
+    assert 3 - p == MPoly(2, {(0, 0): 3, (1, 0): -1, (0, 1): Fraction(-1, 2)})
+    assert Fraction(1, 2) - MPoly.constant(2, 1) == MPoly.constant(2, Fraction(-1, 2))
+
+
+def test_coefficient_of_a_present_monomial():
+    p = MPoly(2, {(1, 1): Fraction(1, 2), (2, 0): -3})
+    assert p.coefficient((1, 1)) == Fraction(1, 2)
+    assert p.coefficient([2, 0]) == -3
+    assert p.coefficient((0, 2)) == 0
+
+
+def test_the_zero_polynomial_prints_as_zero():
+    assert repr(MPoly.zero(2)) == "0"
+    assert repr(MPoly(0, {})) == "0"
+    assert repr(MPoly.constant(2, 1) - MPoly.constant(2, 1)) == "0"

@@ -711,6 +711,13 @@ COEFFICIENTS = {
 ORACLE_XRAYS = {name: build() for name, build in LOCALIZATION_XRAYS.items()}
 
 
+def graph_obstructions(graph, alpha):
+    """The obstructions of a circle-action class under the graph's one group,
+    with the keys :func:`torus_obstructions` gives its rank-1 promotion
+    along (1,): what :func:`check_membership` reads its violations off."""
+    return s1._class_obstructions(s1._graph_group(graph), s1._scaled_parts(graph, None, alpha))
+
+
 def assert_equal_fractions(found, expected):
     assert found == expected
     assert all(type(c) is Fraction for c in found.values()), found
@@ -722,12 +729,12 @@ def assert_equal_fractions(found, expected):
     st.sampled_from(sorted(COEFFICIENTS)),
     st.randoms(use_true_random=False),
 )
-def test_graph_obstructions_match_the_fraction_oracle(name, coefficients, rng):
+def test_graph_group_obstructions_match_the_fraction_oracle(name, coefficients, rng):
     graph = LOCALIZATION_GRAPHS[name]
     value = COEFFICIENTS[coefficients]
     alpha = fixtures.random_class(graph, rng, degrees=range(7), value=value)
     expected = reference_class_obstructions(s1._graph_group(graph), alpha)
-    assert_equal_fractions(s1._graph_obstructions(graph, alpha), expected)
+    assert_equal_fractions(graph_obstructions(graph, alpha), expected)
     assert localize(graph, alpha) == reference_localize(graph, alpha)
     for lam in [(1,), (-1,), (2, -1), (1, 2, 3)]:
         rank = len(lam)
@@ -1870,9 +1877,10 @@ def test_membership_agrees_with_degreewise_span():
             assert check_membership(graph, alpha).member == all(spans)
 
 
-def test_in_image_span_reads_the_table_of_its_degree(monkeypatch):
-    """One degree is checked against the rules of that degree alone; what a
-    class holds in other degrees does not enter."""
+def test_in_image_span_reads_the_graph_s_one_group(monkeypatch):
+    """One degree is checked against the graph's one full table, as
+    membership is, and only the class's part of that degree enters: what it
+    holds in other degrees does not."""
     graph = g2(1, 2, 4)
     degrees = []
     table = s1._constraint_table
@@ -1883,7 +1891,7 @@ def test_in_image_span_reads_the_table_of_its_degree(monkeypatch):
     for k in range(5):
         degrees.clear()
         assert in_image_span(graph, k, off_image) == (k != 0)
-        assert degrees == [(k,)], k
+        assert degrees == [()], k
 
 
 # -- reduction to characters of a torus ---------------------------------------
@@ -1902,11 +1910,17 @@ def test_promote_preserves_rank1_verdicts():
         torus = check_membership_torus(graph, 1, (1,), promote_to_torus(alpha)).member
         assert base == torus
         promoted = torus_obstructions(graph, 1, (1,), promote_to_torus(alpha))
-        assert s1._graph_obstructions(graph, alpha) == promoted
+        assert graph_obstructions(graph, alpha) == promoted
     for name, graph in MEMBERSHIP_GRAPHS.items():
         for alpha in _membership_classes(graph, random.Random(name)):
             promoted = torus_obstructions(graph, 1, (1,), promote_to_torus(alpha))
-            assert s1._graph_obstructions(graph, alpha) == promoted, name
+            assert graph_obstructions(graph, alpha) == promoted, name
+
+
+def test_times_u_refuses_a_torus_class():
+    torus = promote_to_torus(constant_class(g1(), 1))
+    with pytest.raises(InputError, match="^times_u is defined for circle-action classes$"):
+        torus.times_u()
 
 
 def test_promote_rejects_polynomial_classes():

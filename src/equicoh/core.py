@@ -25,6 +25,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from operator import is_
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import InputError, InternalInconsistencyError
@@ -453,7 +454,7 @@ def _checked_part(part: str, value, context: tuple):
     raise InputError(f"{where}: expected a polynomial in {rank} variables")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentClass:
     """Restriction of an equivariant class to one fixed component, by degree.
 
@@ -464,12 +465,13 @@ class ComponentClass:
     or a surface is checked in its domain at its :func:`part_power`.  An
     entry whose parts are all in their domain is kept, not copied.  This
     is the one check of a record, for every caller, the class parser
-    included; only :meth:`_trusted` builds a record without it.
+    included; only :meth:`_trusted` builds a record without it.  The record
+    is frozen and ``entries`` a read-only mapping of the nonzero entries.
     """
 
     kind: str
     genus: int = 0
-    entries: dict = field(default_factory=dict)
+    entries: Mapping[int, object] = field(default_factory=dict)
     rank: int | None = None
 
     def __post_init__(self):
@@ -479,27 +481,12 @@ class ComponentClass:
             entry = _checked_entry(self.kind, self.genus, degree, entry, self.rank)
             if entry:
                 clean[degree] = entry
-        self.entries = clean
+        object.__setattr__(self, "entries", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, kind: str, genus: int, entries: dict, rank: int | None) -> ComponentClass:
         """Wrap fields that already hold to the constructor's rules: nonzero
-        entries with every part in its domain.  The dict is taken, not
-        copied."""
+        entries with every part in its domain, the dict wrapped, not copied."""
         record = object.__new__(cls)
-        record.kind = kind
-        record.genus = genus
-        record.entries = entries
-        record.rank = rank
+        record.__dict__.update(kind=kind, genus=genus, entries=MappingProxyType(entries), rank=rank)
         return record
-
-    def entry(self, degree: int):
-        if degree in self.entries:
-            return self.entries[degree]
-        zero = 0 if self.rank is None else MPoly.zero(self.rank)
-        if self.kind == "point":
-            return zero
-        return SurfaceClass(self.genus, zero, (zero,) * (2 * self.genus), zero)
-
-    def degrees(self) -> list[int]:
-        return sorted(self.entries)

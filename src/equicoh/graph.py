@@ -9,16 +9,18 @@ compatibility conditions such a graph must satisfy, and the two extremal
 self-intersection numbers are determined by the rest of the data through
 exact rational formulas implemented in :func:`extremal_self_intersections`.
 
-A graph is frozen, so what is derived from it is computed at most once,
-when first needed, and kept on the graph: its momenta as integer levels
-over one common denominator, the place of each component (minimum, maximum
-or interior), its two extremal labels, its resolved graph, its index of
-components by id, the ``(id, kind, genus)`` of its components, the nonzero
-entries of its H^1 identification, its validation report and its shape
-check, which reports every fault parse refuses (parse records an empty
-one): each such rule is stated once, in parse's order and words, for parse
-to raise and validation to report.  Validation and every later query of
-the same graph share them; no other module places a component.
+A graph is frozen, so what is derived from it is computed at most once, when
+first needed, and kept on the graph: its momenta as integer levels over one
+common denominator, keyed by id as an x-ray's are, the place of each
+component (minimum, maximum or interior), its two extremal labels, its
+resolved graph, its index of components by id, the ``(id, kind, genus)`` of
+its components, the nonzero entries of its H^1 identification, its
+validation report and its shape check, which reports every fault parse
+refuses (parse records an empty one): each such rule is stated once, in
+parse's order and words, for parse to raise and validation to report.
+Validation and every later query of the same graph share them.  ``_places``
+is the one placement: validation, the extremal labels and resolution read a
+component's place off it, and no other module places a component.
 Validation compares and sums momenta as those integers, and compares the
 inverse Euler numbers with the labels in integers over one lcm of their
 denominators, so it adds no two fractions; it divides only for a value it
@@ -207,25 +209,24 @@ class DecoratedGraph:
 
     @_kept
     def _levels(self) -> _Levels:
-        ys = [v.y for v in self.isolated] + [v.y for v in self.surfaces]
+        vertices = self.isolated + self.surfaces
+        ys = [v.y for v in vertices]
         if _INT_TYPES.issuperset(map(type, ys)):
             denominator, levels = 1, ys
         else:
             denominator = lcm(*(y.denominator for y in ys))
             levels = [y.numerator * (denominator // y.denominator) for y in ys]
-        n = len(self.isolated)
-        return _Levels(
-            denominator, tuple(levels[:n]), tuple(levels[n:]), min(levels), max(levels)
-        )
+        by_id = {v.id: n for v, n in zip(vertices, levels)}
+        return _Levels(denominator, by_id, min(levels), max(levels))
 
     @_kept
     def _places(self) -> dict[str, str]:
-        """``{id: "min" | "max" | "interior"}``, read off the levels; on a
-        constant momentum every component is "min"."""
-        _, isolated, surfaces, lo, hi = self._levels
+        """``{id: "min" | "max" | "interior"}``, the one placement, read off
+        the levels; on a constant momentum every component is "min"."""
+        _, levels, lo, hi = self._levels
         return {
-            v.id: "min" if n == lo else "max" if n == hi else "interior"
-            for v, n in zip(self.isolated + self.surfaces, isolated + surfaces)
+            cid: "min" if n == lo else "max" if n == hi else "interior"
+            for cid, n in levels.items()
         }
 
     @_kept
@@ -268,21 +269,19 @@ class DecoratedGraph:
         """The graph with its missing extremal labels filled in; read only
         when one is missing, since keeping the graph itself would make a
         reference cycle."""
-        e_min, e_max = self._labels
-        levels = self._levels
+        labels = dict(zip(("min", "max"), self._labels))
         surfaces = []
-        for v, n in zip(self.surfaces, levels.surfaces):
-            if v.self_intersection is None and n == levels.lowest:
-                v = FatVertex(v.id, v.y, v.area, v.genus, e_min)
-            elif v.self_intersection is None and n == levels.highest:
-                v = FatVertex(v.id, v.y, v.area, v.genus, e_max)
+        for v in self.surfaces:
+            label = labels.get(self._places[v.id])
+            if v.self_intersection is None and label is not None:
+                v = FatVertex(v.id, v.y, v.area, v.genus, label)
             surfaces.append(v)
         resolved = DecoratedGraph(
             self.isolated, tuple(surfaces), self.edges, self.h1_identification
         )
-        # The labels read only momenta, weights and areas, which resolving
-        # keeps, and the surfaces keep their order.
-        resolved.__dict__.update(_levels=levels, _labels=self._labels)
+        # The levels, places and labels read only ids, momenta, weights and
+        # areas, which resolving keeps.
+        resolved.__dict__.update(_levels=self._levels, _places=self._places, _labels=self._labels)
         return resolved
 
     @_kept
@@ -311,12 +310,11 @@ class DecoratedGraph:
 class _Levels(NamedTuple):
     """A graph's momenta as integers over one common denominator, the lcm
     of the ``y`` denominators: the component at ``level`` sits at
-    ``level / denominator``.  The levels follow ``graph.isolated`` and
-    ``graph.surfaces``."""
+    ``level / denominator``.  The levels are keyed by id, as an x-ray's
+    are; ``DecoratedGraph._places`` is the one placement read off them."""
 
     denominator: int
-    isolated: tuple[int, ...]
-    surfaces: tuple[int, ...]
+    by_id: dict[str, int]
     lowest: int
     highest: int
 
@@ -581,23 +579,26 @@ def _extremal_labels(graph: DecoratedGraph) -> tuple[int | Fraction, int | Fract
 
     and e_max is its mirror image.  Each label is one :func:`~equicoh.mpoly.ratio`,
     an ``int`` when integral, as parse makes it.  The graph holds to its shape
-    rules (every reader gates on them first), so no weight is zero.
+    rules (every reader gates on them first), so no weight is zero.  The
+    levels are keyed by id, and the interior points and the extremal areas
+    are picked by ``graph._places``, the one placement.
     """
-    denominator, isolated_levels, surface_levels, lo, hi = graph._levels
+    denominator, levels, lo, hi = graph._levels
     if lo == hi:
         raise DegenerateInputError("momentum map is constant; extrema are not separated")
+    places = graph._places
     interior = []
     common = 1
-    for v, n in zip(graph.isolated, isolated_levels):
-        if lo < n < hi:
+    for v in graph.isolated:
+        if places[v.id] == "interior":
             mn = abs(v.weights[0] * v.weights[1])
             common = lcm(common, mn)
-            interior.append((n, mn))
-    ends = {lo: (0, 1), hi: (0, 1)}  # numerator and denominator of the extremal areas
-    for v, n in zip(graph.surfaces, surface_levels):
-        if n in ends:
-            ends[n] = (v.area.numerator, v.area.denominator)
-    (p_min, q_min), (p_max, q_max) = ends[lo], ends[hi]
+            interior.append((levels[v.id], mn))
+    ends = {"min": (0, 1), "max": (0, 1)}  # numerator and denominator of the extremal areas
+    for v in graph.surfaces:
+        if places[v.id] in ends:
+            ends[places[v.id]] = (v.area.numerator, v.area.denominator)
+    (p_min, q_min), (p_max, q_max) = ends["min"], ends["max"]
     common = lcm(common, q_min, q_max)
     sum_e = sum(common // mn for _, mn in interior)
     sum_ne = sum(n * (common // mn) for n, mn in interior)
@@ -741,14 +742,14 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
 
     A graph that breaks a rule parse refuses gets the violations of
     ``graph._shapes``, and then nothing else is checked.  Momenta are
-    compared as integer levels over one common denominator
-    (``graph._levels``), and each component is placed once, at the minimum,
-    at the maximum or in between.
+    compared as integer levels over one common denominator, keyed by id
+    (``graph._levels``), and each component's place (minimum, maximum or
+    in between) is read off ``graph._places``, the one placement.
     """
     if graph._shapes:
         return _sorted_report(list(graph._shapes))
     violations: list[Violation] = []
-    denominator, isolated_levels, surface_levels, lo, hi = graph._levels
+    denominator, levels, lo, hi = graph._levels
     if lo == hi:
         return [
             Violation(
@@ -758,17 +759,14 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             )
         ]
 
-    at_min: list[str] = []
-    at_max: list[str] = []
+    places = graph._places
     products = []
-    for v, n in zip(graph.isolated, isolated_levels):
+    for v in graph.isolated:
         b1, b2 = v.weights
         products.append(b1 * b2)
-        if n == lo:
-            at_min.append(v.id)
+        if places[v.id] == "min":
             rule, ok = "minimum point must have two positive weights", b1 > 0 and b2 > 0
-        elif n == hi:
-            at_max.append(v.id)
+        elif places[v.id] == "max":
             rule, ok = "maximum point must have two negative weights", b1 < 0 and b2 < 0
         else:
             rule, ok = "interior point must have weights of opposite sign", b1 * b2 < 0
@@ -776,33 +774,26 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
             violations.append(Violation("weight-signs", f"{rule}, got {v.weights}", (v.id,)))
 
     labels: list[int | Fraction | None] = []
-    e_min, e_max = graph._labels
-    for v, n in zip(graph.surfaces, surface_levels):
-        if n == lo:
-            at_min.append(v.id)
-            expected = e_min
-        elif n == hi:
-            at_max.append(v.id)
-            expected = e_max
-        else:
+    extremal = dict(zip(("min", "max"), graph._labels))
+    for v in graph.surfaces:
+        expected = extremal.get(places[v.id])
+        if expected is None:
             violations.append(
                 Violation("fat-not-extremal", "fixed surfaces occur only at the extrema", (v.id,))
             )
-            expected = None
-        if v.self_intersection is None:
-            labels.append(expected)
-            continue
-        labels.append(v.self_intersection)
-        if expected is not None and v.self_intersection != expected:
+        label = v.self_intersection
+        labels.append(expected if label is None else label)
+        if label is not None and expected is not None and label != expected:
             violations.append(
                 Violation(
                     "self-intersection",
-                    f"label {v.self_intersection} but the extremal equations give {expected}",
+                    f"label {label} but the extremal equations give {expected}",
                     (v.id,),
                 )
             )
 
-    for level, ids in (("minimum", at_min), ("maximum", at_max)):
+    for place, level in (("min", "minimum"), ("max", "maximum")):
+        ids = [cid for cid, at in places.items() if at == place]
         if len(ids) > 1:
             violations.append(
                 Violation(
@@ -812,9 +803,9 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
                 )
             )
 
-    vertices = {v.id: (v, n) for v, n in zip(graph.isolated, isolated_levels)}
     for e in graph.edges:
-        (a, na), (b, nb) = vertices[e.start], vertices[e.end]
+        a, b = graph._by_id[e.start], graph._by_id[e.end]
+        na, nb = levels[e.start], levels[e.end]
         pair = tuple(sorted((e.start, e.end)))
         if na == nb:
             violations.append(
@@ -866,10 +857,7 @@ def _graph_violations(graph: DecoratedGraph) -> list[Violation]:
         )
 
     if not graph.surfaces:
-        g = 0
-        for v in graph.isolated:
-            g = gcd(g, abs(v.weights[0]))
-            g = gcd(g, abs(v.weights[1]))
+        g = gcd(*(w for v in graph.isolated for w in v.weights))
         if g != 1:
             violations.append(
                 Violation(

@@ -506,15 +506,9 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece) -> list[Violation]:
         return out
     character = lam, against = _character(piece)
     along, places = xray._along, induced._places
-    g_denominator, g_isolated, g_surfaces, _, _ = induced._levels
-    level = {}
-    for listed, vertices, g_levels in (
-        ("point", induced.isolated, g_isolated),
-        ("surface", induced.surfaces, g_surfaces),
-    ):
-        for vertex, n in zip(vertices, g_levels):
+    for listed, vertices in (("point", induced.isolated), ("surface", induced.surfaces)):
+        for vertex in vertices:
             member = xray._by_id[vertex.id]
-            level[vertex.id] = n
             if member.kind != listed:
                 out.append(
                     Violation(
@@ -548,10 +542,11 @@ def _validate_dim4_piece(xray: XRay, piece: SkeletonPiece) -> list[Violation]:
                 ratio = 1 if places[vertex.id] == "min" else -1
                 out += _one_weight(piece, member, along[member.id], character, ratio)
     # a.y - b.y == (induced step) * lam, each side over its own denominator
+    g_denominator, levels, _, _ = induced._levels
     x_denominator, x_levels = xray._levels
-    ordered = sorted(level)
+    ordered = sorted(levels)
     for a, b in zip(ordered, ordered[1:]):
-        step = (level[a] - level[b]) * x_denominator
+        step = (levels[a] - levels[b]) * x_denominator
         if any(
             (x - y) * g_denominator != step * l
             for x, y, l in zip(x_levels[a], x_levels[b], lam)

@@ -114,6 +114,48 @@ MUTANTS = (
         "if power <= 0:",
         ("tests/test_s1.py", "tests/test_xray.py"),
     ),
+    Mutant(
+        "no component placed at the maximum",
+        "graph.py",
+        '"min" if n == lo else "max" if n == hi else "interior"',
+        '"min" if n == lo else "interior"',
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "resolution's extremal labels swapped",
+        "graph.py",
+        'dict(zip(("min", "max"), self._labels))',
+        'dict(zip(("max", "min"), self._labels))',
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "validation's extremal labels swapped",
+        "graph.py",
+        'dict(zip(("min", "max"), graph._labels))',
+        'dict(zip(("max", "min"), graph._labels))',
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "an edge read at its start twice",
+        "graph.py",
+        "levels[e.start], levels[e.end]",
+        "levels[e.start], levels[e.start]",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "the extremal areas swapped in the labels",
+        "graph.py",
+        'ends["min"], ends["max"]',
+        'ends["max"], ends["min"]',
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "the H^1 keys skipped",
+        "s1.py",
+        "if h1 and len(graph.surfaces) == 2:",
+        "if False:",
+        ("tests/test_s1.py",),
+    ),
 )
 
 

@@ -772,7 +772,7 @@ def reference_basis_json(document, basis, graph_ref: str) -> str:
         cursor = 1
         for i, cls in records:
             parts.append(absent[cursor:offsets[i + 1] - 2])
-            entries = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in cls.degrees()}
+            entries = {str(k): _entry_to_dict(cls.entries[k], fmt) for k in sorted(cls.entries)}
             cli._write(entries, parts, "\n      ")
             cursor = offsets[i + 1]
         parts.append(absent[cursor:])

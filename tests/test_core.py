@@ -318,7 +318,7 @@ def test_coefficients_are_kept_as_given():
     assert type(MPoly.constant(1, Fraction(3)).terms[(0,)]) is Fraction
     assert [type(c) for c in Laurent({0: 2, 1: Fraction(1, 2)}).terms.values()] == [int, Fraction]
     point = ComponentClass("point", 0, {0: 1, 2: Fraction(2)})
-    assert [type(point.entry(k)) for k in (0, 2, 4)] == [int, Fraction, int]
+    assert [type(point.entries[k]) for k in (0, 2)] == [int, Fraction]
     surface = SurfaceClass(1, 1, (2, Fraction(3)), 4)
     assert [type(x) for x in (surface.c0, *surface.c1, surface.c2)] == [int, int, Fraction, int]
 
@@ -393,12 +393,12 @@ def test_the_integer_fields_keep_their_messages():
 
 def test_component_class_entries():
     cls = ComponentClass("surface", 1, {2: SurfaceClass(1, c0=2, c2=3)})
-    assert cls.degrees() == [2]
-    assert cls.entry(2).c0 == 2
-    assert not cls.entry(4)
+    assert sorted(cls.entries) == [2]
+    assert cls.entries[2].c0 == 2
+    assert 4 not in cls.entries
     point = ComponentClass("point", 0, {0: Fraction(0), 2: Fraction(5)})
-    assert point.degrees() == [2]
-    assert point.entry(0) == 0
+    assert sorted(point.entries) == [2]
+    assert 0 not in point.entries
 
 
 @pytest.mark.parametrize("key", [2.5, 2.0, Fraction(2), "2", True, None], ids=repr)

@@ -1,13 +1,14 @@
 """The narrative demos run to completion against the package under test,
 the package's modules import only what they use, only the graph module
-places a fixed component, only the core module states the parity of a
-degree, only the basis record builder skips the record check, one
-router serves bases and membership, only a graph basis reads the
-constraint table of one degree, the command line writes a basis
-without building its classes, validation reports without raising,
-each document rule is stated once, no module keeps state beyond three
-bounded caches and one environment read, and each mutant of the mutant
-table edits one place in the package."""
+places a fixed component, and there only ``DecoratedGraph._places``,
+only the core module states the parity of a degree, only the basis
+record builder skips the record check, one router serves bases and
+membership, only a graph basis reads the constraint table of one
+degree, the command line writes a basis without building its classes,
+validation reports without raising, each document rule is stated once,
+no module keeps state beyond three bounded caches and one environment
+read, and each mutant of the mutant table edits one place in the
+package."""
 
 import ast
 import os
@@ -245,6 +246,35 @@ def test_only_the_graph_module_places_a_component():
             ):
                 found.append(f"{name}:{node.lineno} sorts by .y")
     assert found == []
+
+
+def test_a_graph_places_each_component_once():
+    """``DecoratedGraph._places`` is the one placement: no other function in
+    ``graph.py`` compares ``lo``, ``hi``, ``.lowest`` or ``.highest`` with
+    anything but each other (the degenerate-span check), or keys a dict by
+    ``lo`` or ``hi``; validation, the extremal labels and resolution read
+    each component's place off ``_places``."""
+    tree = ast.parse((Path(equicoh.__file__).resolve().parent / "graph.py").read_text("utf-8"))
+    names, attributes = {"lo", "hi"}, {"lowest", "highest"}
+
+    def end(node) -> bool:
+        return getattr(node, "id", None) in names or getattr(node, "attr", None) in attributes
+
+    scope = {}  # node -> its innermost function: ast.walk reaches an outer one first
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            scope.update((node, function.name) for node in ast.walk(function))
+    hits = []
+    for node, name in scope.items():
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            placing = any(map(end, operands)) and not all(map(end, operands))
+        else:
+            placing = isinstance(node, ast.Dict) and any(k is not None and end(k) for k in node.keys)
+        if placing:
+            hits.append((node.lineno, name))
+    assert any(name == "_places" for _, name in hits)
+    assert [f"graph.py:{line} {name}" for line, name in sorted(hits) if name != "_places"] == []
 
 
 def test_validation_reports_and_never_raises():

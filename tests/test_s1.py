@@ -1069,7 +1069,7 @@ def test_every_basis_record_is_the_checked_record_of_its_fields(key, degree):
             checked = ComponentClass(cls.kind, cls.genus, dict(cls.entries), cls.rank)
             assert type(cls) is ComponentClass and cls == checked
             assert all(checked.entries[k] is entry for k, entry in cls.entries.items())
-            assert cls.entries and cls.degrees() == [degree]
+            assert cls.entries and sorted(cls.entries) == [degree]
             for part in _mutable_parts(cls):
                 assert owner.setdefault(id(part), n) == n
 
@@ -1184,6 +1184,26 @@ def test_a_class_takes_no_record_after_it_is_built():
     alpha = constant_class(graph, 1)
     with pytest.raises(TypeError):
         alpha.components["p"] = ComponentClass("point", 0, {0: MPoly.constant(1, 1)}, 1)
+    assert check_membership(graph, alpha).member
+
+
+def test_a_record_takes_no_entry_after_it_is_built():
+    """An entry written into a built record, once accepted and then read as
+    the wrong kind of value by membership (an AttributeError), or a record
+    emptied in place, is refused where it is written: the record is frozen
+    and its entries a read-only mapping, on the checked and the basis
+    paths alike."""
+    graph = g3()
+    alpha = constant_class(graph, 1)
+    basis_record = next(iter(image_basis(graph, 2)[0].components.values()))
+    for record in (alpha.components["p"], basis_record):
+        with pytest.raises(TypeError):
+            record.entries[0] = MPoly.constant(1, 1)
+        with pytest.raises(AttributeError):
+            record.entries.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.entries = {}
+    assert dict(alpha.components["p"].entries) == {0: 1}
     assert check_membership(graph, alpha).member
 
 
@@ -1845,6 +1865,27 @@ def test_module_closure_under_parameter():
                 shifted = element.times_u()
                 assert in_image_span(graph, k + 2, shifted)
                 assert reference_in_image_span(graph, k + 2, shifted, basis)
+
+
+def symplectic_class(graph, sign=1):
+    """The equivariant symplectic class [omega + mu u] in degree 2: y u at a
+    point and area [S] + y u at a surface; ``sign=-1`` negates the moment."""
+    comps = {v.id: ComponentClass("point", 0, {2: sign * v.y}) for v in graph.isolated}
+    for v in graph.surfaces:
+        entry = SurfaceClass(v.genus, c0=sign * v.y, c2=v.area)
+        comps[v.id] = ComponentClass("surface", v.genus, {2: entry})
+    return EquivariantClass(comps, None)
+
+
+def test_the_symplectic_class_is_in_the_degree_two_image():
+    """[omega + mu u] is a member on every fixture graph and on the chains
+    of 3 to 8 interior points of genus 0 to 2; with the moment negated it
+    is refused on g3 and on every chain (on g1 and g2 it is a member too)."""
+    chains = [fixtures.chain(n, g) for n in range(3, 9) for g in range(3)]
+    for graph in [*all_graphs().values(), *chains]:
+        assert check_membership(graph, symplectic_class(graph)).member
+    for graph in [g3(), *chains]:
+        assert not check_membership(graph, symplectic_class(graph, -1)).member
 
 
 def rebuild_from_vectors(graph, vectors):

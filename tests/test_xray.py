@@ -1608,6 +1608,33 @@ def test_module_closure_under_both_parameters():
                     assert check_membership_xray(xray, shifted).member
 
 
+def symplectic_torus_class(xray, bumped=None):
+    """The analogue of the equivariant symplectic class [omega + mu u] on an
+    x-ray, in degree 2: sum y_i x_i at a point, area [S] + sum y_i x_i at a
+    surface; with x_0 added at the component ``bumped``."""
+    r = xray.rank
+    comps = {}
+    for c in xray.components:
+        moment = MPoly(r, {tuple(int(i == j) for j in range(r)): y for i, y in enumerate(c.y)})
+        if c.id == bumped:
+            moment = moment + MPoly.variable(r, 0)
+        if c.kind == "surface":
+            moment = SurfaceClass(c.genus, c0=moment, c2=MPoly.constant(r, c.area))
+        comps[c.id] = ComponentClass(c.kind, c.genus, {2: moment}, r)
+    return EquivariantClass(comps, r)
+
+
+def test_the_symplectic_class_is_in_the_degree_two_image_of_an_xray():
+    """Sum y_i x_i at the points and area [S] + sum y_i x_i at the surfaces
+    is a member on every fixture, the twisted cube included, and moving one
+    component's value off it by x_0 makes a non-member."""
+    twist = parse_xray(fixtures.twisted(fixtures.cube_doc(3, 1), TWISTS[3][1]))
+    for xray in (x2(0), x2(1), cp3(), cube(2, 0), cube(3, 1), cube(2, 2), twist):
+        assert check_membership_xray(xray, symplectic_torus_class(xray)).member
+        bumped = symplectic_torus_class(xray, xray.components[0].id)
+        assert not check_membership_xray(xray, bumped).member
+
+
 def reference_image_basis_xray(xray, degree):
     """The slot-major assembly: every piece visits every unit slot class, and
     the dense two-pass elimination of ``test_linalg`` solves the rows."""
@@ -1726,7 +1753,7 @@ def test_basis_rejects_an_induced_graph_as_the_obstructions_do(edit):
 
 def _class_on(xray, components, rng, degrees=range(5)):
     """A random inhomogeneous class that vanishes off the given components."""
-    comps = {c.id: ComponentClass(c.kind, c.genus, {}, xray.rank) for c in xray.components}
+    entries = {c.id: {} for c in xray.components}
     for degree in degrees:
         slots = degree_slots(xray, degree)
         values = [
@@ -1735,7 +1762,10 @@ def _class_on(xray, components, rng, degrees=range(5)):
         ]
         part = class_from_vector(xray, degree, values)
         for cid in components:
-            comps[cid].entries.update(part.restriction(cid))
+            entries[cid].update(part.restriction(cid))
+    comps = {
+        c.id: ComponentClass(c.kind, c.genus, entries[c.id], xray.rank) for c in xray.components
+    }
     return EquivariantClass(comps, xray.rank)
 
 
@@ -1946,11 +1976,10 @@ def test_parse_class_torus_surface_fields():
     doc = dict(base, components=dict(comps, Smax_0={"1": {"c1": [[], []]}}))
     alpha = parse_class_torus(doc, xray)
     # All-zero entries are pruned, and a component left without one holds
-    # no record; the typed zero comes back through entry().
+    # no record.
     assert "Smax_0" not in alpha.components and alpha.restriction("Smax_0") == {}
     assert alpha.addressed() == xray._fixed_components
     assert alpha == parse_class_torus(base, xray)
-    assert ComponentClass("surface", 1, {}, 2).entry(1).c1 == (MPoly.zero(2), MPoly.zero(2))
     bad = dict(base, components=dict(comps, Smax_0={"1": {"c1": [[]]}}))
     with pytest.raises(SchemaError, match='"c1" must be a list of 2 polynomials'):
         parse_class_torus(bad, xray)

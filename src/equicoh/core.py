@@ -379,12 +379,9 @@ def map_parts(kind: str, entry, f, arg):
     return SurfaceClass(entry.genus, c0, c1, c2)
 
 
-def _vanishing(part: str, listed) -> str | None:
-    """Why a nonzero ``part`` of an entry is refused, or None where the
-    ``listed`` parts of its degree (:func:`entry_parts`) hold it."""
-    for held, _, _ in listed:
-        if held == part:
-            return None
+def _vanishing(part: str, listed) -> str:
+    """Why a nonzero ``part`` of an entry is refused, given the ``listed``
+    parts of its degree (:func:`entry_parts`), none of which it is."""
     if part == "c1":
         return "H^1 part must vanish in even degree"
     if ("c0", 0, "c0") in listed:
@@ -432,21 +429,27 @@ def _checked_entry(kind: str, genus: int, degree, entry, rank: int | None):
 def _checked_part(part: str, value, context: tuple):
     """A part of a degree-k entry in its domain, itself if already there,
     with ``context`` the entry's ``(degree, rank, where, listed)``.  A
-    nonzero value in a part that is not ``listed`` is refused
-    (:func:`_vanishing`); then the part must be a rational for a circle
-    action (``rank`` None), else a polynomial in ``rank`` variables,
-    homogeneous of its :func:`part_power`, or a zero int or Fraction.  A
-    zero polynomial of that rank is returned at once."""
+    nonzero value in a part that is not ``listed`` is refused, found by a
+    loop over the listed parts with no call (:func:`_vanishing` says why,
+    once refused); then the part must be a rational for a circle action
+    (``rank`` None), else a polynomial in ``rank`` variables, homogeneous
+    of its :func:`part_power`, or a zero int or Fraction.  A zero
+    polynomial of that rank is returned at once, before any power is
+    computed or any term walked."""
     degree, rank, where, listed = context
-    if value and (why := _vanishing(part, listed)):
-        raise InputError(f"{where}: {why}")
+    if value:
+        for held, _, _ in listed:
+            if held == part:
+                break
+        else:
+            why = _vanishing(part, listed)
+            raise InputError(f"{where}: {why}")
     if rank is None:
         if type(value) in RATIONAL_TYPES:
             return value
         raise InputError(f"{where}: expected a rational coefficient")
     if isinstance(value, MPoly) and value.nvars == rank:
-        power = part_power(part, degree)
-        if value.terms and not value.is_homogeneous(power):
+        if value.terms and not value.is_homogeneous(power := part_power(part, degree)):
             raise InputError(f"{where}: polynomial must be homogeneous of degree {power}")
         return value
     if type(value) in RATIONAL_TYPES and not value:

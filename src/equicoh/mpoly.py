@@ -184,14 +184,16 @@ class LinearSubstitution:
     """The change of variables ``u_i = sum_j matrix[i][j] * v_j``.
 
     Calling the object on a polynomial in the ``u`` variables returns its
-    image in the ``v`` variables, and :meth:`map_terms` maps a bare term
-    dict.  The image of each monomial is expanded once, from the image of a
-    monomial one degree lower, and kept for later calls on the same object;
-    every result gets a dict of its own, so mutating it cannot reach the
-    memo.  The variable images and the memo hold the matrix's integer
-    entries as ``int``, so a monomial's image has ``int`` coefficients, and
-    so has the image of a polynomial with ``int`` coefficients; one with
-    Fraction coefficients still maps to one with Fraction coefficients.
+    image in the ``v`` variables.  The image of each monomial is expanded
+    once, from the image of a monomial one degree lower, and kept for later
+    calls on the same object.  A polynomial's image gets a dict of its own,
+    so mutating it cannot reach the memo; the constraint rows and a class's
+    obstructions read each monomial's image in the memo itself
+    (:meth:`_monomial`), read only.  The variable images and the memo hold
+    the matrix's integer entries as ``int``, so a monomial's image has
+    ``int`` coefficients, and so has the image of a polynomial with ``int``
+    coefficients; one with Fraction coefficients still maps to one with
+    Fraction coefficients.
     """
 
     __slots__ = ("nvars", "nout", "_variables", "_monomials")
@@ -211,6 +213,9 @@ class LinearSubstitution:
     def _monomial(self, exps: Exponents) -> dict[Exponents, int]:
         """The expanded image of one monomial, with ``int`` coefficients;
         shared with the memo, read only."""
+        image = self._monomials.get(exps)
+        if image is not None:
+            return image
         pending = []
         while exps not in self._monomials:
             i = next(i for i, e in enumerate(exps) if e)
@@ -228,25 +233,17 @@ class LinearSubstitution:
             self._monomials[exps] = image
         return image
 
-    def map_terms(self, terms: Mapping[Exponents, object]) -> dict:
-        """The image of the terms ``{exponents: coefficient}`` of a
-        polynomial in the ``u`` variables, as a new dict of its nonzero
-        terms.  Each coefficient is multiplied only by the memo's ``int``
-        coefficients, so ``int`` coefficients map to ``int`` ones."""
-        memo = self._monomials
-        acc: dict = {}
-        for exps, coeff in terms.items():
-            image = memo.get(exps)
-            if image is None:
-                image = self._monomial(exps)
-            for e, c in image.items():
-                acc[e] = acc.get(e, 0) + coeff * c
-        return {e: c for e, c in acc.items() if c}
-
     def __call__(self, p: MPoly) -> MPoly:
+        """The image of ``p``, its terms' images summed: each coefficient is
+        multiplied only by the memo's ``int`` coefficients, so ``int``
+        coefficients map to ``int`` ones."""
         if p.nvars != self.nvars:
             raise InputError("substitution matrix has wrong number of rows")
-        return MPoly._trusted(self.nout, self.map_terms(p.terms))
+        acc: dict = {}
+        for exps, coeff in p.terms.items():
+            for e, c in self._monomial(exps).items():
+                acc[e] = acc.get(e, 0) + coeff * c
+        return MPoly._trusted(self.nout, {e: c for e, c in acc.items() if c})
 
 
 def _integer_entries(lam: Sequence[int]) -> list[int]:
@@ -298,10 +295,17 @@ def poly_to_pairs(p: MPoly) -> list[list]:
     return [[list(exps), str(coeff)] for exps, coeff in p.sorted_terms()]
 
 
-def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
+def poly_from_pairs(
+    pairs: Iterable, nvars: int, parse_scalar, *args, seen: dict | None = None
+) -> MPoly:
     """The sum of ``[exponents, coefficient]`` pairs, each checked once by the
     constructor's rules, built in the stored form without the constructor;
-    ``parse_scalar`` reads each coefficient as an exact rational."""
+    ``parse_scalar(coefficient, *args)`` reads each coefficient as an exact
+    rational.  A text coefficient is read once: its value is kept in
+    ``seen``, a dict the caller may share between calls (one of this call's
+    own without it), and a text already there is not read again."""
+    if seen is None:
+        seen = {}
     terms: dict[Exponents, int | Fraction] = {}
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -314,7 +318,10 @@ def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar) -> MPoly:
             raise InputError(f"exponents must be integers, got {list(exps)}")
         if key and min(key) < 0:
             raise InputError(f"bad exponent tuple {key} for {nvars} variables")
-        value = parse_scalar(coeff)
+        if type(coeff) is not str:
+            value = parse_scalar(coeff, *args)
+        elif (value := seen.get(coeff)) is None:
+            value = seen[coeff] = parse_scalar(coeff, *args)
         # a repeated key only adds: 0 + Fraction goes through Fraction.__radd__
         if key in terms:
             terms[key] += value

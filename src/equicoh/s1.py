@@ -13,8 +13,8 @@ each part of a component's restriction lists the divisions it enters
 the identification) and its poles (the closed form of its localization
 term, never hard-coded per graph).  Every query routes terms through that
 table: image bases route each slot's unit part and take the nullspace of
-the resulting rows, membership routes the class's own parts and reads the
-violations off the keys, and the localization sum is the class's parts
+the resulting rows, membership routes the class's own terms and reads the
+violations off the keys, and the localization sum is the class's terms
 under every pole at every power, not only the negative ones.  There is no
 second description.  Every division factor and pole numerator of the table
 is an integer, the poles over one denominator per table, so a query adds
@@ -34,10 +34,11 @@ Every entry point that computes on a graph refuses an invalid one, then
 reads where each component sits and its extremal labels off the graph.
 
 The same table serves a higher-rank torus along a primitive integer
-character: each part is rewritten once in coordinates where the character
-is the first variable, divisibility becomes an exponent test, and the
-localization sum must again be free of negative powers.  A circle-action
-value is the rank-1 case, a single power of the parameter.
+character: each term is read through its monomial's memoised image in
+coordinates where the character is the first variable, as a slot is,
+divisibility becomes an exponent test, and the localization sum must
+again be free of negative powers.  A circle-action value is the rank-1
+case, a single power of the parameter.
 """
 
 from __future__ import annotations
@@ -606,29 +607,33 @@ def _surface_pair(graph: DecoratedGraph) -> tuple[FatVertex, FatVertex]:
     return (a, b) if graph._places[a.id] == "min" else (b, a)
 
 
-def _route(out: dict, rules: tuple, degree: int, terms: dict) -> None:
-    """Add a degree-k part's obstructions to ``out``.
+def _route(out: dict, rules: tuple, degree: int, terms: dict, c: int = 1) -> None:
+    """Add ``c`` times a degree-k part's obstructions to ``out``.
 
     ``terms`` are the part's terms in adapted coordinates, where the
-    parameter (or the character) is the first variable.  A term ``c * v^E``
-    with ``E[0] = 0`` adds ``factor * c`` at ``head + (degree, E)`` for each
-    division; it adds ``n * c`` at ``("pole", E[0] + shift, E[1:])`` for
-    each pole ``(shift, n)`` whose power ``E[0] + shift`` is negative.  The
-    factors and numerators of :func:`_constraint_table` are ``int``s, so
-    integer terms give integer sums: a pole key holds its value times the
-    table's denominator.
+    parameter (or the character) is the first variable: a slot's or a
+    class term's monomial image (:func:`_rows`, :func:`_class_terms`),
+    read, never written.  A term ``t * v^E`` with ``E[0] = 0`` adds
+    ``factor * c * t`` at ``head + (degree, E)`` for each division; it adds
+    ``n * c * t`` at ``("pole", E[0] + shift, E[1:])`` for each pole
+    ``(shift, n)`` whose power ``E[0] + shift`` is negative.  The factors
+    and numerators of :func:`_constraint_table` are ``int``s, so integer
+    terms and coefficients give integer sums: a pole key holds its value
+    times the table's denominator.  Terms of different images that meet at
+    one key are summed there, so a key may end at zero.
     """
     divisions, poles = rules
-    for exps, c in terms.items():
+    for exps, t in terms.items():
+        t *= c
         if not exps[0]:
             for head, factor in divisions:
                 key = head + (degree, exps)
-                out[key] = out.get(key, 0) + factor * c
+                out[key] = out.get(key, 0) + factor * t
         for shift, n in poles:
             power = exps[0] + shift
             if power < 0:
                 key = ("pole", power, exps[1:])
-                out[key] = out.get(key, 0) + n * c
+                out[key] = out.get(key, 0) + n * t
 
 
 def _scaled_parts(
@@ -669,51 +674,61 @@ def _scaled_parts(
 
 
 def _class_terms(table, parts: dict, substitution: LinearSubstitution | None):
-    """Every scaled part (:func:`_scaled_parts`) the table names, in every
-    degree, as ``(rules, degree, terms)``: the part's rules and its terms in
-    adapted coordinates (see :func:`_route`).  A torus part is rewritten by
-    the character's ``substitution``; a circle-action value is the single
-    term ``{(p,): value}``, p its power of the parameter (:func:`part_power`)."""
+    """Every term of every scaled part (:func:`_scaled_parts`) the table
+    names, in every degree, as ``(rules, degree, image, c)``: the part's
+    rules, the term's monomial image in adapted coordinates (see
+    :func:`_route`) and its ``int`` coefficient ``c``.  A torus term's image
+    is the substitution's memoised image of its monomial, shared and read
+    only, as :func:`_rows` routes a basis slot; a circle-action value is one
+    term of image ``{(p,): 1}``, p its power of the parameter
+    (:func:`part_power`).  No part's image is merged, so the terms of one
+    part meet only where they are routed."""
     for key, rules in table.items():
         for degree, value in parts.get(key, ()):
             if substitution is None:
-                yield rules, degree, {(part_power(key[1], degree),): value}
+                yield rules, degree, {(part_power(key[1], degree),): 1}, value
             else:
-                yield rules, degree, substitution.map_terms(value)
+                for exps, c in value.items():
+                    yield rules, degree, substitution._monomial(exps), c
 
 
 def _class_obstructions(group: tuple, scaled: tuple[int, dict]) -> dict[tuple, Fraction]:
     """The nonzero obstructions of a class under one constraint group (see
     :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``:
-    each part routed once as integers, and each nonzero sum divided back by
-    ``d``, a pole's by ``d`` times the group's pole denominator."""
+    each term of each part routed once through its monomial's image, times
+    its ``int`` coefficient (:func:`_class_terms`), and each nonzero sum
+    divided back by ``d``, a pole's by ``d`` times the group's pole
+    denominator."""
     _, table, substitution, denominator = group
     d, parts = scaled
     out: dict[tuple, int] = {}
-    for rules, degree, terms in _class_terms(table, parts, substitution):
-        _route(out, rules, degree, terms)
+    for rules, degree, image, c in _class_terms(table, parts, substitution):
+        _route(out, rules, degree, image, c)
     poles = d * denominator
     return {key: Fraction(c, poles if key[0] == "pole" else d) for key, c in out.items() if c}
 
 
 def _localization_sum(group: tuple, scaled: tuple[int, dict]) -> Laurent:
     """The localization sum of a class under a graph's constraint group (see
-    :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``:
-    each pole ``(shift, n)`` of a part adds ``n`` times its term ``c * v^E``
-    at the power ``E[0] + shift``, negative or not (:func:`_route` keeps
-    only the negative ones), in integers, and every coefficient is divided
-    back once by ``d`` times the group's pole denominator.  The
-    coefficients are scalars for a circle action and, along a character,
-    polynomials in the ``rank - 1`` remaining variables ``E[1:]``."""
+    :func:`_graph_group`), from its :func:`_scaled_parts` ``(d, parts)``,
+    read off the terms of :func:`_class_terms`: each pole ``(shift, n)`` of
+    a part adds ``n * c * t`` for each term ``t * v^E`` of a class term's
+    image, ``c`` its coefficient, at the power ``E[0] + shift``, negative
+    or not (:func:`_route` keeps only the negative ones), in integers, and
+    every coefficient is divided back once by ``d`` times the group's pole
+    denominator.  The coefficients are scalars for a circle action and,
+    along a character, polynomials in the ``rank - 1`` remaining variables
+    ``E[1:]``."""
     _, table, substitution, denominator = group
     d, parts = scaled
     d *= denominator
     total: dict[int, dict[tuple, int]] = {}
-    for (_, poles), _, terms in _class_terms(table, parts, substitution):
-        for exps, c in terms.items():
+    for (_, poles), _, image, c in _class_terms(table, parts, substitution):
+        for exps, t in image.items():
+            t *= c
             for shift, n in poles:
                 coeff = total.setdefault(exps[0] + shift, {})
-                coeff[exps[1:]] = coeff.get(exps[1:], 0) + n * c
+                coeff[exps[1:]] = coeff.get(exps[1:], 0) + n * t
     if substitution is None:
         return Laurent({power: Fraction(coeff[()], d) for power, coeff in total.items()})
     nvars = substitution.nout - 1
@@ -950,10 +965,11 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
     """Localization sum with the parameter replaced by the character form.
 
     Returns a Laurent element in the character direction whose coefficients
-    are polynomials in the complementary directions.  Each part of the class
-    is rewritten in coordinates where the character is the first variable,
-    and the poles of the graph's :func:`_constraint_table` apply power by
-    power, as in :func:`localize`; H^1 parts have none.
+    are polynomials in the complementary directions.  Each term of the class
+    is read through its monomial's image in coordinates where the character
+    is the first variable (:func:`_class_terms`), and the poles of the
+    graph's :func:`_constraint_table` apply power by power, as in
+    :func:`localize`; H^1 parts have none.
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
     return _localization_sum(_graph_group(graph, rank, lam), _scaled_parts(graph, rank, alpha))
@@ -969,9 +985,9 @@ def torus_obstructions(
 
     Keys tag divisibility residues ("div", pair, part, degree, monomial)
     and localization poles ("pole", power, monomial).  The class is in the
-    image locally along this character iff the dict is empty.  Each part
-    of the class is substituted once and routed through the graph's
-    :func:`_constraint_table`.
+    image locally along this character iff the dict is empty.  Each term
+    of the class is routed through its monomial's image and the graph's
+    :func:`_constraint_table` (:func:`_class_obstructions`).
     """
     group = _graph_group(graph, rank, lam)
     return _class_obstructions(group, _scaled_parts(graph, rank, alpha))
@@ -1031,6 +1047,10 @@ def _parse_class(text, document) -> EquivariantClass:
     Each part is read into its domain, and once a component's entries are
     read, its record is built by the checked constructor of
     :class:`ComponentClass`, so a record's rules are checked on one path.
+    Each distinct coefficient text is read by :func:`parse_rational` once
+    per document, at its first place, through a dict local to this call; a
+    polynomial's pairs go to :func:`poly_from_pairs` with that dict,
+    ``parse_rational`` and the place, so a repeated text costs one lookup.
     """
     doc = _load_document(text)
     _check_keys_class(doc)
@@ -1039,17 +1059,25 @@ def _parse_class(text, document) -> EquivariantClass:
         raise SchemaError('"components" must be an object', "class")
     components = document._fixed_components
     rank = document.rank
+    seen: dict[str, int | Fraction] = {}  # each coefficient text, read once
+
+    def rational(value, where: str) -> int | Fraction:
+        if type(value) is not str:
+            return parse_rational(value, where)
+        if (found := seen.get(value)) is None:
+            found = seen[value] = parse_rational(value, where)
+        return found
 
     def polynomial(value, where: str) -> MPoly:
         if not isinstance(value, list):
             raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
         try:
-            return poly_from_pairs(value, rank, lambda v: parse_rational(v, where))
+            return poly_from_pairs(value, rank, parse_rational, where, seen=seen)
         except InputError as exc:
             raise SchemaError(str(exc), where) from None
 
     if rank is None:
-        owner, noun, zero, scalar = "graph", "rationals", 0, parse_rational
+        owner, noun, zero, scalar = "graph", "rationals", 0, rational
     else:
         owner, noun, zero, scalar = "x-ray", "polynomials", MPoly.zero(rank), polynomial
 

@@ -72,10 +72,12 @@ MUTANTS = (
         "pass",
         ("tests/test_s1.py",),
     ),
+    # The part's power is computed only for a nonzero polynomial, inside the
+    # homogeneity test, so the mutant disables that whole line.
     Mutant(
         "the record check without its homogeneity rule",
         "core.py",
-        "if value.terms and not value.is_homogeneous(power):",
+        "if value.terms and not value.is_homogeneous(power := part_power(part, degree)):",
         "if False:",
         ("tests/test_s1.py",),
     ),
@@ -154,6 +156,20 @@ MUTANTS = (
         "s1.py",
         "if h1 and len(graph.surfaces) == 2:",
         "if False:",
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "the coefficient dropped from a routed term",
+        "s1.py",
+        "        t *= c\n        if not exps[0]:",
+        "        if not exps[0]:",
+        ("tests/test_s1.py", "tests/test_xray.py"),
+    ),
+    Mutant(
+        "the coefficient dropped from a localization term",
+        "s1.py",
+        "            t *= c\n            for shift, n in poles:",
+        "            for shift, n in poles:",
         ("tests/test_s1.py",),
     ),
 )

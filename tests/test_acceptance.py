@@ -542,9 +542,10 @@ def test_membership_routes_ints_and_builds_no_fraction(cube_member, monkeypatch)
     routed, built = [], []
     route = s1._route
 
-    def counting_route(out, rules, degree, terms):
-        routed.extend(type(c) for c in terms.values())
-        route(out, rules, degree, terms)
+    def counting_route(out, rules, degree, terms, c):
+        routed.append(type(c))
+        routed.extend(type(t) for t in terms.values())
+        route(out, rules, degree, terms, c)
 
     monkeypatch.setattr(s1, "_route", counting_route)
     _counting_fractions(monkeypatch, built)

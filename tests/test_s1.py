@@ -88,6 +88,7 @@ from test_mpoly import reference_poly_from_pairs, reference_split_leading
 from test_xray import BAD_COMPONENT_SHAPES as XRAY_COMPONENT_SHAPES
 from test_xray import BAD_SHAPES as XRAY_PIECE_SHAPES
 from test_xray import EQUIVALENCE_XRAYS
+from test_xray import TWISTS as XRAY_TWISTS
 
 
 def point_class(graph, values):
@@ -768,6 +769,123 @@ def test_piece_obstructions_match_the_fraction_oracle(name, coefficients, rng):
             localization = localize_torus(piece.induced, xray.rank, piece.lam, restricted)
             expected = reference_localize_torus(piece.induced, xray.rank, piece.lam, restricted)
             assert localization == expected, piece.id
+
+
+# -- each class term routed on its own, against the merged walk ---------------
+
+
+def reference_class_terms(table, parts, substitution):
+    """The class walk that merges each part's image first: every scaled
+    part (:func:`s1._scaled_parts`) the table names, in every degree, as
+    ``(rules, degree, terms)``, a torus part's terms merged under the
+    substitution with its zero sums dropped, a circle-action value the
+    single term ``{(p,): value}``."""
+    for key, rules in table.items():
+        for degree, value in parts.get(key, ()):
+            if substitution is None:
+                yield rules, degree, {(part_power(key[1], degree),): value}
+            else:
+                yield rules, degree, substitution(MPoly._trusted(substitution.nvars, value)).terms
+
+
+def reference_walk_obstructions(group, scaled):
+    """:func:`s1._class_obstructions` over :func:`reference_class_terms`."""
+    _, table, substitution, denominator = group
+    d, parts = scaled
+    out = {}
+    for rules, degree, terms in reference_class_terms(table, parts, substitution):
+        s1._route(out, rules, degree, terms)
+    poles = d * denominator
+    return {key: Fraction(c, poles if key[0] == "pole" else d) for key, c in out.items() if c}
+
+
+def reference_walk_localization(group, scaled):
+    """:func:`s1._localization_sum` over :func:`reference_class_terms`."""
+    _, table, substitution, denominator = group
+    d, parts = scaled
+    d *= denominator
+    total = {}
+    for (_, poles), _, terms in reference_class_terms(table, parts, substitution):
+        for exps, c in terms.items():
+            for shift, n in poles:
+                coeff = total.setdefault(exps[0] + shift, {})
+                coeff[exps[1:]] = coeff.get(exps[1:], 0) + n * c
+    if substitution is None:
+        return Laurent({power: Fraction(coeff[()], d) for power, coeff in total.items()})
+    return Laurent({
+        power: MPoly(substitution.nout - 1, {e: Fraction(c, d) for e, c in coeff.items()})
+        for power, coeff in total.items()
+    })
+
+
+# cp3 and the twisted cubes: along a skew character a monomial's image has
+# several terms, and the images of one part's terms meet and may cancel.
+WALK_XRAYS = {
+    "cp3": fixtures.cp3(),
+    **{
+        f"twisted_r{rank}_g{genus}_{i}": parse_xray(
+            fixtures.twisted(fixtures.cube_doc(rank, genus), matrix)
+        )
+        for rank, matrices in XRAY_TWISTS.items()
+        for i, matrix in enumerate(matrices)
+        for genus in (0, 1)
+    },
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(WALK_XRAYS)),
+    st.sampled_from(sorted(COEFFICIENTS)),
+    st.randoms(use_true_random=False),
+)
+def test_each_routed_term_gives_the_obstructions_of_the_merged_walk(name, coefficients, rng):
+    """Routing each term of a class through its monomial's image, times its
+    coefficient, gives every piece the obstructions of the walk that merged
+    each part's image first, with no zero reported, and every induced
+    graph the same localization along the piece's character."""
+    xray = WALK_XRAYS[name]
+    alpha = fixtures.random_torus_class(
+        xray._fixed_components, xray.rank, rng, value=COEFFICIENTS[coefficients]
+    )
+    basis = image_basis_xray(xray, rng.randrange(5))
+    for beta in [alpha] + ([rng.choice(basis)] if basis else []):
+        scaled = s1._scaled_parts(xray, xray.rank, beta)
+        for group in xray._groups.values():
+            found = s1._class_obstructions(group, scaled)
+            assert found == reference_walk_obstructions(group, scaled)
+            assert all(found.values()), found
+    for piece in xray.pieces:
+        if piece.dim == 4:
+            restricted = alpha.restricted(piece.members)
+            group = s1._graph_group(piece.induced, xray.rank, piece.lam)
+            expected = reference_walk_localization(
+                group, s1._scaled_parts(piece.induced, xray.rank, restricted)
+            )
+            assert localize_torus(piece.induced, xray.rank, piece.lam, restricted) == expected
+
+
+def test_terms_that_cancel_where_they_are_routed_report_no_obstruction():
+    """On the cube twisted by ((1, 1), (0, 1)), the piece E1 reads x0 + x1
+    at S00 as v0: the images of x0 and x1 meet at v1 and cancel there, so
+    the unmerged route holds a zero at that key, and no obstruction is
+    reported for it."""
+    xray = WALK_XRAYS["twisted_r2_g0_0"]
+    records = {
+        cid: ComponentClass(kind, genus, {}, 2) for cid, kind, genus in xray._fixed_components
+    }
+    part = MPoly(2, {(1, 0): 1, (0, 1): 1})
+    records["S00"] = ComponentClass("surface", 0, {2: SurfaceClass(0, c0=part)}, 2)
+    scaled = s1._scaled_parts(xray, 2, EquivariantClass(records, 2))
+    group = xray._groups["E1_S00_S01"]
+    routed = {}
+    for rules, degree, image, c in s1._class_terms(group[1], scaled[1], group[2]):
+        s1._route(routed, rules, degree, image, c)
+    key = ("div", ("S00", "S01"), ("h0",), 2, (0, 1))
+    assert routed[key] == 0
+    found = s1._class_obstructions(group, scaled)
+    assert key not in found
+    assert found == reference_walk_obstructions(group, scaled)
 
 
 def test_localize_torus_checks_the_character_length():
@@ -2258,6 +2376,92 @@ def test_a_parsed_class_is_the_checked_class_of_the_reference(key, data):
         checked = ComponentClass(cls.kind, cls.genus, dict(cls.entries), cls.rank)
         assert type(cls) is ComponentClass and cls == checked
         assert all(checked.entries[k] is entry for k, entry in cls.entries.items())
+
+
+def _texts(value) -> list[str]:
+    """Every text coefficient of a class document's components (exponent
+    vectors hold ints only)."""
+    if isinstance(value, str):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return [text for item in items for text in _texts(item)]
+
+
+# (document, the class's place and degree-0 entry holding "6/3")
+COUNTED_DOCUMENTS = {
+    "g2": (lambda: g2(1), "Smin", {"c0": "6/3"}),
+    "chain": (lambda: fixtures.chain(6, 1), "p001", "6/3"),
+    "cp3": (fixtures.cp3, "P0", [[[0, 0], "6/3"]]),
+    "cube": (lambda: fixtures.cube(3, 1), "S000", {"c0": [[[0, 0, 0], "6/3"]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED_DOCUMENTS))
+def test_a_class_document_reads_each_coefficient_text_once(name, monkeypatch):
+    """Parsing a class calls ``parse_rational`` once per distinct coefficient
+    text, at its first place, and gives the reference's class with every
+    rational of the same type: "6/3" is still the int 2."""
+    make, cid, entry = COUNTED_DOCUMENTS[name]
+    document = make()
+    rng = random.Random(7)
+
+    def small(rng):
+        return rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+    if document.rank is None:
+        alpha = fixtures.random_class(document, rng, degrees=range(5), value=small)
+    else:
+        alpha = fixtures.random_torus_class(
+            document._fixed_components, document.rank, rng, degrees=range(5), value=small
+        )
+    doc = class_to_dict(alpha, name)
+    doc["components"][cid]["0"] = entry
+    texts = _texts(doc["components"])
+    assert "6/3" in texts and len(texts) > 2 * len(set(texts))
+    read = []
+
+    def counting(value, where):
+        read.append(value)
+        return parse_rational(value, where)
+
+    monkeypatch.setattr(s1, "parse_rational", counting)
+    found = s1._parse_class(doc, document)
+    monkeypatch.undo()
+    assert sorted(read) == sorted(set(texts))
+    expected = reference_parse_class(doc, document)
+    assert found == expected and _typed_class(found) == _typed_class(expected)
+    record = found.components[cid]
+    value = entry_part(record.entries[0], "c" if record.kind == "point" else "c0")
+    if found.rank is not None:
+        value = value.terms[(0,) * found.rank]
+    assert type(value) is int and value == 2
+
+
+# (document, class components): a bad text at two places, the first named
+REPEATED_BAD_TEXTS = {
+    "graph": (lambda: g1(), {"A": {"2": "1/x"}, "B": {"0": "1", "2": "1/x"}, "C": {}},
+              "components.A.2: cannot parse rational '1/x'"),
+    "graph, after a good text": (
+        lambda: g2(1), {"Smin": {"0": {"c0": "2"}, "2": {"c0": "2", "c2": "2/0"}},
+                        "Smax": {"2": {"c2": "2/0"}}},
+        "components.Smax.2: cannot parse rational '2/0'"),
+    "x-ray": (lambda: fixtures.cube(2, 0),
+              {"S00": {}, "S01": {"0": {"c0": [[[0, 0], "1"], [[0, 0], "-1/0"]]}},
+               "S10": {"0": {"c0": [[[0, 0], "-1/0"]]}}, "S11": {}},
+              "components.S01.0: cannot parse rational '-1/0'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_BAD_TEXTS))
+def test_a_bad_text_that_repeats_is_refused_where_it_is_first_read(name):
+    """A text that is not a rational is refused at the first place the
+    parser reads it, however often it repeats, as the reference refuses it."""
+    make, components, message = REPEATED_BAD_TEXTS[name]
+    document = make()
+    doc = {"kind": "class", "graph": "g", "components": components}
+    expected = _parse_outcome(reference_parse_class, doc, document)
+    assert expected == (SchemaError, message)
+    assert _parse_outcome(s1._parse_class, doc, document) == expected
 
 
 @settings(max_examples=120, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -1597,6 +1598,73 @@ def test_a_twisted_cube_has_the_moved_image_of_the_plain_one(rank, genus, matrix
             assert check_membership_xray(twist, moved(perturbed, matrix)).member == member
             refused += not member
     assert refused
+
+
+@st.composite
+def unimodular_matrices(draw, rank: int):
+    """A unimodular integer ``rank`` x ``rank`` matrix, drawn as a product of
+    elementary ones: adding a small multiple of one row to another,
+    swapping two rows, negating a row."""
+    matrix = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    steps = st.tuples(
+        st.sampled_from(["add", "add", "swap", "negate"]),
+        st.integers(0, rank - 1),
+        st.integers(0, rank - 1),
+        st.sampled_from([-2, -1, 1, 2]),
+    )
+    for kind, i, j, k in draw(st.lists(steps, min_size=1, max_size=2 * rank)):
+        if kind == "add" and i != j:
+            matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+        elif kind == "swap":
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        elif kind == "negate":
+            matrix[i] = [-a for a in matrix[i]]
+    return matrix
+
+
+def cube_series_coefficient(rank: int, genus: int, degree: int) -> int:
+    """The coefficient of t^degree in the equivariant Poincare series of the
+    cube x-ray, (1 + 2g t + t^2) (1 + t^2)^r / (1 - t^2)^r."""
+
+    def even(m: int) -> int:  # of t^(2m) in ((1 + s) / (1 - s))^r, s = t^2
+        return sum(math.comb(rank, j) * math.comb(m - j + rank - 1, rank - 1)
+                   for j in range(min(m, rank) + 1)) if m >= 0 else 0
+
+    if degree % 2:
+        return 2 * genus * even(degree // 2)
+    return even(degree // 2) + even(degree // 2 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2), st.integers(0, 4), st.data())
+def test_a_randomly_twisted_cube_has_the_moved_image_of_the_plain_one(rank, genus, degree, data):
+    """A cube moved by a random unimodular matrix validates clean, its basis
+    in each degree has the size the series gives, as the plain cube's has,
+    every moved plain basis class is a member, and a plain member and its
+    perturbations at drawn slots keep their verdicts when moved."""
+    matrix = data.draw(unimodular_matrices(rank), "matrix")
+    plain = fixtures.basis_document("cube", rank, genus)
+    twist = parse_xray(fixtures.twisted(fixtures.cube_doc(rank, genus), matrix))
+    assert validate_xray(twist) == []
+    basis = image_basis_xray(plain, degree)
+    size = cube_series_coefficient(rank, genus, degree)
+    assert len(basis) == len(image_basis_xray(twist, degree)) == size
+    for element in basis:
+        assert check_membership_xray(twist, moved(element, matrix)).member
+    slots = degree_slots(plain, degree)
+    if not slots:
+        return
+    member = [0] * len(slots)
+    for element in basis:
+        c = data.draw(st.integers(-2, 2))
+        member = [v + c * x for v, x in zip(member, class_to_vector(plain, degree, element))]
+    perturbed = data.draw(st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=4))
+    for i in [None] + perturbed:
+        vector = member if i is None else member[:i] + [member[i] + 1] + member[i + 1:]
+        alpha = class_from_vector(plain, degree, vector)
+        verdict = check_membership_xray(plain, alpha).member
+        assert verdict or i is not None
+        assert check_membership_xray(twist, moved(alpha, matrix)).member == verdict
 
 
 def test_module_closure_under_both_parameters():

@@ -429,13 +429,11 @@ def _checked_entry(kind: str, genus: int, degree, entry, rank: int | None):
 def _checked_part(part: str, value, context: tuple):
     """A part of a degree-k entry in its domain, itself if already there,
     with ``context`` the entry's ``(degree, rank, where, listed)``.  A
-    nonzero value in a part that is not ``listed`` is refused, found by a
-    loop over the listed parts with no call (:func:`_vanishing` says why,
-    once refused); then the part must be a rational for a circle action
-    (``rank`` None), else a polynomial in ``rank`` variables, homogeneous
-    of its :func:`part_power`, or a zero int or Fraction.  A zero
-    polynomial of that rank is returned at once, before any power is
-    computed or any term walked."""
+    nonzero value in a part that is not ``listed`` is refused
+    (:func:`_vanishing`); then the part must be a rational for a circle
+    action (``rank`` None), else a polynomial in ``rank`` variables,
+    homogeneous of its :func:`part_power`, or a zero int or Fraction.  A
+    zero polynomial of that rank is returned at once."""
     degree, rank, where, listed = context
     if value:
         for held, _, _ in listed:

@@ -187,13 +187,12 @@ class LinearSubstitution:
     image in the ``v`` variables.  The image of each monomial is expanded
     once, from the image of a monomial one degree lower, and kept for later
     calls on the same object.  A polynomial's image gets a dict of its own,
-    so mutating it cannot reach the memo; the constraint rows and a class's
-    obstructions read each monomial's image in the memo itself
-    (:meth:`_monomial`), read only.  The variable images and the memo hold
-    the matrix's integer entries as ``int``, so a monomial's image has
-    ``int`` coefficients, and so has the image of a polynomial with ``int``
-    coefficients; one with Fraction coefficients still maps to one with
-    Fraction coefficients.
+    so mutating it cannot reach the memo; a monomial's image from
+    :meth:`_monomial` is the memo's own, read only.  The variable images
+    and the memo hold the matrix's integer entries as ``int``, so a
+    monomial's image has ``int`` coefficients, and so has the image of a
+    polynomial with ``int`` coefficients; one with Fraction coefficients
+    still maps to one with Fraction coefficients.
     """
 
     __slots__ = ("nvars", "nout", "_variables", "_monomials")
@@ -295,17 +294,11 @@ def poly_to_pairs(p: MPoly) -> list[list]:
     return [[list(exps), str(coeff)] for exps, coeff in p.sorted_terms()]
 
 
-def poly_from_pairs(
-    pairs: Iterable, nvars: int, parse_scalar, *args, seen: dict | None = None
-) -> MPoly:
+def poly_from_pairs(pairs: Iterable, nvars: int, parse_scalar, *args) -> MPoly:
     """The sum of ``[exponents, coefficient]`` pairs, each checked once by the
     constructor's rules, built in the stored form without the constructor;
     ``parse_scalar(coefficient, *args)`` reads each coefficient as an exact
-    rational.  A text coefficient is read once: its value is kept in
-    ``seen``, a dict the caller may share between calls (one of this call's
-    own without it), and a text already there is not read again."""
-    if seen is None:
-        seen = {}
+    rational."""
     terms: dict[Exponents, int | Fraction] = {}
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -318,10 +311,7 @@ def poly_from_pairs(
             raise InputError(f"exponents must be integers, got {list(exps)}")
         if key and min(key) < 0:
             raise InputError(f"bad exponent tuple {key} for {nvars} variables")
-        if type(coeff) is not str:
-            value = parse_scalar(coeff, *args)
-        elif (value := seen.get(coeff)) is None:
-            value = seen[coeff] = parse_scalar(coeff, *args)
+        value = parse_scalar(coeff, *args)
         # a repeated key only adds: 0 + Fraction goes through Fraction.__radd__
         if key in terms:
             terms[key] += value

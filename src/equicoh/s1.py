@@ -612,11 +612,11 @@ def _route(out: dict, rules: tuple, degree: int, terms: dict, c: int = 1) -> Non
 
     ``terms`` are the part's terms in adapted coordinates, where the
     parameter (or the character) is the first variable: a slot's or a
-    class term's monomial image (:func:`_rows`, :func:`_class_terms`),
-    read, never written.  A term ``t * v^E`` with ``E[0] = 0`` adds
-    ``factor * c * t`` at ``head + (degree, E)`` for each division; it adds
-    ``n * c * t`` at ``("pole", E[0] + shift, E[1:])`` for each pole
-    ``(shift, n)`` whose power ``E[0] + shift`` is negative.  The factors
+    class term's monomial image (:func:`_rows`, :func:`_class_terms`).  A
+    term ``t * v^E`` with ``E[0] = 0`` adds ``factor * c * t`` at
+    ``head + (degree, E)`` for each division; it adds ``n * c * t`` at
+    ``("pole", E[0] + shift, E[1:])`` for each pole ``(shift, n)`` whose
+    power ``E[0] + shift`` is negative.  The factors
     and numerators of :func:`_constraint_table` are ``int``s, so integer
     terms and coefficients give integer sums: a pole key holds its value
     times the table's denominator.  Terms of different images that meet at
@@ -681,8 +681,7 @@ def _class_terms(table, parts: dict, substitution: LinearSubstitution | None):
     is the substitution's memoised image of its monomial, shared and read
     only, as :func:`_rows` routes a basis slot; a circle-action value is one
     term of image ``{(p,): 1}``, p its power of the parameter
-    (:func:`part_power`).  No part's image is merged, so the terms of one
-    part meet only where they are routed."""
+    (:func:`part_power`)."""
     for key, rules in table.items():
         for degree, value in parts.get(key, ()):
             if substitution is None:
@@ -1048,9 +1047,9 @@ def _parse_class(text, document) -> EquivariantClass:
     read, its record is built by the checked constructor of
     :class:`ComponentClass`, so a record's rules are checked on one path.
     Each distinct coefficient text is read by :func:`parse_rational` once
-    per document, at its first place, through a dict local to this call; a
-    polynomial's pairs go to :func:`poly_from_pairs` with that dict,
-    ``parse_rational`` and the place, so a repeated text costs one lookup.
+    per document, at its first place, through a dict local to this call
+    (``rational``, also the scalar reader a polynomial's pairs go through),
+    so a repeated text costs one lookup.
     """
     doc = _load_document(text)
     _check_keys_class(doc)
@@ -1072,7 +1071,7 @@ def _parse_class(text, document) -> EquivariantClass:
         if not isinstance(value, list):
             raise SchemaError("polynomials are arrays of [exponents, coefficient] pairs", where)
         try:
-            return poly_from_pairs(value, rank, parse_rational, where, seen=seen)
+            return poly_from_pairs(value, rank, rational, where)
         except InputError as exc:
             raise SchemaError(str(exc), where) from None
 

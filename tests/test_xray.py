@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import random
 import re
 from fractions import Fraction
@@ -17,6 +16,7 @@ from equicoh import (
     EquivariantClass,
     InputError,
     MPoly,
+    PoincareSeries,
     SchemaError,
     SurfaceClass,
     check_membership,
@@ -1625,14 +1625,10 @@ def unimodular_matrices(draw, rank: int):
 def cube_series_coefficient(rank: int, genus: int, degree: int) -> int:
     """The coefficient of t^degree in the equivariant Poincare series of the
     cube x-ray, (1 + 2g t + t^2) (1 + t^2)^r / (1 - t^2)^r."""
-
-    def even(m: int) -> int:  # of t^(2m) in ((1 + s) / (1 - s))^r, s = t^2
-        return sum(math.comb(rank, j) * math.comb(m - j + rank - 1, rank - 1)
-                   for j in range(min(m, rank) + 1)) if m >= 0 else 0
-
-    if degree % 2:
-        return 2 * genus * even(degree // 2)
-    return even(degree // 2) + even(degree // 2 - 1)
+    series = PoincareSeries((1, 2 * genus, 1))
+    for _ in range(rank):
+        series = series * PoincareSeries((1, 0, 1), 1)
+    return series.coefficient(degree)
 
 
 @settings(max_examples=60, deadline=None)

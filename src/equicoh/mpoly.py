@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
@@ -184,22 +185,24 @@ class LinearSubstitution:
     """The change of variables ``u_i = sum_j matrix[i][j] * v_j``.
 
     Calling the object on a polynomial in the ``u`` variables returns its
-    image in the ``v`` variables.  The image of each monomial is expanded
-    once, from the image of a monomial one degree lower, and kept for later
-    calls on the same object.  A polynomial's image gets a dict of its own,
-    so mutating it cannot reach the memo; a monomial's image from
-    :meth:`_monomial` is the memo's own, read only.  The variable images
-    and the memo hold the matrix's integer entries as ``int``, so a
-    monomial's image has ``int`` coefficients, and so has the image of a
-    polynomial with ``int`` coefficients; one with Fraction coefficients
-    still maps to one with Fraction coefficients.
+    full image in the ``v`` variables.  :meth:`_monomial` returns a
+    monomial's image as the memo keeps it: whole, or with ``below`` only
+    the terms of first exponent below ``below``, the image modulo
+    ``v_1^below``.  That exponent only grows under multiplication, so each
+    kept image, expanded once from the kept image one degree lower, holds
+    the full image's terms below ``below``, their values and their order.
+    A polynomial's image gets a dict of its own; a monomial's is the
+    memo's, read only.  The memo holds the matrix's entries as ``int``s,
+    so ``int`` coefficients map to ``int`` ones and Fractions to Fractions.
     """
 
-    __slots__ = ("nvars", "nout", "_variables", "_monomials")
+    __slots__ = ("nvars", "nout", "below", "_matrix", "_variables", "_monomials")
 
-    def __init__(self, matrix: Sequence[Sequence[int]]):
+    def __init__(self, matrix: Sequence[Sequence[int]], below: int | None = None):
         self.nvars = len(matrix)
         self.nout = len(matrix[0]) if matrix else 0
+        self.below = below
+        self._matrix = matrix
         self._variables = [
             {tuple(1 if j == k else 0 for k in range(self.nout)): m
              for j, m in enumerate(row) if m}
@@ -210,7 +213,7 @@ class LinearSubstitution:
         }
 
     def _monomial(self, exps: Exponents) -> dict[Exponents, int]:
-        """The expanded image of one monomial, with ``int`` coefficients;
+        """The kept image of one monomial, with ``int`` coefficients;
         shared with the memo, read only."""
         image = self._monomials.get(exps)
         if image is not None:
@@ -221,23 +224,25 @@ class LinearSubstitution:
             pending.append((exps, i))
             exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         image = self._monomials[exps]
+        below = self.below
         while pending:
             exps, i = pending.pop()
             product: dict[Exponents, int] = {}
             for e1, c1 in image.items():
                 for e2, c2 in self._variables[i].items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
+                    key = tuple(map(add, e1, e2))
                     product[key] = product.get(key, 0) + c1 * c2
-            image = {e: c for e, c in product.items() if c}
+            image = {e: c for e, c in product.items() if c and (below is None or e[0] < below)}
             self._monomials[exps] = image
         return image
 
     def __call__(self, p: MPoly) -> MPoly:
-        """The image of ``p``, its terms' images summed: each coefficient is
-        multiplied only by the memo's ``int`` coefficients, so ``int``
-        coefficients map to ``int`` ones."""
+        """The full image of ``p``, its terms' images summed, under a
+        substitution that keeps them whole."""
         if p.nvars != self.nvars:
             raise InputError("substitution matrix has wrong number of rows")
+        if self.below is not None:
+            return LinearSubstitution(self._matrix)(p)
         acc: dict = {}
         for exps, coeff in p.terms.items():
             for e, c in self._monomial(exps).items():

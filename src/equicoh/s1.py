@@ -323,6 +323,10 @@ def _check_ids(owner: str, ids: list[str], found: list[str]) -> None:
 # point's value and a surface's H^0 part meet u^-2, its H^2 part u^-1.
 _POLE_SHIFTS = {"c": -2, "c0": -2, "c2": -1}
 
+# The deepest pole's order: along a character, :func:`_route` reads no
+# image term whose power of the character is this or more.
+_ROUTED_ORDER = -min(_POLE_SHIFTS.values())
+
 
 def _localization_rules(
     graph: DecoratedGraph, comp: IsolatedVertex | FatVertex
@@ -612,8 +616,9 @@ def _route(out: dict, rules: tuple, degree: int, terms: dict, c: int = 1) -> Non
 
     ``terms`` are the part's terms in adapted coordinates, where the
     parameter (or the character) is the first variable: a slot's or a
-    class term's monomial image (:func:`_rows`, :func:`_class_terms`).  A
-    term ``t * v^E`` with ``E[0] = 0`` adds ``factor * c * t`` at
+    class term's monomial image (:func:`_rows`, :func:`_class_terms`),
+    whose terms of ``E[0]`` below :data:`_ROUTED_ORDER` are all it reads.
+    A term ``t * v^E`` with ``E[0] = 0`` adds ``factor * c * t`` at
     ``head + (degree, E)`` for each division; it adds ``n * c * t`` at
     ``("pole", E[0] + shift, E[1:])`` for each pole ``(shift, n)`` whose
     power ``E[0] + shift`` is negative.  The factors
@@ -679,16 +684,18 @@ def _class_terms(table, parts: dict, substitution: LinearSubstitution | None):
     rules, the term's monomial image in adapted coordinates (see
     :func:`_route`) and its ``int`` coefficient ``c``.  A torus term's image
     is the substitution's memoised image of its monomial, shared and read
-    only, as :func:`_rows` routes a basis slot; a circle-action value is one
-    term of image ``{(p,): 1}``, p its power of the parameter
-    (:func:`part_power`)."""
+    only, as :func:`_rows` routes a basis slot, and none is empty; a
+    circle-action value is one term of image ``{(p,): 1}``, p its power of
+    the parameter (:func:`part_power`)."""
     for key, rules in table.items():
         for degree, value in parts.get(key, ()):
             if substitution is None:
                 yield rules, degree, {(part_power(key[1], degree),): 1}, value
             else:
                 for exps, c in value.items():
-                    yield rules, degree, substitution._monomial(exps), c
+                    image = substitution._monomial(exps)
+                    if image:
+                        yield rules, degree, image, c
 
 
 def _class_obstructions(group: tuple, scaled: tuple[int, dict]) -> dict[tuple, Fraction]:
@@ -745,13 +752,14 @@ def _graph_group(graph: DecoratedGraph, rank=None, lam=None) -> tuple:
     image conditions or one x-ray piece's (``XRay._groups``): ``tag``
     prefixes its obstruction keys (the piece id, or nothing), ``table`` and
     ``denominator`` are the full :func:`_constraint_table` of its
-    components, and ``substitution`` rewrites a part along the character
-    (None for a circle action).  Every graph query but a basis reads this
-    group (a basis reads one degree's table, :func:`_groups`), as every
-    x-ray query reads the x-ray's kept groups.  Raises unless the
-    character has ``rank`` primitive integer entries and the graph is
-    valid, checked in that order; a class's addressing is checked after
-    both, as its parts are read (:func:`_scaled_parts`).
+    components, and ``substitution`` routes a part along the character
+    (:func:`character_substitution`; None for a circle action).  Every
+    graph query but a basis reads this group (a basis reads one degree's
+    table, :func:`_groups`), as every x-ray query reads the x-ray's kept
+    groups.  Raises unless the character has ``rank`` primitive integer
+    entries and the graph is valid, checked in that order; a class's
+    addressing is checked after both, as its parts are read
+    (:func:`_scaled_parts`).
     """
     substitution = None
     if lam is not None:
@@ -781,9 +789,9 @@ def _rows(groups, degree: int, slots: list[Slot]) -> dict[tuple, dict[int, int]]
     group's table is walked by its keys, as :func:`_class_terms` walks a
     class, and every slot at a key routes its unit terms through the key's
     rules (``{(p,): 1}`` for a circle action, p the part's power of the
-    parameter; the memoised image of the slot's monomial under the
-    substitution for a torus), all in ints: a pole entry is its value
-    times the group's denominator."""
+    parameter; for a torus, the slot monomial's nonempty image under the
+    substitution), all in ints: a pole entry is its value times the
+    group's denominator."""
     positions: dict[tuple, list[int]] = {}  # by (component, part, index)
     for i, slot in enumerate(slots):
         positions.setdefault(slot[:3], []).append(i)
@@ -795,6 +803,8 @@ def _rows(groups, degree: int, slots: list[Slot]) -> dict[tuple, dict[int, int]]
                     terms = {(part_power(key[1], degree),): 1}
                 else:
                     terms = substitution._monomial(slots[i].exps)
+                    if not terms:
+                        continue
                 column: dict[tuple, int] = {}
                 _route(column, rules, degree, terms)
                 for obstruction, value in column.items():
@@ -956,8 +966,10 @@ def promote_to_torus(alpha: EquivariantClass) -> EquivariantClass:
 
 
 def character_substitution(lam) -> LinearSubstitution:
-    """The substitution into coordinates where the character is the first variable."""
-    return LinearSubstitution(unimodular_completion(lam))
+    """The substitution into coordinates where the character is the first
+    variable whose monomial images keep only the terms below the
+    character's square (:data:`_ROUTED_ORDER`), those :func:`_route` reads."""
+    return LinearSubstitution(unimodular_completion(lam), _ROUTED_ORDER)
 
 
 def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClass) -> Laurent:
@@ -965,13 +977,15 @@ def localize_torus(graph: DecoratedGraph, rank: int, lam, alpha: EquivariantClas
 
     Returns a Laurent element in the character direction whose coefficients
     are polynomials in the complementary directions.  Each term of the class
-    is read through its monomial's image in coordinates where the character
-    is the first variable (:func:`_class_terms`), and the poles of the
-    graph's :func:`_constraint_table` apply power by power, as in
+    is read through its monomial's full image in coordinates where the
+    character is the first variable (:func:`_class_terms`), and the poles
+    of the graph's :func:`_constraint_table` apply power by power, as in
     :func:`localize`; H^1 parts have none.
     :func:`torus_obstructions` keeps the negative powers of this sum.
     """
-    return _localization_sum(_graph_group(graph, rank, lam), _scaled_parts(graph, rank, alpha))
+    tag, table, _, denominator = _graph_group(graph, rank, lam)
+    full = LinearSubstitution(unimodular_completion(lam))
+    return _localization_sum((tag, table, full, denominator), _scaled_parts(graph, rank, alpha))
 
 
 def torus_obstructions(

@@ -21,6 +21,8 @@ validated objects.  The fixtures:
   interior points at momenta 1..n, for scaling in the number of slots.
 * ``twisted``: an x-ray document moved by a unimodular matrix, so that
   its 4-dimensional pieces lie along skew characters.
+* ``as_xray``: a graph document's rank-1 twin, the x-ray of its circle
+  action with one 4-dimensional piece along the character (1).
 
 ``budget`` is the wall-clock context manager of the acceptance gates;
 ``raw_document`` and ``parse_status`` give the shape tests the JSON twin of
@@ -281,6 +283,37 @@ def twisted(doc: dict, matrix) -> dict:
     return out
 
 
+def as_xray(graph_doc: dict) -> dict:
+    """The x-ray document of the Hamiltonian circle action ``graph_doc``,
+    seen as a complexity-one space of rank 1: each component keeps its id
+    at momentum ``[y]``, a point's weights become ``[[w1], [w2]]``, a
+    surface keeps its genus and area with weight ``[1]`` at the minimum and
+    ``[-1]`` at the maximum, and the one piece, of character ``[1]``, holds
+    every component, with the graph document as its induced graph."""
+    bottom = min(Fraction(str(c["y"])) for c in graph_doc["isolated"] + graph_doc["surfaces"])
+    components = [
+        {"id": v["id"], "y": [v["y"]], "weights": [[w] for w in v["weights"]]}
+        for v in graph_doc["isolated"]
+    ] + [
+        {
+            "id": s["id"],
+            "y": [s["y"]],
+            "weights": [[1 if Fraction(str(s["y"])) == bottom else -1]],
+            "genus": s["genus"],
+            "area": s["area"],
+        }
+        for s in graph_doc["surfaces"]
+    ]
+    piece = {
+        "id": "M",
+        "lambda": [1],
+        "dim": 4,
+        "members": [c["id"] for c in components],
+        "induced_graph": copy.deepcopy(graph_doc),
+    }
+    return {"kind": "xray", "rank": 1, "components": components, "pieces": [piece]}
+
+
 def g1():
     return parse_graph(g1_doc())
 
@@ -456,6 +489,19 @@ def constant_torus_class(xray, value) -> EquivariantClass:
         else:
             entry = SurfaceClass(c.genus, c0=MPoly.constant(r, value))
         comps[c.id] = ComponentClass(c.kind, c.genus, {0: entry}, r)
+    return EquivariantClass(comps, r)
+
+
+def power_class(xray, cid: str, power: int) -> EquivariantClass:
+    """The class of ``xray`` whose one nonzero record is the surface ``cid``'s
+    degree-2p entry, p = ``power``, with H^0 part ``u1^p`` and H^2 part
+    ``u1^(p - 1)``: a class whose monomials' images grow with p."""
+    r = xray.rank
+    comps = {c.id: ComponentClass(c.kind, c.genus, {}, r) for c in xray.components}
+    surface = xray.find(cid)
+    c0, c2 = (MPoly.monomial((e,) + (0,) * (r - 1), 1) for e in (power, power - 1))
+    entry = SurfaceClass(surface.genus, c0, (MPoly.zero(r),) * (2 * surface.genus), c2)
+    comps[cid] = ComponentClass("surface", surface.genus, {2 * power: entry}, r)
     return EquivariantClass(comps, r)
 
 

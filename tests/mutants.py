@@ -172,6 +172,27 @@ MUTANTS = (
         "            for shift, n in poles:",
         ("tests/test_s1.py",),
     ),
+    Mutant(
+        "routing keeps the image terms below the character only",
+        "s1.py",
+        "_ROUTED_ORDER = -min(_POLE_SHIFTS.values())",
+        "_ROUTED_ORDER = -min(_POLE_SHIFTS.values()) - 1",
+        ("tests/test_s1.py", "tests/test_xray.py"),
+    ),
+    Mutant(
+        "the localization along a character reads the routing images",
+        "s1.py",
+        "full = LinearSubstitution(unimodular_completion(lam))",
+        "full = character_substitution(lam)",
+        ("tests/test_s1.py",),
+    ),
+    Mutant(
+        "a member's ratios read without the lookup along -lam",
+        "xray.py",
+        "return directions.get(lam, []) + [-c for c in directions.get(against, ())]",
+        "return directions.get(lam, [])",
+        ("tests/test_xray.py",),
+    ),
 )
 
 

@@ -519,6 +519,52 @@ def test_rank_seven_cube_membership_of_a_fractional_class_scales(cube_member):
         assert not check_membership_xray(xray, perturbed).member
 
 
+# The rank-3 genus-1 cube moved by a lower triangular matrix, and a class
+# whose one record, at S000, is u1^D in H^0 and u1^(D - 1) in H^2 in degree
+# 2D.  Along each character the routed terms of u1^D's image are those of
+# first exponent 0 and 1, O(D) of them, out of O(D^2).
+HOSTILE_TWIST = [[1, 0, 0], [2, 1, 0], [3, 4, 1]]
+
+HOSTILE_CLASS_GATE = """
+import json
+import fixtures
+from equicoh import check_membership_xray, validate_xray
+from fixtures import budget
+
+doc = fixtures.twisted(fixtures.cube_doc(3, 1), {twist})
+xray = fixtures.parse_xray(doc)
+assert validate_xray(xray) == []
+alpha = fixtures.power_class(xray, "S000", {power})
+with budget(1.5):
+    decision = check_membership_xray(xray, alpha)
+print(json.dumps([v.kind for v in decision.violations]))
+"""
+
+
+def test_a_high_power_class_keeps_its_routed_terms_only():
+    # Each of the three pieces at S000 reports one divisibility and one
+    # localization pole, and the three substitutions keep 91 203 terms at
+    # D = 300, where expanding every term of every lower power's image
+    # keeps about 4.5 M.
+    xray = fixtures.parse_xray(fixtures.twisted(fixtures.cube_doc(3, 1), HOSTILE_TWIST))
+    assert validate_xray(xray) == []
+    decision = check_membership_xray(xray, fixtures.power_class(xray, "S000", 300))
+    pieces = ["piece E0_S000_S100", "piece E1_S000_S010", "piece E2_S000_S001"]
+    kinds = ["divisibility", "localization-pole"]
+    found = [(v.detail.split(":")[0], v.kind) for v in decision.violations]
+    assert found == [(piece, kind) for piece in pieces for kind in kinds]
+    substitutions = {id(group[2]): group[2] for group in xray._groups.values()}
+    assert len(substitutions) == 3
+    kept = sum(len(image) for s in substitutions.values() for image in s._monomials.values())
+    assert kept <= 100_000
+
+
+def test_a_high_power_class_is_checked_in_time():
+    # Timed in a fresh interpreter, as the rank-8 basis gates are.
+    kinds = _fresh_interpreter(HOSTILE_CLASS_GATE.format(twist=HOSTILE_TWIST, power=300))
+    assert kinds == ["divisibility", "localization-pole"] * 3
+
+
 def _counting_fractions(monkeypatch, built: list) -> None:
     """Record every Fraction built while the patch holds."""
 

@@ -68,7 +68,7 @@ from equicoh.graph import (
     weight_product,
 )
 from equicoh.linalg import rref
-from equicoh.mpoly import monomials_of_degree, ratio
+from equicoh.mpoly import LinearSubstitution, monomials_of_degree, ratio, unimodular_completion
 from equicoh.s1 import _check_ids, _check_keys_class, _degree_items, character_substitution
 from equicoh.xray import (
     DEFAULT_XRAY_MAX_DEGREE,
@@ -88,6 +88,7 @@ from test_mpoly import reference_poly_from_pairs, reference_split_leading
 from test_xray import BAD_COMPONENT_SHAPES as XRAY_COMPONENT_SHAPES
 from test_xray import BAD_SHAPES as XRAY_PIECE_SHAPES
 from test_xray import EQUIVALENCE_XRAYS
+from test_xray import TWIN_DOCS
 from test_xray import TWISTS as XRAY_TWISTS
 
 
@@ -886,6 +887,92 @@ def test_terms_that_cancel_where_they_are_routed_report_no_obstruction():
     found = s1._class_obstructions(group, scaled)
     assert key not in found
     assert found == reference_walk_obstructions(group, scaled)
+
+
+# -- routing reads only the image terms below the character's square -------
+
+
+def reference_full_groups(xray):
+    """The x-ray's groups, each with a substitution along its piece's
+    character that keeps every term of a monomial's image."""
+    characters = {piece.id: piece.lam for piece in xray.pieces}
+    return [
+        (tag, table, LinearSubstitution(unimodular_completion(characters[tag[0]])), denominator)
+        for tag, table, _, denominator in xray._groups.values()
+    ]
+
+
+def ordered(found):
+    """The items of a dict, and of the dicts it holds, as lists: two are
+    equal only with equal keys, values and key order."""
+    return [(key, ordered(v) if isinstance(v, dict) else v) for key, v in found.items()]
+
+
+# cp3 and cubes moved along skew characters, where an image has terms of
+# every power of the character, and the rank-1 twins, whose surfaces' H^2
+# parts read the first power.
+TRUNCATION_TWISTS = {
+    **XRAY_TWISTS,
+    4: [((1, 0, 0, 0), (2, 1, 0, 0), (3, 4, 1, 0), (1, 2, 3, 1))],
+}
+TRUNCATION_XRAYS = {
+    "cp3": fixtures.cp3(),
+    **{
+        f"twisted_r{rank}_g{genus}_{i}": parse_xray(
+            fixtures.twisted(fixtures.cube_doc(rank, genus), matrix)
+        )
+        for rank, matrices in TRUNCATION_TWISTS.items()
+        for i, matrix in enumerate(matrices)
+        for genus in (0, 1, 2)
+    },
+    **{f"twin_{name}": parse_xray(fixtures.as_xray(doc)) for name, doc in TWIN_DOCS.items()},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(TRUNCATION_XRAYS)),
+    st.integers(0, 8),
+    st.sampled_from(sorted(COEFFICIENTS)),
+    st.randoms(use_true_random=False),
+)
+def test_the_kept_images_route_as_the_full_ones(name, degree, coefficients, rng):
+    """Over groups whose substitutions keep every image term, a basis's
+    rows and a class's obstructions are those of the x-ray's groups, key
+    for key, value for value and in the same order, for a random class and
+    for a basis class, whose terms all cancel where they are routed."""
+    xray = TRUNCATION_XRAYS[name]
+    groups, reference = list(xray._groups.values()), reference_full_groups(xray)
+    slots = degree_slots(xray, degree)
+    assert ordered(s1._rows(groups, degree, slots)) == ordered(s1._rows(reference, degree, slots))
+    alpha = fixtures.random_torus_class(
+        xray._fixed_components, xray.rank, rng, range(9), COEFFICIENTS[coefficients]
+    )
+    basis = image_basis_xray(xray, degree)
+    for beta in [alpha] + ([rng.choice(basis)] if basis else []):
+        scaled = s1._scaled_parts(xray, xray.rank, beta)
+        for group, full in zip(groups, reference):
+            found = s1._class_obstructions(group, scaled)
+            assert ordered(found) == ordered(s1._class_obstructions(full, scaled))
+
+
+def test_no_kept_image_holds_a_term_at_the_characters_square():
+    """After a basis and a membership check, every group's substitution
+    holds images of first exponent 0 and 1 only: the terms that meet a
+    division (power 0) or a pole (powers 0 and 1, shifted by -2 or -1)."""
+    rng = random.Random(0)
+    for name, xray in TRUNCATION_XRAYS.items():
+        for degree in range(5):
+            image_basis_xray(xray, degree)
+        alpha = fixtures.random_torus_class(xray._fixed_components, xray.rank, rng, range(9))
+        check_membership_xray(xray, alpha)
+        powers = {
+            exps[0]
+            for _, _, substitution, _ in xray._groups.values()
+            for image in substitution._monomials.values()
+            for exps in image
+        }
+        assert powers == {0, 1}, name
 
 
 def test_localize_torus_checks_the_character_length():

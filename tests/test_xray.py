@@ -31,6 +31,7 @@ from equicoh import (
     parse_class,
     parse_class_torus,
     parse_xray,
+    promote_to_torus,
     serialize_xray,
     unit_class,
     validate_xray,
@@ -1597,6 +1598,50 @@ def test_a_twisted_cube_has_the_moved_image_of_the_plain_one(rank, genus, matrix
             member = check_membership_xray(plain, perturbed).member
             assert check_membership_xray(twist, moved(perturbed, matrix)).member == member
             refused += not member
+    assert refused
+
+
+# Every fixture graph and its rank-1 twin (``fixtures.as_xray``): the circle
+# action seen as a complexity-one space, one 4-dimensional piece along (1).
+TWIN_DOCS = {
+    "g1": fixtures.g1_doc(),
+    **{f"g2_g{genus}": fixtures.g2_doc(genus) for genus in (0, 1, 2)},
+    "g2_g2_uneq": fixtures.g2_doc(2, 1, 2),
+    "g3": fixtures.g3_doc(),
+    "chain5_g1_edged": fixtures.chain_doc(5, 1, edges=True),
+    "chain6_g2": fixtures.chain_doc(6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_DOCS))
+def test_a_graphs_rank_one_twin_has_its_image(name):
+    """In degrees 0 to 6 the twin's basis is the graph's, promoted, and the
+    twin and the graph agree on the membership of random members and of
+    members perturbed at one slot.  Along the twin's character a surface's
+    H^2 part reads the first power of the character, so the twin reads
+    every order of image term that routing keeps."""
+    doc = TWIN_DOCS[name]
+    graph, twin = parse_graph(doc), parse_xray(fixtures.as_xray(doc))
+    assert validate_xray(twin) == []
+    for degree in range(7):
+        basis = image_basis(graph, degree)
+        assert image_basis_xray(twin, degree) == [promote_to_torus(b) for b in basis], degree
+    rng = random.Random(name)
+    refused = 0
+    for _ in range(2):
+        member = fixtures.random_member(graph, rng, degrees=range(7))
+        perturbed = []
+        for degree in range(7):
+            vector = class_to_vector(graph, degree, member)
+            for i in range(len(vector)):
+                moved = vector[:i] + [vector[i] + 1] + vector[i + 1:]
+                perturbed.append(
+                    fixtures._merge(member, class_from_vector(graph, degree, moved))
+                )
+        for alpha in [member] + perturbed:
+            verdict = check_membership(graph, alpha).member
+            assert check_membership_xray(twin, promote_to_torus(alpha)).member == verdict
+            refused += not verdict
     assert refused
 
 
